@@ -144,7 +144,7 @@ def restore_venus(snapshot, sim, network, host):
                   config=snapshot.config, user=snapshot.user,
                   first_conn_id=snapshot.next_conn_id)
     # Mount table and volume knowledge.
-    venus._mounts = dict(snapshot.mounts)
+    venus.restore_mounts(snapshot.mounts)
     for volid, stamp in snapshot.volume_stamps.items():
         info = venus.cache.volume_info(volid)
         info.stamp = stamp
@@ -156,10 +156,8 @@ def restore_venus(snapshot, sim, network, host):
         venus.cache.adopt(_copy_entry(entry))
     # The client modify log, with the barrier gone and the sequence
     # numbering resuming where it stopped.
-    venus.cml._records = [_copy_record(r) for r in snapshot.cml_records]
-    venus.cml._seq = count(snapshot.next_seqno)
-    venus.cml.stats = snapshot.cml_stats.snapshot()
-    venus.cml._notify()
+    venus.cml.restore([_copy_record(r) for r in snapshot.cml_records],
+                      snapshot.next_seqno, snapshot.cml_stats.snapshot())
     venus._fid_counter = count(snapshot.next_fid)
     # Hoard database.
     for hoard_entry in snapshot.hoard_entries:

@@ -185,31 +185,23 @@ class Simulator:
         :class:`Event`; in the latter case the loop stops as soon as the
         event has been processed and returns its value.
         """
+        stop_event = None
         if isinstance(until, Event):
             stop_event = until
             # The caller observes this event's outcome (we re-raise
             # failures below), so it never counts as unhandled.
             stop_event.defuse()
-            # A pooled stop event must survive dispatch un-reset: the
-            # loop below reads ``processed`` and ``_value`` after it
-            # runs, and a recycled event would reset ``processed`` and
-            # spin forever.  Un-marking it simply leaks the object to
-            # the garbage collector.
+            # A pooled stop event must survive dispatch un-reset: its
+            # ``_value`` is read after the loop.  Un-marking it simply
+            # leaks the object to the garbage collector.
             stop_event._recycle = False
-            while not stop_event.processed:
-                if not self._queue:
-                    raise RuntimeError(
-                        "simulation ran dry before %r triggered" % (until,))
-                self.step()
-            pool = self._pool
-            if pool is not None and self.obs.enabled:
-                pool.publish(self.obs.metrics)
-            if stop_event._ok is False:
-                stop_event.defuse()
-                raise stop_event._value
-            return stop_event._value
-
-        deadline = float("inf") if until is None else float(until)
+            # Event-stopped runs use the same loops as timed ones: no
+            # deadline, and a break right after the stop event's own
+            # dispatch.  No loop admits an entry before -inf, so an
+            # already-processed event dispatches nothing.
+            deadline = float("-inf" if stop_event._processed else "inf")
+        else:
+            deadline = float("inf") if until is None else float(until)
         queue_obj = self._queue
         pool = self._pool
         # Bound once per run: the recycle hook in the loops below costs
@@ -227,17 +219,24 @@ class Simulator:
             free_timeouts = pool._free_timeouts
         else:
             free_events = free_timeouts = None
-        if "step" in self.__dict__:
-            # An instance-level step override (the obs schedule probe
-            # wraps it to log every dispatch) must keep seeing each
-            # event; take the plain loop.
+        kind = type(queue_obj)
+        if "step" in self.__dict__ or kind not in (HeapQueue, CalendarQueue):
+            # The plain loop, ``step()`` per event through nothing but
+            # the documented queue interface.  An instance-level step
+            # override (the obs schedule probe wraps it to log every
+            # dispatch) must keep seeing each event, and an externally
+            # supplied scheduler (including the deliberately broken
+            # ones under the differential harness) allows no
+            # structural assumptions.
             peek_when = queue_obj.peek_when
             while True:
                 upcoming = peek_when()
                 if upcoming is None or upcoming > deadline:
                     break
                 self.step()
-        elif type(queue_obj) is HeapQueue:
+                if stop_event is not None and stop_event._processed:
+                    break
+        elif kind is HeapQueue:
             # Fast path: step() inlined over the reference heap.
             # Locals for the heap list and heappop save a method call
             # plus several attribute loads per event — the single
@@ -301,9 +300,11 @@ class Simulator:
                                 pool.dropped += 1
                         else:
                             recycle(event)
+                    elif event is stop_event:
+                        break
             finally:
                 self.dispatched += done
-        elif type(queue_obj) is CalendarQueue:
+        else:
             # Fast path: step() inlined over the calendar queue.  The
             # at-instant FIFO lanes need no deadline check inside the
             # loop: every lane entry is due at ``_instant``, and
@@ -376,71 +377,19 @@ class Simulator:
                                 pool.dropped += 1
                         else:
                             recycle(event)
-            finally:
-                self.dispatched += done
-        else:
-            # Generic loop for externally supplied schedulers
-            # (including deliberately broken ones under the
-            # differential harness): only the documented queue
-            # interface, no structural assumptions.
-            peek_when = queue_obj.peek_when
-            pop = queue_obj.pop
-            cached_obs = dispatch_counter = depth_gauge = None
-            done = 0
-            try:
-                while True:
-                    upcoming = peek_when()
-                    if upcoming is None or upcoming > deadline:
+                    elif event is stop_event:
                         break
-                    when, _prio, _seq, event = pop()
-                    self.now = when
-                    done += 1
-                    obs = self.obs
-                    if obs.enabled:
-                        if obs is not cached_obs:
-                            cached_obs = obs
-                            dispatch_counter = obs.metrics.counter(
-                                "sim.events_dispatched")
-                            depth_gauge = obs.metrics.gauge(
-                                "sim.queue_depth")
-                        dispatch_counter.inc()
-                        depth_gauge.set(len(queue_obj))
-                    event._process()
-                    if event._recycle:
-                        if free_timeouts is not None:
-                            # pool.recycle(event), inlined — see that
-                            # method for the commented reference
-                            # semantics.
-                            if event.callbacks:
-                                event.callbacks.clear()
-                            event._value = _RECYCLED
-                            event._ok = None
-                            event._processed = False
-                            event._defused = False
-                            event._recycle = False
-                            event._gen += 1
-                            cls = type(event)
-                            if cls is Timeout:
-                                event._pending_value = None
-                                if len(free_timeouts) < FREE_LIST_CAP:
-                                    pool.recycled += 1
-                                    free_timeouts.append(event)
-                                else:
-                                    pool.dropped += 1
-                            elif cls is Event:
-                                if len(free_events) < FREE_LIST_CAP:
-                                    pool.recycled += 1
-                                    free_events.append(event)
-                                else:
-                                    pool.dropped += 1
-                            else:
-                                pool.dropped += 1
-                        else:
-                            recycle(event)
             finally:
                 self.dispatched += done
         if pool is not None and self.obs.enabled:
             pool.publish(self.obs.metrics)
+        if stop_event is not None:
+            if not stop_event._processed:
+                raise RuntimeError(
+                    "simulation ran dry before %r triggered" % (until,))
+            if stop_event._ok is False:
+                raise stop_event._value
+            return stop_event._value
         if until is not None:
             self.now = max(self.now, deadline)
         return None

@@ -138,14 +138,7 @@ class CmlSimulator:
             cml.commit_frozen()
 
     def _append(self, cml, record, now):
-        if self.log_optimizations:
-            cml.append(record, now)
-        else:
-            record.time = now
-            record.seqno = next(cml._seq)
-            cml.stats.appended_records += 1
-            cml.stats.appended_bytes += record.size
-            cml._records.append(record)
+        cml.append(record, now, optimize=self.log_optimizations)
 
     def _apply(self, cml, paths, known, record):
         op = record.op

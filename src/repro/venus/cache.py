@@ -132,9 +132,16 @@ class CacheEntry:
 class CacheManager:
     """Fid-indexed cache with priority eviction and space accounting."""
 
-    def __init__(self, capacity_bytes=50_000 * 1024):
+    def __init__(self, capacity_bytes=50_000 * 1024, logged_fids=()):
         self.capacity_bytes = capacity_bytes
         self._entries = {}
+        # Dirty-flag bookkeeping (see refresh_dirty): a live view of
+        # the fids the CML holds records for, and the entries whose
+        # ``dirty`` disagreed with it when they were inserted.  An
+        # entry inserted clean while the log is empty — every insert
+        # of a read-only client — is never remembered.
+        self._logged_fids = logged_fids
+        self._unrefreshed = []
         self._volumes = {}
         self._ref_clock = 0
         self.evictions = 0
@@ -248,6 +255,9 @@ class CacheManager:
         if old is not None:
             self._detach(old)
         self._entries[entry.fid] = entry
+        logged = self._logged_fids
+        if entry.dirty != (bool(logged) and entry.fid in logged):
+            self._unrefreshed.append(entry)
         entry._cache = self
         self._used_bytes += entry.space
         refs = self._volume_refs
@@ -281,6 +291,27 @@ class CacheManager:
         if entry is not None:
             self._detach(entry)
         return entry
+
+    def refresh_dirty(self, changed_fids):
+        """Recompute ``dirty`` wherever it can differ from a full rescan.
+
+        A full rescan would set every resident entry's flag to "the
+        CML holds a record for my fid".  Since the previous refresh
+        that can only have changed for ``changed_fids`` (fids that
+        entered or left the log) and for entries inserted meanwhile
+        with a disagreeing flag; every other flag is already right.
+        """
+        entries = self._entries
+        logged = self._logged_fids
+        for fid in changed_fids:
+            entry = entries.get(fid)
+            if entry is not None:
+                entry.dirty = fid in logged
+        if self._unrefreshed:
+            for entry in self._unrefreshed:
+                if entries.get(entry.fid) is entry:
+                    entry.dirty = entry.fid in logged
+            self._unrefreshed = []
 
     def ensure_space(self, nbytes):
         """Evict until ``nbytes`` fit; raises NoSpaceError if impossible."""

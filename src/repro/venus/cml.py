@@ -93,6 +93,14 @@ class ClientModifyLog:
         self._records = []
         self._seq = count(1)
         self._frozen = set()       # id()s of records behind the barrier
+        # Per-fid count of live records acting on that object (the
+        # definition of a dirty cache entry), kept exact at every site
+        # a record enters or leaves the log, plus the fids that gained
+        # or lost their last record since :meth:`take_changed_fids` —
+        # so Venus refreshes dirty flags without rescanning the log.
+        # Mutated in place, never rebound: the cache holds a reference.
+        self._fid_refs = {}
+        self._changed_fids = set()
         self.stats = CmlStats()
         # Observability hook: called with the log after any content
         # change (append, commit, abort, discard).  None by default —
@@ -134,20 +142,60 @@ class ClientModifyLog:
             return None
         return now - self._records[0].time
 
+    # -- the per-fid record index ----------------------------------------
+
+    @property
+    def logged_fids(self):
+        """Live view of the fids some record acts on (``record.fid``)."""
+        return self._fid_refs.keys()
+
+    def take_changed_fids(self):
+        """Fids that entered or left :attr:`logged_fids` since last asked.
+
+        May over-report (a fid that left and came back), never
+        under-report.  Bounded by the distinct fids ever logged.
+        """
+        changed = self._changed_fids
+        if changed:
+            self._changed_fids = set()
+        return changed
+
+    def _insert(self, record):
+        self._records.append(record)
+        fid = record.fid
+        refs = self._fid_refs.get(fid, 0)
+        if not refs:
+            self._changed_fids.add(fid)
+        self._fid_refs[fid] = refs + 1
+
+    def _unref(self, record):
+        fid = record.fid
+        left = self._fid_refs[fid] - 1
+        if left:
+            self._fid_refs[fid] = left
+        else:
+            del self._fid_refs[fid]
+            self._changed_fids.add(fid)
+
     # -- appending with optimization -------------------------------------
 
-    def append(self, record, now):
+    def append(self, record, now, optimize=True):
         """Log ``record``, applying cancellation optimizations.
 
         Returns True if the record was actually appended, False if it
         annihilated itself together with earlier records (e.g. the
-        unlink of a file created within the log).
+        unlink of a file created within the log).  ``optimize=False``
+        is the ablation: append without any cancellation.
         """
         record.time = now
         record.seqno = next(self._seq)
         self.stats.appended_records += 1
         self.stats.appended_bytes += record.size
-        appended = self._optimize_and_insert(record)
+        if optimize:
+            appended = self._optimize_and_insert(record)
+        else:
+            self._insert(record)
+            appended = True
         self._notify()
         return appended
 
@@ -189,7 +237,7 @@ class ClientModifyLog:
                     self._remove(maker)
                     self._account_self_cancel(record)
                     return False
-        self._records.append(record)
+        self._insert(record)
         return True
 
     def _find_unfrozen(self, predicate):
@@ -207,6 +255,7 @@ class ClientModifyLog:
 
     def _remove(self, record):
         self._records.remove(record)
+        self._unref(record)
         self.stats.optimized_records += 1
         self.stats.optimized_bytes += record.size
 
@@ -291,6 +340,7 @@ class ClientModifyLog:
         for record in done:
             self.stats.reintegrated_records += 1
             self.stats.reintegrated_bytes += record.size
+            self._unref(record)
         self._records = [r for r in self._records
                          if id(r) not in self._frozen]
         self._frozen = set()
@@ -308,6 +358,8 @@ class ClientModifyLog:
         survivors = self._records
         self._records = []
         for record in survivors:
+            self._unref(record)
+        for record in survivors:
             self._optimize_and_insert(record)
         self._notify()
 
@@ -318,9 +370,31 @@ class ClientModifyLog:
         CML and becomes a user-visible conflict instead.
         """
         doomed = set(id(r) for r in records)
-        kept = [r for r in self._records if id(r) not in doomed]
+        kept = []
+        for record in self._records:
+            if id(record) in doomed:
+                self._unref(record)
+            else:
+                kept.append(record)
         removed = len(self._records) - len(kept)
         self._records = kept
         self._frozen = set()
         self._notify()
         return removed
+
+    def restore(self, records, next_seqno, stats):
+        """Replace the whole log from persistent state (crash recovery).
+
+        The barrier is gone, sequence numbering resumes at
+        ``next_seqno``, and every fid of the old and the new log counts
+        as changed.
+        """
+        self._changed_fids.update(self._fid_refs)
+        self._fid_refs.clear()
+        self._records = []
+        for record in records:
+            self._insert(record)
+        self._frozen = set()
+        self._seq = count(next_seqno)
+        self.stats = stats
+        self._notify()

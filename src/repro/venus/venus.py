@@ -145,8 +145,9 @@ class Venus:
                                    servers=server_objects)
         else:
             self.conn = self.endpoint.connect(self.server_node)
-        self.cache = CacheManager(self.config.cache_capacity)
         self.cml = ClientModifyLog()
+        self.cache = CacheManager(self.config.cache_capacity,
+                                  logged_fids=self.cml.logged_fids)
         self.hdb = HoardDatabase()
         self.misses = MissLog()
         self.conflicts = ConflictStore()
@@ -171,6 +172,7 @@ class Venus:
         self.foreground_ops = 0
         self.suppressed_fetches = set()
         self._mounts = {}            # tuple(prefix) -> (volid, root_fid)
+        self._mount_memo = {}        # path -> _mount_for(path)
         self._fid_counter = count(1)
         self._client_tag = zlib.crc32(node.encode("utf-8")) % 4096
         self._walker = None          # set lazily (import cycle)
@@ -287,14 +289,31 @@ class Venus:
             prefix = registry.mount_of(volume)
             self._mounts[prefix] = (volume.volid, volume.root_fid)
             self.cache.volume_info(volume.volid)
+        self._mount_memo.clear()
+
+    def restore_mounts(self, mounts):
+        """Replace the mount table wholesale (crash recovery)."""
+        self._mounts = dict(mounts)
+        self._mount_memo.clear()
 
     def _mount_for(self, path):
-        parts = tuple(split_path(path))
-        for cut in range(len(parts), -1, -1):
-            hit = self._mounts.get(parts[:cut])
-            if hit is not None:
-                return hit, list(parts[cut:]), "/" + "/".join(parts[:cut])
-        raise FileNotFoundError("no volume mounted for %r" % (path,))
+        """``((volid, root_fid), parts_below_mount, mount_prefix)``.
+
+        Memoised per path string (a client names the same few thousand
+        paths over and over); the longest matching prefix wins.
+        """
+        found = self._mount_memo.get(path)
+        if found is None:
+            parts = tuple(split_path(path))
+            for cut in range(len(parts), -1, -1):
+                hit = self._mounts.get(parts[:cut])
+                if hit is not None:
+                    found = hit, parts[cut:], "/" + "/".join(parts[:cut])
+                    break
+            else:
+                raise FileNotFoundError("no volume mounted for %r" % (path,))
+            self._mount_memo[path] = found
+        return found
 
     # ------------------------------------------------------------------
     # Resolution and fetching
@@ -321,8 +340,12 @@ class Venus:
         """
         (volid, root_fid), parts, prefix = self._mount_for(path)
         yield from self._local_work()
-        here = yield from self._demand_object(root_fid, prefix,
-                                              program=program, fetch=fetch)
+        # Each component takes the plain-function hit arm; a generator
+        # is created only for a component that actually misses.
+        here = self._reference_cached(root_fid, prefix)
+        if here is None:
+            here = yield from self._demand_miss(root_fid, prefix, program,
+                                                fetch=fetch)
         if not parts:
             return None, "", here
         walked = prefix
@@ -333,9 +356,10 @@ class Venus:
             walked = walked + "/" + name
             if child_fid is None:
                 raise FileNotFoundError(walked)
-            here = yield from self._demand_object(child_fid, walked,
-                                                  program=program,
-                                                  fetch=fetch)
+            here = self._reference_cached(child_fid, walked)
+            if here is None:
+                here = yield from self._demand_miss(child_fid, walked,
+                                                    program, fetch=fetch)
         name = parts[-1]
         if here.children is None:
             raise NotADirectoryError(walked)
@@ -355,17 +379,37 @@ class Venus:
         while write disconnected the estimated service time is
         compared with the patience threshold.
         """
+        hit = self._reference_cached(fid, path, entry, want_data)
+        if hit is not None:
+            return hit
+        entry = yield from self._demand_miss(fid, path, program, entry,
+                                             fetch, want_data)
+        return entry
+
+    def _reference_cached(self, fid, path, entry=None, want_data=True):
+        """The hit arm of a demand: the usable entry, or None on a miss.
+
+        A plain function, so a fully cached path resolves without one
+        generator per component.  Counts the operation either way; on
+        None the caller continues with :meth:`_demand_miss`.
+        """
         self.stats.operations += 1
         if entry is None:
             entry = self.cache.get(fid)
-        usable = (entry is not None
-                  and (entry.has_data or not want_data)
-                  and (not self.state.connected
-                       or self.cache.is_valid(entry)))
-        if usable:
+        if (entry is not None
+                and (entry.has_data or not want_data)
+                and (not self.state.connected
+                     or self.cache.is_valid(entry))):
             self.cache.touch(entry, self.sim.now)
             self._observe_reference(hit=True, path=path)
             return entry
+        return None
+
+    def _demand_miss(self, fid, path, program=None, entry=None,
+                     fetch=True, want_data=True):
+        """Generator: the miss arm, after :meth:`_reference_cached`."""
+        if entry is None:
+            entry = self.cache.get(fid)
         if not fetch:
             if entry is not None:
                 return entry
@@ -845,16 +889,8 @@ class Venus:
     # CML logging
 
     def _log(self, record):
-        if not self.config.log_optimizations:
-            # Ablation: append without any cancellation.
-            record.time = self.sim.now
-            record.seqno = next(self.cml._seq)
-            self.cml.stats.appended_records += 1
-            self.cml.stats.appended_bytes += record.size
-            self.cml._records.append(record)
-            self.cml._notify()
-        else:
-            self.cml.append(record, self.sim.now)
+        self.cml.append(record, self.sim.now,
+                        optimize=self.config.log_optimizations)
         obs = self.sim.obs
         if obs.enabled:
             obs.event("cml_append", node=self.node, op=record.op.value,
@@ -862,21 +898,23 @@ class Venus:
         self._refresh_dirty()
 
     def _refresh_dirty(self):
-        dirty_fids = set()
-        for record in self.cml:
-            dirty_fids.add(record.fid)
-        for entry in self.cache.iter_entries():
-            entry.dirty = entry.fid in dirty_fids
+        """Bring ``entry.dirty`` up to date with the CML.
+
+        Flags are recomputed only here (they are deliberately stale
+        between refresh points), and only for the entries the CML and
+        the cache know can have changed.
+        """
+        self.cache.refresh_dirty(self.cml.take_changed_fids())
 
     # ------------------------------------------------------------------
     # Hoarding API
 
     def hoard(self, path, priority, children=False):
         """Add ``path`` to the hoard database (takes effect at next walk)."""
-        self.hdb.add(path, priority, children=children)
-        (volid, _root), _parts, _prefix = self._mount_for(path)
+        hoarded = self.hdb.add(path, priority, children=children)
+        self._mount_for(path)   # FileNotFoundError: no volume mounted
         for entry in self.cache.iter_entries():
-            if entry.path and self.hdb.entry_for(path).covers(entry.path):
+            if entry.path and hoarded.covers(entry.path):
                 entry.hoard_priority = max(entry.hoard_priority, priority)
 
     def unhoard(self, path):

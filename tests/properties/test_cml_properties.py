@@ -69,12 +69,7 @@ class _Workload:
 
     def _log(self, record):
         self.clock += 1.0
-        if self.optimize:
-            self.cml.append(record, self.clock)
-        else:
-            record.time = self.clock
-            record.seqno = next(self.cml._seq)
-            self.cml._records.append(record)
+        self.cml.append(record, self.clock, optimize=self.optimize)
 
     def apply(self, kind, index, size):
         name = "n%d" % index

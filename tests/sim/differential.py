@@ -3,7 +3,7 @@
 The golden digests pin the obs timeline of eleven scenarios; this
 harness is the finer instrument behind them.  It runs the *same*
 scenario once per scheduler kind (:mod:`repro.sim.queue`) and
-byte-compares two witnesses:
+byte-compares up to three witnesses:
 
 * **dispatch tier** — every single dispatch, as the canonical line
   ``(when, priority, seq, event-class)`` read through
@@ -18,6 +18,16 @@ byte-compares two witnesses:
   probe, so the kernel takes its per-kind inlined fast loop.  This is
   the tier that proves the fast paths themselves — not just the
   ``pop()`` interface — are schedule-identical.
+* **stops tier** (the event-stopped mode; opt in with ``--tier
+  stops``) — one line per ``Simulator.run`` call: how it was stopped
+  (``event:<class>`` or the deadline), where the clock and the
+  dispatch count landed, and the entry left at the head of the queue.
+  Captured through a class-level wrapper, so each kind keeps its own
+  loop; with ``--queue plain`` (the reference heap behind the kernel's
+  plain ``step()`` loop) all three loops of ``Simulator.run`` are
+  compared.  A loop that overruns its stop event, stops one dispatch
+  early, or reorders the same-instant remnant left queued for the next
+  ``run`` differs here at that very call.
 
 Scenario specs are the ``repro.analysis.divergence`` syntax
 (``obs:<name>``, ``faults:<name>``, ``mod:<module>:<function>``) plus
@@ -58,15 +68,35 @@ from repro.analysis.divergence import (
     resolve_scenario,
 )
 from repro.sim import kernel
+from repro.sim.events import Event
 from repro.sim.pool import use_pooling
-from repro.sim.queue import use_kind
+from repro.sim.queue import HeapQueue, register_kind, use_kind
 
 DEFAULT_KINDS = ("heap", "calendar")
 DEFAULT_TIERS = ("dispatch", "timeline")
+TIERS = DEFAULT_TIERS + ("stops",)
 #: The pooling grid the CI pool-differential job sweeps; ``None`` in
 #: diff_scenario means "session default only" (the pre-pooling axis
 #: behaviour, plain kind labels).
 DEFAULT_POOLINGS = ("off", "on")
+
+
+class PlainHeapQueue(HeapQueue):
+    """The reference heap, served by the kernel's plain ``step()`` loop.
+
+    ``Simulator.run`` inlines its fast loops only for exactly
+    ``HeapQueue`` and ``CalendarQueue``; any other type — this one
+    included — goes through the documented queue interface alone.
+    """
+
+    kind = "plain"
+
+    __slots__ = ()
+
+
+def register_plain_kind():
+    """Make the plain-loop kind buildable by name via make_queue."""
+    register_kind(PlainHeapQueue.kind, PlainHeapQueue)
 
 
 class _keep_pooling:
@@ -146,6 +176,54 @@ class DispatchProbe:
         if self.lines is not None:
             return list(self.lines), self.count
         return [self._hash.hexdigest()], self.count
+
+
+class StopProbe:
+    """Record the outcome of every ``Simulator.run`` inside ``with``.
+
+    Wraps ``run`` on the class, so — unlike :class:`DispatchProbe` —
+    nothing lands in an instance ``__dict__`` and every kind keeps its
+    own dispatch loop.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self._original = None
+
+    def __enter__(self):
+        self._original = original = kernel.Simulator.run
+        lines = self.lines
+
+        def probed_run(sim, until=None):
+            stop = ("event:%s" % type(until).__name__
+                    if isinstance(until, Event) else repr(until))
+            try:
+                return original(sim, until)
+            except BaseException as exc:
+                stop += " raised %s" % type(exc).__name__
+                raise
+            finally:
+                head = sim.peek_entry()
+                lines.append("%s now=%r dispatched=%d next=%s" % (
+                    stop, sim.now, sim.dispatched,
+                    head if head is None else "%r %r %r %s" % (
+                        head[0], head[1], head[2],
+                        type(head[3]).__name__)))
+
+        kernel.Simulator.run = probed_run
+        return self
+
+    def __exit__(self, *exc_info):
+        kernel.Simulator.run = self._original
+        return False
+
+
+def capture_stops(spec, kind, pooling=None):
+    """Stops-tier witness (probe-free loops) under ``kind`` × ``pooling``."""
+    run = resolve(spec)
+    with use_kind(kind), _pooling_ctx(pooling), StopProbe() as probe:
+        run(observatory=None)
+    return list(probe.lines), len(probe.lines)
 
 
 def capture_dispatches(spec, kind, digest=False, pooling=None):
@@ -252,6 +330,9 @@ def diff_scenario(spec, kinds=DEFAULT_KINDS, tiers=DEFAULT_TIERS,
         elif tier == "timeline":
             capture = lambda kind, pooling: capture_obs_timeline(  # noqa: E731
                 spec, kind, pooling=pooling)
+        elif tier == "stops":
+            capture = lambda kind, pooling: capture_stops(  # noqa: E731
+                spec, kind, pooling=pooling)
         else:
             raise ValueError("unknown tier %r" % (tier,))
         ref_kind, ref_pooling, ref_label = cells[0]
@@ -277,21 +358,26 @@ def main(argv=None):
                              "(default: obs:trickle)")
     parser.add_argument("--queue", action="append", default=None,
                         help="queue kinds to compare, first is the "
-                             "reference (default: heap calendar)")
+                             "reference (default: heap calendar); "
+                             "'plain' is the heap behind the kernel's "
+                             "plain step() loop")
     parser.add_argument("--pooling", action="append", default=None,
                         help="pooling kinds (repro.sim.pool) to sweep; "
                              "repeatable, widening the comparison to "
                              "the kind x pooling grid (default: the "
                              "session default mode only)")
     parser.add_argument("--tier", action="append", default=None,
-                        choices=("dispatch", "timeline"),
-                        help="witness tiers to run (default: both)")
+                        choices=TIERS,
+                        help="witness tiers to run (default: dispatch "
+                             "and timeline; stops is the event-stopped "
+                             "mode)")
     parser.add_argument("--digest", action="store_true",
                         help="stream dispatch lines into a sha256 "
                              "(for fleet-scale scenarios)")
     parser.add_argument("--context", type=int, default=3)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
+    register_plain_kind()
     scenarios = args.scenario or ["obs:trickle"]
     kinds = tuple(args.queue or DEFAULT_KINDS)
     tiers = tuple(args.tier or DEFAULT_TIERS)

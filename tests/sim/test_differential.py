@@ -9,10 +9,18 @@ from both runs.
 
 from tests.sim.broken_pools import register_broken_pools
 from tests.sim.broken_queues import register_broken_kinds
-from tests.sim.differential import DEFAULT_POOLINGS, diff_scenario, main
+from tests.sim.differential import (
+    DEFAULT_POOLINGS,
+    diff_scenario,
+    main,
+    register_plain_kind,
+)
 
 register_broken_kinds()
 register_broken_pools()
+register_plain_kind()
+
+ALL_LOOPS = ("heap", "calendar", "plain")
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +70,34 @@ def burst(observatory=None):
         yield sim.sleep(0.0)
 
     sim.process(sender(), name="sender")
+    sim.run()
+
+
+def relay(observatory=None):
+    """A run per baton pass, each stopped by an event with tied company.
+
+    The first stop event is one of two urgent events triggered at the
+    same instant; every later one shares its instant with two
+    later-born timeouts and a sleeping process.  Each event-stopped
+    ``run`` must break after exactly one of the tied dispatches and
+    leave the others queued, in order, for the next ``run`` to find.
+    """
+    from repro.sim import Simulator
+    sim = Simulator()
+    first, second = sim.event().succeed(), sim.event().succeed()
+    sim.run(until=first)
+
+    def sleeper():
+        for _ in range(6):
+            yield sim.sleep(1.0)
+
+    sim.process(sleeper(), name="sleeper")
+    for lap in range(1, 6):
+        baton = sim.timeout(lap - sim.now)
+        sim.timeout(lap - sim.now)
+        sim.timeout(lap - sim.now)
+        sim.run(until=baton)
+    sim.run(until=5.5)
     sim.run()
 
 
@@ -117,6 +153,30 @@ def test_pooling_grid_agrees_on_burst_traffic():
         assert report.identical, report.format()
 
 
+def test_all_three_loops_agree_when_stopped_by_an_event():
+    """The event-stopped mode: heap fast loop, calendar fast loop and
+    the plain step() loop stop on the same dispatch of every ``run``
+    and leave the same entry at the head of the queue."""
+    for spec in ("obs:trickle", relay):
+        reports = diff_scenario(spec, kinds=ALL_LOOPS, tiers=("stops",),
+                                poolings=DEFAULT_POOLINGS)
+        assert len(reports) == 5          # 3 kinds × 2 poolings, minus ref
+        for report in reports:
+            assert report.identical, report.format()
+            assert report.events_a > 0
+
+
+def test_stops_tier_sees_event_stopped_runs_and_their_remnants():
+    from tests.sim.differential import capture_stops
+    lines, count = capture_stops(relay, "calendar")
+    assert count == 8
+    assert lines[0] == "event:Event now=0.0 dispatched=1 next=0.0 0 1 Event"
+    assert lines[1] == "event:Timeout now=1.0 dispatched=4 next=1.0 1 4 Timeout"
+    assert lines[-2].startswith("5.5 now=5.5 ")
+    assert lines[-1].startswith("None now=6.0 ") \
+        and lines[-1].endswith("next=None")
+
+
 # ---------------------------------------------------------------------------
 # Planted bugs: the harness must catch both, at the exact first event.
 
@@ -142,6 +202,18 @@ def test_tie_order_violating_queue_is_caught():
     assert report.first_divergence == 0
     (clean,) = diff_scenario(twins, kinds=("heap", "calendar"),
                              tiers=("dispatch",))
+    assert clean.identical
+
+
+def test_tie_order_violation_is_caught_at_the_first_event_stopped_run():
+    """LIFO ties leave a different same-instant remnant behind the very
+    first stop event."""
+    (report,) = diff_scenario(relay, kinds=("plain", "broken-ties"),
+                              tiers=("stops",))
+    assert not report.identical
+    assert report.first_divergence == 0
+    (clean,) = diff_scenario(relay, kinds=("plain", "calendar"),
+                             tiers=("stops",))
     assert clean.identical
 
 
@@ -200,6 +272,16 @@ def test_main_reports_clean_run(capsys):
     assert main(["--scenario", "obs:trickle", "--tier", "dispatch"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out
+
+
+def test_main_runs_the_event_stopped_mode_over_all_three_loops(capsys):
+    """The CLI shape of the CI queue-differential stops step."""
+    code = main(["--scenario", "obs:trickle", "--tier", "stops",
+                 "--queue", "heap", "--queue", "calendar",
+                 "--queue", "plain"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "[stops]" in out and "heap vs plain" in out
 
 
 def test_main_flags_broken_kind(capsys):

@@ -5,6 +5,8 @@ import pytest
 from repro.sim import Simulator
 from repro.sim.events import UnhandledFailure
 
+from tests.sim.differential import PlainHeapQueue
+
 
 def test_time_starts_at_zero(sim):
     assert sim.now == 0.0
@@ -138,3 +140,99 @@ def test_process_yielding_non_event_fails(sim):
 
     with pytest.raises(RuntimeError, match="not an Event"):
         sim.run(sim.process(proc()))
+
+
+# ---------------------------------------------------------------------------
+# Event-stopped runs share the per-queue dispatch loops with timed runs
+
+
+@pytest.fixture(params=("heap", "calendar", "plain"))
+def loop_sim(request):
+    """One simulator per dispatch loop in ``Simulator.run``."""
+    kind = request.param
+    return Simulator(queue=PlainHeapQueue() if kind == "plain" else kind,
+                     pooling="on")
+
+
+def test_run_until_processed_event_returns_without_dispatching(loop_sim):
+    sim = loop_sim
+    done = sim.timeout(1.0, value="early")
+    sim.timeout(1.0)
+    sim.timeout(2.0)
+    assert sim.run(until=done) == "early"
+    assert sim.dispatched == 1
+    # Asking again changes nothing: not the clock, not the queue.
+    assert sim.run(until=done) == "early"
+    assert (sim.dispatched, sim.now) == (1, 1.0)
+    assert sim.peek() == 1.0
+
+
+def test_run_until_processed_failed_event_reraises(loop_sim):
+    sim = loop_sim
+
+    def proc():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    failed = sim.process(proc())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=failed)
+    assert sim.now == 1.0
+
+
+def test_run_dry_reports_after_draining_the_queue(loop_sim):
+    sim = loop_sim
+    sim.timeout(3.0)
+    with pytest.raises(RuntimeError, match="ran dry"):
+        sim.run(until=sim.event())
+    assert (sim.dispatched, sim.now) == (1, 3.0)
+    assert sim.peek() is None
+
+
+def test_pooled_stop_event_is_never_recycled(loop_sim):
+    sim = loop_sim
+    nap = sim.sleep(2.0)
+    assert nap._recycle
+    assert sim.run(until=nap) is None
+    assert nap.processed and nap._gen == 0
+    assert all(nap is not free for free in sim._pool._free_timeouts)
+    # A transient sleep that is not the stop event still recycles.
+    other = sim.sleep(1.0)
+    sim.run(until=sim.timeout(1.0))
+    assert other._gen == 1
+
+
+def test_event_stopped_run_counts_dispatches_exactly(loop_sim):
+    sim = loop_sim
+
+    def ticker():
+        for _ in range(10):
+            yield sim.sleep(1.0)
+
+    sim.process(ticker())
+    stop = sim.timeout(4.5)
+    sim.run(until=stop)
+    # Process bootstrap, four sleeps, the stop itself; nothing later.
+    assert (sim.dispatched, sim.now) == (6, 4.5)
+    sim.run()
+    assert sim.dispatched == 6 + 6 + 1    # six sleeps, process completion
+
+
+def test_step_override_sees_every_dispatch_of_an_event_stopped_run(loop_sim):
+    sim = loop_sim
+    seen = []
+    original_step = sim.step
+
+    def logging_step():
+        seen.append(sim.peek_entry()[:3])
+        original_step()
+
+    sim.step = logging_step
+    sim.timeout(1.0)
+    stop = sim.timeout(2.0)
+    sim.timeout(2.0)
+    sim.timeout(3.0)
+    sim.run(until=stop)
+    assert [when for when, _prio, _seq in seen] == [1.0, 2.0]
+    assert sim.dispatched == 2

@@ -222,10 +222,18 @@ def test_stale_same_instant_remnant_respects_earlier_deadline(kind):
     run under a later call with an earlier deadline — on any kind."""
     sim = Simulator(queue=kind)
     first = sim.timeout(5.0)
-    sim.timeout(5.0)
+    second = sim.timeout(5.0)
+    third = sim.timeout(5.0)
     sim.run(until=first)
     assert sim.dispatched == 1
+    # The event-stopped fast loop broke right after ``first``: its
+    # same-instant companions are still queued, in order.
+    assert sim.peek_entry()[3] is second
     sim.run(until=2.0)          # deadline before the remnant's time
     assert sim.dispatched == 1
-    sim.run(until=5.0)
+    sim.run(until=second)       # the next event-stopped run resumes there
     assert sim.dispatched == 2
+    assert sim.peek_entry()[3] is third
+    sim.run(until=5.0)
+    assert sim.dispatched == 3
+    assert sim.peek_entry() is None
