@@ -75,7 +75,7 @@ def run_shard_days(shard, options, shard_root, from_day, to_day,
     shard directory.
     """
     from repro.analysis.divergence import _canonical
-    from repro.fleetd.executor import _stream_stats, digest_rows, \
+    from repro.fleetd.executor import _stream_stats, digest_lines, \
         timeline_rows
     from repro.fleetd.plan import shard_config
     from repro.obs import Observatory
@@ -99,13 +99,16 @@ def run_shard_days(shard, options, shard_root, from_day, to_day,
         state, summary = run_day(shard, config, options, state,
                                  observatory)
         rows = timeline_rows(observatory)
+        # Each row is encoded once: the same lines are hashed for the
+        # day digest and appended to the timeline file.
+        lines = [_canonical(row) for row in rows]
         blob = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
         unit = (
             day,
-            [_canonical(row) for row in rows],
+            lines,
             {"day": day, "rows": observatory.metrics.rows()},
             {"day": day,
-             "digest": digest_rows(rows),
+             "digest": digest_lines(lines),
              "events": len(rows),
              "dispatched": summary.dispatched,
              "sim_seconds": summary.sim_seconds,

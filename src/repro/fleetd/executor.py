@@ -55,10 +55,14 @@ def timeline_rows(observatory):
     return [dict(event.to_row()) for event in observatory.trace.events]
 
 
+def digest_lines(lines):
+    """sha256 hexdigest over already-canonical timeline lines."""
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def digest_rows(rows):
     """sha256 hexdigest over canonical timeline lines (golden-style)."""
-    blob = "\n".join(_canonical(row) for row in rows).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return digest_lines(_canonical(row) for row in rows)
 
 
 def _stream_stats(rows, shard):

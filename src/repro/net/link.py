@@ -67,6 +67,16 @@ class LinkDirection:
         #: dropped; together with the stats this gives byte
         #: conservation: sent = delivered + lost + dropped + in flight.
         self.bytes_in_flight = 0
+        # The per-packet obs counters, held as ``(observatory, packets,
+        # bytes)`` and looked up again only when ``sim.obs`` is another
+        # observatory: a registry lookup per packet (kwargs dict plus
+        # a sorted label tuple) costs more than the inc() it serves.
+        self._sent_meters = self._delivered_meters = (None, None, None)
+
+    def _meters(self, obs, packets_name, bytes_name):
+        counter = obs.metrics.counter
+        return (obs, counter(packets_name, link=self.label),
+                counter(bytes_name, link=self.label))
 
     def transmission_time(self, size_bytes):
         """Seconds to serialize ``size_bytes`` onto the wire."""
@@ -89,9 +99,12 @@ class LinkDirection:
         self.stats.bytes_sent += datagram.size
         obs = self.sim.obs
         if obs.enabled:
-            obs.metrics.counter("link.packets_sent", link=self.label).inc()
-            obs.metrics.counter("link.bytes_sent",
-                                link=self.label).inc(datagram.size)
+            meters = self._sent_meters
+            if meters[0] is not obs:
+                meters = self._sent_meters = self._meters(
+                    obs, "link.packets_sent", "link.bytes_sent")
+            meters[1].inc()
+            meters[2].inc(datagram.size)
         pool = self.sim._pool
         if not self.up:
             self.stats.packets_dropped_down += 1
@@ -165,10 +178,12 @@ class LinkDirection:
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += datagram.size
         if obs.enabled:
-            obs.metrics.counter("link.packets_delivered",
-                                link=self.label).inc()
-            obs.metrics.counter("link.bytes_delivered",
-                                link=self.label).inc(datagram.size)
+            meters = self._delivered_meters
+            if meters[0] is not obs:
+                meters = self._delivered_meters = self._meters(
+                    obs, "link.packets_delivered", "link.bytes_delivered")
+            meters[1].inc()
+            meters[2].inc(datagram.size)
         self._deliver(datagram)
 
 

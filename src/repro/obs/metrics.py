@@ -1,17 +1,33 @@
 """The metrics registry: counters, gauges, and fixed-bucket histograms.
 
 Every instrument is keyed by ``(name, labels)`` — asking the registry
-for the same key twice returns the same instrument, so call sites can
-simply say ``registry.counter("link.bytes_sent", link=name).inc(n)``
-without caching handles.  Updates are stamped with simulation time via
+for the same key twice returns the same instrument, so a cold call
+site can simply say ``registry.counter("link.transitions",
+link=name, to="up").inc()`` without caching handles.  That lookup
+builds a kwargs dict and a sorted label tuple, so the sites that run
+once per packet or per dispatch do not pay it each time:
+
+* ``net/link.py`` (``link.{packets,bytes}_{sent,delivered}``) and
+  ``rpc2/endpoint.py`` (``rpc.{packets,bytes}_out``) hold the handles
+  they got from the registry and look them up again only when
+  ``sim.obs`` is a different observatory than last time;
+* ``sim/kernel.py`` keeps ``sim.events_dispatched`` and
+  ``sim.queue_depth`` in loop locals and lands them once per run
+  through :meth:`Counter.absorb` / :meth:`Gauge.absorb`.
+
+Everything else (drops, retransmits, cache and CML accounting — some
+35 sites that fire per operation, not per packet) stays in the
+lookup-per-update form.  Updates are stamped with simulation time via
 the registry's ``time_fn`` (wired to ``sim.now`` by the observatory),
-so exported metrics line up with the event timeline.
+which every instrument holds directly — one call per stamp — so
+exported metrics line up with the event timeline.
 
 Instruments never schedule simulation events and consume no
 randomness: observing a run cannot perturb it.
 """
 
 import math
+from bisect import bisect_left
 
 #: Default histogram buckets (upper bounds, seconds) spanning the
 #: latencies seen across the paper's four orders of magnitude of
@@ -42,9 +58,6 @@ class Instrument:
         self._time_fn = time_fn
         self.last_update = None
 
-    def _stamp(self):
-        self.last_update = self._time_fn()
-
     @property
     def label_string(self):
         return format_labels(self.labels)
@@ -70,8 +83,17 @@ class Counter(Instrument):
         if amount < 0:
             raise ValueError("counters only go up (amount=%r)" % (amount,))
         self.value += amount
-        self._stamp()
+        self.last_update = self._time_fn()
         return self.value
+
+    def absorb(self, amount, stamp):
+        """Add ``amount`` increments whose last one happened at ``stamp``.
+
+        What a caller that counted in a local applies instead of
+        ``amount`` separate :meth:`inc` calls; the result is the same.
+        """
+        self.value += amount
+        self.last_update = stamp
 
     def data(self):
         return {"value": self.value, "last_update": self.last_update}
@@ -94,8 +116,18 @@ class Gauge(Instrument):
             self.min_value = value
         if self.max_value is None or value > self.max_value:
             self.max_value = value
-        self._stamp()
+        self.last_update = self._time_fn()
         return value
+
+    def absorb(self, value, low, high, stamp):
+        """Apply a run of :meth:`set` calls summarised by the caller:
+        the last value set (at ``stamp``) and the run's envelope."""
+        self.value = value
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+        self.last_update = stamp
 
     def inc(self, amount=1):
         return self.set((self.value or 0) + amount)
@@ -140,13 +172,10 @@ class Histogram(Instrument):
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-        else:
-            self.counts[-1] += 1
-        self._stamp()
+        # Bounds are inclusive upper limits: the first bound >= value,
+        # or the +inf slot at len(bounds) when there is none.
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.last_update = self._time_fn()
 
     @property
     def mean(self):
@@ -188,9 +217,6 @@ class MetricsRegistry:
         self._kinds = {}            # name -> instrument class
         self._bucket_defaults = {}  # name -> bounds tuple
 
-    def _now(self):
-        return self._time_fn()
-
     def _get(self, cls, name, labels, **extra):
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
@@ -204,7 +230,7 @@ class MetricsRegistry:
         if known is not None and known is not cls:
             raise TypeError("%r is registered as a %s, not a %s"
                             % (name, known.kind, cls.kind))
-        instrument = cls(name, labels, self._now, **extra)
+        instrument = cls(name, labels, self._time_fn, **extra)
         self._instruments[key] = instrument
         self._kinds[name] = cls
         return instrument
@@ -301,8 +327,8 @@ def merge_rows(sources, label="shard"):
             row["labels"] = labels
             merged.append(row)
     merged.sort(key=lambda row: (row["metric"],
-                                 sorted((str(k), str(v))
-                                        for k, v in row["labels"].items())))
+                                 sorted([(str(k), str(v))
+                                         for k, v in row["labels"].items()])))
     return merged
 
 

@@ -7,7 +7,8 @@ dynamically and guards every emission with ``obs.enabled``::
 
     obs = self.sim.obs
     if obs.enabled:
-        obs.metrics.counter("link.bytes_sent", link=self.label).inc(n)
+        obs.metrics.counter("link.transitions", link=self.name,
+                            to="down").inc()
         obs.event("link_down", link=self.name)
 
 The default is :data:`NULL_OBS`, whose ``enabled`` is False — the
@@ -26,17 +27,25 @@ class Observatory:
 
     enabled = True
 
-    def __init__(self, sim=None, recorder=None, registry=None):
+    def __init__(self, sim=None, recorder=None):
         self._sim = None
         self.trace = TraceRecorder() if recorder is None else recorder
-        self.metrics = (MetricsRegistry(time_fn=self.time)
-                        if registry is None else registry)
+        self.metrics = MetricsRegistry(time_fn=self.time)
         if sim is not None:
             self.install(sim)
 
     def time(self):
         """Current simulation time (0.0 until installed on a sim)."""
         return self._sim.now if self._sim is not None else 0.0
+
+    def clocked_by(self, sim):
+        """True while :meth:`time` reads ``sim.now``.
+
+        The kernel's fast loops ask once when they first meet an
+        observatory: if so, the time of the last dispatch *is* the
+        stamp its metrics would have carried.
+        """
+        return self._sim is sim
 
     def install(self, sim):
         """Attach to ``sim`` so instrumented code can see us."""

@@ -91,6 +91,11 @@ class Rpc2Endpoint:
         self._ping_seq = count(1)
         self.packets_out = 0
         self.bytes_out = 0
+        # The per-packet obs counters by packet kind, held for the
+        # observatory in ``_meter_obs`` and dropped when ``sim.obs`` is
+        # another one (see LinkDirection._sent_meters).
+        self._meter_obs = None
+        self._out_meters = {}       # packet type -> (packets, bytes)
         sim.process(self._send_loop(), name="%s-send" % node, owner=node)
         sim.process(self._recv_loop(), name="%s-recv" % node, owner=node)
 
@@ -127,11 +132,19 @@ class Rpc2Endpoint:
             self.bytes_out += size
             obs = self.sim.obs
             if obs.enabled:
-                kind = type(packet).__name__
-                obs.metrics.counter("rpc.packets_out", node=self.node,
-                                    kind=kind).inc()
-                obs.metrics.counter("rpc.bytes_out", node=self.node,
-                                    kind=kind).inc(size)
+                if obs is not self._meter_obs:
+                    self._meter_obs = obs
+                    self._out_meters = {}
+                meters = self._out_meters.get(type(packet))
+                if meters is None:
+                    counter = obs.metrics.counter
+                    kind = type(packet).__name__
+                    meters = self._out_meters[type(packet)] = (
+                        counter("rpc.packets_out", node=self.node,
+                                kind=kind),
+                        counter("rpc.bytes_out", node=self.node, kind=kind))
+                meters[0].inc()
+                meters[1].inc(size)
             # Endpoints bind the same well-known port on every node.
             self.socket.send(peer, self.port, packet, size)
 

@@ -160,11 +160,31 @@ class Simulator:
         self.dispatched += 1
         obs = self.obs
         if obs.enabled:
+            # The reference semantics of the two kernel metrics; the
+            # fast loops in run() leave the same rows behind without
+            # the per-dispatch calls.
             obs.metrics.counter("sim.events_dispatched").inc()
             obs.metrics.gauge("sim.queue_depth").set(len(self._queue))
         event._process()
         if event._recycle:
             self._pool.recycle(event)
+
+    def _settle_watcher(self, obs, own_clock, seen, last_when,
+                        depth, low, high):
+        """Land a fast loop's locally kept kernel metrics on ``obs``.
+
+        ``seen`` dispatches were observed by ``obs``, the last at
+        ``last_when`` with ``depth`` entries pending, the run's depths
+        spanning ``low``..``high`` — exactly what step()'s inc() and
+        set() per dispatch would have left behind.  An observatory on
+        another simulator's clock (``own_clock`` false) stamps with
+        that clock, read now: it cannot have moved unless a callback
+        ran that simulator from inside this loop.
+        """
+        stamp = last_when if own_clock else obs.time()
+        metrics = obs.metrics
+        metrics.counter("sim.events_dispatched").absorb(seen, stamp)
+        metrics.gauge("sim.queue_depth").absorb(depth, low, high, stamp)
 
     def peek(self):
         """Time of the next scheduled event, or None if the queue is empty."""
@@ -243,12 +263,20 @@ class Simulator:
             # hottest loop in fleet-scale runs.
             queue = queue_obj._heap
             pop = heappop
-            cached_obs = dispatch_counter = depth_gauge = None
             done = 0
             # ``dispatched`` accumulates in a local and lands on the
             # instance when the loop exits (even via an unhandled
             # failure) — nothing may read it mid-loop from inside an
-            # event callback.
+            # event callback.  The two kernel metrics work the same
+            # way: what step() does with an inc() and a set() per
+            # dispatch is kept here in ``seen``/``last_when`` and
+            # ``depth``/``low``/``high`` for the observatory in
+            # ``watcher``, and _settle_watcher() lands it when the loop
+            # exits or meets a different observatory.
+            watcher = None
+            own_clock = False
+            seen = depth = low = high = 0
+            last_when = 0.0
             try:
                 while queue and queue[0][0] <= deadline:
                     when, _prio, _seq, event = pop(queue)
@@ -256,18 +284,23 @@ class Simulator:
                     done += 1
                     obs = self.obs
                     if obs.enabled:
-                        # Registry lookups are stable per (name,
-                        # labels), so hold the two kernel instruments
-                        # as long as the same observatory stays
-                        # installed.
-                        if obs is not cached_obs:
-                            cached_obs = obs
-                            dispatch_counter = obs.metrics.counter(
-                                "sim.events_dispatched")
-                            depth_gauge = obs.metrics.gauge(
-                                "sim.queue_depth")
-                        dispatch_counter.inc()
-                        depth_gauge.set(len(queue))
+                        pending = len(queue)
+                        if obs is not watcher:
+                            if watcher is not None:
+                                self._settle_watcher(
+                                    watcher, own_clock, seen, last_when,
+                                    depth, low, high)
+                            watcher = obs
+                            own_clock = obs.clocked_by(self)
+                            seen = 0
+                            low = high = pending
+                        seen += 1
+                        last_when = when
+                        depth = pending
+                        if depth < low:
+                            low = depth
+                        elif depth > high:
+                            high = depth
                     event._process()
                     if event._recycle:
                         if free_timeouts is not None:
@@ -304,6 +337,9 @@ class Simulator:
                         break
             finally:
                 self.dispatched += done
+                if watcher is not None:
+                    self._settle_watcher(watcher, own_clock, seen,
+                                         last_when, depth, low, high)
         else:
             # Fast path: step() inlined over the calendar queue.  The
             # at-instant FIFO lanes need no deadline check inside the
@@ -318,8 +354,12 @@ class Simulator:
             pop_urgent = urgent.popleft
             pop_normal = normal.popleft
             advance = queue_obj._advance
-            cached_obs = dispatch_counter = depth_gauge = None
+            overflow = queue_obj._overflow
             done = 0
+            watcher = None
+            own_clock = False
+            seen = depth = low = high = 0
+            last_when = 0.0
             live = not ((urgent or normal) and queue_obj._instant > deadline)
             try:
                 while live:
@@ -337,14 +377,28 @@ class Simulator:
                     done += 1
                     obs = self.obs
                     if obs.enabled:
-                        if obs is not cached_obs:
-                            cached_obs = obs
-                            dispatch_counter = obs.metrics.counter(
-                                "sim.events_dispatched")
-                            depth_gauge = obs.metrics.gauge(
-                                "sim.queue_depth")
-                        dispatch_counter.inc()
-                        depth_gauge.set(len(queue_obj))
+                        # len(queue_obj), inlined: the rung list is
+                        # replaced on refill, so it is read each time.
+                        pending = (len(urgent) + len(normal)
+                                   + len(queue_obj._ready)
+                                   - queue_obj._ready_pos
+                                   + queue_obj._future + len(overflow))
+                        if obs is not watcher:
+                            if watcher is not None:
+                                self._settle_watcher(
+                                    watcher, own_clock, seen, last_when,
+                                    depth, low, high)
+                            watcher = obs
+                            own_clock = obs.clocked_by(self)
+                            seen = 0
+                            low = high = pending
+                        seen += 1
+                        last_when = when
+                        depth = pending
+                        if depth < low:
+                            low = depth
+                        elif depth > high:
+                            high = depth
                     event._process()
                     if event._recycle:
                         if free_timeouts is not None:
@@ -381,6 +435,9 @@ class Simulator:
                         break
             finally:
                 self.dispatched += done
+                if watcher is not None:
+                    self._settle_watcher(watcher, own_clock, seen,
+                                         last_when, depth, low, high)
         if pool is not None and self.obs.enabled:
             pool.publish(self.obs.metrics)
         if stop_event is not None:

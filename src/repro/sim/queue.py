@@ -55,7 +55,7 @@ from functools import partial
 # Calendar buckets and the overflow tier are ordered by the same
 # entry tuples the kernel's reference heap uses; this module is the
 # scheduler layer and is allowlisted for SIM001 alongside the kernel.
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 
 class HeapQueue:
@@ -98,8 +98,7 @@ class HeapQueue:
         except ValueError:
             return False
         # Re-establish the heap invariant after the arbitrary removal.
-        import heapq
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         return True
 
     def __len__(self):
@@ -438,8 +437,7 @@ class CalendarQueue:
                 bucket.remove(entry)
                 self._future -= 1
                 if bucket:
-                    import heapq
-                    heapq.heapify(bucket)
+                    heapify(bucket)
                 else:
                     # Leave the stale index in _active; _future_min
                     # discards it lazily.
@@ -447,8 +445,7 @@ class CalendarQueue:
                 return True
         if entry in self._overflow:
             self._overflow.remove(entry)
-            import heapq
-            heapq.heapify(self._overflow)
+            heapify(self._overflow)
             return True
         return False
 

@@ -169,3 +169,30 @@ def test_extend_identity_holds_per_family(tmp_path, scenario,
     run_checkpointed(scenario, days=1, out=grown, options=options)
     extend_checkpointed(grown, 1)
     assert tree_bytes(scratch) == tree_bytes(grown)
+
+
+def test_a_day_unit_encodes_each_timeline_row_once(tmp_path, monkeypatch):
+    """The lines hashed for the day digest are the lines appended to
+    the timeline: one ``_canonical`` call per row, not two."""
+    from repro.analysis import divergence
+    from repro.ckpt.store import CheckpointStore
+    from repro.fleetd import executor
+    encode = divergence._canonical
+    encoded = []
+
+    def counting(row):
+        encoded.append(row)
+        return encode(row)
+
+    monkeypatch.setattr(divergence, "_canonical", counting)
+    monkeypatch.setattr(executor, "_canonical", counting)   # digest_rows
+    out = str(tmp_path / "once")
+    run_checkpointed("fleet-8", days=2, out=out, options=OPTIONS)
+    store = CheckpointStore(out)
+    manifest = store.read_manifest()
+    assert len(encoded) == sum(s["events"] for s in manifest["shards"]) > 0
+    for entry in manifest["shards"]:
+        files = store.shard(entry["index"])
+        records = files.read_days()
+        assert files.day_digests([r["events"] for r in records]) \
+            == [r["digest"] for r in records] == entry["day_digests"]

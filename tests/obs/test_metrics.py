@@ -43,6 +43,20 @@ class TestCounter:
         assert counter.data()["value"] == 3
 
 
+    def test_absorb_is_a_run_of_incs(self):
+        clock = [0.0]
+        registry = make_registry(clock)
+        one_by_one, absorbed = registry.counter("a"), registry.counter("b")
+        one_by_one.inc(2)
+        absorbed.inc(2)
+        for when in (1.0, 2.5, 4.0):
+            clock[0] = when
+            one_by_one.inc()
+        clock[0] = 9.0                  # absorb takes its stamp as given
+        absorbed.absorb(3, 4.0)
+        assert absorbed.data() == one_by_one.data()
+
+
 class TestGauge:
 
     def test_set_inc_dec(self):
@@ -66,6 +80,27 @@ class TestGauge:
         assert gauge.max_value == 9
         assert gauge.data() == {"value": 3, "min": -2, "max": 9,
                                 "last_update": 0.0}
+
+
+    def test_absorb_is_a_run_of_sets(self):
+        clock = [0.0]
+        registry = make_registry(clock)
+        one_by_one, absorbed = registry.gauge("a"), registry.gauge("b")
+        for gauge in (one_by_one, absorbed):
+            gauge.set(5)
+        for when, value in ((1.0, 7), (2.0, 3), (3.0, 4)):
+            clock[0] = when
+            one_by_one.set(value)
+        absorbed.absorb(4, 3, 7, 3.0)
+        assert absorbed.data() == one_by_one.data()
+        # A narrower run never shrinks the envelope, and an unset
+        # gauge takes the run's envelope whole.
+        absorbed.absorb(5, 5, 6, 8.0)
+        assert (absorbed.min_value, absorbed.max_value) == (3, 7)
+        fresh = registry.gauge("c")
+        fresh.absorb(2, 1, 9, 8.0)
+        assert fresh.data() == {"value": 2, "min": 1, "max": 9,
+                                "last_update": 8.0}
 
 
 class TestHistogram:
@@ -118,6 +153,45 @@ class TestHistogram:
     def test_default_buckets(self):
         hist = make_registry().histogram("lat")
         assert hist.bounds == DEFAULT_LATENCY_BUCKETS
+
+    def test_every_boundary_value_lands_in_its_own_bucket(self):
+        """Upper bounds are inclusive: a value equal to a bound counts
+        there, the next float up counts one bucket later, and anything
+        past the last bound — +inf included — is overflow."""
+        bounds = DEFAULT_LATENCY_BUCKETS
+        for index, bound in enumerate(bounds):
+            hist = make_registry().histogram("lat")
+            hist.observe(bound)
+            hist.observe(math.nextafter(bound, math.inf))
+            expected = [0] * (len(bounds) + 1)
+            expected[index] += 1
+            expected[index + 1] += 1
+            assert hist.counts == expected, bound
+        hist = make_registry().histogram("lat")
+        hist.observe(math.nextafter(bounds[0], -math.inf))
+        hist.observe(-1.0)
+        hist.observe(math.inf)
+        assert hist.counts == [2] + [0] * (len(bounds) - 1) + [1]
+        assert hist.data()["overflow"] == 1
+
+    def test_observe_agrees_with_the_linear_scan(self):
+        def scan(bounds, value):
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return len(bounds)
+
+        bounds = (0.5, 1.0, 1.0, 4.0)       # a repeated bound, too
+        for value in (0.0, 0.5, 0.75, 1.0, 1.5, 4.0, 4.5, math.inf):
+            hist = make_registry().histogram("dup", buckets=bounds)
+            hist.observe(value)
+            assert hist.counts.index(1) == scan(bounds, value), value
+
+    def test_observe_stamps_time_of_last_update(self):
+        clock = [3.0]
+        hist = make_registry(clock).histogram("lat")
+        hist.observe(0.2)
+        assert hist.last_update == 3.0
 
     def test_data_row(self):
         hist = make_registry().histogram("lat", buckets=(1.0,))

@@ -1,0 +1,72 @@
+"""The observation budget: calls into ``repro/obs`` per dispatched event.
+
+A clock-free gate.  An instrumented fleet shard is profiled and every
+Python call whose code lives under ``repro/obs/`` is counted; the count
+is a pure function of (scenario, seed, length), so the assertion needs
+no tolerance for a noisy box.  Before the per-dispatch and per-packet
+sites stopped going through the registry this ratio was ~11.4; the
+budget is 2.
+
+It must also stay *flat*: a ratio that grows with the length of the
+run is per-event work that scales with history (the log×cache
+quadratic PR 12 removed had exactly that signature and no timing gate
+ever saw it).
+"""
+
+import cProfile
+import os
+
+from repro.fleetd.executor import run_shard
+from repro.fleetd.plan import plan_shards
+from repro.sim.events import Event, Timeout
+
+OBS_PACKAGE = os.path.join("repro", "obs") + os.sep
+
+BUDGET = 2.0
+SHORT_DAYS, LONG_DAYS = 0.0625, 0.25
+
+
+def obs_calls_per_dispatch(days):
+    """(calls into repro/obs) / (events dispatched) for one fleet-8 shard."""
+    shard = plan_shards("fleet-8", seed=0, days=days)[0]
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = run_shard(shard)
+    finally:
+        profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats()
+                if OBS_PACKAGE in getattr(entry.code, "co_filename", ""))
+    assert result.dispatched > 10_000
+    return calls / result.dispatched
+
+
+def test_observation_costs_at_most_two_calls_per_dispatch_and_stays_flat():
+    short = obs_calls_per_dispatch(SHORT_DAYS)
+    long = obs_calls_per_dispatch(LONG_DAYS)
+    assert short <= BUDGET and long <= BUDGET, (short, long)
+    # Fixed per-run costs (export, first-use registry lookups) thin out
+    # over a longer day; per-event cost must not grow to replace them.
+    assert long <= short * 1.05, (short, long)
+
+
+def test_one_restored_per_dispatch_inc_breaks_the_budget(monkeypatch):
+    """Planted mutant: the kernel counter goes back to an ``inc()`` per
+    dispatch (on a held handle — the cheapest form it ever had)."""
+    held = {}
+
+    def counted(process):
+        def _process(event):
+            obs = event.sim.obs
+            if obs.enabled:
+                counter = held.get(obs)
+                if counter is None:
+                    counter = held[obs] = obs.metrics.counter(
+                        "sim.events_dispatched")
+                counter.inc()
+            process(event)
+        return _process
+
+    monkeypatch.setattr(Event, "_process", counted(Event._process))
+    monkeypatch.setattr(Timeout, "_process", counted(Timeout._process))
+    assert obs_calls_per_dispatch(SHORT_DAYS) > BUDGET

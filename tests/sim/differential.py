@@ -3,7 +3,7 @@
 The golden digests pin the obs timeline of eleven scenarios; this
 harness is the finer instrument behind them.  It runs the *same*
 scenario once per scheduler kind (:mod:`repro.sim.queue`) and
-byte-compares up to three witnesses:
+byte-compares up to four witnesses:
 
 * **dispatch tier** — every single dispatch, as the canonical line
   ``(when, priority, seq, event-class)`` read through
@@ -28,6 +28,14 @@ byte-compares up to three witnesses:
   compared.  A loop that overruns its stop event, stops one dispatch
   early, or reorders the same-instant remnant left queued for the next
   ``run`` differs here at that very call.
+
+* **metrics tier** (opt in with ``--tier metrics``) — one line per
+  row of ``observatory.metrics.rows()`` after a probe-free run: value,
+  min, max *and* ``last_update``.  The fast loops keep the two kernel
+  metrics (``sim.events_dispatched``, ``sim.queue_depth``) in locals
+  and land them once per run; ``--queue plain`` is ``step()`` doing an
+  ``inc()`` and a ``set()`` per dispatch, so this tier proves what the
+  loops write back is what the reference would have left behind.
 
 Scenario specs are the ``repro.analysis.divergence`` syntax
 (``obs:<name>``, ``faults:<name>``, ``mod:<module>:<function>``) plus
@@ -74,7 +82,7 @@ from repro.sim.queue import HeapQueue, register_kind, use_kind
 
 DEFAULT_KINDS = ("heap", "calendar")
 DEFAULT_TIERS = ("dispatch", "timeline")
-TIERS = DEFAULT_TIERS + ("stops",)
+TIERS = DEFAULT_TIERS + ("stops", "metrics")
 #: The pooling grid the CI pool-differential job sweeps; ``None`` in
 #: diff_scenario means "session default only" (the pre-pooling axis
 #: behaviour, plain kind labels).
@@ -253,6 +261,17 @@ def capture_obs_timeline(spec, kind, pooling=None):
     return lines, len(lines)
 
 
+def capture_metrics(spec, kind, pooling=None):
+    """Metrics-tier witness (probe-free loops) under ``kind`` × ``pooling``."""
+    from repro.obs import Observatory
+    run = resolve(spec)
+    with use_kind(kind), _pooling_ctx(pooling):
+        observatory = Observatory()
+        run(observatory=observatory)
+    lines = [_canonical(row) for row in observatory.metrics.rows()]
+    return lines, len(lines)
+
+
 @dataclass
 class DifferentialReport:
     """Outcome of one scenario × tier comparison across queue kinds."""
@@ -333,6 +352,9 @@ def diff_scenario(spec, kinds=DEFAULT_KINDS, tiers=DEFAULT_TIERS,
         elif tier == "stops":
             capture = lambda kind, pooling: capture_stops(  # noqa: E731
                 spec, kind, pooling=pooling)
+        elif tier == "metrics":
+            capture = lambda kind, pooling: capture_metrics(  # noqa: E731
+                spec, kind, pooling=pooling)
         else:
             raise ValueError("unknown tier %r" % (tier,))
         ref_kind, ref_pooling, ref_label = cells[0]
@@ -370,7 +392,7 @@ def main(argv=None):
                         choices=TIERS,
                         help="witness tiers to run (default: dispatch "
                              "and timeline; stops is the event-stopped "
-                             "mode)")
+                             "mode, metrics the exported metric rows)")
     parser.add_argument("--digest", action="store_true",
                         help="stream dispatch lines into a sha256 "
                              "(for fleet-scale scenarios)")
