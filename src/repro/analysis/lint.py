@@ -24,13 +24,6 @@ The contract the rules encode (see DESIGN.md, "Determinism contract"):
   kernel files) touches the event queue (``heapq``, ``_queue``, the
   raw ``_push`` entry-tuple hook).  Everything else schedules through
   the kernel API, which is what makes the dispatch order auditable.
-* **SIM002** — only the kernel and net layers touch the object pool
-  (``sim._pool`` and its alloc/recycle primitives).  Pooled objects
-  are recycled the moment they dispatch; code above the net layer
-  that allocated one could observe it mid-recycle, and code that
-  recycled one by hand could free an object the kernel still holds.
-  Upper layers use the safe wrappers: ``sim.sleep()``,
-  ``Lock(pooled=True)``, ``Socket.release()``.
 * **OBS001** — trace-event kinds must be literal members of the closed
   taxonomy in :mod:`repro.obs.events`, so the linter (not just a
   runtime raise deep in a scenario) catches typos.
@@ -60,9 +53,6 @@ RULES = {
               "or an explicit tolerance",
     "SIM001": "event-queue access outside the scheduler layer "
               "(sim/queue.py + kernel files)",
-    "SIM002": "object-pool access outside the kernel/net layer; use "
-              "the safe wrappers (sim.sleep, Lock(pooled=True), "
-              "Socket.release)",
     "OBS001": "trace-event kind outside the closed taxonomy",
     "PRG001": "malformed suppression pragma (unknown rule or missing "
               "reason)",
@@ -78,33 +68,19 @@ FILE_ALLOWLISTS = {
     # stream family and derive_rng live here.
     "DET002": ("sim/rand.py",),
     # The scheduler layer, file by file:
-    #   sim/queue.py  — the queue implementations themselves (heapq is
-    #                   their storage primitive);
+    #   sim/queue.py  — the queue itself (heapq is its storage
+    #                   primitive);
     #   sim/kernel.py — owns the queue object and the run loop,
-    #                   including the per-kind inlined fast loops;
+    #                   including the inlined fast loop;
     #   sim/events.py — Event.succeed and Timeout.__init__ push the
     #                   identical (time, priority, seq, event) tuple
     #                   the kernel would, through the scheduler's bound
     #                   _push, inlined as the two hottest trigger
     #                   sites;
     #   sim/process.py — Process bootstrap and interrupt kicks push
-    #                   the same tuple shape for the same reason;
-    #   sim/pool.py   — pooled allocation primitives push recycled
-    #                   events through the same bound _push at the
-    #                   same program points as the unpooled code.
+    #                   the same tuple shape for the same reason.
     "SIM001": ("sim/queue.py", "sim/kernel.py", "sim/events.py",
-               "sim/process.py", "sim/pool.py"),
-    # The object-pool layer, file by file:
-    #   sim/pool.py      — the pool itself;
-    #   sim/kernel.py    — owns the pool, recycles after dispatch,
-    #                      wraps pool.sleep/stub behind public API;
-    #   sim/process.py   — bootstrap stubs and interrupt kicks;
-    #   sim/resources.py — the pooled Lock acquire path;
-    #   net/link.py      — delivery lanes and drop-path recycling;
-    #   net/network.py   — pooled datagram birth, Socket.release, and
-    #                      the no-route / closed-socket release points.
-    "SIM002": ("sim/pool.py", "sim/kernel.py", "sim/process.py",
-               "sim/resources.py", "net/link.py", "net/network.py"),
+               "sim/process.py"),
 }
 
 _PRAGMA_RE = re.compile(
@@ -136,15 +112,6 @@ _GLOBAL_RANDOM_FNS = {
 
 #: Constructors of the random module that mint private generators.
 _RANDOM_CONSTRUCTORS = {"Random", "SystemRandom"}
-
-#: The object pool's alloc/recycle primitives (repro.sim.pool).  A
-#: call to any of these outside the SIM002 allowlist is a lifecycle
-#: hazard; ``Socket.release`` is deliberately absent — it is the
-#: blessed net-layer API for handing a received datagram back.
-_POOL_PRIMITIVES = {
-    "stub", "kick", "acquire_event", "timeout_at", "delivery_lane",
-    "recycle", "recycle_datagram",
-}
 
 #: Method names whose call inside a hash-ordered loop body counts as
 #: feeding the scheduler.
@@ -355,11 +322,6 @@ class _Visitor(ast.NodeVisitor):
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "event" and node.args:
             self._check_event_kind(node)
-        if isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _POOL_PRIMITIVES:
-            self._flag("SIM002", node,
-                       "pool primitive %s() called outside the "
-                       "kernel/net layer" % node.func.attr)
         self.generic_visit(node)
 
     def _check_event_kind(self, node):
@@ -413,10 +375,6 @@ class _Visitor(ast.NodeVisitor):
             self._flag("SIM001", node,
                        "direct event-queue (%s) access outside the "
                        "scheduler layer" % node.attr)
-        if node.attr == "_pool":
-            self._flag("SIM002", node,
-                       "direct object-pool (_pool) access outside the "
-                       "kernel/net layer")
         self.generic_visit(node)
 
 

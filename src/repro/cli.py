@@ -223,18 +223,15 @@ def _cmd_perf(args):
 
     results = []
     for name in args.scenario or ["fleet-8"]:
-        for queue in args.queue or [None]:
-            for pooling in args.pooling or [None]:
-                for workers in args.workers or [None]:
-                    try:
-                        result = run_perf(name, seed=args.seed,
-                                          profile=not args.no_profile,
-                                          top=args.top, workers=workers,
-                                          queue=queue, pooling=pooling)
-                    except ValueError as exc:
-                        raise SystemExit(str(exc)) from None
-                    results.append(result)
-                    print(format_result(result))
+        for workers in args.workers or [None]:
+            try:
+                result = run_perf(name, seed=args.seed,
+                                  profile=not args.no_profile,
+                                  top=args.top, workers=workers)
+            except ValueError as exc:
+                raise SystemExit(str(exc)) from None
+            results.append(result)
+            print(format_result(result))
     if args.json:
         path = write_bench(results, args.out)
         print("wrote %s" % path)
@@ -405,16 +402,6 @@ def build_parser():
                         "ckpt-fleet-256-resident; repeatable "
                         "(default: fleet-8)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--queue", action="append", default=None,
-                   choices=("heap", "calendar"),
-                   help="scheduler kind to time (repro.sim.queue); "
-                        "repeatable to produce one BENCH row per kind "
-                        "(default: the session default kind)")
-    p.add_argument("--pooling", action="append", default=None,
-                   choices=("on", "off"),
-                   help="object-pool mode to time (repro.sim.pool); "
-                        "repeatable to produce one BENCH row per mode "
-                        "(default: the session default mode)")
     p.add_argument("--workers", action="append", type=int, default=None,
                    help="process-pool size for the sharded scenarios; "
                         "repeatable to time several worker counts")

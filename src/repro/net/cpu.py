@@ -18,10 +18,7 @@ class HostCpu:
     def __init__(self, sim, host):
         self.sim = sim
         self.host = host
-        # Pooled: both the acquire event and the slice timeout below
-        # run once per packet fleet-wide and are always yielded
-        # inline, the exact transient shape the object pool recycles.
-        self._lock = Lock(sim, pooled=True)
+        self._lock = Lock(sim)
         self.busy_seconds = 0.0
 
     def use(self, seconds):

@@ -56,11 +56,6 @@ class LinkDirection:
         self._rng = rng
         self._deliver = deliver
         self._busy_until = 0.0
-        # Batched delivery (repro.sim.pool): the whole in-flight burst
-        # for this direction rides one pooled wakeup and a deque
-        # instead of one live Timeout per packet.  Built on first send
-        # so a direction on an unpooled simulator never pays for it.
-        self._lane = None
         self.up = True
         self.stats = LinkStats()
         #: Bytes scheduled for delivery but not yet delivered or
@@ -105,7 +100,6 @@ class LinkDirection:
                     obs, "link.packets_sent", "link.bytes_sent")
             meters[1].inc()
             meters[2].inc(datagram.size)
-        pool = self.sim._pool
         if not self.up:
             self.stats.packets_dropped_down += 1
             self.stats.bytes_dropped_down += datagram.size
@@ -116,8 +110,6 @@ class LinkDirection:
                                     reason="down").inc(datagram.size)
                 obs.event("packet_drop", link=self.label, reason="down",
                           bytes=datagram.size)
-            if pool is not None:
-                pool.recycle_datagram(datagram)
             return
         start = max(self.sim.now, self._busy_until)
         done = start + self.transmission_time(datagram.size)
@@ -130,24 +122,9 @@ class LinkDirection:
                                     link=self.label, reason="loss").inc()
                 obs.event("packet_drop", link=self.label, reason="loss",
                           bytes=datagram.size)
-            if pool is not None:
-                pool.recycle_datagram(datagram)
             return
         arrival_delay = (done - self.sim.now) + self.latency
         self.bytes_in_flight += datagram.size
-        if pool is not None:
-            # Batched delivery: the direction's lane holds the burst
-            # behind at most one queued wakeup.  The absolute due time
-            # is computed with the exact float expression of the
-            # unpooled path (now + arrival_delay), and the lane draws
-            # the sequence number here at send time, so the scheduler
-            # entry is tuple-identical either way.
-            lane = self._lane
-            if lane is None:
-                lane = self._lane = pool.delivery_lane(
-                    self._complete_delivery)
-            lane.schedule(self.sim.now + arrival_delay, datagram)
-            return
         # A timeout with a direct callback, not a per-packet delivery
         # process: delivery still runs at exactly the same instant, but
         # one heap event replaces three (bootstrap, timeout, process
@@ -171,9 +148,6 @@ class LinkDirection:
                                     ).inc(datagram.size)
                 obs.event("packet_drop", link=self.label,
                           reason="down_in_flight", bytes=datagram.size)
-            pool = self.sim._pool
-            if pool is not None:
-                pool.recycle_datagram(datagram)
             return
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += datagram.size

@@ -19,33 +19,14 @@ class Socket:
         """Send a datagram; fire-and-forget, may be lost or dropped."""
         if self.closed:
             raise RuntimeError("socket is closed")
-        pool = self.network.sim._pool
-        if pool is not None:
-            datagram = pool.datagram(self.node, self.port,
-                                     dst, dst_port, payload, size)
-        else:
-            datagram = Datagram(
-                src=self.node, src_port=self.port,
-                dst=dst, dst_port=dst_port,
-                payload=payload, size=size)
-        self.network.transmit(datagram)
+        self.network.transmit(Datagram(
+            src=self.node, src_port=self.port,
+            dst=dst, dst_port=dst_port,
+            payload=payload, size=size))
 
     def recv(self):
         """Event that fires with the next datagram delivered here."""
         return self._inbox.get()
-
-    def release(self, datagram):
-        """Return a received datagram's wrapper to the object pool.
-
-        Receive loops call this once they have extracted ``src`` and
-        ``payload`` and will not touch the wrapper again.  Optional —
-        an unreleased wrapper just falls to the garbage collector —
-        and safe for directly constructed datagrams, which are never
-        pooled.
-        """
-        pool = self.network.sim._pool
-        if pool is not None:
-            pool.recycle_datagram(datagram)
 
     def pending(self):
         """Number of datagrams queued for recv."""
@@ -56,12 +37,8 @@ class Socket:
         self.network._unbind(self)
 
     def _deliver(self, datagram):
-        if self.closed:
-            pool = self.network.sim._pool
-            if pool is not None:
-                pool.recycle_datagram(datagram)
-            return
-        self._inbox.put(datagram)
+        if not self.closed:
+            self._inbox.put(datagram)
 
 
 class Network:
@@ -114,13 +91,8 @@ class Network:
 
     def transmit(self, datagram):
         link = self.link_between(datagram.src, datagram.dst)
-        if link is None:
-            # No route: silently dropped, like IP.
-            pool = self.sim._pool
-            if pool is not None:
-                pool.recycle_datagram(datagram)
-            return
-        link.send(datagram)
+        if link is not None:    # no route: silently dropped, like IP
+            link.send(datagram)
 
     def _deliver(self, datagram):
         sock = self._sockets.get((datagram.dst, datagram.dst_port))

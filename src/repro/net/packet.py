@@ -14,15 +14,6 @@ class Datagram:
     it, not the payload object, determines transmission time.  The
     ``payload`` is any Python object — transports put their own packet
     structures here.
-
-    ``pooled`` marks wrappers born from the simulator's object pool
-    (:mod:`repro.sim.pool`); only those are ever returned to a free
-    list, so directly constructed datagrams (tests, ad-hoc tools) are
-    never recycled out from under their owner.  ``gen`` counts
-    recycles — a holder that must survive a recycle boundary keeps
-    ``(datagram, datagram.gen)`` and compares.  Neither field takes
-    part in equality: a pooled datagram on its Nth life compares equal
-    to a fresh one with the same addressing and payload.
     """
 
     src: str
@@ -32,8 +23,6 @@ class Datagram:
     payload: object
     size: int
     ident: int = field(default_factory=lambda: next(_datagram_ids))
-    gen: int = field(default=0, compare=False)
-    pooled: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.size <= 0:

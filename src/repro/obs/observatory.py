@@ -41,7 +41,7 @@ class Observatory:
     def clocked_by(self, sim):
         """True while :meth:`time` reads ``sim.now``.
 
-        The kernel's fast loops ask once when they first meet an
+        The kernel's fast loop asks once when it first meets an
         observatory: if so, the time of the last dispatch *is* the
         stamp its metrics would have carried.
         """

@@ -36,10 +36,8 @@ from repro.perf.scenarios import (
     run_macro_scenario,
 )
 from repro.sim import kernel
-from repro.sim.pool import default_pooling, use_pooling
-from repro.sim.queue import default_kind, use_kind
 
-BENCH_SCHEMA = "repro.perf/5"
+BENCH_SCHEMA = "repro.perf/6"
 
 
 def peak_rss_kb():
@@ -106,8 +104,6 @@ class PerfResult:
     events_per_sec: float
     sim_seconds_per_wall_second: float
     simulators: int
-    queue: str = "heap"     # scheduler kind (repro.sim.queue)
-    pooling: str = "on"     # object-pool mode (repro.sim.pool)
     workers: int = 0        # 0 = single-process scenario
     max_rss_kb: int = 0     # peak RSS attributable to this row
     detail: dict = field(default_factory=dict)
@@ -123,8 +119,6 @@ class PerfResult:
             "events_per_sec": self.events_per_sec,
             "sim_seconds_per_wall_second": self.sim_seconds_per_wall_second,
             "simulators": self.simulators,
-            "queue": self.queue,
-            "pooling": self.pooling,
             "workers": self.workers,
             "max_rss_kb": self.max_rss_kb,
             "detail": self.detail,
@@ -134,25 +128,8 @@ class PerfResult:
         return row
 
 
-def run_perf(name, seed=0, profile=True, top=12, workers=None, queue=None,
-             pooling=None):
+def run_perf(name, seed=0, profile=True, top=12, workers=None):
     """Measure macro-scenario ``name``; returns a :class:`PerfResult`.
-
-    ``queue`` selects the scheduler kind (:mod:`repro.sim.queue`) the
-    scenario's simulators are built with; None measures the session
-    default.  The choice is installed as the default kind for the
-    run's duration — and mirrored into ``REPRO_QUEUE`` — so worker and
-    subprocess scenarios build the same scheduler as the parent.
-    Schedulers are schedule-identical by contract (the golden digests
-    enforce it), so rows differing only in ``queue`` measure the same
-    simulation.
-
-    ``pooling`` selects the object-pool mode (:mod:`repro.sim.pool`)
-    the same way: installed as the session default and mirrored into
-    ``REPRO_POOL`` for the run's duration, so workers and subprocesses
-    inherit it.  Pooling is schedule-identical by contract too, so
-    rows differing only in ``pooling`` measure the same schedule with
-    different allocation machinery.
 
     ``workers`` sizes the process pool for sharded scenarios (see
     :data:`repro.perf.scenarios.SHARDED_SCENARIOS`).  Their simulators
@@ -169,39 +146,33 @@ def run_perf(name, seed=0, profile=True, top=12, workers=None, queue=None,
     :func:`repro.perf.scenarios.run_macro_scenario`).
     """
     sharded = name in SHARDED_SCENARIOS
-    kind = queue or default_kind()
-    pool_mode = pooling or default_pooling()
     gc_was_enabled = gc.isenabled()
-    with use_kind(kind), use_pooling(pool_mode):
-        with KernelTally() as tally:
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                detail = run_macro_scenario(name, seed=seed,
-                                            workers=workers)
-                wall = time.perf_counter() - start
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-                gc.collect()
-        if tally.sims:
-            events = tally.events
-            sim_seconds = tally.sim_seconds
-            simulators = len(tally.sims)
-        else:
-            events = detail.get("dispatched", 0)
-            sim_seconds = detail.get("sim_seconds", 0.0)
-            simulators = detail.get("shards", 0)
-        frames = []
-        if profile and not sharded and name not in SUBPROCESS_SCENARIOS:
-            _, frames = capture_profile(
-                lambda: run_macro_scenario(name, seed=seed), top=top)
+    with KernelTally() as tally:
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            detail = run_macro_scenario(name, seed=seed, workers=workers)
+            wall = time.perf_counter() - start
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+            gc.collect()
+    if tally.sims:
+        events = tally.events
+        sim_seconds = tally.sim_seconds
+        simulators = len(tally.sims)
+    else:
+        events = detail.get("dispatched", 0)
+        sim_seconds = detail.get("sim_seconds", 0.0)
+        simulators = detail.get("shards", 0)
+    frames = []
+    if profile and not sharded and name not in SUBPROCESS_SCENARIOS:
+        _, frames = capture_profile(
+            lambda: run_macro_scenario(name, seed=seed), top=top)
     rss = detail.get("max_rss_kb") or peak_rss_kb()
     return PerfResult(
         scenario=name,
         seed=seed,
-        queue=kind,
-        pooling=pool_mode,
         wall_seconds=round(wall, 6),
         events=events,
         sim_seconds=round(sim_seconds, 6),
@@ -244,8 +215,8 @@ def write_bench(results, path="BENCH_perf.json"):
 def format_result(result):
     """Human-readable report for one :class:`PerfResult`."""
     lines = [
-        "scenario %s (seed %d, %s queue, pooling %s%s)"
-        % (result.scenario, result.seed, result.queue, result.pooling,
+        "scenario %s (seed %d%s)"
+        % (result.scenario, result.seed,
            ", %d worker(s)" % result.workers if result.workers else ""),
         "  wall           %10.3f s" % result.wall_seconds,
         "  events         %10d   (%s/sec)"

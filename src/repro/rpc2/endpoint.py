@@ -153,11 +153,7 @@ class Rpc2Endpoint:
             datagram = yield self.socket.recv()
             yield from self.cpu.use(self.host.recv_cost(datagram.size))
             self.liveness.heard_from(datagram.src)
-            src, payload = datagram.src, datagram.payload
-            # The wrapper is dead once src/payload are extracted; hand
-            # it back to the pool before dispatch can suspend us.
-            self.socket.release(datagram)
-            self._dispatch(src, payload)
+            self._dispatch(datagram.src, datagram.payload)
 
     def _observe_echo(self, peer, packet):
         echo = getattr(packet, "ts_echo", None)

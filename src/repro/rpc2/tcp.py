@@ -38,7 +38,6 @@ class _TcpReceiver:
             if cost > 0:
                 yield self.sim.sleep(cost)
             seq = datagram.payload["seq"]
-            self.socket.release(datagram)
             out_of_order = seq != self.next_expected
             self.received.add(seq)
             while self.next_expected in self.received:
@@ -96,9 +95,7 @@ class _TcpSender:
             cost = self.host.recv_cost(datagram.size)
             if cost > 0:
                 yield self.sim.sleep(cost)
-            ack = datagram.payload["ack"]
-            self.socket.release(datagram)
-            self._acks.put(ack)
+            self._acks.put(datagram.payload["ack"])
 
     def run(self):
         self.sim.process(self._ack_pump(), name="tcp-ack-pump")

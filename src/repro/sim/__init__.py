@@ -17,11 +17,9 @@ from repro.sim.events import (
     AnyOf,
     Event,
     Interrupt,
-    StaleObjectError,
     Timeout,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.pool import EventPool, default_pooling, use_pooling
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Lock, Store
@@ -30,15 +28,11 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "EventPool",
     "Interrupt",
     "Lock",
     "Process",
     "RandomStreams",
     "Simulator",
-    "StaleObjectError",
     "Store",
     "Timeout",
-    "default_pooling",
-    "use_pooling",
 ]

@@ -7,26 +7,10 @@ wait on events by yielding them; other code triggers them with
 
 _PENDING = object()
 
-#: Sentinel parked in ``_value`` while an event sits on a pool free
-#: list (:mod:`repro.sim.pool`).  Distinct from ``_PENDING`` so that
-#: touching a recycled object through any state-changing API is a hard
-#: :class:`StaleObjectError`, never a silent mis-schedule.
-_RECYCLED = object()
-
 # Scheduling priorities: urgent events (process resumption bookkeeping)
 # run before normal events that fire at the same instant.
 URGENT = 0
 NORMAL = 1
-
-
-class StaleObjectError(RuntimeError):
-    """A recycled pool object was used through a stale reference.
-
-    Raised by the cold-path event APIs (``succeed``/``fail``/
-    ``subscribe``/``value``) when the object has been returned to its
-    free list.  Holders that must survive a recycle boundary keep a
-    ``(object, object._gen)`` token and compare generations instead.
-    """
 
 
 class Interrupt(Exception):
@@ -55,7 +39,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed",
-                 "_defused", "_gen", "_recycle")
+                 "_defused")
 
     def __init__(self, sim):
         self.sim = sim
@@ -64,11 +48,6 @@ class Event:
         self._ok = None
         self._processed = False
         self._defused = False
-        # Pool lifecycle (repro.sim.pool): ``_gen`` counts recycles so
-        # a holder can detect reuse; ``_recycle`` marks the object for
-        # return to its free list right after the kernel dispatches it.
-        self._gen = 0
-        self._recycle = False
 
     @property
     def triggered(self):
@@ -90,21 +69,17 @@ class Event:
         """The event's value (or the exception it failed with)."""
         if self._value is _PENDING:
             raise RuntimeError("event value not yet available")
-        if self._value is _RECYCLED:
-            raise StaleObjectError("value read on recycled %r" % self)
         return self._value
 
     def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
-            if self._value is _RECYCLED:
-                raise StaleObjectError("succeed() on recycled %r" % self)
             raise RuntimeError("event already triggered")
         self._ok = True
         self._value = value
         # sim._schedule_event(self, URGENT) inlined — the hottest
         # trigger site; the tuple pushed is byte-identical.  sim._push
-        # is the scheduler's bound push (C-level for the heap kind).
+        # is the queue's bound push (C ``heappush`` on the heap).
         sim = self.sim
         sim._push((sim.now, URGENT, next(sim._sequence), self))
         return self
@@ -112,8 +87,6 @@ class Event:
     def fail(self, exception):
         """Trigger the event with a failure carried by ``exception``."""
         if self._value is not _PENDING:
-            if self._value is _RECYCLED:
-                raise StaleObjectError("fail() on recycled %r" % self)
             raise RuntimeError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -128,8 +101,6 @@ class Event:
 
     def subscribe(self, callback):
         """Arrange for ``callback(event)`` once the event is processed."""
-        if self._value is _RECYCLED:
-            raise StaleObjectError("subscribe() on recycled %r" % self)
         if self._processed:
             self.sim._call_soon(callback, self)
         else:
@@ -153,11 +124,8 @@ class Event:
             raise UnhandledFailure(self._value)
 
     def __repr__(self):
-        if self._value is _RECYCLED:
-            state = "recycled"
-        else:
-            state = "processed" if self._processed else (
-                "triggered" if self.triggered else "pending")
+        state = "processed" if self._processed else (
+            "triggered" if self.triggered else "pending")
         return "<%s %s at %#x>" % (type(self).__name__, state, id(self))
 
 
@@ -187,8 +155,6 @@ class Timeout(Event):
         self._ok = None
         self._processed = False
         self._defused = False
-        self._gen = 0
-        self._recycle = False
         self.delay = delay
         self._pending_value = value
         # sim._schedule_event(self, NORMAL, delay=delay) inlined; the

@@ -1,14 +1,12 @@
-"""The simulation kernel: a pluggable event queue and the run loop."""
+"""The simulation kernel: the event queue and the run loop."""
 
 from heapq import heappop
 from itertools import count
 
 from repro.obs.observatory import NULL_OBS
-from repro.sim.events import (
-    AllOf, AnyOf, Event, Timeout, URGENT, _PENDING, _RECYCLED)
-from repro.sim.pool import EventPool, FREE_LIST_CAP, make_pool
+from repro.sim.events import AllOf, AnyOf, Event, Timeout, URGENT, _PENDING
 from repro.sim.process import Process
-from repro.sim.queue import CalendarQueue, HeapQueue, make_queue
+from repro.sim.queue import HeapQueue
 
 
 class Simulator:
@@ -18,38 +16,24 @@ class Simulator:
     ``(time, priority, insertion order)`` order, so identical inputs
     always produce identical schedules.
 
-    ``queue`` selects the scheduler (:mod:`repro.sim.queue`): a kind
-    name (``"heap"``, ``"calendar"``), an already-built queue object,
-    or None for the module default.  Every scheduler honors the same
-    total order, which the differential harness and the golden
-    timeline digests enforce — so the choice affects speed, never the
-    schedule.
+    ``queue`` is the test seam: an already-built queue object with
+    :class:`~repro.sim.queue.HeapQueue`'s interface, dispatched through
+    the ``step()`` reference loop.  Production code passes nothing and
+    gets a ``HeapQueue`` behind the inlined loop of :meth:`run`.
 
     ``obs`` is the observability hook (:mod:`repro.obs`): the null
     observatory by default, replaced by ``Observatory(sim)`` when a
     run is instrumented.  Observation never schedules events, so it
     cannot perturb the schedule.
-
-    ``pooling`` selects the object-pool kind (:mod:`repro.sim.pool`):
-    ``"on"``, ``"off"``, a registered kind name, a factory, or None
-    for the module default (``REPRO_POOL``).  Pools are
-    schedule-identical by construction — every allocation primitive
-    consumes the same sequence numbers at the same program points as
-    direct allocation — which the differential harness's kind ×
-    pooling grid verifies per dispatch.
     """
 
-    def __init__(self, start_time=0.0, queue=None, pooling=None):
+    def __init__(self, start_time=0.0, queue=None):
         self.now = float(start_time)
-        self._queue = make_queue(queue, self.now)
+        self._queue = HeapQueue() if queue is None else queue
         # Bound once: the trigger sites in events.py/process.py push
-        # through this to reach the scheduler without a second
-        # attribute hop per event.
+        # through this to reach the queue without a second attribute
+        # hop per event.
         self._push = self._queue.push
-        #: The event/packet pool, or None when pooling is off.  Only
-        #: the kernel and net layers may call its alloc/recycle
-        #: primitives (lint rule SIM002).
-        self._pool = make_pool(pooling, self)
         self._sequence = count()
         self._active_process = None
         self.obs = NULL_OBS
@@ -75,18 +59,7 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def sleep(self, delay):
-        """A transient delay event: yield it directly, never retain it.
-
-        Pooled when pooling is on (recycled the moment it dispatches),
-        a plain :class:`Timeout` otherwise — either way the schedule
-        tuple is identical.  Use :meth:`timeout` instead whenever the
-        event is stored, composed (``any_of``/``all_of``), or
-        inspected after it fires: a slept-on event is dead once the
-        sleeper resumes.
-        """
-        pool = self._pool
-        if pool is not None:
-            return pool.sleep(delay)
+        """What a process yields to wait: ``timeout(delay)``, no value."""
         return Timeout(self, delay)
 
     def process(self, generator, name=None, owner=None):
@@ -139,10 +112,6 @@ class Simulator:
         self._push((self.now + delay, priority, next(self._sequence), event))
 
     def _call_soon(self, callback, *args):
-        pool = self._pool
-        if pool is not None:
-            pool.stub(lambda _evt: callback(*args))
-            return
         # An inlined stub.succeed(): the stub is born triggered.
         stub = Event(self)
         stub.callbacks.append(lambda _evt: callback(*args))
@@ -161,17 +130,15 @@ class Simulator:
         obs = self.obs
         if obs.enabled:
             # The reference semantics of the two kernel metrics; the
-            # fast loops in run() leave the same rows behind without
+            # fast loop in run() leaves the same rows behind without
             # the per-dispatch calls.
             obs.metrics.counter("sim.events_dispatched").inc()
             obs.metrics.gauge("sim.queue_depth").set(len(self._queue))
         event._process()
-        if event._recycle:
-            self._pool.recycle(event)
 
     def _settle_watcher(self, obs, own_clock, seen, last_when,
                         depth, low, high):
-        """Land a fast loop's locally kept kernel metrics on ``obs``.
+        """Land the fast loop's locally kept kernel metrics on ``obs``.
 
         ``seen`` dispatches were observed by ``obs``, the last at
         ``last_when`` with ``depth`` entries pending, the run's depths
@@ -193,8 +160,7 @@ class Simulator:
     def peek_entry(self):
         """The next ``(when, prio, seq, event)`` entry, or None if empty.
 
-        Read-only; the spec schedule probe logs ``entry[:3]`` from here
-        so it works against any scheduler, not just the heap.
+        Read-only; the spec schedule probe logs ``entry[:3]`` from here.
         """
         return self._queue.peek_entry()
 
@@ -211,10 +177,6 @@ class Simulator:
             # The caller observes this event's outcome (we re-raise
             # failures below), so it never counts as unhandled.
             stop_event.defuse()
-            # A pooled stop event must survive dispatch un-reset: its
-            # ``_value`` is read after the loop.  Un-marking it simply
-            # leaks the object to the garbage collector.
-            stop_event._recycle = False
             # Event-stopped runs use the same loops as timed ones: no
             # deadline, and a break right after the stop event's own
             # dispatch.  No loop admits an entry before -inf, so an
@@ -223,31 +185,14 @@ class Simulator:
         else:
             deadline = float("inf") if until is None else float(until)
         queue_obj = self._queue
-        pool = self._pool
-        # Bound once per run: the recycle hook in the loops below costs
-        # one slot load and a predictable branch per dispatch.  Only
-        # pool primitives ever set ``_recycle``, so ``recycle`` cannot
-        # be None when the branch is taken.  The fast loops inline the
-        # recycle body (one call frame per transient event is the
-        # difference between pooling winning and losing on fleet-64);
-        # a pool subclass that overrides ``recycle`` — the planted-bug
-        # fixtures do — keeps the call instead.  ``pool.recycle`` is
-        # the readable reference semantics for the inlined block.
-        recycle = None if pool is None else pool.recycle
-        if pool is not None and type(pool).recycle is EventPool.recycle:
-            free_events = pool._free_events
-            free_timeouts = pool._free_timeouts
-        else:
-            free_events = free_timeouts = None
-        kind = type(queue_obj)
-        if "step" in self.__dict__ or kind not in (HeapQueue, CalendarQueue):
-            # The plain loop, ``step()`` per event through nothing but
-            # the documented queue interface.  An instance-level step
-            # override (the obs schedule probe wraps it to log every
-            # dispatch) must keep seeing each event, and an externally
-            # supplied scheduler (including the deliberately broken
-            # ones under the differential harness) allows no
-            # structural assumptions.
+        if "step" in self.__dict__ or type(queue_obj) is not HeapQueue:
+            # The reference loop, ``step()`` per event through nothing
+            # but the documented queue interface.  An instance-level
+            # step override (the spec schedule probe wraps it to log
+            # every dispatch) must keep seeing each event, and an
+            # injected queue object (the differential harness plants
+            # deliberately broken ones) allows no structural
+            # assumptions.
             peek_when = queue_obj.peek_when
             while True:
                 upcoming = peek_when()
@@ -256,11 +201,11 @@ class Simulator:
                 self.step()
                 if stop_event is not None and stop_event._processed:
                     break
-        elif kind is HeapQueue:
-            # Fast path: step() inlined over the reference heap.
-            # Locals for the heap list and heappop save a method call
-            # plus several attribute loads per event — the single
-            # hottest loop in fleet-scale runs.
+        else:
+            # Fast path: step() inlined over the heap.  Locals for the
+            # heap list and heappop save a method call plus several
+            # attribute loads per event — the single hottest loop in
+            # fleet-scale runs.
             queue = queue_obj._heap
             pop = heappop
             done = 0
@@ -302,144 +247,13 @@ class Simulator:
                         elif depth > high:
                             high = depth
                     event._process()
-                    if event._recycle:
-                        if free_timeouts is not None:
-                            # pool.recycle(event), inlined — see that
-                            # method for the commented reference
-                            # semantics.
-                            if event.callbacks:
-                                event.callbacks.clear()
-                            event._value = _RECYCLED
-                            event._ok = None
-                            event._processed = False
-                            event._defused = False
-                            event._recycle = False
-                            event._gen += 1
-                            cls = type(event)
-                            if cls is Timeout:
-                                event._pending_value = None
-                                if len(free_timeouts) < FREE_LIST_CAP:
-                                    pool.recycled += 1
-                                    free_timeouts.append(event)
-                                else:
-                                    pool.dropped += 1
-                            elif cls is Event:
-                                if len(free_events) < FREE_LIST_CAP:
-                                    pool.recycled += 1
-                                    free_events.append(event)
-                                else:
-                                    pool.dropped += 1
-                            else:
-                                pool.dropped += 1
-                        else:
-                            recycle(event)
-                    elif event is stop_event:
+                    if event is stop_event:
                         break
             finally:
                 self.dispatched += done
                 if watcher is not None:
                     self._settle_watcher(watcher, own_clock, seen,
                                          last_when, depth, low, high)
-        else:
-            # Fast path: step() inlined over the calendar queue.  The
-            # at-instant FIFO lanes need no deadline check inside the
-            # loop: every lane entry is due at ``_instant``, and
-            # ``_advance`` only ever moves the instant to a time at or
-            # before the deadline.  A lane left over from a previous
-            # ``run(until=Event)`` stop can sit *beyond* this call's
-            # deadline, which the one-time guard catches — the heap
-            # path dispatches nothing in that situation either.
-            urgent = queue_obj._urgent
-            normal = queue_obj._normal
-            pop_urgent = urgent.popleft
-            pop_normal = normal.popleft
-            advance = queue_obj._advance
-            overflow = queue_obj._overflow
-            done = 0
-            watcher = None
-            own_clock = False
-            seen = depth = low = high = 0
-            last_when = 0.0
-            live = not ((urgent or normal) and queue_obj._instant > deadline)
-            try:
-                while live:
-                    if urgent:
-                        when, _prio, _seq, event = pop_urgent()
-                    elif normal:
-                        when, _prio, _seq, event = pop_normal()
-                    else:
-                        entry = advance(deadline)
-                        if entry is None:
-                            break
-                        when = entry[0]
-                        event = entry[3]
-                    self.now = when
-                    done += 1
-                    obs = self.obs
-                    if obs.enabled:
-                        # len(queue_obj), inlined: the rung list is
-                        # replaced on refill, so it is read each time.
-                        pending = (len(urgent) + len(normal)
-                                   + len(queue_obj._ready)
-                                   - queue_obj._ready_pos
-                                   + queue_obj._future + len(overflow))
-                        if obs is not watcher:
-                            if watcher is not None:
-                                self._settle_watcher(
-                                    watcher, own_clock, seen, last_when,
-                                    depth, low, high)
-                            watcher = obs
-                            own_clock = obs.clocked_by(self)
-                            seen = 0
-                            low = high = pending
-                        seen += 1
-                        last_when = when
-                        depth = pending
-                        if depth < low:
-                            low = depth
-                        elif depth > high:
-                            high = depth
-                    event._process()
-                    if event._recycle:
-                        if free_timeouts is not None:
-                            # pool.recycle(event), inlined — see that
-                            # method for the commented reference
-                            # semantics.
-                            if event.callbacks:
-                                event.callbacks.clear()
-                            event._value = _RECYCLED
-                            event._ok = None
-                            event._processed = False
-                            event._defused = False
-                            event._recycle = False
-                            event._gen += 1
-                            cls = type(event)
-                            if cls is Timeout:
-                                event._pending_value = None
-                                if len(free_timeouts) < FREE_LIST_CAP:
-                                    pool.recycled += 1
-                                    free_timeouts.append(event)
-                                else:
-                                    pool.dropped += 1
-                            elif cls is Event:
-                                if len(free_events) < FREE_LIST_CAP:
-                                    pool.recycled += 1
-                                    free_events.append(event)
-                                else:
-                                    pool.dropped += 1
-                            else:
-                                pool.dropped += 1
-                        else:
-                            recycle(event)
-                    elif event is stop_event:
-                        break
-            finally:
-                self.dispatched += done
-                if watcher is not None:
-                    self._settle_watcher(watcher, own_clock, seen,
-                                         last_when, depth, low, high)
-        if pool is not None and self.obs.enabled:
-            pool.publish(self.obs.metrics)
         if stop_event is not None:
             if not stop_event._processed:
                 raise RuntimeError(

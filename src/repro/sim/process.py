@@ -1,13 +1,6 @@
 """Generator-based simulation processes."""
 
-from repro.sim.events import (
-    Event,
-    Interrupt,
-    StaleObjectError,
-    URGENT,
-    _PENDING,
-    _RECYCLED,
-)
+from repro.sim.events import Event, Interrupt, URGENT, _PENDING
 
 
 class Process(Event):
@@ -32,12 +25,6 @@ class Process(Event):
         self._on_target = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         self._target = None
-        pool = sim._pool
-        if pool is not None:
-            # The bootstrap stub is dispatched once and retained by
-            # nobody — the canonical pooled transient.
-            pool.stub(self._on_target)
-            return
         # An inlined bootstrap.succeed(): the stub is born triggered,
         # skipping the already-triggered guard of the public method.
         bootstrap = Event(sim)
@@ -66,10 +53,6 @@ class Process(Event):
             self._target.unsubscribe(self._on_target)
             self._target = None
         sim = self.sim
-        pool = sim._pool
-        if pool is not None:
-            pool.kick(self._on_target, Interrupt(cause))
-            return
         kick = Event(sim)
         kick.callbacks.append(self._on_target)
         kick._ok = False
@@ -108,16 +91,6 @@ class Process(Event):
             error = RuntimeError(
                 "process %r yielded %r, which is not an Event"
                 % (self.name, target))
-            self._generator.close()
-            self.fail(error)
-            return
-        if target._value is _RECYCLED:
-            # Yielding a retained sleep()/pooled event after it fired
-            # would silently attach this process to a free-listed
-            # object and resume it under some future owner's schedule;
-            # fail loudly instead.
-            error = StaleObjectError(
-                "process %r yielded recycled %r" % (self.name, target))
             self._generator.close()
             self.fail(error)
             return

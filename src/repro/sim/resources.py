@@ -15,20 +15,12 @@ class Lock:
             ...
         finally:
             lock.release()
-
-    ``pooled=True`` draws acquire events from the simulator's object
-    pool and recycles them the moment they dispatch.  Only for locks
-    whose acquire events are always yielded inline like the idiom
-    above (e.g. the per-host CPU lock, taken once per packet): a
-    pooled acquire event must never be stored, composed with
-    ``any_of``/``all_of``, or inspected after the waiter resumes.
     """
 
-    def __init__(self, sim, pooled=False):
+    def __init__(self, sim):
         self.sim = sim
         self._locked = False
         self._waiters = deque()
-        self._pooled = pooled
 
     @property
     def locked(self):
@@ -36,8 +28,7 @@ class Lock:
 
     def acquire(self):
         """Return an event that fires once the lock is held by the caller."""
-        pool = self.sim._pool if self._pooled else None
-        event = pool.acquire_event() if pool is not None else Event(self.sim)
+        event = Event(self.sim)
         if not self._locked:
             self._locked = True
             event.succeed()

@@ -17,11 +17,9 @@ from repro.spec.seeds import master_seed
 def probe_schedule(sim, schedule_log):
     """Wrap ``sim.step`` to log each dispatch's scheduler key.
 
-    ``peek_entry`` is the scheduler-neutral view of the next dispatch:
-    the determinism regression tests need the raw
-    ``(time, priority, seq)`` order, and reading it through the queue
-    interface means the probe works (and the logged keys must agree)
-    under every queue kind, not just the reference heap.
+    ``peek_entry`` is the read-only view of the next dispatch: the
+    determinism regression tests need the raw
+    ``(time, priority, seq)`` order.
     """
     original_step = sim.step
 

@@ -169,50 +169,9 @@ def test_sim001_kernel_is_allowlisted():
     source = "import heapq\n\ndef push(self):\n    return self._queue\n"
     assert rules_of(lint.lint_source(
         source, "/repo/sim/kernel.py", root="/repo")) == []
-
-
-# ---------------------------------------------------------------------------
-# SIM002: object-pool access
-
-
-@pytest.mark.parametrize("snippet", [
-    "def grab(sim):\n    return sim._pool\n",
-    "def boot(pool, cb):\n    pool.stub(cb)\n",
-    "def poke(pool, cb, exc):\n    pool.kick(cb, exc)\n",
-    "def take(pool):\n    return pool.acquire_event()\n",
-    "def pin(pool, when, seq):\n    return pool.timeout_at(when, seq)\n",
-    "def lane(pool, fn):\n    return pool.delivery_lane(fn)\n",
-    "def free(pool, event):\n    pool.recycle(event)\n",
-    "def drop(pool, dgram):\n    pool.recycle_datagram(dgram)\n",
-])
-def test_sim002_pool_access(snippet):
-    assert "SIM002" in rules_of(run(snippet))
-
-
-@pytest.mark.parametrize("path", [
-    "/repo/sim/pool.py", "/repo/sim/kernel.py", "/repo/sim/process.py",
-    "/repo/sim/resources.py", "/repo/net/link.py", "/repo/net/network.py",
-])
-def test_sim002_pool_layer_is_allowlisted(path):
-    source = ("def send(self, datagram):\n"
-              "    pool = self.sim._pool\n"
-              "    if pool is not None:\n"
-              "        pool.recycle_datagram(datagram)\n")
-    assert rules_of(lint.lint_source(source, path, root="/repo")) == []
-
-
-def test_sim002_safe_wrappers_are_clean():
-    source = ("def wait(sim, sock, dgram):\n"
-              "    sock.release(dgram)\n"
-              "    return sim.sleep(1.0)\n")
-    assert rules_of(run(source)) == []
-
-
-def test_sim002_reasoned_pragma_suppresses():
-    source = ("def stats(sim):\n"
-              "    # repro: allow[SIM002] read-only stats probe in a test\n"
-              "    return sim._pool.stats()\n")
-    assert rules_of(run(source)) == []
+    # The allowlist is the four scheduler-layer files and nothing else.
+    assert "SIM001" in rules_of(lint.lint_source(
+        source, "/repo/sim/pool.py", root="/repo"))
 
 
 # ---------------------------------------------------------------------------

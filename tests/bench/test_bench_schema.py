@@ -15,8 +15,6 @@ import pytest
 
 from repro.perf.runner import BENCH_SCHEMA, results_to_bench, run_perf
 from repro.perf.scenarios import SCENARIOS
-from repro.sim.pool import POOL_KINDS
-from repro.sim.queue import QUEUE_KINDS
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                           "BENCH_perf.json")
@@ -40,8 +38,6 @@ ROW_TYPES = {
     "events_per_sec": float,
     "sim_seconds_per_wall_second": float,
     "simulators": int,
-    "queue": str,
-    "pooling": str,
     "workers": int,
     "max_rss_kb": int,
     "detail": dict,
@@ -65,8 +61,6 @@ def check_row(row):
         assert key in row, "row missing %r" % key
         assert isinstance(row[key], kind), (row["scenario"], key)
     assert row["scenario"] in SCENARIOS
-    assert row["queue"] in QUEUE_KINDS
-    assert row["pooling"] in POOL_KINDS
     assert row["events"] > 0
     assert row["wall_seconds"] > 0
     assert row["workers"] >= 0
@@ -110,70 +104,6 @@ def test_committed_bench_streamed_rss_beats_resident(committed):
             == resident["detail"]["fleet_digest"])
     assert streamed["detail"]["days"] >= 4
     assert streamed["max_rss_kb"] < resident["max_rss_kb"]
-
-
-def test_committed_bench_calendar_beats_heap_on_fleet_64(committed):
-    """The scheduler-swap regression gate: the calendar queue must
-    stay within a documented noise floor of the reference heap on the
-    headline fleet scenario — measured on the *same* simulation
-    (identical event count and detail stats prove the two rows ran
-    the same schedule).  Compared at matching pooling so the gate
-    isolates the queue swap."""
-    rows = [row for row in committed["results"]
-            if row["scenario"] == "fleet-64" and row["pooling"] == "on"]
-    by_queue = {row["queue"]: row for row in rows}
-    assert {"heap", "calendar"} <= set(by_queue), \
-        "fleet-64 must be benched under both queue kinds"
-    heap, calendar = by_queue["heap"], by_queue["calendar"]
-    assert calendar["events"] == heap["events"]
-    assert calendar["detail"] == heap["detail"]
-    # Floor rather than strict dominance: on the PR-9 runner the
-    # calendar ring led the C heap by ~15%; on the current shared
-    # 1-CPU box the two are within a few percent of each other, which
-    # is smaller than the box's minute-scale throughput swings.  The
-    # gate exists to catch a structural regression (the calendar path
-    # suddenly costing tens of percent), not to coin-flip on
-    # scheduler noise.
-    assert calendar["events_per_sec"] >= 0.90 * heap["events_per_sec"]
-
-
-def test_committed_bench_pooling_beats_allocation_on_fleet_64(committed):
-    """The pooling regression gate: for every queue kind benched on
-    fleet-64 under both pooling modes, the pooled row must stay
-    within a documented noise floor of the per-send-allocation row —
-    on the identical schedule (equal event count and detail
-    stats)."""
-    rows = [row for row in committed["results"]
-            if row["scenario"] == "fleet-64"]
-    by_config = {(row["queue"], row["pooling"]): row for row in rows}
-    pairs = [queue for queue in {q for q, _ in by_config}
-             if (queue, "on") in by_config and (queue, "off") in by_config]
-    assert pairs, "fleet-64 must be benched under both pooling modes"
-    for queue in pairs:
-        pooled, unpooled = by_config[(queue, "on")], by_config[(queue, "off")]
-        assert pooled["events"] == unpooled["events"]
-        assert pooled["detail"] == unpooled["detail"]
-        # Floor rather than strict dominance, for the same reason as
-        # the queue gate above: paired interleaved runs show pooling
-        # consistently ahead on the calendar queue (5/5 pairs, median
-        # wall ratio 0.905 on fleet-32), but the single-digit effect
-        # is smaller than the shared runner's minute-scale throughput
-        # swings, so best-of-N absolute numbers land within ~1% either
-        # way.  The gate catches a structural regression (pooling
-        # suddenly costing tens of percent), not measurement noise.
-        assert (pooled["events_per_sec"]
-                >= 0.95 * unpooled["events_per_sec"]), queue
-
-
-def test_rows_missing_pooling_are_rejected():
-    """A schema-5 consumer must be able to rely on ``pooling`` being
-    present: a row without it (a schema-4 artifact) fails check_row."""
-    result = run_perf("trickle-outage", profile=False)
-    row = result.to_dict()
-    check_row(row)            # intact row passes
-    del row["pooling"]
-    with pytest.raises(AssertionError):
-        check_row(row)
 
 
 def test_live_envelope_matches_the_contract():

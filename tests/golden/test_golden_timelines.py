@@ -13,6 +13,8 @@ fixture::
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,3 +54,18 @@ def test_digest_is_stable_within_a_run():
     sha_a, events_a = timeline_digest("obs:trickle")
     sha_b, events_b = timeline_digest("obs:trickle")
     assert (sha_a, events_a) == (sha_b, events_b)
+
+
+def test_retired_kernel_env_vars_select_nothing():
+    """``REPRO_QUEUE``/``REPRO_POOL`` once picked a scheduler and an
+    allocation mode (an unknown value was a ValueError at import);
+    there is one kernel now and nothing reads them."""
+    env = dict(os.environ, REPRO_QUEUE="bogus", REPRO_POOL="bogus",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "golden", "--check",
+         "--fixture", FIXTURE],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "%d scenario timeline(s) match" % len(GOLDEN_SCENARIOS) \
+        in done.stdout

@@ -20,30 +20,32 @@ from repro.fleetd.executor import run_shard
 from repro.fleetd.plan import plan_shards
 from repro.sim.events import Event, Timeout
 
-OBS_PACKAGE = os.path.join("repro", "obs") + os.sep
-
 BUDGET = 2.0
 SHORT_DAYS, LONG_DAYS = 0.0625, 0.25
 
 
-def obs_calls_per_dispatch(days):
-    """(calls into repro/obs) / (events dispatched) for one fleet-8 shard."""
+def calls_per_dispatch(package, days, instrument=True):
+    """(calls into repro/<package>) / (events dispatched), one fleet-8 shard.
+
+    Shared with ``tests/sim/test_kernel_budget.py``.
+    """
+    prefix = os.path.join("repro", package) + os.sep
     shard = plan_shards("fleet-8", seed=0, days=days)[0]
     profile = cProfile.Profile()
     profile.enable()
     try:
-        result = run_shard(shard)
+        result = run_shard(shard, instrument=instrument)
     finally:
         profile.disable()
     calls = sum(entry.callcount for entry in profile.getstats()
-                if OBS_PACKAGE in getattr(entry.code, "co_filename", ""))
+                if prefix in getattr(entry.code, "co_filename", ""))
     assert result.dispatched > 10_000
     return calls / result.dispatched
 
 
 def test_observation_costs_at_most_two_calls_per_dispatch_and_stays_flat():
-    short = obs_calls_per_dispatch(SHORT_DAYS)
-    long = obs_calls_per_dispatch(LONG_DAYS)
+    short = calls_per_dispatch("obs", SHORT_DAYS)
+    long = calls_per_dispatch("obs", LONG_DAYS)
     assert short <= BUDGET and long <= BUDGET, (short, long)
     # Fixed per-run costs (export, first-use registry lookups) thin out
     # over a longer day; per-event cost must not grow to replace them.
@@ -69,4 +71,4 @@ def test_one_restored_per_dispatch_inc_breaks_the_budget(monkeypatch):
 
     monkeypatch.setattr(Event, "_process", counted(Event._process))
     monkeypatch.setattr(Timeout, "_process", counted(Timeout._process))
-    assert obs_calls_per_dispatch(SHORT_DAYS) > BUDGET
+    assert calls_per_dispatch("obs", SHORT_DAYS) > BUDGET

@@ -1,13 +1,13 @@
 """Property: the kernel metrics survive any observatory change mid-run.
 
-The fast loops of ``Simulator.run`` keep ``sim.events_dispatched`` and
-``sim.queue_depth`` in locals for the observatory they last saw and
-land them when the loop exits or meets a different one.  ``step()`` is
+The fast loop of ``Simulator.run`` keeps ``sim.events_dispatched`` and
+``sim.queue_depth`` in locals for the observatory it last saw and
+lands them when the loop exits or meets a different one.  ``step()`` is
 the oracle: it does an ``inc()`` and a ``set()`` per dispatch on
 whatever ``sim.obs`` is at that moment.  Random programs whose
 callbacks install, uninstall and swap observatories — one of them
 clocked by another simulator — must leave every observatory with the
-same rows under all three loops, however the run is sliced into
+same rows under both loops, however the run is sliced into
 ``run()`` calls and even when a callback raises out of the loop.
 
 Out of scope, as DESIGN.md records: a callback that re-points the
@@ -98,16 +98,13 @@ def run_program(make_queue, program, slicing, start_observed):
 @given(programs, slicings, st.booleans())
 def test_every_loop_leaves_every_observatory_the_same_rows(
         program, slicing, start_observed):
-    reference = run_program(PlainHeapQueue, program, slicing,
-                            start_observed)
-    for kind in ("heap", "calendar"):
-        assert run_program(lambda: kind, program, slicing,
-                           start_observed) == reference
+    assert run_program(lambda: None, program, slicing, start_observed) \
+        == run_program(PlainHeapQueue, program, slicing, start_observed)
 
 
 def test_a_foreign_observatory_stamps_with_its_own_clock():
     """The pinned example: stamps are what ``obs.time()`` returned."""
-    for make_queue in (PlainHeapQueue, lambda: "heap", lambda: "calendar"):
+    for make_queue in (PlainHeapQueue, lambda: None):
         _now, _dispatched, rows = run_program(
             make_queue, [(1.0, "foreign"), (2.0, "noop"), (3.0, "noop")],
             ([], 2), True)

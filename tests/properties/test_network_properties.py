@@ -70,6 +70,53 @@ def test_loss_statistics_conserve_packets(seed, loss):
     assert stats.packets_delivered == len(delivered)
 
 
+ticks = st.integers(min_value=0, max_value=64).map(lambda n: n / 64.0)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=5_000),
+                          ticks),          # (size, gap before send)
+                min_size=1, max_size=25),
+       st.floats(min_value=4_800.0, max_value=1e6),
+       st.floats(min_value=0.0, max_value=0.2),
+       st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=0, max_value=2**31),
+       st.one_of(st.none(),
+                 st.tuples(ticks,          # (outage after, duration)
+                           st.floats(min_value=0.05, max_value=3.0))))
+def test_lossy_outage_prone_link_keeps_order_and_conserves_bytes(
+        plan, bandwidth, latency, loss, seed, outage):
+    """Random packet mixes under random loss and a mid-run outage that
+    drops in-flight packets: deliveries stay in send order and every
+    byte sent is delivered, lost or dropped — none lingers in flight."""
+    import random
+    sim = Simulator()
+    arrived = []
+    link = Link(sim, "a", "b", bandwidth_bps=bandwidth, latency=latency,
+                loss_rate=loss, rng=random.Random(seed),
+                deliver=lambda d: arrived.append((d.payload, d.size)))
+    if outage is not None:
+        link.outage(after=outage[0], duration=outage[1])
+
+    def sender():
+        for index, (size, gap) in enumerate(plan):
+            if gap:
+                yield sim.sleep(gap)
+            link.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
+                               payload=index, size=size))
+
+    sim.process(sender(), name="sender")
+    sim.run()
+    indices = [index for index, _ in arrived]
+    assert indices == sorted(set(indices))
+    stats = link.forward.stats
+    assert stats.bytes_sent == sum(size for size, _ in plan)
+    assert (stats.bytes_delivered + stats.bytes_lost
+            + stats.bytes_dropped_down) == stats.bytes_sent
+    assert stats.bytes_delivered == sum(size for _, size in arrived)
+    assert link.forward.bytes_in_flight == 0
+
+
 # max_examples only: the deadline-safe "repro" profile registered in
 # tests/conftest.py supplies deadline=None and suppresses the too_slow
 # health check, which the pinned worst-case example below used to flake

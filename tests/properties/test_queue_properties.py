@@ -1,15 +1,11 @@
-"""Model-based equivalence of the schedulers against a sorted oracle.
+"""Model-based check of the kernel's queue against a sorted oracle.
 
-The oracle is a plain list: the next entry out of any correct scheduler
-is ``min(pending)`` under tuple order ``(when, prio, seq)``.  Hypothesis
-drives arbitrary interleavings of push/pop/cancel with adversarial time
-distributions — all-same-time ties, denormal-small deltas, bucket
-boundary values (the calendar width starts at 1.0 and the overflow
-horizon at 4096 widths), far-future outliers, and +inf — and the suite
-checks every observable after every operation: pop order, ``len``,
-``peek_entry``.  Both real kinds run the same operation script, so the
-calendar queue is held to exactly the heap's behaviour, resizes
-included.
+The oracle is a plain list: the next entry out of a correct queue is
+``min(pending)`` under tuple order ``(when, prio, seq)``.  Hypothesis
+drives arbitrary interleavings of push/pop with adversarial time
+distributions — all-same-time ties, denormal-small deltas, far-future
+outliers, and +inf — and the suite checks every observable after every
+operation: pop order, ``len``, ``peek_entry``.
 """
 
 from itertools import count
@@ -17,11 +13,9 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.queue import RESIZE_AT, make_queue
+from repro.sim.queue import HeapQueue
 
-#: Delays chosen to stress the calendar geometry: ties (0.0), denormal
-#: and near-epsilon steps, values hugging the initial bucket width
-#: (1.0) and the overflow horizon (4096 widths), far-future outliers,
+#: Ties (0.0), denormal and near-epsilon steps, far-future outliers,
 #: and infinity (how "never" timers are spelled).
 DELAYS = st.one_of(
     st.just(0.0),
@@ -36,17 +30,15 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), DELAYS, st.integers(0, 1)),
         st.tuples(st.just("pop")),
-        st.tuples(st.just("cancel"), st.integers(0, 10**6)),
     ),
     max_size=150,
 )
 
-KINDS = ("heap", "calendar")
 
-
-def run_script(kind, ops):
-    """Execute one operation script against ``kind`` and the oracle."""
-    queue = make_queue(kind)
+@settings(max_examples=60, deadline=None)
+@given(OPS)
+def test_heap_queue_matches_the_oracle(ops):
+    queue = HeapQueue()
     sequence = count()
     instant = 0.0
     pending = []
@@ -56,24 +48,15 @@ def run_script(kind, ops):
             entry = (instant + delay, prio, next(sequence), None)
             queue.push(entry)
             pending.append(entry)
-        elif op[0] == "pop":
-            if not pending:
-                with pytest.raises(IndexError):
-                    queue.pop()
-            else:
-                expected = min(pending)
-                got = queue.pop()
-                assert got == expected, (kind, got, expected)
-                pending.remove(got)
-                instant = got[0]
+        elif not pending:
+            with pytest.raises(IndexError):
+                queue.pop()
         else:
-            _, pick = op
-            if not pending:
-                assert queue.cancel((0.0, 0, -1, None)) is False
-            else:
-                victim = sorted(pending)[pick % len(pending)]
-                assert queue.cancel(victim) is True
-                pending.remove(victim)
+            expected = min(pending)
+            got = queue.pop()
+            assert got == expected, (got, expected)
+            pending.remove(got)
+            instant = got[0]
         assert len(queue) == len(pending)
         expected_peek = min(pending) if pending else None
         assert queue.peek_entry() == expected_peek
@@ -86,75 +69,14 @@ def run_script(kind, ops):
     assert queue.peek_entry() is None
 
 
-@settings(max_examples=120, deadline=None)
-@given(OPS)
-def test_calendar_queue_matches_the_oracle(ops):
-    run_script("calendar", ops)
-
-
-@settings(max_examples=60, deadline=None)
-@given(OPS)
-def test_heap_queue_matches_the_oracle(ops):
-    run_script("heap", ops)
-
-
-@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=40),
        st.sampled_from([0.0, 0.5, 4096.5, float("inf")]))
-def test_fifo_tie_break_at_identical_when_and_prio(kind, prios, when):
+def test_fifo_tie_break_at_identical_when_and_prio(prios, when):
     """Entries tied on (when, prio) must pop in insertion order."""
-    queue = make_queue(kind)
+    queue = HeapQueue()
     entries = [(when, prio, seq, None) for seq, prio in enumerate(prios)]
     for entry in entries:
         queue.push(entry)
     expected = sorted(entries)      # (when, prio, seq): FIFO within prio
     assert [queue.pop() for _ in entries] == expected
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_order_is_stable_across_bucket_resizes(kind):
-    """A population crossing the resize threshold repeatedly still
-    drains in exact tuple order (the resize is pure restructuring)."""
-    queue = make_queue(kind)
-    entries = []
-    sequence = count()
-    # Deterministic pseudo-spread without touching any RNG: a Weyl
-    # sequence over a wide span, several times the resize threshold.
-    for i in range(RESIZE_AT * 8):
-        when = (i * 0.6180339887498949) % 97.0 + (i % 7) * 13.0
-        entry = (when, i % 2, next(sequence), None)
-        entries.append(entry)
-        queue.push(entry)
-    if kind == "calendar":
-        assert queue._width != 1.0, "resize never triggered"
-    assert [queue.pop() for _ in entries] == sorted(entries)
-
-
-@settings(max_examples=40, deadline=None)
-@given(OPS)
-def test_calendar_and_heap_agree_operation_for_operation(ops):
-    """Direct cross-implementation agreement (no oracle in the middle):
-    the same script produces the same pop stream from both kinds."""
-    streams = []
-    for kind in KINDS:
-        queue = make_queue(kind)
-        sequence = count()
-        instant = 0.0
-        popped = []
-        size = 0
-        for op in ops:
-            if op[0] == "push":
-                _, delay, prio = op
-                queue.push((instant + delay, prio, next(sequence), None))
-                size += 1
-            elif op[0] == "pop" and size:
-                got = queue.pop()
-                popped.append(got)
-                instant = got[0]
-                size -= 1
-        while size:
-            popped.append(queue.pop())
-            size -= 1
-        streams.append(popped)
-    assert streams[0] == streams[1]

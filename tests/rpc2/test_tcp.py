@@ -59,3 +59,21 @@ def test_deterministic_given_seed():
     a = run_tcp(200_000, loss=0.02, seed=9)
     b = run_tcp(200_000, loss=0.02, seed=9)
     assert a == b
+
+
+def test_a_datagram_kept_across_later_receives_is_untouched(monkeypatch):
+    """Receivers may keep what they were handed: a delivered datagram
+    is never reset or reused for a later packet."""
+    kept = []
+    deliver = Network._deliver
+
+    def keeping(net, datagram):
+        kept.append((datagram, datagram.ident, datagram.payload))
+        deliver(net, datagram)
+
+    monkeypatch.setattr(Network, "_deliver", keeping)
+    run_tcp(20_000)
+    assert len(kept) > 10
+    assert len({id(datagram) for datagram, _, _ in kept}) == len(kept)
+    for datagram, ident, payload in kept:
+        assert datagram.ident == ident and datagram.payload is payload

@@ -1,106 +1,78 @@
-"""Deliberately broken schedulers: proof the differential harness bites.
+"""Deliberately broken queues: proof the differential harness bites.
 
 A verification harness is only trustworthy if it demonstrably fails on
 defective inputs (the planted-corruption style of
-``tests/ckpt/test_verify.py``).  These queue kinds each violate the
-scheduler contract in one realistic way; ``test_differential.py``
-asserts the harness pinpoints both.
-
-Why the bucket bug is an index *parity swap* rather than a literal
-``+1``: in the calendar design, any *monotone* slice map preserves
-order across slices (a uniform off-by-one relabels every slice but
-reorders nothing — the per-slice heaps still restore total order).
-The bug that actually bites is a **non-monotone** map, where
-neighbouring slices trade places and an entry in the higher time slice
-can pop before a lower one.  That is exactly what a real calendar
-queue suffers when its index math breaks at a bucket boundary
-(e.g. a floor-vs-round mismatch at negative offsets or a width-resize
-applied to only half the table).
+``tests/ckpt/test_verify.py``).  Each queue here is the kernel's heap
+with its ordering key damaged in one realistic way;
+``test_differential.py`` asserts the harness pinpoints both at the
+exact first diverging event.  Both go through the plain ``step()``
+loop, like any injected queue object.
 """
 
-from bisect import insort
-from heapq import heappush
+from heapq import heappop, heappush
 
-from repro.sim.queue import (
-    OVERFLOW_SPAN,
-    CalendarQueue,
-    register_kind,
-)
+from repro.sim.events import URGENT
 
 
-class OffByOneBucketQueue(CalendarQueue):
-    """Calendar queue whose slice index has its lowest bit flipped.
+class _KeyedHeap:
+    """The queue interface over a heap ordered by ``key(entry)``.
 
-    Adjacent time slices swap positions in the ``_active`` order, so
-    entries roughly one bucket-width apart can dispatch out of time
-    order.  Within a slice (and for at-instant and overflow entries)
-    everything still behaves, which is what makes this the sort of bug
-    only a differential run catches.
+    Every key below ends in the entry's unique ``seq``, so the heap
+    never falls through to comparing the entries themselves.
     """
 
-    kind = "broken-bucket"
-
-    __slots__ = ()
+    def __init__(self):
+        self._heap = []
 
     def push(self, entry):
-        # The production push inlines its future-tier logic for speed;
-        # route through the overridable _push_future so the planted
-        # bug below actually governs bucket placement.
-        if entry[0] == self._instant:
-            if entry[1]:
-                self._normal.append(entry)
-            else:
-                self._urgent.append(entry)
-        else:
-            self._push_future(entry)
+        heappush(self._heap, (self.key(entry), entry))
 
-    def _push_future(self, entry):
-        when = entry[0]
-        width = self._width
-        if not (when - self._instant <= OVERFLOW_SPAN * width):
-            heappush(self._overflow, entry)
-            return
-        index = int(when / width) ^ 1       # the planted bug
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [entry]
-            heappush(self._active, index)
-        else:
-            heappush(bucket, entry)
-        self._future += 1
-        # No auto-resize: keep the width (and the bug) stable.
+    def pop(self):
+        return heappop(self._heap)[1]
+
+    def peek_entry(self):
+        return self._heap[0][1] if self._heap else None
+
+    def peek_when(self):
+        return self._heap[0][1][0] if self._heap else None
+
+    def __len__(self):
+        return len(self._heap)
 
 
-class TieOrderViolatingQueue(CalendarQueue):
-    """Calendar queue that runs same-instant urgent ties LIFO.
+class LifoUrgentTiesQueue(_KeyedHeap):
+    """Heap that runs same-instant urgent ties newest-first.
 
     ``(when, priority)`` order is intact; only the ``seq`` tie-break
-    among urgent events at the current instant is reversed.  Two
-    processes started at the same instant bootstrap in reverse
-    creation order — precisely the class of bug FIFO tie-breaking
-    exists to exclude, and invisible to any check that only looks at
-    dispatch *times*.
+    among urgent events is reversed.  Two processes started at the
+    same instant bootstrap in reverse creation order — precisely the
+    class of bug FIFO tie-breaking exists to exclude, and invisible to
+    any check that only looks at dispatch *times*.
     """
 
-    kind = "broken-ties"
-
-    __slots__ = ()
-
-    def push(self, entry):
-        if entry[0] == self._instant:
-            if entry[1]:
-                self._normal.append(entry)
-            else:
-                self._urgent.appendleft(entry)      # the planted bug
-        elif entry[0] < self._limit:
-            # Mirror the production rung branch so tie order stays the
-            # *only* defect this fixture plants.
-            insort(self._ready, entry, self._ready_pos)
-        else:
-            self._push_future(entry)
+    @staticmethod
+    def key(entry):
+        when, prio, seq, _event = entry
+        return (when, prio, -seq if prio == URGENT else seq)    # the bug
 
 
-def register_broken_kinds():
-    """Make the planted-bug kinds buildable by name via make_queue."""
-    register_kind(OffByOneBucketQueue.kind, OffByOneBucketQueue)
-    register_kind(TieOrderViolatingQueue.kind, TieOrderViolatingQueue)
+class NonMonotoneKeyQueue(_KeyedHeap):
+    """Heap keyed by a time slice whose lowest bit is flipped.
+
+    Adjacent one-second slices trade places, so an entry in the higher
+    slice can pop before one in the lower; within a slice everything
+    still behaves.  Any *monotone* re-keying of time would reorder
+    nothing — the bug that bites is a non-monotone one, which is what
+    bucketed index math suffers at a boundary.  Finite times only.
+    """
+
+    @staticmethod
+    def key(entry):
+        return (int(entry[0]) ^ 1,) + entry[:3]                 # the bug
+
+
+#: Loop names for ``differential.LOOPS``.
+BROKEN_LOOPS = {
+    "broken-ties": LifoUrgentTiesQueue,
+    "broken-key": NonMonotoneKeyQueue,
+}

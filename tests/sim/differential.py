@@ -1,73 +1,56 @@
-"""Differential scheduler harness: prove two queue kinds dispatch alike.
+"""Differential loop harness: prove the dispatch loops behave alike.
 
-The golden digests pin the obs timeline of eleven scenarios; this
-harness is the finer instrument behind them.  It runs the *same*
-scenario once per scheduler kind (:mod:`repro.sim.queue`) and
-byte-compares up to four witnesses:
+``Simulator.run`` has two loops: the inlined *fast* loop over the
+kernel's own ``HeapQueue`` (what every production run uses) and the
+*plain* loop, ``step()`` per event through the queue interface (what
+an injected queue object or an instance-level ``step`` override gets).
+``step()`` is the readable reference; this harness runs the *same*
+scenario once per loop and byte-compares up to four witnesses:
 
 * **dispatch tier** — every single dispatch, as the canonical line
-  ``(when, priority, seq, event-class)`` read through
-  ``Simulator.peek_entry()`` immediately before the event runs.  Any
-  ordering disagreement between queue kinds — a swapped tie, an
-  out-of-order bucket, a mis-sliced timeout — shows up at the exact
-  event index where it happens.  The instance-level ``step`` override
-  routes the run through the kernel's generic loop, so this tier also
-  exercises the plain queue interface of whatever kind is under test
-  (including deliberately broken ones; see ``broken_queues.py``).
-* **timeline tier** — the obs event timeline, captured *without* any
-  probe, so the kernel takes its per-kind inlined fast loop.  This is
-  the tier that proves the fast paths themselves — not just the
-  ``pop()`` interface — are schedule-identical.
+  ``(when, priority, seq, event-class)``.  The probe remembers each
+  entry as it is pushed and logs it as its event is processed, so
+  nothing lands in ``step`` and each loop under test is the loop that
+  runs.  A swapped tie, an out-of-order pop, an overrun deadline shows
+  up at the exact event index where it happens — which is how the
+  planted-bug queues of ``broken_queues.py`` are caught.
+* **timeline tier** — the obs event timeline of a probe-free run.
 * **stops tier** (the event-stopped mode; opt in with ``--tier
   stops``) — one line per ``Simulator.run`` call: how it was stopped
   (``event:<class>`` or the deadline), where the clock and the
   dispatch count landed, and the entry left at the head of the queue.
-  Captured through a class-level wrapper, so each kind keeps its own
-  loop; with ``--queue plain`` (the reference heap behind the kernel's
-  plain ``step()`` loop) all three loops of ``Simulator.run`` are
-  compared.  A loop that overruns its stop event, stops one dispatch
-  early, or reorders the same-instant remnant left queued for the next
-  ``run`` differs here at that very call.
-
+  A loop that overruns its stop event, stops one dispatch early, or
+  reorders the same-instant remnant left queued for the next ``run``
+  differs here at that very call.
 * **metrics tier** (opt in with ``--tier metrics``) — one line per
   row of ``observatory.metrics.rows()`` after a probe-free run: value,
-  min, max *and* ``last_update``.  The fast loops keep the two kernel
+  min, max *and* ``last_update``.  The fast loop keeps the two kernel
   metrics (``sim.events_dispatched``, ``sim.queue_depth``) in locals
-  and land them once per run; ``--queue plain`` is ``step()`` doing an
-  ``inc()`` and a ``set()`` per dispatch, so this tier proves what the
-  loops write back is what the reference would have left behind.
+  and lands them once per run; ``step()`` does an ``inc()`` and a
+  ``set()`` per dispatch, so this tier proves what the loop writes
+  back is what the reference would have left behind.
+
+A loop is selected by the queue object handed to ``Simulator(queue=)``
+— the kernel's one test seam — injected by patching
+``Simulator.__init__`` for the duration of a capture, the way
+``DispatchProbe`` and ``repro.perf.runner.KernelTally`` already do.
 
 Scenario specs are the ``repro.analysis.divergence`` syntax
 (``obs:<name>``, ``faults:<name>``, ``mod:<module>:<function>``) plus
 ``perf:<name>`` for the catalogued macro-scenarios, or a bare callable
 taking ``observatory=``.  Usable as a script for the CI
-``queue-differential`` and ``pool-differential`` smoke jobs::
+``loop-differential`` smoke job::
 
     PYTHONPATH=src python tests/sim/differential.py \
-        --scenario obs:trickle --scenario perf:fleet-32 \
-        --queue heap --queue calendar --digest
-
-    PYTHONPATH=src python tests/sim/differential.py \
-        --scenario obs:trickle --queue calendar \
-        --pooling off --pooling on
+        --scenario obs:trickle --scenario perf:fleet-32 --digest
 
 ``--digest`` streams each dispatch line into a sha256 instead of
 keeping it (fleet-scale runs dispatch millions of events); divergence
 is still detected, just without the surrounding context lines.
-
-``--pooling`` (repeatable) extends the comparison to the object-pool
-axis (:mod:`repro.sim.pool`): the grid becomes every ``kind/mode``
-cell, compared pairwise against the first cell.  Pooling is
-schedule-identical *by construction* — pooled primitives draw their
-sequence numbers at the same program points as the unpooled
-allocations, and the batched link lane pins each wakeup to the exact
-absolute due time the unpooled per-packet timeout would use — so both
-tiers compare full lines with no canonicalisation, ties included.
 """
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
 
 from repro.analysis.divergence import (
@@ -76,49 +59,57 @@ from repro.analysis.divergence import (
     resolve_scenario,
 )
 from repro.sim import kernel
-from repro.sim.events import Event
-from repro.sim.pool import use_pooling
-from repro.sim.queue import HeapQueue, register_kind, use_kind
+from repro.sim.events import Event, Timeout
+from repro.sim.queue import HeapQueue
 
-DEFAULT_KINDS = ("heap", "calendar")
 DEFAULT_TIERS = ("dispatch", "timeline")
 TIERS = DEFAULT_TIERS + ("stops", "metrics")
-#: The pooling grid the CI pool-differential job sweeps; ``None`` in
-#: diff_scenario means "session default only" (the pre-pooling axis
-#: behaviour, plain kind labels).
-DEFAULT_POOLINGS = ("off", "on")
 
 
 class PlainHeapQueue(HeapQueue):
-    """The reference heap, served by the kernel's plain ``step()`` loop.
+    """The kernel's heap, served by the plain ``step()`` loop.
 
-    ``Simulator.run`` inlines its fast loops only for exactly
-    ``HeapQueue`` and ``CalendarQueue``; any other type — this one
-    included — goes through the documented queue interface alone.
+    ``Simulator.run`` inlines its fast loop only for exactly
+    ``HeapQueue``; any other type — this one included — goes through
+    the documented queue interface alone.
     """
-
-    kind = "plain"
 
     __slots__ = ()
 
 
-def register_plain_kind():
-    """Make the plain-loop kind buildable by name via make_queue."""
-    register_kind(PlainHeapQueue.kind, PlainHeapQueue)
+#: loop name -> factory of the queue object injected into every
+#: Simulator built during a capture; None injects nothing, leaving the
+#: kernel's own HeapQueue behind the fast loop.  ``broken_queues.py``
+#: adds the planted-bug queues.
+LOOPS = {"fast": None, "plain": PlainHeapQueue}
+DEFAULT_LOOPS = ("fast", "plain")
 
 
-class _keep_pooling:
-    """No-op stand-in for ``use_pooling`` when no mode is forced."""
+class use_loop:
+    """Build every Simulator inside ``with`` on the named loop."""
+
+    def __init__(self, loop):
+        try:
+            self._factory = LOOPS[loop]
+        except KeyError:
+            raise ValueError("unknown loop %r (have %s)"
+                             % (loop, ", ".join(sorted(LOOPS)))) from None
+        self._original = None
 
     def __enter__(self):
+        self._original = original = kernel.Simulator.__init__
+        factory = self._factory
+        if factory is not None:
+            def injecting_init(sim, start_time=0.0, queue=None):
+                original(sim, start_time,
+                         factory() if queue is None else queue)
+
+            kernel.Simulator.__init__ = injecting_init
         return self
 
     def __exit__(self, *exc_info):
+        kernel.Simulator.__init__ = self._original
         return False
-
-
-def _pooling_ctx(pooling):
-    return _keep_pooling() if pooling is None else use_pooling(pooling)
 
 
 def resolve(spec):
@@ -136,47 +127,64 @@ def resolve(spec):
 class DispatchProbe:
     """Record every dispatch of every Simulator built inside ``with``.
 
-    Patches ``Simulator.__init__`` (KernelTally-style) to install an
-    instance-level ``step`` wrapper that logs the scheduler's next
-    entry — via the queue-neutral ``peek_entry()`` — before stepping.
-    With ``digest=True`` the lines fold into a sha256 as they stream;
-    otherwise they are kept for context reporting.
+    Patches ``Simulator.__init__`` (KernelTally-style) to wrap the
+    instance's ``_push`` hook, remembering each entry under its event,
+    and wraps ``_process`` on the two classes that define it to log the
+    remembered entry as the event runs.  ``run`` cannot tell: no
+    ``step`` override, so whichever loop is under test is the loop
+    that dispatches.  With ``digest=True`` the lines fold into a sha256
+    as they stream; otherwise they are kept for context reporting.
     """
 
     def __init__(self, digest=False):
         self.lines = [] if not digest else None
         self._hash = hashlib.sha256()
         self.count = 0
-        self._original = None
+        self._entries = {}      # id(event) -> its queued entry
+        self._originals = None
+
+    def _log(self, event):
+        entry = self._entries.pop(id(event))
+        line = "%r %r %r %s" % (entry[0], entry[1], entry[2],
+                                type(event).__name__)
+        self.count += 1
+        if self.lines is not None:
+            self.lines.append(line)
+        else:
+            self._hash.update(line.encode("utf-8"))
+            self._hash.update(b"\n")
 
     def __enter__(self):
-        self._original = kernel.Simulator.__init__
-        probe = self
-        original = self._original
+        original_init = kernel.Simulator.__init__
+        self._originals = (original_init, Event._process, Timeout._process)
+        entries, log = self._entries, self._log
 
         def probed_init(sim, *args, **kwargs):
-            original(sim, *args, **kwargs)
-            original_step = sim.step
+            original_init(sim, *args, **kwargs)
+            push = sim._push
 
-            def probed_step():
-                entry = sim.peek_entry()
-                line = "%r %r %r %s" % (entry[0], entry[1], entry[2],
-                                        type(entry[3]).__name__)
-                probe.count += 1
-                if probe.lines is not None:
-                    probe.lines.append(line)
-                else:
-                    probe._hash.update(line.encode("utf-8"))
-                    probe._hash.update(b"\n")
-                original_step()
+            def probed_push(entry):
+                # Holding the entry keeps its event alive, so the id
+                # stays unique until the dispatch pops it.
+                entries[id(entry[3])] = entry
+                push(entry)
 
-            sim.step = probed_step
+            sim._push = probed_push
+
+        def probed(process):
+            def _process(event):
+                log(event)
+                process(event)
+            return _process
 
         kernel.Simulator.__init__ = probed_init
+        Event._process = probed(Event._process)
+        Timeout._process = probed(Timeout._process)
         return self
 
     def __exit__(self, *exc_info):
-        kernel.Simulator.__init__ = self._original
+        (kernel.Simulator.__init__, Event._process,
+         Timeout._process) = self._originals
         return False
 
     def witness(self):
@@ -189,9 +197,8 @@ class DispatchProbe:
 class StopProbe:
     """Record the outcome of every ``Simulator.run`` inside ``with``.
 
-    Wraps ``run`` on the class, so — unlike :class:`DispatchProbe` —
-    nothing lands in an instance ``__dict__`` and every kind keeps its
-    own dispatch loop.
+    Wraps ``run`` on the class, so nothing lands in an instance
+    ``__dict__`` and each loop under test stays the loop that runs.
     """
 
     def __init__(self):
@@ -226,58 +233,51 @@ class StopProbe:
         return False
 
 
-def capture_stops(spec, kind, pooling=None):
-    """Stops-tier witness (probe-free loops) under ``kind`` × ``pooling``."""
+def capture_dispatches(spec, loop, digest=False):
+    """Dispatch-tier witness of ``spec`` on ``loop``."""
     run = resolve(spec)
-    with use_kind(kind), _pooling_ctx(pooling), StopProbe() as probe:
-        run(observatory=None)
-    return list(probe.lines), len(probe.lines)
-
-
-def capture_dispatches(spec, kind, digest=False, pooling=None):
-    """Dispatch-tier witness of ``spec`` under ``kind`` × ``pooling``.
-
-    ``pooling`` None leaves the session default in place; otherwise it
-    names a registered pooling kind (including the planted-bug pools
-    of ``broken_pools.py``).
-    """
-    run = resolve(spec)
-    with use_kind(kind), _pooling_ctx(pooling), \
-            DispatchProbe(digest=digest) as probe:
+    with use_loop(loop), DispatchProbe(digest=digest) as probe:
         run(observatory=None)
     return probe.witness()
 
 
-def capture_obs_timeline(spec, kind, pooling=None):
-    """Timeline-tier witness (fast-path run) under ``kind`` × ``pooling``."""
+def capture_stops(spec, loop):
+    """Stops-tier witness of ``spec`` on ``loop``."""
+    run = resolve(spec)
+    with use_loop(loop), StopProbe() as probe:
+        run(observatory=None)
+    return list(probe.lines), len(probe.lines)
+
+
+def _observed(spec, loop):
     from repro.obs import Observatory
     run = resolve(spec)
-    with use_kind(kind), _pooling_ctx(pooling):
-        observatory = Observatory()
+    observatory = Observatory()
+    with use_loop(loop):
         run(observatory=observatory)
-        events = [dict(event.to_row())
-                  for event in observatory.trace.events]
-    lines = [_canonical(event) for event in events]
+    return observatory
+
+
+def capture_obs_timeline(spec, loop):
+    """Timeline-tier witness (probe-free run) of ``spec`` on ``loop``."""
+    lines = [_canonical(dict(event.to_row()))
+             for event in _observed(spec, loop).trace.events]
     return lines, len(lines)
 
 
-def capture_metrics(spec, kind, pooling=None):
-    """Metrics-tier witness (probe-free loops) under ``kind`` × ``pooling``."""
-    from repro.obs import Observatory
-    run = resolve(spec)
-    with use_kind(kind), _pooling_ctx(pooling):
-        observatory = Observatory()
-        run(observatory=observatory)
-    lines = [_canonical(row) for row in observatory.metrics.rows()]
+def capture_metrics(spec, loop):
+    """Metrics-tier witness (probe-free run) of ``spec`` on ``loop``."""
+    lines = [_canonical(row)
+             for row in _observed(spec, loop).metrics.rows()]
     return lines, len(lines)
 
 
 @dataclass
 class DifferentialReport:
-    """Outcome of one scenario × tier comparison across queue kinds."""
+    """Outcome of one scenario × tier comparison between two loops."""
 
     scenario: str
-    kinds: tuple
+    loops: tuple
     tier: str
     identical: bool
     events_a: int
@@ -288,25 +288,25 @@ class DifferentialReport:
 
     def format(self):
         label = "%s [%s]" % (self.scenario, self.tier)
-        versus = " vs ".join(self.kinds)
+        versus = " vs ".join(self.loops)
         if self.identical:
-            return ("queue-differential %s: %d events byte-identical "
+            return ("loop-differential %s: %d events byte-identical "
                     "(%s)" % (label, self.events_a, versus))
         lines = [
-            "queue-differential %s: DIVERGENCE at event %s (%s)"
+            "loop-differential %s: DIVERGENCE at event %s (%s)"
             % (label, self.first_divergence, versus),
             "  %s: %d events; %s: %d events"
-            % (self.kinds[0], self.events_a, self.kinds[1],
+            % (self.loops[0], self.events_a, self.loops[1],
                self.events_b),
-            "  --- %s context ---" % self.kinds[0],
+            "  --- %s context ---" % self.loops[0],
         ]
         lines += ["  " + line for line in self.context_a]
-        lines.append("  --- %s context ---" % self.kinds[1])
+        lines.append("  --- %s context ---" % self.loops[1])
         lines += ["  " + line for line in self.context_b]
         return "\n".join(lines)
 
 
-def _compare(scenario, kinds, tier, a, b, context):
+def _compare(scenario, loops, tier, a, b, context):
     (lines_a, count_a), (lines_b, count_b) = a, b
     index, ctx_a, ctx_b = compare_timelines(lines_a, lines_b,
                                             context=context)
@@ -316,52 +316,39 @@ def _compare(scenario, kinds, tier, a, b, context):
     return DifferentialReport(
         scenario=scenario if isinstance(scenario, str)
         else getattr(scenario, "__name__", repr(scenario)),
-        kinds=kinds, tier=tier, identical=identical,
+        loops=loops, tier=tier, identical=identical,
         events_a=count_a, events_b=count_b,
         first_divergence=None if identical else index,
         context_a=[] if identical else ctx_a,
         context_b=[] if identical else ctx_b)
 
 
-def diff_scenario(spec, kinds=DEFAULT_KINDS, tiers=DEFAULT_TIERS,
-                  context=3, digest=False, poolings=None):
-    """Run ``spec`` under each kind × pooling cell; compare per tier.
+def diff_scenario(spec, loops=DEFAULT_LOOPS, tiers=DEFAULT_TIERS,
+                  context=3, digest=False):
+    """Run ``spec`` on each loop; compare per tier.
 
-    Returns a list of :class:`DifferentialReport`, one per tier, each
-    comparing the first cell (the reference) against every other cell
-    pairwise — stopping a tier at its first diverging cell.
-
-    ``poolings`` None compares queue kinds under the session-default
-    pooling, with plain kind labels (the original behaviour).  A tuple
-    of pooling kinds widens the comparison to the full grid, with
-    cells labelled ``kind/mode`` (e.g. ``calendar/on``).
+    Returns a list of :class:`DifferentialReport`, one per tier and
+    loop after the first, each comparing the first loop (the
+    reference) against another — stopping a tier at its first
+    diverging loop.
     """
-    if poolings is None:
-        cells = [(kind, None, kind) for kind in kinds]
-    else:
-        cells = [(kind, pooling, "%s/%s" % (kind, pooling))
-                 for kind in kinds for pooling in poolings]
+    captures = {
+        "dispatch": lambda loop: capture_dispatches(spec, loop,
+                                                    digest=digest),
+        "timeline": lambda loop: capture_obs_timeline(spec, loop),
+        "stops": lambda loop: capture_stops(spec, loop),
+        "metrics": lambda loop: capture_metrics(spec, loop),
+    }
     reports = []
     for tier in tiers:
-        if tier == "dispatch":
-            capture = lambda kind, pooling: capture_dispatches(  # noqa: E731
-                spec, kind, digest=digest, pooling=pooling)
-        elif tier == "timeline":
-            capture = lambda kind, pooling: capture_obs_timeline(  # noqa: E731
-                spec, kind, pooling=pooling)
-        elif tier == "stops":
-            capture = lambda kind, pooling: capture_stops(  # noqa: E731
-                spec, kind, pooling=pooling)
-        elif tier == "metrics":
-            capture = lambda kind, pooling: capture_metrics(  # noqa: E731
-                spec, kind, pooling=pooling)
-        else:
-            raise ValueError("unknown tier %r" % (tier,))
-        ref_kind, ref_pooling, ref_label = cells[0]
-        reference = capture(ref_kind, ref_pooling)
-        for kind, pooling, label in cells[1:]:
-            report = _compare(spec, (ref_label, label), tier, reference,
-                              capture(kind, pooling), context)
+        try:
+            capture = captures[tier]
+        except KeyError:
+            raise ValueError("unknown tier %r" % (tier,)) from None
+        reference = capture(loops[0])
+        for loop in loops[1:]:
+            report = _compare(spec, (loops[0], loop), tier, reference,
+                              capture(loop), context)
             reports.append(report)
             if not report.identical:
                 break
@@ -373,21 +360,15 @@ def main(argv=None):
     import argparse
     parser = argparse.ArgumentParser(
         prog="differential",
-        description="Byte-compare dispatch schedules across queue kinds")
+        description="Byte-compare dispatch schedules across the "
+                    "kernel's dispatch loops")
     parser.add_argument("--scenario", action="append", default=None,
                         help="obs:<n> | faults:<n> | mod:<m>:<f> | "
                              "perf:<n>; repeatable "
                              "(default: obs:trickle)")
-    parser.add_argument("--queue", action="append", default=None,
-                        help="queue kinds to compare, first is the "
-                             "reference (default: heap calendar); "
-                             "'plain' is the heap behind the kernel's "
-                             "plain step() loop")
-    parser.add_argument("--pooling", action="append", default=None,
-                        help="pooling kinds (repro.sim.pool) to sweep; "
-                             "repeatable, widening the comparison to "
-                             "the kind x pooling grid (default: the "
-                             "session default mode only)")
+    parser.add_argument("--loop", action="append", default=None,
+                        help="loops to compare, first is the reference "
+                             "(default: fast plain)")
     parser.add_argument("--tier", action="append", default=None,
                         choices=TIERS,
                         help="witness tiers to run (default: dispatch "
@@ -399,22 +380,19 @@ def main(argv=None):
     parser.add_argument("--context", type=int, default=3)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    register_plain_kind()
     scenarios = args.scenario or ["obs:trickle"]
-    kinds = tuple(args.queue or DEFAULT_KINDS)
+    loops = tuple(args.loop or DEFAULT_LOOPS)
     tiers = tuple(args.tier or DEFAULT_TIERS)
-    poolings = tuple(args.pooling) if args.pooling else None
     failed = False
     for spec in scenarios:
-        for report in diff_scenario(spec, kinds=kinds, tiers=tiers,
+        for report in diff_scenario(spec, loops=loops, tiers=tiers,
                                     context=args.context,
-                                    digest=args.digest,
-                                    poolings=poolings):
+                                    digest=args.digest):
             if args.json:
                 print(json.dumps({
                     "scenario": report.scenario,
                     "tier": report.tier,
-                    "kinds": list(report.kinds),
+                    "loops": list(report.loops),
                     "identical": report.identical,
                     "events": [report.events_a, report.events_b],
                     "first_divergence": report.first_divergence,

@@ -90,6 +90,8 @@ def test_run_dry_before_event_raises(sim):
 def test_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
+    with pytest.raises(ValueError):
+        sim.sleep(-1.0)
 
 
 def test_peek_shows_next_event_time(sim):
@@ -143,15 +145,15 @@ def test_process_yielding_non_event_fails(sim):
 
 
 # ---------------------------------------------------------------------------
-# Event-stopped runs share the per-queue dispatch loops with timed runs
+# Event-stopped runs share the dispatch loops with timed runs
 
 
-@pytest.fixture(params=("heap", "calendar", "plain"))
+@pytest.fixture(params=("heap", "plain"))
 def loop_sim(request):
-    """One simulator per dispatch loop in ``Simulator.run``."""
-    kind = request.param
-    return Simulator(queue=PlainHeapQueue() if kind == "plain" else kind,
-                     pooling="on")
+    """One simulator per dispatch loop in ``Simulator.run``: the fast
+    loop over the kernel's own heap, and ``step()`` per event."""
+    return Simulator(
+        queue=PlainHeapQueue() if request.param == "plain" else None)
 
 
 def test_run_until_processed_event_returns_without_dispatching(loop_sim):
@@ -190,17 +192,22 @@ def test_run_dry_reports_after_draining_the_queue(loop_sim):
     assert sim.peek() is None
 
 
-def test_pooled_stop_event_is_never_recycled(loop_sim):
+def test_a_retained_sleep_event_is_an_ordinary_event_after_it_fires(loop_sim):
     sim = loop_sim
     nap = sim.sleep(2.0)
-    assert nap._recycle
-    assert sim.run(until=nap) is None
-    assert nap.processed and nap._gen == 0
-    assert all(nap is not free for free in sim._pool._free_timeouts)
-    # A transient sleep that is not the stop event still recycles.
-    other = sim.sleep(1.0)
-    sim.run(until=sim.timeout(1.0))
-    assert other._gen == 1
+    resumed = []
+
+    def waiter():
+        yield nap
+        resumed.append(sim.now)
+
+    sim.process(waiter())
+    sim.run(until=3.0)
+    assert nap.processed and nap.ok and nap.value is None
+    # Yielding it again a second after it fired resumes on the spot.
+    sim.process(waiter())
+    sim.run()
+    assert resumed == [2.0, 3.0]
 
 
 def test_event_stopped_run_counts_dispatches_exactly(loop_sim):

@@ -2,12 +2,11 @@
 
 ``Simulator.step()`` updates the two kernel metrics the readable way —
 ``sim.events_dispatched.inc()`` and ``sim.queue_depth.set(len(queue))``
-per dispatch.  The heap and calendar fast loops keep the same facts in
-locals and land them once per run (``Simulator._settle_watcher``).
-These tests run one instrumented scenario through all three loops (the
-``plain`` kind is the reference heap behind the ``step()`` loop) and
-demand identical ``observatory.metrics.rows()``: value, min, max and
-``last_update``.
+per dispatch.  The fast loop keeps the same facts in locals and lands
+them once per run (``Simulator._settle_watcher``).  These tests run one
+instrumented scenario through both loops (``plain`` is the same heap
+behind the ``step()`` loop) and demand identical
+``observatory.metrics.rows()``: value, min, max and ``last_update``.
 """
 
 import pytest
@@ -16,42 +15,29 @@ from repro.obs import Observatory
 from repro.sim import Simulator
 from repro.sim.events import UnhandledFailure
 from repro.sim.kernel import Simulator as KernelSimulator
-from tests.sim.differential import (
-    DEFAULT_POOLINGS,
-    diff_scenario,
-    main,
-    register_plain_kind,
-)
+from tests.sim.differential import PlainHeapQueue, diff_scenario, main
 
-register_plain_kind()
-
-#: The reference first: every other loop is compared against step().
-ALL_LOOPS = ("plain", "heap", "calendar")
+#: The reference first: the fast loop is compared against step().
+REFERENCE_FIRST = ("plain", "fast")
 
 
 def _assert_loops_agree(spec):
-    # pool.* gauges exist only with pooling on, so each pooling mode is
-    # its own comparison: three loops, two reports.
-    for pooling in DEFAULT_POOLINGS:
-        reports = diff_scenario(spec, kinds=ALL_LOOPS, tiers=("metrics",),
-                                poolings=(pooling,))
-        assert len(reports) == 2
-        for report in reports:
-            assert report.identical, report.format()
-            assert report.events_a > 0
+    (report,) = diff_scenario(spec, loops=REFERENCE_FIRST, tiers=("metrics",))
+    assert report.identical, report.format()
+    assert report.events_a > 0
 
 
-def test_all_three_loops_export_the_same_metrics_on_trickle():
+def test_both_loops_export_the_same_metrics_on_trickle():
     _assert_loops_agree("obs:trickle")
 
 
-def test_all_three_loops_export_the_same_metrics_on_commuter(monkeypatch):
+def test_both_loops_export_the_same_metrics_on_commuter(monkeypatch):
     monkeypatch.setenv("REPRO_FAST", "1")
     _assert_loops_agree("mod:repro.spec.golden:commuter_golden")
 
 
 # ---------------------------------------------------------------------------
-# Synthetic scenarios: every way a fast loop can be entered and left.
+# Synthetic scenarios: every way the fast loop can be entered and left.
 
 
 def relay(observatory=None):
@@ -122,8 +108,8 @@ def test_relay_rows_are_what_step_would_have_left():
 
 
 def test_a_run_that_dispatches_nothing_leaves_no_kernel_rows():
-    for kind in ALL_LOOPS:
-        sim = Simulator(queue=kind)
+    for queue in (None, PlainHeapQueue()):
+        sim = Simulator(queue=queue)
         observatory = Observatory(sim)
         sim.timeout(5.0)
         sim.run(until=1.0)
@@ -143,7 +129,7 @@ def swap(observatory=None):
 
 def test_metrics_tier_catches_a_wrong_write_back(monkeypatch):
     """Planted bug: the write-back reads the clock instead of using
-    the time of the last dispatch the observatory saw.  A fast loop
+    the time of the last dispatch the observatory saw.  The fast loop
     notices the swap one dispatch later, when the clock has moved on."""
     honest = KernelSimulator._settle_watcher
 
@@ -152,18 +138,15 @@ def test_metrics_tier_catches_a_wrong_write_back(monkeypatch):
 
     _assert_loops_agree(swap)
     monkeypatch.setattr(KernelSimulator, "_settle_watcher", late_stamp)
-    for fast in ("heap", "calendar"):
-        (report,) = diff_scenario(swap, kinds=("plain", fast),
-                                  tiers=("metrics",))
-        assert not report.identical
-        assert '"last_update": 1.0' in report.context_a[0]
-        assert '"last_update": 2.0' in report.context_b[0]
+    (report,) = diff_scenario(swap, loops=REFERENCE_FIRST, tiers=("metrics",))
+    assert not report.identical
+    assert '"last_update": 1.0' in report.context_a[0]
+    assert '"last_update": 2.0' in report.context_b[0]
 
 
 def test_cli_runs_the_metrics_tier(capsys):
     code = main(["--scenario", "obs:trickle", "--tier", "metrics",
-                 "--queue", "plain", "--queue", "heap",
-                 "--queue", "calendar"])
+                 "--loop", "plain", "--loop", "fast"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("[metrics]") == 2 and "byte-identical" in out
+    assert out.count("[metrics]") == 1 and "byte-identical" in out

@@ -1,55 +1,33 @@
-"""Regenerate BENCH_perf.json (schema repro.perf/5).
+"""Regenerate BENCH_perf.json (schema repro.perf/6): one run per row.
 
-The fleet-64 grid is measured best-of-5 with trials interleaved
-across configs, so slow-machine drift hits every config evenly
-instead of biasing whichever ran last.  The grid covers the pooled
-row for both queue kinds (the queue-swap gate) plus the unpooled
-calendar row (the pooling gate); the heap pooling delta is within
-box noise either way, so no heap/off row is committed — see the
-README's Performance notes.  All other rows are single runs under
-the session-default calendar/pooled configuration.
+``events``, ``sim_seconds`` and the digest/count ``detail`` fields are
+pure functions of (scenario, seed, workers) and must not move between
+regenerations; the wall-clock fields are informational (``perfbench/``
+is the judge for speed).
 
 Usage: PYTHONPATH=src python tools/regen_bench.py
 """
 
 from repro.perf.runner import run_perf, write_bench
 
-
-def one(name, **kw):
-    result = run_perf(name, profile=False, **kw)
-    print("done %-24s %-26s %12.0f ev/s"
-          % (name, kw, result.events_per_sec), flush=True)
-    return result
+ROWS = (
+    [(name, None) for name in ("trickle-outage", "transport-sweep",
+                               "fleet-golden", "fleet-8", "fleet-32",
+                               "fleet-64")]
+    + [("fleetd-64", workers) for workers in (1, 4)]
+    + [("fleet-256", workers) for workers in (1, 2, 4, 8)]
+    + [("fleet-1024", workers) for workers in (1, 2, 4, 8)]
+    + [("ckpt-fleet-256", None), ("ckpt-fleet-256-resident", None)]
+)
 
 
 def main():
     results = []
-    for name in ("trickle-outage", "transport-sweep", "fleet-golden",
-                 "fleet-8", "fleet-32"):
-        results.append(one(name, queue="calendar", pooling="on"))
-
-    configs = [("heap", "on"), ("calendar", "off"), ("calendar", "on")]
-    best = {}
-    for trial in range(5):
-        for queue, pooling in configs:
-            r = one("fleet-64", queue=queue, pooling=pooling)
-            key = (queue, pooling)
-            if key not in best or r.events_per_sec > best[key].events_per_sec:
-                best[key] = r
-    results.extend(best[key] for key in configs)
-
-    for workers in (1, 4):
-        results.append(one("fleetd-64", queue="calendar", pooling="on",
-                           workers=workers))
-    for workers in (1, 2, 4, 8):
-        results.append(one("fleet-256", queue="calendar", pooling="on",
-                           workers=workers))
-    for workers in (1, 2, 4, 8):
-        results.append(one("fleet-1024", queue="calendar", pooling="on",
-                           workers=workers))
-    for name in ("ckpt-fleet-256", "ckpt-fleet-256-resident"):
-        results.append(one(name, queue="calendar", pooling="on"))
-
+    for name, workers in ROWS:
+        result = run_perf(name, profile=False, workers=workers)
+        print("done %-24s workers=%-4s %12.0f ev/s"
+              % (name, workers, result.events_per_sec), flush=True)
+        results.append(result)
     print("wrote", write_bench(results))
 
 
