@@ -43,22 +43,24 @@ _GLOBAL_RESEED = 0x5EED
 
 
 def resolve_scenario(spec):
-    """``kind:name`` -> a callable taking ``observatory=``.
+    """A scenario reference -> a callable taking ``observatory=``.
 
-    Kinds: ``obs:<name>`` (repro.obs.scenarios), ``faults:<name>``
-    (repro.faults.scenarios), and ``mod:<module>:<function>`` for
-    arbitrary importable scenarios (used by the self-tests).
+    The tree's one reference grammar: ``<catalogue-name>`` runs the
+    shipped spec of that name through
+    :func:`repro.spec.compile.run_spec` at its canonical seed, and
+    ``mod:<module>:<function>`` calls any importable scenario (the
+    pinned reduced-scale entry points of :mod:`repro.spec.golden`, the
+    self-tests).  Anything else is a ValueError; an unknown bare name
+    gets the catalogue's own, listing every valid choice.
     """
+    if ":" not in spec:
+        from repro.spec.catalog import get
+        from repro.spec.compile import run_spec
+        shipped = get(spec)
+        return lambda observatory: run_spec(shipped,
+                                            observatory=observatory)
     kind, _, rest = spec.partition(":")
-    if kind == "obs" and rest:
-        from repro.obs.scenarios import run_scenario
-        return lambda observatory: run_scenario(rest,
-                                                observatory=observatory)
-    if kind == "faults" and rest:
-        from repro.faults.scenarios import run_fault_scenario
-        return lambda observatory: run_fault_scenario(
-            rest, observatory=observatory)
-    if kind == "mod" and rest:
+    if kind == "mod":
         module_name, _, func_name = rest.rpartition(":")
         if module_name and func_name:
             import importlib
@@ -70,7 +72,7 @@ def resolve_scenario(spec):
                     "cannot load scenario %r: %s" % (spec, exc)) from exc
             return lambda observatory: func(observatory=observatory)
     raise ValueError(
-        "scenario spec %r is not obs:<name>, faults:<name>, or "
+        "scenario reference %r is neither a catalogue name nor "
         "mod:<module>:<function>" % spec)
 
 
@@ -241,10 +243,9 @@ def main(argv=None):
         prog="repro check-determinism",
         description="Detect schedule divergence under hash-seed and "
                     "decoy-stream perturbation")
-    parser.add_argument("--scenario", default="obs:trickle",
-                        help="obs:<name> | faults:<name> | "
-                             "mod:<module>:<function> "
-                             "(default: obs:trickle)")
+    parser.add_argument("--scenario", default="trickle",
+                        help="<catalogue-name> | mod:<module>:<function> "
+                             "(default: trickle)")
     parser.add_argument("--context", type=int, default=3,
                         help="events of context around a divergence")
     parser.add_argument("--json", action="store_true",

@@ -28,21 +28,23 @@ from dataclasses import dataclass
 
 from repro.analysis.divergence import _canonical, capture_timeline
 
-#: The pinned scenarios: every obs/faults canned scenario, the perf
-#: micro-fleet, and two fleetd shards, so kernel, transport, cache,
-#: multi-client, and sharded-fleet scheduling paths are all covered.
-#: The fleetd entries pin what a worker process simulates — a sharded
-#: run is only provably equivalent to the single-process schedule if
-#: that schedule itself cannot drift silently.
+#: The pinned scenarios: the five scripted testbed specs and the micro
+#: fleet by catalogue name, then the reduced-scale entry points of
+#: :mod:`repro.spec.golden` — two fleet-8 shards and the three spec
+#: families — so kernel, transport, cache, multi-client, and
+#: sharded-fleet scheduling paths are all covered.  The shard entries
+#: pin what a worker process simulates — a sharded run is only provably
+#: equivalent to the single-process schedule if that schedule itself
+#: cannot drift silently.
 GOLDEN_SCENARIOS = (
-    "obs:trickle",
-    "obs:outage",
-    "faults:smoke",
-    "faults:client-crash",
-    "faults:server-crash",
-    "mod:repro.perf.scenarios:fleet_golden",
-    "mod:repro.fleetd.scenarios:golden_shard0",
-    "mod:repro.fleetd.scenarios:golden_shard1",
+    "trickle",
+    "outage",
+    "smoke",
+    "client-crash",
+    "server-crash",
+    "fleet-golden",
+    "mod:repro.spec.golden:golden_shard0",
+    "mod:repro.spec.golden:golden_shard1",
     "mod:repro.spec.golden:commuter_golden",
     "mod:repro.spec.golden:conflict_storm_golden",
     "mod:repro.spec.golden:doc_archive_golden",

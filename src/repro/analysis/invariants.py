@@ -59,8 +59,8 @@ class InvariantChecker:
 
         observatory = Observatory()
         checker = InvariantChecker()
-        run_scenario("trickle", observatory=observatory,
-                     checker=checker)   # scenario calls attach()
+        run_spec(get("trickle"), observatory=observatory,
+                 checker=checker)       # the compiler calls attach()
         checker.check_all()             # final sweep
     """
 

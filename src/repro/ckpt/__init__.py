@@ -22,7 +22,6 @@ Layers (each its own module):
 
 from repro.ckpt.driver import CkptOptions
 from repro.ckpt.runner import (
-    default_options,
     extend_checkpointed,
     report_from_store,
     run_checkpointed,
@@ -34,7 +33,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "CkptOptions",
-    "default_options",
     "extend_checkpointed",
     "report_from_store",
     "run_checkpointed",

@@ -33,10 +33,9 @@ are first-class citizens of the fleet tooling.
 """
 
 import hashlib
-import os
 import pickle
 
-from repro.ckpt.driver import DAY, CkptOptions, initial_state, run_day
+from repro.ckpt.driver import CkptOptions, initial_state, run_day
 from repro.ckpt.state import SCHEMA_VERSION
 from repro.ckpt.store import CheckpointError, CheckpointStore, \
     MANIFEST_SCHEMA
@@ -48,20 +47,12 @@ from repro.faults.persistence import SNAPSHOT_SCHEMA_VERSION
 PICKLE_PROTOCOL = 4
 
 
-def default_options(day_seconds=None):
-    """The standard options; ``REPRO_FAST`` shrinks the day 8x (the
-    same convention the fleetd CI smoke uses for catalogue days)."""
-    if day_seconds is None:
-        day_seconds = DAY / 8.0 if os.environ.get("REPRO_FAST") else DAY
-    return CkptOptions(day_seconds=day_seconds)
-
-
 def _plan(scenario, seed, days):
     from repro.fleetd.plan import plan_shards
     return plan_shards(scenario, seed=seed, days=float(days))
 
 
-def run_shard_days(shard, options, shard_root, from_day, to_day,
+def run_shard_days(shard, store_root, options, from_day, to_day,
                    stream=True):
     """Run one shard from ``from_day`` to ``to_day`` (worker task).
 
@@ -80,8 +71,7 @@ def run_shard_days(shard, options, shard_root, from_day, to_day,
     from repro.fleetd.plan import shard_config
     from repro.obs import Observatory
 
-    from repro.ckpt.store import ShardStore
-    files = ShardStore(shard_root).ensure()
+    files = CheckpointStore(store_root).shard(shard.index).ensure()
     config = shard_config(shard)
     buffered = []
     if from_day == 0:
@@ -164,22 +154,11 @@ def _execute(shards, options, store, from_day, to_day, workers, stream):
     resulting files are byte-identical to the streamed ones, only the
     memory envelope differs (which is the point of keeping the mode).
     """
+    from repro.fleetd.executor import map_shards
     for shard in shards:
         store.shard(shard.index).ensure()
-    if not workers:
-        results = [run_shard_days(shard, options,
-                                  store.shard(shard.index).root,
-                                  from_day, to_day, stream)
-                   for shard in shards]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) \
-                as pool:
-            futures = [pool.submit(run_shard_days, shard, options,
-                                   store.shard(shard.index).root,
-                                   from_day, to_day, stream)
-                       for shard in shards]
-            results = [future.result() for future in futures]
+    results = map_shards(run_shard_days, shards, workers, store.root,
+                         options, from_day, to_day, stream)
     if stream:
         return results
     summaries = []
@@ -225,7 +204,7 @@ def run_checkpointed(scenario, seed=0, days=1, out="ckpt-store",
     """
     if days < 1:
         raise CheckpointError("a checkpoint needs at least one day")
-    options = options or default_options()
+    options = options or CkptOptions()
     store = CheckpointStore(out)
     if store.exists():
         raise CheckpointError(

@@ -13,6 +13,8 @@ nothing and perturbs nothing.
 from repro.faults.injector import FaultInjector
 from repro.faults.persistence import (
     VenusSnapshot,
+    fault_fingerprint,
+    namespace_digest,
     restore_venus,
     snapshot_venus,
 )
@@ -27,18 +29,11 @@ from repro.faults.plan import (
     ServerCrash,
     ServerRestart,
 )
-from repro.faults.scenarios import (
-    FAULT_SCENARIOS,
-    fault_fingerprint,
-    namespace_digest,
-    run_fault_scenario,
-)
 
 __all__ = [
     "ACTION_TYPES",
     "ClientCrash",
     "ClientRestart",
-    "FAULT_SCENARIOS",
     "FaultInjector",
     "FaultPlan",
     "LinkDegrade",
@@ -50,6 +45,5 @@ __all__ = [
     "fault_fingerprint",
     "namespace_digest",
     "restore_venus",
-    "run_fault_scenario",
     "snapshot_venus",
 ]

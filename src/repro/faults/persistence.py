@@ -165,3 +165,51 @@ def restore_venus(snapshot, sim, network, host):
                       children=hoard_entry.children)
     venus._refresh_dirty()
     return venus
+
+
+def namespace_digest(server):
+    """Canonical, hashable digest of the server's whole namespace.
+
+    Paths, object types, versions, content fingerprints, symlink
+    targets, and directory listings — everything except mtimes, which
+    legitimately differ between an interrupted and an uninterrupted
+    run.  Two servers with equal digests hold the same files.
+    """
+    volumes = []
+    for volume in sorted(server.registry.volumes(), key=lambda v: v.volid):
+        prefix = "/" + "/".join(server.registry.mount_of(volume))
+        rows = {}
+        stack = [(volume.root, prefix)]
+        while stack:
+            vnode, path = stack.pop()
+            rows[path] = (
+                vnode.otype.value,
+                vnode.version,
+                vnode.content.fingerprint
+                if vnode.content is not None else None,
+                vnode.target,
+                tuple(sorted(vnode.children)) if vnode.children else None,
+            )
+            if vnode.children:
+                for name, child_fid in vnode.children.items():
+                    child = volume.get(child_fid)
+                    if child is not None:
+                        stack.append((child, path + "/" + name))
+        volumes.append((volume.volid, volume.stamp,
+                        tuple(sorted(rows.items()))))
+    return tuple(volumes)
+
+
+def fault_fingerprint(testbed):
+    """The run fingerprint extended with fault/recovery final state."""
+    from repro.spec.compile import fingerprint
+    digest = fingerprint(testbed)
+    server = testbed.server
+    digest["server_namespace"] = namespace_digest(server)
+    digest["server_crashes"] = server.crashes
+    digest["reintegration_duplicates"] = \
+        server.reintegrator.duplicates_skipped
+    injector = getattr(testbed, "faults", None)
+    if injector is not None:
+        digest["fault_log"] = tuple(injector.log)
+    return digest

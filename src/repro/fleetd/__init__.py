@@ -1,4 +1,4 @@
-"""Sharded multi-process fleet simulation (``repro fleetd``).
+"""Sharded multi-process fleet simulation (``repro run <spec> --shards``).
 
 The single-process kernel tops out near 200k events/sec (see
 ``DESIGN.md`` § Performance model); the next factor of scale must come
@@ -13,8 +13,8 @@ server volumes they share.  ``repro.fleetd`` exploits exactly that —
   clients touch.  Shard seeds derive via
   ``derive_rng("fleetd", scenario, seed, shard)``.
 * :mod:`repro.fleetd.executor` runs each shard as a complete
-  deterministic simulation, either in-process or across a
-  ``ProcessPoolExecutor`` worker pool.
+  deterministic simulation, either in-process or across a worker pool
+  (``map_shards``, the one fan-out the checkpoint runner shares).
 * :mod:`repro.fleetd.merge` aggregates per-shard obs metrics,
   timelines, and Figure-9 client reports into one fleet report with a
   combined sha256 digest.
@@ -31,8 +31,6 @@ only changes wall-clock, never a byte of output.
 from repro.fleetd.executor import ShardResult, run_shard, run_sharded
 from repro.fleetd.merge import FleetReport, format_report, merge_results
 from repro.fleetd.plan import (
-    FLEET_SPECS,
-    FleetSpec,
     Shard,
     plan_shards,
     shard_config,
@@ -41,9 +39,7 @@ from repro.fleetd.plan import (
 from repro.fleetd.verify import VerifyReport, merged_stream_invariants, verify_sharded
 
 __all__ = [
-    "FLEET_SPECS",
     "FleetReport",
-    "FleetSpec",
     "Shard",
     "ShardResult",
     "VerifyReport",

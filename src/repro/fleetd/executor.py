@@ -9,11 +9,13 @@ digest over the canonical timeline lines — the same hashing the golden
 fixtures use, so a shard digest is directly comparable across
 processes, worker counts, and checkouts.
 
-:func:`run_sharded` fans a plan out over a
-``concurrent.futures.ProcessPoolExecutor`` (``workers >= 1``) or runs
-it sequentially in-process (``workers=0``, the verify reference).
-Results are collected in shard order regardless of completion order,
-so the merged output is identical however the pool schedules.
+:func:`map_shards` is the tree's one fan-out: a task per shard over a
+``concurrent.futures.ProcessPoolExecutor`` (``workers >= 1``) or
+sequentially in-process (``workers=0``, the verify reference), results
+in shard order regardless of completion order, so the merged output is
+identical however the pool schedules.  :func:`run_sharded` maps
+:func:`run_shard` through it; the checkpoint runner maps its day
+driver through it.
 """
 
 import hashlib
@@ -132,23 +134,21 @@ def run_shard(shard, with_timeline=False, instrument=True):
     return result
 
 
-def execute_plan(shards, workers=1, with_timeline=False, instrument=True):
-    """Run every shard; returns :class:`ShardResult` in shard order.
+def map_shards(task, shards, workers, *args):
+    """``[task(shard, *args) for shard in shards]``, maybe on a pool.
 
     ``workers=0`` runs sequentially in this process (the reference
     execution verify compares against); ``workers >= 1`` uses a
-    process pool of at most ``len(shards)`` workers.  Submission and
+    process pool of at most ``len(shards)`` workers, so ``task`` and
+    everything it takes and returns must pickle.  Submission and
     collection both follow shard order, so the output is independent
-    of pool scheduling.
+    of pool scheduling; a worker's exception re-raises here.
     """
     if not workers:
-        return [run_shard(shard, with_timeline, instrument)
-                for shard in shards]
+        return [task(shard, *args) for shard in shards]
     from concurrent.futures import ProcessPoolExecutor
-    pool_size = min(workers, len(shards))
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        futures = [pool.submit(run_shard, shard, with_timeline, instrument)
-                   for shard in shards]
+    with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+        futures = [pool.submit(task, shard, *args) for shard in shards]
         return [future.result() for future in futures]
 
 
@@ -157,7 +157,6 @@ def run_sharded(scenario, workers=1, seed=0, days=None,
     """Plan, execute, and merge ``scenario``; returns a FleetReport."""
     from repro.fleetd.merge import merge_results
     shards = plan_shards(scenario, seed=seed, days=days)
-    results = execute_plan(shards, workers=workers,
-                           with_timeline=with_timeline,
-                           instrument=instrument)
+    results = map_shards(run_shard, shards, workers, with_timeline,
+                         instrument)
     return merge_results(scenario, seed, workers, shards, results)

@@ -39,7 +39,7 @@ class FleetReport:
     timeline: list = None    # merged canonical lines, when carried
 
     def to_dict(self):
-        """JSON-ready form (``repro fleetd --json``)."""
+        """JSON-ready form (``repro run <spec> --shards --json PATH``)."""
         return {
             "schema": "repro.fleetd/1",
             "scenario": self.scenario,

@@ -32,43 +32,6 @@ from repro.sim.rand import derive_rng
 
 
 @dataclass(frozen=True)
-class FleetSpec:
-    """One sharded fleet scenario: total population and shard count."""
-
-    desktops: int
-    laptops: int
-    days: float
-    shards: int
-    family: str = "figure9"
-
-    @property
-    def clients(self):
-        return self.desktops + self.laptops
-
-
-def _fleet_specs():
-    """The sharded scenario catalogue, derived from the spec catalogue.
-
-    Every fleet-kind spec with a shard count appears here.  fleet-8/32/
-    64 mirror the perf macro-scenario populations; fleet-256 and
-    fleet-1024 exist only sharded (their single-process runs would be
-    tens of minutes); commuter is the diurnal family behind the same
-    interface.  Days shrink as populations grow so every scenario stays
-    in the 3–7M-event band the perf harness times.
-    """
-    from repro.spec.catalog import shipped
-    return {spec.name: FleetSpec(desktops=spec.clients.desktops,
-                                 laptops=spec.clients.laptops,
-                                 days=spec.duration, shards=spec.shards,
-                                 family=spec.family)
-            for spec in shipped()
-            if spec.kind == "fleet" and spec.shards is not None}
-
-
-FLEET_SPECS = _fleet_specs()
-
-
-@dataclass(frozen=True)
 class Shard:
     """One shared-nothing slice of a fleet scenario (picklable)."""
 
@@ -105,23 +68,25 @@ def _split(total, shards):
 def plan_shards(scenario, seed=0, days=None):
     """The shard plan for ``scenario``: a list of :class:`Shard`.
 
-    ``days`` overrides the scenario's simulated duration (used by fast
-    CI modes and tests); everything else — shard count, population
-    split, seeds — is fixed per scenario so the plan is independent of
-    how it will be executed.  Unknown names raise ValueError listing
-    the catalogue, like the other scenario runners.
+    ``scenario`` is a catalogue name whose spec carries a shard count
+    (fleet-8/32/64 also run in-process; fleet-256 and fleet-1024 exist
+    only sharded; commuter is the diurnal family behind the same
+    interface).  ``days`` overrides the spec's simulated duration
+    (used by fast CI modes and tests); everything else — shard count,
+    population split, seeds — is fixed per scenario so the plan is
+    independent of how it will be executed.  Unknown names raise the
+    catalogue's own ValueError, listing it.
     """
-    try:
-        spec = FLEET_SPECS[scenario]
-    except KeyError:
-        raise ValueError("unknown fleetd scenario %r (have %s)"
-                         % (scenario,
-                            ", ".join(sorted(FLEET_SPECS)))) from None
-    desktops = _split(spec.desktops, spec.shards)
-    laptops = _split(spec.laptops, spec.shards)
+    from repro.spec.catalog import get
+    spec = get(scenario)
+    if spec.shards is None:
+        raise ValueError("spec %r has no shard plan (its catalogue "
+                         "entry sets no `shards`)" % scenario)
+    desktops = _split(spec.clients.desktops, spec.shards)
+    laptops = _split(spec.clients.laptops, spec.shards)
     return [Shard(scenario=scenario, index=index, shards=spec.shards,
                   desktops=desktops[index], laptops=laptops[index],
-                  days=spec.days if days is None else days,
+                  days=spec.duration if days is None else days,
                   seed=shard_seed(scenario, seed, index),
                   name_prefix="s%02d-" % index,
                   family=spec.family)

@@ -26,7 +26,8 @@ conflicting event.
 
 from dataclasses import dataclass, field
 
-from repro.fleetd.executor import SHARD_INFRASTRUCTURE, execute_plan
+from repro.fleetd.executor import (SHARD_INFRASTRUCTURE, map_shards,
+                                   run_shard)
 from repro.fleetd.merge import merge_results
 from repro.fleetd.plan import plan_shards
 from repro.obs.events import EVENT_KINDS
@@ -177,7 +178,7 @@ def verify_sharded(scenario, workers=2, seed=0, days=None, report=None):
     shards = plan_shards(scenario, seed=seed,
                          days=days if days is not None else report.days)
     reference = merge_results(scenario, seed, 0, shards,
-                              execute_plan(shards, workers=0))
+                              map_shards(run_shard, shards, 0))
     mismatches = compare_reports(report, reference)
     violations = merged_stream_invariants(report)
     return VerifyReport(scenario=scenario, workers=report.workers,

@@ -29,15 +29,78 @@ import time
 from dataclasses import dataclass, field
 
 from repro.perf.profiler import capture_profile
-from repro.perf.scenarios import (
-    SCENARIOS,
-    SHARDED_SCENARIOS,
-    SUBPROCESS_SCENARIOS,
-    run_macro_scenario,
-)
 from repro.sim import kernel
 
 BENCH_SCHEMA = "repro.perf/6"
+
+
+def _trickle_outage():
+    """The two weak-connectivity testbed specs back to back."""
+    from repro.spec.catalog import get
+    from repro.spec.compile import fingerprint, run_spec
+    detail = {}
+    for name in ("trickle", "outage"):
+        digest = fingerprint(run_spec(get(name)).testbed)
+        detail[name] = {key: digest[key] for key in (
+            "end_time", "link_packets_sent", "cml_reintegrated")}
+    return detail
+
+
+def _transport_sweep():
+    """The Figure 1 grid at reduced trial count."""
+    from repro.bench import transport
+    rows = transport.run_transport_comparison(trials=2)
+    return {"cells": len(rows),
+            "throughput_kbps": {
+                "%s/%s" % (r.protocol, r.network): round(r.send_kbps, 3)
+                for r in rows}}
+
+
+#: Row name (as committed in ``BENCH_perf.json``) -> (how it runs, the
+#: catalogue spec it runs).  ``spec`` rows are ``run_spec`` in-process.
+#: ``sharded`` rows go through :mod:`repro.fleetd` *uninstrumented*, so
+#: their wall numbers stay comparable with the in-process rows
+#: (equivalence is proven by ``repro run --shards --verify``, not
+#: re-proven inside every timing run); only they take a worker count.
+#: ``streamed``/``resident`` rows measure a checkpointed run in a fresh
+#: subprocess (:mod:`repro.ckpt.bench`) so each row's peak RSS reflects
+#: one buffering strategy.  ``composite`` rows carry their own function.
+SCENARIOS = {
+    "fleet-8": ("spec", "fleet-8"),
+    "fleet-32": ("spec", "fleet-32"),
+    "fleet-64": ("spec", "fleet-64"),
+    "fleet-golden": ("spec", "fleet-golden"),
+    "fleetd-64": ("sharded", "fleet-64"),
+    "fleet-256": ("sharded", "fleet-256"),
+    "fleet-1024": ("sharded", "fleet-1024"),
+    "ckpt-fleet-256": ("streamed", "fleet-256"),
+    "ckpt-fleet-256-resident": ("resident", "fleet-256"),
+    "trickle-outage": ("composite", _trickle_outage),
+    "transport-sweep": ("composite", _transport_sweep),
+}
+
+
+def _run_row(how, target, seed, workers):
+    """Run one row of :data:`SCENARIOS`; returns its detail dict."""
+    if how == "spec":
+        from repro.spec.catalog import get
+        from repro.spec.compile import run_spec
+        return run_spec(get(target), seed=seed).summary
+    if how == "composite":
+        return target()
+    if how == "sharded":
+        from repro.fleetd.executor import run_sharded
+        report = run_sharded(target, workers=workers, seed=seed,
+                             instrument=False)
+        detail = {key: getattr(report, key) for key in (
+            "clients", "days", "dispatched", "sim_seconds",
+            "validation_attempts", "mean_success_pct", "mean_missing_pct")}
+        detail.update(shards=len(report.shards), workers=workers)
+        return detail
+    from repro.ckpt import bench
+    return bench.measure_subprocess(
+        target, bench.BENCH_DAYS, bench.BENCH_DAY_SECONDS,
+        how == "streamed", seed=seed)
 
 
 def peak_rss_kb():
@@ -129,29 +192,37 @@ class PerfResult:
 
 
 def run_perf(name, seed=0, profile=True, top=12, workers=None):
-    """Measure macro-scenario ``name``; returns a :class:`PerfResult`.
+    """Measure row ``name`` of :data:`SCENARIOS`; returns a :class:`PerfResult`.
 
-    ``workers`` sizes the process pool for sharded scenarios (see
-    :data:`repro.perf.scenarios.SHARDED_SCENARIOS`).  Their simulators
-    live in worker processes where the parent's :class:`KernelTally`
-    cannot see them, so event and sim-time totals come from the merged
-    shard results instead; the profiled rerun is skipped because a
-    parent-side profile would only rank pool bookkeeping and pickle
-    frames, not simulation work.  Subprocess-measured scenarios
-    (:data:`repro.perf.scenarios.SUBPROCESS_SCENARIOS`) skip the
-    profiled rerun for the same reason and report the child's own
-    ``ru_maxrss`` as ``max_rss_kb``; every other row records this
-    process's lifetime peak.  Unknown names raise ValueError with
-    the available listing (from
-    :func:`repro.perf.scenarios.run_macro_scenario`).
+    ``workers`` sizes the process pool for sharded rows.  Their
+    simulators live in worker processes where the parent's
+    :class:`KernelTally` cannot see them, so event and sim-time totals
+    come from the merged shard results instead; the profiled rerun is
+    skipped because a parent-side profile would only rank pool
+    bookkeeping and pickle frames, not simulation work.
+    Subprocess-measured rows skip the profiled rerun for the same
+    reason and report the child's own ``ru_maxrss`` as ``max_rss_kb``;
+    every other row records this process's lifetime peak.  Unknown
+    names raise ValueError with the available listing, and so does a
+    worker count on a row that does not shard — silently ignored, it
+    would corrupt cross-row comparisons in BENCH_perf.json.
     """
-    sharded = name in SHARDED_SCENARIOS
+    try:
+        how, target = SCENARIOS[name]
+    except KeyError:
+        raise ValueError("unknown perf scenario %r (have %s)"
+                         % (name, ", ".join(sorted(SCENARIOS)))) from None
+    if how == "sharded":
+        workers = workers or 1
+    elif workers:
+        raise ValueError("--workers only applies to sharded scenarios, "
+                         "not %r" % name)
     gc_was_enabled = gc.isenabled()
     with KernelTally() as tally:
         gc.disable()
         try:
             start = time.perf_counter()
-            detail = run_macro_scenario(name, seed=seed, workers=workers)
+            detail = _run_row(how, target, seed, workers)
             wall = time.perf_counter() - start
         finally:
             if gc_was_enabled:
@@ -166,9 +237,9 @@ def run_perf(name, seed=0, profile=True, top=12, workers=None):
         sim_seconds = detail.get("sim_seconds", 0.0)
         simulators = detail.get("shards", 0)
     frames = []
-    if profile and not sharded and name not in SUBPROCESS_SCENARIOS:
+    if profile and how in ("spec", "composite"):
         _, frames = capture_profile(
-            lambda: run_macro_scenario(name, seed=seed), top=top)
+            lambda: _run_row(how, target, seed, None), top=top)
     rss = detail.get("max_rss_kb") or peak_rss_kb()
     return PerfResult(
         scenario=name,
@@ -180,7 +251,7 @@ def run_perf(name, seed=0, profile=True, top=12, workers=None):
         sim_seconds_per_wall_second=(
             round(sim_seconds / wall, 3) if wall > 0 else 0.0),
         simulators=simulators,
-        workers=(workers or 1) if sharded else 0,
+        workers=workers or 0,
         max_rss_kb=rss,
         detail=detail,
         hot_frames=frames)

@@ -6,9 +6,9 @@ class, validated, JSON-round-trippable object — a
 :class:`~repro.spec.model.ScenarioSpec` — and provides the compiler
 (:mod:`repro.spec.compile`) that turns a spec into exactly the
 testbed/fleet constructions the ``obs``, ``faults``, ``perf``, and
-``fleetd`` subsystems build: the canned scenarios of those subsystems
-are now thin wrappers over catalogue specs, proven byte-identical by
-the golden timeline digests.
+``fleetd`` subsystems used to hand-build: every canned scenario is a
+catalogue spec run through :func:`~repro.spec.compile.run_spec`,
+pinned byte-identical by the golden timeline digests.
 
 Beyond the ports, the spec DSL opens workload families the original
 evaluation never ran (:mod:`repro.spec.families`): ``commuter``
@@ -18,9 +18,9 @@ reintegration and repair), and ``doc-archive`` (Stanski-style
 prefetch-container archiving driving hoard misses under the patience
 model).
 
-Seeds route through the one sanctioned helper
-(:mod:`repro.spec.seeds`): ``derive_rng("<kind>", name, seed)`` with
-legacy-compatible seed strings, so no golden digest moves.
+Seeds route through the one sanctioned function
+(:func:`repro.spec.seeds.master_seed`): ``derive_rng("<kind>", name,
+seed)`` with the pinned seed strings, so no golden digest moves.
 """
 
 from repro.spec.catalog import CATALOG, get, shipped
@@ -35,7 +35,7 @@ from repro.spec.model import (
     VolumeSpec,
     WorkloadSpec,
 )
-from repro.spec.seeds import master_seed, scenario_seed
+from repro.spec.seeds import master_seed
 
 __all__ = [
     "CATALOG",
@@ -51,6 +51,5 @@ __all__ = [
     "get",
     "master_seed",
     "run_spec",
-    "scenario_seed",
     "shipped",
 ]

@@ -1,13 +1,12 @@
 """The shipped scenario catalogue.
 
-Every canned scenario the CLIs know — the obs instrumentation
-workloads, the fault scenarios, the perf/fleetd fleet studies, and the
-three new families — expressed as :class:`~repro.spec.model.ScenarioSpec`
-values.  The legacy subsystems import their scenario tables from here
-(via thin wrappers that preserve their public APIs), so this module is
-the single source of truth for what a scenario *is*; the golden
-timeline digests prove the specs reproduce the hand-written originals
-byte for byte.
+Every canned scenario — the instrumentation workloads, the fault
+scripts, the Figure 9 fleet studies and their sharded plans, and the
+three spec-native families — is a :class:`~repro.spec.model.ScenarioSpec`
+value here, and the catalogue name is the one way to refer to it:
+``repro run <name>``, ``repro golden``, ``repro check-determinism``,
+the shard planner and the checkpoint manifest all resolve through
+:func:`get`.  The golden timeline digests pin what each name runs.
 """
 
 from repro.spec.model import (
@@ -56,7 +55,7 @@ def _fleet(name, seed_kind, title, desktops, laptops, days, shards=None,
 
 
 # ----------------------------------------------------------------------
-# obs ports (repro.obs.scenarios)
+# instrumentation workloads (seed kind "obs")
 
 TRICKLE = _script(
     "trickle", "obs",
@@ -95,7 +94,7 @@ OUTAGE = _script(
 
 
 # ----------------------------------------------------------------------
-# faults ports (repro.faults.scenarios)
+# fault scripts (seed kind "faults")
 
 SMOKE = _script(
     "smoke", "faults",
@@ -178,7 +177,7 @@ SERVER_CRASH = _script(
 
 
 # ----------------------------------------------------------------------
-# fleet studies (repro.perf.scenarios / repro.fleetd.plan)
+# fleet studies (seed kind "perf"; ``shards`` set = has a shard plan)
 
 FLEET_8 = _fleet("fleet-8", "perf", "Figure 9 fleet, 8 clients",
                  desktops=5, laptops=3, days=2.0, shards=2)
@@ -196,7 +195,7 @@ FLEET_1024 = _fleet("fleet-1024", "perf", "Figure 9 fleet, 1024 clients",
 
 
 # ----------------------------------------------------------------------
-# new families
+# spec-native families
 
 COMMUTER = _fleet(
     "commuter", "spec",
@@ -249,8 +248,7 @@ def get(name):
                          % (name, ", ".join(sorted(CATALOG)))) from None
 
 
-#: REPRO_FAST parameter overrides per family (fleet days are scaled
-#: separately, mirroring the fleetd CLI's days/8 convention).
+#: REPRO_FAST parameter overrides per testbed family.
 FAST_PARAMS = {
     "conflict-storm": {"writers": 4, "rounds": 1},
     "doc-archive": {"reads": 16, "containers": 3, "hoarded_containers": 1,
@@ -264,9 +262,3 @@ FAST_PARAMS = {
 FAST_FLEET = {
     "commuter": {"desktops": 2, "laptops": 2, "days": 0.75},
 }
-
-
-def fast_spec(spec):
-    """The REPRO_FAST-scale variant of a shipped spec."""
-    overrides = FAST_PARAMS.get(spec.family)
-    return spec.with_params(**overrides) if overrides else spec

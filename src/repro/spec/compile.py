@@ -1,11 +1,10 @@
 """Compile a :class:`~repro.spec.model.ScenarioSpec` into a live run.
 
 The compiler is the single construction path behind every canned
-scenario: it builds testbeds and fleet configs in exactly the order
-the ``obs``/``faults``/``perf``/``fleetd`` scenario functions used to
-(testbed → schedule probe → checker → volumes → hoard profile → link
-outages → fault injector → session), which is what keeps the ported
-scenarios' golden timeline digests byte-identical.
+scenario, and :func:`run_spec` the single run entry: it builds
+testbeds and fleet configs in one fixed order (testbed → schedule
+probe → checker → volumes → hoard profile → link outages → fault
+injector → session), the order the golden timeline digests pin.
 """
 
 from dataclasses import dataclass, field
@@ -35,8 +34,8 @@ def build_testbed(spec, observatory=None, schedule_log=None, checker=None,
     """The spec's one-client testbed, faults armed, session not yet run.
 
     ``plan`` overrides the spec's ``network.faults`` rows with an
-    already-built :class:`~repro.faults.plan.FaultPlan` (the escape
-    hatch ``run_fault_scenario(plan=...)`` always offered).  ``seed``
+    already-built :class:`~repro.faults.plan.FaultPlan` (tests build
+    bespoke plans this way).  ``seed``
     is the *master* testbed seed — callers go through
     :func:`run_spec` / :func:`repro.spec.seeds.master_seed` to derive
     it from a CLI seed.
@@ -81,8 +80,7 @@ def _script_session(testbed, script):
 
     ``testbed.venus`` is resolved at every step (never captured) so a
     scripted client keeps operating after a client-crash fault swaps
-    the Venus identity — exactly what the hand-written fault scenarios
-    did with their late ``testbed.venus`` references.
+    the Venus identity.
     """
     from repro.fs.content import SyntheticContent
     from repro.venus.errors import (
@@ -144,10 +142,9 @@ def run_script_spec(spec, observatory=None, schedule_log=None, checker=None,
 def fleet_config(spec, master, days=None, name_prefix=""):
     """The family config a fleet spec compiles to.
 
-    For ``figure9`` this is :class:`repro.bench.fleet.FleetConfig` with
-    exactly the fields the perf/fleetd scenario tables used to pass —
+    For ``figure9`` this is :class:`repro.bench.fleet.FleetConfig` —
     population, days, seed, name prefix, plus any ``workload.mix`` rate
-    overrides — so pinned fleet digests cannot move.  ``commuter``
+    overrides; pinned fleet digests hash exactly these fields.  ``commuter``
     compiles to :class:`repro.spec.families.CommuterConfig` the same
     way, with ``params`` carrying the diurnal shape.
     """
@@ -202,8 +199,48 @@ class RunResult:
     checkers: list = field(default_factory=list)
 
 
+def fingerprint(testbed):
+    """Deterministic digest of a finished run's externally visible state.
+
+    Everything here is downstream of the full event schedule — packet
+    counts, bytes, CPU-paced sends, CML accounting — so two runs with
+    equal fingerprints executed the same simulation.
+    """
+    venus = testbed.venus
+    link = testbed.link.stats()
+    cml = venus.cml.stats
+    trickle = venus.trickle.stats
+    validation = venus.validator.stats
+    return {
+        "end_time": testbed.sim.now,
+        "link_packets_sent": link.packets_sent,
+        "link_packets_delivered": link.packets_delivered,
+        "link_packets_lost": link.packets_lost,
+        "link_bytes_sent": link.bytes_sent,
+        "link_bytes_delivered": link.bytes_delivered,
+        "client_packets_out": venus.endpoint.packets_out,
+        "client_bytes_out": venus.endpoint.bytes_out,
+        "server_packets_out": testbed.server.endpoint.packets_out,
+        "server_bytes_out": testbed.server.endpoint.bytes_out,
+        "venus_state": venus.state.state.value,
+        "venus_transitions": [(t, a.value, b.value)
+                              for t, a, b in venus.state.transitions],
+        "cml_len": len(venus.cml),
+        "cml_appended": cml.appended_records,
+        "cml_optimized": cml.optimized_records,
+        "cml_reintegrated": cml.reintegrated_records,
+        "chunks_committed": trickle.chunks_committed,
+        "bytes_shipped": trickle.bytes_shipped,
+        "fragments_shipped": trickle.fragments_shipped,
+        "validation_attempts": validation.attempts,
+        "validation_objects": validation.objects_validated,
+        "fetches": venus.stats.fetches,
+        "fetch_bytes": venus.stats.fetch_bytes,
+        "operations": venus.stats.operations,
+    }
+
+
 def _script_summary(testbed):
-    from repro.obs.scenarios import fingerprint
     digest = fingerprint(testbed)
     summary = {key: digest[key] for key in (
         "end_time", "cml_len", "cml_appended", "cml_optimized",
@@ -241,7 +278,9 @@ def run_spec(spec, observatory=None, schedule_log=None, checker=None,
 
     ``seed`` is the user-facing seed, folded through the spec's
     ``seed_kind`` by :func:`~repro.spec.seeds.master_seed`.  ``days``
-    overrides a fleet spec's duration (the REPRO_FAST hook).
+    overrides a fleet spec's duration.  ``schedule_log`` records the
+    kernel's ``(time, priority, sequence)`` dispatch order (testbed
+    specs); ``plan`` overrides a script spec's fault plan.
     ``check_invariants`` attaches live invariant checkers where the
     family supports them (requires ``observatory``); the caller reads
     ``result.checkers`` for violations.

@@ -1,14 +1,15 @@
-"""Pinnable spec-family scenarios: golden runs for the digest fixtures.
+"""Pinned reduced-scale entry points for the golden digest fixtures.
 
 The golden machinery (:mod:`repro.analysis.golden`) pins obs timelines
-of ``mod:<module>:<function>`` specs across checkouts.  These three
-functions expose reduced-scale runs of the new spec families —
-``commuter``, ``conflict-storm``, ``doc-archive`` — built through the
-identical :func:`~repro.spec.compile.run_spec` path the CLI uses.
-Pinning them means no change can silently alter what the families
-simulate: each family's schedule is a committed fixture, and
-``repro check-determinism`` can probe the same entry points for
-hidden nondeterminism.
+across checkouts.  A catalogue name pins the shipped spec at full
+scale; the ``mod:repro.spec.golden:<function>`` entries here pin what
+a bare name cannot: reduced-scale runs of the spec families —
+``commuter``, ``conflict-storm``, ``doc-archive`` — through the
+:func:`~repro.spec.compile.run_spec` path ``repro run`` uses, and
+shards 0 and 1 of the ``fleet-8`` plan at 0.25 day through the
+:func:`~repro.fleetd.plan.shard_config` path the executor uses, so no
+change can silently alter what a worker process simulates.
+``repro check-determinism`` probes the same entry points.
 
 The reduced scales are deliberately independent of ``REPRO_FAST`` and
 of the catalogue's shipped parameters: fixtures must hash the same
@@ -66,3 +67,27 @@ def doc_archive_golden(observatory=None):
                                           hoarded_containers=1,
                                           commute_at=200.0)
     return run_spec(spec, observatory=observatory).summary
+
+
+def _golden_shard(index, observatory):
+    from repro.bench.fleet import run_fleet_study
+    from repro.fleetd.plan import plan_shards, shard_config
+    shard = plan_shards("fleet-8", seed=0, days=0.25)[index]
+    desktops, laptops = run_fleet_study(shard_config(shard),
+                                        observatory=observatory)
+    reports = desktops + laptops
+    return {
+        "shard": shard.index,
+        "clients": len(reports),
+        "validation_attempts": sum(r.attempts for r in reports),
+    }
+
+
+def golden_shard0(observatory=None):
+    """``mod:repro.spec.golden:golden_shard0`` for repro golden."""
+    return _golden_shard(0, observatory)
+
+
+def golden_shard1(observatory=None):
+    """``mod:repro.spec.golden:golden_shard1`` for repro golden."""
+    return _golden_shard(1, observatory)

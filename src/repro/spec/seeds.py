@@ -1,56 +1,47 @@
-"""The one sanctioned scenario-seed helper.
+"""The one sanctioned scenario-seed function.
 
-``obs``, ``faults``, and ``perf`` each grew a near-identical
-``scenario_seed`` that folds a user-facing ``--seed`` into a per-
-scenario master seed via :func:`repro.sim.rand.derive_rng`.  The seed
-*strings* differ only in the kind prefix (``"obs"``, ``"faults"``,
-``"perf"``) and in two conventions that must stay byte-identical so no
-golden digest moves:
+Every run folds its user-facing ``--seed`` into a per-scenario master
+seed through :func:`master_seed`, which goes through
+:func:`repro.sim.rand.derive_rng` with the seed string
+``"<kind>::<name>::<seed>"``.  The kinds differ in two conventions
+that must stay byte-identical so no golden digest moves:
 
-* obs/faults treat ``seed=None`` as "the historical default": master
-  seed ``0``, skipping derivation entirely;
-* perf always derives (there is no ``None`` case) and keeps 32 bits
+* ``obs``/``faults`` treat ``seed=None`` as "the canonical run":
+  master seed ``0``, skipping derivation entirely;
+* ``perf`` always derives (``None`` means seed 0) and keeps 32 bits
   because :class:`~repro.bench.fleet.FleetConfig` seeds were pinned
-  that way.
-
-Spec-native scenarios use kind ``"spec"`` and the default 63 bits.
+  that way; ``spec`` always derives too, at 63 bits.
 """
 
 from repro.sim.rand import derive_rng
 
-#: Seed-kind prefixes with pinned golden digests; new families use
-#: "spec".  Kept closed so a typo cannot silently fork a seed universe.
-SEED_KINDS = ("obs", "faults", "perf", "spec")
+#: kind -> (None means master 0, bits).  Kept closed so a typo cannot
+#: silently fork a seed universe.
+_RULES = {
+    "obs": (True, 63),
+    "faults": (True, 63),
+    "perf": (False, 32),
+    "spec": (False, 63),
+}
 
-
-def scenario_seed(kind, name, seed, bits=63):
-    """Master seed for scenario ``name`` of ``kind`` given CLI ``seed``.
-
-    ``None`` means "the historical default run" and maps to master seed
-    0 — the seed the golden digests were pinned under.  Any integer is
-    folded through ``derive_rng(kind, name, seed)`` so different
-    scenarios never share a master seed even for equal CLI seeds.
-    """
-    if kind not in SEED_KINDS:
-        raise ValueError("unknown seed kind %r (choose from %s)"
-                         % (kind, ", ".join(SEED_KINDS)))
-    if seed is None:
-        return 0
-    return derive_rng(kind, name, seed).getrandbits(bits)
+SEED_KINDS = tuple(_RULES)
 
 
 def master_seed(kind, name, seed):
-    """Like :func:`scenario_seed` but with each kind's legacy defaults.
+    """Master seed for scenario ``name`` of ``kind`` given CLI ``seed``.
 
-    This is what the spec compiler calls.  ``perf``-kind specs keep
-    their pinned 32-bit ``FleetConfig`` seeds and always derive (the
-    perf CLI default was ``seed=0``, derived, not a literal 0 master);
-    ``spec``-kind scenarios likewise always derive, at 63 bits.  Only
-    the ``obs``/``faults`` kinds keep the ``None`` → master-0 shortcut
-    their golden digests were pinned under.
+    ``None`` is the canonical golden-pinned run of every kind.  Any
+    integer is folded through ``derive_rng(kind, name, seed)`` so
+    different scenarios never share a master seed even for equal CLI
+    seeds.
     """
-    if kind == "perf":
-        return scenario_seed(kind, name, 0 if seed is None else seed, bits=32)
-    if kind == "spec":
-        return scenario_seed(kind, name, 0 if seed is None else seed)
-    return scenario_seed(kind, name, seed)
+    try:
+        none_is_zero, bits = _RULES[kind]
+    except KeyError:
+        raise ValueError("unknown seed kind %r (choose from %s)"
+                         % (kind, ", ".join(SEED_KINDS))) from None
+    if seed is None:
+        if none_is_zero:
+            return 0
+        seed = 0
+    return derive_rng(kind, name, seed).getrandbits(bits)

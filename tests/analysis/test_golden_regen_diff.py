@@ -40,25 +40,25 @@ def test_regen_prints_the_moved_pins(tmp_path, capsys):
     fixture_path = str(tmp_path / "timelines.json")
     # First regen: no previous fixture, every pin is new.
     assert main(["--regen", "--fixture", fixture_path,
-                 "--scenario", "obs:trickle"]) == 0
+                 "--scenario", "trickle"]) == 0
     stdout = capsys.readouterr().out
-    assert "pinned obs:trickle" in stdout
+    assert "pinned trickle" in stdout
     assert "1 pin(s) moved:" in stdout
-    assert "added   obs:trickle" in stdout
+    assert "added   trickle" in stdout
 
     # Tamper the stored digest; the next regen reports old -> new.
     fixture = load_fixture(fixture_path)
     stale = "0" * 64
-    fixture["digests"]["obs:trickle"]["sha256"] = stale
+    fixture["digests"]["trickle"]["sha256"] = stale
     with open(fixture_path, "w") as fh:
         json.dump(fixture, fh)
     assert main(["--regen", "--fixture", fixture_path,
-                 "--scenario", "obs:trickle"]) == 0
+                 "--scenario", "trickle"]) == 0
     stdout = capsys.readouterr().out
-    assert "changed obs:trickle" in stdout
+    assert "changed trickle" in stdout
     assert stale[:16] + "…" in stdout
 
     # A no-op regen says so.
     assert main(["--regen", "--fixture", fixture_path,
-                 "--scenario", "obs:trickle"]) == 0
+                 "--scenario", "trickle"]) == 0
     assert "no pins moved" in capsys.readouterr().out

@@ -6,10 +6,10 @@ import pytest
 from repro.analysis.invariants import (InvariantChecker,
                                        InvariantViolation)
 from repro.bench.common import make_testbed, populate_volume, warm_cache
-from repro.faults.scenarios import run_fault_scenario
 from repro.net import MODEM
 from repro.obs import Observatory
-from repro.obs.scenarios import run_scenario
+from repro.spec.catalog import get
+from repro.spec.compile import run_spec
 
 MOUNT = "/coda/usr/bob"
 
@@ -34,7 +34,7 @@ def attached_testbed(warm=False):
 @pytest.mark.parametrize("name", ["trickle", "outage"])
 def test_obs_scenarios_hold_invariants(name):
     checker = InvariantChecker()
-    run_scenario(name, observatory=Observatory(), checker=checker)
+    run_spec(get(name), observatory=Observatory(), checker=checker)
     checker.check_all()
     assert checker.violations == []
     assert checker.checks > 0
@@ -45,7 +45,7 @@ def test_fault_scenarios_hold_invariants(name):
     """Crash/recovery is exactly where these invariants earn their keep:
     seqno continuity and callback volatility across restore."""
     checker = InvariantChecker()
-    run_fault_scenario(name, observatory=Observatory(), checker=checker)
+    run_spec(get(name), observatory=Observatory(), checker=checker)
     checker.check_all()
     assert checker.violations == []
     assert checker.checks > 0

@@ -13,8 +13,8 @@ import os
 
 import pytest
 
-from repro.perf.runner import BENCH_SCHEMA, results_to_bench, run_perf
-from repro.perf.scenarios import SCENARIOS
+from repro.perf.runner import (BENCH_SCHEMA, SCENARIOS, results_to_bench,
+                               run_perf)
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                           "BENCH_perf.json")

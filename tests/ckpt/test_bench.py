@@ -68,10 +68,10 @@ def test_perf_row_carries_the_child_rss(monkeypatch):
 
 
 def test_ckpt_scenarios_reject_a_worker_count():
-    from repro.perf.scenarios import run_macro_scenario
+    from repro.perf.runner import run_perf
 
     with pytest.raises(ValueError, match="--workers"):
-        run_macro_scenario("ckpt-fleet-256", workers=4)
+        run_perf("ckpt-fleet-256", workers=4)
 
 
 def test_entry_point_round_trips_json_over_stdio(monkeypatch, capsys,

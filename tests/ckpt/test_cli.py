@@ -1,8 +1,5 @@
-"""``repro ckpt`` end to end: run, extend, verify, info.
-
-Driven through both entry points — the subsystem's own
-``repro.ckpt.cli.main`` and the top-level ``repro`` dispatcher — on a
-tiny fleet so the whole flow fits in a couple of seconds.
+"""``repro run <spec> --ckpt`` and ``repro ckpt extend|verify|info`` end
+to end, on a tiny fleet so the whole flow fits in a couple of seconds.
 """
 
 import json
@@ -10,16 +7,20 @@ import os
 
 import pytest
 
-from repro.ckpt.cli import _added_days, main
+from repro.ckpt import CkptOptions, run_checkpointed
+from repro.cli import build_parser, main
+from tests.ckpt.test_runner import tree_bytes
+from tests.conftest import exits_2
+
+RUN = ["run", "fleet-8", "--days", "1", "--day-seconds", "600"]
 
 
 @pytest.fixture(scope="module")
 def flow(tmp_path_factory):
     """One checkpoint taken through run -> extend on disk."""
     root = str(tmp_path_factory.mktemp("ckpt-cli") / "store")
-    assert main(["run", "--scenario", "fleet-8", "--days", "1",
-                 "--out", root, "--day-seconds", "600"]) == 0
-    assert main(["extend", "--out", root, "--days", "+1"]) == 0
+    assert main(RUN + ["--ckpt", root]) == 0
+    assert main(["ckpt", "extend", "--out", root, "--days", "+1"]) == 0
     return root
 
 
@@ -28,20 +29,33 @@ def test_run_then_extend_leaves_a_two_day_manifest(flow):
         manifest = json.load(fh)
     assert manifest["days"] == 2
     assert manifest["scenario"] == "fleet-8"
+    assert manifest["seed"] == 0         # no --seed: the canonical streams
     assert len(manifest["shards"]) == 2
 
 
 def test_run_prints_fleet_report_and_location(flow, capsys, tmp_path):
     out = str(tmp_path / "fresh")
-    main(["run", "--scenario", "fleet-8", "--days", "1",
-          "--out", out, "--day-seconds", "600", "--resident"])
+    main(RUN + ["--ckpt", out, "--resident"])
     stdout = capsys.readouterr().out
     assert "fleetd fleet-8" in stdout
     assert "checkpoint: 1 day(s)" in stdout
 
 
+def test_run_under_repro_fast_writes_what_the_library_writes(
+        tmp_path, monkeypatch):
+    """``--ckpt`` is ``run_checkpointed`` and nothing else: the store
+    is byte-identical to a direct call with the same arguments
+    (REPRO_FAST's day unit is an eighth of a day, 10,800 s)."""
+    monkeypatch.setenv("REPRO_FAST", "1")
+    cli, direct = str(tmp_path / "cli"), str(tmp_path / "direct")
+    assert main(["run", "fleet-8", "--ckpt", cli]) == 0
+    run_checkpointed("fleet-8", seed=0, days=1, out=direct,
+                     options=CkptOptions(day_seconds=10_800.0))
+    assert tree_bytes(cli) == tree_bytes(direct)
+
+
 def test_verify_passes_on_the_good_store(flow, capsys):
-    assert main(["verify", "--out", flow, "--replay-day", "0",
+    assert main(["ckpt", "verify", "--out", flow, "--replay-day", "0",
                  "--replay-shard", "0"]) == 0
     assert "OK" in capsys.readouterr().out
 
@@ -53,14 +67,12 @@ def test_verify_exits_nonzero_on_corruption(flow, tmp_path, capsys):
     shutil.copytree(flow, clone)
     path = os.path.join(clone, "shards", "s00", "timeline.txt")
     os.truncate(path, os.path.getsize(path) - 20)
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--out", clone, "--no-replay"])
-    assert err.value.code == 1
+    assert main(["ckpt", "verify", "--out", clone, "--no-replay"]) == 1
     assert "CORRUPT" in capsys.readouterr().out
 
 
 def test_info_summarizes_the_manifest(flow, capsys):
-    assert main(["info", "--out", flow]) == 0
+    assert main(["ckpt", "info", "--out", flow]) == 0
     stdout = capsys.readouterr().out
     assert "scenario       fleet-8" in stdout
     assert "shard 00" in stdout and "shard 01" in stdout
@@ -68,35 +80,35 @@ def test_info_summarizes_the_manifest(flow, capsys):
 
 def test_info_on_a_missing_store_exits_with_a_message(tmp_path):
     with pytest.raises(SystemExit, match="manifest"):
-        main(["info", "--out", str(tmp_path / "void")])
+        main(["ckpt", "info", "--out", str(tmp_path / "void")])
 
 
 def test_run_refuses_an_existing_store_via_exit(flow):
     with pytest.raises(SystemExit, match="already exists"):
-        main(["run", "--scenario", "fleet-8", "--days", "1",
-              "--out", flow, "--day-seconds", "600"])
+        main(RUN + ["--ckpt", flow])
 
 
 def test_extend_refuses_a_missing_store_via_exit(tmp_path):
     with pytest.raises(SystemExit, match="manifest"):
-        main(["extend", "--out", str(tmp_path / "void")])
+        main(["ckpt", "extend", "--out", str(tmp_path / "void")])
 
 
-def test_added_days_parses_plus_notation():
-    assert _added_days("+3") == 3
-    assert _added_days("2") == 2
-    with pytest.raises(SystemExit, match="wants \\+N"):
-        _added_days("tomorrow")
+def test_added_days_parses_plus_notation(capsys):
+    def days(text):
+        return build_parser().parse_args(
+            ["ckpt", "extend", "--out", "ck", "--days", text]).days
+    assert days("+3") == 3
+    assert days("2") == 2
+    with pytest.raises(SystemExit):
+        days("tomorrow")
+    assert "invalid int value: 'tomorrow'" in capsys.readouterr().err
 
 
 def test_top_level_dispatcher_routes_ckpt(tmp_path, capsys):
-    from repro.cli import main as repro_main
-
-    out = str(tmp_path / "via-repro")
-    with pytest.raises(SystemExit) as err:
-        repro_main(["ckpt", "run", "--scenario", "fleet-8",
-                    "--days", "1", "--out", out,
-                    "--day-seconds", "600"])
-    assert err.value.code == 0
-    assert os.path.exists(os.path.join(out, "manifest.json"))
-    capsys.readouterr()
+    """``ckpt`` is an ordinary nested subparser: it needs a subcommand,
+    and ``run`` is no longer one of them."""
+    exits_2(["ckpt"], capsys)
+    assert "invalid choice: 'run'" in exits_2(
+        ["ckpt", "run", "--scenario", "fleet-8", "--out",
+         str(tmp_path / "via-repro")], capsys)
+    assert not os.listdir(tmp_path)

@@ -73,3 +73,12 @@ def connected(testbed):
         assert ok
         return testbed.venus.state.state
     return testbed.run(go())
+
+
+def exits_2(argv, capsys):
+    """stderr of a ``repro`` invocation that must exit 2 (usage error)."""
+    from repro.cli import main
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err

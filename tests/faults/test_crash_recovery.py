@@ -11,11 +11,13 @@ import pytest
 
 from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.cli import main
-from repro.faults import FaultPlan, namespace_digest, run_fault_scenario
+from repro.faults import FaultPlan, namespace_digest
 from repro.fs.content import SyntheticContent
 from repro.net import MODEM
 from repro.obs import Observatory
-from repro.obs.scenarios import MOUNT
+from repro.spec.catalog import MOUNT, get
+from repro.spec.compile import run_spec
+from tests.conftest import exits_2
 
 
 class TestSmokeScenario:
@@ -23,7 +25,7 @@ class TestSmokeScenario:
     @pytest.fixture(scope="class")
     def observed(self):
         observatory = Observatory()
-        testbed = run_fault_scenario("smoke", observatory=observatory)
+        testbed = run_spec(get("smoke"), observatory=observatory).testbed
         return observatory, testbed
 
     def test_whole_timeline_executed(self, observed):
@@ -83,14 +85,14 @@ class TestSmokeScenario:
 class TestClientCrashRecovery:
 
     def test_converges_to_the_unfaulted_namespace(self):
-        faulted = run_fault_scenario("client-crash")
-        clean = run_fault_scenario("client-crash", plan=FaultPlan([]))
+        faulted = run_spec(get("client-crash")).testbed
+        clean = run_spec(get("client-crash"), plan=FaultPlan([])).testbed
         assert faulted.faults.client_snapshot.cml_len >= 1
         assert namespace_digest(faulted.server) \
             == namespace_digest(clean.server)
 
     def test_no_record_applied_twice(self):
-        testbed = run_fault_scenario("client-crash")
+        testbed = run_spec(get("client-crash")).testbed
         server = testbed.server
         # Every surviving CML record was applied exactly once: any
         # re-shipped duplicates were filtered, never re-applied.
@@ -103,14 +105,14 @@ class TestClientCrashRecovery:
 class TestServerCrashRecovery:
 
     def test_converges_to_the_unfaulted_namespace(self):
-        faulted = run_fault_scenario("server-crash")
-        clean = run_fault_scenario("server-crash", plan=FaultPlan([]))
+        faulted = run_spec(get("server-crash")).testbed
+        clean = run_spec(get("server-crash"), plan=FaultPlan([])).testbed
         assert faulted.server.crashes == 1
         assert namespace_digest(faulted.server) \
             == namespace_digest(clean.server)
 
     def test_volatile_state_lost_store_survives(self):
-        testbed = run_fault_scenario("server-crash")
+        testbed = run_spec(get("server-crash")).testbed
         server = testbed.server
         assert not server.crashed                 # restart happened
         assert len(testbed.venus.cml) == 0        # drain completed anyway
@@ -209,7 +211,7 @@ class TestIdempotentReplay:
 class TestFaultsCli:
 
     def test_smoke_command_prints_timeline_and_summary(self, capsys):
-        assert main(["faults", "--scenario", "smoke"]) == 0
+        assert main(["run", "smoke"]) == 0
         printed = capsys.readouterr().out
         assert "6 action(s) injected" in printed
         assert "client_crash" in printed
@@ -217,17 +219,14 @@ class TestFaultsCli:
         assert "Observability summary" in printed
 
     def test_unknown_fault_scenario_lists_the_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["faults", "--scenario", "nope"])
-        message = str(excinfo.value)
+        message = exits_2(["run", "nope", "--fingerprint"], capsys)
         assert "nope" in message
         assert "smoke" in message
         assert "client-crash" in message
         assert "server-crash" in message
 
     def test_unknown_obs_scenario_lists_the_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["obs", "--scenario", "nope"])
-        message = str(excinfo.value)
+        message = exits_2(["run", "nope", "--out", "timeline.jsonl"], capsys)
         assert "nope" in message
         assert "trickle" in message
+

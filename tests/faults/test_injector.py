@@ -13,9 +13,9 @@ from repro.faults import (
     LossBurst,
     fault_fingerprint,
 )
-from repro.faults.scenarios import FAULT_SCENARIOS, run_fault_scenario
 from repro.net import MODEM
-from repro.obs.scenarios import _probe_schedule
+from repro.spec.catalog import get
+from repro.spec.compile import probe_schedule, run_spec
 
 
 def _idle_run(testbed, until=200.0):
@@ -34,7 +34,7 @@ class TestZeroPerturbation:
     def _run(with_injector):
         schedule = []
         testbed = make_testbed(MODEM, seed=7)
-        _probe_schedule(testbed.sim, schedule)
+        probe_schedule(testbed.sim, schedule)
         if with_injector:
             injector = FaultInjector(testbed, FaultPlan([]))
             assert injector.start() is None
@@ -58,11 +58,12 @@ class TestZeroPerturbation:
 
 class TestDeterminism:
 
-    @pytest.mark.parametrize("name", sorted(FAULT_SCENARIOS))
+    @pytest.mark.parametrize("name",
+                             ["client-crash", "server-crash", "smoke"])
     def test_same_seed_same_schedule_and_fingerprint(self, name):
         first_schedule, second_schedule = [], []
-        first = run_fault_scenario(name, schedule_log=first_schedule)
-        second = run_fault_scenario(name, schedule_log=second_schedule)
+        first = run_spec(get(name), schedule_log=first_schedule).testbed
+        second = run_spec(get(name), schedule_log=second_schedule).testbed
         assert len(first_schedule) > 500
         assert first_schedule == second_schedule
         assert fault_fingerprint(first) == fault_fingerprint(second)

@@ -1,22 +1,24 @@
-"""The ``repro fleetd`` command and the perf ``--workers`` plumbing."""
+"""``repro run <spec> --shards`` and the perf ``--workers`` plumbing."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import exits_2
 
-ARGS = ["fleetd", "--scenario", "fleet-8", "--days", "0.1"]
+ARGS = ["run", "fleet-8", "--shards", "--days", "0.1"]
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["fleetd"])
-    assert args.command == "fleetd"
-    assert args.scenario == "fleet-8"
-    assert args.workers == 4
-    assert args.seed == 0
+    """One default per flag, whatever the mode: the canonical streams,
+    the catalogue duration, the in-process reference."""
+    args = build_parser().parse_args(["run", "fleet-8"])
+    assert args.command == "run"
+    assert args.seed is None
     assert args.days is None
-    assert not args.verify
+    assert args.workers is None      # resolved to 0 under --shards/--ckpt
+    assert not (args.shards or args.ckpt or args.verify)
 
 
 def test_fleetd_runs_and_reports(capsys):
@@ -35,31 +37,34 @@ def test_fleetd_verify_passes(capsys):
 
 def test_fleetd_json_report(tmp_path, capsys):
     out_file = tmp_path / "FLEET_report.json"
-    assert main(ARGS + ["--workers", "1", "--json",
-                        "--out", str(out_file)]) == 0
+    assert main(ARGS + ["--workers", "1", "--json", str(out_file)]) == 0
     loaded = json.load(open(out_file))
     assert loaded["schema"] == "repro.fleetd/1"
     assert loaded["scenario"] == "fleet-8"
+    assert loaded["seed"] == 0           # no --seed: the canonical streams
     assert loaded["clients"] == 8
     assert len(loaded["shards"]) == 2
     assert all(shard["digest"] for shard in loaded["shards"])
 
 
 def test_fleetd_in_process_workers_zero(capsys):
-    assert main(ARGS + ["--workers", "0"]) == 0
+    assert main(ARGS) == 0
     assert "in-process" in capsys.readouterr().out
 
 
-def test_fleetd_unknown_scenario():
-    with pytest.raises(SystemExit, match="fleet-1024"):
-        main(["fleetd", "--scenario", "fleet-9000"])
+def test_fleetd_unknown_scenario(capsys):
+    assert "fleet-1024" in exits_2(["run", "fleet-9000", "--shards"], capsys)
 
 
 def test_fleetd_fast_mode_shrinks_days(monkeypatch, capsys):
+    """The CI smoke shape: fleet-8 catalogues 2.0 days, REPRO_FAST runs
+    an eighth, pooled, and proves it equivalent on the spot."""
     monkeypatch.setenv("REPRO_FAST", "1")
-    assert main(["fleetd", "--scenario", "fleet-8", "--workers", "0"]) == 0
-    # fleet-8 catalogues 2.0 days; REPRO_FAST runs an eighth.
-    assert "0.25 day(s)" in capsys.readouterr().out
+    assert main(["run", "fleet-8", "--shards", "--workers", "2",
+                 "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "0.25 day(s)" in out
+    assert "byte-identical" in out
 
 
 def test_perf_workers_flag_is_repeatable():

@@ -6,10 +6,12 @@ timeline, metrics, digests — across worker counts *and* against the
 plain in-process run.  Worker count may only change wall-clock.
 """
 
+import time
+
 import pytest
 
 from repro.fleetd import plan_shards, run_sharded
-from repro.fleetd.executor import digest_rows, run_shard
+from repro.fleetd.executor import digest_rows, map_shards, run_shard
 
 DAYS = 0.1   # keeps four full fleet-8 runs inside tier-1 budget
 
@@ -84,3 +86,27 @@ def test_pool_never_outsizes_the_plan(runs):
     # workers=2 (pool capped at len(shards)); covered by the
     # equivalence assertions above, spelled out here for the reader.
     assert runs[4].timeline == runs[2].timeline
+
+
+def _slow_first(shard, base):
+    time.sleep(0.5 if shard == 0 else 0.0)
+    return base + shard, time.monotonic()
+
+
+def _loses_shard_one(shard):
+    if shard == 1:
+        raise KeyError("shard 1 lost")
+    return shard
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_map_shards_keeps_shard_order_and_reraises(workers):
+    """The tree's one fan-out: results in shard order even when a
+    later shard finishes first, and a worker's exception surfaces in
+    the parent instead of a silently short result list."""
+    results = map_shards(_slow_first, [0, 1, 2], workers, 10)
+    assert [value for value, _finished in results] == [10, 11, 12]
+    if workers:
+        assert results[1][1] < results[0][1]
+    with pytest.raises(KeyError, match="shard 1 lost"):
+        map_shards(_loses_shard_one, [0, 1, 2], workers)

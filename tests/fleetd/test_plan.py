@@ -3,25 +3,32 @@
 import pytest
 
 from repro.bench.fleet import FleetConfig
-from repro.fleetd import FLEET_SPECS, plan_shards, shard_config, shard_seed
+from repro.fleetd import plan_shards, shard_config, shard_seed
 from repro.fleetd.plan import _split
 from repro.sim.rand import derive_rng
+from repro.spec.catalog import get, shipped
+
+#: The catalogue specs that carry a shard plan.
+SHARDED = sorted(spec.name for spec in shipped() if spec.shards is not None)
 
 
 def test_catalogue_populations_are_consistent():
-    for name, spec in FLEET_SPECS.items():
-        assert spec.clients == spec.desktops + spec.laptops
-        assert spec.shards >= 2, name
-        assert spec.days > 0
+    assert SHARDED == ["commuter", "fleet-1024", "fleet-256", "fleet-32",
+                       "fleet-64", "fleet-8"]
+    for name in SHARDED:
+        assert get(name).kind == "fleet"
+        assert get(name).shards >= 2, name
 
 
-@pytest.mark.parametrize("scenario", sorted(FLEET_SPECS))
+@pytest.mark.parametrize("scenario", SHARDED)
 def test_plan_partitions_the_whole_population(scenario):
-    spec = FLEET_SPECS[scenario]
+    spec = get(scenario)
     shards = plan_shards(scenario)
     assert len(shards) == spec.shards
-    assert sum(s.desktops for s in shards) == spec.desktops
-    assert sum(s.laptops for s in shards) == spec.laptops
+    assert sum(s.desktops for s in shards) == spec.clients.desktops
+    assert sum(s.laptops for s in shards) == spec.clients.laptops
+    assert {(s.days, s.family) for s in shards} \
+        == {(spec.duration, spec.family)}
     assert [s.index for s in shards] == list(range(spec.shards))
     # The split is even: no shard more than one client apart.
     sizes = [s.clients for s in shards]
@@ -69,8 +76,15 @@ def test_days_override_reaches_every_shard():
 
 
 def test_unknown_scenario_lists_the_catalogue():
-    with pytest.raises(ValueError, match="fleet-1024"):
+    """The catalogue's own error, not a second table's."""
+    with pytest.raises(ValueError) as unknown:
         plan_shards("fleet-7")
+    with pytest.raises(ValueError) as catalogue:
+        get("fleet-7")
+    assert str(unknown.value) == str(catalogue.value)
+    assert "fleet-1024" in str(unknown.value)
+    with pytest.raises(ValueError, match="no shard plan"):
+        plan_shards("fleet-golden")
 
 
 def test_shard_config_is_the_single_construction_path():

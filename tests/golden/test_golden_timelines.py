@@ -51,8 +51,8 @@ def test_timeline_matches_fixture(fixture, spec):
 
 
 def test_digest_is_stable_within_a_run():
-    sha_a, events_a = timeline_digest("obs:trickle")
-    sha_b, events_b = timeline_digest("obs:trickle")
+    sha_a, events_a = timeline_digest("trickle")
+    sha_b, events_b = timeline_digest("trickle")
     assert (sha_a, events_a) == (sha_b, events_b)
 
 

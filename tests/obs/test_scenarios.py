@@ -1,4 +1,5 @@
-"""Scenario runs, the determinism regression, and the obs CLI."""
+"""Scenario runs, the determinism regression, and the export flags of
+``repro run``."""
 
 import json
 
@@ -7,7 +8,8 @@ import pytest
 from repro.cli import main
 from repro.obs import Observatory
 from repro.obs.events import TraceRecorder
-from repro.obs.scenarios import SCENARIOS, fingerprint, run_scenario
+from repro.spec.catalog import get
+from repro.spec.compile import fingerprint, run_spec
 
 
 class TestDeterminism:
@@ -17,15 +19,15 @@ class TestDeterminism:
     the same externally visible state.
     """
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", ["outage", "trickle"])
     def test_instrumented_run_is_schedule_identical(self, name):
         bare_schedule = []
-        bare = run_scenario(name, schedule_log=bare_schedule)
+        bare = run_spec(get(name), schedule_log=bare_schedule).testbed
 
         observatory = Observatory()
         live_schedule = []
-        live = run_scenario(name, observatory=observatory,
-                            schedule_log=live_schedule)
+        live = run_spec(get(name), observatory=observatory,
+                        schedule_log=live_schedule).testbed
 
         assert len(bare_schedule) > 500     # the probe actually probed
         assert bare_schedule == live_schedule
@@ -35,8 +37,8 @@ class TestDeterminism:
         assert len(observatory.metrics) > 0
 
     def test_two_null_runs_identical(self):
-        first = run_scenario("trickle")
-        second = run_scenario("trickle")
+        first = run_spec(get("trickle")).testbed
+        second = run_spec(get("trickle")).testbed
         assert fingerprint(first) == fingerprint(second)
 
 
@@ -45,7 +47,7 @@ class TestTrickleScenario:
     @pytest.fixture(scope="class")
     def observed(self):
         observatory = Observatory()
-        testbed = run_scenario("trickle", observatory=observatory)
+        testbed = run_spec(get("trickle"), observatory=observatory).testbed
         return observatory, testbed
 
     def test_required_event_kinds_recorded(self, observed):
@@ -101,7 +103,7 @@ class TestOutageScenario:
     def test_link_flaps_recorded(self):
         observatory = Observatory(recorder=TraceRecorder(
             kinds={"link_up", "link_down", "packet_drop"}))
-        run_scenario("outage", observatory=observatory)
+        run_spec(get("outage"), observatory=observatory)
         counts = observatory.trace.counts()
         assert counts.get("link_down", 0) >= 1
         assert counts.get("link_up", 0) >= 1
@@ -112,7 +114,7 @@ class TestOutageScenario:
     def test_bytes_dropped_while_down_surface_in_summary(self):
         from repro.obs import report
         observatory = Observatory()
-        testbed = run_scenario("outage", observatory=observatory)
+        testbed = run_spec(get("outage"), observatory=observatory).testbed
         dropped = observatory.metrics.total("link.bytes_dropped")
         assert dropped > 0
         assert dropped == testbed.link.stats().bytes_dropped_down
@@ -120,8 +122,8 @@ class TestOutageScenario:
 
 
 def test_unknown_scenario_raises():
-    with pytest.raises(ValueError):
-        run_scenario("nope")
+    with pytest.raises(ValueError, match="unknown spec 'nope'"):
+        get("nope")
 
 
 class TestObsCli:
@@ -129,8 +131,7 @@ class TestObsCli:
     def test_obs_command_writes_timeline_and_summary(self, tmp_path, capsys):
         out = tmp_path / "timeline.jsonl"
         metrics_csv = tmp_path / "metrics.csv"
-        assert main(["obs", "--scenario", "trickle",
-                     "--out", str(out),
+        assert main(["run", "trickle", "--out", str(out),
                      "--metrics-csv", str(metrics_csv)]) == 0
         printed = capsys.readouterr().out
         assert "Observability summary" in printed
@@ -146,5 +147,5 @@ class TestObsCli:
         assert metrics_csv.read_text().startswith("metric,type,labels")
 
     def test_obs_command_summary_only(self, capsys):
-        assert main(["obs"]) == 0
+        assert main(["run", "trickle"]) == 0
         assert "Event mix" in capsys.readouterr().out

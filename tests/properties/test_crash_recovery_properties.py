@@ -13,7 +13,7 @@ from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.faults import namespace_digest, restore_venus, snapshot_venus
 from repro.fs.content import SyntheticContent
 from repro.net import MODEM
-from repro.obs.scenarios import MOUNT
+from repro.spec.catalog import MOUNT
 from repro.venus import VenusConfig
 
 NAMES = ["a", "b", "c", "d"]

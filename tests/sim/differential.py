@@ -35,14 +35,14 @@ A loop is selected by the queue object handed to ``Simulator(queue=)``
 ``Simulator.__init__`` for the duration of a capture, the way
 ``DispatchProbe`` and ``repro.perf.runner.KernelTally`` already do.
 
-Scenario specs are the ``repro.analysis.divergence`` syntax
-(``obs:<name>``, ``faults:<name>``, ``mod:<module>:<function>``) plus
-``perf:<name>`` for the catalogued macro-scenarios, or a bare callable
-taking ``observatory=``.  Usable as a script for the CI
-``loop-differential`` smoke job::
+Scenario references are the tree's one grammar
+(``repro.analysis.divergence.resolve_scenario``: a catalogue name or
+``mod:<module>:<function>``), or a bare callable taking
+``observatory=``.  Usable as a script for the CI ``loop-differential``
+smoke job::
 
     PYTHONPATH=src python tests/sim/differential.py \
-        --scenario obs:trickle --scenario perf:fleet-32 --digest
+        --scenario trickle --scenario fleet-32 --digest
 
 ``--digest`` streams each dispatch line into a sha256 instead of
 keeping it (fleet-scale runs dispatch millions of events); divergence
@@ -113,15 +113,8 @@ class use_loop:
 
 
 def resolve(spec):
-    """Like divergence's resolver, plus ``perf:<name>`` and callables."""
-    if callable(spec):
-        return spec
-    if isinstance(spec, str) and spec.startswith("perf:"):
-        from repro.perf.scenarios import run_macro_scenario
-        name = spec[len("perf:"):]
-        return lambda observatory: run_macro_scenario(
-            name, observatory=observatory)
-    return resolve_scenario(spec)
+    """The one resolver, plus bare callables (the synthetic scenarios)."""
+    return spec if callable(spec) else resolve_scenario(spec)
 
 
 class DispatchProbe:
@@ -363,9 +356,8 @@ def main(argv=None):
         description="Byte-compare dispatch schedules across the "
                     "kernel's dispatch loops")
     parser.add_argument("--scenario", action="append", default=None,
-                        help="obs:<n> | faults:<n> | mod:<m>:<f> | "
-                             "perf:<n>; repeatable "
-                             "(default: obs:trickle)")
+                        help="<catalogue-name> | mod:<m>:<f>; "
+                             "repeatable (default: trickle)")
     parser.add_argument("--loop", action="append", default=None,
                         help="loops to compare, first is the reference "
                              "(default: fast plain)")
@@ -380,7 +372,7 @@ def main(argv=None):
     parser.add_argument("--context", type=int, default=3)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    scenarios = args.scenario or ["obs:trickle"]
+    scenarios = args.scenario or ["trickle"]
     loops = tuple(args.loop or DEFAULT_LOOPS)
     tiers = tuple(args.tier or DEFAULT_TIERS)
     failed = False

@@ -79,7 +79,7 @@ def relay(observatory=None):
 
 
 def test_fast_and_plain_loops_agree_on_trickle():
-    reports = diff_scenario("obs:trickle")
+    reports = diff_scenario("trickle")
     assert [r.tier for r in reports] == ["dispatch", "timeline"]
     for report in reports:
         assert report.loops == ("fast", "plain")
@@ -90,12 +90,12 @@ def test_fast_and_plain_loops_agree_on_trickle():
 
 
 def test_fast_and_plain_loops_agree_on_faults_smoke():
-    for report in diff_scenario("faults:smoke"):
+    for report in diff_scenario("smoke"):
         assert report.identical, report.format()
 
 
 def test_digest_mode_agrees_without_keeping_lines():
-    (report,) = diff_scenario("obs:trickle", tiers=("dispatch",),
+    (report,) = diff_scenario("trickle", tiers=("dispatch",),
                               digest=True)
     assert report.identical, report.format()
     assert report.events_a > 0
@@ -129,7 +129,7 @@ def test_both_loops_agree_when_stopped_by_an_event():
     """The event-stopped mode: the fast loop and the plain step() loop
     stop on the same dispatch of every ``run`` and leave the same entry
     at the head of the queue."""
-    for spec in ("obs:trickle", relay):
+    for spec in ("trickle", relay):
         (report,) = diff_scenario(spec, tiers=("stops",))
         assert report.identical, report.format()
         assert report.events_a > 0
@@ -200,21 +200,21 @@ def test_broken_queue_divergence_is_caught_in_digest_mode():
 
 
 def test_main_reports_clean_run(capsys):
-    assert main(["--scenario", "obs:trickle", "--tier", "dispatch"]) == 0
+    assert main(["--scenario", "trickle", "--tier", "dispatch"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out
 
 
 def test_main_runs_the_event_stopped_mode_over_both_loops(capsys):
     """The CLI shape of the CI loop-differential stops step."""
-    code = main(["--scenario", "obs:trickle", "--tier", "stops"])
+    code = main(["--scenario", "trickle", "--tier", "stops"])
     assert code == 0
     out = capsys.readouterr().out
     assert "[stops]" in out and "fast vs plain" in out
 
 
 def test_main_flags_broken_queue(capsys):
-    code = main(["--scenario", "obs:trickle", "--tier", "dispatch",
+    code = main(["--scenario", "trickle", "--tier", "dispatch",
                  "--loop", "fast", "--loop", "broken-ties", "--json"])
     assert code == 1
     out = capsys.readouterr().out

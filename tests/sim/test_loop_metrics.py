@@ -28,7 +28,7 @@ def _assert_loops_agree(spec):
 
 
 def test_both_loops_export_the_same_metrics_on_trickle():
-    _assert_loops_agree("obs:trickle")
+    _assert_loops_agree("trickle")
 
 
 def test_both_loops_export_the_same_metrics_on_commuter(monkeypatch):
@@ -145,7 +145,7 @@ def test_metrics_tier_catches_a_wrong_write_back(monkeypatch):
 
 
 def test_cli_runs_the_metrics_tier(capsys):
-    code = main(["--scenario", "obs:trickle", "--tier", "metrics",
+    code = main(["--scenario", "trickle", "--tier", "metrics",
                  "--loop", "plain", "--loop", "fast"])
     out = capsys.readouterr().out
     assert code == 0

@@ -1,61 +1,60 @@
-"""``repro spec``: list/show/validate/run, exit codes, error listings."""
+"""``repro spec`` (list/show/validate) and ``repro run`` in-process:
+exit codes, error listings, refused flags, the one REPRO_FAST rule."""
 
 import json
 
 import pytest
 
+from repro.cli import _fast_variant, build_parser, main
 from repro.spec import catalog
-from repro.spec.cli import _fast_variant, main
 from repro.spec.model import ScenarioSpec
+from tests.conftest import exits_2
 
 
 def test_list_names_every_shipped_spec(capsys):
-    assert main(["list"]) == 0
+    assert main(["spec", "list"]) == 0
     out = capsys.readouterr().out
     for name in catalog.CATALOG:
         assert name in out
 
 
 def test_show_emits_the_canonical_document(capsys):
-    assert main(["show", "trickle"]) == 0
+    assert main(["spec", "show", "trickle"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == catalog.get("trickle").to_dict()
 
 
 def test_show_unknown_name_lists_choices(capsys):
-    assert main(["show", "nope"]) == 2
-    err = capsys.readouterr().err
+    err = exits_2(["spec", "show", "nope"], capsys)
     assert "unknown spec" in err
     assert "trickle" in err and "commuter" in err
 
 
 def test_validate_all_passes_on_the_shipped_catalogue(capsys):
-    assert main(["validate", "--all"]) == 0
+    assert main(["spec", "validate", "--all"]) == 0
     out = capsys.readouterr().out
     assert "%d spec(s) valid" % len(catalog.CATALOG) in out
 
 
 def test_validate_named_specs(capsys):
-    assert main(["validate", "trickle", "commuter"]) == 0
+    assert main(["spec", "validate", "trickle", "commuter"]) == 0
     out = capsys.readouterr().out
     assert "trickle" in out and "commuter" in out
 
 
 def test_validate_requires_names_or_all(capsys):
-    assert main(["validate"]) == 2
-    assert "--all" in capsys.readouterr().err
+    assert "--all" in exits_2(["spec", "validate"], capsys)
 
 
 def test_validate_unknown_name_lists_choices(capsys):
-    assert main(["validate", "nope"]) == 2
-    assert "unknown spec" in capsys.readouterr().err
+    assert "unknown spec" in exits_2(["spec", "validate", "nope"], capsys)
 
 
 def test_validate_all_fails_listing_per_spec_errors(capsys, monkeypatch):
     broken = ScenarioSpec(name="Broken Name", kind="testbed",
                           family="script")
     monkeypatch.setitem(catalog.CATALOG, "broken", broken)
-    assert main(["validate", "--all"]) == 1
+    assert main(["spec", "validate", "--all"]) == 1
     out = capsys.readouterr().out
     assert "INVALID" in out
     assert "name: must match" in out
@@ -70,9 +69,64 @@ def test_run_prints_the_summary(capsys):
     assert "Observability summary" in out
 
 
-def test_run_unknown_name_lists_choices(capsys):
-    assert main(["run", "nope"]) == 2
-    assert "unknown spec" in capsys.readouterr().err
+def test_run_unknown_name_lists_choices(capsys, tmp_path):
+    """One unknown-name error: every mode exits 2, on stderr, listing
+    the whole catalogue."""
+    for mode in ([], ["--shards"], ["--ckpt", str(tmp_path / "ck")]):
+        err = exits_2(["run", "nope"] + mode, capsys)
+        assert "unknown spec 'nope'" in err
+        assert all(name in err for name in catalog.CATALOG)
+    assert not (tmp_path / "ck").exists()
+
+
+REFUSED = [
+    (["trickle", "--days", "3"], "--days", "testbed spec"),
+    (["trickle", "--shards"], "--shards", "testbed spec"),
+    (["doc-archive", "--ckpt", "ck"], "--ckpt", "testbed spec"),
+    (["smoke", "--workers", "2"], "--workers", "testbed spec"),
+    (["smoke", "--verify"], "--verify", "testbed spec"),
+    (["fleet-golden", "--shards"], "--shards", "no shard plan"),
+    (["fleet-golden", "--ckpt", "ck"], "--ckpt", "no shard plan"),
+    (["fleet-8", "--shards", "--ckpt", "ck"], "--shards", "pick one"),
+    (["fleet-8", "--workers", "0"], "--workers", "--shards or --ckpt"),
+    (["fleet-8", "--ckpt", "ck", "--verify"], "--verify", "needs --shards"),
+    (["fleet-8", "--shards", "--day-seconds", "600"], "--day-seconds",
+     "needs --ckpt"),
+    (["fleet-8", "--resident"], "--resident", "needs --ckpt"),
+    (["fleet-8", "--ckpt", "ck", "--days", "1.5"], "--days", "whole day"),
+    (["fleet-8", "--out", "t.jsonl"], "--out", "testbed spec"),
+    (["fleet-8", "--shards", "--metrics-csv", "m.csv"], "--metrics-csv",
+     "testbed spec"),
+    (["fleet-8", "--ckpt", "ck", "--fingerprint"], "--fingerprint",
+     "testbed spec"),
+    (["fleet-8", "--shards", "--check-invariants"], "--check-invariants",
+     "in-process"),
+    (["fleet-8", "--ckpt", "ck", "--json", "r.json"], "--json",
+     "manifest.json"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, why", REFUSED,
+                         ids=[" ".join(row[0]) for row in REFUSED])
+def test_run_refuses_inapplicable_flags(argv, flag, why, capsys, tmp_path,
+                                        monkeypatch):
+    """Refused, never ignored: exit 2 naming the flag and the reason,
+    before anything runs or is written."""
+    monkeypatch.chdir(tmp_path)
+    err = exits_2(["run"] + argv, capsys)
+    assert "repro run %s: %s: " % (argv[0], flag) in err
+    assert why in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", [
+    spec.name for spec in catalog.shipped()
+    if spec.clients.desktops + spec.clients.laptops <= 64])
+def test_run_exits_0_for_every_spec_at_smoke_scale(name, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("REPRO_FAST", "1")
+    assert main(["run", name]) == 0
+    assert "spec %s " % name in capsys.readouterr().out
 
 
 def test_run_check_invariants_reports_checks(capsys):
@@ -84,7 +138,7 @@ def test_run_check_invariants_reports_checks(capsys):
 
 def test_run_json_writes_the_report(capsys, tmp_path):
     out_path = tmp_path / "spec.json"
-    assert main(["run", "trickle", "--json", "--out", str(out_path)]) == 0
+    assert main(["run", "trickle", "--json", str(out_path)]) == 0
     payload = json.loads(out_path.read_text())
     assert payload["spec"] == catalog.get("trickle").to_dict()
     assert "cml_reintegrated" in payload["summary"]
@@ -96,46 +150,70 @@ def test_run_fleet_spec_with_days_override(capsys):
     assert "clients" in out
 
 
-def test_fast_variant_scales_fleet_days(monkeypatch):
+def fast(monkeypatch, *argv):
+    """``_fast_variant`` as ``REPRO_FAST=1 repro run <argv>`` applies it."""
     monkeypatch.setenv("REPRO_FAST", "1")
-    spec, days = _fast_variant(catalog.get("fleet-golden"), None)
-    assert days == catalog.get("fleet-golden").duration / 8.0
-    spec, days = _fast_variant(catalog.get("fleet-golden"), 0.5)
-    assert days == 0.5           # explicit --days wins
+    args = build_parser().parse_args(["run"] + list(argv))
+    return _fast_variant(catalog.get(args.spec), args)
+
+
+def test_fast_variant_scales_fleet_days(monkeypatch):
+    eighth = catalog.get("fleet-8").duration / 8.0
+    assert fast(monkeypatch, "fleet-8")[1] == eighth
+    assert fast(monkeypatch, "fleet-8", "--shards")[1] == eighth
+    assert fast(monkeypatch, "fleet-8", "--days", "0.5")[1] == 0.5
+    # A checkpointed run shrinks the day unit, not the unit count.
+    assert fast(monkeypatch, "fleet-8", "--ckpt", "ck")[1:] \
+        == (None, 10_800.0)
+    assert fast(monkeypatch, "fleet-8", "--ckpt", "ck",
+                "--day-seconds", "600")[2] == 600.0
 
 
 def test_fast_variant_reshapes_the_commuter_fleet(monkeypatch):
     """A days/8 window would miss both commute edges; the commuter's
     fast shape shrinks the fleet and keeps the day long enough to
-    cover the morning and evening commutes."""
-    monkeypatch.setenv("REPRO_FAST", "1")
-    spec, days = _fast_variant(catalog.get("commuter"), None)
+    cover the morning and evening commutes — sharded too, where only
+    the days apply (the shard plan is a function of the name)."""
     shape = catalog.FAST_FLEET["commuter"]
+    spec, days, _ = fast(monkeypatch, "commuter")
     assert (spec.clients.desktops, spec.clients.laptops) \
         == (shape["desktops"], shape["laptops"])
     assert days == shape["days"]
-    work_end = spec.params_dict()["work_end"]
-    assert days * 24.0 > work_end    # the evening commute happens
-    spec, days = _fast_variant(catalog.get("commuter"), 0.25)
-    assert days == 0.25          # explicit --days wins
+    assert days * 24.0 > spec.params_dict()["work_end"]
+    spec, days, _ = fast(monkeypatch, "commuter", "--shards")
+    assert spec == catalog.get("commuter")
+    assert days == shape["days"]
+    assert fast(monkeypatch, "commuter", "--days", "0.25")[1] == 0.25
+
+
+def test_fast_commuter_reports_its_days_in_both_modes(monkeypatch, capsys):
+    """0.75 day in-process and sharded — not the 0.125 day the sharded
+    door used to run, which misses both commute edges."""
+    monkeypatch.setenv("REPRO_FAST", "1")
+    assert main(["run", "commuter"]) == 0
+    assert "simulation time: 64800 s" in capsys.readouterr().out
+    assert main(["run", "commuter", "--shards"]) == 0
+    assert "0.75 day(s) each" in capsys.readouterr().out
 
 
 def test_fast_variant_applies_family_params(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST", "1")
-    spec, days = _fast_variant(catalog.get("conflict-storm"), None)
+    spec, days, _ = fast(monkeypatch, "conflict-storm")
     assert spec.params_dict()["writers"] \
         == catalog.FAST_PARAMS["conflict-storm"]["writers"]
     assert days is None
+    assert fast(monkeypatch, "trickle")[0] == catalog.get("trickle")
 
 
 def test_fast_variant_is_identity_without_the_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAST", raising=False)
-    spec, days = _fast_variant(catalog.get("conflict-storm"), None)
-    assert spec == catalog.get("conflict-storm")
+    args = build_parser().parse_args(["run", "conflict-storm"])
+    assert _fast_variant(catalog.get("conflict-storm"), args) \
+        == (catalog.get("conflict-storm"), None, None)
 
 
 def test_repro_cli_delegates_to_spec(capsys):
-    from repro.cli import main as repro_main
-    with pytest.raises(SystemExit) as excinfo:
-        repro_main(["spec", "validate", "--all"])
-    assert excinfo.value.code == 0
+    """``spec`` is an ordinary nested subparser: it needs a subcommand,
+    and ``run`` is no longer one of them."""
+    exits_2(["spec"], capsys)
+    assert "invalid choice: 'run'" in exits_2(["spec", "run", "trickle"],
+                                              capsys)

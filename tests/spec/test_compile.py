@@ -1,31 +1,16 @@
-"""The spec compiler: ported scenarios stay equivalent, knobs work.
+"""The spec compiler: the one run entry and its knobs.
 
 The golden fixtures pin the compiled timelines across checkouts; these
-tests pin the *wiring* — legacy entry points and the compiler produce
-the same run, seeds fold the way each subsystem always folded them,
-and the fault-plan/schedule-log escape hatches still function.
+tests pin the *wiring* — seeds fold through each spec's seed kind, and
+the fault-plan/schedule-log escape hatches function.
 """
 
 import pytest
 
 from repro.obs import Observatory
-from repro.obs.scenarios import fingerprint, run_scenario
 from repro.spec.catalog import get
 from repro.spec.compile import fleet_config, run_spec, stream_sweep
 from repro.spec.seeds import master_seed
-
-
-def test_legacy_obs_wrapper_equals_compiled_run():
-    legacy = fingerprint(run_scenario("trickle"))
-    compiled = fingerprint(run_spec(get("trickle")).testbed)
-    assert compiled == legacy
-
-
-def test_legacy_faults_wrapper_equals_compiled_run():
-    from repro.faults.scenarios import fault_fingerprint, run_fault_scenario
-    legacy = fault_fingerprint(run_fault_scenario("smoke"))
-    compiled = fault_fingerprint(run_spec(get("smoke")).testbed)
-    assert compiled == legacy
 
 
 def test_script_summary_shape():

@@ -1,16 +1,16 @@
-"""Seed derivation: one sanctioned helper, legacy strings byte-identical.
+"""Seed derivation: one sanctioned function, pinned strings byte-identical.
 
-The three hand-written ``scenario_seed`` helpers (obs/faults/perf)
-were deduplicated into :mod:`repro.spec.seeds`.  These tests pin the
-seed *strings* — literal values included — so no refactor can silently
-move a scenario into a different stream universe (which would flip
-every golden digest).
+The obs/faults/perf subsystems each folded ``--seed`` their own way;
+:func:`repro.spec.seeds.master_seed` keeps those three conventions as
+one per-kind table.  These tests pin the seed *strings* — literal
+values included — so no refactor can silently move a scenario into a
+different stream universe (which would flip every golden digest).
 """
 
 import pytest
 
 from repro.sim.rand import derive_rng
-from repro.spec.seeds import SEED_KINDS, master_seed, scenario_seed
+from repro.spec.seeds import SEED_KINDS, master_seed
 
 #: Literal derivations pinned at the time of the dedup; if these move,
 #: every golden digest moves with them.
@@ -27,28 +27,23 @@ def test_kinds_are_closed():
 
 @pytest.mark.parametrize("kind", ["obs", "faults"])
 def test_none_seed_is_master_zero(kind):
-    """The obs/faults CLIs treat None as 'the canonical streams'."""
-    assert scenario_seed(kind, "anything", None) == 0
+    """obs/faults specs treat None as 'the canonical streams'."""
     assert master_seed(kind, "anything", None) == 0
 
 
 @pytest.mark.parametrize("kind", SEED_KINDS)
 def test_derivation_goes_through_the_sanctioned_path(kind):
-    expected = derive_rng(kind, "demo", 7).getrandbits(63)
-    assert scenario_seed(kind, "demo", 7) == expected
+    bits = 32 if kind == "perf" else 63
+    assert master_seed(kind, "demo", 7) \
+        == derive_rng(kind, "demo", 7).getrandbits(bits)
 
 
 def test_pinned_literals():
-    assert scenario_seed("obs", "trickle", 0) == PINNED[("obs", "trickle", 0)]
-    assert scenario_seed("perf", "fleet-8", 0, bits=32) \
-        == PINNED[("perf", "fleet-8", 0)]
-    assert scenario_seed("spec", "doc-archive", 0) \
-        == PINNED[("spec", "doc-archive", 0)]
+    for (kind, name, seed), literal in PINNED.items():
+        assert master_seed(kind, name, seed) == literal
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown seed kind"):
-        scenario_seed("bench", "x", 0)
     with pytest.raises(ValueError, match="unknown seed kind"):
         master_seed("bench", "x", 0)
 
@@ -67,25 +62,7 @@ def test_spec_master_always_derives_63_bit():
     assert master_seed("spec", "commuter", 0) == expected
 
 
-def test_legacy_obs_helper_is_the_shared_one():
-    from repro.obs.scenarios import scenario_seed as obs_seed
-    assert obs_seed is scenario_seed
-
-
-def test_legacy_faults_helper_is_the_shared_one():
-    from repro.faults.scenarios import scenario_seed as faults_seed
-    assert faults_seed is scenario_seed
-
-
-def test_legacy_perf_helper_matches_the_shared_one():
-    from repro.perf.scenarios import scenario_seed as perf_seed
-    assert perf_seed("fleet-32", 5) \
-        == scenario_seed("perf", "fleet-32", 5, bits=32)
-    assert perf_seed("fleet-32") \
-        == scenario_seed("perf", "fleet-32", 0, bits=32)
-
-
 def test_kinds_never_collide():
     """The kind prefix separates universes for the same (name, seed)."""
-    seeds = {scenario_seed(kind, "same-name", 3) for kind in SEED_KINDS}
+    seeds = {master_seed(kind, "same-name", 3) for kind in SEED_KINDS}
     assert len(seeds) == len(SEED_KINDS)
