@@ -130,7 +130,7 @@ def _run_child(spec, hash_seed, decoy):
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     command = [sys.executable, "-m", "repro.analysis.divergence",
-               "--child", "--scenario", spec, "--decoy", str(decoy)]
+               "--scenario", spec, "--decoy", str(decoy)]
     proc = subprocess.run(command, env=env, capture_output=True,
                           text=True)
     if proc.returncode != 0:
@@ -229,45 +229,5 @@ def check_determinism(spec, perturbations=DEFAULT_PERTURBATIONS,
         identical=True, events_a=len(lines_a), events_b=len(lines_a))
 
 
-def main(argv=None):
-    """``repro check-determinism`` entry point.
-
-    Exit status: 0 timelines identical, 1 divergence, 2 usage error.
-    """
-    import argparse
-    argv = sys.argv[1:] if argv is None else argv
-    if "--child" in argv:
-        argv = [a for a in argv if a != "--child"]
-        return _child_main(argv)
-    parser = argparse.ArgumentParser(
-        prog="repro check-determinism",
-        description="Detect schedule divergence under hash-seed and "
-                    "decoy-stream perturbation")
-    parser.add_argument("--scenario", default="trickle",
-                        help="<catalogue-name> | mod:<module>:<function> "
-                             "(default: trickle)")
-    parser.add_argument("--context", type=int, default=3,
-                        help="events of context around a divergence")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable report")
-    args = parser.parse_args(argv)
-    try:
-        report = check_determinism(args.scenario, context=args.context)
-    except (ValueError, RuntimeError) as exc:
-        parser.exit(2, "%s\n" % exc)
-    if args.json:
-        print(json.dumps({
-            "scenario": report.scenario,
-            "identical": report.identical,
-            "events": [report.events_a, report.events_b],
-            "first_divergence": report.first_divergence,
-            "context_a": report.context_a,
-            "context_b": report.context_b,
-        }, indent=2))
-    else:
-        print(report.format())
-    return 0 if report.identical else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+if __name__ == "__main__":    # the perturbed child of _run_child
+    raise SystemExit(_child_main(sys.argv[1:]))

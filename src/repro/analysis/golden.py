@@ -166,70 +166,3 @@ def diff_digests(old, new):
                             fresh["sha256"][:16],
                             was["events"], fresh["events"]))
     return lines
-
-
-def main(argv=None):
-    """``repro golden`` entry point.
-
-    ``--check`` (the default) exits 0 when every live digest matches
-    the fixture, 1 otherwise; ``--regen`` rewrites the fixture from
-    the current tree, prints a digest diff against the previous
-    fixture (old -> new, by scenario), and exits 0.
-    """
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro golden",
-        description="Check or regenerate the golden obs-timeline "
-                    "digest fixtures")
-    parser.add_argument("--check", action="store_true",
-                        help="verify live digests against the fixture "
-                             "(the default action)")
-    parser.add_argument("--regen", action="store_true",
-                        help="rewrite the fixture from the current tree")
-    parser.add_argument("--fixture", default=DEFAULT_FIXTURE,
-                        help="fixture path (default %s)" % DEFAULT_FIXTURE)
-    parser.add_argument("--scenario", action="append", default=None,
-                        help="limit to specific scenario specs "
-                             "(repeatable; default: all pinned)")
-    args = parser.parse_args(argv)
-    if args.regen:
-        try:
-            previous = load_fixture(args.fixture)["digests"]
-        except (FileNotFoundError, ValueError):
-            previous = {}
-        fixture = write_fixture(args.fixture,
-                                args.scenario or GOLDEN_SCENARIOS)
-        for spec, entry in sorted(fixture["digests"].items()):
-            print("pinned %-44s %s… (%d events)"
-                  % (spec, entry["sha256"][:16], entry["events"]))
-        changes = diff_digests(previous, fixture["digests"])
-        if changes:
-            print("%d pin(s) moved:" % len(changes))
-            for line in changes:
-                print("  " + line)
-        else:
-            print("no pins moved")
-        print("wrote %s" % args.fixture)
-        return 0
-    try:
-        mismatches = check_golden(args.fixture, scenarios=args.scenario)
-    except FileNotFoundError:
-        print("no golden fixture at %s (run: python -m repro golden "
-              "--regen)" % args.fixture)
-        return 1
-    if mismatches:
-        print("golden: %d scenario(s) diverged from the fixture:"
-              % len(mismatches))
-        for mismatch in mismatches:
-            print("  " + mismatch.format())
-        print("if the schedule change is intentional, regen with: "
-              "python -m repro golden --regen")
-        return 1
-    fixture = load_fixture(args.fixture)
-    print("golden: %d scenario timeline(s) match the fixture"
-          % len(fixture["digests"]))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

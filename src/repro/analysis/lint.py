@@ -5,7 +5,8 @@ The contract the rules encode (see DESIGN.md, "Determinism contract"):
 * **DET001** — no wall-clock reads.  ``time.time``, ``time.monotonic``,
   ``time.perf_counter`` (and their ``_ns`` variants), ``datetime.now``,
   ``datetime.utcnow``, ``datetime.today``, ``date.today``.  Simulation
-  time is ``sim.now``; real time must never leak into behaviour.
+  time is ``sim.now``; no file under ``src/repro`` reads a wall clock
+  (timing lives in ``perfbench/``, outside the package).
 * **DET002** — no unmanaged randomness.  Module-level ``random.*``
   draws use the process-global generator; bare ``random.Random(...)``
   invents a private sequence invisible to the seed.  Stochastic code
@@ -61,9 +62,6 @@ RULES = {
 #: Rule id -> path suffixes (package-relative, ``/``-separated) where
 #: the rule is structurally satisfied and findings are suppressed.
 FILE_ALLOWLISTS = {
-    # The perf harness measures wall-clock time but never feeds it
-    # back into simulation behaviour; all its clock reads live here.
-    "DET001": ("perf/runner.py",),
     # The one sanctioned random.Random construction site: the named
     # stream family and derive_rng live here.
     "DET002": ("sim/rand.py",),
@@ -477,39 +475,3 @@ def format_text(findings):
 def format_json(findings):
     return json.dumps([finding.to_dict() for finding in findings],
                       indent=2, sort_keys=True)
-
-
-def main(argv=None):
-    """``repro lint`` / ``python -m repro.analysis.lint`` entry point.
-
-    Exit status: 0 clean, 1 findings, 2 usage error.
-    """
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Determinism linter for the simulation source")
-    parser.add_argument("paths", nargs="*",
-                        help="files/directories (default: the repro "
-                             "package source)")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable findings")
-    parser.add_argument("--rules", action="store_true",
-                        help="list the rules and exit")
-    args = parser.parse_args(argv)
-    if args.rules:
-        for rule in sorted(RULES):
-            print("%s  %s" % (rule, RULES[rule]))
-        return 0
-    if args.paths:
-        missing = [p for p in args.paths if not os.path.exists(p)]
-        if missing:
-            parser.exit(2, "no such path: %s\n" % ", ".join(missing))
-        findings = lint_paths(args.paths, root=package_root())
-    else:
-        findings = lint_package()
-    print(format_json(findings) if args.json else format_text(findings))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -472,62 +472,59 @@ def run_day(shard, config, options, state, observatory):
     ``checkpoint_restore``/``checkpoint_write`` events into it and
     tears the whole world down before returning.
     """
-    from repro.perf.runner import KernelTally
-
     check_schema(state)
     start = state.time
     end = start + options.day_seconds
-    with KernelTally() as tally:
-        sim = Simulator(start_time=start)
-        observatory.install(sim)
-        streams = RandomStreams(config.seed)
-        streams.restore(state.rng)
-        sim.rand = streams
-        net = Network(sim, rng=streams.stream("net"))
-        server = restore_server(state.server, sim, net, SERVER_1995)
-        world = _World(sim, net, server, streams, config, options,
-                       state.family, state.day, end)
-        world.shared, world.system, world.extra = _volume_lists(server)
-        world.admin_counter = state.admin_counter
-        observatory.event("checkpoint_restore", scope="shard",
-                          day=state.day, clients=len(state.clients))
-        # repro: allow[DET003] clients dict is built in spec order and
-        # pickle preserves insertion order, so iteration is a pure
-        # function of the checkpoint bytes
-        for name, client in state.clients.items():
-            world.parked[name] = client
-            world.op_counters[name] = client.op_counter
-            sessions = plan_client_day(name, client.kind, config, options,
-                                       streams, state.family, start, end)
-            if sessions:
-                sim.process(_client_day(world, name, sessions),
-                            name="ckpt-day-%s" % name)
-        sim.process(_admin_day(world), name="admin")
-        sim.run(until=end)
+    sim = Simulator(start_time=start)
+    observatory.install(sim)
+    streams = RandomStreams(config.seed)
+    streams.restore(state.rng)
+    sim.rand = streams
+    net = Network(sim, rng=streams.stream("net"))
+    server = restore_server(state.server, sim, net, SERVER_1995)
+    world = _World(sim, net, server, streams, config, options,
+                   state.family, state.day, end)
+    world.shared, world.system, world.extra = _volume_lists(server)
+    world.admin_counter = state.admin_counter
+    observatory.event("checkpoint_restore", scope="shard",
+                      day=state.day, clients=len(state.clients))
+    # repro: allow[DET003] clients dict is built in spec order and
+    # pickle preserves insertion order, so iteration is a pure
+    # function of the checkpoint bytes
+    for name, client in state.clients.items():
+        world.parked[name] = client
+        world.op_counters[name] = client.op_counter
+        sessions = plan_client_day(name, client.kind, config, options,
+                                   streams, state.family, start, end)
+        if sessions:
+            sim.process(_client_day(world, name, sessions),
+                        name="ckpt-day-%s" % name)
+    sim.process(_admin_day(world), name="admin")
+    sim.run(until=end)
 
-        clients = {}
-        for name in state.clients:
-            resident = world.resident.get(name)
-            if resident is not None:
-                kind, venus, _link = resident
-                clients[name] = capture_client(
-                    name, kind, venus, world.op_counters.get(name, 0))
-            else:
-                clients[name] = world.parked[name]
-        new_state = ShardState(
-            scenario=state.scenario, family=state.family,
-            shard_index=state.shard_index, seed=state.seed,
-            day=state.day + 1, time=end,
-            day_seconds=options.day_seconds,
-            server=capture_server(server), clients=clients,
-            rng=streams.state(), admin_counter=world.admin_counter)
-        observatory.event("checkpoint_write", scope="shard",
-                          day=state.day, clients=len(clients),
-                          resident=len(world.resident))
-        observatory.metrics.counter("ckpt.days_completed").inc()
-        observatory.uninstall()
+    clients = {}
+    for name in state.clients:
+        resident = world.resident.get(name)
+        if resident is not None:
+            kind, venus, _link = resident
+            clients[name] = capture_client(
+                name, kind, venus, world.op_counters.get(name, 0))
+        else:
+            clients[name] = world.parked[name]
+    new_state = ShardState(
+        scenario=state.scenario, family=state.family,
+        shard_index=state.shard_index, seed=state.seed,
+        day=state.day + 1, time=end,
+        day_seconds=options.day_seconds,
+        server=capture_server(server), clients=clients,
+        rng=streams.state(), admin_counter=world.admin_counter)
+    observatory.event("checkpoint_write", scope="shard",
+                      day=state.day, clients=len(clients),
+                      resident=len(world.resident))
+    observatory.metrics.counter("ckpt.days_completed").inc()
+    observatory.uninstall()
     summary = DaySummary(
-        day=state.day, dispatched=tally.events,
+        day=state.day, dispatched=sim.dispatched,
         sim_seconds=options.day_seconds,
         swap_out=world.swap_out, swap_in=world.swap_in,
         resident_max=world.resident_max)

@@ -19,10 +19,10 @@ Two buffering modes, identical final bytes:
 
 * **streamed** (default): each day unit is appended as it completes
   and dropped from memory; resident cost is one day of one shard.
-* **resident**: every day unit of every shard is held in memory and
-  flushed at the end — the traditional collect-then-write shape,
-  kept as the memory-envelope baseline ``repro perf`` compares
-  against (satellite: peak-RSS accounting in BENCH_perf.json).
+* **resident** (``stream=False``): every day unit of every shard is
+  held in memory and flushed at the end — the traditional
+  collect-then-write shape.  No CLI flag reaches it; it stays while
+  ``perfbench/`` names the keyword.
 
 :func:`report_from_store` rebuilds a full
 :class:`repro.fleetd.merge.FleetReport` from the directory alone —

@@ -22,8 +22,9 @@
     python -m repro ckpt info --out ck/
     python -m repro spec list            # the scenario catalogue
     python -m repro spec validate --all
-    python -m repro perf --scenario fleet-8 --json
-    python -m repro perf --scenario fleet-256 --workers 4
+    python -m repro perf --scenario fleet-8      # the count ledger
+    python -m repro perf --check --workers 2     # == BENCH_perf.json
+    python -m repro perf --regen                 # rewrite it
     python -m repro golden --check       # golden timeline digests
     python -m repro lint                 # determinism linter
     python -m repro check-determinism --scenario smoke
@@ -168,8 +169,8 @@ def _refusal(args, spec):
     testbed = spec.kind == "testbed"
     pooled = args.shards or args.ckpt
     rules = (      # (flags, they apply here, why not)
-        (("days", "shards", "ckpt", "workers", "verify", "day_seconds",
-          "resident"), not testbed,
+        (("days", "shards", "ckpt", "workers", "verify", "day_seconds"),
+         not testbed,
          "%s is a testbed spec: its workload fixes its duration and it "
          "has no fleet to shard" % spec.name),
         (("shards", "ckpt"), spec.shards is not None,
@@ -181,7 +182,7 @@ def _refusal(args, spec):
          "needs --shards or --ckpt (an in-process run has no pool)"),
         (("verify",), args.shards,
          "needs --shards (`repro ckpt verify` checks a store)"),
-        (("day_seconds", "resident"), args.ckpt, "needs --ckpt"),
+        (("day_seconds",), args.ckpt, "needs --ckpt"),
         (("out", "events_csv", "metrics_out", "metrics_csv",
           "fingerprint"), testbed,
          "needs a testbed spec: a fleet run has no single testbed to "
@@ -345,8 +346,7 @@ def _run_checkpointed(args, spec, days, day_seconds):
     try:
         report = run_checkpointed(
             spec.name, seed=args.seed or 0, days=days, out=args.ckpt,
-            workers=args.workers or 0, options=options,
-            stream=not args.resident)
+            workers=args.workers or 0, options=options)
     except (CheckpointError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     print(format_report(report))
@@ -356,50 +356,138 @@ def _run_checkpointed(args, spec, days, day_seconds):
 
 
 def _cmd_perf(args):
-    from repro.perf import format_result, run_perf, write_bench
+    from repro.perf import (SCENARIOS, diff_rows, format_result, read_ledger,
+                            run_perf, takes_workers, write_ledger)
 
-    results = []
-    for name in args.scenario or ["fleet-8"]:
-        for workers in args.workers or [None]:
-            try:
-                result = run_perf(name, seed=args.seed,
-                                  profile=not args.no_profile,
-                                  top=args.top, workers=workers)
-            except ValueError as exc:
-                raise SystemExit(str(exc)) from None
-            results.append(result)
-            print(format_result(result))
-    if args.json:
-        path = write_bench(results, args.out)
-        print("wrote %s" % path)
+    names = args.scenario or list(SCENARIOS)
+    try:
+        pooled = [name for name in names if takes_workers(name)]
+    except ValueError as exc:       # an unknown row; lists them all
+        _usage_error(str(exc))
+    if args.workers is not None and not pooled:
+        _usage_error("repro perf: --workers: none of %s runs a shard plan"
+                     % ", ".join(names))
+    committed = {}
+    if args.check or args.regen:
+        try:
+            committed = read_ledger(args.ledger)
+        except (FileNotFoundError, ValueError) as exc:
+            if args.check:
+                _usage_error("repro perf --check: %s (run: python -m repro "
+                             "perf --regen --ledger %s)" % (exc, args.ledger))
+    if args.check and not committed.keys() >= set(names):
+        _usage_error("repro perf --check: %s holds no row %s (run: python "
+                     "-m repro perf --regen)" % (args.ledger, ", ".join(
+                         name for name in names if name not in committed)))
+    live = {}
+    for name in names:
+        result = run_perf(
+            name, workers=args.workers if name in pooled else None)
+        print(format_result(result), flush=True)
+        live[name] = result.to_dict()
+    if not (args.check or args.regen):
+        return 0
+    moved = [line for name in names
+             for line in diff_rows(name, committed.get(name), live[name])]
+    if args.regen:
+        moved += ["%s: removed (no such row)" % name
+                  for name in committed if name not in SCENARIOS]
+        write_ledger({**committed, **live}, args.ledger)
+        print("%d field(s) moved:" % len(moved) if moved
+              else "no fields moved")
+        footer = "wrote %s" % args.ledger
+    elif moved:
+        print("perf: %d field(s) differ from %s (committed → live):"
+              % (len(moved), args.ledger))
+        footer = ("if the change is intentional, regen with: "
+                  "python -m repro perf --regen")
+    else:
+        footer = "perf: %d row(s) match %s" % (len(names), args.ledger)
+    for line in moved:
+        print("  " + line)
+    print(footer)
+    return 1 if args.check and moved else 0
 
 
 def _cmd_lint(args):
     from repro.analysis import lint
-    argv = list(args.paths)
-    if args.json:
-        argv.append("--json")
     if args.rules:
-        argv.append("--rules")
-    raise SystemExit(lint.main(argv))
+        for rule in sorted(lint.RULES):
+            print("%s  %s" % (rule, lint.RULES[rule]))
+        return 0
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        _usage_error("no such path: %s" % ", ".join(missing))
+    if args.paths:
+        findings = lint.lint_paths(args.paths, root=lint.package_root())
+    else:
+        findings = lint.lint_package()
+    print(lint.format_json(findings) if args.json
+          else lint.format_text(findings))
+    return 1 if findings else 0
 
 
 def _cmd_golden(args):
     from repro.analysis import golden
-    argv = ["--fixture", args.fixture]
     if args.regen:
-        argv.append("--regen")
-    for spec in args.scenario or ():
-        argv += ["--scenario", spec]
-    raise SystemExit(golden.main(argv))
+        try:
+            previous = golden.load_fixture(args.fixture)["digests"]
+        except (FileNotFoundError, ValueError):
+            previous = {}
+        fixture = golden.write_fixture(
+            args.fixture, args.scenario or golden.GOLDEN_SCENARIOS)
+        for spec, entry in sorted(fixture["digests"].items()):
+            print("pinned %-44s %s… (%d events)"
+                  % (spec, entry["sha256"][:16], entry["events"]))
+        changes = golden.diff_digests(previous, fixture["digests"])
+        if changes:
+            print("%d pin(s) moved:" % len(changes))
+            for line in changes:
+                print("  " + line)
+        else:
+            print("no pins moved")
+        print("wrote %s" % args.fixture)
+        return 0
+    try:
+        mismatches = golden.check_golden(args.fixture,
+                                         scenarios=args.scenario)
+    except FileNotFoundError:
+        print("no golden fixture at %s (run: python -m repro golden "
+              "--regen)" % args.fixture)
+        return 1
+    if mismatches:
+        print("golden: %d scenario(s) diverged from the fixture:"
+              % len(mismatches))
+        for mismatch in mismatches:
+            print("  " + mismatch.format())
+        print("if the schedule change is intentional, regen with: "
+              "python -m repro golden --regen")
+        return 1
+    print("golden: %d scenario timeline(s) match the fixture"
+          % len(golden.load_fixture(args.fixture)["digests"]))
+    return 0
 
 
 def _cmd_check_determinism(args):
-    from repro.analysis import divergence
-    argv = ["--scenario", args.scenario, "--context", str(args.context)]
+    import json
+
+    from repro.analysis.divergence import check_determinism
+    try:
+        report = check_determinism(args.scenario, context=args.context)
+    except (ValueError, RuntimeError) as exc:
+        _usage_error(str(exc))
     if args.json:
-        argv.append("--json")
-    raise SystemExit(divergence.main(argv))
+        print(json.dumps({
+            "scenario": report.scenario,
+            "identical": report.identical,
+            "events": [report.events_a, report.events_b],
+            "first_divergence": report.first_divergence,
+            "context_a": report.context_a,
+            "context_b": report.context_b,
+        }, indent=2))
+    else:
+        print(report.format())
+    return 0 if report.identical else 1
 
 
 def _cmd_spec_list(args):
@@ -472,8 +560,7 @@ def _cmd_ckpt_extend(args):
 
     try:
         report = extend_checkpointed(args.out, args.days,
-                                     workers=args.workers,
-                                     stream=not args.resident)
+                                     workers=args.workers)
     except (CheckpointError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     print(format_report(report))
@@ -610,34 +697,31 @@ def build_parser():
     p.add_argument("--day-seconds", type=float, default=None,
                    help="under --ckpt, sim seconds per day unit "
                         "(default 86400; REPRO_FAST=1 uses an eighth)")
-    p.add_argument("--resident", action="store_true",
-                   help="under --ckpt, buffer all results in memory and "
-                        "flush at the end instead of streaming per day "
-                        "(identical bytes, larger memory envelope)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
         "perf",
-        help="time a canned macro-scenario; report events/sec, "
-             "sim-seconds per wall-second, and hot frames")
+        help="the count ledger: run macro-scenario rows and print their "
+             "facts (events, sim seconds, digests, counts); --check them "
+             "against BENCH_perf.json or --regen it")
     p.add_argument("--scenario", action="append", default=None,
-                   help="fleet-8|fleet-32|fleet-64|fleet-golden|"
-                        "trickle-outage|transport-sweep|fleetd-64|"
-                        "fleet-256|fleet-1024|ckpt-fleet-256|"
-                        "ckpt-fleet-256-resident; repeatable "
-                        "(default: fleet-8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", action="append", type=int, default=None,
-                   help="process-pool size for the sharded scenarios; "
-                        "repeatable to time several worker counts")
-    p.add_argument("--no-profile", action="store_true",
-                   help="skip the profiled rerun (timing only)")
-    p.add_argument("--top", type=int, default=12,
-                   help="hot frames reported per scenario (default 12)")
-    p.add_argument("--json", action="store_true",
-                   help="write machine-readable results")
-    p.add_argument("--out", default="BENCH_perf.json",
-                   help="path for --json output (default BENCH_perf.json)")
+                   help="a row of the ledger (trickle-outage|"
+                        "transport-sweep|fleet-golden|fleet-8|fleet-32|"
+                        "fleet-64|fleetd-64|fleet-256|fleet-1024|"
+                        "ckpt-fleet-256); repeatable (default: all)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="process-pool size for the selected rows that run "
+                        "a shard plan (default 0: in-process); moves no "
+                        "fact")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="exit 1 naming every row.field that differs "
+                           "from the ledger (zero tolerance)")
+    mode.add_argument("--regen", action="store_true",
+                      help="rewrite the rows run in the ledger and print "
+                           "what moved")
+    p.add_argument("--ledger", default="BENCH_perf.json", metavar="PATH",
+                   help="the ledger file (default BENCH_perf.json)")
     p.set_defaults(fn=_cmd_perf)
 
     p = sub.add_parser(
@@ -696,9 +780,6 @@ def build_parser():
                    help="days to add, e.g. +1 (default +1)")
     p.add_argument("--workers", type=int, default=0,
                    help="process-pool size (0 = in-process; default 0)")
-    p.add_argument("--resident", action="store_true",
-                   help="buffer all results in memory and flush at the "
-                        "end instead of streaming per day")
     p.set_defaults(fn=_cmd_ckpt_extend)
     p = ckpt.add_parser("verify",
                         help="structural checks + sampled replay; "

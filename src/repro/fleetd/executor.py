@@ -101,13 +101,13 @@ def run_shard(shard, with_timeline=False, instrument=True):
     ``instrument=True`` (the default) attaches a fresh Observatory so
     the result carries the timeline digest, metrics rows, and stream
     stats the equivalence machinery feeds on.  ``instrument=False``
-    runs bare — no observatory, no digest — for honest wall-clock
-    timing through ``repro perf`` (observation costs real time and the
-    perf numbers must stay comparable with the unsharded scenarios).
+    runs bare — no observatory, no digest — as the count ledger's
+    in-process rows do, whose dispatch counts its sharded rows sit
+    beside.
     ``with_timeline`` additionally ships the event rows back, which
     only the small scenarios and tests want.
     """
-    from repro.perf.runner import KernelTally
+    from repro.sim import KernelTally
     from repro.spec.families import fleet_study
 
     observatory = None

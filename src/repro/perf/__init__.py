@@ -1,38 +1,32 @@
-"""Fleet-scale performance measurement (``repro perf``).
+"""The count ledger (``repro perf``): what each macro-scenario dispatches.
 
-The subsystem has two parts:
-
-* :mod:`repro.perf.profiler` — cProfile capture and hot-frame
-  extraction, so the output names the frames worth optimizing;
-* :mod:`repro.perf.runner` — the row table (catalogue fleets of
-  8/32/64 in-process, their sharded and checkpointed forms,
-  trickle-under-outage, a transport sweep) and the wall-clock harness
-  that times a row, computes events/sec and sim-seconds per
-  wall-second, and emits machine-readable ``BENCH_perf.json`` for
-  trajectory tracking across PRs.
-
-Wall-clock reads live in :mod:`repro.perf.runner` only (DET001
-allowlists it): the harness *measures* real time but never feeds it
-into simulation behaviour, so perf runs remain schedule-deterministic.
+:mod:`repro.perf.runner` holds the row table (catalogue fleets of
+8/32/64 in-process, their sharded and checkpointed forms,
+trickle-under-outage, a transport sweep), runs a row to its facts —
+``events``, ``sim_seconds``, digests and counts, each a pure function
+of (row, seed) — and reads, writes and diffs ``BENCH_perf.json``, the
+committed copy of those facts.  The file holds no host-dependent
+field; ``perfbench/`` is the only source of a timing claim.
 """
 
-from repro.perf.profiler import HotFrame, capture_profile
 from repro.perf.runner import (
     SCENARIOS,
     PerfResult,
+    diff_rows,
     format_result,
-    results_to_bench,
+    read_ledger,
     run_perf,
-    write_bench,
+    takes_workers,
+    write_ledger,
 )
 
 __all__ = [
-    "HotFrame",
     "PerfResult",
     "SCENARIOS",
-    "capture_profile",
+    "diff_rows",
     "format_result",
-    "results_to_bench",
+    "read_ledger",
     "run_perf",
-    "write_bench",
+    "takes_workers",
+    "write_ledger",
 ]

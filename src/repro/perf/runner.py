@@ -1,37 +1,29 @@
-"""Wall-clock harness for ``repro perf``.
+"""The count ledger behind ``repro perf``.
 
-This module is the only place in the tree that reads a wall clock
-(``time.perf_counter``); ``repro lint`` allowlists it for DET001.
-Real time is *measured* here but never fed back into simulation
-behaviour, so a perf run is schedule-identical to an unmeasured one.
-
-Each scenario is run twice by default: once bare for honest timing
-(events/sec, sim-seconds per wall-second) and once under cProfile for
-the hot-frame ranking.  Profiler overhead roughly doubles this
-workload's runtime, so mixing the two would corrupt the headline
-numbers that CHANGES.md tracks across PRs.
-
-The cyclic garbage collector is paused for the duration of the timed
-run.  The simulation graph is reference-counted garbage only (a
-fleet-64 run peaks under 50 MB of RSS with the collector off), so
-generational scans contribute ~10% of wall time while never freeing
-anything — pure measurement noise.  The pause is scoped to the timed
-thunk and always undone, and numbers recorded in CHANGES.md are only
-comparable with ones measured through this same harness.
+``BENCH_perf.json`` is to dispatch counts what
+``tests/golden/timelines.json`` is to schedules: every field of every
+row is a pure function of (row, seed), so regenerating the file on any
+host is a no-op and :func:`diff_rows` holds it at zero tolerance.
+Nothing here reads a clock, a profiler or the process's RSS —
+``perfbench/`` is the only source of a timing claim, and its
+``--trace 1`` is the sanctioned "where did the time go".
 """
 
-import gc
 import json
 import os
-import platform
-import sys
-import time
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import asdict, dataclass, field
 
-from repro.perf.profiler import capture_profile
-from repro.sim import kernel
+from repro.sim import KernelTally
 
-BENCH_SCHEMA = "repro.perf/6"
+BENCH_SCHEMA = "repro.perf/7"
+
+#: Repo-relative ledger location (the CLI runs from the repo root).
+DEFAULT_LEDGER = "BENCH_perf.json"
+
+#: The ``ckpt`` row's horizon: four day units of an eighth-day each.
+CKPT_DAYS = 4
+CKPT_DAY_SECONDS = 10800.0
 
 
 def _trickle_outage():
@@ -57,266 +49,165 @@ def _transport_sweep():
 
 
 #: Row name (as committed in ``BENCH_perf.json``) -> (how it runs, the
-#: catalogue spec it runs).  ``spec`` rows are ``run_spec`` in-process.
-#: ``sharded`` rows go through :mod:`repro.fleetd` *uninstrumented*, so
-#: their wall numbers stay comparable with the in-process rows
-#: (equivalence is proven by ``repro run --shards --verify``, not
-#: re-proven inside every timing run); only they take a worker count.
-#: ``streamed``/``resident`` rows measure a checkpointed run in a fresh
-#: subprocess (:mod:`repro.ckpt.bench`) so each row's peak RSS reflects
-#: one buffering strategy.  ``composite`` rows carry their own function.
+#: catalogue spec it runs), cheapest first.  ``composite`` rows carry
+#: their own function; ``spec`` rows are ``run_spec`` in-process; both
+#: are counted by a :class:`~repro.sim.KernelTally`.  ``sharded`` rows
+#: go through :mod:`repro.fleetd` uninstrumented and the ``ckpt`` row
+#: through the day driver into a scratch store; their simulators may
+#: live in pool workers, so their counts come from the merged report —
+#: the same numbers under any worker count.
 SCENARIOS = {
+    "trickle-outage": ("composite", _trickle_outage),
+    "transport-sweep": ("composite", _transport_sweep),
+    "fleet-golden": ("spec", "fleet-golden"),
     "fleet-8": ("spec", "fleet-8"),
     "fleet-32": ("spec", "fleet-32"),
     "fleet-64": ("spec", "fleet-64"),
-    "fleet-golden": ("spec", "fleet-golden"),
     "fleetd-64": ("sharded", "fleet-64"),
     "fleet-256": ("sharded", "fleet-256"),
     "fleet-1024": ("sharded", "fleet-1024"),
-    "ckpt-fleet-256": ("streamed", "fleet-256"),
-    "ckpt-fleet-256-resident": ("resident", "fleet-256"),
-    "trickle-outage": ("composite", _trickle_outage),
-    "transport-sweep": ("composite", _transport_sweep),
+    "ckpt-fleet-256": ("ckpt", "fleet-256"),
 }
 
 
-def _run_row(how, target, seed, workers):
-    """Run one row of :data:`SCENARIOS`; returns its detail dict."""
-    if how == "spec":
-        from repro.spec.catalog import get
-        from repro.spec.compile import run_spec
-        return run_spec(get(target), seed=seed).summary
-    if how == "composite":
-        return target()
-    if how == "sharded":
-        from repro.fleetd.executor import run_sharded
-        report = run_sharded(target, workers=workers, seed=seed,
-                             instrument=False)
-        detail = {key: getattr(report, key) for key in (
-            "clients", "days", "dispatched", "sim_seconds",
-            "validation_attempts", "mean_success_pct", "mean_missing_pct")}
-        detail.update(shards=len(report.shards), workers=workers)
-        return detail
-    from repro.ckpt import bench
-    return bench.measure_subprocess(
-        target, bench.BENCH_DAYS, bench.BENCH_DAY_SECONDS,
-        how == "streamed", seed=seed)
+def _row(name):
+    """``(how, target)`` of row ``name``; ValueError lists the rows."""
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise ValueError("unknown perf scenario %r (have %s)"
+                         % (name, ", ".join(SCENARIOS))) from None
 
 
-def peak_rss_kb():
-    """This process's lifetime peak RSS in kilobytes (children included).
-
-    ``ru_maxrss`` is a high-water mark for the whole process lifetime,
-    so per-row values from one interpreter share a floor; rows that
-    need an isolated envelope (the ``ckpt-*`` scenarios) measure in a
-    fresh subprocess and carry their own ``max_rss_kb`` in the detail
-    dict, which :func:`run_perf` prefers over this reading.
-    """
-    import resource
-
-    return max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-               resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-
-
-class KernelTally:
-    """Collects every :class:`Simulator` created inside a ``with`` block.
-
-    Scenarios like the transport sweep build one simulator per trial;
-    patching ``Simulator.__init__`` for the duration of the run is the
-    least invasive way to aggregate ``dispatched``/``now`` across all
-    of them without changing any scenario's return type.
-    """
-
-    def __init__(self):
-        self.sims = []
-        self._original = None
-
-    def __enter__(self):
-        self._original = kernel.Simulator.__init__
-        sims, original = self.sims, self._original
-
-        def tracking_init(sim, *args, **kwargs):
-            original(sim, *args, **kwargs)
-            sims.append(sim)
-
-        kernel.Simulator.__init__ = tracking_init
-        return self
-
-    def __exit__(self, *exc_info):
-        kernel.Simulator.__init__ = self._original
-        return False
-
-    @property
-    def events(self):
-        return sum(sim.dispatched for sim in self.sims)
-
-    @property
-    def sim_seconds(self):
-        return sum(sim.now for sim in self.sims)
+def takes_workers(name):
+    """Whether row ``name`` runs a shard plan (and so can use a pool)."""
+    return _row(name)[0] in ("sharded", "ckpt")
 
 
 @dataclass
 class PerfResult:
-    """One scenario's measurements, ready for ``BENCH_perf.json``."""
+    """One row of the ledger."""
 
     scenario: str
     seed: int
-    wall_seconds: float
     events: int
     sim_seconds: float
-    events_per_sec: float
-    sim_seconds_per_wall_second: float
     simulators: int
-    workers: int = 0        # 0 = single-process scenario
-    max_rss_kb: int = 0     # peak RSS attributable to this row
     detail: dict = field(default_factory=dict)
-    hot_frames: list = field(default_factory=list)   # [HotFrame]
 
     def to_dict(self):
-        row = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "wall_seconds": self.wall_seconds,
-            "events": self.events,
-            "sim_seconds": self.sim_seconds,
-            "events_per_sec": self.events_per_sec,
-            "sim_seconds_per_wall_second": self.sim_seconds_per_wall_second,
-            "simulators": self.simulators,
-            "workers": self.workers,
-            "max_rss_kb": self.max_rss_kb,
-            "detail": self.detail,
-        }
-        if self.hot_frames:
-            row["hot_frames"] = [f.to_dict() for f in self.hot_frames]
-        return row
+        return asdict(self)
 
 
-def run_perf(name, seed=0, profile=True, top=12, workers=None):
-    """Measure row ``name`` of :data:`SCENARIOS`; returns a :class:`PerfResult`.
-
-    ``workers`` sizes the process pool for sharded rows.  Their
-    simulators live in worker processes where the parent's
-    :class:`KernelTally` cannot see them, so event and sim-time totals
-    come from the merged shard results instead; the profiled rerun is
-    skipped because a parent-side profile would only rank pool
-    bookkeeping and pickle frames, not simulation work.
-    Subprocess-measured rows skip the profiled rerun for the same
-    reason and report the child's own ``ru_maxrss`` as ``max_rss_kb``;
-    every other row records this process's lifetime peak.  Unknown
-    names raise ValueError with the available listing, and so does a
-    worker count on a row that does not shard — silently ignored, it
-    would corrupt cross-row comparisons in BENCH_perf.json.
-    """
-    try:
-        how, target = SCENARIOS[name]
-    except KeyError:
-        raise ValueError("unknown perf scenario %r (have %s)"
-                         % (name, ", ".join(sorted(SCENARIOS)))) from None
+def _run_pooled(how, target, seed, workers):
+    """A shard-plan row: ``(merged FleetReport, row-specific detail)``."""
     if how == "sharded":
-        workers = workers or 1
-    elif workers:
-        raise ValueError("--workers only applies to sharded scenarios, "
-                         "not %r" % name)
-    gc_was_enabled = gc.isenabled()
-    with KernelTally() as tally:
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            detail = _run_row(how, target, seed, workers)
-            wall = time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            gc.collect()
-    if tally.sims:
-        events = tally.events
-        sim_seconds = tally.sim_seconds
-        simulators = len(tally.sims)
-    else:
-        events = detail.get("dispatched", 0)
-        sim_seconds = detail.get("sim_seconds", 0.0)
-        simulators = detail.get("shards", 0)
-    frames = []
-    if profile and how in ("spec", "composite"):
-        _, frames = capture_profile(
-            lambda: _run_row(how, target, seed, None), top=top)
-    rss = detail.get("max_rss_kb") or peak_rss_kb()
-    return PerfResult(
-        scenario=name,
-        seed=seed,
-        wall_seconds=round(wall, 6),
-        events=events,
-        sim_seconds=round(sim_seconds, 6),
-        events_per_sec=round(events / wall, 3) if wall > 0 else 0.0,
-        sim_seconds_per_wall_second=(
-            round(sim_seconds / wall, 3) if wall > 0 else 0.0),
-        simulators=simulators,
-        workers=workers or 0,
-        max_rss_kb=rss,
-        detail=detail,
-        hot_frames=frames)
+        from repro.fleetd.executor import run_sharded
+        return run_sharded(target, workers=workers, seed=seed,
+                           instrument=False), {}
+    from repro.ckpt import CkptOptions, run_checkpointed
+    with tempfile.TemporaryDirectory(prefix="repro-perf-") as scratch:
+        report = run_checkpointed(
+            target, seed=seed, days=CKPT_DAYS, out=scratch, workers=workers,
+            options=CkptOptions(day_seconds=CKPT_DAY_SECONDS))
+        store_bytes = sum(
+            os.path.getsize(os.path.join(folder, name))
+            for folder, _dirs, names in os.walk(scratch) for name in names)
+    return report, {"day_seconds": CKPT_DAY_SECONDS,
+                    "fleet_digest": report.fleet_digest,
+                    "store_bytes": store_bytes}
 
 
-def results_to_bench(results):
-    """Wrap PerfResults in the machine-readable BENCH_perf envelope.
+def run_perf(name, seed=0, workers=None):
+    """Run row ``name`` of :data:`SCENARIOS`; returns a :class:`PerfResult`.
 
-    ``cpus`` records the box's core count because sharded rows are
-    meaningless without it: a 4-worker run on one core measures pool
-    overhead, not parallel speedup.
+    ``workers`` sizes the process pool of a row that runs a shard plan
+    (default 0: in-process, as ``repro run``); it changes no field of
+    the result.  Unknown names raise ValueError with the available
+    listing, and so does a worker count on a row that has no shard
+    plan — refused, never ignored.
     """
-    return {
-        "schema": BENCH_SCHEMA,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-        "max_rss_kb": peak_rss_kb(),
-        "scenarios": sorted(SCENARIOS),
-        "results": [r.to_dict() for r in results],
-    }
+    how, target = _row(name)
+    if takes_workers(name):
+        report, detail = _run_pooled(how, target, seed, workers or 0)
+        detail.update((key, getattr(report, key)) for key in (
+            "clients", "days", "validation_attempts", "mean_success_pct",
+            "mean_missing_pct"))
+        events, sim_seconds = report.dispatched, report.sim_seconds
+        simulators = len(report.shards)
+    elif workers:
+        raise ValueError("--workers only applies to rows that run a shard "
+                         "plan, not %r" % name)
+    else:
+        with KernelTally() as tally:
+            if how == "spec":
+                from repro.spec.catalog import get
+                from repro.spec.compile import run_spec
+                detail = run_spec(get(target), seed=seed).summary
+            else:
+                detail = target()
+        events, sim_seconds = tally.events, tally.sim_seconds
+        simulators = len(tally.sims)
+    return PerfResult(scenario=name, seed=seed, events=events,
+                      sim_seconds=round(sim_seconds, 6),
+                      simulators=simulators, detail=detail)
 
 
-def write_bench(results, path="BENCH_perf.json"):
-    """Write ``BENCH_perf.json``; returns the path written."""
+def _fields(value, prefix):
+    """``(dotted.path, leaf)`` for every leaf under a row or sub-dict."""
+    if not isinstance(value, dict):
+        yield prefix, value
+        return
+    for key in sorted(value):
+        yield from _fields(value[key], "%s.%s" % (prefix, key))
+
+
+def format_result(result):
+    """One :class:`PerfResult`'s facts, a ``row.field: value`` per line."""
+    return "\n".join("%s: %s" % leaf for leaf in
+                     _fields(result.to_dict(), result.scenario))
+
+
+# ---------------------------------------------------------------------------
+# The ledger file
+
+
+def read_ledger(path=DEFAULT_LEDGER):
+    """The committed rows, ``{name: row}``.
+
+    Raises FileNotFoundError if absent and ValueError for another
+    schema (an older ledger held host-dependent fields; only
+    ``--regen`` may replace it).
+    """
+    with open(path) as fh:
+        ledger = json.load(fh)
+    if ledger.get("schema") != BENCH_SCHEMA:
+        raise ValueError("unexpected ledger schema %r in %s (want %s)"
+                         % (ledger.get("schema"), path, BENCH_SCHEMA))
+    return {row["scenario"]: row for row in ledger["results"]}
+
+
+def write_ledger(rows, path=DEFAULT_LEDGER):
+    """Write ``{name: row}`` in :data:`SCENARIOS` order; returns ``path``."""
+    ledger = {"schema": BENCH_SCHEMA,
+              "results": [rows[name] for name in SCENARIOS if name in rows]}
     with open(path, "w") as fh:
-        json.dump(results_to_bench(results), fh, indent=2, sort_keys=True)
+        json.dump(ledger, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
-def format_result(result):
-    """Human-readable report for one :class:`PerfResult`."""
-    lines = [
-        "scenario %s (seed %d%s)"
-        % (result.scenario, result.seed,
-           ", %d worker(s)" % result.workers if result.workers else ""),
-        "  wall           %10.3f s" % result.wall_seconds,
-        "  events         %10d   (%s/sec)"
-        % (result.events, _si(result.events_per_sec)),
-        "  sim time       %10.1f s  (%.1fx real time)"
-        % (result.sim_seconds, result.sim_seconds_per_wall_second),
-        "  simulators     %10d" % result.simulators,
-        "  peak rss       %10.1f MB" % (result.max_rss_kb / 1024.0),
-    ]
-    for key, value in sorted(result.detail.items()):
-        lines.append("  %-14s %10s" % (key, _compact(value)))
-    if result.hot_frames:
-        lines.append("  hot frames (by self time, profiled rerun):")
-        for frame in result.hot_frames:
-            lines.append("    " + frame.format())
-    return "\n".join(lines)
+def diff_rows(name, committed, live):
+    """One ``row.field: committed → live`` line per field that differs.
 
-
-def _si(value):
-    if value >= 1e6:
-        return "%.2fM" % (value / 1e6)
-    if value >= 1e3:
-        return "%.1fk" % (value / 1e3)
-    return "%.0f" % value
-
-
-def _compact(value):
-    if isinstance(value, float):
-        return "%.2f" % value
-    if isinstance(value, dict):
-        return "{%d keys}" % len(value)
-    return str(value)
+    ``committed`` may be None (a row the ledger does not hold yet);
+    ``detail`` is compared leaf by leaf.  No tolerance: every field is
+    a pure function of (row, seed).
+    """
+    old = dict(_fields(committed or {}, name))
+    new = dict(_fields(live, name))
+    absent = "(absent)"
+    return ["%s: %s → %s" % (path, old.get(path, absent),
+                             new.get(path, absent))
+            for path in sorted(set(old) | set(new))
+            if old.get(path, absent) != new.get(path, absent)]

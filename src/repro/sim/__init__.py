@@ -23,12 +23,14 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Lock, Store
+from repro.sim.tally import KernelTally
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
     "Interrupt",
+    "KernelTally",
     "Lock",
     "Process",
     "RandomStreams",

@@ -38,8 +38,8 @@ class Simulator:
         self._active_process = None
         self.obs = NULL_OBS
         #: Events dispatched over this simulator's lifetime.  A plain
-        #: integer (not an obs metric) so ``repro perf`` can compute
-        #: events/sec on uninstrumented runs at one-add-per-event cost.
+        #: integer (not an obs metric) so uninstrumented runs are
+        #: counted too (the count ledger) at one-add-per-event cost.
         self.dispatched = 0
         # Named deterministic random streams (repro.sim.rand), attached
         # by the testbed builder so subsystems (e.g. fault injection)

@@ -259,7 +259,7 @@ def _fleet_summary(desktops, laptops, extras=None):
         "clients": len(reports),
         "desktops": len(desktops),
         "laptops": len(laptops),
-        "cache_miss_attempts": attempts,
+        "validation_attempts": attempts,
         "mean_missing_pct": round(
             sum(report.missing_pct for report in reports)
             / len(reports), 3) if reports else 0.0,

@@ -3,10 +3,10 @@ self-test scenarios (one clean, one with a planted set-iteration)."""
 
 import pytest
 
-from repro.analysis import divergence
 from repro.analysis.divergence import (check_determinism,
                                        compare_timelines,
                                        resolve_scenario)
+from repro.cli import main
 
 CLEAN = "mod:repro.analysis.selftest:clean_scenario"
 DIVERGENT = "mod:repro.analysis.selftest:divergent_scenario"
@@ -81,5 +81,5 @@ def test_planted_set_iteration_is_caught():
 
 
 def test_main_exit_codes():
-    assert divergence.main(["--scenario", CLEAN]) == 0
-    assert divergence.main(["--scenario", DIVERGENT]) == 1
+    assert main(["check-determinism", "--scenario", CLEAN]) == 0
+    assert main(["check-determinism", "--scenario", DIVERGENT]) == 1

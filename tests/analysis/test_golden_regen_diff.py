@@ -7,7 +7,8 @@ and removed pins, so the fixture diff never has to be read by hand.
 
 import json
 
-from repro.analysis.golden import diff_digests, load_fixture, main
+from repro.analysis.golden import diff_digests, load_fixture
+from repro.cli import main
 
 
 def entry(sha_char, events):
@@ -39,7 +40,7 @@ def test_unchanged_tables_diff_to_nothing():
 def test_regen_prints_the_moved_pins(tmp_path, capsys):
     fixture_path = str(tmp_path / "timelines.json")
     # First regen: no previous fixture, every pin is new.
-    assert main(["--regen", "--fixture", fixture_path,
+    assert main(["golden", "--regen", "--fixture", fixture_path,
                  "--scenario", "trickle"]) == 0
     stdout = capsys.readouterr().out
     assert "pinned trickle" in stdout
@@ -52,13 +53,13 @@ def test_regen_prints_the_moved_pins(tmp_path, capsys):
     fixture["digests"]["trickle"]["sha256"] = stale
     with open(fixture_path, "w") as fh:
         json.dump(fixture, fh)
-    assert main(["--regen", "--fixture", fixture_path,
+    assert main(["golden", "--regen", "--fixture", fixture_path,
                  "--scenario", "trickle"]) == 0
     stdout = capsys.readouterr().out
     assert "changed trickle" in stdout
     assert stale[:16] + "…" in stdout
 
     # A no-op regen says so.
-    assert main(["--regen", "--fixture", fixture_path,
+    assert main(["golden", "--regen", "--fixture", fixture_path,
                  "--scenario", "trickle"]) == 0
     assert "no pins moved" in capsys.readouterr().out

@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 from repro.analysis import lint
+from repro.cli import main
 
 
 def run(source, path="pkg/module.py", **kwargs):
@@ -290,7 +291,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     clean.write_text("x = 1\n")
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\nr = random.random()\n")
-    assert lint.main([str(clean)]) == 0
-    assert lint.main([str(dirty)]) == 1
+    assert main(["lint", str(clean)]) == 0
+    assert main(["lint", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "DET002" in out

@@ -35,7 +35,7 @@ def test_run_then_extend_leaves_a_two_day_manifest(flow):
 
 def test_run_prints_fleet_report_and_location(flow, capsys, tmp_path):
     out = str(tmp_path / "fresh")
-    main(RUN + ["--ckpt", out, "--resident"])
+    main(RUN + ["--ckpt", out])
     stdout = capsys.readouterr().out
     assert "fleetd fleet-8" in stdout
     assert "checkpoint: 1 day(s)" in stdout

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import build_parser, main
 from tests.conftest import exits_2
 
@@ -67,14 +65,21 @@ def test_fleetd_fast_mode_shrinks_days(monkeypatch, capsys):
     assert "byte-identical" in out
 
 
-def test_perf_workers_flag_is_repeatable():
-    args = build_parser().parse_args(
-        ["perf", "--scenario", "fleetd-64",
-         "--workers", "1", "--workers", "4"])
-    assert args.workers == [1, 4]
+def test_perf_rejects_workers_on_unsharded(capsys, monkeypatch):
+    """``--workers`` sizes the pool of the selected rows that run a
+    shard plan, and is refused when none of them does."""
+    import repro.perf
+    err = exits_2(["perf", "--scenario", "fleet-8", "--workers", "2"],
+                  capsys)
+    assert "--workers" in err and "fleet-8" in err
 
+    pools = {}
 
-def test_perf_rejects_workers_on_unsharded(capsys):
-    with pytest.raises(SystemExit, match="only applies to sharded"):
-        main(["perf", "--scenario", "fleet-8", "--workers", "2",
-              "--no-profile"])
+    def fake_run_perf(name, workers=None):
+        pools[name] = workers
+        return repro.perf.PerfResult(name, 0, 1, 1.0, 1)
+
+    monkeypatch.setattr(repro.perf, "run_perf", fake_run_perf)
+    assert main(["perf", "--scenario", "fleet-8", "--scenario",
+                 "fleetd-64", "--workers", "2"]) == 0
+    assert pools == {"fleet-8": None, "fleetd-64": 2}

@@ -24,23 +24,41 @@ BUDGET = 2.0
 SHORT_DAYS, LONG_DAYS = 0.0625, 0.25
 
 
-def calls_per_dispatch(package, days, instrument=True):
-    """(calls into repro/<package>) / (events dispatched), one fleet-8 shard.
-
-    Shared with ``tests/sim/test_kernel_budget.py``.
-    """
-    prefix = os.path.join("repro", package) + os.sep
-    shard = plan_shards("fleet-8", seed=0, days=days)[0]
+def profiled(thunk):
+    """``(profile, thunk())`` with every Python call of ``thunk`` counted."""
     profile = cProfile.Profile()
     profile.enable()
     try:
-        result = run_shard(shard, instrument=instrument)
+        result = thunk()
     finally:
         profile.disable()
-    calls = sum(entry.callcount for entry in profile.getstats()
-                if prefix in getattr(entry.code, "co_filename", ""))
+    return profile, result
+
+
+def calls_into(package, profile):
+    """Calls whose code lives under ``repro/<package>/``."""
+    prefix = os.path.join("repro", package) + os.sep
+    return sum(entry.callcount for entry in profile.getstats()
+               if prefix in getattr(entry.code, "co_filename", ""))
+
+
+def profiled_shard(days, instrument=True):
+    """``(profile, events dispatched)`` of one fleet-8 shard."""
+    shard = plan_shards("fleet-8", seed=0, days=days)[0]
+    profile, result = profiled(
+        lambda: run_shard(shard, instrument=instrument))
     assert result.dispatched > 10_000
-    return calls / result.dispatched
+    return profile, result.dispatched
+
+
+def calls_per_dispatch(package, days, instrument=True):
+    """(calls into repro/<package>) / (events dispatched), one fleet-8 shard.
+
+    Shared, with the helpers above, by ``tests/sim/test_kernel_budget.py``
+    and ``tests/venus/test_complexity_gate.py``.
+    """
+    profile, dispatched = profiled_shard(days, instrument)
+    return calls_into(package, profile) / dispatched
 
 
 def test_observation_costs_at_most_two_calls_per_dispatch_and_stays_flat():

@@ -33,7 +33,7 @@ scenario once per loop and byte-compares up to four witnesses:
 A loop is selected by the queue object handed to ``Simulator(queue=)``
 — the kernel's one test seam — injected by patching
 ``Simulator.__init__`` for the duration of a capture, the way
-``DispatchProbe`` and ``repro.perf.runner.KernelTally`` already do.
+``DispatchProbe`` and ``repro.sim.KernelTally`` already do.
 
 Scenario references are the tree's one grammar
 (``repro.analysis.divergence.resolve_scenario``: a catalogue name or

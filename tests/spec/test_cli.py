@@ -92,7 +92,6 @@ REFUSED = [
     (["fleet-8", "--ckpt", "ck", "--verify"], "--verify", "needs --shards"),
     (["fleet-8", "--shards", "--day-seconds", "600"], "--day-seconds",
      "needs --ckpt"),
-    (["fleet-8", "--resident"], "--resident", "needs --ckpt"),
     (["fleet-8", "--ckpt", "ck", "--days", "1.5"], "--days", "whole day"),
     (["fleet-8", "--out", "t.jsonl"], "--out", "testbed spec"),
     (["fleet-8", "--shards", "--metrics-csv", "m.csv"], "--metrics-csv",

@@ -90,6 +90,25 @@ def test_fleet_run_spec_reports_population():
     assert result.reports is not None
 
 
+def test_summary_and_merged_report_name_the_same_validation_attempts():
+    """Figure 9's volume-validation attempts are spelled and counted
+    alike by the in-process summary and the merged shard report
+    (fleet-golden has no shard plan, so its one fleet is the shard)."""
+    from dataclasses import asdict
+
+    from repro.fleetd.executor import ShardResult
+    from repro.fleetd.merge import merge_results
+    result = run_spec(get("fleet-golden"))
+    desktops, laptops = result.reports
+    shard = ShardResult(
+        index=0, seed=0, desktops=len(desktops), laptops=len(laptops),
+        dispatched=0, sim_seconds=0.0,
+        reports=[asdict(report) for report in desktops + laptops])
+    merged = merge_results("fleet-golden", 0, 0, [], [shard])
+    assert result.summary["validation_attempts"] \
+        == merged.validation_attempts == 41
+
+
 def test_invalid_spec_is_rejected_before_running():
     from repro.spec.model import ScenarioSpec, SpecError
     bad = ScenarioSpec(name="bad", kind="testbed", family="script")

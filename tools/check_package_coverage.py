@@ -25,7 +25,8 @@ FLOORS = {
     "fs": 85.0,
     "net": 85.0,
     "obs": 90.0,
-    "perf": 35.0,       # macro-scenarios run via `repro perf`, not tier-1
+    "perf": 75.0,       # tier-1 re-runs three ledger rows; the shard-plan
+                        # rows run in CI's `repro perf --check`
     "rpc2": 90.0,
     "server": 85.0,
     "sim": 90.0,
