@@ -19,7 +19,7 @@ at 9.6 Kb/s.
 
 from dataclasses import dataclass
 
-from repro.bench.results import Table
+from repro.bench.results import Table, fmt_bytes
 from repro.core.patience import PatienceModel
 
 KB = 1024
@@ -70,6 +70,17 @@ def curve_table(model=None, priorities=None):
             row.append("%.0f KB" % (size / KB) if size < MB
                        else "%.1f MB" % (size / MB))
         table.add(*row)
+    return table
+
+
+def points_table(points):
+    """Figure 7's file points: the bandwidths each is transparent at."""
+    table = Table("Figure 7: file points below the patience threshold",
+                  ["Priority", "Size", "Transparent at"])
+    for point in points:
+        table.add(point.priority, fmt_bytes(point.size), ", ".join(
+            "%g Kb/s" % (bw / 1000)
+            for bw, ok in sorted(point.below.items()) if ok) or "-")
     return table
 
 

@@ -117,7 +117,7 @@ def elapsed_tables(cells):
                          and c.think_threshold == think
                          and c.aging_window == window]
                 row.append("%.0f" % match[0].elapsed if match else "-")
-            if len(row) == len(NETWORKS) + 1:
+            if row.count("-") < len(NETWORKS):     # the segment ran
                 table.add(*row)
         tables.append(table)
     return tables

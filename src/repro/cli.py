@@ -2,15 +2,15 @@
 
 ::
 
-    python -m repro transport            # Figure 1
-    python -m repro aging                # Figure 4
-    python -m repro patience             # Figure 7
-    python -m repro validation           # Figure 8
-    python -m repro fleet --days 7       # Figure 9
-    python -m repro compressibility      # Figure 10
-    python -m repro segments             # Figure 11
-    python -m repro replay --segment purcell --aging 600 --think 1
-    python -m repro ablations            # the design-choice sweeps
+    python -m repro figure transport     # Figure 1
+    python -m repro figure aging         # Figure 4
+    python -m repro figure patience      # Figure 7
+    python -m repro figure validation    # Figure 8
+    python -m repro figure fleet         # Figure 9
+    python -m repro figure compressibility   # Figure 10
+    python -m repro figure segments      # Figure 11
+    python -m repro figure replay        # Figures 12-14 (purcell)
+    python -m repro figure ablations     # the design-choice sweeps
     python -m repro trace-export --segment holst --out holst.trace
     python -m repro run trickle --out trickle.jsonl
     python -m repro run smoke --check-invariants --fingerprint
@@ -22,17 +22,21 @@
     python -m repro ckpt info --out ck/
     python -m repro spec list            # the scenario catalogue
     python -m repro spec validate --all
-    python -m repro perf --scenario fleet-8      # the count ledger
-    python -m repro perf --check --workers 2     # == BENCH_perf.json
-    python -m repro perf --regen                 # rewrite it
-    python -m repro golden --check       # golden timeline digests
+    python -m repro ledger golden        # == tests/golden/timelines.json
+    python -m repro ledger perf --row fleet-8    # == its BENCH_perf.json row
+    python -m repro ledger perf --workers 2      # all ten rows, pooled
+    python -m repro ledger perf --regen          # rewrite it, print moves
     python -m repro lint                 # determinism linter
     python -m repro check-determinism --scenario smoke
 
-``repro run <spec>`` is the one way to run a catalogue scenario:
-``run_spec`` in-process, the shard plan under ``--shards``, the day
-driver into a resumable store under ``--ckpt``.  A flag the chosen
-spec or mode cannot honour is refused (exit 2), never ignored.
+``repro figure <name>`` prints a figure from :data:`repro.bench.FIGURES`
+at its shell parameters.  ``repro run <spec>`` is the one way to run a
+catalogue scenario: ``run_spec`` in-process, the shard plan under
+``--shards``, the day driver into a resumable store under ``--ckpt``.
+``repro ledger golden|perf`` is the one check/regen/diff of committed
+facts (:mod:`repro.analysis.ledger`).  A flag the chosen spec or mode
+cannot honour is refused (exit 2), never ignored, and so is an unknown
+name.
 """
 
 import argparse
@@ -40,104 +44,18 @@ import os
 import sys
 
 
-def _cmd_transport(args):
-    from repro.bench import transport
-    rows = transport.run_transport_comparison(trials=args.trials)
-    transport.format_table(rows).show()
-
-
-def _cmd_aging(args):
-    from repro.bench import aging
-    results = aging.run_aging_analysis()
-    aging.format_table(results).show()
-
-
-def _cmd_patience(args):
-    from repro.bench import patience
-    patience.curve_table().show()
-    model, points = patience.run_patience_analysis()
-    for point in points:
-        below = ", ".join("%gKb/s" % (bw / 1000)
-                          for bw, ok in sorted(point.below.items()) if ok)
-        print("priority %4d, %8d bytes: transparent at [%s]"
-              % (point.priority, point.size, below))
-
-
-def _cmd_validation(args):
-    from repro.bench import validation
-    rows = validation.run_validation_comparison()
-    validation.format_table(rows).show()
-
-
-def _cmd_fleet(args):
-    from repro.bench import fleet
-    config = fleet.FleetConfig(days=args.days,
-                               desktops=args.desktops,
-                               laptops=args.laptops)
-    desktops, laptops = fleet.run_fleet_study(config)
-    for table in fleet.format_tables(desktops, laptops):
+def _cmd_figure(args):
+    from repro.bench import FIGURES
+    for table in FIGURES[args.name]():
         table.show()
-
-
-def _cmd_compressibility(args):
-    from repro.bench import compressibility
-    result = compressibility.run_compressibility_study(
-        population=args.population)
-    compressibility.format_table(result).show()
-
-
-def _cmd_segments(args):
-    from repro.bench import segments
-    segments.format_table(segments.run_segment_characterization()).show()
-
-
-def _cmd_replay(args):
-    from repro.bench import replay
-    from repro.net import profile_by_name
-    from repro.trace.segments import SEGMENT_SPECS
-    if args.segment not in SEGMENT_SPECS:
-        raise SystemExit("unknown segment %r (have %s)"
-                         % (args.segment,
-                            ", ".join(sorted(SEGMENT_SPECS))))
-    if args.network:
-        try:
-            networks = (profile_by_name(args.network),)
-        except KeyError as exc:
-            raise SystemExit(exc.args[0]) from None
-    else:
-        networks = replay.NETWORKS
-    cells = []
-    for network in networks:
-        cell = replay.run_replay_cell(args.segment, network,
-                                      args.aging, args.think)
-        cells.append(cell)
-        print("%-9s %-9s elapsed=%7.1fs  beginCML=%5.0fKB "
-              "endCML=%5.0fKB shipped=%5.0fKB optimized=%5.0fKB"
-              % (cell.segment, cell.network, cell.elapsed,
-                 cell.begin_cml_kb, cell.end_cml_kb, cell.shipped_kb,
-                 cell.optimized_kb))
-
-
-def _cmd_ablations(args):
-    from repro.bench import ablations
-    ablations.chunk_table(ablations.run_chunk_ablation()).show()
-    ablations.aging_replay_table(
-        ablations.run_aging_replay_ablation()).show()
-    ablations.logopt_table(ablations.run_logopt_ablation()).show()
-    ablations.false_sharing_table(
-        ablations.run_false_sharing_ablation()).show()
-    ablations.compression_table(
-        ablations.run_header_compression_ablation()).show()
-    ablations.cost_table(ablations.run_cost_ablation()).show()
 
 
 def _cmd_trace_export(args):
     from repro.trace.io import save_trace
     from repro.trace.segments import SEGMENT_SPECS, segment_by_name
     if args.segment not in SEGMENT_SPECS:
-        raise SystemExit("unknown segment %r (have %s)"
-                         % (args.segment,
-                            ", ".join(sorted(SEGMENT_SPECS))))
+        _usage_error("unknown segment %r (have %s)"
+                     % (args.segment, ", ".join(sorted(SEGMENT_SPECS))))
     segment = segment_by_name(args.segment)
     save_trace(segment, args.out)
     print("wrote %s: %d references, %d updates"
@@ -355,58 +273,14 @@ def _run_checkpointed(args, spec, days, day_seconds):
     return 0
 
 
-def _cmd_perf(args):
-    from repro.perf import (SCENARIOS, diff_rows, format_result, read_ledger,
-                            run_perf, takes_workers, write_ledger)
-
-    names = args.scenario or list(SCENARIOS)
+def _cmd_ledger(args):
+    from repro.analysis import ledger
     try:
-        pooled = [name for name in names if takes_workers(name)]
-    except ValueError as exc:       # an unknown row; lists them all
-        _usage_error(str(exc))
-    if args.workers is not None and not pooled:
-        _usage_error("repro perf: --workers: none of %s runs a shard plan"
-                     % ", ".join(names))
-    committed = {}
-    if args.check or args.regen:
-        try:
-            committed = read_ledger(args.ledger)
-        except (FileNotFoundError, ValueError) as exc:
-            if args.check:
-                _usage_error("repro perf --check: %s (run: python -m repro "
-                             "perf --regen --ledger %s)" % (exc, args.ledger))
-    if args.check and not committed.keys() >= set(names):
-        _usage_error("repro perf --check: %s holds no row %s (run: python "
-                     "-m repro perf --regen)" % (args.ledger, ", ".join(
-                         name for name in names if name not in committed)))
-    live = {}
-    for name in names:
-        result = run_perf(
-            name, workers=args.workers if name in pooled else None)
-        print(format_result(result), flush=True)
-        live[name] = result.to_dict()
-    if not (args.check or args.regen):
-        return 0
-    moved = [line for name in names
-             for line in diff_rows(name, committed.get(name), live[name])]
-    if args.regen:
-        moved += ["%s: removed (no such row)" % name
-                  for name in committed if name not in SCENARIOS]
-        write_ledger({**committed, **live}, args.ledger)
-        print("%d field(s) moved:" % len(moved) if moved
-              else "no fields moved")
-        footer = "wrote %s" % args.ledger
-    elif moved:
-        print("perf: %d field(s) differ from %s (committed → live):"
-              % (len(moved), args.ledger))
-        footer = ("if the change is intentional, regen with: "
-                  "python -m repro perf --regen")
-    else:
-        footer = "perf: %d row(s) match %s" % (len(names), args.ledger)
-    for line in moved:
-        print("  " + line)
-    print(footer)
-    return 1 if args.check and moved else 0
+        plan = ledger.prepare(args.table, args.row, args.workers, args.file,
+                              args.regen)
+    except ValueError as exc:
+        _usage_error("repro ledger %s: %s" % (args.table, exc))
+    return ledger.run(*plan, workers=args.workers, regen=args.regen)
 
 
 def _cmd_lint(args):
@@ -425,47 +299,6 @@ def _cmd_lint(args):
     print(lint.format_json(findings) if args.json
           else lint.format_text(findings))
     return 1 if findings else 0
-
-
-def _cmd_golden(args):
-    from repro.analysis import golden
-    if args.regen:
-        try:
-            previous = golden.load_fixture(args.fixture)["digests"]
-        except (FileNotFoundError, ValueError):
-            previous = {}
-        fixture = golden.write_fixture(
-            args.fixture, args.scenario or golden.GOLDEN_SCENARIOS)
-        for spec, entry in sorted(fixture["digests"].items()):
-            print("pinned %-44s %s… (%d events)"
-                  % (spec, entry["sha256"][:16], entry["events"]))
-        changes = golden.diff_digests(previous, fixture["digests"])
-        if changes:
-            print("%d pin(s) moved:" % len(changes))
-            for line in changes:
-                print("  " + line)
-        else:
-            print("no pins moved")
-        print("wrote %s" % args.fixture)
-        return 0
-    try:
-        mismatches = golden.check_golden(args.fixture,
-                                         scenarios=args.scenario)
-    except FileNotFoundError:
-        print("no golden fixture at %s (run: python -m repro golden "
-              "--regen)" % args.fixture)
-        return 1
-    if mismatches:
-        print("golden: %d scenario(s) diverged from the fixture:"
-              % len(mismatches))
-        for mismatch in mismatches:
-            print("  " + mismatch.format())
-        print("if the schedule change is intentional, regen with: "
-              "python -m repro golden --regen")
-        return 1
-    print("golden: %d scenario timeline(s) match the fixture"
-          % len(golden.load_fixture(args.fixture)["digests"]))
-    return 0
 
 
 def _cmd_check_determinism(args):
@@ -604,46 +437,20 @@ def _cmd_ckpt_info(args):
 
 
 def build_parser():
+    from repro.analysis.ledger import TABLES
+    from repro.bench import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Exploiting Weak Connectivity for "
                     "Mobile File Access' (SOSP 1995)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transport", help="Figure 1: SFTP vs TCP")
-    p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(fn=_cmd_transport)
-
-    sub.add_parser("aging", help="Figure 4: aging window"
-                   ).set_defaults(fn=_cmd_aging)
-    sub.add_parser("patience", help="Figure 7: patience model"
-                   ).set_defaults(fn=_cmd_patience)
-    sub.add_parser("validation", help="Figure 8: validation time"
-                   ).set_defaults(fn=_cmd_validation)
-
-    p = sub.add_parser("fleet", help="Figure 9: fleet statistics")
-    p.add_argument("--days", type=float, default=7.0)
-    p.add_argument("--desktops", type=int, default=8)
-    p.add_argument("--laptops", type=int, default=6)
-    p.set_defaults(fn=_cmd_fleet)
-
-    p = sub.add_parser("compressibility", help="Figure 10 histogram")
-    p.add_argument("--population", type=int, default=40)
-    p.set_defaults(fn=_cmd_compressibility)
-
-    sub.add_parser("segments", help="Figure 11: segment table"
-                   ).set_defaults(fn=_cmd_segments)
-
-    p = sub.add_parser("replay", help="Figures 12-14: trace replay")
-    p.add_argument("--segment", default="purcell")
-    p.add_argument("--network", default=None,
-                   help="ethernet|wavelan|isdn|modem (default: all)")
-    p.add_argument("--aging", type=float, default=600.0)
-    p.add_argument("--think", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_replay)
-
-    sub.add_parser("ablations", help="design-choice sweeps"
-                   ).set_defaults(fn=_cmd_ablations)
+    p = sub.add_parser("figure", help="print a reproduced figure's tables "
+                                      "(transport = Figure 1 ... replay = "
+                                      "Figures 12-14, and the ablations)")
+    p.add_argument("name", choices=FIGURES)
+    p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("trace-export", help="export a trace to a file")
     p.add_argument("--segment", default="purcell")
@@ -700,29 +507,25 @@ def build_parser():
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
-        "perf",
-        help="the count ledger: run macro-scenario rows and print their "
-             "facts (events, sim seconds, digests, counts); --check them "
-             "against BENCH_perf.json or --regen it")
-    p.add_argument("--scenario", action="append", default=None,
-                   help="a row of the ledger (trickle-outage|"
-                        "transport-sweep|fleet-golden|fleet-8|fleet-32|"
-                        "fleet-64|fleetd-64|fleet-256|fleet-1024|"
-                        "ckpt-fleet-256); repeatable (default: all)")
+        "ledger",
+        help="re-run a ledger's rows and check them against its committed "
+             "facts at zero tolerance (exit 0 match, 1 differ), or --regen "
+             "it: golden = tests/golden/timelines.json, perf = "
+             "BENCH_perf.json")
+    p.add_argument("table", choices=TABLES)
+    p.add_argument("--row", action="append", default=None, metavar="NAME",
+                   help="a row of the table; repeatable (default: all)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size for the selected rows that run "
                         "a shard plan (default 0: in-process); moves no "
                         "fact")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--check", action="store_true",
-                      help="exit 1 naming every row.field that differs "
-                           "from the ledger (zero tolerance)")
-    mode.add_argument("--regen", action="store_true",
-                      help="rewrite the rows run in the ledger and print "
-                           "what moved")
-    p.add_argument("--ledger", default="BENCH_perf.json", metavar="PATH",
-                   help="the ledger file (default BENCH_perf.json)")
-    p.set_defaults(fn=_cmd_perf)
+    p.add_argument("--regen", action="store_true",
+                   help="rewrite the rows run, keep the others, and print "
+                        "what moved")
+    p.add_argument("--file", default=None, metavar="PATH",
+                   help="the ledger file (default: the table's, relative "
+                        "to the repo root)")
+    p.set_defaults(fn=_cmd_ledger)
 
     p = sub.add_parser(
         "lint",
@@ -735,20 +538,6 @@ def build_parser():
     p.add_argument("--rules", action="store_true",
                    help="list the rules and exit")
     p.set_defaults(fn=_cmd_lint)
-
-    p = sub.add_parser(
-        "golden",
-        help="check (or --regen) the golden obs-timeline digest "
-             "fixtures (exit 0 match, 1 divergence)")
-    p.add_argument("--check", action="store_true",
-                   help="verify digests against the fixture (default)")
-    p.add_argument("--regen", action="store_true",
-                   help="rewrite the fixture from the current tree")
-    p.add_argument("--fixture", default="tests/golden/timelines.json")
-    p.add_argument("--scenario", action="append", default=None,
-                   help="limit to specific scenario references "
-                        "(repeatable)")
-    p.set_defaults(fn=_cmd_golden)
 
     spec = sub.add_parser(
         "spec", help="inspect and validate the scenario catalogue"

@@ -1,25 +1,19 @@
-"""The count ledger behind ``repro perf``.
+"""The ``perf`` table of the ledger: what each macro-scenario dispatches.
 
 ``BENCH_perf.json`` is to dispatch counts what
 ``tests/golden/timelines.json`` is to schedules: every field of every
 row is a pure function of (row, seed), so regenerating the file on any
-host is a no-op and :func:`diff_rows` holds it at zero tolerance.
+host is a no-op and ``repro ledger perf`` (:mod:`repro.analysis.ledger`)
+holds it at zero tolerance.
 Nothing here reads a clock, a profiler or the process's RSS —
 ``perfbench/`` is the only source of a timing claim, and its
 ``--trace 1`` is the sanctioned "where did the time go".
 """
 
-import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
 
 from repro.sim import KernelTally
-
-BENCH_SCHEMA = "repro.perf/7"
-
-#: Repo-relative ledger location (the CLI runs from the repo root).
-DEFAULT_LEDGER = "BENCH_perf.json"
 
 #: The ``ckpt`` row's horizon: four day units of an eighth-day each.
 CKPT_DAYS = 4
@@ -84,21 +78,6 @@ def takes_workers(name):
     return _row(name)[0] in ("sharded", "ckpt")
 
 
-@dataclass
-class PerfResult:
-    """One row of the ledger."""
-
-    scenario: str
-    seed: int
-    events: int
-    sim_seconds: float
-    simulators: int
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def _run_pooled(how, target, seed, workers):
     """A shard-plan row: ``(merged FleetReport, row-specific detail)``."""
     if how == "sharded":
@@ -119,7 +98,7 @@ def _run_pooled(how, target, seed, workers):
 
 
 def run_perf(name, seed=0, workers=None):
-    """Run row ``name`` of :data:`SCENARIOS`; returns a :class:`PerfResult`.
+    """Run row ``name`` of :data:`SCENARIOS`; returns its facts dict.
 
     ``workers`` sizes the process pool of a row that runs a shard plan
     (default 0: in-process, as ``repro run``); it changes no field of
@@ -148,66 +127,6 @@ def run_perf(name, seed=0, workers=None):
                 detail = target()
         events, sim_seconds = tally.events, tally.sim_seconds
         simulators = len(tally.sims)
-    return PerfResult(scenario=name, seed=seed, events=events,
-                      sim_seconds=round(sim_seconds, 6),
-                      simulators=simulators, detail=detail)
-
-
-def _fields(value, prefix):
-    """``(dotted.path, leaf)`` for every leaf under a row or sub-dict."""
-    if not isinstance(value, dict):
-        yield prefix, value
-        return
-    for key in sorted(value):
-        yield from _fields(value[key], "%s.%s" % (prefix, key))
-
-
-def format_result(result):
-    """One :class:`PerfResult`'s facts, a ``row.field: value`` per line."""
-    return "\n".join("%s: %s" % leaf for leaf in
-                     _fields(result.to_dict(), result.scenario))
-
-
-# ---------------------------------------------------------------------------
-# The ledger file
-
-
-def read_ledger(path=DEFAULT_LEDGER):
-    """The committed rows, ``{name: row}``.
-
-    Raises FileNotFoundError if absent and ValueError for another
-    schema (an older ledger held host-dependent fields; only
-    ``--regen`` may replace it).
-    """
-    with open(path) as fh:
-        ledger = json.load(fh)
-    if ledger.get("schema") != BENCH_SCHEMA:
-        raise ValueError("unexpected ledger schema %r in %s (want %s)"
-                         % (ledger.get("schema"), path, BENCH_SCHEMA))
-    return {row["scenario"]: row for row in ledger["results"]}
-
-
-def write_ledger(rows, path=DEFAULT_LEDGER):
-    """Write ``{name: row}`` in :data:`SCENARIOS` order; returns ``path``."""
-    ledger = {"schema": BENCH_SCHEMA,
-              "results": [rows[name] for name in SCENARIOS if name in rows]}
-    with open(path, "w") as fh:
-        json.dump(ledger, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def diff_rows(name, committed, live):
-    """One ``row.field: committed → live`` line per field that differs.
-
-    ``committed`` may be None (a row the ledger does not hold yet);
-    ``detail`` is compared leaf by leaf.  No tolerance: every field is
-    a pure function of (row, seed).
-    """
-    old = dict(_fields(committed or {}, name))
-    new = dict(_fields(live, name))
-    absent = "(absent)"
-    return ["%s: %s → %s" % (path, old.get(path, absent),
-                             new.get(path, absent))
-            for path in sorted(set(old) | set(new))
-            if old.get(path, absent) != new.get(path, absent)]
+    return {"scenario": name, "seed": seed, "events": events,
+            "sim_seconds": round(sim_seconds, 6), "simulators": simulators,
+            "detail": detail}

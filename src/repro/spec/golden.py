@@ -29,7 +29,7 @@ COMMUTER_GOLDEN_DAYS = 0.75
 
 
 def commuter_golden(observatory=None):
-    """``mod:repro.spec.golden:commuter_golden`` for repro golden.
+    """``mod:repro.spec.golden:commuter_golden`` for repro ledger golden.
 
     The shipped commuter spec shrunk to 2 desktops + 2 laptops over
     0.75 days — small enough for fixtures and CI determinism probes,
@@ -45,7 +45,7 @@ def commuter_golden(observatory=None):
 
 
 def conflict_storm_golden(observatory=None):
-    """``mod:repro.spec.golden:conflict_storm_golden`` for repro golden.
+    """``mod:repro.spec.golden:conflict_storm_golden`` for repro ledger golden.
 
     The shipped conflict-storm spec at 3 writers and a single round:
     still enough concurrent disconnected writers to detect and repair
@@ -56,7 +56,7 @@ def conflict_storm_golden(observatory=None):
 
 
 def doc_archive_golden(observatory=None):
-    """``mod:repro.spec.golden:doc_archive_golden`` for repro golden.
+    """``mod:repro.spec.golden:doc_archive_golden`` for repro ledger golden.
 
     The shipped doc-archive spec at 3 containers / 16 reads with one
     hoarded container and an early commute (the link degrades at
@@ -84,10 +84,10 @@ def _golden_shard(index, observatory):
 
 
 def golden_shard0(observatory=None):
-    """``mod:repro.spec.golden:golden_shard0`` for repro golden."""
+    """``mod:repro.spec.golden:golden_shard0`` for repro ledger golden."""
     return _golden_shard(0, observatory)
 
 
 def golden_shard1(observatory=None):
-    """``mod:repro.spec.golden:golden_shard1`` for repro golden."""
+    """``mod:repro.spec.golden:golden_shard1`` for repro ledger golden."""
     return _golden_shard(1, observatory)

@@ -2,19 +2,24 @@
 
 import pytest
 
+from repro.bench import FIGURES, replay
 from repro.cli import build_parser, main
+from repro.net import MODEM
 from tests.conftest import exits_2
+
+FIGURE_NAMES = ("transport", "aging", "patience", "validation", "fleet",
+                "compressibility", "segments", "replay", "ablations")
 
 
 def test_parser_knows_all_subcommands():
     parser = build_parser()
-    for command in ("transport", "aging", "patience", "validation",
-                    "fleet", "compressibility", "segments", "replay",
-                    "ablations", "trace-export"):
-        args = parser.parse_args([command] if command != "trace-export"
-                                 else [command, "--out", "x"])
-        assert args.command == command
+    for name in FIGURE_NAMES:
+        args = parser.parse_args(["figure", name])
+        assert (args.command, args.name) == ("figure", name)
         assert callable(args.fn)
+    assert tuple(FIGURES) == FIGURE_NAMES       # the parser's choices
+    args = parser.parse_args(["trace-export", "--out", "x"])
+    assert args.command == "trace-export" and callable(args.fn)
 
 
 def test_cli_requires_a_command():
@@ -22,32 +27,48 @@ def test_cli_requires_a_command():
         build_parser().parse_args([])
 
 
-@pytest.mark.parametrize("verb", ["obs", "faults", "fleetd"])
+def test_the_top_level_verbs(capsys):
+    assert "(choose from %s)" % ", ".join(map(repr, (
+        "figure", "trace-export", "run", "ledger", "lint", "spec", "ckpt",
+        "check-determinism"))) in exits_2(["nope"], capsys)
+
+
+@pytest.mark.parametrize("verb", ["obs", "faults", "fleetd", "golden",
+                                  "perf"] + list(FIGURE_NAMES))
 def test_replaced_verbs_are_unknown_commands(verb, capsys):
-    """``repro run`` replaced them; no alias verbs survive (``spec run``
-    and ``ckpt run`` are pinned gone next to their siblings' tests)."""
+    """``repro run``, ``repro ledger`` and ``repro figure`` replaced
+    them; no alias verbs survive (``spec run`` and ``ckpt run`` are
+    pinned gone next to their siblings' tests)."""
     assert "invalid choice: %r" % verb in exits_2([verb], capsys)
 
 
+def test_unknown_figure_lists_the_figures(capsys):
+    err = exits_2(["figure", "nope"], capsys)
+    assert "invalid choice: 'nope'" in err and "replay" in err
+
+
 def test_patience_command_runs(capsys):
-    assert main(["patience"]) == 0
+    assert main(["figure", "patience"]) == 0
     out = capsys.readouterr().out
     assert "Figure 7" in out
-    assert "priority" in out
+    assert "Priority" in out and "Transparent at" in out
 
 
 def test_segments_command_runs(capsys):
-    assert main(["segments"]) == 0
+    assert main(["figure", "segments"]) == 0
     out = capsys.readouterr().out
     assert "Figure 11" in out
     assert "Purcell" in out
 
 
-def test_replay_command_single_cell(capsys):
-    assert main(["replay", "--segment", "purcell",
-                 "--network", "modem"]) == 0
+def test_replay_command_single_cell(capsys, monkeypatch):
+    """``figure replay`` over one network: the Modem cell of purcell."""
+    monkeypatch.setattr(replay, "NETWORKS", (MODEM,))
+    assert main(["figure", "replay"]) == 0
     out = capsys.readouterr().out
-    assert "Modem" in out and "elapsed" in out
+    assert "Figure 12" in out and "elapsed" in out
+    assert "Figure 14" in out and "Modem" in out
+    assert "Holst" not in out        # only the segment that ran
 
 
 def test_trace_export_roundtrip(tmp_path, capsys):
@@ -60,7 +81,8 @@ def test_trace_export_roundtrip(tmp_path, capsys):
     assert segment.references > 10_000
 
 
-def test_trace_export_unknown_segment(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["trace-export", "--segment", "nosuch",
-              "--out", str(tmp_path / "x")])
+def test_trace_export_unknown_segment(tmp_path, capsys):
+    err = exits_2(["trace-export", "--segment", "nosuch",
+                   "--out", str(tmp_path / "x")], capsys)
+    assert "unknown segment 'nosuch'" in err and "purcell" in err
+    assert not (tmp_path / "x").exists()

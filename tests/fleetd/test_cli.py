@@ -1,4 +1,4 @@
-"""``repro run <spec> --shards`` and the perf ``--workers`` plumbing."""
+"""``repro run <spec> --shards`` and the ledger ``--workers`` plumbing."""
 
 import json
 
@@ -65,21 +65,24 @@ def test_fleetd_fast_mode_shrinks_days(monkeypatch, capsys):
     assert "byte-identical" in out
 
 
-def test_perf_rejects_workers_on_unsharded(capsys, monkeypatch):
+def test_perf_rejects_workers_on_unsharded(capsys, monkeypatch, tmp_path):
     """``--workers`` sizes the pool of the selected rows that run a
     shard plan, and is refused when none of them does."""
     import repro.perf
-    err = exits_2(["perf", "--scenario", "fleet-8", "--workers", "2"],
+    err = exits_2(["ledger", "perf", "--row", "fleet-8", "--workers", "2"],
                   capsys)
     assert "--workers" in err and "fleet-8" in err
+    assert "--workers" in exits_2(["ledger", "golden", "--workers", "2"],
+                                  capsys)
 
     pools = {}
 
     def fake_run_perf(name, workers=None):
         pools[name] = workers
-        return repro.perf.PerfResult(name, 0, 1, 1.0, 1)
+        return {"events": 1}
 
     monkeypatch.setattr(repro.perf, "run_perf", fake_run_perf)
-    assert main(["perf", "--scenario", "fleet-8", "--scenario",
-                 "fleetd-64", "--workers", "2"]) == 0
+    assert main(["ledger", "perf", "--row", "fleet-8", "--row", "fleetd-64",
+                 "--workers", "2", "--regen",
+                 "--file", str(tmp_path / "ledger.json")]) == 0
     assert pools == {"fleet-8": None, "fleetd-64": 2}

@@ -9,7 +9,7 @@ intentional or not — fails here first.
 After an *intentional* semantic change, regenerate and commit the
 fixture::
 
-    python -m repro golden --regen
+    python -m repro ledger golden --regen
 """
 
 import os
@@ -18,42 +18,37 @@ import sys
 
 import pytest
 
-from repro.analysis.golden import (
-    GOLDEN_SCENARIOS,
-    load_fixture,
-    timeline_digest,
-)
+from repro.analysis import ledger
+from repro.analysis.golden import GOLDEN_SCENARIOS, timeline_pin
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "timelines.json")
 
 
 @pytest.fixture(scope="module")
 def fixture():
-    return load_fixture(FIXTURE)
+    return ledger.read(FIXTURE)
 
 
 def test_fixture_pins_every_golden_scenario(fixture):
-    assert sorted(fixture["digests"]) == sorted(GOLDEN_SCENARIOS)
+    assert sorted(fixture) == sorted(GOLDEN_SCENARIOS)
 
 
 @pytest.mark.parametrize("spec", GOLDEN_SCENARIOS)
 def test_timeline_matches_fixture(fixture, spec):
-    pinned = fixture["digests"][spec]
-    sha, events = timeline_digest(spec)
-    assert events == pinned["events"], (
+    pinned = fixture[spec]
+    live = timeline_pin(spec)
+    assert live["events"] == pinned["events"], (
         "%s produced %d events, fixture pins %d — schedule changed; "
-        "if intentional: python -m repro golden --regen"
-        % (spec, events, pinned["events"]))
-    assert sha == pinned["sha256"], (
+        "if intentional: python -m repro ledger golden --regen"
+        % (spec, live["events"], pinned["events"]))
+    assert live["sha256"] == pinned["sha256"], (
         "%s timeline digest diverged from the golden fixture — "
         "schedule or payload changed; if intentional: "
-        "python -m repro golden --regen" % spec)
+        "python -m repro ledger golden --regen" % spec)
 
 
 def test_digest_is_stable_within_a_run():
-    sha_a, events_a = timeline_digest("trickle")
-    sha_b, events_b = timeline_digest("trickle")
-    assert (sha_a, events_a) == (sha_b, events_b)
+    assert timeline_pin("trickle") == timeline_pin("trickle")
 
 
 def test_retired_kernel_env_vars_select_nothing():
@@ -63,9 +58,8 @@ def test_retired_kernel_env_vars_select_nothing():
     env = dict(os.environ, REPRO_QUEUE="bogus", REPRO_POOL="bogus",
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     done = subprocess.run(
-        [sys.executable, "-m", "repro", "golden", "--check",
-         "--fixture", FIXTURE],
+        [sys.executable, "-m", "repro", "ledger", "golden",
+         "--file", FIXTURE],
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "%d scenario timeline(s) match" % len(GOLDEN_SCENARIOS) \
-        in done.stdout
+    assert "%d row(s) match" % len(GOLDEN_SCENARIOS) in done.stdout

@@ -9,7 +9,7 @@ reintegration on reconnect.
 
 import pytest
 
-from repro.analysis.golden import timeline_digest
+from repro.analysis.golden import timeline_pin
 from repro.obs import Observatory
 from repro.spec.catalog import get
 from repro.spec.compile import run_spec, stream_sweep
@@ -28,7 +28,7 @@ GOLDEN_SPECS = (
 
 @pytest.mark.parametrize("spec", GOLDEN_SPECS)
 def test_two_runs_are_byte_identical(spec):
-    assert timeline_digest(spec) == timeline_digest(spec)
+    assert timeline_pin(spec) == timeline_pin(spec)
 
 
 def test_conflict_storm_detects_and_repairs_conflicts():
