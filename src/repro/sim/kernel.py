@@ -35,7 +35,6 @@ class Simulator:
         # hop per event.
         self._push = self._queue.push
         self._sequence = count()
-        self._active_process = None
         self.obs = NULL_OBS
         #: Events dispatched over this simulator's lifetime.  A plain
         #: integer (not an obs metric) so uninstrumented runs are

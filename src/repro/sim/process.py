@@ -70,8 +70,6 @@ class Process(Event):
             event.defuse()
             return
         self._target = None
-        sim = self.sim
-        sim._active_process = self
         try:
             if event._ok:
                 target = self._send(event._value)
@@ -79,14 +77,11 @@ class Process(Event):
                 event.defuse()
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            sim._active_process = None
             self.fail(exc)
             return
-        sim._active_process = None
         if not isinstance(target, Event):
             error = RuntimeError(
                 "process %r yielded %r, which is not an Event"

@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from repro.sim.events import Event, _PENDING
+from repro.sim.events import Event, URGENT, _PENDING
 
 
 class Lock:
@@ -28,10 +28,16 @@ class Lock:
 
     def acquire(self):
         """Return an event that fires once the lock is held by the caller."""
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if not self._locked:
             self._locked = True
-            event.succeed()
+            # An inlined event.succeed(): an uncontended grant is born
+            # triggered, as Process's bootstrap is.
+            event._ok = True
+            event._value = None
+            # repro: allow[SIM001] the byte-identical tuple succeed() pushes
+            sim._push((sim.now, URGENT, next(sim._sequence), event))
         else:
             self._waiters.append(event)
         return event

@@ -26,6 +26,12 @@ class TraceOp(enum.Enum):
     SYMLINK = "symlink"
     SETATTR = "setattr"
 
+    # Members are singletons that compare by identity, so the identity
+    # hash is a valid one, and a C call: Enum's ``hash(self._name_)``
+    # is a Python call on every dict or set probe, two per replayed
+    # record (the update count and the dispatch).
+    __hash__ = object.__hash__
+
 
 #: Operations that mutate state (the "Updates" column of Figure 11).
 UPDATE_OPS = frozenset({

@@ -363,6 +363,28 @@ class CacheManager:
                 if not (e._local or e.callback)
                 and e.fid.volume not in ok]
 
+    def usable(self, fid, connected, want_data=True, now=None):
+        """The one hit check: ``fid``'s entry if Venus may use it as is,
+        else None.
+
+        That is ``(has_data or not want_data) and (not connected or
+        is_valid(entry))``, spelled out so a hit costs one call.  Given
+        ``now``, a hit is also a reference and is touched (:meth:`touch`).
+        """
+        entry = self._entries.get(fid)
+        if entry is None or (want_data and entry._content is None
+                             and entry.children is None
+                             and entry.target is None):
+            return None
+        if connected and not (entry._local or entry.callback):
+            info = self._volumes.get(entry.fid.volume)
+            if info is None or not info.callback:
+                return None
+        if now is not None:
+            self._ref_clock += 1
+            entry.last_ref = now
+        return entry
+
     def is_valid(self, entry):
         """Believed coherent: object callback or volume callback."""
         if entry.local:

@@ -251,14 +251,6 @@ class Venus:
         base = 10_000_000 + self._client_tag * 1_000
         return Fid(volid, base + n, base + n)
 
-    def _local_work(self):
-        """Generator: charge one operation's CPU on the shared host CPU.
-
-        Foreground work and packet processing contend here, which is
-        why heavy trickle traffic slows replay by a few percent.
-        """
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
-
     class _Foreground:
         """Counts in-flight foreground activity for trickle deferral."""
 
@@ -318,102 +310,85 @@ class Venus:
     # ------------------------------------------------------------------
     # Resolution and fetching
 
-    def _lookup(self, path, program=None, want_data=True, fetch=True):
-        """Generator: resolve ``path`` to its cache entry."""
-        parent, name, entry = yield from self._resolve(
-            path, program=program, fetch=fetch)
+    def _lookup(self, path, program=None, want_data=True):
+        """Generator: resolve ``path`` to its cache entry, demanded with
+        its data or, without ``want_data``, status only.  With
+        ``want_data=None`` nothing is demanded and it returns
+        :meth:`_resolve`'s triple.
+
+        A fully cached path runs this one frame above ``HostCpu.use``:
+        each walked component costs one :meth:`CacheManager.usable`
+        call, and a generator is built only for a miss
+        (:meth:`_demand_miss`).
+        """
+        (volid, root_fid), parts, prefix = self._mount_for(path)
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        cache, sim = self.cache, self.sim
+        connected = self.state.connected
+        fid, walked = root_fid, prefix
+        for name in parts[:-1] + (None,):
+            here = cache.usable(fid, connected, now=sim.now)
+            if here is None:
+                here = yield from self._demand_miss(fid, walked, program)
+                connected = self.state.connected
+            else:
+                self.stats.operations += 1
+                if sim.obs.enabled:
+                    self._observe_reference(hit=True, path=walked)
+            if name is None:
+                break
+            if here.children is None:
+                raise NotADirectoryError(walked)
+            fid = here.children.get(name)
+            walked = walked + "/" + name
+            if fid is None:
+                raise FileNotFoundError(walked)
+        if not parts:
+            parent, name, fid = None, "", root_fid
+        else:
+            parent, name = here, parts[-1]
+            if here.children is None:
+                raise NotADirectoryError(walked)
+            fid = here.children.get(name)
+        if want_data is not None:
+            # The final component is checked, not referenced: a hit
+            # neither counts nor touches it.
+            hit = cache.usable(fid, connected, want_data)
+            if hit is not None:
+                return hit
+        entry = cache.get(fid)
+        if fid is not None and entry is None:
+            entry = yield from self._demand_miss(fid, path, program,
+                                                 want_data=False)
+        if want_data is None:
+            return parent, name, entry
         if entry is None:
             raise FileNotFoundError(path)
-        stale = (fetch and self.state.connected
-                 and not self.cache.is_valid(entry))
-        if (want_data and not entry.has_data) or stale:
-            entry = yield from self._demand_object(
-                entry.fid, path, program=program, entry=entry,
-                want_data=want_data)
+        if cache.usable(entry.fid, self.state.connected, want_data) is None:
+            entry = yield from self._demand_miss(entry.fid, path, program,
+                                                 entry, want_data)
         return entry
 
-    def _resolve(self, path, program=None, fetch=True):
+    def _resolve(self, path, program=None):
         """Generator: walk ``path``; returns (parent_entry, name, entry).
 
         The final component may be absent (entry None).  Raises
         FileNotFoundError if an intermediate directory is missing.
         """
-        (volid, root_fid), parts, prefix = self._mount_for(path)
-        yield from self._local_work()
-        # Each component takes the plain-function hit arm; a generator
-        # is created only for a component that actually misses.
-        here = self._reference_cached(root_fid, prefix)
-        if here is None:
-            here = yield from self._demand_miss(root_fid, prefix, program,
-                                                fetch=fetch)
-        if not parts:
-            return None, "", here
-        walked = prefix
-        for name in parts[:-1]:
-            if here.children is None:
-                raise NotADirectoryError(walked)
-            child_fid = here.children.get(name)
-            walked = walked + "/" + name
-            if child_fid is None:
-                raise FileNotFoundError(walked)
-            here = self._reference_cached(child_fid, walked)
-            if here is None:
-                here = yield from self._demand_miss(child_fid, walked,
-                                                    program, fetch=fetch)
-        name = parts[-1]
-        if here.children is None:
-            raise NotADirectoryError(walked)
-        child_fid = here.children.get(name)
-        entry = self.cache.get(child_fid) if child_fid is not None else None
-        if child_fid is not None and entry is None and fetch:
-            entry = yield from self._demand_object(
-                child_fid, path, program=program, want_data=False)
-        return here, name, entry
+        return self._lookup(path, program, want_data=None)
 
-    def _demand_object(self, fid, path, program=None, entry=None,
-                       fetch=True, want_data=True):
-        """Generator: return a usable cache entry for ``fid``.
+    def _demand_miss(self, fid, path, program=None, entry=None,
+                     want_data=True):
+        """Generator: a counted reference the hit check could not serve.
 
         This is the miss-handling heart (section 4.4.1): a miss while
         hoarding fetches transparently; while emulating it fails;
         while write disconnected the estimated service time is
         compared with the patience threshold.
         """
-        hit = self._reference_cached(fid, path, entry, want_data)
-        if hit is not None:
-            return hit
-        entry = yield from self._demand_miss(fid, path, program, entry,
-                                             fetch, want_data)
-        return entry
-
-    def _reference_cached(self, fid, path, entry=None, want_data=True):
-        """The hit arm of a demand: the usable entry, or None on a miss.
-
-        A plain function, so a fully cached path resolves without one
-        generator per component.  Counts the operation either way; on
-        None the caller continues with :meth:`_demand_miss`.
-        """
         self.stats.operations += 1
         if entry is None:
             entry = self.cache.get(fid)
-        if (entry is not None
-                and (entry.has_data or not want_data)
-                and (not self.state.connected
-                     or self.cache.is_valid(entry))):
-            self.cache.touch(entry, self.sim.now)
-            self._observe_reference(hit=True, path=path)
-            return entry
-        return None
-
-    def _demand_miss(self, fid, path, program=None, entry=None,
-                     fetch=True, want_data=True):
-        """Generator: the miss arm, after :meth:`_reference_cached`."""
-        if entry is None:
-            entry = self.cache.get(fid)
-        if not fetch:
-            if entry is not None:
-                return entry
-            raise CacheMissError(path)
         if self.state.state is VenusState.EMULATING:
             if entry is not None:
                 # Stale flags are unknowable offline; trust the cache.
@@ -562,7 +537,7 @@ class Venus:
         _parent, _name, entry = yield from self._resolve(path)
         if entry is None:
             raise FileNotFoundError(path)
-        if entry.has_data and self.cache.is_valid(entry):
+        if self.cache.usable(entry.fid, True) is not None:
             return entry
         entry = yield from self._fetch_object(entry.fid, path)
         return entry
@@ -582,7 +557,7 @@ class Venus:
 
     def open(self, path, mode="r", program=None):
         """Generator: open a file session (whole-file semantics)."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         if "w" in mode:
             entry = yield from self._prepare_write_target(path, program)
         else:
@@ -599,7 +574,7 @@ class Venus:
         if handle.buffer is not None:
             yield from self._store(handle.path, handle.entry, handle.buffer)
         else:
-            yield from self._local_work()
+            yield from self.endpoint.cpu.use(self.config.local_op_cost)
 
     def read_file(self, path, program=None):
         """Generator: whole-file read; returns the Content."""
@@ -611,9 +586,7 @@ class Venus:
 
     def stat(self, path, program=None):
         """Generator: status of ``path`` from cache (fetching if needed)."""
-        entry = yield from self._lookup(path, program=program,
-                                        want_data=False)
-        return entry
+        return self._lookup(path, program, want_data=False)
 
     def readdir(self, path, program=None):
         """Generator: sorted names in a directory."""
@@ -633,7 +606,7 @@ class Venus:
 
     def write_file(self, path, data, program=None):
         """Generator: whole-file write (create or overwrite)."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         entry = yield from self._prepare_write_target(path, program)
         yield from self._store(path, entry, Content.of(data))
         return entry
@@ -731,7 +704,7 @@ class Venus:
 
     def mkdir(self, path, program=None):
         """Generator: create a directory."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is not None:
             raise FileExistsError(path)
@@ -742,7 +715,7 @@ class Venus:
 
     def symlink(self, target, path, program=None):
         """Generator: create a symbolic link at ``path``."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is not None:
             raise FileExistsError(path)
@@ -751,7 +724,7 @@ class Venus:
 
     def unlink(self, path, program=None):
         """Generator: remove a file or symlink."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is None or parent is None:
             raise FileNotFoundError(path)
@@ -761,7 +734,7 @@ class Venus:
 
     def rmdir(self, path, program=None):
         """Generator: remove an empty directory."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is None or parent is None:
             raise FileNotFoundError(path)
@@ -795,7 +768,7 @@ class Venus:
 
     def rename(self, old_path, new_path, program=None):
         """Generator: rename/move an object."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         src_parent, src_name, entry = yield from self._resolve(
             old_path, program=program)
         if entry is None or src_parent is None:
@@ -833,7 +806,7 @@ class Venus:
 
     def link(self, existing_path, new_path, program=None):
         """Generator: create a hard link to an existing file."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         entry = yield from self._lookup(existing_path, program=program,
                                         want_data=False)
         if entry.otype is not ObjectType.FILE:
@@ -866,7 +839,7 @@ class Venus:
 
     def setattr(self, path, attrs, program=None):
         """Generator: change attributes (chmod/chown/utimes analogue)."""
-        yield from self._local_work()
+        yield from self.endpoint.cpu.use(self.config.local_op_cost)
         entry = yield from self._lookup(path, program=program,
                                         want_data=False)
         if self.state.state is VenusState.HOARDING:

@@ -25,7 +25,7 @@ from tests.obs.test_obs_budget import (LONG_DAYS, SHORT_DAYS, calls_into,
                                        profiled, profiled_shard)
 
 SHORT_RECORDS, LONG_RECORDS = 10_000, 20_000
-VENUS_CALLS_PER_OPERATION = 34.0
+VENUS_CALLS_PER_OPERATION = 12.1
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +56,10 @@ def venus_calls_per_operation(records):
 
 
 def test_write_path_venus_calls_per_operation_stay_flat():
-    """33.29 → 33.30 (5,000 records: 33.46; fixed set-up cost thins
-    out).  ``rpc2``/``net`` per operation *rise* on this input
+    """11.53 → 11.55 (5,000 records: 11.69; fixed set-up cost thins
+    out), gated at ≤ 12.1; 33.29 → 33.29 before the replay path lost
+    its trampoline frames and its seven-call hit check.
+    ``rpc2``/``net`` per operation *rise* on this input
     (0.61 → 0.98, 3.70 → 4.10) because trickle reintegration only
     starts shipping once records outlive the aging window — a workload
     phase, not a complexity bug — so they are not gated here."""
@@ -70,8 +72,8 @@ def test_write_path_venus_calls_per_operation_stay_flat():
 def test_a_restored_log_times_cache_rescan_breaks_the_gate(monkeypatch):
     """Planted mutant: every CML append walks the whole cache against
     the whole log again (PR 12's retired ``_refresh_dirty``), one
-    ``repro/venus`` call per pair: 63 calls per operation at 10,000
-    records, and climbing (40 at 2,500)."""
+    ``repro/venus`` call per pair: 41.5 calls per operation at 10,000
+    records, and climbing (18.0 at 2,500)."""
     refresh = Venus._refresh_dirty
 
     def rescan(venus):

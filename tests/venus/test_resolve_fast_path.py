@@ -1,12 +1,13 @@
-"""The generator-free resolve path: hit helper, mount memo, bounded state.
+"""The generator-free resolve path: one hit check, mount memo, bounded state.
 
-``Venus._reference_cached`` is the hit arm of ``_demand_object`` as a
-plain function, and ``_demand_object`` is that helper followed by
-``_demand_miss``.  These tests pin the seam: going through the two
-halves by hand (what ``_resolve`` does per path component) and going
-through ``_demand_object`` leave the same statistics, recency clock
-and observability trail behind, for every way a reference can turn
-out.
+``Venus._lookup`` references the mount root and each directory on a
+path through ``CacheManager.usable``, the cache's one hit check: a hit
+is counted and observed where it happens, a miss goes to
+``_demand_miss``, which counts it itself.  The retired
+``_demand_object`` (the seven-call ``_reference_cached`` hit arm, then
+the miss arm) lives on here as the oracle: both ways leave the same
+statistics, recency clock and observability trail behind, for every
+way a reference can turn out.
 """
 
 import pytest
@@ -29,6 +30,32 @@ def _testbed(state):
         connected(testbed)
     assert testbed.venus.state.state is state
     return testbed
+
+
+def retired_reference_cached(venus, fid, path, want_data=True):
+    """The retired ``Venus._reference_cached``: verdict and hit effects.
+
+    It counted every reference, hit or miss; a miss is now counted by
+    ``_demand_miss``, so the count here is taken on a hit only.
+    """
+    entry = venus.cache.get(fid)
+    if (entry is not None
+            and (entry.has_data or not want_data)
+            and (not venus.state.connected
+                 or venus.cache.is_valid(entry))):
+        venus.stats.operations += 1
+        venus.cache.touch(entry, venus.sim.now)
+        venus._observe_reference(hit=True, path=path)
+        return entry
+    return None
+
+
+def retired_demand_object(venus, fid, path, want_data=True):
+    """Generator: the retired ``Venus._demand_object``."""
+    hit = retired_reference_cached(venus, fid, path, want_data)
+    if hit is not None:
+        return hit
+    return (yield from venus._demand_miss(fid, path, want_data=want_data))
 
 
 def _make_stale(venus, entry):
@@ -67,22 +94,25 @@ def _reference(case, by_halves):
     clock = venus.cache._ref_clock
 
     def halves():
-        # What _resolve does per path component.
-        found = venus._reference_cached(entry.fid, A_TXT,
-                                        want_data=want_data)
+        # What _lookup does per walked component.
+        found = venus.cache.usable(entry.fid, venus.state.connected,
+                                   want_data, now=testbed.sim.now)
         assert (found is not None) == helper_hits
         if found is None:
-            # A miss costs the helper one counted operation and nothing
-            # else: no recency bump, no observability event.
-            assert venus.stats.operations == operations + 1
+            # A miss costs the check nothing: no count, no recency
+            # bump, no observability event.
+            assert venus.stats.operations == operations
             assert venus.cache._ref_clock == clock
             assert not observatory.trace.events
             found = yield from venus._demand_miss(
                 entry.fid, A_TXT, want_data=want_data)
+        else:
+            venus.stats.operations += 1
+            venus._observe_reference(hit=True, path=A_TXT)
         return found
 
-    found = testbed.run(halves() if by_halves else venus._demand_object(
-        entry.fid, A_TXT, want_data=want_data))
+    found = testbed.run(halves() if by_halves else retired_demand_object(
+        venus, entry.fid, A_TXT, want_data=want_data))
     return {
         "fid": found.fid,
         "has_data": found.has_data,
@@ -117,12 +147,13 @@ def _miss_absent_object(by_halves):
     observatory = Observatory(testbed.sim)
 
     def halves():
-        assert venus._reference_cached(entry.fid, A_TXT) is None
+        assert venus.cache.usable(entry.fid, venus.state.connected,
+                                  now=testbed.sim.now) is None
         yield from venus._demand_miss(entry.fid, A_TXT)
 
     with pytest.raises(CacheMissError):
         testbed.run(halves() if by_halves
-                    else venus._demand_object(entry.fid, A_TXT))
+                    else retired_demand_object(venus, entry.fid, A_TXT))
     return (dict(vars(venus.stats)), len(venus.misses),
             [event.to_row() for event in observatory.trace.events])
 
@@ -149,9 +180,9 @@ def test_cached_path_resolves_without_a_generator_per_component(testbed):
     entry = testbed.run(venus.stat(A_TXT))
     assert entry.path == A_TXT
     assert created == []
-    # mount root + "dir" (both by the helper in _resolve).  The final
-    # component is a plain cache probe; stat's status-only lookup does
-    # not demand it again.
+    # mount root + "dir" (both referenced by the hit check in
+    # _lookup).  The final component is checked, not referenced: a
+    # hit there neither counts nor touches it.
     assert venus.stats.operations == operations + 2
 
 
