@@ -12,11 +12,12 @@ This package enforces it mechanically, in three layers:
   hazards that feed the scheduler, float-timestamp equality, event-heap
   access outside the kernel, and trace-event kinds outside the closed
   taxonomy.
-* :mod:`repro.analysis.divergence` — a schedule-divergence detector
-  (``repro check-determinism``) that runs a scenario twice under
-  perturbed ``PYTHONHASHSEED`` and decoy random streams and reports the
-  first event where the two timelines disagree — a race detector for
-  hidden nondeterminism the linter cannot see.
+* :mod:`repro.analysis.divergence` — a schedule-divergence probe that
+  every ``repro ledger golden`` check runs: the pinned table replays
+  in two child interpreters under perturbed ``PYTHONHASHSEED``, global
+  ``random`` and decoy random streams, and the first event where the
+  two timelines disagree is named — a race detector for hidden
+  nondeterminism the linter cannot see.
 * :mod:`repro.analysis.invariants` — a runtime checker that asserts
   cross-component invariants (CML seqno monotonicity across
   crash/restore, store version monotonicity, link byte conservation,
@@ -24,15 +25,12 @@ This package enforces it mechanically, in three layers:
 """
 
 from repro.analysis.lint import Finding, lint_package, lint_paths, lint_source
-from repro.analysis.divergence import DivergenceReport, check_determinism
 from repro.analysis.invariants import InvariantChecker, InvariantViolation
 
 __all__ = [
-    "DivergenceReport",
     "Finding",
     "InvariantChecker",
     "InvariantViolation",
-    "check_determinism",
     "lint_package",
     "lint_paths",
     "lint_source",

@@ -1,45 +1,33 @@
-"""Schedule-divergence detection: a race detector for hidden nondeterminism.
+"""Scenario references, timeline capture, and the perturbed child.
 
-The linter proves the *source* honors the contract; this module probes
-the *runtime*.  A scenario is executed several times in child
-interpreters, each under a different perturbation that a correct run
-must be invisible to:
+Every golden check (:mod:`repro.analysis.golden`) runs the pinned
+table in two child interpreters of this module, each under
+perturbations a correct run must be invisible to:
 
-* ``PYTHONHASHSEED`` — str/bytes hashing, and therefore ``set`` (and
-  legacy dict) iteration order, changes between children.  Code that
-  schedules out of a set survives one run but disagrees across runs.
-* **global-random reseeding** — the child reseeds the process-global
-  ``random`` generator before the scenario; code drawing from it
-  (instead of ``sim.rand``) produces different values per child.
+* ``PYTHONHASHSEED`` — str/bytes hashing, and therefore ``set``
+  iteration order, changes between children: code that schedules out
+  of a set survives one run but disagrees across runs;
+* **global-random reseeding** — code drawing from the process-global
+  ``random`` (instead of ``sim.rand``) draws different values;
 * **decoy-stream perturbation** — every :class:`RandomStreams` built
-  in the child immediately materializes a ``analysis.decoy`` stream
-  and burns a child-specific number of draws from it.  Named streams
-  are independent by construction, so a correct run is unaffected;
-  code that shares streams or depends on the stream table's contents
-  diverges.
+  in the child burns a child-specific number of draws from an
+  ``analysis.decoy`` stream.  Named streams are independent by
+  construction, so only code that shares streams or depends on the
+  stream table's contents diverges.
 
-The obs event timeline is the witness: two perturbed runs of a
-deterministic scenario must produce byte-identical timelines.  On
-disagreement the report pinpoints the first divergent event with
-surrounding context from both runs — the simulation analogue of a
-race detector naming the first conflicting access.
+The obs event timeline is the witness: both children must produce
+byte-identical timelines, and :func:`compare_timelines` pinpoints the
+first divergent event with context from both — the simulation
+analogue of a race detector naming the first conflicting access.
 """
 
-import json
-import os
-import subprocess
 import sys
-from dataclasses import dataclass, field
 
-#: (hash seed, decoy draws) for the default pair of probe runs.  The
-#: hash seeds are fixed so the probe itself is reproducible.
-DEFAULT_PERTURBATIONS = ((1, 0), (4242, 7))
+#: (hash seed, decoy draws) of the two perturbed children.  The hash
+#: seeds are fixed so the probe itself is reproducible.
+PERTURBATIONS = ((1, 0), (4242, 7))
 
 _GLOBAL_RESEED = 0x5EED
-
-
-# ---------------------------------------------------------------------------
-# Scenario resolution
 
 
 def resolve_scenario(spec):
@@ -50,8 +38,9 @@ def resolve_scenario(spec):
     :func:`repro.spec.compile.run_spec` at its canonical seed, and
     ``mod:<module>:<function>`` calls any importable scenario (the
     pinned reduced-scale entry points of :mod:`repro.spec.golden`, the
-    self-tests).  Anything else is a ValueError; an unknown bare name
-    gets the catalogue's own, listing every valid choice.
+    planted hazards of the test suite).  Anything else is a
+    ValueError; an unknown bare name gets the catalogue's own, listing
+    every valid choice.
     """
     if ":" not in spec:
         from repro.spec.catalog import get
@@ -78,19 +67,11 @@ def resolve_scenario(spec):
 
 def capture_timeline(spec):
     """Run ``spec`` with a fresh Observatory; returns event dicts."""
+    from repro.fleetd.executor import timeline_rows
     from repro.obs import Observatory
     observatory = Observatory()
     resolve_scenario(spec)(observatory)
-    return [dict(event.to_row()) for event in observatory.trace.events]
-
-
-def _canonical(event):
-    """One event as a canonical comparable line."""
-    return json.dumps(event, sort_keys=True, default=repr)
-
-
-# ---------------------------------------------------------------------------
-# Child-side perturbations
+    return timeline_rows(observatory)
 
 
 def _install_decoy_stream(draws):
@@ -108,72 +89,28 @@ def _install_decoy_stream(draws):
 
 
 def _child_main(argv):
+    """Run every named scenario in order, perturbed, in this interpreter.
+
+    Each scenario's timeline goes to stdout as its canonical event
+    lines and then an empty line (an event line never is empty).
+    """
     import argparse
     import random
+
+    from repro.fleetd.executor import canonical
     parser = argparse.ArgumentParser()
-    parser.add_argument("--scenario", required=True)
     parser.add_argument("--decoy", type=int, default=0)
+    parser.add_argument("scenarios", nargs="+")
     args = parser.parse_args(argv)
     # repro: allow[DET002] this IS the perturbation: reseeding the process
-    # global generator is how the detector exposes code that draws from it.
+    # global generator is how the probe exposes code that draws from it.
     random.seed(_GLOBAL_RESEED + args.decoy)
     if args.decoy:
         _install_decoy_stream(args.decoy)
-    for event in capture_timeline(args.scenario):
-        sys.stdout.write(_canonical(event) + "\n")
+    for spec in args.scenarios:
+        sys.stdout.write("\n".join(map(canonical, capture_timeline(spec)))
+                         + "\n\n")
     return 0
-
-
-def _run_child(spec, hash_seed, decoy):
-    """One perturbed run in a child interpreter; returns event lines."""
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    command = [sys.executable, "-m", "repro.analysis.divergence",
-               "--scenario", spec, "--decoy", str(decoy)]
-    proc = subprocess.run(command, env=env, capture_output=True,
-                          text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            "divergence child failed (hash seed %s, decoy %s):\n%s"
-            % (hash_seed, decoy, proc.stderr.strip()))
-    return [line for line in proc.stdout.splitlines() if line.strip()]
-
-
-# ---------------------------------------------------------------------------
-# Comparison and reporting
-
-
-@dataclass
-class DivergenceReport:
-    """Outcome of comparing perturbed timelines of one scenario."""
-
-    scenario: str
-    perturbations: tuple
-    identical: bool
-    events_a: int
-    events_b: int
-    first_divergence: int = None
-    context_a: list = field(default_factory=list)
-    context_b: list = field(default_factory=list)
-
-    def format(self):
-        runs = " vs ".join("(hashseed=%d, decoy=%d)" % p
-                           for p in self.perturbations)
-        if self.identical:
-            return ("check-determinism %s: %d events byte-identical "
-                    "across %s" % (self.scenario, self.events_a, runs))
-        lines = [
-            "check-determinism %s: DIVERGENCE at event %d (%s)"
-            % (self.scenario, self.first_divergence, runs),
-            "  run A: %d events; run B: %d events"
-            % (self.events_a, self.events_b),
-            "  --- run A context ---",
-        ]
-        lines += ["  " + line for line in self.context_a]
-        lines.append("  --- run B context ---")
-        lines += ["  " + line for line in self.context_b]
-        return "\n".join(lines)
 
 
 def compare_timelines(lines_a, lines_b, context=3):
@@ -200,34 +137,5 @@ def _context(lines, index, context):
     return out
 
 
-def check_determinism(spec, perturbations=DEFAULT_PERTURBATIONS,
-                      context=3):
-    """Run ``spec`` under each perturbation; compare the timelines.
-
-    Returns a :class:`DivergenceReport`.  Only the first two runs are
-    compared pairwise against each other today (more perturbations
-    fold into run B's slot sequentially, stopping at the first
-    divergence).
-    """
-    resolve_scenario(spec)   # validate here, not via a child traceback
-    baseline_seed, baseline_decoy = perturbations[0]
-    lines_a = _run_child(spec, baseline_seed, baseline_decoy)
-    for hash_seed, decoy in perturbations[1:]:
-        lines_b = _run_child(spec, hash_seed, decoy)
-        index, ctx_a, ctx_b = compare_timelines(lines_a, lines_b,
-                                                context=context)
-        if index is not None:
-            return DivergenceReport(
-                scenario=spec,
-                perturbations=((baseline_seed, baseline_decoy),
-                               (hash_seed, decoy)),
-                identical=False, events_a=len(lines_a),
-                events_b=len(lines_b), first_divergence=index,
-                context_a=ctx_a, context_b=ctx_b)
-    return DivergenceReport(
-        scenario=spec, perturbations=tuple(perturbations),
-        identical=True, events_a=len(lines_a), events_b=len(lines_a))
-
-
-if __name__ == "__main__":    # the perturbed child of _run_child
+if __name__ == "__main__":    # a perturbed child of repro.analysis.golden
     raise SystemExit(_child_main(sys.argv[1:]))

@@ -6,14 +6,16 @@ in what the code does.  One machine serves every table
 (``repro ledger golden|perf``):
 
 * ``golden`` — ``tests/golden/timelines.json``: the sha256 and event
-  count of each pinned obs timeline (:mod:`repro.analysis.golden`);
+  count of each pinned obs timeline, as two perturbed child
+  interpreters agree it (:mod:`repro.analysis.golden`);
 * ``perf`` — ``BENCH_perf.json``: events dispatched, simulated seconds,
   digests and counts of each macro-scenario (:mod:`repro.perf`).
 
-A :class:`Table` is an ordered ``{row name -> function(workers) ->
-facts}`` plus the rows that run a shard plan.  Both files have one
-shape, ``{"schema": "repro.ledger/1", "rows": {name: facts}}``, and
-one rule set:
+A :class:`Table` names its rows in order, the rows that run a shard
+plan, and one ``facts(names, workers)`` generator that yields
+``(name, facts)`` for the selected rows as each is known, so a long
+table streams.  Both files have one shape, ``{"schema":
+"repro.ledger/1", "rows": {name: facts}}``, and one rule set:
 
 * a check (the default) re-runs the selected rows (default: all) and
   fails with one ``row.field: committed → live`` line per differing
@@ -24,7 +26,9 @@ one rule set:
 * an unknown row, another schema, and — for a check — a missing file
   or a selected row the file lacks are usage errors;
 * ``workers`` goes only to shard-plan rows, and is a usage error when
-  no selected row runs one.
+  no selected row runs one;
+* a table that cannot trust its facts raises :class:`RowFailure`: the
+  run prints why, exits 1 and writes nothing.
 
 :func:`read` and :func:`write` are the only code that opens a ledger
 file.
@@ -39,29 +43,36 @@ SCHEMA = "repro.ledger/1"
 ABSENT = "(absent)"
 
 
+class RowFailure(Exception):
+    """A table's live facts cannot be trusted; the message says why."""
+
+
 @dataclass(frozen=True)
 class Table:
-    """One ledger: its name, committed file and rows."""
+    """One ledger: its name, committed file, rows and their facts."""
 
     name: str
     path: str               # repo-relative; the CLI runs from the root
-    rows: dict              # row name -> function(workers) -> facts
+    rows: tuple             # row names, in table order
+    facts: object           # (names, workers) -> iter of (name, facts)
     pooled: frozenset = frozenset()     # rows that run a shard plan
 
 
 def _golden():
-    from repro.analysis.golden import GOLDEN_SCENARIOS, timeline_pin
+    from repro.analysis.golden import GOLDEN_SCENARIOS, probe
     return Table("golden", os.path.join("tests", "golden", "timelines.json"),
-                 {name: lambda workers, name=name: timeline_pin(name)
-                  for name in GOLDEN_SCENARIOS})
+                 GOLDEN_SCENARIOS, probe)
 
 
 def _perf():
     from repro.perf import SCENARIOS, run_perf, takes_workers
-    return Table("perf", "BENCH_perf.json",
-                 {name: lambda workers, name=name: run_perf(
-                     name, workers=workers) for name in SCENARIOS},
-                 frozenset(filter(takes_workers, SCENARIOS)))
+    pooled = frozenset(filter(takes_workers, SCENARIOS))
+
+    def facts(names, workers):
+        for name in names:
+            yield name, run_perf(
+                name, workers=workers if name in pooled else None)
+    return Table("perf", "BENCH_perf.json", tuple(SCENARIOS), facts, pooled)
 
 
 #: Table name -> its builder (building imports the rows' code).
@@ -146,11 +157,16 @@ def prepare(name, rows=None, workers=None, path=None, regen=False):
 def run(table, names, path, committed, workers=None, regen=False):
     """Run ``names``, print their facts, then check or regen; exit code."""
     live = {}
-    for name in names:
-        facts = table.rows[name](workers if name in table.pooled else None)
-        live[name] = json.loads(json.dumps(facts))  # as the file holds it
-        for leaf in leaves(live[name], name):
-            print("%s: %s" % leaf, flush=True)
+    try:
+        for name, facts in table.facts(names, workers):
+            live[name] = json.loads(json.dumps(facts))  # as the file holds it
+            for leaf in leaves(live[name], name):
+                print("%s: %s" % leaf, flush=True)
+    except RowFailure as exc:
+        print(exc)
+        if regen:
+            print("refused to pin: %s left as it was" % path)
+        return 1
     kept = {name: facts for name, facts in committed.items()
             if name in table.rows}
     # Compared: the rows run, and the rows the table no longer names.

@@ -65,9 +65,8 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
     fleet.  Safe to run in a pool: every worker touches only its own
     shard directory.
     """
-    from repro.analysis.divergence import _canonical
-    from repro.fleetd.executor import _stream_stats, digest_lines, \
-        timeline_rows
+    from repro.fleetd.executor import _stream_stats, canonical, \
+        digest_lines, timeline_rows
     from repro.fleetd.plan import shard_config
     from repro.obs import Observatory
 
@@ -91,7 +90,7 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
         rows = timeline_rows(observatory)
         # Each row is encoded once: the same lines are hashed for the
         # day digest and appended to the timeline file.
-        lines = [_canonical(row) for row in rows]
+        lines = [canonical(row) for row in rows]
         blob = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
         unit = (
             day,

@@ -22,21 +22,22 @@
     python -m repro ckpt info --out ck/
     python -m repro spec list            # the scenario catalogue
     python -m repro spec validate --all
-    python -m repro ledger golden        # == tests/golden/timelines.json
+    python -m repro ledger golden        # == tests/golden/timelines.json,
+                                         # in two perturbed children
     python -m repro ledger perf --row fleet-8    # == its BENCH_perf.json row
     python -m repro ledger perf --workers 2      # all ten rows, pooled
     python -m repro ledger perf --regen          # rewrite it, print moves
     python -m repro lint                 # determinism linter
-    python -m repro check-determinism --scenario smoke
 
 ``repro figure <name>`` prints a figure from :data:`repro.bench.FIGURES`
 at its shell parameters.  ``repro run <spec>`` is the one way to run a
 catalogue scenario: ``run_spec`` in-process, the shard plan under
 ``--shards``, the day driver into a resumable store under ``--ckpt``.
 ``repro ledger golden|perf`` is the one check/regen/diff of committed
-facts (:mod:`repro.analysis.ledger`).  A flag the chosen spec or mode
-cannot honour is refused (exit 2), never ignored, and so is an unknown
-name.
+facts (:mod:`repro.analysis.ledger`); ``ledger golden`` runs its rows
+in two perturbed child interpreters and fails on any divergence.  A
+flag the chosen spec or mode cannot honour is refused (exit 2), never
+ignored, and so is an unknown name.
 """
 
 import argparse
@@ -301,28 +302,6 @@ def _cmd_lint(args):
     return 1 if findings else 0
 
 
-def _cmd_check_determinism(args):
-    import json
-
-    from repro.analysis.divergence import check_determinism
-    try:
-        report = check_determinism(args.scenario, context=args.context)
-    except (ValueError, RuntimeError) as exc:
-        _usage_error(str(exc))
-    if args.json:
-        print(json.dumps({
-            "scenario": report.scenario,
-            "identical": report.identical,
-            "events": [report.events_a, report.events_b],
-            "first_divergence": report.first_divergence,
-            "context_a": report.context_a,
-            "context_b": report.context_b,
-        }, indent=2))
-    else:
-        print(report.format())
-    return 0 if report.identical else 1
-
-
 def _cmd_spec_list(args):
     from repro.spec.catalog import shipped
     for spec in shipped():
@@ -584,19 +563,6 @@ def build_parser():
     p = ckpt.add_parser("info", help="print a checkpoint's manifest")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.set_defaults(fn=_cmd_ckpt_info)
-
-    p = sub.add_parser(
-        "check-determinism",
-        help="run a scenario under perturbed hash seeds and decoy "
-             "streams; exit 1 on timeline divergence")
-    p.add_argument("--scenario", default="trickle",
-                   help="<catalogue-name> | mod:<module>:<function> "
-                        "(default: trickle)")
-    p.add_argument("--context", type=int, default=3,
-                   help="events of context shown around a divergence")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report")
-    p.set_defaults(fn=_cmd_check_determinism)
 
     return parser
 

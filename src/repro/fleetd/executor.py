@@ -19,9 +19,9 @@ driver through it.
 """
 
 import hashlib
+import json
 from dataclasses import asdict, dataclass, field
 
-from repro.analysis.divergence import _canonical
 from repro.fleetd.plan import plan_shards, shard_config
 
 #: Node identities that legitimately appear in a shard's timeline
@@ -52,6 +52,11 @@ class ShardResult:
         return self.desktops + self.laptops
 
 
+def canonical(row):
+    """One timeline row as a canonical comparable line."""
+    return json.dumps(row, sort_keys=True, default=repr)
+
+
 def timeline_rows(observatory):
     """The observatory's trace flattened to canonical export rows."""
     return [dict(event.to_row()) for event in observatory.trace.events]
@@ -64,7 +69,7 @@ def digest_lines(lines):
 
 def digest_rows(rows):
     """sha256 hexdigest over canonical timeline lines (golden-style)."""
-    return digest_lines(_canonical(row) for row in rows)
+    return digest_lines(canonical(row) for row in rows)
 
 
 def _stream_stats(rows, shard):

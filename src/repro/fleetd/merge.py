@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.analysis.divergence import _canonical
+from repro.fleetd.executor import canonical
 from repro.obs.metrics import merge_rows, sum_counters
 
 
@@ -86,7 +86,7 @@ def merge_timelines(results, label="shard"):
         for row in result.timeline:
             stamped = dict(row)
             stamped[label] = result.index
-            lines.append(_canonical(stamped))
+            lines.append(canonical(stamped))
     return lines
 
 

@@ -20,8 +20,8 @@ structural, not statistical:
    prefix.
 
 Any failure is reported with the shard index and field that diverged,
-the parallel analogue of the divergence detector naming the first
-conflicting event.
+the parallel analogue of the golden probe naming the first divergent
+event.
 """
 
 from dataclasses import dataclass, field

@@ -4,9 +4,8 @@ Every canned scenario — the instrumentation workloads, the fault
 scripts, the Figure 9 fleet studies and their sharded plans, and the
 three spec-native families — is a :class:`~repro.spec.model.ScenarioSpec`
 value here, and the catalogue name is the one way to refer to it:
-``repro run <name>``, ``repro ledger golden``, ``repro check-determinism``,
-the shard planner and the checkpoint manifest all resolve through
-:func:`get`.  The golden timeline digests pin what each name runs.
+``repro run <name>``, ``repro ledger golden``, the shard planner and
+the checkpoint manifest all resolve through :func:`get`.  The golden timeline digests pin what each name runs.
 """
 
 from repro.spec.model import (

@@ -8,8 +8,9 @@ a bare name cannot: reduced-scale runs of the spec families —
 :func:`~repro.spec.compile.run_spec` path ``repro run`` uses, and
 shards 0 and 1 of the ``fleet-8`` plan at 0.25 day through the
 :func:`~repro.fleetd.plan.shard_config` path the executor uses, so no
-change can silently alter what a worker process simulates.
-``repro check-determinism`` probes the same entry points.
+change can silently alter what a worker process simulates.  Every
+``repro ledger golden`` runs them in two perturbed child interpreters,
+so each is also a determinism probe.
 
 The reduced scales are deliberately independent of ``REPRO_FAST`` and
 of the catalogue's shipped parameters: fixtures must hash the same

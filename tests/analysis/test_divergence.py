@@ -1,15 +1,22 @@
-"""The schedule-divergence detector, probed against the built-in
-self-test scenarios (one clean, one with a planted set-iteration)."""
+"""The determinism probe inside ``repro ledger golden``: the comparison
+and reference grammar it rests on, and the planted hazards of
+:mod:`tests.analysis.planted` run through the golden table's perturbed
+children (one row with a set-iteration, one that crashes)."""
+
+import os
 
 import pytest
 
-from repro.analysis.divergence import (check_determinism,
-                                       compare_timelines,
-                                       resolve_scenario)
+from repro.analysis import golden, ledger
+from repro.analysis.divergence import compare_timelines, resolve_scenario
 from repro.cli import main
+from tests.conftest import exits_2
 
-CLEAN = "mod:repro.analysis.selftest:clean_scenario"
-DIVERGENT = "mod:repro.analysis.selftest:divergent_scenario"
+DIVERGENT = "mod:tests.analysis.planted:divergent_scenario"
+CRASHING = "mod:tests.analysis.planted:crashing_scenario"
+FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
+                       "timelines.json")
+UNPINNED = {"sha256": "0" * 64, "events": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +55,7 @@ def test_resolve_rejects_malformed_specs():
 
 
 def test_resolve_mod_spec_runs_callable():
-    scenario = resolve_scenario(CLEAN)
+    scenario = resolve_scenario(DIVERGENT)
     from repro.obs import Observatory
     observatory = Observatory()
     scenario(observatory)
@@ -56,30 +63,61 @@ def test_resolve_mod_spec_runs_callable():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end subprocess probes (the satellite acceptance tests)
+# The planted rows through the golden table's perturbed children
 
 
-def test_clean_scenario_is_deterministic():
-    report = check_determinism(CLEAN)
-    assert report.identical
-    assert report.events_a == report.events_b > 0
-    assert report.first_divergence is None
-    assert "byte-identical" in report.format()
+@pytest.fixture
+def planted_table(monkeypatch):
+    """The golden table plus the planted rows."""
+    monkeypatch.setattr(golden, "GOLDEN_SCENARIOS",
+                        golden.GOLDEN_SCENARIOS + (DIVERGENT, CRASHING))
 
 
-def test_planted_set_iteration_is_caught():
-    """The deliberately hash-ordered scenario diverges, and the first
-    divergent event is located (the whole emission order scrambles, so
-    divergence shows up at event 0)."""
-    report = check_determinism(DIVERGENT)
-    assert not report.identical
-    assert report.first_divergence == 0
-    assert report.context_a and report.context_b
-    text = report.format()
-    assert "DIVERGENCE at event 0" in text
-    assert "run A context" in text and "run B context" in text
+def test_planted_set_iteration_is_caught(planted_table, tmp_path, capsys):
+    """The hash-ordered row fails the golden check, and the first
+    divergent event is located with both children's context (the whole
+    emission order scrambles, so divergence shows up at event 0)."""
+    path = str(tmp_path / "planted.json")
+    ledger.write({DIVERGENT: UNPINNED}, path)
+    assert main(["ledger", "golden", "--row", DIVERGENT,
+                 "--file", path]) == 1
+    out = capsys.readouterr().out
+    assert "%s: the perturbed children diverge at event 0" % DIVERGENT in out
+    assert "child A (hash seed 1, decoy 0, table order), 12 events:" in out
+    assert "child B (hash seed 4242, decoy 7, reverse order), 12 events:" \
+        in out
+    assert out.count(">> [0] ") == 2
+    assert "row(s) match" not in out
 
 
-def test_main_exit_codes():
-    assert main(["check-determinism", "--scenario", CLEAN]) == 0
-    assert main(["check-determinism", "--scenario", DIVERGENT]) == 1
+def test_regen_refuses_to_pin_a_divergent_row(planted_table, tmp_path,
+                                              capsys):
+    """Not even the rows the children agree on are written: a stale
+    ``trickle`` pin, which a clean regen would fix, stays stale."""
+    path = str(tmp_path / "timelines.json")
+    rows = ledger.read(FIXTURE)
+    rows["trickle"]["sha256"] = "0" * 64
+    ledger.write(rows, path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    assert main(["ledger", "golden", "--regen", "--row", "trickle",
+                 "--row", DIVERGENT, "--file", path]) == 1
+    out = capsys.readouterr().out
+    assert "diverge at event 0" in out
+    assert "refused to pin: %s left as it was" % path in out
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
+def test_main_exit_codes(planted_table, tmp_path, capsys):
+    """A crashing child is a failed check (1) that shows the child's
+    stderr, not a usage error; an unknown row is one (2)."""
+    path = str(tmp_path / "planted.json")
+    ledger.write({CRASHING: UNPINNED}, path)
+    assert main(["ledger", "golden", "--row", CRASHING, "--file", path]) == 1
+    out = capsys.readouterr().out
+    assert "child A (hash seed 1, decoy 0, table order) exited 1:" in out
+    assert "RuntimeError: planted crash" in out
+    assert "unknown row 'mod:tests.analysis.planted:nope'" in exits_2(
+        ["ledger", "golden", "--row", "mod:tests.analysis.planted:nope"],
+        capsys)

@@ -29,15 +29,17 @@ def test_cli_requires_a_command():
 
 def test_the_top_level_verbs(capsys):
     assert "(choose from %s)" % ", ".join(map(repr, (
-        "figure", "trace-export", "run", "ledger", "lint", "spec", "ckpt",
-        "check-determinism"))) in exits_2(["nope"], capsys)
+        "figure", "trace-export", "run", "ledger", "lint", "spec",
+        "ckpt"))) in exits_2(["nope"], capsys)
 
 
 @pytest.mark.parametrize("verb", ["obs", "faults", "fleetd", "golden",
-                                  "perf"] + list(FIGURE_NAMES))
+                                  "perf", "check-determinism"]
+                         + list(FIGURE_NAMES))
 def test_replaced_verbs_are_unknown_commands(verb, capsys):
     """``repro run``, ``repro ledger`` and ``repro figure`` replaced
-    them; no alias verbs survive (``spec run`` and ``ckpt run`` are
+    them (every ``ledger golden`` check is the determinism probe); no
+    alias verbs survive (``spec run`` and ``ckpt run`` are
     pinned gone next to their siblings' tests)."""
     assert "invalid choice: %r" % verb in exits_2([verb], capsys)
 

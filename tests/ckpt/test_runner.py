@@ -173,19 +173,17 @@ def test_extend_identity_holds_per_family(tmp_path, scenario,
 
 def test_a_day_unit_encodes_each_timeline_row_once(tmp_path, monkeypatch):
     """The lines hashed for the day digest are the lines appended to
-    the timeline: one ``_canonical`` call per row, not two."""
-    from repro.analysis import divergence
+    the timeline: one ``canonical`` call per row, not two."""
     from repro.ckpt.store import CheckpointStore
     from repro.fleetd import executor
-    encode = divergence._canonical
+    encode = executor.canonical
     encoded = []
 
     def counting(row):
         encoded.append(row)
         return encode(row)
 
-    monkeypatch.setattr(divergence, "_canonical", counting)
-    monkeypatch.setattr(executor, "_canonical", counting)   # digest_rows
+    monkeypatch.setattr(executor, "canonical", counting)
     out = str(tmp_path / "once")
     run_checkpointed("fleet-8", days=2, out=out, options=OPTIONS)
     store = CheckpointStore(out)

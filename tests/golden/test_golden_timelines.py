@@ -19,9 +19,17 @@ import sys
 import pytest
 
 from repro.analysis import ledger
-from repro.analysis.golden import GOLDEN_SCENARIOS, timeline_pin
+from repro.analysis.divergence import capture_timeline
+from repro.analysis.golden import GOLDEN_SCENARIOS
+from repro.fleetd.executor import digest_rows
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "timelines.json")
+
+
+def timeline_pin(spec):
+    """``spec``'s golden row, captured in this interpreter."""
+    rows = capture_timeline(spec)
+    return {"sha256": digest_rows(rows), "events": len(rows)}
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +62,8 @@ def test_digest_is_stable_within_a_run():
 def test_retired_kernel_env_vars_select_nothing():
     """``REPRO_QUEUE``/``REPRO_POOL`` once picked a scheduler and an
     allocation mode (an unknown value was a ValueError at import);
-    there is one kernel now and nothing reads them."""
+    there is one kernel now and nothing reads them.  This is also the
+    suite's one full perturbed golden run: every row in both children."""
     env = dict(os.environ, REPRO_QUEUE="bogus", REPRO_POOL="bogus",
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     done = subprocess.run(

@@ -53,11 +53,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.analysis.divergence import (
-    _canonical,
-    compare_timelines,
-    resolve_scenario,
-)
+from repro.analysis.divergence import compare_timelines, resolve_scenario
+from repro.fleetd.executor import canonical, timeline_rows
 from repro.sim import kernel
 from repro.sim.events import Event, Timeout
 from repro.sim.queue import HeapQueue
@@ -253,15 +250,13 @@ def _observed(spec, loop):
 
 def capture_obs_timeline(spec, loop):
     """Timeline-tier witness (probe-free run) of ``spec`` on ``loop``."""
-    lines = [_canonical(dict(event.to_row()))
-             for event in _observed(spec, loop).trace.events]
+    lines = [canonical(row) for row in timeline_rows(_observed(spec, loop))]
     return lines, len(lines)
 
 
 def capture_metrics(spec, loop):
     """Metrics-tier witness (probe-free run) of ``spec`` on ``loop``."""
-    lines = [_canonical(row)
-             for row in _observed(spec, loop).metrics.rows()]
+    lines = [canonical(row) for row in _observed(spec, loop).metrics.rows()]
     return lines, len(lines)
 
 
