@@ -31,7 +31,8 @@ class Host:
 
     def recv_cost(self, size_bytes):
         """Seconds of CPU to absorb one packet of ``size_bytes``."""
-        return self.send_cost(size_bytes) * self.recv_multiplier
+        return ((self.cpu_per_packet + size_bytes * self.cpu_per_byte)
+                * self.recv_multiplier)
 
 
 # Calibrated so that SFTP disk-to-disk transfer of 1 MB between these

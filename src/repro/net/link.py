@@ -55,6 +55,10 @@ class LinkDirection:
         self.header_savings = int(header_savings)
         self._rng = rng
         self._deliver = deliver
+        # The arrival callback, bound once: no closure per packet.
+        self._arrive = self._complete_delivery
+        #: The :class:`Link` this direction belongs to (set by it).
+        self.link = None
         self._busy_until = 0.0
         self.up = True
         self.stats = LinkStats()
@@ -78,11 +82,6 @@ class LinkDirection:
         effective = max(1, size_bytes - self.header_savings)
         return effective * self.bits_per_byte / self.bandwidth_bps
 
-    @property
-    def queue_delay(self):
-        """Seconds until the wire is free at the current instant."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     def send(self, datagram):
         """Enqueue ``datagram`` for transmission; returns nothing.
 
@@ -90,74 +89,79 @@ class LinkDirection:
         as are randomly lost packets — receivers only ever see
         successful deliveries, exactly like UDP.
         """
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += datagram.size
-        obs = self.sim.obs
+        size = datagram.size
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        sim = self.sim
+        obs = sim.obs
         if obs.enabled:
             meters = self._sent_meters
             if meters[0] is not obs:
                 meters = self._sent_meters = self._meters(
                     obs, "link.packets_sent", "link.bytes_sent")
             meters[1].inc()
-            meters[2].inc(datagram.size)
+            meters[2].inc(size)
         if not self.up:
-            self.stats.packets_dropped_down += 1
-            self.stats.bytes_dropped_down += datagram.size
+            stats.packets_dropped_down += 1
+            stats.bytes_dropped_down += size
             if obs.enabled:
                 obs.metrics.counter("link.packets_dropped",
                                     link=self.label, reason="down").inc()
                 obs.metrics.counter("link.bytes_dropped", link=self.label,
-                                    reason="down").inc(datagram.size)
+                                    reason="down").inc(size)
                 obs.event("packet_drop", link=self.label, reason="down",
-                          bytes=datagram.size)
+                          bytes=size)
             return
-        start = max(self.sim.now, self._busy_until)
-        done = start + self.transmission_time(datagram.size)
+        now = sim.now
+        busy_until = self._busy_until
+        done = ((busy_until if busy_until > now else now)
+                + self.transmission_time(size))
         self._busy_until = done
         if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.stats.packets_lost += 1
-            self.stats.bytes_lost += datagram.size
+            stats.packets_lost += 1
+            stats.bytes_lost += size
             if obs.enabled:
                 obs.metrics.counter("link.packets_dropped",
                                     link=self.label, reason="loss").inc()
                 obs.event("packet_drop", link=self.label, reason="loss",
-                          bytes=datagram.size)
+                          bytes=size)
             return
-        arrival_delay = (done - self.sim.now) + self.latency
-        self.bytes_in_flight += datagram.size
-        # A timeout with a direct callback, not a per-packet delivery
-        # process: delivery still runs at exactly the same instant, but
-        # one heap event replaces three (bootstrap, timeout, process
-        # completion) plus a generator per packet.
-        timeout = Timeout(self.sim, arrival_delay)
-        timeout.callbacks.append(
-            lambda _evt: self._complete_delivery(datagram))
+        self.bytes_in_flight += size
+        # A timeout carrying the datagram as its value, with a callback
+        # bound once: delivery runs at exactly the instant a per-packet
+        # delivery process would, from one heap event instead of three
+        # and with no generator or closure per packet.
+        Timeout(sim, (done - now) + self.latency,
+                datagram).callbacks.append(self._arrive)
 
-    def _complete_delivery(self, datagram):
+    def _complete_delivery(self, arrival):
+        datagram = arrival._value
+        size = datagram.size
         obs = self.sim.obs
-        self.bytes_in_flight -= datagram.size
+        self.bytes_in_flight -= size
+        stats = self.stats
         if not self.up:
             # The link dropped while the packet was in flight.
-            self.stats.packets_dropped_down += 1
-            self.stats.bytes_dropped_down += datagram.size
+            stats.packets_dropped_down += 1
+            stats.bytes_dropped_down += size
             if obs.enabled:
                 obs.metrics.counter("link.packets_dropped", link=self.label,
                                     reason="down_in_flight").inc()
                 obs.metrics.counter("link.bytes_dropped", link=self.label,
-                                    reason="down_in_flight"
-                                    ).inc(datagram.size)
+                                    reason="down_in_flight").inc(size)
                 obs.event("packet_drop", link=self.label,
-                          reason="down_in_flight", bytes=datagram.size)
+                          reason="down_in_flight", bytes=size)
             return
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += datagram.size
+        stats.packets_delivered += 1
+        stats.bytes_delivered += size
         if obs.enabled:
             meters = self._delivered_meters
             if meters[0] is not obs:
                 meters = self._delivered_meters = self._meters(
                     obs, "link.packets_delivered", "link.bytes_delivered")
             meters[1].inc()
-            meters[2].inc(datagram.size)
+            meters[2].inc(size)
         self._deliver(datagram)
 
 
@@ -199,6 +203,7 @@ class Link:
             sim, bandwidth_bps, latency, loss_rate,
             bits_per_byte, backward_rng, deliver,
             header_savings=header_savings, label=backward_label)
+        self.forward.link = self.backward.link = self
 
     def _direction_rng(self, label):
         """Loss generator for one direction, keyed by its label.

@@ -13,6 +13,9 @@ class Socket:
         self.node = node
         self.port = port
         self._inbox = Store(network.sim)
+        #: ``recv()`` is an event that fires with the next datagram
+        #: delivered here: the inbox's own ``get``, with no wrapper.
+        self.recv = self._inbox.get
         self.closed = False
 
     def send(self, dst, dst_port, payload, size):
@@ -20,13 +23,7 @@ class Socket:
         if self.closed:
             raise RuntimeError("socket is closed")
         self.network.transmit(Datagram(
-            src=self.node, src_port=self.port,
-            dst=dst, dst_port=dst_port,
-            payload=payload, size=size))
-
-    def recv(self):
-        """Event that fires with the next datagram delivered here."""
-        return self._inbox.get()
+            self.node, self.port, dst, dst_port, payload, size))
 
     def pending(self):
         """Number of datagrams queued for recv."""
@@ -35,10 +32,6 @@ class Socket:
     def close(self):
         self.closed = True
         self.network._unbind(self)
-
-    def _deliver(self, datagram):
-        if not self.closed:
-            self._inbox.put(datagram)
 
 
 class Network:
@@ -53,7 +46,9 @@ class Network:
     def __init__(self, sim, rng=None):
         self.sim = sim
         self._rng = rng
-        self._links = {}
+        #: ``(src, dst)`` -> the :class:`LinkDirection` a datagram from
+        #: ``src`` to ``dst`` leaves on: one lookup per packet.
+        self._routes = {}
         self._sockets = {}
 
     def add_link(self, node_a, node_b, profile=None, **overrides):
@@ -73,12 +68,14 @@ class Network:
             parameters.setdefault("rng", self._rng)
         link = Link(self.sim, node_a, node_b,
                     deliver=self._deliver, **parameters)
-        self._links[frozenset((node_a, node_b))] = link
+        self._routes[node_b, node_a] = link.backward
+        self._routes[node_a, node_b] = link.forward
         return link
 
     def link_between(self, node_a, node_b):
         """The link joining two nodes, or None."""
-        return self._links.get(frozenset((node_a, node_b)))
+        direction = self._routes.get((node_a, node_b))
+        return direction.link if direction is not None else None
 
     def socket(self, node, port):
         """Bind a datagram socket at ``(node, port)``."""
@@ -90,14 +87,15 @@ class Network:
         return sock
 
     def transmit(self, datagram):
-        link = self.link_between(datagram.src, datagram.dst)
-        if link is not None:    # no route: silently dropped, like IP
-            link.send(datagram)
+        direction = self._routes.get((datagram.src, datagram.dst))
+        if direction is not None:    # no route: silently dropped, like IP
+            direction.send(datagram)
 
     def _deliver(self, datagram):
+        """Every delivered datagram passes through here."""
         sock = self._sockets.get((datagram.dst, datagram.dst_port))
-        if sock is not None:
-            sock._deliver(datagram)
+        if sock is not None and not sock.closed:
+            sock._inbox.put(datagram)
 
     def _unbind(self, sock):
         self._sockets.pop((sock.node, sock.port), None)

@@ -1,34 +1,27 @@
 """Datagrams carried by the simulated network."""
 
-from dataclasses import dataclass, field
-from itertools import count
 
-_datagram_ids = count(1)
-
-
-@dataclass
 class Datagram:
     """An unreliable datagram (the UDP analogue).
 
     ``size`` is the on-the-wire size in bytes including all headers;
     it, not the payload object, determines transmission time.  The
     ``payload`` is any Python object — transports put their own packet
-    structures here.
+    structures here.  A datagram's identity is the object itself.
     """
 
-    src: str
-    src_port: int
-    dst: str
-    dst_port: int
-    payload: object
-    size: int
-    ident: int = field(default_factory=lambda: next(_datagram_ids))
+    __slots__ = ("src", "src_port", "dst", "dst_port", "payload", "size")
 
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("datagram size must be positive: %r" % self.size)
+    def __init__(self, src, src_port, dst, dst_port, payload, size):
+        if size <= 0:
+            raise ValueError("datagram size must be positive: %r" % size)
+        self.src = src
+        self.src_port = src_port
+        self.dst = dst
+        self.dst_port = dst_port
+        self.payload = payload
+        self.size = size
 
     def __repr__(self):
-        return "<Datagram #%d %s:%d->%s:%d %dB>" % (
-            self.ident, self.src, self.src_port,
-            self.dst, self.dst_port, self.size)
+        return "<Datagram %s:%d->%s:%d %dB>" % (
+            self.src, self.src_port, self.dst, self.dst_port, self.size)

@@ -9,6 +9,7 @@ that cost TCP throughput on lossy wireless links and slow modems.
 """
 
 from repro.rpc2.rtt import RttEstimator
+from repro.sim.events import Timeout
 from repro.sim.resources import Store
 
 TCP_HEADER = 40          # TCP/IP headers
@@ -36,7 +37,7 @@ class _TcpReceiver:
             datagram = yield self.socket.recv()
             cost = self.host.recv_cost(datagram.size)
             if cost > 0:
-                yield self.sim.sleep(cost)
+                yield Timeout(self.sim, cost)
             seq = datagram.payload["seq"]
             out_of_order = seq != self.next_expected
             self.received.add(seq)
@@ -54,7 +55,7 @@ class _TcpReceiver:
     def _send_ack(self):
         size = TCP_HEADER
         cost = self.host.send_cost(size)
-        done = self.sim.timeout(cost)
+        done = Timeout(self.sim, cost)
         self._unacked_count = 0
         self.socket.send(self.peer, self.peer_port,
                          {"ack": self.next_expected}, size)
@@ -94,7 +95,7 @@ class _TcpSender:
             datagram = yield self.socket.recv()
             cost = self.host.recv_cost(datagram.size)
             if cost > 0:
-                yield self.sim.sleep(cost)
+                yield Timeout(self.sim, cost)
             self._acks.put(datagram.payload["ack"])
 
     def run(self):
@@ -107,7 +108,7 @@ class _TcpSender:
                    and self.next_seq - self.acked < int(self.cwnd)):
                 yield self._transmit(self.next_seq)
                 self.next_seq += 1
-            timeout = self.sim.timeout(self.rtt.rto * (2 ** backoff))
+            timeout = Timeout(self.sim, self.rtt.rto * (2 ** backoff))
             yield self.sim.any_of([pending, timeout])
             if not pending.triggered:
                 # Retransmission timeout: shrink to one segment and
@@ -146,7 +147,7 @@ class _TcpSender:
 
     def _transmit(self, seq, retransmit=False):
         size = self._segment_size(seq)
-        cost = self.sim.timeout(self.host.send_cost(size))
+        cost = Timeout(self.sim, self.host.send_cost(size))
         if retransmit:
             self.retransmissions += 1
             # Karn's rule: never time a retransmitted segment.

@@ -72,15 +72,25 @@ class Store:
         while self._getters:
             getter = self._getters.popleft()
             if getter._value is _PENDING:   # not yet triggered
-                getter.succeed(item)
+                # An inlined getter.succeed(item), as in Lock.acquire.
+                getter._ok = True
+                getter._value = item
+                sim = self.sim
+                # repro: allow[SIM001] the byte-identical tuple succeed() pushes
+                sim._push((sim.now, URGENT, next(sim._sequence), getter))
                 return
         self._items.append(item)
 
     def get(self):
         """Return an event that fires with the next item."""
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._items:
-            event.succeed(self._items.popleft())
+            # Born triggered with the oldest item: an inlined succeed().
+            event._ok = True
+            event._value = self._items.popleft()
+            # repro: allow[SIM001] the byte-identical tuple succeed() pushes
+            sim._push((sim.now, URGENT, next(sim._sequence), event))
         else:
             self._getters.append(event)
         return event

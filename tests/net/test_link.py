@@ -49,12 +49,13 @@ def test_async_serial_framing_costs_ten_bits(sim):
 def test_fifo_contention_queues_packets(sim):
     arrived = []
     link = mk_link(sim, bandwidth=8000.0,
-                   deliver=lambda d: arrived.append((d.ident, sim.now)))
+                   deliver=lambda d: arrived.append((d, sim.now)))
     first, second = dg(1000), dg(1000)
     link.send(first)
     link.send(second)     # must wait for the first to leave the wire
     sim.run()
-    assert [t for _i, t in arrived] == [1.0, 2.0]
+    assert [t for _d, t in arrived] == [1.0, 2.0]
+    assert [d for d, _t in arrived] == [first, second]
 
 
 def test_directions_do_not_contend(sim):
@@ -70,7 +71,7 @@ def test_directions_do_not_contend(sim):
 def test_loss_drops_packets_deterministically(sim):
     arrived = []
     link = mk_link(sim, loss=0.5, seed=42,
-                   deliver=lambda d: arrived.append(d.ident))
+                   deliver=lambda d: arrived.append(d))
     for _ in range(100):
         link.send(dg(10))
     sim.run()

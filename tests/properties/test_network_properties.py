@@ -18,13 +18,12 @@ def test_fifo_links_never_reorder(sizes, bandwidth, latency):
     import random
     link = Link(sim, "a", "b", bandwidth_bps=bandwidth, latency=latency,
                 rng=random.Random(0),
-                deliver=lambda d: arrived.append(d.ident))
+                deliver=lambda d: arrived.append(d.payload))
     sent = []
-    for size in sizes:
-        datagram = Datagram(src="a", src_port=1, dst="b", dst_port=2,
-                            payload=None, size=size)
-        sent.append(datagram.ident)
-        link.send(datagram)
+    for index, size in enumerate(sizes):
+        link.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
+                           payload=index, size=size))
+        sent.append(index)
     sim.run()
     assert arrived == sent
 

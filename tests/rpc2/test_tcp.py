@@ -68,12 +68,12 @@ def test_a_datagram_kept_across_later_receives_is_untouched(monkeypatch):
     deliver = Network._deliver
 
     def keeping(net, datagram):
-        kept.append((datagram, datagram.ident, datagram.payload))
+        kept.append((datagram, datagram.size, datagram.payload))
         deliver(net, datagram)
 
     monkeypatch.setattr(Network, "_deliver", keeping)
     run_tcp(20_000)
     assert len(kept) > 10
     assert len({id(datagram) for datagram, _, _ in kept}) == len(kept)
-    for datagram, ident, payload in kept:
-        assert datagram.ident == ident and datagram.payload is payload
+    for datagram, size, payload in kept:
+        assert datagram.size == size and datagram.payload is payload
