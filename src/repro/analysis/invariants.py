@@ -235,3 +235,25 @@ class InvariantChecker:
     def summary(self):
         return ("invariants: %d check(s), %d violation(s)"
                 % (self.checks, len(self.violations)))
+
+
+def attach_client_checkers(checkers, facades, sample=4):
+    """Attach one non-strict checker per sampled client facade.
+
+    A checker per client wraps ``observatory.event`` once each, so the
+    sample is bounded: the first ``sample - 1`` facades plus the last
+    keep fleet-scale runs tractable while still watching both ends of
+    the roster.  Each checker is appended to ``checkers``; returns the
+    attached ones.  No-op when ``checkers`` is None.
+    """
+    if checkers is None or not facades:
+        return []
+    picked = (facades if len(facades) <= sample
+              else facades[:sample - 1] + [facades[-1]])
+    attached = []
+    for facade in picked:
+        checker = InvariantChecker(strict=False)
+        checker.attach(facade)
+        checkers.append(checker)
+        attached.append(checker)
+    return attached

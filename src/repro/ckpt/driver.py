@@ -39,9 +39,8 @@ from repro.ckpt.state import (
     hydrate_client,
     restore_server,
 )
-from repro.fs.content import SyntheticContent
 from repro.net import ETHERNET, Network
-from repro.net.host import LAPTOP_1995, SERVER_1995
+from repro.net.host import SERVER_1995
 from repro.sim import RandomStreams, Simulator
 
 DAY = 86_400.0
@@ -108,30 +107,7 @@ class _World:
 
 
 # ----------------------------------------------------------------------
-# client rosters and volume trees (same pools as the live families)
-
-
-def client_specs(config, family):
-    """``[(name, kind)]`` in build order, mirroring the live families."""
-    if family == "commuter":
-        from repro.spec.families import _COMMUTER_DESKTOPS, _COMMUTER_LAPTOPS
-        desktops, laptops = _COMMUTER_DESKTOPS, _COMMUTER_LAPTOPS
-    else:
-        desktops = ["bach", "berlioz", "brahms", "chopin", "copland",
-                    "dvorak", "gershwin", "gs125", "holst", "ives",
-                    "mahler", "messiaen", "mozart", "varicose", "verdi",
-                    "vivaldi"]
-        laptops = ["caractacus", "deidamia", "finlandia", "gloriana",
-                   "guntram", "nabucco", "prometheus", "serse", "tosca",
-                   "valkyrie"]
-    prefix = config.name_prefix
-    specs = [(prefix + desktops[i % len(desktops)]
-              + ("" if i < len(desktops) else str(i)), "desktop")
-             for i in range(config.desktops)]
-    specs += [(prefix + laptops[i % len(laptops)]
-               + ("" if i < len(laptops) else str(i)), "laptop")
-              for i in range(config.laptops)]
-    return specs
+# the world: a restored server's volumes, and the day-0 build
 
 
 def _volume_lists(server):
@@ -147,60 +123,22 @@ def _volume_lists(server):
     return shared, system, extra
 
 
-# ----------------------------------------------------------------------
-# day 0: build the world once, park everyone
-
-
 def initial_state(shard, config, options):
     """The parked day-0 world: populated volumes, warmed caches.
 
-    Built exactly like the live families (same tree and warm-sample
-    streams), then every client is parked through the snapshot path, so
-    day 0 starts — like every later day — from a :class:`ShardState`.
-    The construction simulator never runs; it exists only because Venus
-    and the server need one to be built against.
+    Built by :class:`repro.bench.fleet.FleetWorld`, the same builder as
+    the live families, then every client is parked through the
+    snapshot path, so day 0 starts — like every later day — from a
+    :class:`ShardState`.  The construction simulator never runs; it
+    exists only because Venus and the server need one to be built
+    against.
     """
-    from repro.bench.common import populate_volume, warm_cache
-    from repro.bench.fleet import _volume_tree
-    from repro.server import CodaServer
+    from repro.bench.fleet import FleetWorld
 
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    sim.rand = streams
-    net = Network(sim, rng=streams.stream("net"))
-    server = CodaServer(sim, net, "server", SERVER_1995)
-
-    shared = [populate_volume(server, "/coda/project/p%02d" % i,
-                              _volume_tree("/coda/project/p%02d" % i,
-                                           config, streams))
-              for i in range(config.shared_volumes)]
-    system = [populate_volume(server, "/coda/misc/s%02d" % i,
-                              _volume_tree("/coda/misc/s%02d" % i,
-                                           config, streams))
-              for i in range(config.system_volumes)]
-    for i in range(config.extra_volumes):
-        populate_volume(server, "/coda/extra/e%02d" % i,
-                        _volume_tree("/coda/extra/e%02d" % i,
-                                     config, streams))
-
-    from repro.venus import Venus, VenusConfig
-
+    world = FleetWorld(config, shard.family)
+    server = world.server
     clients = {}
-    for name, kind in client_specs(config, shard.family):
-        rng = streams.stream("client::" + name)
-        net.add_link(name, "server", profile=ETHERNET)
-        private = populate_volume(server, "/coda/usr/%s" % name,
-                                  _volume_tree("/coda/usr/%s" % name,
-                                               config, streams))
-        host = LAPTOP_1995 if kind == "laptop" else SERVER_1995
-        venus = Venus(sim, net, name, "server", host,
-                      config=VenusConfig(probe_interval=120.0,
-                                         hoard_walk_interval=600.0))
-        warm_cache(venus, server, private)
-        for volume in rng.sample(shared, min(3, len(shared))):
-            warm_cache(venus, server, volume)
-        for volume in rng.sample(system, min(6, len(system))):
-            warm_cache(venus, server, volume)
+    for name, kind, venus, _link, _rng in world.clients():
         clients[name] = capture_client(name, kind, venus, 0)
         venus.crash()
         server.callbacks.drop_client(name)
@@ -210,7 +148,7 @@ def initial_state(shard, config, options):
         shard_index=shard.index, seed=shard.seed,
         day=0, time=0.0, day_seconds=options.day_seconds,
         server=capture_server(server), clients=clients,
-        rng=streams.state(), admin_counter=0)
+        rng=world.streams.state(), admin_counter=0)
 
 
 # ----------------------------------------------------------------------
@@ -224,12 +162,10 @@ def _scaled_hour(options, t):
 
 def _plan_ops(name, config, options, streams, family, start, end):
     """Wake + op times for one client-day, from its plan stream."""
+    from repro.bench.fleet import mean_op_gap
+
     rng = streams.stream("ckpt-plan::" + name)
-    mean_gap = options.day_seconds / (config.private_writes_per_day
-                                      + config.shared_writes_per_day
-                                      + config.reads_per_day
-                                      + config.roams_per_day
-                                      + config.evictions_per_day)
+    mean_gap = mean_op_gap(config, options.day_seconds)
     t = start + rng.uniform(0, options.wake_jitter)
     events = [(t, "wake")]
     while True:
@@ -331,13 +267,15 @@ def plan_client_day(name, kind, config, options, streams, family,
 
 def _hydrate(world, name):
     """Bring a parked client back; returns (venus, link)."""
+    from repro.bench.fleet import client_host
+
     state = world.parked.pop(name)
     link = world.links.get(name)
     if link is None:
         link = world.net.add_link(name, "server", profile=ETHERNET)
         world.links[name] = link
-    host = LAPTOP_1995 if state.kind == "laptop" else SERVER_1995
-    venus = hydrate_client(state, world.sim, world.net, host)
+    venus = hydrate_client(state, world.sim, world.net,
+                           client_host(state.kind))
     world.resident[name] = (state.kind, venus, link)
     world.resident_max = max(world.resident_max, len(world.resident))
     world.swap_in += 1
@@ -366,48 +304,12 @@ def _park(world, name):
     venus.crash()
 
 
-def _exec_op(world, name, venus, rng):
-    """One life op, same mix and draw order as the live families."""
-    from repro.bench.fleet import _evict_volume, _read_something
-
-    config = world.config
-    counter = world.op_counters.get(name, 0) + 1
-    world.op_counters[name] = counter
-    weights = [config.reads_per_day, config.private_writes_per_day,
-               config.shared_writes_per_day, config.roams_per_day,
-               config.evictions_per_day]
-    total_weight = sum(weights)
-    pick = rng.random() * total_weight
-    try:
-        if pick < weights[0]:
-            yield from _read_something(venus, None, world.shared, rng)
-        elif pick < weights[0] + weights[1]:
-            path = "/coda/usr/%s/data/w%d" % (venus.node, counter % 60)
-            yield from venus.write_file(
-                path, SyntheticContent(rng.randrange(2_000, 20_000),
-                                       tag=("ckpt", name, counter)))
-        elif pick < weights[0] + weights[1] + weights[2]:
-            volume = rng.choice(world.shared)
-            path = "/coda/project/p%02d/data/%s-%d" % (
-                world.shared.index(volume), venus.node, counter % 40)
-            yield from venus.write_file(
-                path, SyntheticContent(rng.randrange(2_000, 20_000),
-                                       tag=("ckpt", name, counter)))
-        elif pick < sum(weights[:4]):
-            index = rng.randrange(len(world.extra))
-            yield from venus.read_file(
-                "/coda/extra/e%02d/data/f%03d"
-                % (index, rng.randrange(config.files_per_volume)))
-        else:
-            _evict_volume(venus, rng)
-    except Exception:
-        # Misses and races with planned outages are part of life.
-        pass
-
-
 def _client_day(world, name, sessions):
     """One client's day: hydrate per session, execute, park between."""
+    from repro.bench.fleet import client_op
+
     sim = world.sim
+    config = world.config
     rng = world.streams.stream("client::" + name)
     for index, session in enumerate(sessions):
         first_time = session[0][0]
@@ -429,7 +331,17 @@ def _client_day(world, name, sessions):
                 link.set_up(True)
                 yield from venus.connect()
             elif kind == "op":
-                yield from _exec_op(world, name, venus, rng)
+                counter = world.op_counters.get(name, 0) + 1
+                world.op_counters[name] = counter
+                try:
+                    op = client_op(venus, config, world.shared, world.extra,
+                                   rng, counter, ("ckpt", name, counter))
+                    if op is not None:
+                        yield from op
+                except Exception:
+                    # Misses and races with planned outages are part
+                    # of life.
+                    pass
             # "wake" carries no action: hydration already connected.
         park_at = session[-1][0] + world.options.settle_seconds
         if park_at > sim.now:
@@ -438,26 +350,19 @@ def _client_day(world, name, sessions):
 
 
 def _admin_day(world):
-    """The administrator's day (same body as the live families)."""
+    """The administrator's day: the live families' update, on the
+    day unit's clock and the checkpointed counter."""
+    from repro.bench.fleet import admin_update
+
     sim = world.sim
-    config = world.config
     rng = world.streams.stream("admin")
-    system = world.system + world.extra
+    volumes = world.system + world.extra
     while True:
-        rate = config.system_updates_per_day * len(system)
+        rate = world.config.system_updates_per_day * len(volumes)
         yield sim.sleep(rng.expovariate(rate / world.options.day_seconds))
         world.admin_counter += 1
-        volume = rng.choice(system)
-        fids = [fid for fid, vnode in volume.vnodes.items()
-                if vnode.is_file()]
-        if not fids:
-            continue
-        fid = rng.choice(fids)
-        vnode = volume.require(fid)
-        vnode.content = SyntheticContent(vnode.length or 1024,
-                                         tag=("admin", world.admin_counter))
-        volume.bump(vnode, sim.now)
-        world.server._break_callbacks("admin-client", fid)
+        admin_update(world.server, volumes, rng, sim.now,
+                     ("admin", world.admin_counter))
 
 
 # ----------------------------------------------------------------------

@@ -65,8 +65,8 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
     fleet.  Safe to run in a pool: every worker touches only its own
     shard directory.
     """
-    from repro.fleetd.executor import _stream_stats, canonical, \
-        digest_lines, timeline_rows
+    from repro.fleetd.executor import canonical, digest_lines, \
+        stream_stats, timeline_rows
     from repro.fleetd.plan import shard_config
     from repro.obs import Observatory
 
@@ -107,7 +107,7 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
              "state_file": files.state_name(day + 1),
              "state_sha256": hashlib.sha256(blob).hexdigest(),
              "state_bytes": len(blob),
-             "stream_stats": _stream_stats(rows, shard)},
+             "stream_stats": stream_stats(rows, shard)},
             blob,
         )
         if stream:
@@ -267,17 +267,6 @@ def _check_identity(manifest):
 # reporting: the directory is the source of truth
 
 
-def _client_report(client):
-    """A Figure-9 ClientReport dict from a parked client's stats."""
-    stats = client.validation
-    return {"name": client.name,
-            "kind": client.kind,
-            "missing_pct": 100.0 * stats.missing_stamp_fraction,
-            "attempts": stats.attempts,
-            "success_pct": 100.0 * stats.success_fraction,
-            "objs_per_success": stats.objects_per_success}
-
-
 def _merge_stream_stats(day_stats, prefix):
     """Fold per-day stream stats into one shard-level summary.
 
@@ -317,6 +306,9 @@ def report_from_store(out):
     is reported as 0 — how many processes wrote the store is not a
     property of the store.
     """
+    from dataclasses import asdict
+
+    from repro.bench.fleet import client_report
     from repro.fleetd.executor import ShardResult
     from repro.fleetd.merge import merge_results
     from repro.obs.metrics import merge_rows
@@ -338,7 +330,8 @@ def report_from_store(out):
             sim_seconds=sum(r["sim_seconds"] for r in records),
             digest=entry["digest"],
             events=sum(r["events"] for r in records),
-            reports=[_client_report(client)
+            reports=[asdict(client_report(client.name, client.kind,
+                                          client.validation))
                      for client in state.clients.values()],
             metrics_rows=merge_rows(
                 ((record["day"], record["rows"])

@@ -72,7 +72,7 @@ def digest_rows(rows):
     return digest_lines(canonical(row) for row in rows)
 
 
-def _stream_stats(rows, shard):
+def stream_stats(rows, shard):
     """Shard-local summary of the event stream for the merged sweep.
 
     Computed where the events live (inside the worker) so verify never
@@ -133,7 +133,7 @@ def run_shard(shard, with_timeline=False, instrument=True):
         result.digest = digest_rows(rows)
         result.events = len(rows)
         result.metrics_rows = observatory.metrics.rows()
-        result.stream_stats = _stream_stats(rows, shard)
+        result.stream_stats = stream_stats(rows, shard)
         if with_timeline:
             result.timeline = rows
     return result

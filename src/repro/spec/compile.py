@@ -281,8 +281,8 @@ def run_spec(spec, observatory=None, schedule_log=None, checker=None,
     overrides a fleet spec's duration.  ``schedule_log`` records the
     kernel's ``(time, priority, sequence)`` dispatch order (testbed
     specs); ``plan`` overrides a script spec's fault plan.
-    ``check_invariants`` attaches live invariant checkers where the
-    family supports them (requires ``observatory``); the caller reads
+    ``check_invariants`` attaches live invariant checkers, in every
+    family (requires ``observatory``); the caller reads
     ``result.checkers`` for violations.
     """
     spec.check()

@@ -28,15 +28,6 @@ from dataclasses import dataclass
 
 DAY = 86_400.0
 
-#: Commuter fleet client names: same musical register as the Figure 9
-#: fleet, distinct hosts (these clients commute, those don't).
-_COMMUTER_DESKTOPS = ["elgar", "faure", "handel", "haydn", "janacek",
-                      "liszt", "purcell", "rameau", "ravel", "satie",
-                      "smetana", "tallis", "telemann", "walton",
-                      "webern", "wolf"]
-_COMMUTER_LAPTOPS = ["aida", "carmen", "fidelio", "lakme", "louise",
-                     "manon", "mignon", "norma", "rusalka", "salome"]
-
 
 def fleet_study(family):
     """The ``(config, observatory=, extras=, checkers=) -> reports``
@@ -45,7 +36,8 @@ def fleet_study(family):
     if family == "commuter":
         return run_commuter_study
     if family == "figure9":
-        return _run_figure9
+        from repro.bench.fleet import run_fleet_study
+        return run_fleet_study
     raise ValueError("unknown fleet family %r" % family)
 
 
@@ -57,41 +49,6 @@ def testbed_runner(family):
         return runners[family]
     except KeyError:
         raise ValueError("unknown testbed family %r" % family) from None
-
-
-def _run_figure9(config, observatory=None, extras=None, checkers=None):
-    """The classic Figure 9 fleet study behind the family interface.
-
-    ``extras``/``checkers`` are accepted for interface parity but the
-    classic study takes no live checkers (fleetd's merged-invariant
-    sweep covers it); passing them changes nothing about the run.
-    """
-    from repro.bench.fleet import run_fleet_study
-    return run_fleet_study(config, observatory=observatory)
-
-
-def _attach_client_checkers(checkers, facades, sample=4):
-    """Attach one non-strict invariant checker per sampled client.
-
-    A checker per client wraps ``observatory.event`` once each, so the
-    sample is bounded: first/last of the list (plus up to ``sample``
-    total) keeps fleet-scale runs tractable while still watching both
-    populations.  No-op unless the caller asked for checkers and the
-    run is instrumented.
-    """
-    if checkers is None or not facades:
-        return []
-    from repro.analysis.invariants import InvariantChecker
-
-    picked = (facades if len(facades) <= sample
-              else facades[:sample - 1] + [facades[-1]])
-    attached = []
-    for facade in picked:
-        checker = InvariantChecker(strict=False)
-        checker.attach(facade)
-        checkers.append(checker)
-        attached.append(checker)
-    return attached
 
 
 # ----------------------------------------------------------------------
@@ -134,108 +91,39 @@ def run_commuter_study(config=None, observatory=None, extras=None,
                        checkers=None):
     """Simulate the commuting fleet; returns (desktops, laptops) reports.
 
-    Same shape as :func:`repro.bench.fleet.run_fleet_study` — per-client
-    Figure 9 validation reports — so fleetd shards, merges, and verifies
-    commuter runs with the machinery it already has.  ``extras``, when
-    a dict, receives family-level metrics (commutes taken, disconnected
-    seconds, reintegrated records).
+    The Figure 9 fleet's world (:class:`repro.bench.fleet.FleetWorld`)
+    with its own roster, lives gated by office hours, and laptops that
+    commute instead of suffering random outages — so fleetd shards,
+    merges, and verifies commuter runs with the machinery it already
+    has.  ``extras``, when a dict, receives family-level metrics
+    (commutes taken, disconnected seconds, reintegrated records).
     """
-    from repro.bench.common import Testbed, populate_volume, warm_cache
-    from repro.bench.fleet import (
-        ClientReport,
-        _administrator,
-        _outage_process,
-        _volume_tree,
-    )
-    from repro.net import ETHERNET, Network
-    from repro.net.host import LAPTOP_1995, SERVER_1995
-    from repro.server import CodaServer
-    from repro.sim import RandomStreams, Simulator
-    from repro.venus import Venus, VenusConfig
+    from repro.bench.fleet import FleetWorld, client_life, outage_process
 
     config = config or CommuterConfig()
-    sim = Simulator()
-    if observatory is not None:
-        observatory.install(sim)
-    streams = RandomStreams(config.seed)
-    net = Network(sim, rng=streams.stream("net"))
-    server = CodaServer(sim, net, "server", SERVER_1995)
-
-    shared = [populate_volume(server, "/coda/project/p%02d" % i,
-                              _volume_tree("/coda/project/p%02d" % i,
-                                           config, streams))
-              for i in range(config.shared_volumes)]
-    system = [populate_volume(server, "/coda/misc/s%02d" % i,
-                              _volume_tree("/coda/misc/s%02d" % i,
-                                           config, streams))
-              for i in range(config.system_volumes)]
-    extra = [populate_volume(server, "/coda/extra/e%02d" % i,
-                             _volume_tree("/coda/extra/e%02d" % i,
-                                          config, streams))
-             for i in range(config.extra_volumes)]
-
-    specs = ([(config.name_prefix + _COMMUTER_DESKTOPS[i % 16]
-               + ("" if i < 16 else str(i)),
-               "desktop") for i in range(config.desktops)]
-             + [(config.name_prefix + _COMMUTER_LAPTOPS[i % 10]
-                 + ("" if i < 10 else str(i)),
-                 "laptop") for i in range(config.laptops)])
-    clients = []
+    world = FleetWorld(config, "commuter", observatory)
+    sim, streams = world.sim, world.streams
+    office_hours = (config.work_start, config.work_end,
+                    config.off_hours_activity)
     commute_stats = {}
-    facades = []
-    for name, kind in specs:
-        rng = streams.stream("client::" + name)
-        link = net.add_link(name, "server", profile=ETHERNET)
-        private = populate_volume(server, "/coda/usr/%s" % name,
-                                  _volume_tree("/coda/usr/%s" % name,
-                                               config, streams))
-        host = LAPTOP_1995 if kind == "laptop" else SERVER_1995
-        venus = Venus(sim, net, name, "server", host,
-                      config=VenusConfig(probe_interval=120.0,
-                                         hoard_walk_interval=600.0))
-        warm_cache(venus, server, private)
-        for volume in rng.sample(shared, min(3, len(shared))):
-            warm_cache(venus, server, volume)
-        for volume in rng.sample(system, min(6, len(system))):
-            warm_cache(venus, server, volume)
-        clients.append((name, kind, venus))
-        sim.process(_diurnal_life(sim, config, venus, private, shared,
-                                  extra, rng, kind),
+    for name, kind, venus, link, rng in world.clients():
+        sim.process(client_life(sim, config, venus, world.shared,
+                                world.extra, rng, office_hours),
                     name="life-%s" % name)
         if kind == "laptop":
-            stats = commute_stats.setdefault(
-                name, {"commutes": 0, "disconnected_seconds": 0.0})
+            stats = commute_stats[name] = {"commutes": 0,
+                                           "disconnected_seconds": 0.0}
             sim.process(_commute_process(
                 sim, config, venus, link,
                 streams.stream("commute::" + name), stats),
                 name="commute-%s" % name)
         else:
-            sim.process(_outage_process(sim, config, venus, link,
-                                        streams.stream("outage::" + name),
-                                        kind),
+            sim.process(outage_process(sim, config, venus, link,
+                                       streams.stream("outage::" + name),
+                                       kind),
                         name="outage-%s" % name)
-        if checkers is not None and observatory is not None:
-            facades.append(Testbed(sim=sim, net=net, link=link,
-                                   server=server, venus=venus,
-                                   obs=observatory, streams=streams))
 
-    sim.process(_administrator(sim, config, server, system + extra,
-                               streams.stream("admin")), name="admin")
-    attached = _attach_client_checkers(checkers, facades)
-    sim.run(until=config.days * DAY)
-    for checker in attached:
-        checker.check_all()
-
-    desktops, laptops = [], []
-    for name, kind, venus in clients:
-        stats = venus.validator.stats
-        report = ClientReport(
-            name=name, kind=kind,
-            missing_pct=100.0 * stats.missing_stamp_fraction,
-            attempts=stats.attempts,
-            success_pct=100.0 * stats.success_fraction,
-            objs_per_success=stats.objects_per_success)
-        (desktops if kind == "desktop" else laptops).append(report)
+    desktops, laptops = world.run(checkers)
     if isinstance(extras, dict):
         extras["commutes"] = sum(
             stats["commutes"] for stats in commute_stats.values())
@@ -244,67 +132,8 @@ def run_commuter_study(config=None, observatory=None, extras=None,
             for stats in commute_stats.values()), 1)
         extras["cml_reintegrated"] = sum(
             venus.cml.stats.reintegrated_records
-            for _name, _kind, venus in clients)
+            for _name, _kind, venus, _link in world.built)
     return desktops, laptops
-
-
-def _hour_of_day(now):
-    return (now % DAY) / 3600.0
-
-
-def _diurnal_life(sim, config, venus, private, shared, extra, rng, kind):
-    """The Figure 9 client life, gated by office hours.
-
-    Activity draws gaps at the in-hours rate; a draw landing outside
-    work hours is stretched by ``1 / off_hours_activity``, so evenings
-    and nights see a trickle of activity instead of none (people do
-    open their laptops at home — that is the point of the family).
-    """
-    from repro.bench.fleet import _evict_volume, _read_something
-
-    yield sim.sleep(rng.uniform(0, 600))
-    yield from venus.connect()
-    mean_gap = DAY / (config.private_writes_per_day
-                      + config.shared_writes_per_day
-                      + config.reads_per_day
-                      + config.roams_per_day
-                      + config.evictions_per_day)
-    weights = [config.reads_per_day, config.private_writes_per_day,
-               config.shared_writes_per_day, config.roams_per_day,
-               config.evictions_per_day]
-    total_weight = sum(weights)
-    counter = 0
-    while True:
-        gap = rng.expovariate(1.0 / mean_gap)
-        hour = _hour_of_day(sim.now)
-        if not config.work_start <= hour < config.work_end:
-            gap /= max(config.off_hours_activity, 1e-6)
-        yield sim.sleep(gap)
-        counter += 1
-        pick = rng.random() * total_weight
-        try:
-            if pick < weights[0]:
-                yield from _read_something(venus, private, shared, rng)
-            elif pick < weights[0] + weights[1]:
-                path = "/coda/usr/%s/data/w%d" % (venus.node, counter % 60)
-                yield from venus.write_file(
-                    path, rng.randrange(2_000, 20_000))
-            elif pick < weights[0] + weights[1] + weights[2]:
-                volume = rng.choice(shared)
-                path = "/coda/project/p%02d/data/%s-%d" % (
-                    shared.index(volume), venus.node, counter % 40)
-                yield from venus.write_file(
-                    path, rng.randrange(2_000, 20_000))
-            elif pick < sum(weights[:4]):
-                index = rng.randrange(len(extra))
-                yield from venus.read_file(
-                    "/coda/extra/e%02d/data/f%03d"
-                    % (index, rng.randrange(config.files_per_volume)))
-            else:
-                _evict_volume(venus, rng)
-        except Exception:
-            # Misses and races with commutes are part of life.
-            pass
 
 
 def _commute_process(sim, config, venus, link, rng, stats):
@@ -425,7 +254,8 @@ def run_conflict_storm(spec, master, observatory=None, schedule_log=None,
     attached = []
     if checker is not None:
         checker.attach(facades[0])
-        attached = _attach_client_checkers(
+        from repro.analysis.invariants import attach_client_checkers
+        attached = attach_client_checkers(
             checkers, facades[1:], sample=config.writers)
     cycle = (config.round_minutes * 60.0 + config.drain_seconds + 120.0)
     sim.run(until=config.rounds * cycle + 600.0)

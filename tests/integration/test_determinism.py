@@ -25,3 +25,16 @@ def test_fleet_study_deterministic():
             for r in a_desk + a_lap] \
         == [(r.name, r.attempts, r.missing_pct, r.success_pct)
             for r in b_desk + b_lap]
+
+
+def test_live_fleets_leave_the_global_content_counter_alone():
+    """Every payload a live fleet writes carries an explicit tag, so a
+    fleet's file contents never depend on what ran before it in the
+    process (auto-tagged content draws a process-global counter)."""
+    from repro.bench.fleet import FleetConfig, run_fleet_study
+    from repro.fs.content import SyntheticContent
+    from repro.spec.families import CommuterConfig, run_commuter_study
+    before = SyntheticContent._counter
+    run_fleet_study(FleetConfig(desktops=2, laptops=2, days=0.5))
+    run_commuter_study(CommuterConfig(desktops=2, laptops=2, days=0.5))
+    assert SyntheticContent._counter == before

@@ -2,8 +2,8 @@
 
 Each one drives Venus operations through ``yield from`` the way an
 application would, so a change to how those operations are plumbed can
-break them while every library test passes.  ``fleet_study.py`` is left
-out: it is ``repro figure fleet`` at other parameters and takes seconds.
+break them while every library test passes.  Every script in
+``examples/`` is listed below.
 """
 
 import os

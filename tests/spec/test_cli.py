@@ -135,6 +135,17 @@ def test_run_check_invariants_reports_checks(capsys):
     assert "0 violation(s)" in out
 
 
+def test_run_figure9_fleet_honours_check_invariants(capsys, monkeypatch):
+    """The Figure 9 family attaches live checkers like the commuter."""
+    monkeypatch.setenv("REPRO_FAST", "1")
+    assert main(["run", "fleet-golden", "--check-invariants"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("invariants:"))
+    checkers = int(line.split()[1])
+    assert checkers >= 1
+    assert line.endswith(" 0 violation(s)")
+
+
 def test_run_json_writes_the_report(capsys, tmp_path):
     out_path = tmp_path / "spec.json"
     assert main(["run", "trickle", "--json", str(out_path)]) == 0
