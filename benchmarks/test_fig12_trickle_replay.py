@@ -12,6 +12,9 @@ import pytest
 
 from repro.bench import replay
 
+#: The Figure 14 tables' unit, and the slack its shape checks allow.
+KB = 1024
+
 
 @pytest.fixture(scope="module")
 def grid(fast):
@@ -36,7 +39,7 @@ def test_fig12_13_elapsed_insulation(grid, benchmark, fast):
     if fast:
         assert len(grid) == 2
         for cell in grid:
-            assert cell.elapsed > 0
+            assert cell["elapsed"] > 0
         return
     mean_slowdown, worst_slowdown = replay.slowdown_summary(grid)
     print("\nModem vs Ethernet slowdown: mean %.1f%%, worst %.1f%% "
@@ -54,38 +57,41 @@ def test_fig12_13_elapsed_insulation(grid, benchmark, fast):
     # and lambda = 10 s runs are faster than lambda = 1 s runs for the
     # same cell (less think time preserved).
     for cell in grid:
-        assert 700 < cell.elapsed < 2400, cell
-    lambdas = sorted({c.think_threshold for c in grid})
+        assert 700 < cell["elapsed"] < 2400, cell
+    lambdas = sorted({c["think_threshold"] for c in grid})
     if len(lambdas) == 2:
         lo, hi = lambdas
-        for cell in [c for c in grid if c.think_threshold == hi]:
+        for cell in [c for c in grid if c["think_threshold"] == hi]:
             twins = [c for c in grid
-                     if c.think_threshold == lo
-                     and c.segment == cell.segment
-                     and c.network == cell.network
-                     and c.aging_window == cell.aging_window]
-            assert twins and cell.elapsed < twins[0].elapsed
+                     if c["think_threshold"] == lo
+                     and c["segment"] == cell["segment"]
+                     and c["network"] == cell["network"]
+                     and c["aging_window"] == cell["aging_window"]]
+            assert twins and cell["elapsed"] < twins[0]["elapsed"]
 
 
 def test_fig14_cml_accounting(grid, benchmark, fast):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    think = min(c.think_threshold for c in grid)
-    window = max(c.aging_window for c in grid)
+    think = min(c["think_threshold"] for c in grid)
+    window = max(c["aging_window"] for c in grid)
     table = replay.cml_data_table(grid, think=think, window=window)
     table.show()
 
     cells = [c for c in grid
-             if c.think_threshold == think and c.aging_window == window]
-    by = {(c.segment, c.network): c for c in cells}
-    segments = sorted({c.segment for c in cells}) if fast \
+             if c["think_threshold"] == think and c["aging_window"] == window]
+    by = {(c["segment"], c["network"]): c for c in cells}
+    segments = sorted({c["segment"] for c in cells}) if fast \
         else replay.SEGMENTS
     for segment in segments:
         ethernet = by[(segment, "Ethernet")]
         modem = by[(segment, "Modem")]
         # "As bandwidth decreases, so does the amount of data shipped"
-        assert modem.shipped_kb <= ethernet.shipped_kb + 1, segment
+        assert modem["shipped_bytes"] <= ethernet["shipped_bytes"] + KB, \
+            segment
         # "...more data remains in the CML at lower bandwidths."
-        assert modem.end_cml_kb >= ethernet.end_cml_kb - 1, segment
+        assert modem["end_cml_bytes"] >= ethernet["end_cml_bytes"] - KB, \
+            segment
         # "Since data spends more time in the CML, there is greater
         # opportunity for optimization."
-        assert modem.optimized_kb >= ethernet.optimized_kb - 1, segment
+        assert modem["optimized_bytes"] \
+            >= ethernet["optimized_bytes"] - KB, segment

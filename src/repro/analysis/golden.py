@@ -31,12 +31,12 @@ from repro.analysis.divergence import PERTURBATIONS, compare_timelines
 
 #: The pinned scenarios: the five scripted testbed specs and the micro
 #: fleet by catalogue name, then the reduced-scale entry points of
-#: :mod:`repro.spec.golden` — two fleet-8 shards and the three spec
-#: families — so kernel, transport, cache, multi-client, and
-#: sharded-fleet scheduling paths are all covered.  The shard entries
-#: pin what a worker process simulates — a sharded run is only provably
-#: equivalent to the single-process schedule if that schedule itself
-#: cannot drift silently.
+#: :mod:`repro.spec.golden` — two fleet-8 shards, the three spec
+#: families and the trace replay — so kernel, transport, cache,
+#: replay, multi-client, and sharded-fleet scheduling paths are all
+#: covered.  The shard entries pin what a worker process simulates — a
+#: sharded run is only provably equivalent to the single-process
+#: schedule if that schedule itself cannot drift silently.
 GOLDEN_SCENARIOS = (
     "trickle",
     "outage",
@@ -49,6 +49,7 @@ GOLDEN_SCENARIOS = (
     "mod:repro.spec.golden:commuter_golden",
     "mod:repro.spec.golden:conflict_storm_golden",
     "mod:repro.spec.golden:doc_archive_golden",
+    "mod:repro.spec.golden:replay_golden",
 )
 
 

@@ -65,13 +65,9 @@ def _replay():
 
 
 def _ablations():
-    from repro.bench import ablations as a
-    return [a.chunk_table(a.run_chunk_ablation()),
-            a.aging_replay_table(a.run_aging_replay_ablation()),
-            a.logopt_table(a.run_logopt_ablation()),
-            a.false_sharing_table(a.run_false_sharing_ablation()),
-            a.compression_table(a.run_header_compression_ablation()),
-            a.cost_table(a.run_cost_ablation())]
+    from repro.bench import ablations
+    return [ablations.render(ablation, ablations.sweep(ablation))
+            for ablation in ablations.ABLATIONS]
 
 
 #: Figure name -> zero-argument function returning its ``Table`` s.

@@ -15,94 +15,56 @@ shipped, more remains in the CML, and optimizations save slightly
 more (records live longer in the log).
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.bench.results import Table
 from repro.net import ETHERNET, ISDN, MODEM, WAVELAN
-from repro.trace.replay import TraceReplayer
-from repro.trace.segments import segment_by_name
-from repro.venus import VenusConfig
+from repro.spec.catalog import get
+from repro.spec.compile import run_spec
+from repro.spec.model import NetworkSpec
 
 NETWORKS = (ETHERNET, WAVELAN, ISDN, MODEM)
 SEGMENTS = ("purcell", "holst", "messiaen", "concord")
 AGING_WINDOWS = (300.0, 600.0)
 THINK_THRESHOLDS = (1.0, 10.0)
-WARM_SECONDS = 600.0
+#: Figure 12's 10-minute warming period, the ``replay`` spec's.
+WARM_SECONDS = get("replay").params_dict()["warm_seconds"]
 
 
-@dataclass
-class ReplayCell:
-    segment: str
-    network: str
-    aging_window: float
-    think_threshold: float
-    elapsed: float
-    begin_cml_kb: float
-    end_cml_kb: float
-    shipped_kb: float
-    optimized_kb: float
-    misses: int
-
-
-def run_replay_cell(segment, network, aging_window, think_threshold,
-                    venus_config=None):
-    """Run one cell of the Figure 12 grid; returns a ReplayCell."""
-    if isinstance(segment, str):
-        segment = segment_by_name(segment)
-    config = venus_config or VenusConfig(
-        aging_window=aging_window,
-        force_write_disconnected=True)
-    config.aging_window = aging_window
-    testbed = make_testbed(network, venus_config=config)
-    volume = populate_volume(testbed.server, "/coda/usr/trace",
-                             segment.tree)
-    warm_cache(testbed.venus, testbed.server, volume)
-    replayer = TraceReplayer(testbed.venus,
-                             think_threshold=think_threshold,
-                             warm_seconds=WARM_SECONDS)
-
-    def scenario():
-        connected = yield from testbed.venus.connect()
-        assert connected, "client failed to reach the server"
-        report = yield from replayer.run(segment)
-        return report
-
-    report = testbed.run(scenario())
-    return ReplayCell(
-        segment=segment.name, network=network.name,
-        aging_window=aging_window, think_threshold=think_threshold,
-        elapsed=report.elapsed,
-        begin_cml_kb=report.begin_cml_bytes / 1024.0,
-        end_cml_kb=report.end_cml_bytes / 1024.0,
-        shipped_kb=report.shipped_bytes / 1024.0,
-        optimized_kb=report.optimized_bytes / 1024.0,
-        misses=report.misses)
+def run_replay_cell(segment, network, aging_window, think_threshold):
+    """Run one cell of the Figure 12 grid: the ``replay`` spec with
+    the cell's segment, network, A and lambda.  Returns its facts: the
+    replay family's summary plus the cell's ``segment``, ``network``
+    and ``aging_window``."""
+    base = get("replay")
+    spec = replace(
+        base.with_params(segment=segment, think_threshold=think_threshold),
+        network=NetworkSpec(profile=network.name),
+        venus=dict(base.venus_dict(), aging_window=aging_window))
+    return dict(run_spec(spec).summary, segment=segment,
+                network=network.name, aging_window=aging_window)
 
 
 def run_replay_grid(segments=SEGMENTS, networks=NETWORKS,
                     aging_windows=AGING_WINDOWS,
                     think_thresholds=THINK_THRESHOLDS):
-    """The full 2x2x4x4 grid; returns a list of ReplayCell.
+    """The full 2x2x4x4 grid; returns one facts dict per cell.
 
-    Segments are generated once and reused; each cell runs in a fresh
-    simulated testbed, so cells are independent.
+    Each cell runs in a fresh simulated testbed, so cells are
+    independent.
     """
-    cells = []
-    cached_segments = {name: segment_by_name(name) for name in segments}
-    for think in think_thresholds:
-        for window in aging_windows:
-            for name in segments:
-                for network in networks:
-                    cells.append(run_replay_cell(
-                        cached_segments[name], network, window, think))
-    return cells
+    return [run_replay_cell(name, network, window, think)
+            for think in think_thresholds
+            for window in aging_windows
+            for name in segments
+            for network in networks]
 
 
 def elapsed_tables(cells):
     """Figure 12 style: one table per (lambda, A) combination."""
     tables = []
-    combos = sorted({(c.think_threshold, c.aging_window) for c in cells})
+    combos = sorted({(c["think_threshold"], c["aging_window"])
+                     for c in cells})
     for think, window in combos:
         table = Table(
             "Figure 12 (lambda = %g s, A = %g s): elapsed seconds"
@@ -111,12 +73,8 @@ def elapsed_tables(cells):
         for name in SEGMENTS:
             row = [name.capitalize()]
             for network in NETWORKS:
-                match = [c for c in cells
-                         if c.segment == name
-                         and c.network == network.name
-                         and c.think_threshold == think
-                         and c.aging_window == window]
-                row.append("%.0f" % match[0].elapsed if match else "-")
+                match = _cells(cells, think, window, name, network.name)
+                row.append("%.0f" % match[0]["elapsed"] if match else "-")
             if row.count("-") < len(NETWORKS):     # the segment ran
                 table.add(*row)
         tables.append(table)
@@ -132,17 +90,12 @@ def cml_data_table(cells, think=1.0, window=600.0):
          "Optimized"])
     for name in SEGMENTS:
         for network in NETWORKS:
-            match = [c for c in cells
-                     if c.segment == name and c.network == network.name
-                     and c.think_threshold == think
-                     and c.aging_window == window]
+            match = _cells(cells, think, window, name, network.name)
             if match:
-                cell = match[0]
-                table.add(name.capitalize(), network.name,
-                          "%.0f" % cell.begin_cml_kb,
-                          "%.0f" % cell.end_cml_kb,
-                          "%.0f" % cell.shipped_kb,
-                          "%.0f" % cell.optimized_kb)
+                table.add(name.capitalize(), network.name, *(
+                    "%.0f" % (match[0][key] / 1024.0) for key in (
+                        "begin_cml_bytes", "end_cml_bytes", "shipped_bytes",
+                        "optimized_bytes")))
     return table
 
 
@@ -152,10 +105,8 @@ def slowdown_summary(cells):
     for think in THINK_THRESHOLDS:
         for window in AGING_WINDOWS:
             for name in SEGMENTS:
-                by_net = {c.network: c.elapsed for c in cells
-                          if c.segment == name
-                          and c.think_threshold == think
-                          and c.aging_window == window}
+                by_net = {c["network"]: c["elapsed"]
+                          for c in _cells(cells, think, window, name)}
                 if "Ethernet" in by_net and "Modem" in by_net \
                         and by_net["Ethernet"]:
                     ratios.append(by_net["Modem"] / by_net["Ethernet"])
@@ -164,6 +115,14 @@ def slowdown_summary(cells):
     mean = sum(ratios) / len(ratios)
     worst = max(ratios)
     return mean - 1.0, worst - 1.0
+
+
+def _cells(cells, think, window, segment, network=None):
+    """The cells of one (lambda, A, segment[, network]) coordinate."""
+    return [c for c in cells
+            if c["think_threshold"] == think and c["aging_window"] == window
+            and c["segment"] == segment
+            and network in (None, c["network"])]
 
 
 def _rate(profile):

@@ -16,7 +16,9 @@ evaluation never ran (:mod:`repro.spec.families`): ``commuter``
 ``conflict-storm`` (many writers on one shared volume stressing
 reintegration and repair), and ``doc-archive`` (Stanski-style
 prefetch-container archiving driving hoard misses under the patience
-model).
+model) — and ``replay`` makes the paper's own trace replay (Figures
+12-14) a spec: every Figure 12 cell is ``run_spec`` of the catalogue's
+``replay`` with its segment, network and aging window swapped.
 
 Seeds route through the one sanctioned function
 (:func:`repro.spec.seeds.master_seed`): ``derive_rng("<kind>", name,

@@ -1,11 +1,13 @@
 """The shipped scenario catalogue.
 
 Every canned scenario — the instrumentation workloads, the fault
-scripts, the Figure 9 fleet studies and their sharded plans, and the
-three spec-native families — is a :class:`~repro.spec.model.ScenarioSpec`
-value here, and the catalogue name is the one way to refer to it:
-``repro run <name>``, ``repro ledger golden``, the shard planner and
-the checkpoint manifest all resolve through :func:`get`.  The golden timeline digests pin what each name runs.
+scripts, the Figure 9 fleet studies and their sharded plans, the
+three spec-native families and the Figure 12 trace replay — is a
+:class:`~repro.spec.model.ScenarioSpec` value here, and the catalogue
+name is the one way to refer to it: ``repro run <name>``, ``repro
+ledger golden``, the shard planner and the checkpoint manifest all
+resolve through :func:`get`.  The golden timeline digests pin what
+each name runs.
 """
 
 from repro.spec.model import (
@@ -224,12 +226,29 @@ DOC_ARCHIVE = ScenarioSpec(
             "weak_bps": 9_600.0, "weak_minutes": 90.0})
 
 
+# ----------------------------------------------------------------------
+# trace replay (Figures 12-14)
+
+#: perfbench's ``trickle-replay`` cell: messiaen replayed on a
+#: write-disconnected client over a 9.6 Kb/s modem, A = 300 s,
+#: lambda = 1 s, after Figure 12's 10-minute warming period.
+REPLAY = ScenarioSpec(
+    name="replay", kind="testbed", family="replay", seed_kind="spec",
+    title="Figure 12 cell: messiaen replayed write-disconnected over a"
+          " 9.6 Kb/s modem",
+    venus={"aging_window": 300.0, "force_write_disconnected": True},
+    network=NetworkSpec(profile="Modem"),
+    params={"segment": "messiaen", "think_threshold": 1.0,
+            "warm_seconds": 600.0})
+
+
 #: name -> spec, in presentation order.
 CATALOG = {spec.name: spec for spec in (
     TRICKLE, OUTAGE,
     SMOKE, CLIENT_CRASH, SERVER_CRASH,
     FLEET_8, FLEET_32, FLEET_64, FLEET_GOLDEN, FLEET_256, FLEET_1024,
     COMMUTER, CONFLICT_STORM, DOC_ARCHIVE,
+    REPLAY,
 )}
 
 
@@ -252,6 +271,7 @@ FAST_PARAMS = {
     "conflict-storm": {"writers": 4, "rounds": 1},
     "doc-archive": {"reads": 16, "containers": 3, "hoarded_containers": 1,
                     "commute_at": 200.0},
+    "replay": {"records": 8_000},
 }
 
 #: REPRO_FAST fleet shapes per family.  The generic days/8 cut is

@@ -19,12 +19,16 @@ different leg of the paper's weak-connectivity machinery:
   set, driving transparent fetches, patience-denied misses (section
   4.4.1, Figure 5), and trickle-reintegrated annotations.
 
+A fourth, **replay**, is the paper's own central experiment: one
+trace segment replayed through a live client (section 6.2.1, Figures
+12-14).
+
 Every stochastic draw comes from a named stream of the run's master
 seed, so each family is byte-identical across runs — pinned by golden
 timeline digests like every other scenario.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 DAY = 86_400.0
 
@@ -44,7 +48,8 @@ def fleet_study(family):
 def testbed_runner(family):
     """The spec-level runner for a non-script testbed family."""
     runners = {"conflict-storm": run_conflict_storm,
-               "doc-archive": run_doc_archive}
+               "doc-archive": run_doc_archive,
+               "replay": run_replay}
     try:
         return runners[family]
     except KeyError:
@@ -469,3 +474,55 @@ def run_doc_archive(spec, master, observatory=None, schedule_log=None,
         "bytes_shipped": venus.trickle.stats.bytes_shipped,
     }
     return testbed, summary
+
+
+# ----------------------------------------------------------------------
+# replay
+
+@dataclass
+class ReplayConfig:
+    """One trace segment replayed through a live Venus."""
+
+    segment: str = "messiaen"
+    think_threshold: float = 1.0       # lambda: shorter gaps are dropped
+    warm_seconds: float = 600.0        # trace time before measuring
+    records: int = None                # replay only this leading prefix
+
+
+def run_replay(spec, master, observatory=None, schedule_log=None,
+               checker=None, checkers=None):
+    """Run the replay family; returns (testbed, summary).
+
+    The spec's own testbed (network, aging window, write-disconnected
+    start, log optimizations: its ``network`` and ``venus`` fields)
+    with the segment's tree warmed into the cache; the summary is the
+    :class:`~repro.trace.replay.ReplayReport` plus the trickle chunks.
+    """
+    from repro.bench.common import populate_volume, warm_cache
+    from repro.spec.compile import build_testbed
+    from repro.trace.replay import TraceReplayer
+    from repro.trace.segments import segment_by_name
+
+    config = ReplayConfig(**spec.params_dict())
+    segment = segment_by_name(config.segment)
+    if config.records is not None:
+        segment.records = segment.records[:int(config.records)]
+    testbed = build_testbed(spec, observatory=observatory,
+                            schedule_log=schedule_log, checker=checker,
+                            seed=master)
+    volume = populate_volume(testbed.server, "/coda/usr/trace",
+                             segment.tree)
+    warm_cache(testbed.venus, testbed.server, volume)
+    replayer = TraceReplayer(testbed.venus,
+                             think_threshold=config.think_threshold,
+                             warm_seconds=config.warm_seconds)
+
+    def session():
+        if not (yield from testbed.venus.connect()):
+            raise RuntimeError("client failed to reach the server")
+        return (yield from replayer.run(segment))
+
+    report = testbed.run(session())
+    return testbed, dict(
+        asdict(report), end_time=testbed.sim.now,
+        chunks_committed=testbed.venus.trickle.stats.chunks_committed)

@@ -4,11 +4,11 @@ The golden machinery (:mod:`repro.analysis.golden`) pins obs timelines
 across checkouts.  A catalogue name pins the shipped spec at full
 scale; the ``mod:repro.spec.golden:<function>`` entries here pin what
 a bare name cannot: reduced-scale runs of the spec families —
-``commuter``, ``conflict-storm``, ``doc-archive`` — through the
-:func:`~repro.spec.compile.run_spec` path ``repro run`` uses, and
-shards 0 and 1 of the ``fleet-8`` plan at 0.25 day through the
-:func:`~repro.fleetd.plan.shard_config` path the executor uses, so no
-change can silently alter what a worker process simulates.  Every
+``commuter``, ``conflict-storm``, ``doc-archive``, ``replay`` —
+through the :func:`~repro.spec.compile.run_spec` path ``repro run``
+uses, and shards 0 and 1 of the ``fleet-8`` plan at 0.25 day through
+the :func:`~repro.fleetd.plan.shard_config` path the executor uses,
+so no change can silently alter what a worker process simulates.  Every
 ``repro ledger golden`` runs them in two perturbed child interpreters,
 so each is also a determinism probe.
 
@@ -67,6 +67,18 @@ def doc_archive_golden(observatory=None):
     spec = get("doc-archive").with_params(containers=3, reads=16,
                                           hoarded_containers=1,
                                           commute_at=200.0)
+    return run_spec(spec, observatory=observatory).summary
+
+
+def replay_golden(observatory=None):
+    """``mod:repro.spec.golden:replay_golden`` for repro ledger golden.
+
+    The shipped replay spec (the ``trickle-replay`` cell) on its first
+    9,000 records, ~680 trace seconds: past the 300 s aging window and
+    the 600 s warming period, so it covers trace replay, CML
+    optimization, trickle reintegration and the warm-up boundary.
+    """
+    spec = get("replay").with_params(records=9_000)
     return run_spec(spec, observatory=observatory).summary
 
 

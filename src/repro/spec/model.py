@@ -27,7 +27,7 @@ KINDS = ("testbed", "fleet")
 #: Families per kind.  "script" interprets workload.script on a single
 #: testbed; the others are measured workload generators in
 #: :mod:`repro.spec.families` / :mod:`repro.bench.fleet`.
-TESTBED_FAMILIES = ("script", "conflict-storm", "doc-archive")
+TESTBED_FAMILIES = ("script", "conflict-storm", "doc-archive", "replay")
 FLEET_FAMILIES = ("figure9", "commuter")
 
 #: Script op vocabulary: op -> (required fields, optional fields).
@@ -45,8 +45,9 @@ OPS = {
 }
 
 #: Tunable parameters each non-script family accepts (values are
-#: checked to be positive numbers; semantics live in the family's
-#: config dataclass in repro.spec.families).
+#: checked to be non-negative numbers, except ``segment``, which names
+#: a replay segment; semantics live in the family's config dataclass
+#: in repro.spec.families).
 FAMILY_PARAMS = {
     "script": (),
     "figure9": (),
@@ -58,6 +59,7 @@ FAMILY_PARAMS = {
                     "think_seconds", "annotate_every", "note_size",
                     "locality", "commute_at", "weak_bps",
                     "weak_minutes"),
+    "replay": ("segment", "think_threshold", "warm_seconds", "records"),
     "commuter": ("work_start", "work_end", "commute_minutes",
                  "off_hours_activity", "shared_volumes",
                  "system_volumes", "extra_volumes", "files_per_volume",
@@ -525,6 +527,11 @@ class ScenarioSpec:
             if name not in allowed:
                 errors.append("params: %r is not a %s parameter"
                               % (name, self.family))
+            elif name == "segment":
+                from repro.trace.segments import SEGMENT_SPECS
+                if not isinstance(value, str) or value not in SEGMENT_SPECS:
+                    errors.append("params: segment %r is not one of %s"
+                                  % (value, ", ".join(SEGMENT_SPECS)))
             elif not _number(value) or value < 0:
                 errors.append("params: %s must be a non-negative number"
                               % name)

@@ -2,18 +2,13 @@
 
 from repro.bench.replay import run_replay_cell
 from repro.net import MODEM
-from repro.trace import segment_by_name
 
 
 def test_identical_replay_cells_are_bit_identical():
-    segment = segment_by_name("purcell")
-    a = run_replay_cell(segment, MODEM, 600.0, 1.0)
-    b = run_replay_cell(segment, MODEM, 600.0, 1.0)
-    assert a.elapsed == b.elapsed
-    assert a.begin_cml_kb == b.begin_cml_kb
-    assert a.end_cml_kb == b.end_cml_kb
-    assert a.shipped_kb == b.shipped_kb
-    assert a.optimized_kb == b.optimized_kb
+    a = run_replay_cell("purcell", MODEM, 600.0, 1.0)
+    b = run_replay_cell("purcell", MODEM, 600.0, 1.0)
+    assert a == b
+    assert a["elapsed"] > 0 and a["shipped_bytes"] > 0
 
 
 def test_fleet_study_deterministic():

@@ -1,10 +1,10 @@
-"""The three measured workload families: determinism and semantics.
+"""The four measured workload families: determinism and semantics.
 
 Each family must be byte-identical across two runs (the golden
 fixtures additionally pin it across checkouts), pass the invariant
 sweep, and actually exhibit the mechanism it was built to measure —
 conflicts detected and repaired, patience-gated misses, commutes with
-reintegration on reconnect.
+reintegration on reconnect, trickle reintegration under replay.
 """
 
 import pytest
@@ -17,12 +17,14 @@ from repro.spec.golden import (
     commuter_golden,
     conflict_storm_golden,
     doc_archive_golden,
+    replay_golden,
 )
 
 GOLDEN_SPECS = (
     "mod:repro.spec.golden:commuter_golden",
     "mod:repro.spec.golden:conflict_storm_golden",
     "mod:repro.spec.golden:doc_archive_golden",
+    "mod:repro.spec.golden:replay_golden",
 )
 
 
@@ -58,6 +60,16 @@ def test_doc_archive_golden_reaches_the_weak_phase():
     assert summary["cml_reintegrated"] > 0
 
 
+def test_replay_golden_trickles_past_the_warm_up():
+    """The pinned prefix outlives the aging window and the warming
+    period: chunks ship, and measurement starts with a non-empty CML."""
+    summary = replay_golden()
+    assert summary["operations"] == 9_000
+    assert summary["chunks_committed"] > 0
+    assert summary["begin_cml_bytes"] > 0
+    assert summary["elapsed"] < summary["total_elapsed"]
+
+
 def test_commuter_laptops_commute_and_reintegrate():
     summary = commuter_golden()
     assert summary["clients"] == 4
@@ -70,6 +82,7 @@ def test_commuter_laptops_commute_and_reintegrate():
     ("conflict-storm", {"writers": 3, "rounds": 1}),
     ("doc-archive", {"containers": 3, "reads": 12,
                      "hoarded_containers": 1}),
+    ("replay", {"records": 6_000}),
 ])
 def test_testbed_families_pass_the_invariant_sweep(name, params):
     observatory = Observatory()

@@ -77,6 +77,36 @@ def test_spec_error_carries_every_problem():
     assert excinfo.value.errors == tuple(errors)
 
 
+def test_replay_rejects_unknown_segments_and_strings_elsewhere():
+    """``segment`` must name a SEGMENT_SPECS entry; every other replay
+    param is a number.  Every problem is listed, in one SpecError."""
+    spec = get("replay").with_params(segment="bach", records="all")
+    errors = spec.validate()
+    assert sorted(errors) == [
+        "params: records must be a non-negative number",
+        "params: segment 'bach' is not one of purcell, holst, messiaen,"
+        " concord",
+    ]
+    with pytest.raises(SpecError) as excinfo:
+        spec.check()
+    assert excinfo.value.errors == tuple(errors)
+
+
+@pytest.mark.parametrize("family", sorted(
+    {spec.family for spec in shipped()} - {"replay"}))
+def test_string_params_are_rejected_outside_replay(family):
+    """Only the replay family takes a string param: ``segment`` is no
+    other family's, and a string on a numeric param is an error."""
+    spec = next(spec for spec in shipped() if spec.family == family)
+    knobs = {"segment": "messiaen"}
+    expected = ["params: 'segment' is not a %s parameter" % family]
+    for name in FAMILY_PARAMS[family][:1]:
+        knobs[name] = "many"
+        expected.append("params: %s must be a non-negative number" % name)
+    errors = spec.with_params(**knobs).validate()
+    assert sorted(errors) == sorted(expected)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis: corrupted documents are rejected, not absorbed
 

@@ -13,13 +13,10 @@ it — which is why the planted mutant spells the rescan with one
 ``repro/venus`` call per item.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.bench.replay import run_replay_cell
-from repro.net import MODEM
-from repro.trace.segments import segment_by_name
+from repro.spec.catalog import get
+from repro.spec.compile import run_spec
 from repro.venus.venus import Venus
 from tests.obs.test_obs_budget import (LONG_DAYS, SHORT_DAYS, calls_into,
                                        profiled, profiled_shard)
@@ -46,18 +43,18 @@ def test_read_path_calls_per_dispatch_stay_flat(shard_profiles, package):
 
 def venus_calls_per_operation(records):
     """Calls into ``repro/venus`` per replayed operation: the
-    ``trickle-replay`` cell (messiaen over Modem, A = 300 s, λ = 1 s,
-    write-disconnected) on a prefix of the trace."""
-    segment = segment_by_name("messiaen")
-    prefix = dataclasses.replace(segment, records=segment.records[:records])
-    profile, _cell = profiled(
-        lambda: run_replay_cell(prefix, MODEM, 300.0, 1.0))
+    ``replay`` spec (perfbench's ``trickle-replay`` cell: messiaen over
+    Modem, A = 300 s, λ = 1 s, write-disconnected) on its ``records``
+    prefix of the trace."""
+    spec = get("replay").with_params(records=records)
+    profile, _result = profiled(lambda: run_spec(spec))
     return calls_into("venus", profile) / records
 
 
 def test_write_path_venus_calls_per_operation_stay_flat():
-    """11.53 → 11.55 (5,000 records: 11.69; fixed set-up cost thins
-    out), gated at ≤ 12.1; 33.29 → 33.29 before the replay path lost
+    """11.53 → 11.56 (5,000 records: 11.69; fixed set-up cost thins
+    out; the last 0.01 is the previous run's daemon generators closed
+    inside this run's profile), gated at ≤ 12.1; 33.29 → 33.29 before the replay path lost
     its trampoline frames and its seven-call hit check.
     ``rpc2``/``net`` per operation *rise* on this input
     (0.61 → 0.98, 3.70 → 4.10) because trickle reintegration only
