@@ -3,6 +3,7 @@
 import os
 
 from repro.bench import fleet
+from repro.spec.fleet import FleetConfig, run_fleet_study
 
 
 def _config(fast=False):
@@ -10,15 +11,15 @@ def _config(fast=False):
     # default reproduces the same statistics over two weeks.  Set
     # REPRO_FULL=1 for the paper-scale run.
     if fast:
-        return fleet.FleetConfig(desktops=4, laptops=2, days=1.0)
+        return FleetConfig(desktops=4, laptops=2, days=1.0)
     if os.environ.get("REPRO_FULL"):
-        return fleet.FleetConfig(days=28.0)
-    return fleet.FleetConfig(days=10.0)
+        return FleetConfig(days=28.0)
+    return FleetConfig(days=10.0)
 
 
 def test_fig09_fleet(once, fast):
     desktops, laptops = once(
-        lambda: fleet.run_fleet_study(_config(fast=fast)))
+        lambda: run_fleet_study(_config(fast=fast)))
     for table in fleet.format_tables(desktops, laptops):
         table.show()
     if fast:

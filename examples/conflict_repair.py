@@ -10,11 +10,11 @@ user repairs it — once keeping "theirs", once keeping "mine".
 Run:  python examples/conflict_repair.py
 """
 
-from repro.bench.common import populate_volume, warm_cache
 from repro.net import ETHERNET, Network
 from repro.net.host import LAPTOP_1995, SERVER_1995
 from repro.server import CodaServer
 from repro.sim import Simulator
+from repro.spec.testbed import populate_volume, warm_cache
 from repro.venus import Venus, VenusConfig
 
 M = "/coda/project/shared"

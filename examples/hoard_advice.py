@@ -14,8 +14,8 @@ Recreates the paper's Figure 5/6 interactions programmatically:
 Run:  python examples/hoard_advice.py
 """
 
-from repro.bench.common import make_testbed, populate_volume
 from repro.net import MODEM
+from repro.spec.testbed import make_testbed, populate_volume
 from repro.venus import CacheMissError, ScriptedUser, VenusConfig
 
 M = "/coda/usr/dave"

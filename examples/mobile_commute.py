@@ -10,8 +10,8 @@ reconnection, one volume-stamp RPC revalidates the whole cache.
 Run:  python examples/mobile_commute.py
 """
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.net import ETHERNET, MODEM
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig
 
 M = "/coda/usr/carol"

@@ -15,9 +15,9 @@ work:
 Run:  python examples/weak_link_trickle.py
 """
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.fs import SyntheticContent
 from repro.net import MODEM
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig
 
 M = "/coda/usr/bob"

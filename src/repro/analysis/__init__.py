@@ -22,16 +22,8 @@ This package enforces it mechanically, in three layers:
   cross-component invariants (CML seqno monotonicity across
   crash/restore, store version monotonicity, link byte conservation,
   callback volatility) from the existing observability hook points.
+
+The package re-exports nothing: every simulation imports
+:mod:`repro.analysis.invariants`, and only ``repro lint`` needs the
+linter loaded.
 """
-
-from repro.analysis.lint import Finding, lint_package, lint_paths, lint_source
-from repro.analysis.invariants import InvariantChecker, InvariantViolation
-
-__all__ = [
-    "Finding",
-    "InvariantChecker",
-    "InvariantViolation",
-    "lint_package",
-    "lint_paths",
-    "lint_source",
-]

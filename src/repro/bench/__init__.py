@@ -10,12 +10,6 @@ rows shaped like the paper's.  The benchmark suite under
     python -m repro figure replay
 """
 
-from repro.bench.common import (
-    Testbed,
-    make_testbed,
-    populate_volume,
-    warm_cache,
-)
 from repro.bench.results import Table, fmt_bytes, fmt_kbps
 
 
@@ -86,10 +80,6 @@ FIGURES = {
 __all__ = [
     "FIGURES",
     "Table",
-    "Testbed",
     "fmt_bytes",
     "fmt_kbps",
-    "make_testbed",
-    "populate_volume",
-    "warm_cache",
 ]

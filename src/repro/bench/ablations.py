@@ -30,7 +30,6 @@ Each is an :class:`Ablation` run by :func:`sweep` and printed by
 
 from dataclasses import dataclass, replace
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.bench.results import Table
 from repro.core.cost import CELLULAR, FREE, LONG_DISTANCE
 from repro.fs.content import SyntheticContent
@@ -38,6 +37,7 @@ from repro.net import ETHERNET, MODEM
 from repro.sim.rand import derive_rng
 from repro.spec.catalog import get
 from repro.spec.compile import run_spec
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig
 
 

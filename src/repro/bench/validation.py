@@ -16,10 +16,10 @@ at 10 Mb/s".
 
 from dataclasses import dataclass
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.bench.results import Table
 from repro.net import ETHERNET, ISDN, MODEM, WAVELAN
 from repro.sim.rand import derive_rng
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig
 
 

@@ -29,7 +29,7 @@ process-global counter into the pickled state and break cross-process
 state hashes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ckpt.state import (
     ShardState,
@@ -42,8 +42,14 @@ from repro.ckpt.state import (
 from repro.net import ETHERNET, Network
 from repro.net.host import SERVER_1995
 from repro.sim import RandomStreams, Simulator
-
-DAY = 86_400.0
+from repro.spec.fleet import (
+    DAY,
+    FleetWorld,
+    admin_update,
+    client_host,
+    client_op,
+    mean_op_gap,
+)
 
 
 @dataclass(frozen=True)
@@ -126,16 +132,14 @@ def _volume_lists(server):
 def initial_state(shard, config, options):
     """The parked day-0 world: populated volumes, warmed caches.
 
-    Built by :class:`repro.bench.fleet.FleetWorld`, the same builder as
-    the live families, then every client is parked through the
+    Built by :class:`repro.spec.fleet.FleetWorld`, the same builder as
+    the live fleets, then every client is parked through the
     snapshot path, so day 0 starts — like every later day — from a
     :class:`ShardState`.  The construction simulator never runs; it
     exists only because Venus and the server need one to be built
     against.
     """
-    from repro.bench.fleet import FleetWorld
-
-    world = FleetWorld(config, shard.family)
+    world = FleetWorld(config)
     server = world.server
     clients = {}
     for name, kind, venus, _link, _rng in world.clients():
@@ -162,8 +166,6 @@ def _scaled_hour(options, t):
 
 def _plan_ops(name, config, options, streams, family, start, end):
     """Wake + op times for one client-day, from its plan stream."""
-    from repro.bench.fleet import mean_op_gap
-
     rng = streams.stream("ckpt-plan::" + name)
     mean_gap = mean_op_gap(config, options.day_seconds)
     t = start + rng.uniform(0, options.wake_jitter)
@@ -267,8 +269,6 @@ def plan_client_day(name, kind, config, options, streams, family,
 
 def _hydrate(world, name):
     """Bring a parked client back; returns (venus, link)."""
-    from repro.bench.fleet import client_host
-
     state = world.parked.pop(name)
     link = world.links.get(name)
     if link is None:
@@ -306,8 +306,6 @@ def _park(world, name):
 
 def _client_day(world, name, sessions):
     """One client's day: hydrate per session, execute, park between."""
-    from repro.bench.fleet import client_op
-
     sim = world.sim
     config = world.config
     rng = world.streams.stream("client::" + name)
@@ -352,8 +350,6 @@ def _client_day(world, name, sessions):
 def _admin_day(world):
     """The administrator's day: the live families' update, on the
     day unit's clock and the checkpointed counter."""
-    from repro.bench.fleet import admin_update
-
     sim = world.sim
     rng = world.streams.stream("admin")
     volumes = world.system + world.extra

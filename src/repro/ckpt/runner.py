@@ -34,12 +34,20 @@ are first-class citizens of the fleet tooling.
 
 import hashlib
 import pickle
+from dataclasses import asdict
 
 from repro.ckpt.driver import CkptOptions, initial_state, run_day
 from repro.ckpt.state import SCHEMA_VERSION
 from repro.ckpt.store import CheckpointError, CheckpointStore, \
     MANIFEST_SCHEMA
 from repro.faults.persistence import SNAPSHOT_SCHEMA_VERSION
+from repro.fleetd import executor
+from repro.fleetd.merge import merge_results
+from repro.fleetd.plan import plan_shards, shard_config
+from repro.obs import Observatory
+from repro.obs.metrics import merge_rows
+from repro.spec.catalog import get
+from repro.spec.fleet import client_report
 
 #: Pickle protocol pinned for state files: the bytes are part of the
 #: checkpoint identity (state sha256s are compared across processes
@@ -48,7 +56,6 @@ PICKLE_PROTOCOL = 4
 
 
 def _plan(scenario, seed, days):
-    from repro.fleetd.plan import plan_shards
     return plan_shards(scenario, seed=seed, days=float(days))
 
 
@@ -65,11 +72,6 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
     fleet.  Safe to run in a pool: every worker touches only its own
     shard directory.
     """
-    from repro.fleetd.executor import canonical, digest_lines, \
-        stream_stats, timeline_rows
-    from repro.fleetd.plan import shard_config
-    from repro.obs import Observatory
-
     files = CheckpointStore(store_root).shard(shard.index).ensure()
     config = shard_config(shard)
     buffered = []
@@ -87,17 +89,17 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
         observatory = Observatory()
         state, summary = run_day(shard, config, options, state,
                                  observatory)
-        rows = timeline_rows(observatory)
+        rows = executor.timeline_rows(observatory)
         # Each row is encoded once: the same lines are hashed for the
         # day digest and appended to the timeline file.
-        lines = [canonical(row) for row in rows]
+        lines = [executor.canonical(row) for row in rows]
         blob = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
         unit = (
             day,
             lines,
             {"day": day, "rows": observatory.metrics.rows()},
             {"day": day,
-             "digest": digest_lines(lines),
+             "digest": executor.digest_lines(lines),
              "events": len(rows),
              "dispatched": summary.dispatched,
              "sim_seconds": summary.sim_seconds,
@@ -107,7 +109,7 @@ def run_shard_days(shard, store_root, options, from_day, to_day,
              "state_file": files.state_name(day + 1),
              "state_sha256": hashlib.sha256(blob).hexdigest(),
              "state_bytes": len(blob),
-             "stream_stats": stream_stats(rows, shard)},
+             "stream_stats": executor.stream_stats(rows, shard)},
             blob,
         )
         if stream:
@@ -153,11 +155,11 @@ def _execute(shards, options, store, from_day, to_day, workers, stream):
     resulting files are byte-identical to the streamed ones, only the
     memory envelope differs (which is the point of keeping the mode).
     """
-    from repro.fleetd.executor import map_shards
     for shard in shards:
         store.shard(shard.index).ensure()
-    results = map_shards(run_shard_days, shards, workers, store.root,
-                         options, from_day, to_day, stream)
+    results = executor.map_shards(run_shard_days, shards, workers,
+                                  store.root, options, from_day, to_day,
+                                  stream)
     if stream:
         return results
     summaries = []
@@ -177,7 +179,6 @@ def _fleet_digest(summaries):
 
 def build_manifest(scenario, seed, days, options, summaries):
     """The manifest: a pure function of identity + shard summaries."""
-    from repro.spec.catalog import get
     return {
         "schema": MANIFEST_SCHEMA,
         "scenario": scenario,
@@ -306,13 +307,6 @@ def report_from_store(out):
     is reported as 0 — how many processes wrote the store is not a
     property of the store.
     """
-    from dataclasses import asdict
-
-    from repro.bench.fleet import client_report
-    from repro.fleetd.executor import ShardResult
-    from repro.fleetd.merge import merge_results
-    from repro.obs.metrics import merge_rows
-
     store = CheckpointStore(out)
     manifest = store.read_manifest()
     scenario, seed = manifest["scenario"], manifest["seed"]
@@ -323,7 +317,7 @@ def report_from_store(out):
         files = store.shard(shard.index)
         records = files.read_days()
         state = pickle.loads(files.read_state_bytes(days))
-        results.append(ShardResult(
+        results.append(executor.ShardResult(
             index=shard.index, seed=shard.seed,
             desktops=shard.desktops, laptops=shard.laptops,
             dispatched=sum(r["dispatched"] for r in records),

@@ -13,6 +13,10 @@ bandwidth (section 4):
   which cache misses are serviced transparently.
 """
 
+# The client is built from these mechanisms, and core.trickle reads its
+# CML types: loading repro.venus first lets a fresh ``import repro.core``
+# resolve that cycle from the client's side.
+import repro.venus  # noqa: F401
 from repro.core.adaptation import ConnectivityMonitor, ConnectionStrength
 from repro.core.cost import (
     CELLULAR,

@@ -23,6 +23,9 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from repro.fleetd.plan import plan_shards, shard_config
+from repro.obs import Observatory
+from repro.sim import KernelTally
+from repro.spec.fleet import run_fleet_study
 
 #: Node identities that legitimately appear in a shard's timeline
 #: without carrying the shard's name prefix: every shard has its own
@@ -112,17 +115,10 @@ def run_shard(shard, with_timeline=False, instrument=True):
     ``with_timeline`` additionally ships the event rows back, which
     only the small scenarios and tests want.
     """
-    from repro.sim import KernelTally
-    from repro.spec.families import fleet_study
-
-    observatory = None
-    if instrument:
-        from repro.obs import Observatory
-        observatory = Observatory()
-    study = fleet_study(shard.family)
+    observatory = Observatory() if instrument else None
     with KernelTally() as tally:
-        desktops, laptops = study(shard_config(shard),
-                                  observatory=observatory)
+        desktops, laptops = run_fleet_study(shard_config(shard),
+                                            observatory=observatory)
     result = ShardResult(
         index=shard.index, seed=shard.seed,
         desktops=shard.desktops, laptops=shard.laptops,
@@ -151,6 +147,8 @@ def map_shards(task, shards, workers, *args):
     """
     if not workers:
         return [task(shard, *args) for shard in shards]
+    # Function-level: concurrent.futures loads multiprocessing, start-up
+    # cost that an in-process run never needs.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
         futures = [pool.submit(task, shard, *args) for shard in shards]
@@ -160,6 +158,7 @@ def map_shards(task, shards, workers, *args):
 def run_sharded(scenario, workers=1, seed=0, days=None,
                 with_timeline=False, instrument=True):
     """Plan, execute, and merge ``scenario``; returns a FleetReport."""
+    # Function-level: repro.fleetd.merge imports this module's canonical.
     from repro.fleetd.merge import merge_results
     shards = plan_shards(scenario, seed=seed, days=days)
     results = map_shards(run_shard, shards, workers, with_timeline,

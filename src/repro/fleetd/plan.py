@@ -106,7 +106,7 @@ def shard_config(shard):
     Compilation goes through :func:`repro.spec.compile.fleet_config`
     with the shard's population overriding the spec's, so a figure9
     shard still produces exactly the classic
-    :class:`repro.bench.fleet.FleetConfig`.
+    :class:`repro.spec.fleet.FleetConfig`.
     """
     from dataclasses import replace
     from repro.spec.catalog import get

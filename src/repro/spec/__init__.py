@@ -8,15 +8,18 @@ class, validated, JSON-round-trippable object — a
 testbed/fleet constructions the ``obs``, ``faults``, ``perf``, and
 ``fleetd`` subsystems used to hand-build: every canned scenario is a
 catalogue spec run through :func:`~repro.spec.compile.run_spec`,
-pinned byte-identical by the golden timeline digests.
+pinned byte-identical by the golden timeline digests.  The worlds it
+builds live here too: :mod:`repro.spec.testbed` (one client, one
+server, one link) and :mod:`repro.spec.fleet` (a fleet of clients
+sharing one server).
 
 Beyond the ports, the spec DSL opens workload families the original
-evaluation never ran (:mod:`repro.spec.families`): ``commuter``
-(diurnal connect/disconnect day-cycles across a fleet),
-``conflict-storm`` (many writers on one shared volume stressing
-reintegration and repair), and ``doc-archive`` (Stanski-style
-prefetch-container archiving driving hoard misses under the patience
-model) — and ``replay`` makes the paper's own trace replay (Figures
+evaluation never ran: ``commuter`` (:mod:`repro.spec.fleet`; diurnal
+connect/disconnect day-cycles across a fleet) and, in
+:mod:`repro.spec.families`, ``conflict-storm`` (many writers on one
+shared volume stressing reintegration and repair) and ``doc-archive``
+(Stanski-style prefetch-container archiving driving hoard misses
+under the patience model) — and ``replay`` makes the paper's own trace replay (Figures
 12-14) a spec: every Figure 12 cell is ``run_spec`` of the catalogue's
 ``replay`` with its segment, network and aging window swapped.
 

@@ -219,6 +219,9 @@ DOC_ARCHIVE = ScenarioSpec(
     seed_kind="spec",
     title="Stanski-style archive: hoarded prefetch containers under"
           " the patience model",
+    venus={"aging_window": 60.0, "daemon_period": 5.0,
+           "probe_interval": 30.0, "hoard_walk_interval": 600.0},
+    network=NetworkSpec(profile="WaveLan"),
     params={"containers": 6, "docs_per_container": 8, "doc_size": 24_000,
             "hoarded_containers": 2, "hoard_priority": 600, "reads": 60,
             "think_seconds": 40.0, "annotate_every": 5,

@@ -9,70 +9,20 @@ injector → session), the order the golden timeline digests pin.
 
 from dataclasses import dataclass, field
 
+from repro.analysis.invariants import InvariantChecker
+from repro.fs.content import SyntheticContent
+from repro.obs.events import EVENT_KINDS
+from repro.spec.families import TESTBED_RUNNERS
+from repro.spec.fleet import CommuterConfig, FleetConfig, run_fleet_study
 from repro.spec.model import ScenarioSpec
 from repro.spec.seeds import master_seed
-
-
-def probe_schedule(sim, schedule_log):
-    """Wrap ``sim.step`` to log each dispatch's scheduler key.
-
-    ``peek_entry`` is the read-only view of the next dispatch: the
-    determinism regression tests need the raw
-    ``(time, priority, seq)`` order.
-    """
-    original_step = sim.step
-
-    def probed_step():
-        schedule_log.append(sim.peek_entry()[:3])
-        original_step()
-
-    sim.step = probed_step
-
-
-def build_testbed(spec, observatory=None, schedule_log=None, checker=None,
-                  seed=0, plan=None):
-    """The spec's one-client testbed, faults armed, session not yet run.
-
-    ``plan`` overrides the spec's ``network.faults`` rows with an
-    already-built :class:`~repro.faults.plan.FaultPlan` (tests build
-    bespoke plans this way).  ``seed``
-    is the *master* testbed seed — callers go through
-    :func:`run_spec` / :func:`repro.spec.seeds.master_seed` to derive
-    it from a CLI seed.
-    """
-    from repro.bench.common import make_testbed, populate_volume, warm_cache
-    from repro.net.profiles import profile_by_name
-    from repro.venus import VenusConfig
-
-    overrides = spec.venus_dict()
-    if spec.clients.cache_capacity is not None:
-        overrides.setdefault("cache_capacity", spec.clients.cache_capacity)
-    config = VenusConfig(**overrides) if overrides else None
-    testbed = make_testbed(profile_by_name(spec.network.profile),
-                           venus_config=config, seed=seed,
-                           loss_rate=spec.network.loss_rate,
-                           observatory=observatory)
-    if schedule_log is not None:
-        probe_schedule(testbed.sim, schedule_log)
-    if checker is not None:
-        checker.attach(testbed)
-    for volume_spec in spec.volumes:
-        volume = populate_volume(testbed.server, volume_spec.mount,
-                                 volume_spec.tree_dict())
-        if volume_spec.warm:
-            warm_cache(testbed.venus, testbed.server, volume)
-    for path, priority, children in spec.clients.hoard:
-        testbed.venus.hoard(path, priority, children=children)
-    for outage in spec.network.outages:
-        testbed.link.outage(after=outage.after, duration=outage.duration)
-    if plan is None and spec.network.faults:
-        from repro.faults.plan import FaultPlan
-        plan = FaultPlan.from_dicts(spec.network.fault_rows())
-    if plan is not None:
-        from repro.faults.injector import FaultInjector
-        testbed.faults = FaultInjector(testbed, plan)
-        testbed.faults.start()
-    return testbed
+from repro.spec.testbed import build_testbed
+from repro.venus.errors import (
+    CacheMissError,
+    ConflictError,
+    NoSpaceError,
+    OfflineError,
+)
 
 
 def _script_session(testbed, script):
@@ -82,14 +32,6 @@ def _script_session(testbed, script):
     scripted client keeps operating after a client-crash fault swaps
     the Venus identity.
     """
-    from repro.fs.content import SyntheticContent
-    from repro.venus.errors import (
-        CacheMissError,
-        ConflictError,
-        NoSpaceError,
-        OfflineError,
-    )
-
     ignorable = (OSError, CacheMissError, ConflictError, NoSpaceError,
                  OfflineError)
     sim = testbed.sim
@@ -142,10 +84,10 @@ def run_script_spec(spec, observatory=None, schedule_log=None, checker=None,
 def fleet_config(spec, master, days=None, name_prefix=""):
     """The family config a fleet spec compiles to.
 
-    For ``figure9`` this is :class:`repro.bench.fleet.FleetConfig` —
+    For ``figure9`` this is :class:`repro.spec.fleet.FleetConfig` —
     population, days, seed, name prefix, plus any ``workload.mix`` rate
     overrides; pinned fleet digests hash exactly these fields.  ``commuter``
-    compiles to :class:`repro.spec.families.CommuterConfig` the same
+    compiles to :class:`repro.spec.fleet.CommuterConfig` the same
     way, with ``params`` carrying the diurnal shape.
     """
     kwargs = dict(spec.workload.mix)
@@ -154,10 +96,8 @@ def fleet_config(spec, master, days=None, name_prefix=""):
                   days=spec.duration if days is None else days,
                   seed=master, name_prefix=name_prefix)
     if spec.family == "commuter":
-        from repro.spec.families import CommuterConfig
         kwargs.update(spec.params_dict())
         return CommuterConfig(**kwargs)
-    from repro.bench.fleet import FleetConfig
     return FleetConfig(**kwargs)
 
 
@@ -170,8 +110,6 @@ def stream_sweep(observatory):
     taxonomy — mirroring the ``monotone-time``/``taxonomy`` legs of the
     fleetd merged-invariant sweep.  Returns a list of violation strings.
     """
-    from repro.obs.events import EVENT_KINDS
-
     violations = []
     last = None
     kinds = set()
@@ -290,19 +228,16 @@ def run_spec(spec, observatory=None, schedule_log=None, checker=None,
     checkers = []
 
     if spec.kind == "fleet":
-        from repro.spec.families import fleet_study
-        config = fleet_config(spec, master, days=days)
         extras = {}
-        desktops, laptops = fleet_study(spec.family)(
-            config, observatory=observatory, extras=extras,
-            checkers=checkers if check_invariants else None)
+        desktops, laptops = run_fleet_study(
+            fleet_config(spec, master, days=days), observatory=observatory,
+            extras=extras, checkers=checkers if check_invariants else None)
         return RunResult(spec=spec, seed=master,
                          summary=_fleet_summary(desktops, laptops, extras),
                          reports=(tuple(desktops), tuple(laptops)),
                          checkers=checkers)
 
     if check_invariants and checker is None and observatory is not None:
-        from repro.analysis.invariants import InvariantChecker
         checker = InvariantChecker(strict=False)
     if checker is not None:
         checkers.append(checker)
@@ -315,8 +250,7 @@ def run_spec(spec, observatory=None, schedule_log=None, checker=None,
                          summary=_script_summary(testbed), testbed=testbed,
                          checkers=checkers)
 
-    from repro.spec import families
-    runner = families.testbed_runner(spec.family)
+    runner = TESTBED_RUNNERS[spec.family]
     testbed, summary = runner(spec, master, observatory=observatory,
                               schedule_log=schedule_log, checker=checker,
                               checkers=checkers)

@@ -8,6 +8,8 @@ different leg of the paper's weak-connectivity machinery:
   rare outages, and all activity follows office hours.  Reintegration
   and reconnection validation happen at the day boundaries instead of
   Poisson-random times (Figure 9's phenomena under a periodic rhythm).
+  A fleet, it runs beside the Figure 9 fleet in :mod:`repro.spec.fleet`;
+  the testbed families below live here.
 * **conflict-storm** — many writers sharing one volume, repeatedly
   writing overlapping files while disconnected.  Reintegration detects
   the update/update conflicts (section 2.2, after Kumar), parks them,
@@ -30,143 +32,23 @@ timeline digests like every other scenario.
 
 from dataclasses import asdict, dataclass
 
-DAY = 86_400.0
-
-
-def fleet_study(family):
-    """The ``(config, observatory=, extras=, checkers=) -> reports``
-    runner for a fleet family; the fleetd executor and the spec
-    compiler both dispatch through here."""
-    if family == "commuter":
-        return run_commuter_study
-    if family == "figure9":
-        from repro.bench.fleet import run_fleet_study
-        return run_fleet_study
-    raise ValueError("unknown fleet family %r" % family)
-
-
-def testbed_runner(family):
-    """The spec-level runner for a non-script testbed family."""
-    runners = {"conflict-storm": run_conflict_storm,
-               "doc-archive": run_doc_archive,
-               "replay": run_replay}
-    try:
-        return runners[family]
-    except KeyError:
-        raise ValueError("unknown testbed family %r" % family) from None
-
-
-# ----------------------------------------------------------------------
-# commuter
-
-
-@dataclass
-class CommuterConfig:
-    """A fleet living office hours (times in hours of the sim day)."""
-
-    desktops: int = 16
-    laptops: int = 12
-    days: float = 1.0
-    seed: int = 0
-    name_prefix: str = ""
-    # volumes (as in the Figure 9 fleet)
-    shared_volumes: int = 6
-    system_volumes: int = 8
-    extra_volumes: int = 12
-    files_per_volume: int = 55
-    file_size: int = 8_000
-    # diurnal shape
-    work_start: float = 9.0
-    work_end: float = 17.5
-    commute_minutes: float = 40.0
-    off_hours_activity: float = 0.15   # fraction of the in-hours rate
-    # in-hours activity rates (per client per day)
-    private_writes_per_day: float = 40.0
-    shared_writes_per_day: float = 5.0
-    reads_per_day: float = 80.0
-    roams_per_day: float = 10.0
-    evictions_per_day: float = 6.0
-    system_updates_per_day: float = 0.6
-    desktop_outages_per_day: float = 0.5
-    outage_minutes: float = 18.0
-    flaky_reconnect_prob: float = 0.5
-
-
-def run_commuter_study(config=None, observatory=None, extras=None,
-                       checkers=None):
-    """Simulate the commuting fleet; returns (desktops, laptops) reports.
-
-    The Figure 9 fleet's world (:class:`repro.bench.fleet.FleetWorld`)
-    with its own roster, lives gated by office hours, and laptops that
-    commute instead of suffering random outages — so fleetd shards,
-    merges, and verifies commuter runs with the machinery it already
-    has.  ``extras``, when a dict, receives family-level metrics
-    (commutes taken, disconnected seconds, reintegrated records).
-    """
-    from repro.bench.fleet import FleetWorld, client_life, outage_process
-
-    config = config or CommuterConfig()
-    world = FleetWorld(config, "commuter", observatory)
-    sim, streams = world.sim, world.streams
-    office_hours = (config.work_start, config.work_end,
-                    config.off_hours_activity)
-    commute_stats = {}
-    for name, kind, venus, link, rng in world.clients():
-        sim.process(client_life(sim, config, venus, world.shared,
-                                world.extra, rng, office_hours),
-                    name="life-%s" % name)
-        if kind == "laptop":
-            stats = commute_stats[name] = {"commutes": 0,
-                                           "disconnected_seconds": 0.0}
-            sim.process(_commute_process(
-                sim, config, venus, link,
-                streams.stream("commute::" + name), stats),
-                name="commute-%s" % name)
-        else:
-            sim.process(outage_process(sim, config, venus, link,
-                                       streams.stream("outage::" + name),
-                                       kind),
-                        name="outage-%s" % name)
-
-    desktops, laptops = world.run(checkers)
-    if isinstance(extras, dict):
-        extras["commutes"] = sum(
-            stats["commutes"] for stats in commute_stats.values())
-        extras["disconnected_seconds"] = round(sum(
-            stats["disconnected_seconds"]
-            for stats in commute_stats.values()), 1)
-        extras["cml_reintegrated"] = sum(
-            venus.cml.stats.reintegrated_records
-            for _name, _kind, venus, _link in world.built)
-    return desktops, laptops
-
-
-def _commute_process(sim, config, venus, link, rng, stats):
-    """Twice a day the laptop leaves the network: commute in, commute
-    out.  Departure times jitter around the office-hour boundaries, and
-    the laptop reconnects (triggering validation and any queued
-    reintegration) when it arrives."""
-    commute = config.commute_minutes * 60.0
-    day = 0
-    while True:
-        for edge_hour in (config.work_start, config.work_end):
-            depart = (day * DAY + edge_hour * 3600.0 - commute
-                      + rng.uniform(-600.0, 600.0))
-            if depart <= sim.now:
-                continue
-            yield sim.sleep(depart - sim.now)
-            link.set_up(False)
-            venus.handle_disconnection()
-            duration = commute * rng.uniform(0.8, 1.3)
-            yield sim.sleep(duration)
-            link.set_up(True)
-            yield from venus.connect()
-            stats["commutes"] += 1
-            stats["disconnected_seconds"] += duration
-        day += 1
-        resume = day * DAY + config.work_start * 3600.0 - commute - 1_200.0
-        if resume > sim.now:
-            yield sim.sleep(resume - sim.now)
+from repro.analysis.invariants import attach_client_checkers
+from repro.faults.plan import FaultPlan, LinkDegrade
+from repro.fs.content import SyntheticContent
+from repro.net import WAVELAN, Network
+from repro.net.host import LAPTOP_1995, SERVER_1995
+from repro.server import CodaServer
+from repro.sim import RandomStreams, Simulator
+from repro.spec.testbed import (
+    Testbed,
+    build_testbed,
+    populate_volume,
+    probe_schedule,
+    warm_cache,
+)
+from repro.trace.replay import TraceReplayer
+from repro.trace.segments import segment_by_name
+from repro.venus import Venus, VenusConfig
 
 
 # ----------------------------------------------------------------------
@@ -208,14 +90,6 @@ def run_conflict_storm(spec, master, observatory=None, schedule_log=None,
     callers can fingerprint a representative client; the summary
     carries the storm-wide conflict accounting.
     """
-    from repro.bench.common import Testbed, populate_volume, warm_cache
-    from repro.net import WAVELAN, Network
-    from repro.net.host import LAPTOP_1995, SERVER_1995
-    from repro.server import CodaServer
-    from repro.sim import RandomStreams, Simulator
-    from repro.spec.compile import probe_schedule
-    from repro.venus import Venus, VenusConfig
-
     config = _storm_config(spec)
     config.seed = master
     sim = Simulator()
@@ -259,7 +133,6 @@ def run_conflict_storm(spec, master, observatory=None, schedule_log=None,
     attached = []
     if checker is not None:
         checker.attach(facades[0])
-        from repro.analysis.invariants import attach_client_checkers
         attached = attach_client_checkers(
             checkers, facades[1:], sample=config.writers)
     cycle = (config.round_minutes * 60.0 + config.drain_seconds + 120.0)
@@ -292,8 +165,6 @@ def run_conflict_storm(spec, master, observatory=None, schedule_log=None,
 def _storm_writer(sim, config, index, venus, link, mount, rng,
                   resolutions):
     """One writer's storm: disconnect, collide, reconnect, repair."""
-    from repro.fs.content import SyntheticContent
-
     yield sim.sleep(10.0 * index + rng.uniform(0.0, 20.0))
     yield from venus.connect()
     for round_no in range(config.rounds):
@@ -370,27 +241,24 @@ def _archive_config(spec):
 
 def run_doc_archive(spec, master, observatory=None, schedule_log=None,
                     checker=None, checkers=None):
-    """Run the doc-archive family; returns (testbed, summary)."""
-    from repro.bench.common import make_testbed, populate_volume
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan, LinkDegrade
-    from repro.net import WAVELAN
-    from repro.venus import VenusConfig
+    """Run the doc-archive family; returns (testbed, summary).
 
+    The spec's own testbed (the catalogue entry's WaveLan link and
+    ``venus`` overrides) with the commute to a weak link appended to
+    its fault plan.
+    """
     config = _archive_config(spec)
     config.seed = master
     mount = "/coda/archive"
-    venus_config = VenusConfig(aging_window=60.0, daemon_period=5.0,
-                               probe_interval=30.0,
-                               hoard_walk_interval=600.0)
-    testbed = make_testbed(WAVELAN, venus_config=venus_config,
-                           seed=master, observatory=observatory)
+    commute = LinkDegrade(at=config.commute_at,
+                          duration=config.weak_minutes * 60.0,
+                          bandwidth_bps=config.weak_bps)
+    plan = FaultPlan((*FaultPlan.from_dicts(spec.network.fault_rows()),
+                      commute))
+    testbed = build_testbed(spec, observatory=observatory,
+                            schedule_log=schedule_log, checker=checker,
+                            seed=master, plan=plan)
     sim = testbed.sim
-    if schedule_log is not None:
-        from repro.spec.compile import probe_schedule
-        probe_schedule(sim, schedule_log)
-    if checker is not None:
-        checker.attach(testbed)
 
     # Container tree: doc sizes drawn from a named stream so the whole
     # archive — including which documents are small enough to fetch
@@ -412,12 +280,6 @@ def run_doc_archive(spec, master, observatory=None, schedule_log=None,
     # No cache warming: hoard walks do the prefetching, that is the
     # family's point.  The client still needs the mount map.
     testbed.venus.learn_mounts(testbed.server.registry)
-
-    plan = FaultPlan([LinkDegrade(at=config.commute_at,
-                                  duration=config.weak_minutes * 60.0,
-                                  bandwidth_bps=config.weak_bps)])
-    testbed.faults = FaultInjector(testbed, plan)
-    testbed.faults.start()
 
     session_rng = testbed.streams.stream("doc-archive::session")
 
@@ -445,7 +307,6 @@ def run_doc_archive(spec, master, observatory=None, schedule_log=None,
                 continue
             if (read_no + 1) % config.annotate_every == 0:
                 notes += 1
-                from repro.fs.content import SyntheticContent
                 yield from venus.write_file(
                     "%s/c%02d/note%03d" % (mount, c_index, notes),
                     SyntheticContent(config.note_size,
@@ -498,11 +359,6 @@ def run_replay(spec, master, observatory=None, schedule_log=None,
     with the segment's tree warmed into the cache; the summary is the
     :class:`~repro.trace.replay.ReplayReport` plus the trickle chunks.
     """
-    from repro.bench.common import populate_volume, warm_cache
-    from repro.spec.compile import build_testbed
-    from repro.trace.replay import TraceReplayer
-    from repro.trace.segments import segment_by_name
-
     config = ReplayConfig(**spec.params_dict())
     segment = segment_by_name(config.segment)
     if config.records is not None:
@@ -526,3 +382,9 @@ def run_replay(spec, master, observatory=None, schedule_log=None,
     return testbed, dict(
         asdict(report), end_time=testbed.sim.now,
         chunks_committed=testbed.venus.trickle.stats.chunks_committed)
+
+
+#: The spec-level runner of each non-script testbed family.
+TESTBED_RUNNERS = {"conflict-storm": run_conflict_storm,
+                   "doc-archive": run_doc_archive,
+                   "replay": run_replay}

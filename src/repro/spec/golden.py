@@ -20,8 +20,10 @@ commute edges (morning and evening) are inside the pinned window.
 
 from dataclasses import replace
 
+from repro.fleetd.plan import plan_shards, shard_config
 from repro.spec.catalog import get
 from repro.spec.compile import run_spec
+from repro.spec.fleet import run_fleet_study
 
 #: Simulated duration of the pinned commuter run, in days.  0.75 days
 #: covers 0:00-18:00: the 9:00 work-start commute, the office phase,
@@ -83,8 +85,6 @@ def replay_golden(observatory=None):
 
 
 def _golden_shard(index, observatory):
-    from repro.bench.fleet import run_fleet_study
-    from repro.fleetd.plan import plan_shards, shard_config
     shard = plan_shards("fleet-8", seed=0, days=0.25)[index]
     desktops, laptops = run_fleet_study(shard_config(shard),
                                         observatory=observatory)

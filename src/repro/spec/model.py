@@ -16,7 +16,12 @@ import json
 import re
 from dataclasses import dataclass, field, fields, replace
 
+from repro.faults.plan import FaultPlan
+from repro.net.profiles import profile_by_name
+from repro.spec.fleet import FleetConfig
 from repro.spec.seeds import SEED_KINDS
+from repro.trace.segments import SEGMENT_SPECS
+from repro.venus.venus import VenusConfig
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
@@ -26,7 +31,7 @@ KINDS = ("testbed", "fleet")
 
 #: Families per kind.  "script" interprets workload.script on a single
 #: testbed; the others are measured workload generators in
-#: :mod:`repro.spec.families` / :mod:`repro.bench.fleet`.
+#: :mod:`repro.spec.families` / :mod:`repro.spec.fleet`.
 TESTBED_FAMILIES = ("script", "conflict-storm", "doc-archive", "replay")
 FLEET_FAMILIES = ("figure9", "commuter")
 
@@ -213,7 +218,6 @@ class NetworkSpec:
 
     def validate(self, where="network"):
         errors = []
-        from repro.net.profiles import profile_by_name
         try:
             profile_by_name(self.profile)
         except (KeyError, TypeError):
@@ -225,7 +229,6 @@ class NetworkSpec:
         for index, outage in enumerate(self.outages):
             errors.extend(outage.validate("%s.outages[%d]" % (where, index)))
         if self.faults:
-            from repro.faults.plan import FaultPlan
             try:
                 FaultPlan.from_dicts(self.fault_rows())
             except (ValueError, TypeError, KeyError) as exc:
@@ -251,7 +254,7 @@ class VolumeSpec:
 
     ``tree`` is a tuple of ``(path, kind, size)`` triples with kind
     ``"dir"`` or ``"file"`` — the serialisable form of the dict
-    :func:`repro.bench.common.populate_volume` takes.
+    :func:`repro.spec.testbed.populate_volume` takes.
     """
 
     mount: str
@@ -481,12 +484,28 @@ class ScenarioSpec:
         else:
             if self.shards is not None:
                 errors.append("shards: testbed scenarios cannot shard")
-            if self.duration is not None and (
+            if self.duration is not None and self.family != "script":
+                errors.append("duration: the %s family's workload fixes"
+                              " its own duration" % self.family)
+            elif self.duration is not None and (
                     not _number(self.duration) or self.duration <= 0):
                 errors.append("duration: must be a positive number of"
                               " seconds (or omitted)")
             if self.workload.mix:
                 errors.append("workload.mix: rate mixes are fleet-only")
+        if self.network != NetworkSpec() and (
+                self.kind == "fleet" or self.family == "conflict-storm"):
+            errors.append("network: the %s family builds its own links"
+                          % self.family)
+        if self.family == "conflict-storm":
+            for name, value in (("venus", self.venus),
+                                ("volumes", self.volumes),
+                                ("clients.hoard", self.clients.hoard),
+                                ("clients.cache_capacity",
+                                 self.clients.cache_capacity)):
+                if value not in (None, ()):
+                    errors.append("%s: the conflict-storm family builds its"
+                                  " own writers and volume" % name)
         if self.family == "script" and not self.workload.script:
             errors.append("workload.script: the script family needs at"
                           " least one op")
@@ -511,7 +530,6 @@ class ScenarioSpec:
         errors = []
         if not self.venus:
             return errors
-        from repro.venus.venus import VenusConfig
         known = {config_field.name for config_field in fields(VenusConfig)}
         for name, value in self.venus:
             if name not in known:
@@ -528,7 +546,6 @@ class ScenarioSpec:
                 errors.append("params: %r is not a %s parameter"
                               % (name, self.family))
             elif name == "segment":
-                from repro.trace.segments import SEGMENT_SPECS
                 if not isinstance(value, str) or value not in SEGMENT_SPECS:
                     errors.append("params: segment %r is not one of %s"
                                   % (value, ", ".join(SEGMENT_SPECS)))
@@ -542,7 +559,6 @@ class ScenarioSpec:
                     errors.append("workload.mix: %r is not a %s rate"
                                   % (name, self.family))
         elif self.workload.mix:
-            from repro.bench.fleet import FleetConfig
             fixed = {"desktops", "laptops", "days", "seed", "name_prefix"}
             known = {config_field.name
                      for config_field in fields(FleetConfig)} - fixed

@@ -9,7 +9,7 @@ that must stay byte-identical so no golden digest moves:
 * ``obs``/``faults`` treat ``seed=None`` as "the canonical run":
   master seed ``0``, skipping derivation entirely;
 * ``perf`` always derives (``None`` means seed 0) and keeps 32 bits
-  because :class:`~repro.bench.fleet.FleetConfig` seeds were pinned
+  because :class:`~repro.spec.fleet.FleetConfig` seeds were pinned
   that way; ``spec`` always derives too, at 63 bits.
 """
 

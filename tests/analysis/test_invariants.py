@@ -5,11 +5,11 @@ import pytest
 
 from repro.analysis.invariants import (InvariantChecker,
                                        InvariantViolation)
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.net import MODEM
 from repro.obs import Observatory
 from repro.spec.catalog import get
 from repro.spec.compile import run_spec
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 
 MOUNT = "/coda/usr/bob"
 

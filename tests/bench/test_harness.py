@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.bench import Table, fmt_bytes, make_testbed, populate_volume, \
-    warm_cache
+from repro.bench import Table, fmt_bytes
 from repro.fs import ObjectType
 from repro.net import ETHERNET
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 
 
 def test_populate_creates_intermediate_dirs():

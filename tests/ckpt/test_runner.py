@@ -16,10 +16,12 @@ import pytest
 
 from repro.ckpt import (
     CheckpointError,
+    CheckpointStore,
     CkptOptions,
     extend_checkpointed,
     report_from_store,
     run_checkpointed,
+    verify_checkpoint,
 )
 
 OPTIONS = CkptOptions(day_seconds=600.0)
@@ -156,19 +158,36 @@ def test_extend_refuses_a_shard_identity_mismatch(stores, tmp_path):
         extend_checkpointed(copy, 1)
 
 
-@pytest.mark.parametrize("scenario,day_seconds",
-                         [("fleet-32", 450.0), ("commuter", 600.0)])
-def test_extend_identity_holds_per_family(tmp_path, scenario,
-                                          day_seconds):
+#: fleet-8 with a 20 s swap window: at 600 s days the op gap never
+#: reaches the shipped 3,600 s window, so only a short one parks
+#: clients mid-day (capture, crash, rehydrate) inside tier-1.
+PARKING = CkptOptions(day_seconds=600.0, swap_window=20.0,
+                      settle_seconds=5.0)
+
+
+@pytest.mark.parametrize("scenario,options", [
+    pytest.param("fleet-32", CkptOptions(day_seconds=450.0),
+                 id="fleet-32-450.0"),
+    pytest.param("commuter", CkptOptions(day_seconds=600.0),
+                 id="commuter-600.0"),
+    pytest.param("fleet-8", PARKING, id="fleet-8-parking"),
+])
+def test_extend_identity_holds_per_family(tmp_path, scenario, options):
     """The acceptance families: figure9 at fleet-32 scale and the
-    diurnal commuter family both extend byte-identically."""
-    options = CkptOptions(day_seconds=day_seconds)
+    diurnal commuter family both extend byte-identically, and so does
+    a fleet whose clients park mid-day."""
     scratch = str(tmp_path / "scratch")
     grown = str(tmp_path / "grown")
     run_checkpointed(scenario, days=2, out=scratch, options=options)
     run_checkpointed(scenario, days=1, out=grown, options=options)
     extend_checkpointed(grown, 1)
     assert tree_bytes(scratch) == tree_bytes(grown)
+    if options is PARKING:
+        store = CheckpointStore(scratch)
+        assert sum(record["swap_out"]
+                   for entry in store.read_manifest()["shards"]
+                   for record in store.shard(entry["index"]).read_days()) > 0
+        assert verify_checkpoint(scratch).ok
 
 
 def test_a_day_unit_encodes_each_timeline_row_once(tmp_path, monkeypatch):

@@ -4,10 +4,9 @@ import pytest
 
 from hypothesis import HealthCheck, settings as hypothesis_settings
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.net import ETHERNET, MODEM
 from repro.sim import Simulator
-from repro.venus import VenusConfig
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 
 # Deadline-safe defaults for every property suite.  Simulated time is
 # free but host time is not: a pinned worst-case example (say, a

@@ -1,7 +1,5 @@
 """Trickle reintegration: aging, chunking, fragments, conflicts."""
 
-import pytest
-
 from repro.fs import Content, SyntheticContent
 from repro.net import ISDN, MODEM
 from repro.venus import VenusConfig, VenusState

@@ -1,7 +1,5 @@
 """Rapid cache validation through the live stack."""
 
-import pytest
-
 from repro.fs import Content
 from repro.core.validation import ValidationStats
 from repro.venus import VenusConfig, VenusState

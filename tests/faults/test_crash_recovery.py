@@ -9,7 +9,6 @@ applied twice.
 
 import pytest
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.cli import main
 from repro.faults import FaultPlan, namespace_digest
 from repro.fs.content import SyntheticContent
@@ -17,6 +16,7 @@ from repro.net import MODEM
 from repro.obs import Observatory
 from repro.spec.catalog import MOUNT, get
 from repro.spec.compile import run_spec
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from tests.conftest import exits_2
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.common import make_testbed
 from repro.faults import (
     ClientCrash,
     ClientRestart,
@@ -15,7 +14,8 @@ from repro.faults import (
 )
 from repro.net import MODEM
 from repro.spec.catalog import get
-from repro.spec.compile import probe_schedule, run_spec
+from repro.spec.compile import run_spec
+from repro.spec.testbed import make_testbed, probe_schedule
 
 
 def _idle_run(testbed, until=200.0):

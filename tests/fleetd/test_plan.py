@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.bench.fleet import FleetConfig
 from repro.fleetd import plan_shards, shard_config, shard_seed
 from repro.fleetd.plan import _split
 from repro.sim.rand import derive_rng
 from repro.spec.catalog import get, shipped
+from repro.spec.fleet import FleetConfig
 
 #: The catalogue specs that carry a shard plan.
 SHARDED = sorted(spec.name for spec in shipped() if spec.shards is not None)

@@ -12,7 +12,7 @@ def test_identical_replay_cells_are_bit_identical():
 
 
 def test_fleet_study_deterministic():
-    from repro.bench.fleet import FleetConfig, run_fleet_study
+    from repro.spec.fleet import FleetConfig, run_fleet_study
     config = FleetConfig(desktops=2, laptops=2, days=1.0)
     a_desk, a_lap = run_fleet_study(config)
     b_desk, b_lap = run_fleet_study(config)
@@ -26,10 +26,9 @@ def test_live_fleets_leave_the_global_content_counter_alone():
     """Every payload a live fleet writes carries an explicit tag, so a
     fleet's file contents never depend on what ran before it in the
     process (auto-tagged content draws a process-global counter)."""
-    from repro.bench.fleet import FleetConfig, run_fleet_study
     from repro.fs.content import SyntheticContent
-    from repro.spec.families import CommuterConfig, run_commuter_study
+    from repro.spec.fleet import CommuterConfig, FleetConfig, run_fleet_study
     before = SyntheticContent._counter
     run_fleet_study(FleetConfig(desktops=2, laptops=2, days=0.5))
-    run_commuter_study(CommuterConfig(desktops=2, laptops=2, days=0.5))
+    run_fleet_study(CommuterConfig(desktops=2, laptops=2, days=0.5))
     assert SyntheticContent._counter == before

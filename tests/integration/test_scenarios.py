@@ -1,13 +1,11 @@
 """End-to-end scenarios across clients, networks, and states."""
 
-import pytest
-
-from repro.bench.common import populate_volume, warm_cache
 from repro.fs import Content
 from repro.net import ETHERNET, MODEM, Network
 from repro.net.host import LAPTOP_1995, SERVER_1995
 from repro.server import CodaServer
 from repro.sim import RandomStreams, Simulator
+from repro.spec.testbed import populate_volume, warm_cache
 from repro.venus import Venus, VenusConfig, VenusState
 
 M = "/coda/project/shared"

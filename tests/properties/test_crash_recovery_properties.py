@@ -9,11 +9,11 @@ replays must be the *optimized* log, not a raw journal.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.faults import namespace_digest, restore_venus, snapshot_venus
 from repro.fs.content import SyntheticContent
 from repro.net import MODEM
 from repro.spec.catalog import MOUNT
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig
 
 NAMES = ["a", "b", "c", "d"]

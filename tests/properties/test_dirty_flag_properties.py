@@ -15,10 +15,10 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
 from repro.faults import restore_venus, snapshot_venus
 from repro.fs.content import SyntheticContent
 from repro.net import ETHERNET
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig, VenusState
 from repro.venus.errors import CacheMissError, NoSpaceError, OfflineError
 

@@ -7,8 +7,7 @@ from repro.core.patience import PatienceModel
 from repro.fs import Fid, SyntheticContent
 from repro.rpc2.rtt import BandwidthEstimator, RttEstimator
 from repro.server.store import FragmentStore
-from repro.venus.cml import RECORD_OVERHEAD, ClientModifyLog, CmlOp, \
-    CmlRecord
+from repro.venus.cml import ClientModifyLog, CmlOp, CmlRecord
 
 
 # ------------------------------------------------------------ patience

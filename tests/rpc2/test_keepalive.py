@@ -1,7 +1,6 @@
 """The shared liveness registry."""
 
 from repro.rpc2 import LivenessRegistry
-from repro.sim import Simulator
 
 
 def test_unknown_peer_is_silent_forever(sim):

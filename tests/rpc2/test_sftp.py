@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import ETHERNET, Network
 from repro.net.host import IDEAL
-from repro.rpc2 import Rpc2Endpoint, TransferAborted
+from repro.rpc2 import Rpc2Endpoint
 from repro.rpc2.sftp import SftpSender, packet_count
 from repro.sim import RandomStreams, Simulator
 

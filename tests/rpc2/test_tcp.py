@@ -1,7 +1,5 @@
 """The TCP baseline."""
 
-import pytest
-
 from repro.net import ETHERNET, MODEM, Network
 from repro.net.host import IDEAL, LAPTOP_1995, SERVER_1995
 from repro.rpc2 import tcp_transfer

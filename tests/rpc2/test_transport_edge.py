@@ -1,10 +1,8 @@
 """Transport edge cases: outages mid-call, busy quenching, recovery."""
 
-import pytest
-
 from repro.net import ETHERNET, MODEM, Network
 from repro.net.host import IDEAL, LAPTOP_1995, SERVER_1995
-from repro.rpc2 import ConnectionDead, Rpc2Endpoint
+from repro.rpc2 import Rpc2Endpoint
 from repro.sim import RandomStreams, Simulator
 
 

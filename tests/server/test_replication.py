@@ -1,15 +1,12 @@
 """Server replication: read-one/write-all with resolution."""
 
-import pytest
-
 from repro.fs import Content
 from repro.net import ETHERNET, Network
 from repro.net.host import LAPTOP_1995, SERVER_1995
 from repro.server import CodaServer
-from repro.server.replication import ReplicaSet, create_replicated_volume
+from repro.server.replication import create_replicated_volume
 from repro.sim import Simulator
 from repro.venus import Venus, VenusConfig, VenusState
-from repro.venus.cache import CacheEntry
 
 M = "/coda/rep/vol"
 

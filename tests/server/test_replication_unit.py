@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fs import Content, ObjectType, SyntheticContent, Vnode
-from repro.net import ETHERNET, Network
+from repro.net import Network
 from repro.net.host import IDEAL, SERVER_1995
 from repro.rpc2 import Rpc2Endpoint
 from repro.server import CodaServer

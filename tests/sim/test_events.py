@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt
 
 
 def test_event_succeed_delivers_value(sim):

@@ -66,7 +66,7 @@ def test_check_invariants_attaches_a_checker():
 
 
 def test_fleet_config_figure9_is_the_classic_fleetconfig():
-    from repro.bench.fleet import FleetConfig
+    from repro.spec.fleet import FleetConfig
     config = fleet_config(get("fleet-8"), master=42)
     assert isinstance(config, FleetConfig)
     assert (config.desktops, config.laptops) == (5, 3)
@@ -76,7 +76,7 @@ def test_fleet_config_figure9_is_the_classic_fleetconfig():
 
 
 def test_fleet_config_commuter_carries_params():
-    from repro.spec.families import CommuterConfig
+    from repro.spec.fleet import CommuterConfig
     config = fleet_config(get("commuter"), master=7, name_prefix="s00-")
     assert isinstance(config, CommuterConfig)
     assert (config.desktops, config.laptops) == (16, 12)

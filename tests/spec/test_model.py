@@ -7,14 +7,18 @@ accepted, never crash with an unrelated exception.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spec.catalog import CATALOG, get, shipped
+from repro.spec.catalog import CATALOG, STANDARD_VOLUME, get, shipped
+from repro.spec.compile import run_spec
 from repro.spec.model import (
     FAMILY_PARAMS,
     OPS,
+    ClientSpec,
+    NetworkSpec,
     OpStep,
     ScenarioSpec,
     SpecError,
@@ -105,6 +109,61 @@ def test_string_params_are_rejected_outside_replay(family):
         expected.append("params: %s must be a non-negative number" % name)
     errors = spec.with_params(**knobs).validate()
     assert sorted(errors) == sorted(expected)
+
+
+# ---------------------------------------------------------------------------
+# A field the family would silently ignore is refused, by name
+#
+# ``Modem`` is NetworkSpec's default profile, so a spec naming it is the
+# same value as a spec naming no network at all; the refusals below use
+# profiles (and a loss rate) that differ from the default.
+
+
+@pytest.mark.parametrize("name", ["fleet-golden", "commuter"])
+def test_fleet_families_refuse_a_network(name):
+    """Every fleet client gets its own Ethernet link."""
+    spec = replace(get(name), network=NetworkSpec(profile="WaveLan",
+                                                  loss_rate=0.1))
+    assert spec.validate() == [
+        "network: the %s family builds its own links" % spec.family]
+
+
+def test_conflict_storm_refuses_what_it_builds_itself():
+    """The storm builds its writers, their WaveLan links, their Venus
+    config and the shared volume; every spec field for those is an
+    error, all listed at once."""
+    spec = replace(
+        get("conflict-storm"), network=NetworkSpec(profile="WaveLan"),
+        venus={"aging_window": 5.0}, volumes=(STANDARD_VOLUME,),
+        clients=ClientSpec(cache_capacity=1_000_000,
+                           hoard=(("/coda/usr/bob", 100, True),)))
+    owned = "the conflict-storm family builds its own writers and volume"
+    assert sorted(spec.validate()) == sorted([
+        "network: the conflict-storm family builds its own links",
+        "venus: " + owned,
+        "volumes: " + owned,
+        "clients.hoard: " + owned,
+        "clients.cache_capacity: " + owned,
+    ])
+
+
+@pytest.mark.parametrize("name", ["conflict-storm", "doc-archive", "replay"])
+def test_testbed_families_refuse_a_duration(name):
+    """Only a script's duration runs the clock on past the session."""
+    assert replace(get(name), duration=5.0).validate() == [
+        "duration: the %s family's workload fixes its own duration" % name]
+
+
+def test_doc_archive_runs_on_its_spec_network():
+    """doc-archive builds through the spec's testbed, so its network is
+    honoured: the same archive session over a modem reads differently."""
+    spec = get("doc-archive").with_params(containers=3, reads=16,
+                                          hoarded_containers=1,
+                                          commute_at=200.0)
+    modem = replace(spec, network=NetworkSpec(profile="Modem"))
+    assert spec.network.profile == "WaveLan"
+    assert modem.validate() == []
+    assert run_spec(modem).summary != run_spec(spec).summary
 
 
 # ---------------------------------------------------------------------------

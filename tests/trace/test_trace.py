@@ -1,8 +1,5 @@
 """Trace generation, CML simulation, and replay mechanics."""
 
-import pytest
-
-from repro.net import ETHERNET
 from repro.trace import (
     CmlSimulator,
     SEGMENT_SPECS,
@@ -127,7 +124,7 @@ def test_conservation_of_bytes():
 # ------------------------------------------------------------- replay
 
 def test_replay_executes_full_trace():
-    from repro.bench.common import populate_volume, warm_cache
+    from repro.spec.testbed import warm_cache
     segment = generate_segment(small_spec())
     config = VenusConfig(force_write_disconnected=True, aging_window=600)
     testbed = build_testbed(venus_config=config, warm=False,
@@ -150,7 +147,7 @@ def test_replay_executes_full_trace():
 
 
 def test_think_threshold_shrinks_elapsed():
-    from repro.bench.common import populate_volume, warm_cache
+    from repro.spec.testbed import warm_cache
     segment = generate_segment(small_spec())
     results = {}
     for lam in (1.0, 10.0):

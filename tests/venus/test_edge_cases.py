@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.fs import Content, Fid, SyntheticContent
+from repro.fs import Fid, SyntheticContent
 from repro.net import MODEM
-from repro.venus import CacheMissError, CmlOp, CmlRecord, VenusConfig, \
-    VenusState
+from repro.venus import CacheMissError, CmlOp, CmlRecord, VenusConfig
 from repro.venus.cml import ClientModifyLog
 
 from tests.conftest import build_testbed, connected
@@ -40,7 +39,7 @@ def test_mount_root_itself_resolves(testbed):
 
 
 def test_cross_volume_rename_rejected():
-    from repro.bench.common import make_testbed, populate_volume, warm_cache
+    from repro.spec.testbed import make_testbed, populate_volume, warm_cache
     from repro.net import ETHERNET
     testbed = make_testbed(ETHERNET)
     for mount in ("/coda/v1", "/coda/v2"):

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.bench.common import make_testbed, populate_volume, warm_cache
-from repro.fs import Content
 from repro.net import ETHERNET, SLIP_1200
+from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 from repro.venus import VenusConfig, VenusState
 
 from tests.conftest import build_testbed, connected

@@ -97,7 +97,7 @@ def test_name_collision_conflict_recovers_under_new_name():
     venus.handle_disconnection()
     testbed.run(venus.write_file(M + "/dir/report", b"my report"))
     # Another client creates the same name on the server first.
-    from repro.fs import ObjectType, SyntheticContent, Vnode
+    from repro.fs import ObjectType, Vnode
     volume = testbed.volume
     other = Vnode(volume.alloc_fid(), ObjectType.FILE,
                   content=Content.of(b"their report"))

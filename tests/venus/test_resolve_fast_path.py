@@ -205,7 +205,7 @@ def test_mount_memo_returns_what_the_scan_returned(testbed):
 
 
 def test_learn_mounts_invalidates_the_mount_memo(testbed):
-    from repro.bench.common import populate_volume
+    from repro.spec.testbed import populate_volume
     venus = testbed.venus
     inner = M + "/dir"
     before = venus._mount_for(inner + "/a.txt")

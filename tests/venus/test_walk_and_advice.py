@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.fs import Content
 from repro.net import MODEM
 from repro.venus import (
     CacheMissError,
