@@ -13,8 +13,13 @@ class Socket:
         self.node = node
         self.port = port
         self._inbox = Store(network.sim)
-        #: ``recv()`` is an event that fires with the next datagram
-        #: delivered here: the inbox's own ``get``, with no wrapper.
+        #: ``deliver(datagram)`` is called with every datagram that
+        #: arrives here.  By default it queues the datagram for
+        #: ``recv()``, an event that fires with the next one queued:
+        #: the inbox's own ``put`` and ``get``, with no wrapper.  An
+        #: owner that consumes arrivals itself (the RPC2 endpoint)
+        #: replaces ``deliver`` with its own callback.
+        self.deliver = self._inbox.put
         self.recv = self._inbox.get
         self.closed = False
 
@@ -92,10 +97,11 @@ class Network:
             direction.send(datagram)
 
     def _deliver(self, datagram):
-        """Every delivered datagram passes through here."""
+        """Every delivered datagram passes through here.  A closed
+        socket is unbound, so a bound one takes delivery."""
         sock = self._sockets.get((datagram.dst, datagram.dst_port))
-        if sock is not None and not sock.closed:
-            sock._inbox.put(datagram)
+        if sock is not None:
+            sock.deliver(datagram)
 
     def _unbind(self, sock):
         self._sockets.pop((sock.node, sock.port), None)

@@ -1,19 +1,25 @@
 """The RPC2 endpoint: one socket, one host, both client and server roles.
 
-An endpoint owns a datagram socket and two pacing loops (send and
-receive) that charge the host's CPU costs for every packet — on 1995
-hardware this, not the Ethernet, is the fast-network bottleneck.
-Incoming packets are dispatched to: pending client calls (replies,
-busies, go-aheads), SFTP transfers (data and acks), the server
-dispatcher (requests), or the keepalive responder (pings).
+An endpoint owns a datagram socket and charges the host's CPU costs
+for every packet it sends and receives — on 1995 hardware this, not
+the Ethernet, is the fast-network bottleneck.  Each direction is a
+FIFO queue served by a chain of callbacks: a packet books the CPU when
+the one ahead of it finishes (not when it is queued, so a burst cannot
+jump ahead of a foreground Venus operation) and costs one event, at
+its finish instant.  Incoming packets are dispatched to: pending
+client calls (replies, busies, go-aheads), SFTP transfers (data and
+acks), the server dispatcher (requests), or the keepalive responder
+(pings).
 
 Everything that arrives also refreshes the shared
 :class:`~repro.rpc2.keepalive.LivenessRegistry` — the paper's fix for
 the duplicated keepalive traffic of the original layering.
 """
 
+from collections import deque
 from itertools import count
 
+from repro.net.cpu import HostCpu
 from repro.rpc2.errors import ConnectionDead, TransferAborted
 from repro.rpc2.keepalive import LivenessRegistry
 from repro.rpc2.packets import (
@@ -29,6 +35,7 @@ from repro.rpc2.packets import (
 )
 from repro.rpc2.rtt import NetworkEstimator
 from repro.rpc2.sftp import SftpReceiver, SftpSender
+from repro.sim.events import At, Event
 from repro.sim.resources import Lock, Store
 
 #: Client retransmission policy.
@@ -65,7 +72,6 @@ class Rpc2Endpoint:
 
     def __init__(self, sim, network, node, port, host,
                  default_bps=9600.0, rng=None, cpu=None, first_conn_id=1):
-        from repro.net.cpu import HostCpu
         self.sim = sim
         self.network = network
         self.node = node
@@ -86,7 +92,13 @@ class Rpc2Endpoint:
         self._server_conns = {}     # (peer, conn) -> per-connection state
         self._sftp_senders = {}     # transfer_id -> SftpSender
         self._sftp_receivers = {}   # transfer_id -> SftpReceiver
-        self._outbox = Store(sim)
+        # The two packet queues, each with a flag that is set while a
+        # packet of its direction has booked the CPU and not finished.
+        self._outbox = deque()      # (peer, packet) to send
+        self._sending = False
+        self._inbox = deque()       # datagrams received
+        self._receiving = False
+        self.socket.deliver = self._arrived
         self._ping_waiters = {}     # seq -> event
         self._ping_seq = count(1)
         self.packets_out = 0
@@ -96,14 +108,14 @@ class Rpc2Endpoint:
         # another one (see LinkDirection._sent_meters).
         self._meter_obs = None
         self._out_meters = {}       # packet type -> (packets, bytes)
-        sim.process(self._send_loop(), name="%s-send" % node, owner=node)
-        sim.process(self._recv_loop(), name="%s-recv" % node, owner=node)
 
     def shutdown(self):
         """Tear the endpoint down as a crash would: the socket closes
         and every process owned by this node dies mid-flight.  In-flight
         transfers, pending calls, and server-side handler state are all
-        volatile and vanish with them.  Returns the kill count."""
+        volatile and vanish with them, and a packet whose CPU time
+        finishes after the close is neither sent nor dispatched.
+        Returns the kill count."""
         if not self.socket.closed:
             self.socket.close()
         return self.sim.kill_owned(self.node)
@@ -121,39 +133,76 @@ class Rpc2Endpoint:
 
     def _send(self, peer, packet):
         """Queue ``packet`` for paced transmission to ``peer``."""
-        self._outbox.put((peer, packet))
+        if self._sending:
+            self._outbox.append((peer, packet))
+        elif not self.socket.closed:
+            self._start_send(peer, packet)
 
-    def _send_loop(self):
-        while True:
-            peer, packet = yield self._outbox.get()
-            size = packet.wire_size
-            yield from self.cpu.use(self.host.send_cost(size))
-            self.packets_out += 1
-            self.bytes_out += size
-            obs = self.sim.obs
-            if obs.enabled:
-                if obs is not self._meter_obs:
-                    self._meter_obs = obs
-                    self._out_meters = {}
-                meters = self._out_meters.get(type(packet))
-                if meters is None:
-                    counter = obs.metrics.counter
-                    kind = type(packet).__name__
-                    meters = self._out_meters[type(packet)] = (
-                        counter("rpc.packets_out", node=self.node,
-                                kind=kind),
-                        counter("rpc.bytes_out", node=self.node, kind=kind))
-                meters[0].inc()
-                meters[1].inc(size)
-            # Endpoints bind the same well-known port on every node.
-            self.socket.send(peer, self.port, packet, size)
+    def _start_send(self, peer, packet):
+        self._sending = True
+        size = packet.wire_size
+        cost = self.host.send_cost(size)
+        if cost > 0:
+            done = At(self.sim, self.cpu.reserve(cost), (peer, packet, size))
+        else:
+            # A free host still hands the packet on one step later, at
+            # the same instant, as a queue consumer would.
+            done = Event(self.sim).succeed((peer, packet, size))
+        done.callbacks.append(self._sent)
 
-    def _recv_loop(self):
-        while True:
-            datagram = yield self.socket.recv()
-            yield from self.cpu.use(self.host.recv_cost(datagram.size))
-            self.liveness.heard_from(datagram.src)
-            self._dispatch(datagram.src, datagram.payload)
+    def _sent(self, event):
+        if self.socket.closed:
+            return
+        peer, packet, size = event._value
+        self.packets_out += 1
+        self.bytes_out += size
+        obs = self.sim.obs
+        if obs.enabled:
+            if obs is not self._meter_obs:
+                self._meter_obs = obs
+                self._out_meters = {}
+            meters = self._out_meters.get(type(packet))
+            if meters is None:
+                counter = obs.metrics.counter
+                kind = type(packet).__name__
+                meters = self._out_meters[type(packet)] = (
+                    counter("rpc.packets_out", node=self.node, kind=kind),
+                    counter("rpc.bytes_out", node=self.node, kind=kind))
+            meters[0].inc()
+            meters[1].inc(size)
+        # Endpoints bind the same well-known port on every node.
+        self.socket.send(peer, self.port, packet, size)
+        if self._outbox:
+            self._start_send(*self._outbox.popleft())
+        else:
+            self._sending = False
+
+    def _arrived(self, datagram):
+        """The socket's delivery callback."""
+        if self._receiving:
+            self._inbox.append(datagram)
+        else:
+            self._start_recv(datagram)
+
+    def _start_recv(self, datagram):
+        self._receiving = True
+        cost = self.host.recv_cost(datagram.size)
+        if cost > 0:
+            done = At(self.sim, self.cpu.reserve(cost), datagram)
+        else:
+            done = Event(self.sim).succeed(datagram)
+        done.callbacks.append(self._received)
+
+    def _received(self, event):
+        if self.socket.closed:
+            return
+        datagram = event._value
+        self.liveness.heard_from(datagram.src)
+        self._dispatch(datagram.src, datagram.payload)
+        if self._inbox:
+            self._start_recv(self._inbox.popleft())
+        else:
+            self._receiving = False
 
     def _observe_echo(self, peer, packet):
         echo = getattr(packet, "ts_echo", None)

@@ -15,6 +15,7 @@ through named :class:`~repro.sim.rand.RandomStreams`.
 from repro.sim.events import (
     AllOf,
     AnyOf,
+    At,
     Event,
     Interrupt,
     Timeout,
@@ -28,6 +29,7 @@ from repro.sim.tally import KernelTally
 __all__ = [
     "AllOf",
     "AnyOf",
+    "At",
     "Event",
     "Interrupt",
     "KernelTally",

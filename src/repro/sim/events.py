@@ -174,6 +174,33 @@ class Timeout(Event):
                 callback(self)
 
 
+class At(Timeout):
+    """A :class:`Timeout` set for the absolute instant ``when``.
+
+    For a caller that has already computed the instant, such as an
+    analytic FIFO resource's finish time: ``Timeout(sim, when - now)``
+    would fire at ``now + (when - now)``, which need not be the same
+    float as ``when``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim, when, value=None):
+        now = sim.now
+        if when < now:
+            raise ValueError("instant %r is before now (%r)" % (when, now))
+        # Timeout.__init__ with the absolute instant pushed as is.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
+        self._defused = False
+        self.delay = when - now
+        self._pending_value = value
+        sim._push((when, NORMAL, next(sim._sequence), self))
+
+
 class Condition(Event):
     """Base for events composed of several child events."""
 

@@ -1,15 +1,18 @@
-"""The packet gate: calls into ``repro/net`` per packet sent stay flat.
+"""The packet gate: calls into ``repro/net`` and events dispatched per
+packet sent stay flat.
 
 The same clock-free count as ``tests/venus/test_complexity_gate.py``
 (a pure function of input, seed and size), on the path ``perfbench``'s
 ``bulk-transfer`` times: a datagram's trip from ``Socket.send`` over
-the link to the receiver's inbox, plus the host cost model each
-transport charges per packet.  Two transports, Figure 1's SFTP
-``Store`` and its TCP baseline, each over WaveLAN at 1 % loss and at
-two sizes.  A per-packet hop that comes back — a route that builds a
-``frozenset`` and walks ``link_between`` → ``Link.send`` →
-``Link.direction`` again — moves every packet's count, so the bound is
-tight: the reading plus 5 %.
+the link to the receiver, plus the host cost model each transport
+charges per packet.  Two transports, Figure 1's SFTP ``Store`` and its
+TCP baseline, each over WaveLAN at 1 % loss and at two sizes.  A
+per-packet hop that comes back — a route that builds a ``frozenset``
+and walks ``link_between`` → ``Link.send`` → ``Link.direction`` again
+— moves every packet's count, so the bound is tight: the reading plus
+5 %.  So is an event per packet: an RPC2 packet costs three (its send
+CPU finish, its arrival, its receive CPU finish), and the lock-held
+CPU behind two pacing loops it replaced cost seven.
 """
 
 import pytest
@@ -19,6 +22,7 @@ from repro.net.host import LAPTOP_1995, SERVER_1995
 from repro.rpc2 import Rpc2Endpoint, tcp_transfer
 from repro.sim import RandomStreams, Simulator
 from tests.obs.test_obs_budget import calls_into, profiled
+from tests.rpc2.lock_oracle import LoopEndpoint
 
 SIZES = (250_000, 1_000_000)
 LOSS = 0.01
@@ -26,8 +30,14 @@ LOSS = 0.01
 #: Calls into ``repro/net`` per packet, gated at the reading (1 MB)
 #: plus 5 %.  SFTP 22.95 → 14.97 and TCP 16.97 → 8.99 since a packet
 #: stopped building a frozenset route, hopping through ``Link`` and
-#: ``Socket`` twice each, and carrying a closure and an id counter.
-BUDGET = {"sftp": 14.97 * 1.05, "tcp": 8.99 * 1.05}
+#: ``Socket`` twice each, and carrying a closure and an id counter;
+#: SFTP 14.97 → 10.99 since the host CPU is a clock, not a lock.
+BUDGET = {"sftp": 10.99 * 1.05, "tcp": 8.99 * 1.05}
+
+#: Events dispatched per packet.  SFTP read 7.49/7.48 (250 KB/1 MB)
+#: behind the lock-held CPU and 3.48/3.49 since; TCP charges its CPU
+#: with plain timeouts and reads 5.05/5.13, which must not rise.
+DISPATCH_BUDGET = {"sftp": (3.6, 3.6), "tcp": (5.05, 5.14)}
 
 
 def _world():
@@ -38,33 +48,40 @@ def _world():
     return sim, net, link
 
 
-def sftp_store(nbytes):
-    """An SFTP ``Store`` of ``nbytes``; returns the packets sent."""
+def sftp_store(nbytes, endpoint=Rpc2Endpoint):
+    """An SFTP ``Store`` of ``nbytes`` between two endpoints of class
+    ``endpoint``; returns ``(packets sent, events dispatched)``."""
     sim, net, link = _world()
-    client = Rpc2Endpoint(sim, net, "laptop", 2432, LAPTOP_1995,
-                          default_bps=WAVELAN.bandwidth_bps)
-    server = Rpc2Endpoint(sim, net, "server", 2432, SERVER_1995,
-                          default_bps=WAVELAN.bandwidth_bps)
+    client = endpoint(sim, net, "laptop", 2432, LAPTOP_1995,
+                      default_bps=WAVELAN.bandwidth_bps)
+    server = endpoint(sim, net, "server", 2432, SERVER_1995,
+                      default_bps=WAVELAN.bandwidth_bps)
     server.register("Store", lambda ctx, args: {"got": ctx.received_bytes})
     call = client.connect("server").call("Store", {}, send_size=nbytes)
     assert sim.run(call).result["got"] == nbytes
-    return link.stats().packets_sent
+    return link.stats().packets_sent, sim.dispatched
 
 
 def tcp_send(nbytes):
-    """A TCP bulk transfer of ``nbytes``; returns the packets sent."""
+    """A TCP bulk transfer of ``nbytes``; returns ``(packets sent,
+    events dispatched)``."""
     sim, net, link = _world()
     sim.run(tcp_transfer(sim, net, "laptop", "server", nbytes,
                          LAPTOP_1995, SERVER_1995))
-    return link.stats().packets_sent
+    return link.stats().packets_sent, sim.dispatched
 
 
 TRANSFERS = {"sftp": sftp_store, "tcp": tcp_send}
 
 
 def net_calls_per_packet(transfer, nbytes):
-    profile, packets = profiled(lambda: transfer(nbytes))
+    profile, (packets, _dispatched) = profiled(lambda: transfer(nbytes))
     return calls_into("net", profile) / packets
+
+
+def dispatches_per_packet(transfer, nbytes):
+    packets, dispatched = transfer(nbytes)
+    return dispatched / packets
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFERS))
@@ -87,3 +104,20 @@ def test_a_restored_link_walk_breaks_the_gate(monkeypatch):
     monkeypatch.setattr(Network, "transmit", walk)
     for name, transfer in TRANSFERS.items():
         assert net_calls_per_packet(transfer, SIZES[0]) > BUDGET[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFERS))
+def test_dispatches_per_packet_stay_within_budget(name):
+    short, long = (dispatches_per_packet(TRANSFERS[name], nbytes)
+                   for nbytes in SIZES)
+    assert short <= DISPATCH_BUDGET[name][0], (short, long)
+    assert long <= DISPATCH_BUDGET[name][1], (short, long)
+    if name == "sftp":
+        assert abs(long - short) <= 0.01 * short, (short, long)
+
+
+def test_a_lock_held_cpu_breaks_the_dispatch_gate():
+    """Planted mutant: the endpoint goes back to the lock-held CPU and
+    two pacing loops, four events more per packet."""
+    packets, dispatched = sftp_store(SIZES[0], endpoint=LoopEndpoint)
+    assert dispatched / packets > DISPATCH_BUDGET["sftp"][0]

@@ -5,7 +5,9 @@ Python call whose code lives under ``repro/obs/`` is counted; the count
 is a pure function of (scenario, seed, length), so the assertion needs
 no tolerance for a noisy box.  Before the per-dispatch and per-packet
 sites stopped going through the registry this ratio was ~11.4; the
-budget is 2.
+budget is 2.  It read ~1.05–1.15 while an RPC2 packet cost seven
+dispatches and reads ~1.5–1.6 since it costs three: the same calls
+into ``repro/obs``, spread over fewer dispatches.
 
 It must also stay *flat*: a ratio that grows with the length of the
 run is per-event work that scales with history (the log×cache
@@ -21,7 +23,8 @@ from repro.fleetd.plan import plan_shards
 from repro.sim.events import Event, Timeout
 
 BUDGET = 2.0
-SHORT_DAYS, LONG_DAYS = 0.0625, 0.25
+#: Two and six simulated hours of the shard.
+SHORT_DAYS, LONG_DAYS = 2 / 24, 6 / 24
 
 
 def profiled(thunk):

@@ -2,6 +2,7 @@
 ``repro run``."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.obs import Observatory
 from repro.obs.events import TraceRecorder
 from repro.spec.catalog import get
 from repro.spec.compile import fingerprint, run_spec
+from repro.spec.model import OpStep
 
 
 class TestDeterminism:
@@ -21,12 +23,19 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ["outage", "trickle"])
     def test_instrumented_run_is_schedule_identical(self, name):
+        # Five idle minutes past the script's end, while the daemons
+        # keep ticking: the outage script alone dispatches under 500
+        # events since a packet costs three.
+        spec = get(name)
+        spec = replace(spec, workload=replace(
+            spec.workload, script=spec.workload.script
+            + (OpStep(op="sleep", seconds=300.0),)))
         bare_schedule = []
-        bare = run_spec(get(name), schedule_log=bare_schedule).testbed
+        bare = run_spec(spec, schedule_log=bare_schedule).testbed
 
         observatory = Observatory()
         live_schedule = []
-        live = run_spec(get(name), observatory=observatory,
+        live = run_spec(spec, observatory=observatory,
                         schedule_log=live_schedule).testbed
 
         assert len(bare_schedule) > 500     # the probe actually probed

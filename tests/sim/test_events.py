@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt
+from repro.sim import At, Interrupt
 
 
 def test_event_succeed_delivers_value(sim):
@@ -87,6 +87,24 @@ def test_empty_conditions_fire_immediately(sim):
         return sim.now
 
     assert sim.run(sim.process(waiter())) == 0.0
+
+
+def test_at_fires_at_the_exact_instant_given(sim):
+    """``now + (when - now)`` is not ``when`` for these two floats; an
+    ``At`` fires at ``when`` itself and carries its value."""
+    now, when = 0.303598551834547, 90.0686292274148
+    assert now + (when - now) != when
+    fired = []
+
+    def waiter():
+        yield sim.timeout(now)
+        value = yield At(sim, when, "v")
+        fired.append((sim.now, value))
+
+    sim.run(sim.process(waiter()))
+    assert fired == [(when, "v")]
+    with pytest.raises(ValueError):
+        At(sim, when - 1.0)
 
 
 def test_interrupt_wakes_sleeping_process(sim):

@@ -7,7 +7,9 @@ lives under ``repro/sim/`` — event and process constructors, ``sleep``,
 The count is a pure function of (scenario, seed, length).  With the
 calendar queue's Python ``push``/``_advance`` and the pool's allocation
 primitives on the path this was 6.8; allocating where used behind C
-``heapq`` it is 5.0, and the budget is 5.2.
+``heapq`` it was 5.0, later ~4.55, and ~4.1 since the host CPU became
+a clock instead of a lock (no grant event, no ``Lock`` calls per CPU
+use).  The budget is 5.2.
 
 It must also stay *flat* in the length of the run: per-event kernel
 work that grows with history is a complexity bug no timing gate sees
