@@ -10,7 +10,7 @@ rows shaped like the paper's.  The benchmark suite under
     python -m repro figure replay
 """
 
-from repro.bench.results import Table, fmt_bytes, fmt_kbps
+from repro.bench.results import Table, fmt_bytes
 
 
 def _transport():
@@ -81,5 +81,4 @@ __all__ = [
     "FIGURES",
     "Table",
     "fmt_bytes",
-    "fmt_kbps",
 ]

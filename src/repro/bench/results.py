@@ -1,12 +1,6 @@
 """Result tables shaped like the paper's figures."""
 
 
-def fmt_kbps(bits_per_sec):
-    """'1952' style Kb/s formatting used by Figure 1."""
-    return "%.1f" % (bits_per_sec / 1000.0) if bits_per_sec < 100_000 \
-        else "%.0f" % (bits_per_sec / 1000.0)
-
-
 def fmt_bytes(nbytes):
     if nbytes >= 1 << 20:
         return "%.1f MB" % (nbytes / float(1 << 20))

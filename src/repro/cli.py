@@ -11,7 +11,6 @@
     python -m repro figure segments      # Figure 11
     python -m repro figure replay        # Figures 12-14 (purcell)
     python -m repro figure ablations     # the design-choice sweeps
-    python -m repro trace-export --segment holst --out holst.trace
     python -m repro run trickle --out trickle.jsonl
     python -m repro run smoke --check-invariants --fingerprint
     python -m repro run doc-archive --seed 7 --json report.json
@@ -49,18 +48,6 @@ def _cmd_figure(args):
     from repro.bench import FIGURES
     for table in FIGURES[args.name]():
         table.show()
-
-
-def _cmd_trace_export(args):
-    from repro.trace.io import save_trace
-    from repro.trace.segments import SEGMENT_SPECS, segment_by_name
-    if args.segment not in SEGMENT_SPECS:
-        _usage_error("unknown segment %r (have %s)"
-                     % (args.segment, ", ".join(sorted(SEGMENT_SPECS))))
-    segment = segment_by_name(args.segment)
-    save_trace(segment, args.out)
-    print("wrote %s: %d references, %d updates"
-          % (args.out, segment.references, segment.updates))
 
 
 def _usage_error(message):
@@ -430,11 +417,6 @@ def build_parser():
                                       "Figures 12-14, and the ablations)")
     p.add_argument("name", choices=FIGURES)
     p.set_defaults(fn=_cmd_figure)
-
-    p = sub.add_parser("trace-export", help="export a trace to a file")
-    p.add_argument("--segment", default="purcell")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_trace_export)
 
     p = sub.add_parser(
         "run",

@@ -119,44 +119,6 @@ class TrickleReintegrator:
         finally:
             self._draining = False
 
-    def reintegrate_records(self, records):
-        """Process body: ship an explicit, dependency-closed record set.
-
-        This is the section 4.3.5 refinement the paper was
-        "considering": forcing immediate reintegration of one subtree's
-        updates without waiting for the rest of the log.  The caller
-        (Venus) computes the precedence closure; records ship in
-        temporal order as a single atomic chunk.  Returns True when the
-        records left the CML (committed, or conflicted out).
-        """
-        venus = self.venus
-        cml = venus.cml
-        if not records:
-            return True
-        yield self._chunk_lock.acquire()
-        try:
-            still_here = {id(r) for r in cml.records}
-            records = [r for r in records if id(r) in still_here]
-            if not records:
-                return True   # optimized away or already shipped
-            records.sort(key=lambda r: r.seqno)
-            self.stats.chunks_attempted += 1
-            cml.freeze_records(records)
-            try:
-                yield from self._reintegrate_frozen(records, set())
-                return True
-            except ConnectionDead:
-                self.stats.aborts += 1
-                cml.abort_frozen()
-                venus.handle_disconnection()
-                return False
-            except BaseException:
-                if cml.frozen_count:
-                    cml.abort_frozen()
-                raise
-        finally:
-            self._chunk_lock.release()
-
     # ------------------------------------------------------------------
     # One chunk
 

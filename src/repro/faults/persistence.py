@@ -44,6 +44,8 @@ class VenusSnapshot:
     time: float
     config: object
     user: object
+    #: ``[server node]``: one element, kept a list so pickled images
+    #: keep their bytes.
     server_nodes: list
     cml_records: list
     cml_stats: object
@@ -106,7 +108,7 @@ def snapshot_venus(venus):
         time=venus.sim.now,
         config=venus.config,
         user=venus.user,
-        server_nodes=list(venus._server_nodes),
+        server_nodes=[venus.server_node],
         cml_records=[_copy_record(r) for r in venus.cml],
         cml_stats=venus.cml.stats.snapshot(),
         next_seqno=next(venus.cml._seq),
@@ -138,9 +140,7 @@ def restore_venus(snapshot, sim, network, host):
             "snapshot of %r has schema version %r; this build restores "
             "only version %d" % (snapshot.node, version,
                                  SNAPSHOT_SCHEMA_VERSION))
-    server = snapshot.server_nodes if len(snapshot.server_nodes) > 1 \
-        else snapshot.server_nodes[0]
-    venus = Venus(sim, network, snapshot.node, server, host,
+    venus = Venus(sim, network, snapshot.node, snapshot.server_nodes[0], host,
                   config=snapshot.config, user=snapshot.user,
                   first_conn_id=snapshot.next_conn_id)
     # Mount table and volume knowledge.

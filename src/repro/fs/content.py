@@ -13,10 +13,6 @@ class Content:
 
     size = 0
 
-    @property
-    def fingerprint(self):
-        raise NotImplementedError
-
     @staticmethod
     def of(value):
         """Coerce bytes/str/int/Content into a Content."""

@@ -26,16 +26,6 @@ class LinkStats:
     bytes_lost: int = 0
     bytes_dropped_down: int = 0
 
-    def reset(self):
-        self.packets_sent = 0
-        self.packets_delivered = 0
-        self.packets_lost = 0
-        self.packets_dropped_down = 0
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        self.bytes_lost = 0
-        self.bytes_dropped_down = 0
-
 
 class LinkDirection:
     """One direction of a duplex link."""

@@ -62,9 +62,6 @@ class Instrument:
     def label_string(self):
         return format_labels(self.labels)
 
-    def data(self):
-        raise NotImplementedError
-
     def __repr__(self):
         return "<%s %s{%s}>" % (type(self).__name__, self.name,
                                 self.label_string)

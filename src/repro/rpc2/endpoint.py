@@ -357,7 +357,8 @@ class Rpc2Endpoint:
                 try:
                     ctx.received_bytes = yield receiver.done
                 finally:
-                    self._expire_transfer(transfer_id, receiver=True)
+                    self._expire_transfer(self._sftp_receivers, transfer_id,
+                                          receiver)
             handler = self._handlers.get(request.proc)
             if handler is None:
                 error = "no such procedure: %s" % request.proc
@@ -381,7 +382,8 @@ class Rpc2Endpoint:
                                            name="sftp-send-reply",
                                            owner=self.node)
                 finally:
-                    self._expire_transfer(transfer_id, receiver=False)
+                    self._expire_transfer(self._sftp_senders, transfer_id,
+                                          sender)
         except TransferAborted:
             # Bulk data never made it; drop the call. The client's own
             # timeout machinery will declare the connection dead.
@@ -396,14 +398,13 @@ class Rpc2Endpoint:
         state["active"] = None
         self._send(peer, reply)
 
-    def _expire_transfer(self, transfer_id, receiver, grace=300.0):
-        """Drop transfer state after a grace period for late duplicates."""
+    def _expire_transfer(self, table, transfer_id, transfer, grace=300.0):
+        """Drop ``transfer`` from ``table`` after a grace period for
+        late duplicates, unless a newer transfer has taken its id."""
         def expire():
             yield self.sim.sleep(grace)
-            if receiver:
-                self._sftp_receivers.pop(transfer_id, None)
-            else:
-                self._sftp_senders.pop(transfer_id, None)
+            if table.get(transfer_id) is transfer:
+                del table[transfer_id]
         self.sim.process(expire(), name="sftp-expire", owner=self.node)
 
 
@@ -477,7 +478,6 @@ class Rpc2Connection:
                           proc=procedure, seq=seq, conn=self.conn_id,
                           send_size=send_size)
             pending = inbox.get()
-            upload_done = False
             while True:
                 timeout = sim.timeout(patience)
                 yield sim.any_of([pending, timeout])
@@ -508,7 +508,10 @@ class Rpc2Connection:
                         patience = min(BUSY_PATIENCE,
                                        max(1.0, 4 * estimator.rtt.rto))
                         continue
-                    if isinstance(packet, Go) and send_size and not upload_done:
+                    if isinstance(packet, Go) and send_size:
+                        # Every Go invites an upload: one that arrives
+                        # after ours finished comes from a restarted
+                        # server that lost it.
                         sender = SftpSender(sim, endpoint, self.peer,
                                             store_tid, send_size)
                         endpoint._sftp_senders[store_tid] = sender
@@ -520,9 +523,8 @@ class Rpc2Connection:
                             endpoint.liveness.mark_unreachable(self.peer)
                             raise ConnectionDead(str(aborted)) from aborted
                         finally:
-                            endpoint._expire_transfer(store_tid,
-                                                      receiver=False)
-                        upload_done = True
+                            endpoint._expire_transfer(endpoint._sftp_senders,
+                                                      store_tid, sender)
                         patience = min(BUSY_PATIENCE,
                                        max(1.0, 4 * estimator.rtt.rto))
                         continue

@@ -71,10 +71,6 @@ class FragmentStore:
         entry = self._partial.get(key)
         return entry.received if entry else 0
 
-    def fragments_present(self, key):
-        entry = self._partial.get(key)
-        return sorted(entry.fragments) if entry else []
-
     def is_complete(self, key, total_size):
         entry = self._partial.get(key)
         return entry is not None and entry.total_size == total_size \

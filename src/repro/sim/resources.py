@@ -22,10 +22,6 @@ class Lock:
         self._locked = False
         self._waiters = deque()
 
-    @property
-    def locked(self):
-        return self._locked
-
     def acquire(self):
         """Return an event that fires once the lock is held by the caller."""
         sim = self.sim

@@ -390,9 +390,6 @@ class WorkloadSpec:
                               % (where, name))
         return errors
 
-    def mix_dict(self):
-        return dict(self.mix)
-
     def to_dict(self):
         data = {}
         if self.script:

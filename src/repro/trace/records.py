@@ -85,8 +85,3 @@ class TraceSegment:
                 preserved += gap
             last = record.time
         return preserved
-
-    def slice_after(self, start_time):
-        """Records at or after ``start_time`` (for warm-up splits)."""
-        return [record for record in self.records
-                if record.time >= start_time]

@@ -163,9 +163,6 @@ class CacheManager:
     def __len__(self):
         return len(self._entries)
 
-    def __contains__(self, fid):
-        return fid in self._entries
-
     def get(self, fid):
         return self._entries.get(fid)
 
@@ -196,25 +193,6 @@ class CacheManager:
     @property
     def used_bytes(self):
         return self._used_bytes
-
-    def recompute_used_bytes(self):
-        """Full O(n) recount, for audits and tests of the fast path."""
-        return sum(entry.space for entry in self._entries.values())
-
-    def recompute_volume_refs(self):
-        """Full O(n) recount of per-volume entry counts, for audits.
-
-        Returns ``(all_refs, local_refs)`` matching the incrementally
-        maintained ``_volume_refs`` / ``_local_refs`` tables.
-        """
-        refs = {}
-        local_refs = {}
-        for entry in self._entries.values():
-            vol = entry.fid.volume
-            refs[vol] = refs.get(vol, 0) + 1
-            if entry._local:
-                local_refs[vol] = local_refs.get(vol, 0) + 1
-        return refs, local_refs
 
     def nonlocal_volumes(self):
         """Sorted ids of volumes holding at least one non-local entry."""

@@ -131,17 +131,6 @@ class ClientModifyLog:
     def frozen_count(self):
         return len(self._frozen)
 
-    def frozen_records(self):
-        return [r for r in self._records if id(r) in self._frozen]
-
-    def unfrozen_records(self):
-        return [r for r in self._records if id(r) not in self._frozen]
-
-    def oldest_age(self, now):
-        if not self._records:
-            return None
-        return now - self._records[0].time
-
     # -- the per-fid record index ----------------------------------------
 
     @property
@@ -296,43 +285,18 @@ class ClientModifyLog:
     # -- the reintegration barrier (Figure 3) ----------------------------
 
     def freeze(self, n_records):
-        """Place the barrier after the first ``n_records`` records."""
+        """Place the barrier after the first ``n_records`` records.
+
+        A prefix of the log is dependency closed by construction: every
+        earlier record touching a frozen object is frozen too, so
+        replay order at the server respects precedence.
+        """
         if n_records > len(self._records):
             raise ValueError("cannot freeze %d of %d records"
                              % (n_records, len(self._records)))
-        self.freeze_records(self._records[:n_records])
-
-    def freeze_records(self, records):
-        """Freeze an explicit record set (subtree reintegration).
-
-        The set must be *dependency closed*: for every frozen record,
-        every earlier record touching any of the same objects is frozen
-        too, so replay order at the server respects precedence.
-        """
         if self._frozen:
             raise RuntimeError("a reintegration is already in progress")
-        wanted = {id(r) for r in records}
-        known = {id(r) for r in self._records}
-        if not wanted <= known:
-            raise ValueError("freezing records not in the log")
-        frozen_fids = set()
-        for record in records:
-            for fid in (record.fid, record.parent, record.to_parent):
-                if fid is not None:
-                    frozen_fids.add(fid)
-        for record in self._records:
-            if id(record) in wanted:
-                continue
-            later_than_all = all(record.seqno > r.seqno for r in records)
-            if later_than_all:
-                continue
-            if any(fid in frozen_fids for fid
-                   in (record.fid, record.parent, record.to_parent)
-                   if fid is not None):
-                raise ValueError(
-                    "frozen set not dependency closed (record %s)"
-                    % record)
-        self._frozen = wanted
+        self._frozen = {id(r) for r in self._records[:n_records]}
 
     def commit_frozen(self):
         """Reintegration succeeded: drop the frozen records."""

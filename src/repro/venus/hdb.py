@@ -50,12 +50,6 @@ class HoardDatabase:
         self._entries[path] = entry
         return entry
 
-    def remove(self, path):
-        return self._entries.pop(path, None) is not None
-
-    def entry_for(self, path):
-        return self._entries.get(path)
-
     def priority_for(self, path):
         """Highest priority of any entry covering ``path`` (0 if none)."""
         best = 0

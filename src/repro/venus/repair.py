@@ -39,10 +39,6 @@ class Conflict:
     detected_at: float
     resolved: Optional[str] = None  # None | "mine" | "theirs"
 
-    @property
-    def op(self):
-        return self.record.op
-
     def describe(self):
         return "#%d %s %s (%s)" % (
             self.ident, self.record.op.value,

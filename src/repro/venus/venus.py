@@ -104,11 +104,6 @@ class Handle:
             raise PermissionError("file not open for writing")
         self.buffer = Content.of(data)
 
-    def read(self):
-        if self.buffer is not None:
-            return self.buffer
-        return self.entry.content
-
 
 class Venus:
     """The per-client cache manager."""
@@ -118,33 +113,14 @@ class Venus:
         self.sim = sim
         self.node = node
         self.crashed = False
-        # ``server`` may be one node name, or a list naming a volume
-        # storage group (server replication, section 2.2); list items
-        # may be CodaServer objects, which enables replica resolution.
-        server_objects = None
-        if isinstance(server, (list, tuple)):
-            items = list(server)
-            if items and hasattr(items[0], "node"):
-                server_objects = items
-                server_nodes = [s.node for s in items]
-            else:
-                server_nodes = items
-        else:
-            server_nodes = [server]
-        self.server_node = server_nodes[0]
-        self._server_nodes = server_nodes
+        self.server_node = server
         self.config = config or VenusConfig()
         self.user = user or TimeoutUser(self.config.advice_timeout)
         self.endpoint = Rpc2Endpoint(sim, network, node, CODA_PORT, host,
                                      default_bps=self.config.initial_bps,
                                      first_conn_id=first_conn_id)
         self.endpoint.register("BreakCallback", self._h_break_callback)
-        if len(server_nodes) > 1:
-            from repro.server.replication import ReplicaSet
-            self.conn = ReplicaSet(self.endpoint, server_nodes,
-                                   servers=server_objects)
-        else:
-            self.conn = self.endpoint.connect(self.server_node)
+        self.conn = self.endpoint.connect(server)
         self.cml = ClientModifyLog()
         self.cache = CacheManager(self.config.cache_capacity,
                                   logged_fids=self.cml.logged_fids)
@@ -185,10 +161,6 @@ class Venus:
 
     # ------------------------------------------------------------------
     # Utilities
-
-    def run(self, generator):
-        """Run a Venus operation generator as a simulation process."""
-        return self.sim.process(generator)
 
     @property
     def estimator(self):
@@ -890,9 +862,6 @@ class Venus:
             if entry.path and hoarded.covers(entry.path):
                 entry.hoard_priority = max(entry.hoard_priority, priority)
 
-    def unhoard(self, path):
-        return self.hdb.remove(path)
-
     def hoard_walk(self):
         """Generator: run a full hoard walk now (also called periodically)."""
         from repro.venus.walk import HoardWalker
@@ -923,65 +892,6 @@ class Venus:
             raise OfflineError("cannot sync while disconnected")
         drained = yield from self.trickle.drain()
         return drained
-
-    def sync_subtree(self, path, program=None):
-        """Generator: force reintegration of one subtree's updates.
-
-        The section 4.3.5 refinement: ship everything logged for
-        objects under ``path`` (plus precedence antecedents) now,
-        without waiting for the rest of the CML to age.  Returns True
-        once those records have left the log.
-        """
-        if self.state.state is VenusState.EMULATING:
-            raise OfflineError("cannot sync while disconnected")
-        entry = yield from self._lookup(path, program=program,
-                                        want_data=False)
-        subtree = self._subtree_fids(entry.fid)
-        records = self._precedence_closure(subtree)
-        ok = yield from self.trickle.reintegrate_records(records)
-        return ok
-
-    def _subtree_fids(self, root_fid):
-        """All cached fids at or below ``root_fid``."""
-        result = {root_fid}
-        stack = [root_fid]
-        while stack:
-            entry = self.cache.get(stack.pop())
-            if entry is None or not entry.children:
-                continue
-            for child_fid in entry.children.values():
-                if child_fid not in result:
-                    result.add(child_fid)
-                    stack.append(child_fid)
-        return result
-
-    def _precedence_closure(self, fids):
-        """CML records touching ``fids``, closed under antecedents.
-
-        A record's antecedents are all earlier records that touch any
-        of the same objects; including them guarantees the server sees
-        a replayable, in-order chunk (section 4.3.5's "precedence
-        relationships").
-        """
-        records = self.cml.records
-        touched = set(fids)
-        included = set()
-        changed = True
-        while changed:
-            changed = False
-            for record in reversed(records):
-                if id(record) in included:
-                    continue
-                involved = {fid for fid
-                            in (record.fid, record.parent,
-                                record.to_parent)
-                            if fid is not None}
-                if involved & touched:
-                    included.add(id(record))
-                    if not involved <= touched:
-                        touched |= involved
-                    changed = True
-        return [r for r in records if id(r) in included]
 
     def crash(self):
         """Simulate a Venus process (or machine) crash.
@@ -1014,8 +924,7 @@ class Venus:
         of strength"), then — if strongly connected — drains the CML
         and moves to hoarding.
         """
-        reached = yield from self._ping_any(pad=4096)
-        if reached is None:
+        if not (yield from self._ping_server(pad=4096)):
             return False
         strength = self.monitor.classify(True, self.current_bandwidth_bps())
         if self.state.state is VenusState.EMULATING:
@@ -1026,21 +935,15 @@ class Venus:
         yield from self._maybe_promote(strength)
         return True
 
-    def _ping_any(self, pad=0):
-        """Generator: ping servers until one answers; returns its name.
-
-        With a single server this is a plain reachability probe; with a
-        replica set, any live member keeps the client connected.
-        """
-        for node in self._server_nodes:
-            try:
-                yield self.endpoint.ping(node)
-                if pad:
-                    yield self.endpoint.ping(node, pad=pad)
-                return node
-            except ConnectionDead:
-                continue
-        return None
+    def _ping_server(self, pad=0):
+        """Generator: probe the server; True once it answers."""
+        try:
+            yield self.endpoint.ping(self.server_node)
+            if pad:
+                yield self.endpoint.ping(self.server_node, pad=pad)
+        except ConnectionDead:
+            return False
+        return True
 
     def _revalidate(self):
         try:
@@ -1156,11 +1059,9 @@ class Venus:
                 continue
             # Connected: keep liveness fresh and the classification
             # current.  An active transfer already refreshes both.
-            silent = min(self.endpoint.liveness.silent_for(node)
-                         for node in self._server_nodes)
+            silent = self.endpoint.liveness.silent_for(self.server_node)
             if silent >= config.keepalive_interval:
-                reached = yield from self._ping_any()
-                if reached is None:
+                if not (yield from self._ping_server()):
                     self.handle_disconnection()
                     continue
             # When no transfers have refreshed the bandwidth estimate
@@ -1168,9 +1069,8 @@ class Venus:
             # changed (modem at night, Ethernet in the morning).
             samples = self.estimator.bandwidth.samples
             if samples == last_bw_samples and self.sim.now >= bw_probe_due:
-                reached = yield from self._ping_any(
-                    pad=config.bandwidth_probe_pad)
-                if reached is None:
+                if not (yield from self._ping_server(
+                        pad=config.bandwidth_probe_pad)):
                     self.handle_disconnection()
                     continue
                 bw_probe_due = self.sim.now \

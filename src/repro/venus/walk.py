@@ -39,10 +39,6 @@ class WalkReport:
     validated_objects: int = 0
     stamps_acquired: int = 0
 
-    @property
-    def elapsed(self):
-        return self.finished - self.started
-
 
 class HoardWalker:
     """Executes hoard walks for one Venus instance."""

@@ -1,5 +1,5 @@
-"""The paper's future-work extensions: cost-aware adaptation
-(section 8) and selective subtree reintegration (section 4.3.5)."""
+"""The paper's future-work extension: cost-aware adaptation
+(section 8)."""
 
 import pytest
 
@@ -11,9 +11,8 @@ from repro.core.cost import (
     CostLedger,
     NetworkTariff,
 )
-from repro.fs import SyntheticContent
 from repro.net import MODEM
-from repro.venus import CacheMissError, VenusConfig, VenusState
+from repro.venus import CacheMissError, VenusConfig
 
 from tests.conftest import build_testbed, connected
 
@@ -111,80 +110,3 @@ def test_network_cost_tracks_connection_and_bytes():
     cost = venus.network_cost()
     # Ten minutes of long distance at $0.12/min.
     assert cost == pytest.approx(1.2, rel=0.15)
-
-
-# ---------------------------------------------- subtree reintegration
-
-def subtree_testbed():
-    tree = {
-        M + "/projA": ("dir", 0),
-        M + "/projA/doc.txt": ("file", 1_000),
-        M + "/projB": ("dir", 0),
-        M + "/projB/data.bin": ("file", 1_000),
-    }
-    config = VenusConfig(aging_window=3600.0, daemon_period=5.0)
-    testbed = build_testbed(profile=MODEM, tree=tree,
-                            venus_config=config)
-    connected(testbed)
-    assert testbed.venus.state.state is VenusState.WRITE_DISCONNECTED
-    return testbed
-
-
-def on_server(testbed, dirname, name):
-    d = testbed.volume.require(testbed.volume.root.lookup(dirname))
-    return d.lookup(name) is not None
-
-
-def test_sync_subtree_ships_only_that_subtree():
-    testbed = subtree_testbed()
-    venus = testbed.venus
-    testbed.run(venus.write_file(M + "/projA/doc.txt", b"a" * 3_000))
-    testbed.run(venus.write_file(M + "/projB/data.bin", b"b" * 3_000))
-    assert len(venus.cml) == 2
-    ok = testbed.run(venus.sync_subtree(M + "/projA"))
-    assert ok
-    # projA's update reached the server; projB's still waits its turn.
-    docs = testbed.volume.require(testbed.volume.require(
-        testbed.volume.root.lookup("projA")).lookup("doc.txt"))
-    assert docs.content.size == 3_000
-    assert len(venus.cml) == 1
-    assert venus.cml.records[0].fid.volume == testbed.volume.volid
-
-
-def test_sync_subtree_includes_antecedent_creates():
-    testbed = subtree_testbed()
-    venus = testbed.venus
-    testbed.run(venus.mkdir(M + "/projA/sub"))
-    testbed.run(venus.write_file(M + "/projA/sub/new.txt", b"n" * 2_000))
-    testbed.run(venus.write_file(M + "/projB/data.bin", b"b" * 500))
-    ok = testbed.run(venus.sync_subtree(M + "/projA/sub"))
-    assert ok
-    assert on_server(testbed, "projA", "sub")
-    # The store for new.txt needed its create and the mkdir first;
-    # the closure shipped all three together.
-    sub = testbed.volume.require(testbed.volume.require(
-        testbed.volume.root.lookup("projA")).lookup("sub"))
-    assert sub.lookup("new.txt") is not None
-    # projB untouched.
-    assert len(venus.cml) == 1
-
-
-def test_sync_subtree_with_nothing_logged_is_noop():
-    testbed = subtree_testbed()
-    assert testbed.run(testbed.venus.sync_subtree(M + "/projA"))
-
-
-def test_freeze_records_rejects_unclosed_set():
-    from repro.fs import Fid
-    from repro.venus.cml import ClientModifyLog, CmlOp, CmlRecord
-    cml = ClientModifyLog()
-    fid = Fid(1, 5, 5)
-    first = CmlRecord(op=CmlOp.CREATE, fid=fid, parent=Fid(1, 1, 1),
-                      name="f")
-    second = CmlRecord(op=CmlOp.STORE, fid=fid,
-                       content=SyntheticContent(10))
-    cml.append(first, 0.0)
-    cml.append(second, 1.0)
-    with pytest.raises(ValueError, match="dependency"):
-        cml.freeze_records([second])   # store without its create
-    cml.freeze_records([first, second])

@@ -1,6 +1,10 @@
 """Transport edge cases: outages mid-call, busy quenching, recovery."""
 
-from repro.net import ETHERNET, MODEM, Network
+from collections import Counter
+
+import pytest
+
+from repro.net import ETHERNET, MODEM, WAVELAN, Network
 from repro.net.host import IDEAL, LAPTOP_1995, SERVER_1995
 from repro.rpc2 import Rpc2Endpoint
 from repro.sim import RandomStreams, Simulator
@@ -115,3 +119,94 @@ def test_estimator_reset_clears_state():
     estimator.reset()
     assert estimator.rtt.srtt is None
     assert estimator.bandwidth.bytes_per_sec is None
+
+
+def test_a_go_after_the_upload_finished_uploads_again():
+    """A server that restarts after a Store's upload finished has lost
+    the upload, so its fresh ``Go`` is answered with a second upload.
+
+    Loss seed 9 drops the Store's Reply; the server crashes 9.5 ms in
+    and stays down 11 s.  The retransmitted Request meets a server
+    with no call state, which invites the upload again.  Ignoring that
+    ``Go`` livelocked the call: the server waited on an upload that
+    never came until its receiver idled out, and every ``Busy`` and
+    ``Go`` reset the client's retry count, so the call neither
+    finished nor failed (3,191 Requests by 3,600 simulated s).
+    """
+    sim = Simulator()
+    net = Network(sim, rng=RandomStreams(9).stream("net"))
+    net.add_link("laptop", "server", profile=WAVELAN, loss_rate=0.1)
+    sent = Counter()
+    transmit = net.transmit
+
+    def counted(datagram):
+        sent[type(datagram.payload).__name__] += 1
+        transmit(datagram)
+
+    net.transmit = counted
+
+    def boot(node, first_conn_id=1):
+        endpoint = Rpc2Endpoint(sim, net, node, 2432, IDEAL,
+                                default_bps=WAVELAN.bandwidth_bps,
+                                first_conn_id=first_conn_id)
+        endpoint.register("Store", lambda ctx, args: ctx.received_bytes)
+        return endpoint
+
+    laptop, server = boot("laptop"), boot("server")
+    done = {}
+
+    def store():
+        result = yield laptop.connect("server").call("Store", send_size=588)
+        done["at"], done["bytes"] = sim.now, result.result
+
+    def crash():
+        yield sim.sleep(0.0095)
+        server.shutdown()
+        yield sim.sleep(11.0)
+        boot("server", server._next_conn_id)
+
+    sim.process(store(), name="store")
+    sim.process(crash(), name="crash")
+    sim.run(until=3600.0)
+    assert done.get("bytes") == 588, sent
+    assert done["at"] == pytest.approx(20.16, abs=0.01)
+    assert sent["Request"] == 7
+
+
+def test_a_reupload_outlasting_the_grace_period_keeps_its_sender():
+    """The first upload's state expires 300 s after it ends; it must
+    not evict a second upload under the same transfer id that is still
+    running then.  A 350,000-byte Store takes about 365 s on Modem, so
+    the re-upload that follows an 11 s restart is mid-flight when the
+    first one's grace period runs out."""
+    sim = Simulator()
+    net = Network(sim, rng=RandomStreams(0).stream("net"))
+    net.add_link("laptop", "server", profile=MODEM)
+    stores = []
+
+    def crash():
+        yield sim.sleep(0.5)
+        server.shutdown()
+        yield sim.sleep(11.0)
+        boot("server", server._next_conn_id)
+
+    def store(ctx, args):
+        stores.append(sim.now)
+        if len(stores) == 1:
+            sim.process(crash(), name="crash")
+            yield sim.sleep(1.0)
+        return ctx.received_bytes
+
+    def boot(node, first_conn_id=1):
+        endpoint = Rpc2Endpoint(sim, net, node, 2432, IDEAL,
+                                default_bps=MODEM.bandwidth_bps,
+                                first_conn_id=first_conn_id)
+        endpoint.register("Store", store)
+        return endpoint
+
+    laptop, server = boot("laptop"), boot("server")
+    result = sim.run(laptop.connect("server").call("Store",
+                                                   send_size=350_000))
+    assert result.result == 350_000
+    assert len(stores) == 2
+    assert stores[1] - stores[0] > 300.0

