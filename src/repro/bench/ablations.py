@@ -24,21 +24,25 @@ the argument is about.
   the original per-layer streams against the shared liveness fix.
 
 Each is an :class:`Ablation` run by :func:`sweep` and printed by
-:func:`render`; the aging-window and log-optimization cells sweep the
-``replay`` catalogue spec's ``venus`` fields.
+:func:`render`, and each cell is a spec.  The aging-window and
+log-optimization cells sweep the ``replay`` catalogue spec's ``venus``
+fields; chunk budget and cost are script specs timed by their step
+ends; false sharing and keepalive run their own session on a spec's
+testbed; header compression is Figure 1's SFTP trial.
 """
 
 from dataclasses import dataclass, replace
 
 from repro.bench.results import Table
-from repro.core.cost import CELLULAR, FREE, LONG_DISTANCE
+from repro.bench.transport import _sftp_trial
+from repro.core.cost import TARIFFS
 from repro.fs.content import SyntheticContent
-from repro.net import ETHERNET, MODEM
+from repro.net import MODEM
 from repro.sim.rand import derive_rng
 from repro.spec.catalog import get
 from repro.spec.compile import run_spec
-from repro.spec.testbed import make_testbed, populate_volume, warm_cache
-from repro.venus import VenusConfig
+from repro.spec.model import OpStep, ScenarioSpec, VolumeSpec
+from repro.spec.testbed import build_testbed
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,19 @@ _REPLAY_KB = (("Shipped (KB)", "shipped_kb", "%.0f"),
               ("Optimized (KB)", "optimized_kb", "%.0f"))
 
 
+def _spec(name, venus, volumes, script=(), profile="Modem"):
+    """The one-client testbed spec of a cell (canonical seed)."""
+    return ScenarioSpec(name=name, kind="testbed", family="script",
+                        seed_kind="obs", venus=venus,
+                        network={"profile": profile}, volumes=volumes,
+                        workload={"script": script})
+
+
+def _dir_volume(mount):
+    """A volume holding one empty directory, ``d``."""
+    return VolumeSpec(mount, [(mount + "/d", "dir", 0)])
+
+
 # ----------------------------------------------------------------------
 # Chunk-size ablation
 
@@ -99,42 +116,27 @@ def _chunk_cell(budget, backlog_files=6, file_kb=120, miss_kb=40):
     small chunks the trickle daemon yields the link quickly, with huge
     chunks the miss waits behind megabytes of reintegration data.
     """
-    config = VenusConfig(aging_window=0.0, force_write_disconnected=True,
-                         daemon_period=1.0)
+    venus = {"aging_window": 0.0, "force_write_disconnected": True,
+             "daemon_period": 1.0}
     if budget is None:
-        config.whole_chunk_mode = True
+        venus["whole_chunk_mode"] = True
     else:
-        config.chunk_seconds = budget
-    testbed = make_testbed(MODEM, venus_config=config)
-    tree = {"/coda/usr/w/d": ("dir", 0),
-            "/coda/usr/w/d/miss.bin": ("file", miss_kb * 1024)}
-    volume = populate_volume(testbed.server, "/coda/usr/w", tree)
-    warm_cache(testbed.venus, testbed.server, volume)
-    venus = testbed.venus
-    # The miss target must not be cached.
-    folder = volume.require(volume.root.children["d"])
-    venus.cache.remove(folder.children["miss.bin"])
-
-    def scenario():
-        yield from venus.connect()
-        venus.hoard("/coda/usr/w/d/miss.bin", 900)
-        # Build the backlog of aged updates.
-        for index in range(backlog_files):
-            yield from venus.write_file(
-                "/coda/usr/w/d/out%02d" % index,
-                SyntheticContent(file_kb * 1024))
-        # Let reintegration get going, then take a foreground miss.
-        yield venus.sim.timeout(30.0)
-        start = venus.sim.now
-        yield from venus.read_file("/coda/usr/w/d/miss.bin")
-        miss_latency = venus.sim.now - start
-        # How long until the whole backlog is gone?
-        while len(venus.cml):
-            yield venus.sim.timeout(5.0)
-        return {"miss_latency": miss_latency,
-                "drain_seconds": venus.sim.now}
-
-    return testbed.run(scenario())
+        venus["chunk_seconds"] = budget
+    miss = "/coda/usr/w/d/miss.bin"
+    # The miss target must not be cached.  Build the backlog of aged
+    # updates, let reintegration get going, take a foreground miss,
+    # then wait for the whole backlog to go.
+    ends = run_spec(_spec(
+        "chunk-budget", venus,
+        [VolumeSpec("/coda/usr/w", [("/coda/usr/w/d", "dir", 0),
+                                    (miss, "file", miss_kb * 1024)])],
+        [OpStep("evict", path=miss), OpStep("connect"),
+         OpStep("hoard", path=miss, priority=900),
+         *(OpStep("write", path="/coda/usr/w/d/out%02d" % index,
+                  size=file_kb * 1024) for index in range(backlog_files)),
+         OpStep("sleep", seconds=30.0), OpStep("read", path=miss),
+         OpStep("drain", seconds=5.0)])).step_ends
+    return {"miss_latency": ends[-2] - ends[-3], "drain_seconds": ends[-1]}
 
 
 CHUNK = Ablation(
@@ -185,18 +187,13 @@ def _false_sharing_cell(n_volumes, total_files=160, updates=8, seed=3):
     (false sharing); with many volumes most stamps survive.
     """
     rng = derive_rng("false-sharing", n_volumes, seed)
-    testbed = make_testbed(ETHERNET,
-                           venus_config=VenusConfig(start_daemons=False))
-    per_volume = total_files // n_volumes
-    volumes = []
-    for v in range(n_volumes):
-        mount = "/coda/fs/v%02d" % v
-        tree = {mount + "/d": ("dir", 0)}
-        for i in range(per_volume):
-            tree["%s/d/f%03d" % (mount, i)] = ("file", 4096)
-        volume = populate_volume(testbed.server, mount, tree)
-        warm_cache(testbed.venus, testbed.server, volume)
-        volumes.append(volume)
+    mounts = ["/coda/fs/v%02d" % v for v in range(n_volumes)]
+    testbed = build_testbed(_spec("false-sharing", {"start_daemons": False}, [
+        VolumeSpec(mount, [(mount + "/d", "dir", 0)] + [
+            ("%s/d/f%03d" % (mount, i), "file", 4096)
+            for i in range(total_files // n_volumes)])
+        for mount in mounts], profile="Ethernet"))
+    volumes = testbed.server.registry.volumes()
     venus = testbed.venus
 
     def scenario():
@@ -233,44 +230,21 @@ FALSE_SHARING = Ablation(
 
 # ----------------------------------------------------------------------
 # Header compression (section 4.1's deliberately-unimplemented option)
-
-def _compression_cell(saving, transfer_bytes=200_000):
-    """SFTP goodput on a modem saving ``saving`` header bytes a packet.
-
-    The paper lists header compression among possible transport
-    improvements but "deliberately tried to minimize efforts at the
-    transport level"; this ablation quantifies what was left on the
-    table: a few percent on a modem, nothing anywhere else.
-    """
-    from repro.net import Network
-    from repro.net.host import LAPTOP_1995, SERVER_1995
-    from repro.rpc2 import Rpc2Endpoint
-    from repro.sim import RandomStreams, Simulator
-    sim = Simulator()
-    net = Network(sim, rng=RandomStreams(0).stream("net"))
-    net.add_link("laptop", "server", profile=MODEM, header_savings=saving)
-    client = Rpc2Endpoint(sim, net, "laptop", 2432, LAPTOP_1995,
-                          default_bps=MODEM.bandwidth_bps)
-    server = Rpc2Endpoint(sim, net, "server", 2432, SERVER_1995,
-                          default_bps=MODEM.bandwidth_bps)
-    server.register("Fetch", lambda ctx, args: (None, args["n"]))
-    conn = client.connect("server")
-
-    def transfer():
-        start = sim.now
-        yield conn.call("Fetch", {"n": transfer_bytes})
-        return sim.now - start
-
-    elapsed = sim.run(sim.process(transfer()))
-    return {"goodput_kbps": transfer_bytes * 8.0 / elapsed / 1000.0}
-
+#
+# The paper lists header compression among possible transport
+# improvements but "deliberately tried to minimize efforts at the
+# transport level"; Figure 1's SFTP receive trial on a modem, saving
+# ``saving`` header bytes a packet, quantifies what was left on the
+# table: a few percent on a modem, nothing anywhere else.
 
 COMPRESSION = Ablation(
     title="Ablation (section 4.1): VJ-style header compression on a "
           "9.6 Kb/s modem",
     axis="Header bytes saved/packet",
     values=(("0", 0), ("23", 23)),
-    cell=_compression_cell,
+    cell=lambda saving, transfer_bytes=200_000: {"goodput_kbps": _sftp_trial(
+        MODEM, 0.0, "receive", 0, nbytes=transfer_bytes,
+        header_savings=saving) / 1000.0},
     columns=(("SFTP goodput (Kb/s)", "goodput_kbps", "%.2f"),))
 
 
@@ -278,32 +252,23 @@ COMPRESSION = Ablation(
 # Cost-aware adaptation (section 8's future work)
 
 def _cost_cell(tariff):
-    """The same weakly-connected session on ``tariff``.
+    """The same weakly-connected session on the tariff named ``tariff``.
 
     Free: the stock aging window.  Cellular (per-MB): the stretched
     window lets more overwrites cancel, so fewer megabytes are paid
     for.  Long distance (per-minute): everything drains promptly so
     the call can end.
     """
-    config = VenusConfig(aging_window=300.0, daemon_period=5.0,
-                         tariff=tariff)
-    testbed = make_testbed(MODEM, venus_config=config)
-    volume = populate_volume(testbed.server, "/coda/usr/c",
-                             {"/coda/usr/c/d": ("dir", 0)})
-    warm_cache(testbed.venus, testbed.server, volume)
-    venus = testbed.venus
-
-    def session():
-        yield from venus.connect()
-        # Overwrite the same file every two minutes for a while:
-        # a longer aging window cancels more of these stores.
-        for _ in range(8):
-            yield from venus.write_file(
-                "/coda/usr/c/d/draft", SyntheticContent(25_000))
-            yield venus.sim.timeout(120.0)
-        yield venus.sim.timeout(600.0)
-
-    testbed.run(session())
+    # Overwrite the same file every two minutes for a while: a longer
+    # aging window cancels more of these stores.
+    draft = (OpStep("write", path="/coda/usr/c/d/draft", size=25_000),
+             OpStep("sleep", seconds=120.0))
+    venus = run_spec(_spec(
+        "cost", {"aging_window": 300.0, "daemon_period": 5.0,
+                 "tariff": tariff},
+        [_dir_volume("/coda/usr/c")],
+        [OpStep("connect"), *draft * 8,
+         OpStep("sleep", seconds=600.0)])).testbed.venus
     return {"shipped_kb": venus.trickle.stats.bytes_shipped / 1024.0,
             "optimized_kb": venus.cml.stats.optimized_bytes / 1024.0,
             "cml_left_kb": venus.cml.size_bytes / 1024.0,
@@ -314,8 +279,7 @@ COST = Ablation(
     title="Extension (section 8): cost-aware adaptation of the same "
           "session on three tariffs",
     axis="Tariff",
-    values=tuple((tariff.name, tariff)
-                 for tariff in (FREE, CELLULAR, LONG_DISTANCE)),
+    values=tuple((name, name) for name in TARIFFS),
     cell=_cost_cell,
     columns=(("Shipped (KB)", "shipped_kb", "%.0f"),
              ("Optimized (KB)", "optimized_kb", "%.0f"),
@@ -336,12 +300,10 @@ def _keepalive_cell(duplicated, idle_hours=1.0):
     """
     # Suppress periodic bandwidth probes: this ablation isolates
     # keepalive traffic.
-    config = VenusConfig(keepalive_interval=60.0,
-                         bandwidth_probe_interval=10 * 3600.0)
-    testbed = make_testbed(MODEM, venus_config=config)
-    volume = populate_volume(testbed.server, "/coda/usr/k",
-                             {"/coda/usr/k/d": ("dir", 0)})
-    warm_cache(testbed.venus, testbed.server, volume)
+    testbed = build_testbed(_spec(
+        "keepalive", {"keepalive_interval": 60.0,
+                      "bandwidth_probe_interval": 10 * 3600.0},
+        [_dir_volume("/coda/usr/k")]))
     venus = testbed.venus
     sim = testbed.sim
     testbed.run(venus.connect())

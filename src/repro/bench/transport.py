@@ -46,10 +46,15 @@ class TransportResult:
     send_sd: float
 
 
-def _sftp_trial(profile, loss, direction, seed):
+def _sftp_trial(profile, loss, direction, seed, nbytes=TRANSFER_BYTES,
+                header_savings=0):
+    """SFTP goodput in b/s of one ``nbytes`` Fetch ("receive") or Store
+    ("send"); ``header_savings`` bytes come off every packet's header
+    (the header-compression ablation)."""
     sim = Simulator()
     net = Network(sim, rng=RandomStreams(seed).stream("net"))
-    net.add_link("laptop", "server", profile=profile, loss_rate=loss)
+    net.add_link("laptop", "server", profile=profile, loss_rate=loss,
+                 header_savings=header_savings)
     client = Rpc2Endpoint(sim, net, "laptop", 2432, LAPTOP_1995,
                           default_bps=profile.bandwidth_bps)
     server = Rpc2Endpoint(sim, net, "server", 2432, SERVER_1995,
@@ -61,13 +66,13 @@ def _sftp_trial(profile, loss, direction, seed):
     def transfer():
         start = sim.now
         if direction == "receive":
-            yield conn.call("Fetch", {"n": TRANSFER_BYTES})
+            yield conn.call("Fetch", {"n": nbytes})
         else:
-            yield conn.call("Store", {}, send_size=TRANSFER_BYTES)
+            yield conn.call("Store", {}, send_size=nbytes)
         return sim.now - start
 
     elapsed = sim.run(sim.process(transfer()))
-    return TRANSFER_BYTES * 8.0 / elapsed
+    return nbytes * 8.0 / elapsed
 
 
 def _tcp_trial(profile, loss, direction, seed):

@@ -6,7 +6,8 @@ many volumes).  For each profile and each of the four networks, the
 client disconnects with fresh volume stamps, no server updates occur,
 and reconnection validation is timed twice: with volume callbacks
 (one batched ValidateVolumes RPC) and without (batched per-object
-ValidateAttrs, the original scheme).
+ValidateAttrs, the original scheme).  Each cell is a script spec run
+by ``run_spec`` and timed by the instants its steps end.
 
 Paper conclusions this reproduces: volume callbacks always reduce
 validation time; the reduction is modest at 10 Mb/s and dramatic at
@@ -19,8 +20,12 @@ from dataclasses import dataclass
 from repro.bench.results import Table
 from repro.net import ETHERNET, ISDN, MODEM, WAVELAN
 from repro.sim.rand import derive_rng
-from repro.spec.testbed import make_testbed, populate_volume, warm_cache
-from repro.venus import VenusConfig
+from repro.spec.compile import run_spec
+from repro.spec.model import OpStep, ScenarioSpec, VolumeSpec
+
+#: The cell's script; the time it reports runs from the end of the
+#: ``disconnect`` step to the end of ``validate``.
+SCRIPT = (OpStep("connect"), OpStep("disconnect"), OpStep("validate"))
 
 
 @dataclass(frozen=True)
@@ -55,25 +60,14 @@ PROFILES = (
 NETWORKS = (ETHERNET, WAVELAN, ISDN, MODEM)
 
 
-def _profile_tree(profile, volume_index):
+def _profile_volume(profile, volume_index):
     rng = derive_rng("hoard", profile.user, volume_index)
     mount = "/coda/%s/v%02d" % (profile.user, volume_index)
-    tree = {mount + "/files": ("dir", 0)}
+    tree = [(mount + "/files", "dir", 0)]
     for i in range(profile.files_per_volume):
         size = max(256, int(rng.expovariate(1.0 / profile.mean_file_size)))
-        tree["%s/files/f%04d" % (mount, i)] = ("file", size)
-    return mount, tree
-
-
-def _build_client(profile, network, use_volume_callbacks):
-    config = VenusConfig(start_daemons=False,
-                         use_volume_callbacks=use_volume_callbacks)
-    testbed = make_testbed(network, venus_config=config)
-    for v in range(profile.volumes):
-        mount, tree = _profile_tree(profile, v)
-        volume = populate_volume(testbed.server, mount, tree)
-        warm_cache(testbed.venus, testbed.server, volume)
-    return testbed
+        tree.append(("%s/files/f%04d" % (mount, i), "file", size))
+    return VolumeSpec(mount=mount, tree=tree)
 
 
 @dataclass
@@ -91,33 +85,27 @@ class ValidationResult:
         return self.object_seconds / self.volume_seconds
 
 
-def _timed_validation(profile, network, use_volume_callbacks):
-    testbed = _build_client(profile, network, use_volume_callbacks)
-    venus = testbed.venus
-
-    def reconnect_and_validate():
-        # Simulate a disconnection (stamps survive, callbacks do not).
-        venus.handle_disconnection()
-        start = venus.sim.now
-        yield from venus.validator.validate_all()
-        return venus.sim.now - start
-
-    # Enter a connected state first so the transition is legal.
-    def scenario():
-        yield from venus.connect()
-        elapsed = yield from reconnect_and_validate()
-        return elapsed
-
-    return testbed.run(scenario())
+def _timed_validation(volumes, network, use_volume_callbacks):
+    """Seconds to validate a warm cache of ``volumes`` on reconnection
+    over ``network``.  The client connects first so the transition is
+    legal, then disconnects: stamps survive, callbacks do not."""
+    ends = run_spec(ScenarioSpec(
+        name="figure8", kind="testbed", family="script", seed_kind="obs",
+        venus={"start_daemons": False,
+               "use_volume_callbacks": use_volume_callbacks},
+        network={"profile": network.name}, volumes=volumes,
+        workload={"script": SCRIPT})).step_ends
+    return ends[-1] - ends[1]
 
 
 def run_validation_comparison(profiles=PROFILES, networks=NETWORKS):
     """Run the Figure 8 grid; returns a list of ValidationResult."""
     results = []
     for profile in profiles:
+        volumes = [_profile_volume(profile, v) for v in range(profile.volumes)]
         for network in networks:
-            with_volumes = _timed_validation(profile, network, True)
-            without = _timed_validation(profile, network, False)
+            with_volumes = _timed_validation(volumes, network, True)
+            without = _timed_validation(volumes, network, False)
             results.append(ValidationResult(
                 user=profile.user, network=network.name,
                 objects=profile.total_objects,

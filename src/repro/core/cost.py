@@ -55,6 +55,9 @@ FREE = NetworkTariff("free")
 LONG_DISTANCE = NetworkTariff("long-distance-phone", per_minute=0.12)
 CELLULAR = NetworkTariff("cellular-data", per_mb=2.50)
 
+#: Tariff name -> tariff: how a spec's ``venus.tariff`` names one.
+TARIFFS = {tariff.name: tariff for tariff in (FREE, CELLULAR, LONG_DISTANCE)}
+
 
 class CostAwarePolicy:
     """Scales Venus's adaptive knobs by what the network costs.

@@ -26,7 +26,8 @@ from repro.venus.errors import (
 
 
 def _script_session(testbed, script):
-    """Interpret a script of :class:`~repro.spec.model.OpStep` ops.
+    """Interpret a script of :class:`~repro.spec.model.OpStep` ops;
+    returns the instant each step ended.
 
     ``testbed.venus`` is resolved at every step (never captured) so a
     scripted client keeps operating after a client-crash fault swaps
@@ -35,6 +36,7 @@ def _script_session(testbed, script):
     ignorable = (OSError, CacheMissError, ConflictError, NoSpaceError,
                  OfflineError)
     sim = testbed.sim
+    ends = []
     for step in script:
         venus = testbed.venus
         try:
@@ -59,26 +61,18 @@ def _script_session(testbed, script):
                             children=step.children)
             elif step.op == "walk":
                 yield from venus.hoard_walk()
+            elif step.op == "disconnect":
+                venus.handle_disconnection()
+            elif step.op == "validate":
+                yield from venus.validator.validate_all()
+            elif step.op == "drain":
+                while len(testbed.venus.cml):
+                    yield sim.sleep(step.seconds)
         except ignorable:
             if not step.ignore_errors:
                 raise
-
-
-def run_script_spec(spec, observatory=None, schedule_log=None, checker=None,
-                    seed=0, plan=None):
-    """Build the testbed and run the spec's script; returns the testbed."""
-    testbed = build_testbed(spec, observatory=observatory,
-                            schedule_log=schedule_log, checker=checker,
-                            seed=seed, plan=plan)
-    sim = testbed.sim
-
-    def session():
-        yield from _script_session(testbed, spec.workload.script)
-
-    sim.run(sim.process(session()))
-    if spec.duration is not None:
-        sim.run(until=spec.duration)
-    return testbed
+        ends.append(sim.now)
+    return tuple(ends)
 
 
 def fleet_config(spec, master, days=None, name_prefix=""):
@@ -127,7 +121,11 @@ def stream_sweep(observatory):
 
 @dataclass
 class RunResult:
-    """What :func:`run_spec` hands back, whatever the family."""
+    """What :func:`run_spec` hands back, whatever the family.
+
+    ``step_ends`` is the instant each step of a script spec ended, one
+    per step; cells time a step as the difference of two ends.
+    """
 
     spec: ScenarioSpec
     seed: int
@@ -135,6 +133,7 @@ class RunResult:
     testbed: object = None
     reports: tuple = None
     checkers: list = field(default_factory=list)
+    step_ends: tuple = ()
 
 
 def fingerprint(testbed):
@@ -243,12 +242,15 @@ def run_spec(spec, observatory=None, schedule_log=None, checker=None,
         checkers.append(checker)
 
     if spec.family == "script":
-        testbed = run_script_spec(spec, observatory=observatory,
-                                  schedule_log=schedule_log,
-                                  checker=checker, seed=master, plan=plan)
+        testbed = build_testbed(spec, observatory=observatory,
+                                schedule_log=schedule_log, checker=checker,
+                                seed=master, plan=plan)
+        ends = testbed.run(_script_session(testbed, spec.workload.script))
+        if spec.duration is not None:
+            testbed.sim.run(until=spec.duration)
         return RunResult(spec=spec, seed=master,
                          summary=_script_summary(testbed), testbed=testbed,
-                         checkers=checkers)
+                         checkers=checkers, step_ends=ends)
 
     runner = TESTBED_RUNNERS[spec.family]
     testbed, summary = runner(spec, master, observatory=observatory,

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields, replace
 
+from repro.core.cost import TARIFFS
 from repro.faults.plan import FaultPlan
 from repro.net.profiles import profile_by_name
 from repro.spec.fleet import FleetConfig
@@ -47,6 +48,9 @@ OPS = {
     "evict": (("path",), ()),
     "hoard": (("path", "priority"), ("children",)),
     "walk": ((), ()),
+    "disconnect": ((), ()),
+    "validate": ((), ()),
+    "drain": (("seconds",), ()),
 }
 
 #: Tunable parameters each non-script family accepts (values are
@@ -524,15 +528,23 @@ class ScenarioSpec:
         return errors
 
     def _validate_venus(self):
+        """Each value against its ``VenusConfig`` field: a bool for a
+        bool switch, a tariff name for ``tariff``, else a number."""
         errors = []
-        if not self.venus:
-            return errors
-        known = {config_field.name for config_field in fields(VenusConfig)}
+        defaults = {config_field.name: config_field.default
+                    for config_field in fields(VenusConfig)}
         for name, value in self.venus:
-            if name not in known:
+            if name not in defaults:
                 errors.append("venus: %r is not a VenusConfig field" % name)
-            elif not isinstance(value, (int, float, bool)):
-                errors.append("venus: %s must be a number or bool" % name)
+            elif name == "tariff":
+                if not isinstance(value, str) or value not in TARIFFS:
+                    errors.append("venus: tariff %r is not one of %s"
+                                  % (value, ", ".join(TARIFFS)))
+            elif isinstance(defaults[name], bool):
+                if not isinstance(value, bool):
+                    errors.append("venus: %s must be a bool" % name)
+            elif not _number(value):
+                errors.append("venus: %s must be a number" % name)
         return errors
 
     def _validate_params(self):

@@ -10,6 +10,7 @@ families) build from.
 
 from dataclasses import dataclass
 
+from repro.core.cost import TARIFFS
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.fs.content import SyntheticContent
@@ -43,8 +44,7 @@ class Testbed:
 
 
 def make_testbed(profile, venus_config=None, user=None, seed=0,
-                 loss_rate=None, client_host=LAPTOP_1995,
-                 server_host=SERVER_1995, observatory=None):
+                 loss_rate=None, observatory=None):
     """One client, one server, one link of the given profile.
 
     ``observatory`` optionally attaches a :class:`repro.obs.Observatory`
@@ -65,8 +65,8 @@ def make_testbed(profile, venus_config=None, user=None, seed=0,
     if loss_rate is not None:
         overrides["loss_rate"] = loss_rate
     link = net.add_link(CLIENT, SERVER, profile=profile, **overrides)
-    server = CodaServer(sim, net, SERVER, server_host)
-    venus = Venus(sim, net, CLIENT, SERVER, client_host,
+    server = CodaServer(sim, net, SERVER, SERVER_1995)
+    venus = Venus(sim, net, CLIENT, SERVER, LAPTOP_1995,
                   config=venus_config, user=user)
     return Testbed(sim=sim, net=net, link=link, server=server, venus=venus,
                    obs=observatory, streams=streams)
@@ -185,6 +185,8 @@ def build_testbed(spec, observatory=None, schedule_log=None, checker=None,
     :func:`repro.spec.seeds.master_seed` to derive it from a CLI seed.
     """
     overrides = spec.venus_dict()
+    if "tariff" in overrides:
+        overrides["tariff"] = TARIFFS[overrides["tariff"]]
     if spec.clients.cache_capacity is not None:
         overrides.setdefault("cache_capacity", spec.clients.cache_capacity)
     config = VenusConfig(**overrides) if overrides else None

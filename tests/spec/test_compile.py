@@ -5,11 +5,14 @@ tests pin the *wiring* — seeds fold through each spec's seed kind, and
 the fault-plan/schedule-log escape hatches function.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.obs import Observatory
-from repro.spec.catalog import get
+from repro.spec.catalog import MOUNT, get
 from repro.spec.compile import fleet_config, run_spec, stream_sweep
+from repro.spec.model import OpStep, WorkloadSpec
 from repro.spec.seeds import master_seed
 
 
@@ -137,3 +140,33 @@ def test_stream_sweep_flags_bad_streams():
     violations = stream_sweep(Fake)
     assert any("monotone-time" in v for v in violations)
     assert any("taxonomy" in v for v in violations)
+
+
+def test_drain_disconnect_and_validate_ops_and_their_step_ends():
+    """``drain`` polls until the CML is empty, ``disconnect`` drops the
+    client to emulation at once and ``validate`` runs reconnection
+    validation over the wire.  The result carries one end per step, in
+    order, and keeps them out of the printed summary."""
+    steps = (OpStep("connect"),
+             OpStep("write", path=MOUNT + "/work/notes.txt", size=6_000),
+             OpStep("drain", seconds=5.0), OpStep("disconnect"),
+             OpStep("validate"))
+    result = run_spec(replace(get("trickle"),
+                              workload=WorkloadSpec(script=steps)))
+    ends = result.step_ends
+    assert len(ends) == len(steps) and list(ends) == sorted(ends)
+    assert ends[2] - ends[1] >= 300.0          # aged A = 300 s, then shipped
+    assert result.summary["cml_len"] == 0
+    assert result.summary["cml_reintegrated"] == 1
+    when, _old, new = result.testbed.venus.state.transitions[-1]
+    assert when == ends[3] == ends[2] and new.value == "emulating"
+    assert ends[4] > ends[3]
+    assert "step_ends" not in result.summary
+    assert set(result.summary) == set(run_spec(get("trickle")).summary)
+
+
+def test_drain_needs_its_poll_period():
+    """(Fields outside each op's signature are refused by the
+    hypothesis test in ``test_model``, which samples every op.)"""
+    assert OpStep("drain").validate("op") == [
+        "op: op 'drain' requires 'seconds'"]

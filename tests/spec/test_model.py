@@ -167,6 +167,37 @@ def test_doc_archive_runs_on_its_spec_network():
 
 
 # ---------------------------------------------------------------------------
+# venus values are checked against their VenusConfig field
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("tariff", 1, "venus: tariff 1 is not one of free, cellular-data,"
+                  " long-distance-phone"),
+    ("tariff", "cellular", "venus: tariff 'cellular' is not one of"),
+    ("cache_capacity", True, "venus: cache_capacity must be a number"),
+    ("start_daemons", 0.5, "venus: start_daemons must be a bool"),
+], ids=["tariff-int", "tariff-unknown", "capacity-bool", "daemons-float"])
+def test_venus_values_must_fit_their_field(field, value, error):
+    """Each of these once validated clean; the tariff then crashed the
+    run with ``'int' object has no attribute 'per_minute'``."""
+    spec = replace(get("trickle"), venus={field: value})
+    assert [e for e in spec.validate() if e.startswith(error)]
+    with pytest.raises(SpecError):
+        run_spec(spec)
+
+
+def test_a_tariff_name_round_trips_and_resolves_in_the_testbed():
+    from repro.core.cost import CELLULAR
+    from repro.spec.testbed import build_testbed
+    spec = replace(get("trickle"), venus=dict(get("trickle").venus_dict(),
+                                              tariff="cellular-data"))
+    assert spec.validate() == []
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
+    assert json.loads(spec.to_json())["venus"]["tariff"] == "cellular-data"
+    assert build_testbed(spec).venus.config.tariff is CELLULAR
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis: corrupted documents are rejected, not absorbed
 
 
