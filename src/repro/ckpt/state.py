@@ -32,10 +32,12 @@ from itertools import count
 from repro.fs.namespace import join_path
 from repro.fs.volume import Volume
 
-#: Version stamp of the ShardState field set.  Manifests embed it next
-#: to the PR-2 snapshot schema version; extend/verify refuse mixed
-#: versions rather than misread a checkpoint.
-SCHEMA_VERSION = 1
+#: Version stamp of the ShardState field set (and of the vnodes and
+#: cache entries it pickles).  Manifests embed it next to the Venus
+#: snapshot schema version; extend/verify refuse mixed versions rather
+#: than misread a checkpoint.  Version 2: vnodes, cache entries and
+#: CML records lost their symlink, hard-link, rename and setattr fields.
+SCHEMA_VERSION = 2
 
 
 @dataclass

@@ -40,6 +40,7 @@ ignored, and so is an unknown name.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -54,6 +55,23 @@ def _usage_error(message):
     """Exit 2 with ``message`` on stderr: bad names, inapplicable flags."""
     print(message, file=sys.stderr)
     raise SystemExit(2)
+
+
+def _number(kind, positive):
+    """argparse ``type``: a finite ``kind`` > 0 (``positive``) or >= 0.
+
+    A bad value exits 2 naming the flag, before anything runs or any
+    store directory is made.
+    """
+    def parse(text):
+        value = kind(text)
+        if not (value > 0 if positive else value >= 0) \
+                or not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                "must be %s 0, got %s" % (">" if positive else ">=", text))
+        return value
+    parse.__name__ = kind.__name__    # "invalid int value: 'x'"
+    return parse
 
 
 def _catalogue_spec(name):
@@ -89,8 +107,7 @@ def _refusal(args, spec):
         (("verify",), args.shards,
          "needs --shards (`repro ckpt verify` checks a store)"),
         (("day_seconds",), args.ckpt, "needs --ckpt"),
-        (("out", "events_csv", "metrics_out", "metrics_csv",
-          "fingerprint"), testbed,
+        (("out", "metrics_out", "fingerprint"), testbed,
          "needs a testbed spec: a fleet run has no single testbed to "
          "export or fingerprint"),
         (("check_invariants",), not pooled,
@@ -183,16 +200,9 @@ def _run_in_process(args, spec, days):
         export.write_events_jsonl(observatory.trace.events, args.out)
         print("wrote %d events to %s"
               % (len(observatory.trace.events), args.out))
-    for path, write, subject in (
-            (args.events_csv, export.write_events_csv,
-             observatory.trace.events),
-            (args.metrics_out, export.write_metrics_jsonl,
-             observatory.metrics),
-            (args.metrics_csv, export.write_metrics_csv,
-             observatory.metrics)):
-        if path:
-            write(subject, path)
-            print("wrote %s" % path)
+    if args.metrics_out:
+        export.write_metrics_jsonl(observatory.metrics, args.metrics_out)
+        print("wrote %s" % args.metrics_out)
     if args.fingerprint:
         from repro.faults import fault_fingerprint
         digest = fault_fingerprint(result.testbed)
@@ -428,7 +438,8 @@ def build_parser():
                    help="alternate stream universe, folded through the "
                         "spec's seed kind; default: the canonical "
                         "golden-pinned streams")
-    p.add_argument("--days", type=float, default=None,
+    p.add_argument("--days", type=_number(float, positive=True),
+                   default=None,
                    help="simulated days of a fleet spec (default: the "
                         "catalogue's; under --ckpt, whole day units, "
                         "default 1)")
@@ -437,12 +448,8 @@ def build_parser():
                         "stream; exit 1 on any violation")
     p.add_argument("--out", default=None,
                    help="write the event timeline as JSONL")
-    p.add_argument("--events-csv", default=None,
-                   help="write the event timeline as CSV")
     p.add_argument("--metrics-out", default=None,
                    help="write final metrics as JSONL")
-    p.add_argument("--metrics-csv", default=None,
-                   help="write final metrics as CSV")
     p.add_argument("--fingerprint", action="store_true",
                    help="print the final-state fingerprint counters")
     p.add_argument("--json", default=None, metavar="PATH",
@@ -455,14 +462,16 @@ def build_parser():
                    help="run the shard plan in day units into a new "
                         "checkpoint store at DIR (extend it with: "
                         "repro ckpt extend)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_number(int, positive=False),
+                   default=None,
                    help="process-pool size under --shards/--ckpt "
                         "(default 0: in-process, the reference)")
     p.add_argument("--verify", action="store_true",
                    help="under --shards, re-run every shard in-process "
                         "and require byte-identical timelines; exit 1 "
                         "otherwise")
-    p.add_argument("--day-seconds", type=float, default=None,
+    p.add_argument("--day-seconds", type=_number(float, positive=True),
+                   default=None,
                    help="under --ckpt, sim seconds per day unit "
                         "(default 86400; REPRO_FAST=1 uses an eighth)")
     p.set_defaults(fn=_cmd_run)
@@ -476,7 +485,8 @@ def build_parser():
     p.add_argument("table", choices=TABLES)
     p.add_argument("--row", action="append", default=None, metavar="NAME",
                    help="a row of the table; repeatable (default: all)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_number(int, positive=False),
+                   default=None,
                    help="process-pool size for the selected rows that run "
                         "a shard plan (default 0: in-process); moves no "
                         "fact")
@@ -526,9 +536,11 @@ def build_parser():
                                        "days, byte-identical to a "
                                        "from-scratch run of the total")
     p.add_argument("--out", required=True, help="checkpoint directory")
-    p.add_argument("--days", type=int, default=1, metavar="+N",
+    p.add_argument("--days", type=_number(int, positive=True), default=1,
+                   metavar="+N",
                    help="days to add, e.g. +1 (default +1)")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=_number(int, positive=False),
+                   default=0,
                    help="process-pool size (0 = in-process; default 0)")
     p.set_defaults(fn=_cmd_ckpt_extend)
     p = ckpt.add_parser("verify",

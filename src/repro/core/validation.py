@@ -165,7 +165,6 @@ class RapidValidator:
                     entry.apply_status(status)
                     entry.content = None
                     entry.children = None
-                    entry.target = None
                     entry.callback = True
                 else:
                     # Deleted on the server.

@@ -33,7 +33,9 @@ from repro.venus.cache import CacheEntry
 #: refuses snapshots stamped with any other version, so a checkpoint
 #: written by one schema can never be silently misread by another
 #: (the repro.ckpt manifests embed this next to their own version).
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Version 2: cache entries and CML records lost their symlink,
+#: rename, setattr and open-session fields.
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -66,13 +68,9 @@ class VenusSnapshot:
 def _copy_record(record):
     """A CML record copy safe to mutate independently of the original.
 
-    Content payloads are immutable in this simulation and are shared;
-    the setattr dict is the only mutable payload field.
+    Content payloads are immutable in this simulation and are shared.
     """
-    clone = replace(record)
-    if clone.attrs is not None:
-        clone.attrs = dict(clone.attrs)
-    return clone
+    return replace(record)
 
 
 def _copy_entry(entry):
@@ -84,13 +82,11 @@ def _copy_entry(entry):
     clone.content = entry.content
     clone.children = dict(entry.children) \
         if entry.children is not None else None
-    clone.target = entry.target
     clone.callback = False            # promises die with the process
     clone.hoard_priority = entry.hoard_priority
     clone.last_ref = entry.last_ref
     clone.local = entry.local
-    # dirty is recomputed from the restored CML; pins drop to zero
-    # (open sessions do not survive a crash).
+    # dirty is recomputed from the restored CML.
     return clone
 
 
@@ -170,10 +166,10 @@ def restore_venus(snapshot, sim, network, host):
 def namespace_digest(server):
     """Canonical, hashable digest of the server's whole namespace.
 
-    Paths, object types, versions, content fingerprints, symlink
-    targets, and directory listings — everything except mtimes, which
-    legitimately differ between an interrupted and an uninterrupted
-    run.  Two servers with equal digests hold the same files.
+    Paths, object types, versions, content fingerprints and directory
+    listings — everything except mtimes, which legitimately differ
+    between an interrupted and an uninterrupted run.  Two servers with
+    equal digests hold the same files.
     """
     volumes = []
     for volume in sorted(server.registry.volumes(), key=lambda v: v.volid):
@@ -187,7 +183,6 @@ def namespace_digest(server):
                 vnode.version,
                 vnode.content.fingerprint
                 if vnode.content is not None else None,
-                vnode.target,
                 tuple(sorted(vnode.children)) if vnode.children else None,
             )
             if vnode.children:

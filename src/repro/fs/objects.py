@@ -1,4 +1,4 @@
-"""Vnodes: files, directories, and symbolic links.
+"""Vnodes: files and directories.
 
 Each object carries a version number incremented on every update; the
 server also bumps the containing volume's stamp (section 4.2.1).  A
@@ -16,7 +16,6 @@ from repro.fs.fid import Fid
 class ObjectType(enum.Enum):
     FILE = "file"
     DIRECTORY = "directory"
-    SYMLINK = "symlink"
 
 
 #: Modelled metadata bytes a directory consumes per entry (for CML and
@@ -40,7 +39,7 @@ class VnodeStatus:
 class Vnode:
     """One file-system object as stored by a server or cached by Venus."""
 
-    def __init__(self, fid, otype, mtime=0.0, content=None, target=None):
+    def __init__(self, fid, otype, mtime=0.0, content=None):
         self.fid = fid
         self.otype = otype
         self.version = 1
@@ -50,17 +49,13 @@ class Vnode:
         else:
             self.content = None
         self.children = {} if otype is ObjectType.DIRECTORY else None
-        self.target = target if otype is ObjectType.SYMLINK else None
-        self.link_count = 1
 
     @property
     def length(self):
         """Logical size in bytes (files: contents; dirs: entry table)."""
         if self.otype is ObjectType.FILE:
             return self.content.size
-        if self.otype is ObjectType.DIRECTORY:
-            return len(self.children) * DIR_ENTRY_BYTES
-        return len(self.target or "")
+        return len(self.children) * DIR_ENTRY_BYTES
 
     def status(self):
         return VnodeStatus(fid=self.fid, otype=self.otype,
@@ -82,9 +77,8 @@ class Vnode:
     def clone(self):
         """A copy sharing content (contents are immutable values)."""
         twin = Vnode(self.fid, self.otype, mtime=self.mtime,
-                     content=self.content, target=self.target)
+                     content=self.content)
         twin.version = self.version
-        twin.link_count = self.link_count
         if self.children is not None:
             twin.children = dict(self.children)
         return twin

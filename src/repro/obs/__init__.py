@@ -7,7 +7,7 @@ observes the whole stack: the kernel counts dispatches, links account
 bytes and drops, RPC2 records latencies and retransmits, Venus records
 cache hits/misses and CML growth, trickle records chunk outcomes, and
 the server records reintegration replay — all stamped with simulation
-time, exportable to JSONL/CSV, and summarized by
+time, exportable to JSONL, and summarized by
 :func:`~repro.obs.report.summary`.
 
 Observation never perturbs the schedule: the default ``sim.obs`` is
@@ -24,12 +24,8 @@ from repro.obs.events import (
     TraceRecorder,
 )
 from repro.obs.export import (
-    read_events_csv,
     read_events_jsonl,
-    read_metrics_csv,
-    write_events_csv,
     write_events_jsonl,
-    write_metrics_csv,
     write_metrics_jsonl,
 )
 from repro.obs.metrics import (
@@ -53,12 +49,8 @@ __all__ = [
     "Observatory",
     "TraceEvent",
     "TraceRecorder",
-    "read_events_csv",
     "read_events_jsonl",
-    "read_metrics_csv",
     "summary",
-    "write_events_csv",
     "write_events_jsonl",
-    "write_metrics_csv",
     "write_metrics_jsonl",
 ]

@@ -1,15 +1,10 @@
-"""Exporters: the timeline and the metrics as JSONL and CSV.
+"""Exporters: the timeline and the metrics as JSONL.
 
-JSONL is the fidelity format — one JSON object per line, values
-round-trip exactly (:func:`read_events_jsonl` reverses
-:func:`write_events_jsonl`).  CSV is the spreadsheet format: events
-are flattened onto the union of their field names; metrics serialize
-structured parts (labels, histogram buckets) as JSON strings inside
-cells.  Non-JSON values (Fids, enums) degrade to ``str``.
+One JSON object per line; values round-trip exactly
+(:func:`read_events_jsonl` reverses :func:`write_events_jsonl`).
+Non-JSON values (Fids, enums) degrade to ``str``.
 """
 
-import csv
-import io
 import json
 
 from repro.obs.events import TraceEvent
@@ -66,45 +61,6 @@ def read_events_jsonl(path_or_file):
     return events
 
 
-def write_events_csv(events, path_or_file):
-    """Write the timeline as CSV over the union of field names."""
-    rows = [event.to_row() for event in events]
-    field_names = set()
-    for row in rows:
-        field_names.update(row)
-    field_names -= {"time", "kind"}
-    header = ["time", "kind"] + sorted(field_names)
-    stream, owned = _open_for_write(path_or_file)
-    try:
-        writer = csv.DictWriter(stream, fieldnames=header, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                key: value if isinstance(value, (int, float, str))
-                else str(value)
-                for key, value in row.items()})
-        return len(rows)
-    finally:
-        if owned:
-            stream.close()
-
-
-def read_events_csv(path_or_file):
-    """Read a CSV timeline; times become floats, fields stay strings."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    events = []
-    for row in csv.DictReader(io.StringIO(text)):
-        time = float(row.pop("time"))
-        kind = row.pop("kind")
-        fields = {k: v for k, v in row.items() if v != ""}
-        events.append(TraceEvent(time=time, kind=kind, fields=fields))
-    return events
-
-
 # ----------------------------------------------------------------------
 # Metrics
 
@@ -120,50 +76,3 @@ def write_metrics_jsonl(registry, path_or_file):
     finally:
         if owned:
             stream.close()
-
-
-METRIC_CSV_COLUMNS = ("metric", "type", "labels", "value", "count",
-                      "sum", "min", "max", "buckets", "overflow",
-                      "last_update")
-
-
-def write_metrics_csv(registry, path_or_file):
-    """Flat metrics CSV; labels and buckets are JSON-encoded cells."""
-    stream, owned = _open_for_write(path_or_file)
-    try:
-        writer = csv.DictWriter(stream, fieldnames=METRIC_CSV_COLUMNS,
-                                restval="", extrasaction="ignore")
-        writer.writeheader()
-        rows = registry.rows()
-        for row in rows:
-            flat = dict(row)
-            flat["labels"] = _dumps(row["labels"])
-            if "buckets" in flat:
-                flat["buckets"] = _dumps(flat["buckets"])
-            writer.writerow(flat)
-        return len(rows)
-    finally:
-        if owned:
-            stream.close()
-
-
-def read_metrics_csv(path_or_file):
-    """Read a metrics CSV back into plain dict rows."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    rows = []
-    for row in csv.DictReader(io.StringIO(text)):
-        parsed = {"metric": row["metric"], "type": row["type"],
-                  "labels": json.loads(row["labels"])}
-        for key in ("value", "count", "sum", "min", "max", "overflow",
-                    "last_update"):
-            if row.get(key):
-                value = float(row[key])
-                parsed[key] = int(value) if value.is_integer() else value
-        if row.get("buckets"):
-            parsed["buckets"] = json.loads(row["buckets"])
-        rows.append(parsed)
-    return rows

@@ -285,7 +285,7 @@ class MetricsRegistry:
                    if isinstance(inst, Counter))
 
     def rows(self):
-        """Flat export rows, one per instrument (for JSONL/CSV)."""
+        """Flat export rows, one per instrument (for JSONL)."""
         out = []
         for inst in self.instruments():
             row = {"metric": inst.name, "type": inst.kind,

@@ -9,13 +9,12 @@ applies nothing.
 
 Conflict rules (optimistic replica control, after Kumar):
 
-* store/setattr: the server object's version must equal the record's
-  base version (write/write conflict otherwise), and the object must
-  still exist (update/remove conflict).
-* create/mkdir/symlink: the parent must exist and the name be free.
+* store: the server object's version must equal the record's base
+  version (write/write conflict otherwise), and the object must still
+  exist (update/remove conflict).
+* create/mkdir: the parent must exist and the name be free.
 * unlink: the object must exist and match the base version.
 * rmdir: the directory must exist and be empty.
-* rename: source must exist; destination name must be free.
 """
 
 from dataclasses import dataclass, field
@@ -127,7 +126,7 @@ class Reintegrator:
 
     def _check(self, shadow, record):
         op = record.op
-        if op in (CmlOp.STORE, CmlOp.SETATTR):
+        if op is CmlOp.STORE:
             vnode = shadow.get(record.fid)
             if vnode is None:
                 raise ConflictError(record, "object was removed")
@@ -135,7 +134,7 @@ class Reintegrator:
                     and shadow.base_version(record.fid, vnode)
                     != record.base_version):
                 raise ConflictError(record, "update/update conflict")
-        elif op in (CmlOp.CREATE, CmlOp.MKDIR, CmlOp.SYMLINK):
+        elif op in (CmlOp.CREATE, CmlOp.MKDIR):
             parent = shadow.get(record.parent)
             if parent is None or not parent.is_dir():
                 raise ConflictError(record, "parent directory missing")
@@ -156,22 +155,6 @@ class Reintegrator:
                 raise ConflictError(record, "directory already removed")
             if vnode.children:
                 raise ConflictError(record, "directory not empty")
-        elif op is CmlOp.RENAME:
-            parent = shadow.get(record.parent)
-            if parent is None or parent.lookup(record.name) != record.fid:
-                raise ConflictError(record, "rename source missing")
-            target_dir = shadow.get(record.to_parent)
-            if target_dir is None or not target_dir.is_dir():
-                raise ConflictError(record, "rename target dir missing")
-            if target_dir.lookup(record.to_name) is not None:
-                raise ConflictError(record, "rename target exists")
-        elif op is CmlOp.LINK:
-            parent = shadow.get(record.parent)
-            vnode = shadow.get(record.fid)
-            if parent is None or vnode is None:
-                raise ConflictError(record, "link endpoint missing")
-            if parent.lookup(record.name) is not None:
-                raise ConflictError(record, "name collision")
 
     # -- application -----------------------------------------------------
 
@@ -198,47 +181,21 @@ class Reintegrator:
             vnode = volume.require(record.fid)
             vnode.content = record.content
             volume.bump(vnode, mtime)
-        elif op is CmlOp.SETATTR:
-            vnode = volume.require(record.fid)
-            volume.bump(vnode, mtime)
-        elif op in (CmlOp.CREATE, CmlOp.MKDIR, CmlOp.SYMLINK):
-            otype = {CmlOp.CREATE: ObjectType.FILE,
-                     CmlOp.MKDIR: ObjectType.DIRECTORY,
-                     CmlOp.SYMLINK: ObjectType.SYMLINK}[op]
+        elif op in (CmlOp.CREATE, CmlOp.MKDIR):
+            otype = (ObjectType.FILE if op is CmlOp.CREATE
+                     else ObjectType.DIRECTORY)
             vnode = Vnode(record.fid, otype, mtime=mtime,
-                          content=record.content, target=record.target)
+                          content=record.content)
             volume.add(vnode)
             parent = volume.require(record.parent)
             parent.children[record.name] = record.fid
             volume.bump(parent, mtime)
             volume.stamp += 1  # the new object itself
-        elif op is CmlOp.UNLINK:
-            parent = volume.require(record.parent)
-            parent.children.pop(record.name, None)
-            volume.bump(parent, mtime)
-            vnode = volume.get(record.fid)
-            if vnode is not None:
-                vnode.link_count -= 1
-                if vnode.link_count <= 0:
-                    volume.remove(record.fid)
-        elif op is CmlOp.RMDIR:
+        else:   # UNLINK, RMDIR
             parent = volume.require(record.parent)
             parent.children.pop(record.name, None)
             volume.bump(parent, mtime)
             volume.remove(record.fid)
-        elif op is CmlOp.RENAME:
-            parent = volume.require(record.parent)
-            parent.children.pop(record.name, None)
-            volume.bump(parent, mtime)
-            target_dir = volume.require(record.to_parent)
-            target_dir.children[record.to_name] = record.fid
-            volume.bump(target_dir, mtime)
-        elif op is CmlOp.LINK:
-            parent = volume.require(record.parent)
-            parent.children[record.name] = record.fid
-            vnode = volume.require(record.fid)
-            vnode.link_count += 1
-            volume.bump(parent, mtime)
 
 
 class _ShadowState:
@@ -288,37 +245,16 @@ class _ShadowState:
             vnode.version += 1
             self._own_bumps[record.fid] = \
                 self._own_bumps.get(record.fid, 0) + 1
-        elif op is CmlOp.SETATTR:
-            self.get(record.fid).version += 1
-            self._own_bumps[record.fid] = \
-                self._own_bumps.get(record.fid, 0) + 1
-        elif op in (CmlOp.CREATE, CmlOp.MKDIR, CmlOp.SYMLINK):
-            otype = {CmlOp.CREATE: ObjectType.FILE,
-                     CmlOp.MKDIR: ObjectType.DIRECTORY,
-                     CmlOp.SYMLINK: ObjectType.SYMLINK}[op]
-            vnode = Vnode(record.fid, otype, content=record.content,
-                          target=record.target)
+        elif op in (CmlOp.CREATE, CmlOp.MKDIR):
+            otype = (ObjectType.FILE if op is CmlOp.CREATE
+                     else ObjectType.DIRECTORY)
+            vnode = Vnode(record.fid, otype, content=record.content)
             self._created[record.fid] = vnode
             self._deleted.discard(record.fid)
             self.get(record.parent).children[record.name] = record.fid
-        elif op is CmlOp.UNLINK:
-            self.get(record.parent).children.pop(record.name, None)
-            vnode = self.get(record.fid)
-            if vnode is not None:
-                vnode.link_count -= 1
-                if vnode.link_count <= 0:
-                    self._mark_deleted(record.fid)
-        elif op is CmlOp.RMDIR:
+        else:   # UNLINK, RMDIR
             self.get(record.parent).children.pop(record.name, None)
             self._mark_deleted(record.fid)
-        elif op is CmlOp.RENAME:
-            self.get(record.parent).children.pop(record.name, None)
-            self.get(record.to_parent).children[record.to_name] = record.fid
-        elif op is CmlOp.LINK:
-            self.get(record.parent).children[record.name] = record.fid
-            vnode = self.get(record.fid)
-            if vnode is not None:
-                vnode.link_count += 1
 
     def _mark_deleted(self, fid):
         self._deleted.add(fid)

@@ -145,9 +145,6 @@ class CodaServer:
         ep.register("Store", self._h_store)
         ep.register("MakeObject", self._h_make_object)
         ep.register("Remove", self._h_remove)
-        ep.register("Rename", self._h_rename)
-        ep.register("SetAttr", self._h_setattr)
-        ep.register("Link", self._h_link)
         ep.register("PutFragment", self._h_put_fragment)
         ep.register("Reintegrate", self._h_reintegrate)
 
@@ -231,8 +228,8 @@ class CodaServer:
         result = SizedResult({"status": vnode.status(),
                               "volume_stamp": volume.stamp,
                               "content": vnode.content,
-                              "children": dict(vnode.children or {}),
-                              "target": vnode.target}, 150)
+                              "children": dict(vnode.children or {})},
+                             150)
         return result, vnode.length
 
     def _h_store(self, ctx, args):
@@ -250,7 +247,7 @@ class CodaServer:
         return {"version": vnode.version, "volume_stamp": volume.stamp}
 
     def _h_make_object(self, ctx, args):
-        """Create a file, directory, or symlink (connected mode)."""
+        """Create a file or directory (connected mode)."""
         yield self.sim.sleep(self.costs.per_operation)
         volume, parent = self._vnode(args["parent"])
         if parent is None or not parent.is_dir():
@@ -261,8 +258,7 @@ class CodaServer:
             return {"error": "exists"}   # fid already in use
         otype = ObjectType(args["otype"])
         vnode = Vnode(args["fid"], otype, mtime=self.sim.now,
-                      content=args.get("content"),
-                      target=args.get("target"))
+                      content=args.get("content"))
         volume.add(vnode)
         parent.children[args["name"]] = vnode.fid
         volume.bump(parent, self.sim.now)
@@ -274,7 +270,7 @@ class CodaServer:
                 "volume_stamp": volume.stamp}
 
     def _h_remove(self, ctx, args):
-        """Unlink a file/symlink or remove an empty directory."""
+        """Unlink a file or remove an empty directory."""
         yield self.sim.sleep(self.costs.per_operation)
         volume, parent = self._vnode(args["parent"])
         if parent is None:
@@ -283,14 +279,10 @@ class CodaServer:
         if fid is None:
             return {"error": "nofile"}
         vnode = volume.get(fid)
-        if vnode is not None and vnode.is_dir():
-            if vnode.children:
+        if vnode is not None:
+            if vnode.is_dir() and vnode.children:
                 return {"error": "notempty"}
             volume.remove(fid)
-        elif vnode is not None:
-            vnode.link_count -= 1
-            if vnode.link_count <= 0:
-                volume.remove(fid)
         del parent.children[args["name"]]
         volume.bump(parent, self.sim.now)
         self._break_callbacks(ctx.peer, fid)
@@ -298,54 +290,6 @@ class CodaServer:
         self.callbacks.add_object(ctx.peer, parent.fid)
         return {"parent_version": parent.version,
                 "volume_stamp": volume.stamp}
-
-    def _h_rename(self, ctx, args):
-        yield self.sim.sleep(self.costs.per_operation)
-        volume, src_dir = self._vnode(args["parent"])
-        if src_dir is None:
-            return {"error": "nofile"}
-        fid = src_dir.lookup(args["name"])
-        if fid is None:
-            return {"error": "nofile"}
-        _vol2, dst_dir = self._vnode(args["to_parent"])
-        if dst_dir is None or not dst_dir.is_dir():
-            return {"error": "nofile"}
-        if dst_dir.lookup(args["to_name"]) is not None:
-            return {"error": "exists"}
-        del src_dir.children[args["name"]]
-        dst_dir.children[args["to_name"]] = fid
-        volume.bump(src_dir, self.sim.now)
-        volume.bump(dst_dir, self.sim.now)
-        self._break_callbacks(ctx.peer, src_dir.fid)
-        self._break_callbacks(ctx.peer, dst_dir.fid)
-        return {"volume_stamp": volume.stamp}
-
-    def _h_setattr(self, ctx, args):
-        yield self.sim.sleep(self.costs.per_operation)
-        volume, vnode = self._vnode(args["fid"])
-        if vnode is None:
-            return {"error": "nofile"}
-        base = args.get("base_version")
-        if base is not None and vnode.version != base:
-            return {"error": "conflict"}
-        volume.bump(vnode, self.sim.now)
-        self._break_callbacks(ctx.peer, vnode.fid)
-        self.callbacks.add_object(ctx.peer, vnode.fid)
-        return {"version": vnode.version, "volume_stamp": volume.stamp}
-
-    def _h_link(self, ctx, args):
-        yield self.sim.sleep(self.costs.per_operation)
-        volume, parent = self._vnode(args["parent"])
-        _vol2, vnode = self._vnode(args["fid"])
-        if parent is None or vnode is None:
-            return {"error": "nofile"}
-        if parent.lookup(args["name"]) is not None:
-            return {"error": "exists"}
-        parent.children[args["name"]] = vnode.fid
-        vnode.link_count += 1
-        volume.bump(parent, self.sim.now)
-        self._break_callbacks(ctx.peer, parent.fid)
-        return {"volume_stamp": volume.stamp}
 
     # ------------------------------------------------------------------
     # Weak-connectivity machinery
@@ -395,7 +339,7 @@ class CodaServer:
             # this client's own, not as foreign updates.
             prior_bumps = {}
             for record in duplicates:
-                if record.op.value in ("store", "setattr"):
+                if record.op.value == "store":
                     prior_bumps[record.fid] = \
                         prior_bumps.get(record.fid, 0) + 1
             conflicts = self.reintegrator.validate(fresh,
@@ -430,8 +374,6 @@ class CodaServer:
             self._break_callbacks(ctx.peer, record.fid)
             if record.parent is not None:
                 self._break_callbacks(ctx.peer, record.parent)
-            if record.to_parent is not None:
-                self._break_callbacks(ctx.peer, record.to_parent)
         return SizedResult({"status": "ok",
                             "new_versions": new_versions,
                             "volume_stamps": stamps},

@@ -455,7 +455,7 @@ def _evict_volume(venus, rng):
         return
     volid = rng.choice(extra_volids)
     for entry in venus.cache.entries_in_volume(volid):
-        if not entry.dirty and not entry.pins:
+        if not entry.dirty:
             venus.cache.remove(entry.fid)
     venus.cache.volume_info(volid).drop()
 

@@ -101,6 +101,12 @@ def _pairs(value):
     return tuple(sorted((str(key), val) for key, val in items))
 
 
+#: ``VenusConfig`` fields that are daemon periods, in seconds.
+_VENUS_PERIODS = frozenset({
+    "daemon_period", "hoard_walk_interval", "probe_interval",
+    "keepalive_interval", "bandwidth_probe_interval"})
+
+
 def _number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -545,6 +551,10 @@ class ScenarioSpec:
                     errors.append("venus: %s must be a bool" % name)
             elif not _number(value):
                 errors.append("venus: %s must be a number" % name)
+            elif name in _VENUS_PERIODS and not value > 0:
+                # A zero period re-polls at the same instant for ever; a
+                # negative one is a negative delay.
+                errors.append("venus: %s must be > 0" % name)
         return errors
 
     def _validate_params(self):

@@ -142,8 +142,6 @@ def warm_cache(venus, server, volume, with_stamps=True):
         entry.mtime = vnode.mtime
         if vnode.otype is ObjectType.DIRECTORY:
             entry.children = dict(vnode.children)
-        elif vnode.otype is ObjectType.SYMLINK:
-            entry.target = vnode.target
         else:
             entry.content = vnode.content
         entry.callback = True

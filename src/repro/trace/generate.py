@@ -13,7 +13,8 @@ paper's traces captured on CMU workstations:
   are incompressible;
 * **browsing** — stats, lookups, reads and readdirs that dominate the
   reference count but produce no CML records;
-* **directory work** — mkdir/rename/symlink sprinkled in.
+* **directory work** — scratch directories made, half of them soon
+  removed again (mkdir, then rmdir after a pause).
 
 Think time is explicit: bursts are separated by pauses drawn from the
 spec's pause budget, so the think-threshold (lambda) sensitivity of

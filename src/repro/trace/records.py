@@ -5,6 +5,10 @@ whole-file sessions, not individual reads and writes: "Updates ...
 only refers to operations such as close after write, and mkdir.
 References includes, in addition, operations such as close after read,
 stat, and lookup" (Figure 11's caption).
+
+The operation set is exactly what the shipped workloads emit (a ratchet
+test holds it there).  Replaying real DFSTrace files would also need
+rename, link, symlink and setattr, end to end through Venus and Vice.
 """
 
 import enum
@@ -20,11 +24,7 @@ class TraceOp(enum.Enum):
     READDIR = "readdir"
     MKDIR = "mkdir"
     RMDIR = "rmdir"
-    CREATE = "create"      # creat() without data (empty file)
     UNLINK = "unlink"
-    RENAME = "rename"
-    SYMLINK = "symlink"
-    SETATTR = "setattr"
 
     # Members are singletons that compare by identity, so the identity
     # hash is a valid one, and a C call: Enum's ``hash(self._name_)``
@@ -35,8 +35,7 @@ class TraceOp(enum.Enum):
 
 #: Operations that mutate state (the "Updates" column of Figure 11).
 UPDATE_OPS = frozenset({
-    TraceOp.WRITE, TraceOp.MKDIR, TraceOp.RMDIR, TraceOp.CREATE,
-    TraceOp.UNLINK, TraceOp.RENAME, TraceOp.SYMLINK, TraceOp.SETATTR,
+    TraceOp.WRITE, TraceOp.MKDIR, TraceOp.RMDIR, TraceOp.UNLINK,
 })
 
 
@@ -48,8 +47,6 @@ class TraceRecord:
     op: TraceOp
     path: str
     size: int = 0                      # bytes, for WRITE
-    to_path: Optional[str] = None      # RENAME destination
-    target: Optional[str] = None       # SYMLINK target
     program: Optional[str] = None      # referencing program (Figure 5)
 
     @property

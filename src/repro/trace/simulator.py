@@ -75,12 +75,6 @@ class _PathTable:
     def forget(self, path):
         return self._fids.pop(path, None)
 
-    def rename(self, old, new):
-        fid = self._fids.pop(old, None)
-        if fid is not None:
-            self._fids[new] = fid
-        return fid
-
     def _alloc(self):
         n = next(self._counter)
         return Fid(self.volid, n, n)
@@ -143,7 +137,7 @@ class CmlSimulator:
     def _apply(self, cml, paths, known, record):
         op = record.op
         now = record.time
-        if op is TraceOp.WRITE or op is TraceOp.CREATE:
+        if op is TraceOp.WRITE:
             fresh = record.path not in known
             fid = paths.fid(record.path, create=True)
             if fresh:
@@ -152,10 +146,9 @@ class CmlSimulator:
                     op=CmlOp.CREATE, fid=fid,
                     parent=paths.dir_fid(record.path),
                     name=record.path.rsplit("/", 1)[-1]), now)
-            if op is TraceOp.WRITE:
-                self._append(cml, CmlRecord(
-                    op=CmlOp.STORE, fid=fid,
-                    content=SyntheticContent(record.size)), now)
+            self._append(cml, CmlRecord(
+                op=CmlOp.STORE, fid=fid,
+                content=SyntheticContent(record.size)), now)
         elif op is TraceOp.UNLINK:
             fid = paths.fid(record.path)
             if fid is None:
@@ -183,30 +176,6 @@ class CmlSimulator:
                 name=record.path.rsplit("/", 1)[-1]), now)
             paths.forget(record.path)
             known.discard(record.path)
-        elif op is TraceOp.RENAME:
-            fid = paths.fid(record.path)
-            if fid is None:
-                return
-            self._append(cml, CmlRecord(
-                op=CmlOp.RENAME, fid=fid,
-                parent=paths.dir_fid(record.path),
-                name=record.path.rsplit("/", 1)[-1],
-                to_parent=paths.dir_fid(record.to_path),
-                to_name=record.to_path.rsplit("/", 1)[-1]), now)
-            paths.rename(record.path, record.to_path)
-        elif op is TraceOp.SYMLINK:
-            fid = paths.fid(record.path, create=True)
-            self._append(cml, CmlRecord(
-                op=CmlOp.SYMLINK, fid=fid,
-                parent=paths.dir_fid(record.path),
-                name=record.path.rsplit("/", 1)[-1],
-                target=record.target), now)
-        elif op is TraceOp.SETATTR:
-            fid = paths.fid(record.path)
-            if fid is None:
-                return
-            self._append(cml, CmlRecord(
-                op=CmlOp.SETATTR, fid=fid, attrs={}), now)
 
 
 def savings_curve(segment, aging_windows, log_optimizations=True):

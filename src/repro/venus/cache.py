@@ -5,8 +5,7 @@ flags of the two-granularity coherence scheme: a per-object callback
 and membership in a volume whose stamp is covered by a volume
 callback.  Cache space is managed by a priority blend of hoard
 priority and recency, as in Kistler's original design; dirty objects
-(those referenced by CML records) and pinned objects (open sessions)
-are never evicted.
+(those referenced by CML records) are never evicted.
 """
 
 from dataclasses import dataclass
@@ -42,9 +41,8 @@ class CacheEntry:
     """
 
     __slots__ = ("fid", "otype", "path", "version", "length", "mtime",
-                 "_content", "children", "target", "callback",
-                 "hoard_priority", "last_ref", "dirty", "pins", "_local",
-                 "_cache")
+                 "_content", "children", "callback", "hoard_priority",
+                 "last_ref", "dirty", "_local", "_cache")
 
     def __init__(self, fid, otype, path=None):
         self.fid = fid
@@ -55,12 +53,10 @@ class CacheEntry:
         self.mtime = 0.0
         self._content = None       # Content, or None for status-only
         self.children = None       # name -> fid, for directories
-        self.target = None         # symlink target
         self.callback = False      # object callback believed valid
         self.hoard_priority = 0
         self.last_ref = 0.0
         self.dirty = False         # referenced by CML records
-        self.pins = 0              # open sessions
         self._local = False        # created locally, unknown to server
         self._cache = None         # owning CacheManager, while resident
 
@@ -109,8 +105,7 @@ class CacheEntry:
 
     @property
     def has_data(self):
-        return (self._content is not None or self.children is not None
-                or self.target is not None)
+        return self._content is not None or self.children is not None
 
     @property
     def space(self):
@@ -307,10 +302,9 @@ class CacheManager:
             self._detach(victim)
 
     def _pick_victim(self):
-        """Lowest (hoard priority, recency) unpinned clean entry."""
+        """Lowest (hoard priority, recency) clean entry."""
         candidates = [e for e in self._entries.values()
-                      if not e.dirty and not e.pins and not e.local
-                      and e.has_data]
+                      if not e.dirty and not e.local and e.has_data]
         if not candidates:
             return None
         return min(candidates,
@@ -351,8 +345,7 @@ class CacheManager:
         """
         entry = self._entries.get(fid)
         if entry is None or (want_data and entry._content is None
-                             and entry.children is None
-                             and entry.target is None):
+                             and entry.children is None):
             return None
         if connected and not (entry._local or entry.callback):
             info = self._volumes.get(entry.fid.volume)

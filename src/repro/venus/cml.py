@@ -33,10 +33,6 @@ class CmlOp(enum.Enum):
     UNLINK = "unlink"
     MKDIR = "mkdir"
     RMDIR = "rmdir"
-    RENAME = "rename"
-    SYMLINK = "symlink"
-    LINK = "link"
-    SETATTR = "setattr"
 
 
 @dataclass
@@ -49,12 +45,8 @@ class CmlRecord:
     seqno: int = 0
     parent: Optional[Fid] = None             # containing directory
     name: Optional[str] = None
-    to_parent: Optional[Fid] = None          # rename destination dir
-    to_name: Optional[str] = None
     content: Optional[Content] = None        # store payload
-    target: Optional[str] = None             # symlink target
     base_version: Optional[int] = None       # version the client saw
-    attrs: Optional[dict] = None             # setattr payload
 
     @property
     def size(self):
@@ -63,7 +55,7 @@ class CmlRecord:
         return RECORD_OVERHEAD + data
 
     def involves(self, fid):
-        return fid in (self.fid, self.parent, self.to_parent)
+        return fid in (self.fid, self.parent)
 
     def __repr__(self):
         return "<CML #%d %s %s%s>" % (
@@ -189,26 +181,17 @@ class ClientModifyLog:
         return appended
 
     def _optimize_and_insert(self, record):
-        live = self._records
         op = record.op
 
         if op is CmlOp.STORE:
             self._cancel(lambda r: r.op is CmlOp.STORE and r.fid == record.fid)
-        elif op is CmlOp.SETATTR:
-            self._cancel(lambda r: r.op is CmlOp.SETATTR
-                         and r.fid == record.fid)
         elif op is CmlOp.UNLINK:
-            # Stores and setattrs of a doomed object are always dead.
-            self._cancel(lambda r: r.op in (CmlOp.STORE, CmlOp.SETATTR)
+            # Stores of a doomed object are always dead.
+            self._cancel(lambda r: r.op is CmlOp.STORE
                          and r.fid == record.fid)
             creator = self._find_unfrozen(
-                lambda r: r.op in (CmlOp.CREATE, CmlOp.SYMLINK)
-                and r.fid == record.fid)
-            renamed = any(r.op is CmlOp.RENAME and r.fid == record.fid
-                          for r in live)
-            linked = any(r.op is CmlOp.LINK and r.fid == record.fid
-                         for r in live)
-            if creator is not None and not renamed and not linked:
+                lambda r: r.op is CmlOp.CREATE and r.fid == record.fid)
+            if creator is not None:
                 # Identity cancellation: create + updates + unlink vanish.
                 self._remove(creator)
                 self._account_self_cancel(record)
@@ -219,9 +202,8 @@ class ClientModifyLog:
             if maker is not None:
                 obstructed = any(
                     r is not maker and (r.parent == record.fid
-                                        or r.to_parent == record.fid
                                         or r.fid == record.fid)
-                    for r in live)
+                    for r in self._records)
                 if not obstructed:
                     self._remove(maker)
                     self._account_self_cancel(record)

@@ -122,13 +122,11 @@ class Repairer:
                 # under a recovery name beside the original.
                 yield from venus.write_file(
                     path + self.RECOVERY_SUFFIX, record.content)
-        elif record.op in (CmlOp.CREATE, CmlOp.MKDIR, CmlOp.SYMLINK):
+        elif record.op in (CmlOp.CREATE, CmlOp.MKDIR):
             # A name collision: recreate under a recovery name.
             recovery = path + self.RECOVERY_SUFFIX
             if record.op is CmlOp.MKDIR:
                 yield from venus.mkdir(recovery)
-            elif record.op is CmlOp.SYMLINK:
-                yield from venus.symlink(record.target or "", recovery)
             else:
                 yield from venus.write_file(
                     recovery, record.content if record.content
@@ -138,16 +136,8 @@ class Repairer:
                 yield from venus.unlink(path)
             except FileNotFoundError:
                 pass    # already gone: nothing to keep
-        elif record.op is CmlOp.RMDIR:
+        else:   # RMDIR
             try:
                 yield from venus.rmdir(path)
             except (FileNotFoundError, OSError):
                 pass    # gone, or no longer empty — leave it
-        elif record.op is CmlOp.SETATTR:
-            try:
-                yield from venus.setattr(path, record.attrs or {})
-            except FileNotFoundError:
-                pass
-        else:
-            raise ValueError("cannot reapply %s conflicts"
-                             % record.op.value)

@@ -15,7 +15,8 @@ State-dependent behaviour (Figure 2):
   updates are logged.
 
 Open-close session semantics (AFS/Coda): whole files are read and
-written; individual read/write calls never touch the network.
+written (:meth:`Venus.read_file`, :meth:`Venus.write_file`); individual
+read/write calls never touch the network.
 """
 
 import zlib
@@ -85,24 +86,6 @@ class VenusStats:
     misses_denied: int = 0
     misses_disconnected: int = 0
     hoard_walks: int = 0
-
-
-class Handle:
-    """An open file session."""
-
-    def __init__(self, venus, path, entry, mode, program=None):
-        self.venus = venus
-        self.path = path
-        self.entry = entry
-        self.mode = mode
-        self.program = program
-        self.buffer = None
-        self.closed = False
-
-    def write(self, data):
-        if "w" not in self.mode:
-            raise PermissionError("file not open for writing")
-        self.buffer = Content.of(data)
 
 
 class Venus:
@@ -423,7 +406,6 @@ class Venus:
             # Stale data, fresh status: drop the payload.
             entry.content = None
             entry.children = None
-            entry.target = None
         entry.apply_status(status)
         entry.callback = True
         self.cache.touch(entry, self.sim.now)
@@ -489,8 +471,6 @@ class Venus:
         entry.callback = True
         if status.otype is ObjectType.DIRECTORY:
             entry.children = dict(payload["children"])
-        elif status.otype is ObjectType.SYMLINK:
-            entry.target = payload["target"]
         else:
             entry.content = payload["content"]
         entry.local = False
@@ -527,27 +507,6 @@ class Venus:
     # ------------------------------------------------------------------
     # Public read API
 
-    def open(self, path, mode="r", program=None):
-        """Generator: open a file session (whole-file semantics)."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
-        if "w" in mode:
-            entry = yield from self._prepare_write_target(path, program)
-        else:
-            entry = yield from self._lookup(path, program=program)
-        entry.pins += 1
-        return Handle(self, path, entry, mode, program)
-
-    def close(self, handle):
-        """Generator: close a session; a written session stores the file."""
-        if handle.closed:
-            return
-        handle.closed = True
-        handle.entry.pins -= 1
-        if handle.buffer is not None:
-            yield from self._store(handle.path, handle.entry, handle.buffer)
-        else:
-            yield from self.endpoint.cpu.use(self.config.local_op_cost)
-
     def read_file(self, path, program=None):
         """Generator: whole-file read; returns the Content."""
         with self._foreground():
@@ -566,12 +525,6 @@ class Venus:
         if entry.children is None:
             raise NotADirectoryError(path)
         return sorted(entry.children)
-
-    def readlink(self, path, program=None):
-        entry = yield from self._lookup(path, program=program)
-        if entry.otype is not ObjectType.SYMLINK:
-            raise OSError("not a symlink: %s" % path)
-        return entry.target
 
     # ------------------------------------------------------------------
     # Public update API
@@ -595,23 +548,21 @@ class Venus:
             parent, name, path, ObjectType.FILE)
         return entry
 
-    def _create_object(self, parent, name, path, otype, target=None):
-        """Generator: create a file/dir/symlink under ``parent``."""
+    def _create_object(self, parent, name, path, otype):
+        """Generator: create a file or directory under ``parent``."""
         fid = self._new_fid(parent.fid.volume)
         if self.state.state is VenusState.HOARDING:
             result = yield from self._call_or_disconnect(
                 "MakeObject", {"parent": parent.fid, "name": name,
                                "fid": fid, "otype": otype.value,
                                "content": Content.empty()
-                               if otype is ObjectType.FILE else None,
-                               "target": target})
+                               if otype is ObjectType.FILE else None})
             if result is not None:
                 if "error" in result.result:
                     raise FileExistsError(path) \
                         if result.result["error"] == "exists" \
                         else FileNotFoundError(path)
-                entry = self._install_new(fid, otype, path, target,
-                                          local=False)
+                entry = self._install_new(fid, otype, path, local=False)
                 entry.apply_status(result.result["status"])
                 entry.callback = True
                 parent.version = result.result["parent_version"]
@@ -620,28 +571,23 @@ class Venus:
                 parent.children[name] = fid
                 return entry
             # fell through: we just disconnected — log it instead
-        entry = self._install_new(fid, otype, path, target, local=True)
+        entry = self._install_new(fid, otype, path, local=True)
         parent.children[name] = fid
-        op = {ObjectType.FILE: CmlOp.CREATE,
-              ObjectType.DIRECTORY: CmlOp.MKDIR,
-              ObjectType.SYMLINK: CmlOp.SYMLINK}[otype]
+        op = CmlOp.CREATE if otype is ObjectType.FILE else CmlOp.MKDIR
         self._log(CmlRecord(op=op, fid=fid, parent=parent.fid, name=name,
-                            target=target,
                             content=Content.empty()
                             if otype is ObjectType.FILE else None))
         return entry
 
-    def _install_new(self, fid, otype, path, target, local):
+    def _install_new(self, fid, otype, path, local):
         entry = CacheEntry(fid, otype, path=path)
         entry.local = local
         entry.version = None if local else entry.version
         entry.mtime = self.sim.now
         if otype is ObjectType.FILE:
             entry.content = Content.empty()
-        elif otype is ObjectType.DIRECTORY:
-            entry.children = {}
         else:
-            entry.target = target
+            entry.children = {}
         self.cache.add(entry, self.sim.now)
         return entry
 
@@ -685,17 +631,8 @@ class Venus:
         return (yield from self._create_object(
             parent, name, path, ObjectType.DIRECTORY))
 
-    def symlink(self, target, path, program=None):
-        """Generator: create a symbolic link at ``path``."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
-        parent, name, entry = yield from self._resolve(path, program=program)
-        if entry is not None:
-            raise FileExistsError(path)
-        return (yield from self._create_object(
-            parent, name, path, ObjectType.SYMLINK, target=target))
-
     def unlink(self, path, program=None):
-        """Generator: remove a file or symlink."""
+        """Generator: remove a file."""
         yield from self.endpoint.cpu.use(self.config.local_op_cost)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is None or parent is None:
@@ -737,98 +674,6 @@ class Venus:
                             else entry.version))
         self.cache.remove(entry.fid)
         self._refresh_dirty()
-
-    def rename(self, old_path, new_path, program=None):
-        """Generator: rename/move an object."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
-        src_parent, src_name, entry = yield from self._resolve(
-            old_path, program=program)
-        if entry is None or src_parent is None:
-            raise FileNotFoundError(old_path)
-        dst_parent, dst_name, existing = yield from self._resolve(
-            new_path, program=program)
-        if dst_parent is None:
-            raise FileNotFoundError(new_path)
-        if existing is not None:
-            raise FileExistsError(new_path)
-        if dst_parent.fid.volume != src_parent.fid.volume:
-            # Renames never cross volumes (EXDEV), as in real Coda.
-            raise OSError("cross-volume rename: %s -> %s"
-                          % (old_path, new_path))
-        if self.state.state is VenusState.HOARDING:
-            result = yield from self._call_or_disconnect(
-                "Rename", {"parent": src_parent.fid, "name": src_name,
-                           "to_parent": dst_parent.fid, "to_name": dst_name})
-            if result is not None:
-                if "error" in result.result:
-                    raise OSError("rename failed: %s"
-                                  % result.result["error"])
-                del src_parent.children[src_name]
-                dst_parent.children[dst_name] = entry.fid
-                entry.path = new_path
-                self._note_volume_stamp(entry.fid.volume,
-                                        result.result["volume_stamp"])
-                return
-        del src_parent.children[src_name]
-        dst_parent.children[dst_name] = entry.fid
-        entry.path = new_path
-        self._log(CmlRecord(op=CmlOp.RENAME, fid=entry.fid,
-                            parent=src_parent.fid, name=src_name,
-                            to_parent=dst_parent.fid, to_name=dst_name))
-
-    def link(self, existing_path, new_path, program=None):
-        """Generator: create a hard link to an existing file."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
-        entry = yield from self._lookup(existing_path, program=program,
-                                        want_data=False)
-        if entry.otype is not ObjectType.FILE:
-            raise IsADirectoryError(existing_path)
-        parent, name, target = yield from self._resolve(new_path,
-                                                        program=program)
-        if target is not None:
-            raise FileExistsError(new_path)
-        if parent is None:
-            raise FileNotFoundError(new_path)
-        if parent.fid.volume != entry.fid.volume:
-            raise OSError("cross-volume link: %s -> %s"
-                          % (new_path, existing_path))
-        if self.state.state is VenusState.HOARDING:
-            result = yield from self._call_or_disconnect(
-                "Link", {"parent": parent.fid, "name": name,
-                         "fid": entry.fid})
-            if result is not None:
-                if "error" in result.result:
-                    raise OSError("link failed: %s"
-                                  % result.result["error"])
-                parent.children[name] = entry.fid
-                self._note_volume_stamp(parent.fid.volume,
-                                        result.result["volume_stamp"])
-                return entry
-        parent.children[name] = entry.fid
-        self._log(CmlRecord(op=CmlOp.LINK, fid=entry.fid,
-                            parent=parent.fid, name=name))
-        return entry
-
-    def setattr(self, path, attrs, program=None):
-        """Generator: change attributes (chmod/chown/utimes analogue)."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
-        entry = yield from self._lookup(path, program=program,
-                                        want_data=False)
-        if self.state.state is VenusState.HOARDING:
-            result = yield from self._call_or_disconnect(
-                "SetAttr", {"fid": entry.fid, "attrs": attrs,
-                            "base_version": entry.version})
-            if result is not None:
-                if "error" in result.result:
-                    raise OSError("setattr failed: %s"
-                                  % result.result["error"])
-                entry.version = result.result["version"]
-                self._note_volume_stamp(entry.fid.volume,
-                                        result.result["volume_stamp"])
-                return
-        self._log(CmlRecord(op=CmlOp.SETATTR, fid=entry.fid, attrs=attrs,
-                            base_version=None if entry.local
-                            else entry.version))
 
     # ------------------------------------------------------------------
     # CML logging
@@ -993,8 +838,7 @@ class Venus:
                     and record.fid in new_versions:
                 record.base_version = new_versions[record.fid]
             if record.fid in new_versions and record.base_version is None \
-                    and record.op in (CmlOp.STORE, CmlOp.SETATTR,
-                                      CmlOp.UNLINK):
+                    and record.op in (CmlOp.STORE, CmlOp.UNLINK):
                 record.base_version = new_versions[record.fid]
         for volid, stamp in stamps.items():
             self._note_volume_stamp(volid, stamp)

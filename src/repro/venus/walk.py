@@ -145,8 +145,6 @@ class HoardWalker:
                                               recurse, candidates, seen,
                                               depth + 1)
             return
-        if entry.otype is ObjectType.SYMLINK:
-            return
         needs_data = (entry.content is None
                       or not venus.cache.is_valid(entry))
         if not needs_data:

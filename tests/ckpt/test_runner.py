@@ -141,6 +141,35 @@ def test_extend_refuses_a_foreign_state_schema(stores, tmp_path):
         extend_checkpointed(copy, 1)
 
 
+def test_a_store_of_the_version_1_schemas_is_refused_by_name(stores,
+                                                            tmp_path):
+    """Version 1 pickled symlink targets, hard-link counts, open-session
+    pins and rename/setattr CML fields.  Such a store is refused by its
+    schema numbers before any state is unpickled: by extend, and by
+    verify (which then replays nothing)."""
+    import json
+    import shutil
+
+    paths, _ = stores
+    copy = str(tmp_path / "version-1")
+    shutil.copytree(paths["scratch"], copy)
+    manifest_path = os.path.join(copy, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["state_schema"] = manifest["snapshot_schema"] = 1
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(CheckpointError,
+                       match="ckpt state schema 1; this build writes 2"):
+        extend_checkpointed(copy, 1)
+    verdict = verify_checkpoint(copy)
+    [refusal] = verdict.failures
+    assert refusal.name == "schema-versions"
+    assert "schema 1; this build writes 2" in refusal.detail
+    assert not any(check.name.startswith("replay")
+                   for check in verdict.checks)
+
+
 def test_extend_refuses_a_shard_identity_mismatch(stores, tmp_path):
     import json
     import shutil

@@ -62,7 +62,7 @@ class TestSmokeScenario:
         }
         for path, content in expected.items():
             assert path in rows, path
-            _otype, _version, fingerprint, _target, _children = rows[path]
+            _otype, _version, fingerprint, _children = rows[path]
             assert fingerprint == content.fingerprint, path
 
     def test_fault_events_recorded(self, observed):

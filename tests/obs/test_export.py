@@ -1,15 +1,10 @@
-"""JSONL/CSV export round-trips for the timeline and the metrics."""
+"""JSONL export round-trips for the timeline and the metrics."""
 
 import io
 import json
-import math
-
-import pytest
 
 from repro.obs.events import TraceEvent, TraceRecorder
-from repro.obs.export import (read_events_csv, read_events_jsonl,
-                              read_metrics_csv, write_events_csv,
-                              write_events_jsonl, write_metrics_csv,
+from repro.obs.export import (read_events_jsonl, write_events_jsonl,
                               write_metrics_jsonl)
 from repro.obs.metrics import MetricsRegistry
 
@@ -73,36 +68,6 @@ class TestEventsJsonl:
         assert len(back) == 1
 
 
-class TestEventsCsv:
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "events.csv"
-        assert write_events_csv(sample_events(), path) == 3
-        back = read_events_csv(path)
-        assert [e.kind for e in back] == ["rpc_send", "link_down",
-                                         "cml_append"]
-        assert back[0].time == 1.5
-        assert back[0].fields["proc"] == "Fetch"
-        # Cells absent for an event are dropped, not empty strings.
-        assert "proc" not in back[1].fields
-
-    def test_header_is_union_of_fields(self, tmp_path):
-        path = tmp_path / "events.csv"
-        write_events_csv(sample_events(), path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:2] == ["time", "kind"]
-        assert {"node", "link", "op", "records"} <= set(header)
-
-    def test_field_named_kind_does_not_clobber_event_kind(self, tmp_path):
-        recorder = TraceRecorder()
-        recorder.record("validation_rpc", 1.0, scope="volume", kind="x")
-        path = tmp_path / "events.csv"
-        write_events_csv(recorder.events, path)
-        [back] = read_events_csv(path)
-        assert back.kind == "validation_rpc"
-        assert back.fields["field_kind"] == "x"
-
-
 class TestMetricsExport:
 
     def test_jsonl_rows(self, tmp_path):
@@ -115,28 +80,3 @@ class TestMetricsExport:
         assert by_name["cml.length"]["max"] == 3
         assert by_name["rpc.latency_seconds"]["count"] == 2
         assert by_name["rpc.latency_seconds"]["overflow"] == 1
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        assert write_metrics_csv(sample_registry(), path) == 3
-        rows = {row["metric"]: row for row in read_metrics_csv(path)}
-        counter = rows["link.bytes_sent"]
-        assert counter["type"] == "counter"
-        assert counter["value"] == 1200
-        assert counter["labels"] == {"link": "a->b"}
-        assert counter["last_update"] == 42
-        hist = rows["rpc.latency_seconds"]
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(5.05)
-        assert hist["buckets"] == [[0.1, 1], [1.0, 0]]
-        assert hist["overflow"] == 1
-        gauge = rows["cml.length"]
-        assert gauge["value"] == 3 and "buckets" not in gauge
-
-    def test_csv_numbers_parse_back_to_int_when_integral(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(sample_registry(), path)
-        [gauge] = [r for r in read_metrics_csv(path)
-                   if r["metric"] == "cml.length"]
-        assert isinstance(gauge["value"], int)
-        assert not math.isnan(gauge["last_update"])

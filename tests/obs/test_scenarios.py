@@ -139,9 +139,9 @@ class TestObsCli:
 
     def test_obs_command_writes_timeline_and_summary(self, tmp_path, capsys):
         out = tmp_path / "timeline.jsonl"
-        metrics_csv = tmp_path / "metrics.csv"
+        metrics = tmp_path / "metrics.jsonl"
         assert main(["run", "trickle", "--out", str(out),
-                     "--metrics-csv", str(metrics_csv)]) == 0
+                     "--metrics-out", str(metrics)]) == 0
         printed = capsys.readouterr().out
         assert "Observability summary" in printed
         assert "Links (per direction)" in printed
@@ -153,7 +153,9 @@ class TestObsCli:
                 for line in out.read_text().splitlines() if line]
         assert len(rows) > 20
         assert {"time", "kind"} <= set(rows[0])
-        assert metrics_csv.read_text().startswith("metric,type,labels")
+        metric_rows = [json.loads(line)
+                       for line in metrics.read_text().splitlines()]
+        assert {"metric", "type", "labels"} <= set(metric_rows[0])
 
     def test_obs_command_summary_only(self, capsys):
         assert main(["run", "trickle"]) == 0

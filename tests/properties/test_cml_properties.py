@@ -41,7 +41,7 @@ def fresh_world():
 # small space so that create/unlink/overwrite collisions are common.
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["write", "unlink", "mkdir", "rmdir", "setattr"]),
+        st.sampled_from(["write", "unlink", "mkdir", "rmdir"]),
         st.integers(min_value=0, max_value=N_NAMES - 1),
         st.integers(min_value=1, max_value=50_000)),
     min_size=1, max_size=40)
@@ -114,13 +114,6 @@ class _Workload:
             del self.names[name]
             self._log(CmlRecord(op=CmlOp.RMDIR, fid=fid, parent=root,
                                 name=name))
-        elif kind == "setattr":
-            known = self.names.get(name)
-            if not known:
-                return
-            fid, _kind, base = known
-            self._log(CmlRecord(op=CmlOp.SETATTR, fid=fid, attrs={},
-                                base_version=base))
 
 
 def world_snapshot(volume):

@@ -20,8 +20,7 @@ NAMES = ["a", "b", "c", "d"]
 
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["write", "mkdir", "unlink", "rename"]),
-        st.integers(min_value=0, max_value=len(NAMES) - 1),
+        st.sampled_from(["write", "mkdir", "unlink", "rmdir"]),
         st.integers(min_value=0, max_value=len(NAMES) - 1),
         st.integers(min_value=100, max_value=4_000),
     ),
@@ -45,14 +44,12 @@ def _apply_ops(testbed, venus, ops, start, model):
     a pure function of ``ops`` — identical whichever incarnation of
     Venus executes which half.
     """
-    for index, (kind, i, j, size) in enumerate(ops[start:], start):
-        name, other = NAMES[i], NAMES[j]
+    for index, (kind, i, size) in enumerate(ops[start:], start):
+        name = NAMES[i]
         path = MOUNT + "/work/" + name
-        other_path = MOUNT + "/work/" + other
         content = SyntheticContent(size, tag=("prop", index))
 
-        def step(kind=kind, name=name, other=other, path=path,
-                 other_path=other_path, content=content):
+        def step(kind=kind, name=name, path=path, content=content):
             if kind == "write":
                 if model.get(name, "file") != "file":
                     return
@@ -68,19 +65,17 @@ def _apply_ops(testbed, venus, ops, start, model):
                     return
                 yield from venus.unlink(path)
                 del model[name]
-            elif kind == "rename":
-                if (model.get(name) != "file" or other in model
-                        or name == other):
+            elif kind == "rmdir":
+                if model.get(name) != "dir":
                     return
-                yield from venus.rename(path, other_path)
+                yield from venus.rmdir(path)
                 del model[name]
-                model[other] = "file"
 
         testbed.run(step())
 
 
 def _cml_summary(venus):
-    return [(r.seqno, r.op.value, r.fid, r.name, r.to_name,
+    return [(r.seqno, r.op.value, r.fid, r.name,
              r.content.fingerprint if r.content is not None else None)
             for r in venus.cml]
 

@@ -103,11 +103,11 @@ class Checked:
     def unlink(self, index, _size):
         self.run(self.venus.unlink(self.path(index)))
 
-    def rename(self, index, size):
-        self.run(self.venus.rename(self.path(index), self.path(size)))
+    def mkdir(self, index, _size):
+        self.run(self.venus.mkdir(self.path(index)))
 
-    def setattr(self, index, size):
-        self.run(self.venus.setattr(self.path(index), {"mode": size % 512}))
+    def rmdir(self, index, _size):
+        self.run(self.venus.rmdir(self.path(index)))
 
     def commit(self, _index, _size):
         """Trickle everything out: commit, or conflict-and-discard."""
@@ -140,7 +140,7 @@ class Checked:
         cache = self.venus.cache
         path = self.path(index)
         for entry in cache.entries():
-            if entry.path == path and not entry.pins:
+            if entry.path == path:
                 cache.remove(entry.fid)
                 entry.dirty = bool(size % 2)
                 cache.adopt(entry)
@@ -158,7 +158,7 @@ class Checked:
                                  self.testbed.net, venus.endpoint.host))
 
 
-OPS = ("write", "write", "read", "read", "unlink", "rename", "setattr",
+OPS = ("write", "write", "read", "read", "unlink", "mkdir", "rmdir",
        "commit", "bump", "abort", "offline", "crash", "reinsert")
 
 sessions = st.lists(
@@ -202,10 +202,10 @@ def test_session_alphabet_reaches_every_cml_exit():
         checked.read(index, 0)
     assert venus.cache.evictions > evictions
     assert venus.stats.fetches > 0
-    checked.setattr(1, 7)
+    checked.write(1, 7)
     checked.reinsert(1, 0)              # logged fid, inserted clean
     assert len(checked.venus.cache._unrefreshed) == 1
-    checked.setattr(2, 7)
+    checked.write(2, 7)
     assert checked.venus.cache._unrefreshed == []
     checked.crash(0, 0)
     assert checked.venus is not venus

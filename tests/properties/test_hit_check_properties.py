@@ -5,7 +5,7 @@ takes.  It replaced a seven-call composition — ``cache.get``,
 ``has_data``, ``state.connected``, ``is_valid``, ``local``, ``touch``
 and the observability call — which lives on here as the oracle.  Over
 random entry states (local or not, object callback, volume callback
-on, off or absent, any mix of content, children and target, every
+on, off or absent, any mix of content and children, every
 Venus state, data wanted or not) the verdicts must agree, and a hit
 must leave the recency clock, ``last_ref`` and ``stats.operations``
 exactly where the old arm left them.
@@ -32,7 +32,6 @@ entry_states = st.fixed_dictionaries({
     "volume_callback": st.sampled_from(["on", "off", "absent"]),
     "content": st.booleans(),
     "children": st.booleans(),
-    "target": st.booleans(),
 })
 
 
@@ -48,7 +47,6 @@ def shape(entry, cache, spec):
     entry.callback = spec["callback"]
     entry.content = Content.empty() if spec["content"] else None
     entry.children = {"x": Fid(VOLUME, 9, 9)} if spec["children"] else None
-    entry.target = "t" if spec["target"] else None
     if spec["volume_callback"] != "absent":
         cache.volume_info(entry.fid.volume).callback = \
             spec["volume_callback"] == "on"
@@ -100,7 +98,7 @@ def test_the_walk_counts_a_hit_once_and_hands_a_miss_on(shared_testbed,
     venus, cache = testbed.venus, testbed.venus.cache
     root = cache.get(testbed.volume.root_fid)
     saved = (root._local, root.callback, root._content, root.children,
-             root.target, root.last_ref, venus.state.state,
+             root.last_ref, venus.state.state,
              {vid: info.callback for vid, info
               in cache.volume_infos().items()})
     volume_infos = cache._volumes
@@ -135,6 +133,6 @@ def test_the_walk_counts_a_hit_once_and_hands_a_miss_on(shared_testbed,
         del venus._demand_miss
         cache._volumes = volume_infos
         (root.local, root.callback, root.content, root.children,
-         root.target, root.last_ref, venus.state.state, callbacks) = saved
+         root.last_ref, venus.state.state, callbacks) = saved
         for vid, callback in callbacks.items():
             cache.volume_info(vid).callback = callback

@@ -129,31 +129,30 @@ def test_validation_is_side_effect_free(world):
 
 
 def test_intra_chunk_dependencies_validate(world):
-    """Create-then-store-then-rename within one chunk is clean."""
+    """Create-then-store within one chunk is clean."""
     registry, volume, reintegrator, existing = world
     fid = Fid(7, 503, 503)
     records = [
         rec(CmlOp.CREATE, fid, parent=volume.root_fid, name="tmp",
             seqno=1),
         rec(CmlOp.STORE, fid, content=SyntheticContent(9), seqno=2),
-        rec(CmlOp.RENAME, fid, parent=volume.root_fid, name="tmp",
-            to_parent=volume.root_fid, to_name="final", seqno=3),
     ]
     assert reintegrator.validate(records) == []
     reintegrator.apply(records, mtime=1.0)
-    assert volume.root.lookup("final") == fid
-    assert volume.root.lookup("tmp") is None
+    assert volume.root.lookup("tmp") == fid
+    assert volume.get(fid).content.size == 9
 
 
-def test_apply_rename_and_link_and_rmdir(world):
+def test_apply_mkdir_unlink_rmdir(world):
     registry, volume, reintegrator, existing = world
     subdir_fid = Fid(7, 504, 504)
+    inner_fid = Fid(7, 505, 505)
     records = [
         rec(CmlOp.MKDIR, subdir_fid, parent=volume.root_fid, name="d",
             seqno=1),
-        rec(CmlOp.LINK, existing.fid, parent=subdir_fid, name="hard",
+        rec(CmlOp.CREATE, inner_fid, parent=subdir_fid, name="f",
             seqno=2),
-        rec(CmlOp.UNLINK, existing.fid, parent=subdir_fid, name="hard",
+        rec(CmlOp.UNLINK, inner_fid, parent=subdir_fid, name="f",
             base_version=None, seqno=3),
         rec(CmlOp.RMDIR, subdir_fid, parent=volume.root_fid, name="d",
             seqno=4),
@@ -161,5 +160,7 @@ def test_apply_rename_and_link_and_rmdir(world):
     assert reintegrator.validate(records) == []
     reintegrator.apply(records, mtime=1.0)
     assert volume.root.lookup("d") is None
-    # The original link still exists; the file survived.
+    assert volume.get(subdir_fid) is None
+    assert volume.get(inner_fid) is None
+    # The neighbouring file is untouched.
     assert volume.get(existing.fid) is not None

@@ -46,8 +46,7 @@ def test_make_store_fetch_cycle(world):
     fid = Fid(volume.volid, 777, 777)
     made = call(sim, conn, "MakeObject",
                 {"parent": volume.root_fid, "name": "f", "fid": fid,
-                 "otype": "file", "content": SyntheticContent(0),
-                 "target": None})
+                 "otype": "file", "content": SyntheticContent(0)})
     assert made["status"].fid == fid
     stored = call(sim, conn, "Store",
                   {"fid": fid, "content": SyntheticContent(500),
@@ -64,8 +63,7 @@ def test_store_version_conflict(world):
     fid = Fid(volume.volid, 777, 777)
     call(sim, conn, "MakeObject",
          {"parent": volume.root_fid, "name": "f", "fid": fid,
-          "otype": "file", "content": SyntheticContent(0),
-          "target": None})
+          "otype": "file", "content": SyntheticContent(0)})
     result = call(sim, conn, "Store",
                   {"fid": fid, "content": SyntheticContent(1),
                    "base_version": 99}, send_size=1)
@@ -76,7 +74,7 @@ def test_make_object_name_collision(world):
     sim, server, volume, conn = world
     args = {"parent": volume.root_fid, "name": "dup",
             "fid": Fid(volume.volid, 901, 901), "otype": "file",
-            "content": SyntheticContent(0), "target": None}
+            "content": SyntheticContent(0)}
     call(sim, conn, "MakeObject", args)
     again = dict(args, fid=Fid(volume.volid, 902, 902))
     assert call(sim, conn, "MakeObject", again)["error"] == "exists"
@@ -177,17 +175,22 @@ def test_reintegrate_missing_fragments_rejected(world):
     assert volume.get(fid) is None
 
 
-def test_rename_and_remove_via_rpc(world):
+def test_remove_via_rpc(world):
     sim, server, volume, conn = world
+    dir_fid = Fid(volume.volid, 891, 891)
     fid = Fid(volume.volid, 892, 892)
     call(sim, conn, "MakeObject",
-         {"parent": volume.root_fid, "name": "a", "fid": fid,
-          "otype": "file", "content": SyntheticContent(0),
-          "target": None})
-    call(sim, conn, "Rename",
-         {"parent": volume.root_fid, "name": "a",
-          "to_parent": volume.root_fid, "to_name": "b"})
-    assert volume.root.lookup("b") == fid
-    call(sim, conn, "Remove", {"parent": volume.root_fid, "name": "b"})
-    assert volume.root.lookup("b") is None
+         {"parent": volume.root_fid, "name": "d", "fid": dir_fid,
+          "otype": "directory", "content": None})
+    call(sim, conn, "MakeObject",
+         {"parent": dir_fid, "name": "a", "fid": fid,
+          "otype": "file", "content": SyntheticContent(0)})
+    assert call(sim, conn, "Remove",
+                {"parent": volume.root_fid, "name": "d"})["error"] \
+        == "notempty"
+    call(sim, conn, "Remove", {"parent": dir_fid, "name": "a"})
+    assert volume.get(dir_fid).lookup("a") is None
     assert volume.get(fid) is None
+    call(sim, conn, "Remove", {"parent": volume.root_fid, "name": "d"})
+    assert volume.root.lookup("d") is None
+    assert volume.get(dir_fid) is None

@@ -94,7 +94,7 @@ REFUSED = [
      "needs --ckpt"),
     (["fleet-8", "--ckpt", "ck", "--days", "1.5"], "--days", "whole day"),
     (["fleet-8", "--out", "t.jsonl"], "--out", "testbed spec"),
-    (["fleet-8", "--shards", "--metrics-csv", "m.csv"], "--metrics-csv",
+    (["fleet-8", "--shards", "--metrics-out", "m.jsonl"], "--metrics-out",
      "testbed spec"),
     (["fleet-8", "--ckpt", "ck", "--fingerprint"], "--fingerprint",
      "testbed spec"),
@@ -115,6 +115,35 @@ def test_run_refuses_inapplicable_flags(argv, flag, why, capsys, tmp_path,
     err = exits_2(["run"] + argv, capsys)
     assert "repro run %s: %s: " % (argv[0], flag) in err
     assert why in err
+    assert list(tmp_path.iterdir()) == []
+
+
+BAD_NUMBERS = [
+    (["run", "fleet-8", "--shards", "--workers", "-1"], "--workers", ">= 0"),
+    (["run", "fleet-8", "--days", "-1"], "--days", "> 0"),
+    (["run", "fleet-8", "--ckpt", "ck", "--days", "0"], "--days", "> 0"),
+    (["run", "fleet-8", "--ckpt", "ck", "--day-seconds", "0"],
+     "--day-seconds", "> 0"),
+    (["run", "fleet-8", "--ckpt", "ck", "--day-seconds", "-5"],
+     "--day-seconds", "> 0"),
+    (["run", "fleet-8", "--ckpt", "ck", "--workers", "-2"], "--workers",
+     ">= 0"),
+    (["ckpt", "extend", "--out", "ck", "--days", "0"], "--days", "> 0"),
+    (["ckpt", "extend", "--out", "ck", "--workers", "-1"], "--workers",
+     ">= 0"),
+    (["ledger", "perf", "--workers", "-1"], "--workers", ">= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, bound", BAD_NUMBERS,
+                         ids=[" ".join(row[0]) for row in BAD_NUMBERS])
+def test_bad_numbers_are_usage_errors(argv, flag, bound, capsys, tmp_path,
+                                      monkeypatch):
+    """A count or a duration out of range exits 2 naming the flag, before
+    anything runs: no traceback, no empty run, no store directory."""
+    monkeypatch.chdir(tmp_path)
+    err = exits_2(argv, capsys)
+    assert "argument %s: must be %s" % (flag, bound) in err
     assert list(tmp_path.iterdir()) == []
 
 

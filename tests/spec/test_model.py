@@ -186,6 +186,21 @@ def test_venus_values_must_fit_their_field(field, value, error):
         run_spec(spec)
 
 
+PERIODS = ("daemon_period", "hoard_walk_interval", "probe_interval",
+           "keepalive_interval", "bandwidth_probe_interval")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "negative"])
+@pytest.mark.parametrize("field", PERIODS)
+def test_venus_periods_must_be_positive(field, value):
+    """A zero ``daemon_period`` once validated clean and the run never
+    returned; -1.0 died with ``UnhandledFailure: negative delay``."""
+    spec = replace(get("trickle"), venus={field: value})
+    assert "venus: %s must be > 0" % field in spec.validate()
+    with pytest.raises(SpecError):
+        run_spec(spec)
+
+
 def test_a_tariff_name_round_trips_and_resolves_in_the_testbed():
     from repro.core.cost import CELLULAR
     from repro.spec.testbed import build_testbed

@@ -11,7 +11,6 @@ from repro.trace import (
     week_trace_by_name,
 )
 from repro.trace.generate import SegmentSpec
-from repro.trace.records import TraceRecord, TraceSegment
 from repro.trace.simulator import savings_curve
 from repro.venus import VenusConfig
 
@@ -60,9 +59,11 @@ def test_update_classification():
     updates = [r for r in segment.records if r.is_update]
     assert updates
     assert all(r.op in (TraceOp.WRITE, TraceOp.MKDIR, TraceOp.RMDIR,
-                        TraceOp.UNLINK, TraceOp.CREATE, TraceOp.RENAME,
-                        TraceOp.SYMLINK, TraceOp.SETATTR)
+                        TraceOp.UNLINK)
                for r in updates)
+    assert all(r.op in (TraceOp.READ, TraceOp.STAT, TraceOp.LOOKUP,
+                        TraceOp.READDIR)
+               for r in segment.records if not r.is_update)
 
 
 def test_think_time_above_is_monotone_in_threshold():
@@ -121,21 +122,6 @@ def test_conservation_of_bytes():
         assert (report.reintegrated_bytes + report.optimized_bytes
                 + report.final_cml_bytes) == report.appended_bytes
 
-
-def test_simulator_renamed_file_keeps_its_fid():
-    """A setattr after a rename reaches the renamed file, so it
-    supersedes the setattr logged under the old name."""
-    records = [TraceRecord(1.0, TraceOp.CREATE, "/d/a"),
-               TraceRecord(2.0, TraceOp.SETATTR, "/d/a"),
-               TraceRecord(3.0, TraceOp.RENAME, "/d/a", to_path="/d/b"),
-               TraceRecord(4.0, TraceOp.SETATTR, "/d/b")]
-    segment = TraceSegment(name="rename", duration=5.0, records=records,
-                           tree={"/d": ("dir", 0)})
-    report = CmlSimulator(aging_window=float("inf")).run(segment)
-    assert report.updates == 4
-    assert report.optimized_bytes > 0
-    assert report.final_cml_bytes == (report.appended_bytes
-                                      - report.optimized_bytes)
 
 # ------------------------------------------------------------- replay
 

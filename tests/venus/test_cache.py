@@ -43,17 +43,17 @@ def test_hoarded_entries_evicted_last():
     assert cache.get(Fid(1, 2, 2)) is None
 
 
-def test_dirty_and_pinned_entries_never_evicted():
+def test_dirty_and_local_entries_never_evicted():
     cache = CacheManager(capacity_bytes=2 * (ENTRY_OVERHEAD + 10_000))
     dirty = entry(1, 10_000)
     dirty.dirty = True
-    pinned = entry(2, 10_000)
-    pinned.pins = 1
+    local = entry(2, 10_000)
+    local.local = True
     cache.add(dirty, now=0.0)
-    cache.add(pinned, now=1.0)
+    cache.add(local, now=1.0)
     with pytest.raises(NoSpaceError):
         cache.add(entry(3, 10_000), now=2.0)
-    assert cache.get(dirty.fid) and cache.get(pinned.fid)
+    assert cache.get(dirty.fid) and cache.get(local.fid)
 
 
 def test_object_too_big_for_cache():

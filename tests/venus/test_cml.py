@@ -72,14 +72,6 @@ def test_unlink_of_preexisting_file_stays():
     assert [r.op for r in cml.records] == [CmlOp.UNLINK]
 
 
-def test_setattr_overwrites_setattr():
-    cml = ClientModifyLog()
-    cml.append(CmlRecord(op=CmlOp.SETATTR, fid=fid(1), attrs={"a": 1}), 0.0)
-    cml.append(CmlRecord(op=CmlOp.SETATTR, fid=fid(1), attrs={"a": 2}), 1.0)
-    assert len(cml) == 1
-    assert cml.records[0].attrs == {"a": 2}
-
-
 def test_mkdir_rmdir_annihilates():
     cml = ClientModifyLog()
     d = fid(9)
@@ -99,16 +91,6 @@ def test_rmdir_blocked_by_activity_inside_dir():
                          name="x"), 1.0)
     appended = cml.append(
         CmlRecord(op=CmlOp.RMDIR, fid=d, parent=DIR, name="w"), 2.0)
-    assert appended
-    assert len(cml) == 3
-
-
-def test_rename_blocks_identity_cancellation():
-    cml = ClientModifyLog()
-    cml.append(create(fid(1), "f"), 0.0)
-    cml.append(CmlRecord(op=CmlOp.RENAME, fid=fid(1), parent=DIR,
-                         name="f", to_parent=DIR, to_name="g"), 1.0)
-    appended = cml.append(unlink(fid(1), "g"), 2.0)
     assert appended
     assert len(cml) == 3
 

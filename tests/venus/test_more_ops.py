@@ -1,6 +1,4 @@
-"""Hard links, setattr, multi-volume clients, SLIP floor, eviction."""
-
-import pytest
+"""Multi-volume clients, SLIP floor, eviction."""
 
 from repro.net import ETHERNET, SLIP_1200
 from repro.spec.testbed import make_testbed, populate_volume, warm_cache
@@ -9,72 +7,6 @@ from repro.venus import VenusConfig, VenusState
 from tests.conftest import build_testbed, connected
 
 M = "/coda/usr/u"
-
-
-def test_hard_link_connected(testbed):
-    connected(testbed)
-    venus = testbed.venus
-    testbed.run(venus.link(M + "/dir/a.txt", M + "/dir/a-link"))
-    names = testbed.run(venus.readdir(M + "/dir"))
-    assert "a-link" in names
-    # Both names resolve to the same object.
-    a = testbed.run(venus.stat(M + "/dir/a.txt"))
-    b = testbed.run(venus.stat(M + "/dir/a-link"))
-    assert a.fid == b.fid
-    # Server agrees.
-    dir_vnode = testbed.volume.require(testbed.volume.root.lookup("dir"))
-    assert dir_vnode.lookup("a-link") == a.fid
-    assert testbed.volume.require(a.fid).link_count == 2
-
-
-def test_hard_link_while_disconnected_reintegrates(testbed):
-    connected(testbed)
-    venus = testbed.venus
-    testbed.link.set_up(False)
-    venus.handle_disconnection()
-    testbed.run(venus.link(M + "/dir/a.txt", M + "/dir/a-link"))
-    assert len(venus.cml) == 1
-    testbed.link.set_up(True)
-    connected(testbed)
-    assert len(venus.cml) == 0
-    dir_vnode = testbed.volume.require(testbed.volume.root.lookup("dir"))
-    assert dir_vnode.lookup("a-link") is not None
-
-
-def test_unlink_one_name_of_linked_file_keeps_object(testbed):
-    connected(testbed)
-    venus = testbed.venus
-    testbed.run(venus.link(M + "/dir/a.txt", M + "/dir/a-link"))
-    testbed.run(venus.unlink(M + "/dir/a.txt"))
-    content = testbed.run(venus.read_file(M + "/dir/a-link"))
-    assert content.size == 4_000
-
-
-def test_link_to_directory_rejected(testbed):
-    connected(testbed)
-    with pytest.raises(IsADirectoryError):
-        testbed.run(testbed.venus.link(M + "/dir", M + "/dirlink"))
-
-
-def test_setattr_connected_bumps_version(testbed):
-    connected(testbed)
-    venus = testbed.venus
-    before = testbed.run(venus.stat(M + "/dir/a.txt")).version
-    testbed.run(venus.setattr(M + "/dir/a.txt", {"mode": 0o644}))
-    after = testbed.run(venus.stat(M + "/dir/a.txt")).version
-    assert after == before + 1
-
-
-def test_setattr_disconnected_logs(testbed):
-    connected(testbed)
-    venus = testbed.venus
-    testbed.link.set_up(False)
-    venus.handle_disconnection()
-    testbed.run(venus.setattr(M + "/dir/a.txt", {"mode": 0o600}))
-    assert len(venus.cml) == 1
-    # Two setattrs of one object collapse to one record.
-    testbed.run(venus.setattr(M + "/dir/a.txt", {"mode": 0o640}))
-    assert len(venus.cml) == 1
 
 
 def test_multi_volume_client_validates_in_one_rpc():

@@ -130,11 +130,11 @@ def _disconnected_testbed():
     return testbed
 
 
-def _plant_on_server(testbed, name, otype, **kwargs):
+def _plant_on_server(testbed, name, otype):
     """Another client wins the race: ``dir/<name>`` appears server-side."""
     from repro.fs import Vnode
     volume = testbed.volume
-    other = Vnode(volume.alloc_fid(), otype, **kwargs)
+    other = Vnode(volume.alloc_fid(), otype)
     volume.add(other)
     d = volume.require(volume.root.lookup("dir"))
     d.children[name] = other.fid
@@ -167,25 +167,6 @@ def test_directory_collision_recovers_as_conflict_directory():
     recovered = _server_file(testbed, "build.conflict")
     assert recovered is not None
     assert recovered.otype is ObjectType.DIRECTORY
-
-
-def test_symlink_collision_recovers_with_target_preserved():
-    """A symlink that collides recreates as <name>.conflict and keeps
-    pointing where the local one pointed."""
-    from repro.fs import ObjectType
-    testbed = _disconnected_testbed()
-    venus = testbed.venus
-    testbed.run(venus.symlink("a.txt", M + "/dir/latest"))
-    _plant_on_server(testbed, "latest", ObjectType.SYMLINK, target="b.txt")
-    conflicts = _reconnect_and_confine(testbed)
-    sym = [c for c in conflicts if c.record.op.value == "symlink"][0]
-    testbed.run(venus.repair(sym.ident, "mine"))
-    testbed.sim.run(until=testbed.sim.now + 300.0)
-    assert _server_file(testbed, "latest").target == "b.txt"
-    recovered = _server_file(testbed, "latest.conflict")
-    assert recovered is not None
-    assert recovered.otype is ObjectType.SYMLINK
-    assert recovered.target == "a.txt"
 
 
 def test_removed_file_store_recovers_beside_the_original():

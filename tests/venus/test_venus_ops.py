@@ -50,17 +50,13 @@ def test_overwrite_bumps_server_version(testbed):
     assert entry.version == 2
 
 
-def test_mkdir_rmdir_unlink_rename_symlink(testbed):
+def test_mkdir_rmdir_unlink(testbed):
     connected(testbed)
     venus = testbed.venus
     testbed.run(venus.mkdir(M + "/work"))
     testbed.run(venus.write_file(M + "/work/x", b"x"))
-    testbed.run(venus.rename(M + "/work/x", M + "/work/y"))
-    assert testbed.run(venus.readdir(M + "/work")) == ["y"]
-    testbed.run(venus.symlink("y", M + "/work/link"))
-    assert testbed.run(venus.readlink(M + "/work/link")) == "y"
-    testbed.run(venus.unlink(M + "/work/link"))
-    testbed.run(venus.unlink(M + "/work/y"))
+    assert testbed.run(venus.readdir(M + "/work")) == ["x"]
+    testbed.run(venus.unlink(M + "/work/x"))
     testbed.run(venus.rmdir(M + "/work"))
     with pytest.raises(FileNotFoundError):
         testbed.run(venus.readdir(M + "/work"))
@@ -78,21 +74,6 @@ def test_missing_file_raises(testbed):
     connected(testbed)
     with pytest.raises(FileNotFoundError):
         testbed.run(testbed.venus.read_file(M + "/dir/ghost.txt"))
-
-
-def test_open_close_session_semantics(testbed):
-    connected(testbed)
-    venus = testbed.venus
-
-    def session():
-        handle = yield from venus.open(M + "/dir/a.txt", "w")
-        handle.write(b"session data")
-        # Not yet stored: close is the store point.
-        yield from venus.close(handle)
-
-    testbed.run(session())
-    content = testbed.run(venus.read_file(M + "/dir/a.txt"))
-    assert content == Content.of(b"session data")
 
 
 def test_disconnected_updates_log_to_cml(testbed):
