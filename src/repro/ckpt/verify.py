@@ -73,7 +73,9 @@ def verify_checkpoint(out, replay=True, replay_day=None,
 
     ``replay`` re-runs one sampled shard-day in-process (the expensive
     tier); ``replay_day``/``replay_shard`` pin the sample instead of
-    drawing it from the checkpoint identity.
+    drawing it from the checkpoint identity.  A pin outside the store
+    (no such shard, no such day) raises ValueError naming its
+    ``repro ckpt verify`` flag.
     """
     from repro.ckpt.runner import _check_identity, _fleet_digest
 
@@ -85,12 +87,20 @@ def verify_checkpoint(out, replay=True, replay_day=None,
         verdict.add("manifest", False, str(exc))
         return verdict
     verdict.add("manifest", True)
+    days = manifest["days"]
+    for flag, pin, count, unit in (
+            ("--replay-shard", replay_shard, len(manifest["shards"]),
+             "shard"),
+            ("--replay-day", replay_day, days, "day")):
+        if pin is not None and not 0 <= pin < count:
+            raise ValueError("%s %d is out of range: %s holds %d %s(s), "
+                             "0 to %d" % (flag, pin, out, count, unit,
+                                          count - 1))
     try:
         _check_identity(manifest)
         verdict.add("schema-versions", True)
     except CheckpointError as exc:
         verdict.add("schema-versions", False, str(exc))
-    days = manifest["days"]
     for entry in manifest["shards"]:
         try:
             _verify_shard(verdict, store, entry, days)

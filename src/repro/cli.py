@@ -380,9 +380,12 @@ def _cmd_ckpt_extend(args):
 def _cmd_ckpt_verify(args):
     from repro.ckpt import verify_checkpoint
 
-    verdict = verify_checkpoint(args.out, replay=not args.no_replay,
-                                replay_day=args.replay_day,
-                                replay_shard=args.replay_shard)
+    try:
+        verdict = verify_checkpoint(args.out, replay=not args.no_replay,
+                                    replay_day=args.replay_day,
+                                    replay_shard=args.replay_shard)
+    except ValueError as exc:
+        _usage_error(str(exc))
     print(verdict.format())
     return 0 if verdict.ok else 1
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.rpc2.errors import ConnectionDead
 from repro.rpc2.packets import RPC2_HEADER
+from repro.sim.events import At
 from repro.venus.cml import RECORD_OVERHEAD, CmlOp
 from repro.venus.states import VenusState
 
@@ -49,6 +50,8 @@ class TrickleReintegrator:
         self._fragment_progress = {}    # seqno -> fragments already acked
         self._draining = False
         self._process = None
+        self._parked = None             # the event a parked daemon waits on
+        venus.state.on_transition(self._on_transition)
         # The daemon, user-forced drains, and the write-disconnected ->
         # hoarding transition can all try to reintegrate concurrently;
         # only one may hold the barrier at a time.
@@ -77,16 +80,48 @@ class TrickleReintegrator:
         return self._process
 
     def _run(self):
+        """The daemon: a pass at every grid instant where it can act.
+
+        The grid is the chain ``anchor + period + period + ...``
+        started at the daemon's start and restarted where each pass
+        returns.  At a grid instant where Venus is not write
+        disconnected, or a drain holds the log, the daemon parks on a
+        one-shot event and schedules nothing; :meth:`_wake` fires it.
+        On waking it adds ``period`` to the anchor until it reaches
+        the first grid instant after the park that is not before now,
+        by repeated addition, so every instant it checks is the float
+        a ``sleep(period)`` chain would have reached.  It re-checks
+        there, not at the wake.
+        """
         period = self.config.daemon_period
+        sim = self.sim
+        venus = self.venus
+        grid = sim.now
         while True:
-            yield self.sim.sleep(period)
-            venus = self.venus
-            if venus.state.state is not VenusState.WRITE_DISCONNECTED:
-                continue
-            if self._draining:
+            grid += period
+            yield At(sim, grid)
+            if venus.state.state is not VenusState.WRITE_DISCONNECTED \
+                    or self._draining:
+                self._parked = parked = sim.event()
+                yield parked
+                now = sim.now
+                while grid + period < now:
+                    grid += period
                 continue
             yield from self._pass(venus.effective_aging_window(),
                                   defer_to_foreground=True)
+            grid = sim.now
+
+    def _wake(self):
+        """Fire the parked daemon's event, if it is parked."""
+        parked = self._parked
+        if parked is not None:
+            self._parked = None
+            parked.succeed()
+
+    def _on_transition(self, old, new):
+        if new is VenusState.WRITE_DISCONNECTED and not self._draining:
+            self._wake()
 
     def _pass(self, aging_window, defer_to_foreground):
         """Ship chunks until nothing is eligible (one daemon activation)."""
@@ -118,6 +153,8 @@ class TrickleReintegrator:
             return len(self.venus.cml) == 0
         finally:
             self._draining = False
+            if self.venus.state.state is VenusState.WRITE_DISCONNECTED:
+                self._wake()
 
     # ------------------------------------------------------------------
     # One chunk

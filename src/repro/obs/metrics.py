@@ -18,9 +18,10 @@ once per packet or per dispatch do not pay it each time:
 Everything else (drops, retransmits, cache and CML accounting — some
 35 sites that fire per operation, not per packet) stays in the
 lookup-per-update form.  Updates are stamped with simulation time via
-the registry's ``time_fn`` (wired to ``sim.now`` by the observatory),
-which every instrument holds directly — one call per stamp — so
-exported metrics line up with the event timeline.
+the registry's ``time_fn`` (wired to ``sim.now`` by the observatory
+through a C ``attrgetter``), which every instrument holds directly —
+one call and no Python frame per stamp — so exported metrics line up
+with the event timeline.
 
 Instruments never schedule simulation events and consume no
 randomness: observing a run cannot perturb it.

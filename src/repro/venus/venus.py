@@ -52,7 +52,7 @@ class VenusConfig:
     cache_capacity: int = 50_000 * 1024    # Figure 6's cache size
     aging_window: float = 600.0            # A, section 4.3.4
     chunk_seconds: float = 30.0            # C's time budget, section 4.3.5
-    daemon_period: float = 10.0            # trickle daemon poll
+    daemon_period: float = 10.0            # trickle daemon grid period
     hoard_walk_interval: float = 600.0     # "once every 10 minutes"
     strong_threshold_bps: float = 500_000.0
     initial_bps: float = 9600.0            # assumed before any estimate

@@ -60,6 +60,18 @@ def test_verify_passes_on_the_good_store(flow, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, pin", [
+    ("--replay-shard", "99"), ("--replay-day", "7"), ("--replay-day", "-1"),
+])
+def test_verify_refuses_a_replay_pin_outside_the_store(flow, capsys,
+                                                        flag, pin):
+    """Two shards and two days: shard 99 and day 7 do not exist, and
+    day -1 would index the day list from its end."""
+    err = exits_2(["ckpt", "verify", "--out", flow, flag, pin], capsys)
+    assert err.startswith("%s %s is out of range" % (flag, pin))
+    assert "Traceback" not in err
+
+
 def test_verify_exits_nonzero_on_corruption(flow, tmp_path, capsys):
     import shutil
 

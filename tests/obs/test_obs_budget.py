@@ -4,10 +4,14 @@ A clock-free gate.  An instrumented fleet shard is profiled and every
 Python call whose code lives under ``repro/obs/`` is counted; the count
 is a pure function of (scenario, seed, length), so the assertion needs
 no tolerance for a noisy box.  Before the per-dispatch and per-packet
-sites stopped going through the registry this ratio was ~11.4; the
-budget is 2.  It read ~1.05–1.15 while an RPC2 packet cost seven
-dispatches and reads ~1.5–1.6 since it costs three: the same calls
-into ``repro/obs``, spread over fewer dispatches.
+sites stopped going through the registry this ratio was ~11.4.  It
+read ~1.05–1.15 while an RPC2 packet cost seven dispatches and
+~1.5–1.6 once it cost three: the same calls into ``repro/obs``,
+spread over fewer dispatches.  The parked trickle daemon took another
+~27 % of the dispatches away (2.2 per dispatch), and metric stamps
+that read ``sim.now`` without a Python frame took a third of the
+calls: it reads 1.22 at three hours and 1.15 at six.  The budget is
+1.5; one restored per-dispatch ``inc()`` reads ~2.2 and breaks it.
 
 It must also stay *flat*: a ratio that grows with the length of the
 run is per-event work that scales with history (the log×cache
@@ -22,9 +26,9 @@ from repro.fleetd.executor import run_shard
 from repro.fleetd.plan import plan_shards
 from repro.sim.events import Event, Timeout
 
-BUDGET = 2.0
-#: Two and six simulated hours of the shard.
-SHORT_DAYS, LONG_DAYS = 2 / 24, 6 / 24
+BUDGET = 1.5
+#: Three and six simulated hours of the shard.
+SHORT_DAYS, LONG_DAYS = 3 / 24, 6 / 24
 
 
 def profiled(thunk):
