@@ -3,13 +3,16 @@
 A ledger is a JSON file of facts that are pure functions of the tree:
 regenerating it on any host is a no-op, so any difference is a change
 in what the code does.  One machine serves every table
-(``repro ledger golden|perf``):
+(``repro ledger golden|perf|figures``):
 
 * ``golden`` — ``tests/golden/timelines.json``: the sha256 and event
   count of each pinned obs timeline, as two perturbed child
   interpreters agree it (:mod:`repro.analysis.golden`);
 * ``perf`` — ``BENCH_perf.json``: events dispatched, simulated seconds,
-  digests and counts of each macro-scenario (:mod:`repro.perf`).
+  digests and counts of each macro-scenario (:mod:`repro.perf`);
+* ``figures`` — ``EXPERIMENTS.json``: the facts of each reproduced
+  figure at its full and ``@fast`` shapes (:mod:`repro.bench`), the
+  numbers EXPERIMENTS.md prints and the paper's claims are tested on.
 
 A :class:`Table` names its rows in order, the rows that run a shard
 plan, and one ``facts(names, workers)`` generator that yields
@@ -75,8 +78,14 @@ def _perf():
     return Table("perf", "BENCH_perf.json", tuple(SCENARIOS), facts, pooled)
 
 
+def _figures():
+    from repro.bench import ROWS, facts
+    return Table("figures", "EXPERIMENTS.json", ROWS,
+                 lambda names, workers: ((row, facts(row)) for row in names))
+
+
 #: Table name -> its builder (building imports the rows' code).
-TABLES = {"golden": _golden, "perf": _perf}
+TABLES = {"golden": _golden, "perf": _perf, "figures": _figures}
 
 
 def read(path):

@@ -1,37 +1,23 @@
 """Ablation studies of the design choices the paper argues for.
 
 These go beyond the paper's tables: each sweeps one design parameter
-the paper fixes after qualitative argument, and measures the quantity
-the argument is about.
+the paper fixes after qualitative argument — the chunk time budget
+(section 4.3.5), the aging window at replay time (4.3.4), log
+optimizations on/off (4.3.3), volume granularity and false sharing
+(4.2.2), header compression (4.1), cost-aware adaptation (section 8's
+future work) and shared keepalives (4.1's fix) — and measures the
+quantity the argument is about.
 
-* **Chunk time budget** (section 4.3.5): the 30-second budget bounds
-  how long a chunk can monopolize a slow link.  We measure foreground
-  cache-miss latency on a modem while trickle reintegration runs, for
-  several budgets (and for whole-log chunks, the no-chunking strawman).
-* **Aging window at replay time** (section 4.3.4): A trades
-  reintegration data volume against propagation promptness; we sweep A
-  on one segment and report shipped bytes and end-of-run CML.
-* **Log optimizations on/off** (section 4.3.3): how much wire traffic
-  the optimizer saves during a weakly-connected session.
-* **Volume callback false sharing** (section 4.2.2): validation
-  success rates as cross-client updates are spread over fewer, larger
-  volumes — the "page size" effect the paper warns about.
-* **Header compression** (section 4.1): SFTP goodput on a modem with
-  and without VJ-style compression, the option the paper left out.
-* **Cost-aware adaptation** (section 8's future work): one session on
-  a free, a per-MB and a per-minute tariff.
-* **Shared keepalives** (section 4.1): idle-link keepalive traffic of
-  the original per-layer streams against the shared liveness fix.
-
-Each is an :class:`Ablation` run by :func:`sweep` and printed by
-:func:`render`, and each cell is a spec.  The aging-window and
-log-optimization cells sweep the ``replay`` catalogue spec's ``venus``
-fields; chunk budget and cost are script specs timed by their step
-ends; false sharing and keepalive run their own session on a spec's
-testbed; header compression is Figure 1's SFTP trial.
+Each is an :class:`Ablation` with a full and an ``@fast`` sweep, run
+by :func:`sweep` and printed by :func:`render`, and each cell is a
+spec.  The aging-window and log-optimization cells sweep the
+``replay`` catalogue spec's ``venus`` fields; chunk budget and cost
+are script specs timed by their step ends; false sharing and
+keepalive run their own session on a spec's testbed; header
+compression is Figure 1's SFTP trial.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.bench.results import Table
 from repro.bench.transport import _sftp_trial
@@ -49,28 +35,36 @@ from repro.spec.testbed import build_testbed
 class Ablation:
     """One design-choice sweep, as data."""
 
+    name: str          # its key in the figure's facts
     title: str
     axis: str          # the swept column's header
     values: tuple      # (label, value) pairs: one table row each
     cell: object       # (value, **knobs) -> dict of facts
     columns: tuple     # (header, fact key, %-format) per measured column
+    # The @fast sweep: (values, () for all of them; the cell's knobs).
+    fast: tuple = field(default=((), {}), hash=False)
 
 
-def sweep(ablation, values=None, **knobs):
-    """Run ``ablation``'s cell once per swept value (``values``
-    overrides its pairs, ``knobs`` go to the cell); returns one facts
-    dict per row, each with its ``label``."""
-    return [dict(ablation.cell(value, **knobs), label=label)
-            for label, value in values or ablation.values]
+def sweep(ablation, fast=False):
+    """Run ``ablation``'s cell once per swept value of its full (or
+    fast) sweep; returns ``{label: facts}``, each row's column facts."""
+    values, knobs = ablation.fast if fast else ((), {})
+    rows = {}
+    for label, value in values or ablation.values:
+        cell = ablation.cell(value, **knobs)
+        rows[label] = {key: cell[key] for _header, key, _fmt
+                       in ablation.columns}
+    return rows
 
 
 def render(ablation, rows):
     """The :class:`Table` of ``rows`` as :func:`sweep` returned them."""
     table = Table(ablation.title, [ablation.axis] + [
         header for header, _key, _fmt in ablation.columns])
-    for row in rows:
-        table.add(row["label"], *(fmt % row[key]
-                                  for _header, key, fmt in ablation.columns))
+    for label, _value in ablation.values:
+        if label in rows:
+            table.add(label, *(fmt % rows[label][key]
+                               for _header, key, fmt in ablation.columns))
     return table
 
 
@@ -140,6 +134,7 @@ def _chunk_cell(budget, backlog_files=6, file_kb=120, miss_kb=40):
 
 
 CHUNK = Ablation(
+    name="chunk",
     title="Ablation (section 4.3.5): chunk time budget vs foreground miss "
           "latency at 9.6 Kb/s",
     axis="Chunk budget",
@@ -147,13 +142,15 @@ CHUNK = Ablation(
             ("whole log", None)),
     cell=_chunk_cell,
     columns=(("Foreground miss latency (s)", "miss_latency", "%.1f"),
-             ("Backlog drained by (s)", "drain_seconds", "%.0f")))
+             ("Backlog drained by (s)", "drain_seconds", "%.0f")),
+    fast=((("30s", 30.0), ("whole log", None)), {"backlog_files": 3}))
 
 
 # ----------------------------------------------------------------------
 # Aging window at replay time
 
 AGING = Ablation(
+    name="aging",
     title="Ablation (section 4.3.4): aging window vs traffic, holst "
           "segment on a 9.6 Kb/s modem",
     axis="A (s)",
@@ -161,20 +158,23 @@ AGING = Ablation(
             ("1800", 1800.0)),
     cell=lambda window, segment="holst": _replay_cell(
         segment, aging_window=window),
-    columns=_REPLAY_KB + (("Elapsed (s)", "elapsed", "%.0f"),))
+    columns=_REPLAY_KB + (("Elapsed (s)", "elapsed", "%.0f"),),
+    fast=((("0", 0.0), ("600", 600.0)), {}))
 
 
 # ----------------------------------------------------------------------
 # Log optimizations on/off
 
 LOGOPT = Ablation(
+    name="log-optimizations",
     title="Ablation (section 4.3.3): log optimizations on/off, concord "
           "segment at 9.6 Kb/s",
     axis="Optimizations",
     values=(("on", True), ("off", False)),
     cell=lambda enabled, segment="concord": _replay_cell(
         segment, aging_window=600.0, log_optimizations=enabled),
-    columns=_REPLAY_KB)
+    columns=_REPLAY_KB,
+    fast=((), {"segment": "purcell"}))
 
 
 # ----------------------------------------------------------------------
@@ -213,19 +213,20 @@ def _false_sharing_cell(n_volumes, total_files=160, updates=8, seed=3):
 
     testbed.run(scenario())
     stats = venus.validator.stats
-    return {"success_fraction": stats.success_fraction,
-            "success_pct": stats.success_fraction * 100,
+    return {"success_pct": stats.success_fraction * 100,
             "objects_saved": stats.objects_saved}
 
 
 FALSE_SHARING = Ablation(
+    name="false-sharing",
     title="Ablation (section 4.2.2): volume granularity vs validation "
           "success (same update load, fewer/larger volumes)",
     axis="Volumes",
     values=(("1", 1), ("2", 2), ("4", 4), ("8", 8), ("16", 16)),
     cell=_false_sharing_cell,
     columns=(("Stamp validations successful", "success_pct", "%.0f%%"),
-             ("Objects saved", "objects_saved", "%d")))
+             ("Objects saved", "objects_saved", "%d")),
+    fast=((("1", 1), ("8", 8)), {"total_files": 48}))
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +239,7 @@ FALSE_SHARING = Ablation(
 # table: a few percent on a modem, nothing anywhere else.
 
 COMPRESSION = Ablation(
+    name="header-compression",
     title="Ablation (section 4.1): VJ-style header compression on a "
           "9.6 Kb/s modem",
     axis="Header bytes saved/packet",
@@ -245,7 +247,8 @@ COMPRESSION = Ablation(
     cell=lambda saving, transfer_bytes=200_000: {"goodput_kbps": _sftp_trial(
         MODEM, 0.0, "receive", 0, nbytes=transfer_bytes,
         header_savings=saving) / 1000.0},
-    columns=(("SFTP goodput (Kb/s)", "goodput_kbps", "%.2f"),))
+    columns=(("SFTP goodput (Kb/s)", "goodput_kbps", "%.2f"),),
+    fast=((), {"transfer_bytes": 50_000}))
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +279,7 @@ def _cost_cell(tariff):
 
 
 COST = Ablation(
+    name="cost",
     title="Extension (section 8): cost-aware adaptation of the same "
           "session on three tariffs",
     axis="Tariff",
@@ -331,15 +335,27 @@ def _keepalive_cell(duplicated, idle_hours=1.0):
 
 
 KEEPALIVE = Ablation(
+    name="keepalive",
     title="Ablation (section 4.1): idle keepalive traffic, original "
           "layering vs shared liveness (9.6 Kb/s modem)",
     axis="Scheme",
     values=(("shared", False), ("duplicated", True)),
     cell=_keepalive_cell,
     columns=(("Packets/hour", "packets_per_hour", "%d"),
-             ("Bytes/hour", "bytes_per_hour", "%d")))
+             ("Bytes/hour", "bytes_per_hour", "%d")),
+    fast=((), {"idle_hours": 0.25}))
 
 
 #: Every ablation, in ``repro figure ablations`` order.
 ABLATIONS = (CHUNK, AGING, LOGOPT, FALSE_SHARING, COMPRESSION, COST,
              KEEPALIVE)
+
+
+def facts(fast):
+    """Every ablation's sweep (``@fast``: each one's fast sweep):
+    ``{name: {label: facts}}``."""
+    return {ablation.name: sweep(ablation, fast) for ablation in ABLATIONS}
+
+
+def tables(facts):
+    return [render(ablation, facts[ablation.name]) for ablation in ABLATIONS]

@@ -10,8 +10,6 @@ needs A near one hour.  Denominator magnitudes: 84 MB ives, 817 MB
 concord, 40 MB holst, 152 MB messiaen, 44 MB purcell.
 """
 
-from dataclasses import dataclass
-
 from repro.bench.results import Table
 from repro.trace.segments import WEEK_TRACE_SPECS, week_trace_by_name
 from repro.trace.simulator import savings_curve
@@ -20,38 +18,38 @@ AGING_WINDOWS = (30, 60, 120, 300, 600, 1200, 1800, 3600, 7200, 14400)
 REFERENCE_WINDOW = 14400
 
 
-@dataclass
-class AgingResult:
-    trace: str
-    savings: dict               # A -> absolute optimized bytes
-    reference_bytes: int        # savings at A = 4 h (the denominator)
-
-    def normalized(self, window):
-        if not self.reference_bytes:
-            return 0.0
-        return self.savings[window] / self.reference_bytes
-
-
 def run_aging_analysis(windows=AGING_WINDOWS, traces=None):
-    """Run the Figure 4 analysis; returns {trace: AgingResult}."""
-    names = traces or sorted(WEEK_TRACE_SPECS)
+    """Run the Figure 4 analysis: per trace, the savings at A = 4 h
+    (``reference_bytes``) and each window's savings normalized to it."""
     results = {}
-    for name in names:
-        segment = week_trace_by_name(name)
-        curve = savings_curve(segment, windows)
-        results[name] = AgingResult(
-            trace=name, savings=curve,
-            reference_bytes=curve[REFERENCE_WINDOW])
+    for name in traces or sorted(WEEK_TRACE_SPECS):
+        curve = savings_curve(week_trace_by_name(name), windows)
+        reference = curve[REFERENCE_WINDOW]
+        results[name] = {
+            "reference_bytes": reference,
+            "normalized": {window: curve[window] / reference if reference
+                           else 0.0 for window in windows}}
     return results
 
 
-def format_table(results, windows=AGING_WINDOWS):
+def facts(fast):
+    """All five traces at ten windows (``@fast``: two traces at four
+    windows, the reference among them so every point has its
+    denominator)."""
+    if fast:
+        return run_aging_analysis((300, 600, 3600, 14400),
+                                  ("holst", "purcell"))
+    return run_aging_analysis()
+
+
+def tables(facts):
+    shown = sorted(map(int, next(iter(facts.values()))["normalized"]))
     table = Table(
         "Figure 4: Effect of Aging on Optimizations "
         "(savings normalized to A = 4 h)",
-        ["Trace", "Savings@4h"] + ["A=%ds" % w for w in windows])
-    for name in sorted(results):
-        result = results[name]
-        table.add(name, "%.0f MB" % (result.reference_bytes / 1e6),
-                  *["%.2f" % result.normalized(w) for w in windows])
-    return table
+        ["Trace", "Savings@4h"] + ["A=%ds" % w for w in shown])
+    for name in sorted(facts):
+        trace = facts[name]
+        table.add(name, "%.0f MB" % (trace["reference_bytes"] / 1e6),
+                  *["%.2f" % trace["normalized"][str(w)] for w in shown])
+    return [table]

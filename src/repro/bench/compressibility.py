@@ -12,8 +12,6 @@ spanning the same workload mixes (one-shot-heavy mail sessions to
 compile-loop marathons) and pushed through the CML simulator.
 """
 
-from dataclasses import dataclass
-
 from repro.bench.results import Table
 from repro.sim.rand import derive_rng
 from repro.trace.generate import SegmentSpec, generate_segment
@@ -29,8 +27,7 @@ def _random_spec(index, rng):
     style = rng.random()
     if style < 0.35:
         # One-shot heavy: mail folders, data collection — incompressible.
-        spec = SegmentSpec(
-            name="seg%03d" % index, seed=1000 + index,
+        mix = dict(
             target_references=rng.randrange(20_000, 80_000),
             oneshot_writes=rng.randrange(150, 400),
             oneshot_size=rng.randrange(4_000, 14_000),
@@ -39,8 +36,7 @@ def _random_spec(index, rng):
             churn_triples=rng.randrange(0, 10))
     elif style < 0.65:
         # Edit sessions: moderate overwrite activity.
-        spec = SegmentSpec(
-            name="seg%03d" % index, seed=1000 + index,
+        mix = dict(
             target_references=rng.randrange(20_000, 80_000),
             oneshot_writes=rng.randrange(40, 160),
             oneshot_size=rng.randrange(4_000, 12_000),
@@ -51,8 +47,7 @@ def _random_spec(index, rng):
             churn_size=rng.randrange(4_000, 20_000))
     else:
         # Compile loops and scratch churn: highly compressible.
-        spec = SegmentSpec(
-            name="seg%03d" % index, seed=1000 + index,
+        mix = dict(
             target_references=rng.randrange(40_000, 160_000),
             oneshot_writes=rng.randrange(10, 80),
             oneshot_size=rng.randrange(4_000, 12_000),
@@ -63,57 +58,42 @@ def _random_spec(index, rng):
             obj_size=rng.randrange(8_000, 40_000),
             churn_triples=rng.randrange(10, 60),
             churn_size=rng.randrange(8_000, 40_000))
-    return spec
+    return SegmentSpec(name="seg%03d" % index, seed=1000 + index, **mix)
 
 
-@dataclass
-class CompressibilityResult:
-    segments_examined: int
-    segments_kept: int          # final CML >= 1 MB
-    compressibilities: list
-
-    def histogram(self, bins=BINS):
-        counts = []
-        for low, high in bins:
-            counts.append(sum(1 for c in self.compressibilities
-                              if low <= c < high))
-        return counts
-
-    @property
-    def fraction_below_20(self):
-        if not self.compressibilities:
-            return 0.0
-        return (sum(1 for c in self.compressibilities if c < 0.2)
-                / len(self.compressibilities))
+def _bin(low, high):
+    """A bin's key: its bounds in percent, ``"20-40"``."""
+    return "%.0f-%.0f" % (low * 100, min(high, 1.0) * 100)
 
 
 def run_compressibility_study(population=60, seed=7):
-    """Generate the segment population; returns CompressibilityResult."""
+    """Draw ``population`` segments; the count examined, the count kept
+    (final CML >= 1 MB) and the kept ones' compressibilities binned by
+    :data:`BINS`."""
     rng = derive_rng("compressibility", seed)
     kept = []
-    examined = 0
-    index = 0
-    while examined < population:
-        index += 1
-        spec = _random_spec(index, rng)
-        segment = generate_segment(spec)
-        examined += 1
+    for index in range(1, population + 1):
+        segment = generate_segment(_random_spec(index, rng))
         report = CmlSimulator(aging_window=float("inf")).run(segment)
         if report.appended_bytes >= MIN_CML_BYTES:
             kept.append(report.compressibility)
-    return CompressibilityResult(
-        segments_examined=examined, segments_kept=len(kept),
-        compressibilities=kept)
+    return {"examined": population, "kept": len(kept),
+            "bins": {_bin(low, high): sum(1 for c in kept if low <= c < high)
+                     for low, high in BINS}}
 
 
-def format_table(result):
+def facts(fast):
+    """60 segments (18 ``@fast``)."""
+    return run_compressibility_study(population=18 if fast else 60)
+
+
+def tables(facts):
     table = Table(
         "Figure 10: Compressibility of Trace Segments "
-        "(%d segments with unoptimized CML >= 1 MB)" % result.segments_kept,
+        "(%d segments with unoptimized CML >= 1 MB)" % facts["kept"],
         ["Compressibility", "Segments", "Share"])
-    counts = result.histogram()
-    for (low, high), count in zip(BINS, counts):
-        share = count / max(1, result.segments_kept)
+    for low, high in BINS:
+        count = facts["bins"][_bin(low, high)]
         table.add("%2.0f%% - %3.0f%%" % (low * 100, min(high, 1.0) * 100),
-                  count, "%.0f%%" % (share * 100))
-    return table
+                  count, "%.0f%%" % (count / max(1, facts["kept"]) * 100))
+    return [table]

@@ -17,8 +17,6 @@ Also reproduced: section 4.4's motivating service-time example — a
 at 9.6 Kb/s.
 """
 
-from dataclasses import dataclass
-
 from repro.bench.results import Table, fmt_bytes
 from repro.core.patience import PatienceModel
 
@@ -26,6 +24,7 @@ KB = 1024
 MB = 1024 * 1024
 
 CURVE_BANDWIDTHS = (9_600.0, 64_000.0, 2_000_000.0)
+CURVE_PRIORITIES = range(0, 1001, 100)
 
 #: The file points of Figure 7: (priority, size).
 FILE_POINTS = (
@@ -34,59 +33,55 @@ FILE_POINTS = (
     (900, 1 * MB), (900, 8 * MB),
 )
 
-
-@dataclass
-class PatiencePoint:
-    priority: int
-    size: int
-    below: dict      # bandwidth -> bool
+#: Section 4.4's example: a 1 MB miss at these bandwidths (b/s).
+MISS_BANDWIDTHS = {"10 Mb/s": 10e6, "9.6 Kb/s": 9_600.0}
 
 
-def run_patience_analysis(model=None):
-    """Classify the Figure 7 file points under each bandwidth."""
-    model = model or PatienceModel()
-    points = []
-    for priority, size in FILE_POINTS:
-        below = {bw: size <= model.max_file_bytes(priority, bw)
-                 for bw in CURVE_BANDWIDTHS}
-        points.append(PatiencePoint(priority=priority, size=size,
-                                    below=below))
-    return model, points
+def facts(fast):
+    """The model's curve, its classification of the file points, and
+    section 4.4's 1 MB miss times; analytic, so ``@fast`` is the same.
+
+    Bandwidths key as b/s, file points as ``priority/bytes``.
+    """
+    model = PatienceModel()
+    return {
+        "curve": {priority: {
+            "tau_seconds": model.threshold(priority),
+            "max_bytes": {"%d" % bw: model.max_file_bytes(priority, bw)
+                          for bw in CURVE_BANDWIDTHS}}
+            for priority in CURVE_PRIORITIES},
+        "points": {"%d/%d" % (priority, size): {
+            "%d" % bw: size <= model.max_file_bytes(priority, bw)
+            for bw in CURVE_BANDWIDTHS}
+            for priority, size in FILE_POINTS},
+        "miss_seconds": {name: MB * 8 / bw
+                         for name, bw in MISS_BANDWIDTHS.items()},
+    }
 
 
-def curve_table(model=None, priorities=None):
-    model = model or PatienceModel()
-    if priorities is None:
-        priorities = range(0, 1001, 100)
-    table = Table(
+def _kbps(bw):
+    return "%g Kb/s" % (bw / 1000)
+
+
+def tables(facts):
+    curve = Table(
         "Figure 7: Patience Threshold (largest transparently fetched "
         "file, by priority and bandwidth)",
-        ["Priority", "tau (s)"] + ["%g Kb/s" % (bw / 1000)
-                                   for bw in CURVE_BANDWIDTHS])
-    for priority in priorities:
-        row = [str(priority), "%.1f" % model.threshold(priority)]
-        for bw in CURVE_BANDWIDTHS:
-            size = model.max_file_bytes(priority, bw)
-            row.append("%.0f KB" % (size / KB) if size < MB
-                       else "%.1f MB" % (size / MB))
-        table.add(*row)
-    return table
-
-
-def points_table(points):
-    """Figure 7's file points: the bandwidths each is transparent at."""
-    table = Table("Figure 7: file points below the patience threshold",
-                  ["Priority", "Size", "Transparent at"])
-    for point in points:
-        table.add(point.priority, fmt_bytes(point.size), ", ".join(
-            "%g Kb/s" % (bw / 1000)
-            for bw, ok in sorted(point.below.items()) if ok) or "-")
-    return table
-
-
-def miss_service_times(size=1 * MB):
-    """Section 4.4's example: miss service time by bandwidth."""
-    return {
-        "10 Mb/s": size * 8 / 10e6,
-        "9.6 Kb/s": size * 8 / 9600.0,
-    }
+        ["Priority", "tau (s)"] + [_kbps(bw) for bw in CURVE_BANDWIDTHS])
+    for priority in CURVE_PRIORITIES:
+        row = facts["curve"][str(priority)]
+        sizes = [row["max_bytes"]["%d" % bw] for bw in CURVE_BANDWIDTHS]
+        curve.add(priority, "%.1f" % row["tau_seconds"], *(
+            "%.0f KB" % (size / KB) if size < MB else "%.1f MB" % (size / MB)
+            for size in sizes))
+    points = Table("Figure 7: file points below the patience threshold",
+                   ["Priority", "Size", "Transparent at"])
+    for priority, size in FILE_POINTS:
+        below = facts["points"]["%d/%d" % (priority, size)]
+        points.add(priority, fmt_bytes(size), ", ".join(
+            _kbps(bw) for bw in CURVE_BANDWIDTHS if below["%d" % bw]) or "-")
+    miss = Table("Section 4.4: service time of a 1 MB cache miss",
+                 ["Bandwidth", "Seconds"])
+    for name in MISS_BANDWIDTHS:
+        miss.add(name, "%.1f" % facts["miss_seconds"][name])
+    return [curve, points, miss]

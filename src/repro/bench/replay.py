@@ -16,6 +16,7 @@ more (records live longer in the log).
 """
 
 from dataclasses import replace
+from itertools import product
 
 from repro.bench.results import Table
 from repro.net import ETHERNET, ISDN, MODEM, WAVELAN
@@ -33,96 +34,98 @@ WARM_SECONDS = get("replay").params_dict()["warm_seconds"]
 
 def run_replay_cell(segment, network, aging_window, think_threshold):
     """Run one cell of the Figure 12 grid: the ``replay`` spec with
-    the cell's segment, network, A and lambda.  Returns its facts: the
-    replay family's summary plus the cell's ``segment``, ``network``
-    and ``aging_window``."""
+    the cell's segment, network, A and lambda; the replay family's
+    summary."""
     base = get("replay")
-    spec = replace(
+    return run_spec(replace(
         base.with_params(segment=segment, think_threshold=think_threshold),
         network=NetworkSpec(profile=network.name),
-        venus=dict(base.venus_dict(), aging_window=aging_window))
-    return dict(run_spec(spec).summary, segment=segment,
-                network=network.name, aging_window=aging_window)
+        venus=dict(base.venus_dict(), aging_window=aging_window))).summary
+
+
+#: The facts each grid cell keeps of its summary.
+CELL_FACTS = ("elapsed", "begin_cml_bytes", "end_cml_bytes",
+              "shipped_bytes", "optimized_bytes")
+
+
+def cell_key(think, window, segment, network):
+    """A grid cell's key: ``"lambda/A/segment/Network"``."""
+    return "%g/%g/%s/%s" % (think, window, segment, network)
 
 
 def run_replay_grid(segments=SEGMENTS, networks=NETWORKS,
                     aging_windows=AGING_WINDOWS,
                     think_thresholds=THINK_THRESHOLDS):
-    """The full 2x2x4x4 grid; returns one facts dict per cell.
+    """The 2x2x4x4 grid: ``{cell_key: facts}``, each cell's
+    :data:`CELL_FACTS`, each run in a fresh simulated testbed."""
+    grid = {}
+    for think, window, name, network in product(
+            think_thresholds, aging_windows, segments, networks):
+        cell = run_replay_cell(name, network, window, think)
+        grid[cell_key(think, window, name, network.name)] = {
+            key: cell[key] for key in CELL_FACTS}
+    return grid
 
-    Each cell runs in a fresh simulated testbed, so cells are
-    independent.
-    """
-    return [run_replay_cell(name, network, window, think)
-            for think in think_thresholds
-            for window in aging_windows
-            for name in segments
-            for network in networks]
+
+def slowdown_summary(cells):
+    """Modem-vs-Ethernet slowdown of elapsed time over the grid's
+    (lambda, A, segment) triples: ``{"mean": .., "worst": ..}`` (the
+    paper's ~2 % and 11 %)."""
+    ratios = []
+    for think, window, name in product(THINK_THRESHOLDS, AGING_WINDOWS,
+                                       SEGMENTS):
+        ethernet, modem = (cells.get(cell_key(think, window, name, network))
+                           for network in ("Ethernet", "Modem"))
+        if ethernet and modem:
+            ratios.append(modem["elapsed"] / ethernet["elapsed"])
+    return {"mean": sum(ratios) / len(ratios) - 1.0,
+            "worst": max(ratios) - 1.0}
 
 
-def elapsed_tables(cells):
-    """Figure 12 style: one table per (lambda, A) combination."""
+def facts(fast):
+    """The full grid (``@fast``: purcell on Ethernet and the modem at
+    lambda = 1 s, A = 600 s), and its modem-vs-Ethernet slowdown."""
+    cells = run_replay_grid(("purcell",), (ETHERNET, MODEM), (600.0,),
+                            (1.0,)) if fast else run_replay_grid()
+    return {"cells": cells, "slowdown": slowdown_summary(cells)}
+
+
+def tables(facts):
+    """Figure 12: an elapsed-time table per (lambda, A) that ran;
+    Figure 13: the slowdown; Figure 14: the CML accounting at
+    lambda = 1 s, A = 600 s."""
+    cells = facts["cells"]
     tables = []
-    combos = sorted({(c["think_threshold"], c["aging_window"])
-                     for c in cells})
-    for think, window in combos:
+    for think, window in product(THINK_THRESHOLDS, AGING_WINDOWS):
         table = Table(
             "Figure 12 (lambda = %g s, A = %g s): elapsed seconds"
             % (think, window),
             ["Segment"] + ["%s %s" % (n.name, _rate(n)) for n in NETWORKS])
         for name in SEGMENTS:
-            row = [name.capitalize()]
-            for network in NETWORKS:
-                match = _cells(cells, think, window, name, network.name)
-                row.append("%.0f" % match[0]["elapsed"] if match else "-")
-            if row.count("-") < len(NETWORKS):     # the segment ran
-                table.add(*row)
-        tables.append(table)
-    return tables
-
-
-def cml_data_table(cells, think=1.0, window=600.0):
-    """Figure 14 style: CML accounting for one (lambda, A) combination."""
-    table = Table(
-        "Figure 14 (lambda = %g s, A = %g s): data generated during "
-        "replay (KB)" % (think, window),
+            row = [cells.get(cell_key(think, window, name, network.name))
+                   for network in NETWORKS]
+            if any(row):
+                table.add(name.capitalize(), *(
+                    "%.0f" % cell["elapsed"] if cell else "-"
+                    for cell in row))
+        if table.rows:
+            tables.append(table)
+    slowdown = Table("Figure 13: modem vs Ethernet elapsed time over the "
+                     "grid (paper: ~2% mean, 11% worst)",
+                     ["Slowdown", "Percent"])
+    for name in ("mean", "worst"):
+        slowdown.add(name, "%.1f%%" % (facts["slowdown"][name] * 100))
+    accounting = Table(
+        "Figure 14 (lambda = 1 s, A = 600 s): data generated during "
+        "replay (KB)",
         ["Segment", "Network", "Begin CML", "End CML", "Shipped",
          "Optimized"])
-    for name in SEGMENTS:
-        for network in NETWORKS:
-            match = _cells(cells, think, window, name, network.name)
-            if match:
-                table.add(name.capitalize(), network.name, *(
-                    "%.0f" % (match[0][key] / 1024.0) for key in (
-                        "begin_cml_bytes", "end_cml_bytes", "shipped_bytes",
-                        "optimized_bytes")))
-    return table
-
-
-def slowdown_summary(cells):
-    """Modem-vs-Ethernet slowdown stats across the grid (the ~2% claim)."""
-    ratios = []
-    for think in THINK_THRESHOLDS:
-        for window in AGING_WINDOWS:
-            for name in SEGMENTS:
-                by_net = {c["network"]: c["elapsed"]
-                          for c in _cells(cells, think, window, name)}
-                if "Ethernet" in by_net and "Modem" in by_net \
-                        and by_net["Ethernet"]:
-                    ratios.append(by_net["Modem"] / by_net["Ethernet"])
-    if not ratios:
-        return 0.0, 0.0
-    mean = sum(ratios) / len(ratios)
-    worst = max(ratios)
-    return mean - 1.0, worst - 1.0
-
-
-def _cells(cells, think, window, segment, network=None):
-    """The cells of one (lambda, A, segment[, network]) coordinate."""
-    return [c for c in cells
-            if c["think_threshold"] == think and c["aging_window"] == window
-            and c["segment"] == segment
-            and network in (None, c["network"])]
+    for name, network in product(SEGMENTS, NETWORKS):
+        cell = cells.get(cell_key(1.0, 600.0, name, network.name))
+        if cell:
+            accounting.add(name.capitalize(), network.name, *(
+                "%.0f" % (cell[key] / 1024.0) for key in CELL_FACTS[1:]))
+    return tables + [slowdown, accounting]
 
 
 def _rate(profile):

@@ -1,16 +1,8 @@
 """Figure 11: characteristics of the trace replay segments.
 
 The four 45-minute segments chosen from the compressibility quartiles,
-with the paper's published values for comparison::
-
-    Segment   Refs     Updates  Unopt KB  Opt KB  Compressibility
-    Purcell    51681     519      2864     2625       8%
-    Holst      61019     596      3402     2302      32%
-    Messiaen   38342     188      6996     2184      69%
-    Concord   160397    1273     34704     2247      94%
+each printed above the paper's published values (:data:`PAPER_VALUES`).
 """
-
-from dataclasses import dataclass
 
 from repro.bench.results import Table
 from repro.trace.segments import segment_by_name
@@ -27,47 +19,39 @@ PAPER_VALUES = {
 SEGMENT_ORDER = ("purcell", "holst", "messiaen", "concord")
 
 
-@dataclass
-class SegmentCharacteristics:
-    name: str
-    references: int
-    updates: int
-    unopt_kb: float
-    opt_kb: float
-    compressibility: float
-
-
 def run_segment_characterization(names=SEGMENT_ORDER):
-    """Characterize each segment; returns a list in paper order."""
-    results = []
+    """Characterize each segment: ``{name: facts}``."""
+    results = {}
     for name in names:
-        segment = segment_by_name(name)
-        report = CmlSimulator(aging_window=float("inf")).run(segment)
-        results.append(SegmentCharacteristics(
-            name=name,
-            references=report.references,
-            updates=report.updates,
-            unopt_kb=report.appended_bytes / 1024.0,
-            opt_kb=report.optimized_cml_bytes / 1024.0,
-            compressibility=report.compressibility))
+        report = CmlSimulator(aging_window=float("inf")).run(
+            segment_by_name(name))
+        results[name] = {
+            "references": report.references, "updates": report.updates,
+            "unopt_kb": report.appended_bytes / 1024.0,
+            "opt_kb": report.optimized_cml_bytes / 1024.0,
+            "compressibility": report.compressibility}
     return results
 
 
-def format_table(results):
+def facts(fast):
+    """The four segments (purcell alone ``@fast``)."""
+    return run_segment_characterization(
+        SEGMENT_ORDER[:1] if fast else SEGMENT_ORDER)
+
+
+def tables(facts):
     table = Table(
         "Figure 11: Segments Used in Trace Replay Experiments "
         "(measured vs paper)",
         ["Segment", "References", "Updates", "Unopt CML (KB)",
          "Opt CML (KB)", "Compressibility"])
-    for row in results:
-        paper = PAPER_VALUES.get(row.name)
-        table.add(row.name.capitalize(),
-                  "%d" % row.references,
-                  "%d" % row.updates,
-                  "%.0f" % row.unopt_kb,
-                  "%.0f" % row.opt_kb,
-                  "%.0f%%" % (row.compressibility * 100))
-        if paper:
-            table.add("  (paper)", paper[0], paper[1], paper[2], paper[3],
-                      "%.0f%%" % (paper[4] * 100))
-    return table
+    for name in SEGMENT_ORDER:
+        if name not in facts:
+            continue
+        row = facts[name]
+        table.add(name.capitalize(), row["references"], row["updates"],
+                  "%.0f" % row["unopt_kb"], "%.0f" % row["opt_kb"],
+                  "%.0f%%" % (row["compressibility"] * 100))
+        paper = PAPER_VALUES[name]
+        table.add("  (paper)", *paper[:4], "%.0f%%" % (paper[4] * 100))
+    return [table]

@@ -3,16 +3,7 @@
 The paper times "the disk-to-disk transfer of a 1MB file between a
 DECpc 425SL laptop client and a DEC 5000/200 server on an isolated
 network", five trials each, over Ethernet (10 Mb/s), WaveLan (2 Mb/s)
-and a 9.6 Kb/s modem::
-
-    Protocol  Network   Receive (Kb/s)  Send (Kb/s)
-    TCP       Ethernet  1824 (64)       2400 (224)
-              WaveLan    568 (136)       760 (80)
-              Modem      6.8 (0.06)      6.4 (0.04)
-    SFTP      Ethernet  1952 (104)      2744 (96)
-              WaveLan   1152 (64)       1168 (48)
-              Modem      6.6 (0.02)      6.9 (0.02)
-
+and a 9.6 Kb/s modem (its table sits beside ours in EXPERIMENTS.md).
 SFTP transfers run as Fetch (receive) and Store (send) RPCs through
 the full RPC2/SFTP stack; TCP runs the simplified Reno sender.
 WaveLan is wireless and lossy — that loss is what collapses TCP's
@@ -20,7 +11,6 @@ window while SFTP's selective retransmission shrugs it off.
 """
 
 import statistics
-from dataclasses import dataclass
 
 from repro.bench.results import Table
 from repro.net import ETHERNET, MODEM, WAVELAN, Network
@@ -35,15 +25,8 @@ TRIALS = 5
 #: era dropped a percent or two of packets even in good conditions.
 LOSS = {"Ethernet": 0.0, "WaveLan": 0.025, "Modem": 0.002}
 
-
-@dataclass
-class TransportResult:
-    protocol: str
-    network: str
-    receive_kbps: float
-    receive_sd: float
-    send_kbps: float
-    send_sd: float
+PROTOCOLS = ("TCP", "SFTP")
+NETWORKS = (ETHERNET, WAVELAN, MODEM)
 
 
 def _sftp_trial(profile, loss, direction, seed, nbytes=TRANSFER_BYTES,
@@ -90,33 +73,36 @@ def _tcp_trial(profile, loss, direction, seed):
 
 
 def run_transport_comparison(trials=TRIALS):
-    """Run the Figure 1 grid; returns a list of TransportResult."""
-    results = []
-    for protocol, trial in (("TCP", _tcp_trial), ("SFTP", _sftp_trial)):
-        for profile in (ETHERNET, WAVELAN, MODEM):
-            loss = LOSS[profile.name]
-            rows = {}
+    """Run the Figure 1 grid: ``{"PROTOCOL/Network": cell}``, each cell
+    the mean and population sd, in Kb/s, of ``trials`` seeded transfers
+    each way."""
+    cells = {}
+    for protocol, trial in zip(PROTOCOLS, (_tcp_trial, _sftp_trial)):
+        for profile in NETWORKS:
+            cell = cells["%s/%s" % (protocol, profile.name)] = {}
             for direction in ("receive", "send"):
-                speeds = [trial(profile, loss, direction, seed)
+                speeds = [trial(profile, LOSS[profile.name], direction, seed)
                           for seed in range(trials)]
-                rows[direction] = (statistics.mean(speeds),
-                                   statistics.pstdev(speeds))
-            results.append(TransportResult(
-                protocol=protocol, network=profile.name,
-                receive_kbps=rows["receive"][0] / 1000,
-                receive_sd=rows["receive"][1] / 1000,
-                send_kbps=rows["send"][0] / 1000,
-                send_sd=rows["send"][1] / 1000))
-    return results
+                cell[direction + "_kbps"] = statistics.mean(speeds) / 1000
+                cell[direction + "_sd"] = statistics.pstdev(speeds) / 1000
+    return cells
 
 
-def format_table(results):
+def facts(fast):
+    """Five trials a cell (one ``@fast``)."""
+    trials = 1 if fast else TRIALS
+    return {"trials": trials, "cells": run_transport_comparison(trials)}
+
+
+def tables(facts):
     table = Table(
         "Figure 1: Transport Protocol Performance "
-        "(1 MB transfer, mean of %d trials, Kb/s)" % TRIALS,
+        "(1 MB transfer, mean of %d trials, Kb/s)" % facts["trials"],
         ["Protocol", "Network", "Receive (Kb/s)", "Send (Kb/s)"])
-    for row in results:
-        table.add(row.protocol, row.network,
-                  "%.1f (%.2f)" % (row.receive_kbps, row.receive_sd),
-                  "%.1f (%.2f)" % (row.send_kbps, row.send_sd))
-    return table
+    for protocol in PROTOCOLS:
+        for profile in NETWORKS:
+            cell = facts["cells"]["%s/%s" % (protocol, profile.name)]
+            table.add(protocol, profile.name, *(
+                "%.1f (%.2f)" % (cell[way + "_kbps"], cell[way + "_sd"])
+                for way in ("receive", "send")))
+    return [table]

@@ -70,21 +70,6 @@ def _profile_volume(profile, volume_index):
     return VolumeSpec(mount=mount, tree=tree)
 
 
-@dataclass
-class ValidationResult:
-    user: str
-    network: str
-    objects: int
-    volume_seconds: float
-    object_seconds: float
-
-    @property
-    def speedup(self):
-        if not self.volume_seconds:
-            return float("inf")
-        return self.object_seconds / self.volume_seconds
-
-
 def _timed_validation(volumes, network, use_volume_callbacks):
     """Seconds to validate a warm cache of ``volumes`` on reconnection
     over ``network``.  The client connects first so the transition is
@@ -99,29 +84,41 @@ def _timed_validation(volumes, network, use_volume_callbacks):
 
 
 def run_validation_comparison(profiles=PROFILES, networks=NETWORKS):
-    """Run the Figure 8 grid; returns a list of ValidationResult."""
-    results = []
+    """Run the Figure 8 grid: ``{"user/Network": cell}``, each cell the
+    cache's object count and its validation seconds with volume and
+    with object callbacks, and their ratio."""
+    cells = {}
     for profile in profiles:
         volumes = [_profile_volume(profile, v) for v in range(profile.volumes)]
         for network in networks:
-            with_volumes = _timed_validation(volumes, network, True)
-            without = _timed_validation(volumes, network, False)
-            results.append(ValidationResult(
-                user=profile.user, network=network.name,
-                objects=profile.total_objects,
-                volume_seconds=with_volumes,
-                object_seconds=without))
-    return results
+            volume = _timed_validation(volumes, network, True)
+            objects = _timed_validation(volumes, network, False)
+            cells["%s/%s" % (profile.user, network.name)] = {
+                "objects": profile.total_objects,
+                "volume_seconds": volume, "object_seconds": objects,
+                "speedup": objects / volume}
+    return cells
 
 
-def format_table(results):
+def facts(fast):
+    """Five users on four networks (``@fast``: the first user on
+    Ethernet and the modem)."""
+    if fast:
+        return run_validation_comparison(PROFILES[:1], (ETHERNET, MODEM))
+    return run_validation_comparison()
+
+
+def tables(facts):
     table = Table(
         "Figure 8: Validation Time Under Ideal Conditions (seconds)",
         ["User", "Objects", "Network", "Volume CBs", "Object CBs",
          "Speedup"])
-    for row in results:
-        table.add(row.user, row.objects, row.network,
-                  "%.2f" % row.volume_seconds,
-                  "%.2f" % row.object_seconds,
-                  "%.1fx" % row.speedup)
-    return table
+    for profile in PROFILES:
+        for network in NETWORKS:
+            cell = facts.get("%s/%s" % (profile.user, network.name))
+            if cell:
+                table.add(profile.user, cell["objects"], network.name,
+                          "%.2f" % cell["volume_seconds"],
+                          "%.2f" % cell["object_seconds"],
+                          "%.1fx" % cell["speedup"])
+    return [table]

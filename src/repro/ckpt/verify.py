@@ -73,12 +73,17 @@ def verify_checkpoint(out, replay=True, replay_day=None,
 
     ``replay`` re-runs one sampled shard-day in-process (the expensive
     tier); ``replay_day``/``replay_shard`` pin the sample instead of
-    drawing it from the checkpoint identity.  A pin outside the store
-    (no such shard, no such day) raises ValueError naming its
-    ``repro ckpt verify`` flag.
+    drawing it from the checkpoint identity.  A pin without a replay,
+    or outside the store (no such shard, no such day), raises
+    ValueError naming its ``repro ckpt verify`` flag.
     """
     from repro.ckpt.runner import _check_identity, _fleet_digest
 
+    for flag, pin in (("--replay-day", replay_day),
+                      ("--replay-shard", replay_shard)):
+        if pin is not None and not replay:
+            raise ValueError("%s: pins the replayed sample, and "
+                             "--no-replay replays none" % flag)
     verdict = CkptVerdict(root=out)
     store = CheckpointStore(out)
     try:

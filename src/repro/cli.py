@@ -9,8 +9,9 @@
     python -m repro figure fleet         # Figure 9
     python -m repro figure compressibility   # Figure 10
     python -m repro figure segments      # Figure 11
-    python -m repro figure replay        # Figures 12-14 (purcell)
+    python -m repro figure replay        # Figures 12-14
     python -m repro figure ablations     # the design-choice sweeps
+    REPRO_FAST=1 python -m repro figure replay   # its @fast shape
     python -m repro run trickle --out trickle.jsonl
     python -m repro run smoke --check-invariants --fingerprint
     python -m repro run doc-archive --seed 7 --json report.json
@@ -26,14 +27,16 @@
     python -m repro ledger perf --row fleet-8    # == its BENCH_perf.json row
     python -m repro ledger perf --workers 2      # all ten rows, pooled
     python -m repro ledger perf --regen          # rewrite it, print moves
+    python -m repro ledger figures --row fleet@fast   # == EXPERIMENTS.json
     python -m repro lint                 # determinism linter
 
-``repro figure <name>`` prints a figure from :data:`repro.bench.FIGURES`
-at its shell parameters.  ``repro run <spec>`` is the one way to run a
-catalogue scenario: ``run_spec`` in-process, the shard plan under
-``--shards``, the day driver into a resumable store under ``--ckpt``.
-``repro ledger golden|perf`` is the one check/regen/diff of committed
-facts (:mod:`repro.analysis.ledger`); ``ledger golden`` runs its rows
+``repro figure <name>`` renders the facts of a figure's ``figures``
+ledger row (``NAME@fast`` under ``REPRO_FAST=1``).  ``repro run
+<spec>`` is the one way to run a catalogue scenario: ``run_spec``
+in-process, the shard plan under ``--shards``, the day driver into a
+resumable store under ``--ckpt``.  ``repro ledger golden|perf|figures``
+is the one check/regen/diff of committed facts
+(:mod:`repro.analysis.ledger`); ``ledger golden`` runs its rows
 in two perturbed child interpreters and fails on any divergence.  A
 flag the chosen spec or mode cannot honour is refused (exit 2), never
 ignored, and so is an unknown name.
@@ -46,8 +49,9 @@ import sys
 
 
 def _cmd_figure(args):
-    from repro.bench import FIGURES
-    for table in FIGURES[args.name]():
+    from repro.bench import facts, tables
+    row = args.name + ("@fast" if _fast() else "")
+    for table in tables(row, facts(row)):
         table.show()
 
 
@@ -131,8 +135,14 @@ def _refusal(args, spec):
     return None
 
 
+def _fast():
+    """The one reader of ``REPRO_FAST``: a figure's ``@fast`` row, or
+    :func:`_fast_variant`."""
+    return bool(os.environ.get("REPRO_FAST"))
+
+
 def _fast_variant(spec, args):
-    """The one ``REPRO_FAST`` rule: ``(spec, days, day_seconds)`` to run.
+    """``repro run``'s ``REPRO_FAST`` rule: ``(spec, days, day_seconds)``.
 
     Explicit ``--days``/``--day-seconds`` win.  Testbed families take
     their ``FAST_PARAMS``; a fleet runs an eighth of its catalogue days
@@ -141,7 +151,7 @@ def _fast_variant(spec, args):
     a checkpointed run shrinks its day unit to an eighth instead.
     """
     days, day_seconds = args.days, args.day_seconds
-    if not os.environ.get("REPRO_FAST"):
+    if not _fast():
         return spec, days, day_seconds
     from dataclasses import replace
 
@@ -427,7 +437,8 @@ def build_parser():
 
     p = sub.add_parser("figure", help="print a reproduced figure's tables "
                                       "(transport = Figure 1 ... replay = "
-                                      "Figures 12-14, and the ablations)")
+                                      "Figures 12-14, and the ablations); "
+                                      "REPRO_FAST=1 runs its @fast shape")
     p.add_argument("name", choices=FIGURES)
     p.set_defaults(fn=_cmd_figure)
 
@@ -484,7 +495,7 @@ def build_parser():
         help="re-run a ledger's rows and check them against its committed "
              "facts at zero tolerance (exit 0 match, 1 differ), or --regen "
              "it: golden = tests/golden/timelines.json, perf = "
-             "BENCH_perf.json")
+             "BENCH_perf.json, figures = EXPERIMENTS.json")
     p.add_argument("table", choices=TABLES)
     p.add_argument("--row", action="append", default=None, metavar="NAME",
                    help="a row of the table; repeatable (default: all)")

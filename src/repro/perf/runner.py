@@ -35,11 +35,10 @@ def _trickle_outage():
 def _transport_sweep():
     """The Figure 1 grid at reduced trial count."""
     from repro.bench import transport
-    rows = transport.run_transport_comparison(trials=2)
-    return {"cells": len(rows),
-            "throughput_kbps": {
-                "%s/%s" % (r.protocol, r.network): round(r.send_kbps, 3)
-                for r in rows}}
+    cells = transport.run_transport_comparison(trials=2)
+    return {"cells": len(cells),
+            "throughput_kbps": {name: round(cell["send_kbps"], 3)
+                                for name, cell in cells.items()}}
 
 
 #: Row name (as committed in ``BENCH_perf.json``) -> (how it runs, the

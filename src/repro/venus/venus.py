@@ -35,6 +35,7 @@ from repro.fs.objects import ObjectType
 from repro.rpc2.endpoint import Rpc2Endpoint
 from repro.rpc2.errors import ConnectionDead
 from repro.rpc2.packets import CODA_PORT, STATUS_BLOCK
+from repro.sim.events import Event
 from repro.venus.advice import TimeoutUser
 from repro.venus.cache import CacheEntry, CacheManager
 from repro.venus.cml import ClientModifyLog, CmlOp, CmlRecord
@@ -132,6 +133,7 @@ class Venus:
         self.suppressed_fetches = set()
         self._mounts = {}            # tuple(prefix) -> (volid, root_fid)
         self._mount_memo = {}        # path -> _mount_for(path)
+        self._writing = {}           # path -> None, or the Event waiters hold
         self._fid_counter = count(1)
         self._client_tag = zlib.crc32(node.encode("utf-8")) % 4096
         self._walker = None          # set lazily (import cycle)
@@ -530,10 +532,23 @@ class Venus:
     # Public update API
 
     def write_file(self, path, data, program=None):
-        """Generator: whole-file write (create or overwrite)."""
+        """Generator: whole-file write (create or overwrite).  Writes of
+        one path serialize: a later one waits for the earlier to end and
+        resolves the path again; an uncontended one schedules nothing."""
         yield from self.endpoint.cpu.use(self.config.local_op_cost)
-        entry = yield from self._prepare_write_target(path, program)
-        yield from self._store(path, entry, Content.of(data))
+        writing = self._writing
+        while path in writing:
+            if writing[path] is None:
+                writing[path] = Event(self.sim)
+            yield writing[path]
+        writing[path] = None
+        try:
+            entry = yield from self._prepare_write_target(path, program)
+            yield from self._store(path, entry, Content.of(data))
+        finally:
+            waiters = writing.pop(path)
+            if waiters is not None:
+                waiters.succeed()
         return entry
 
     def _prepare_write_target(self, path, program):

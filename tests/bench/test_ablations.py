@@ -8,7 +8,7 @@ optimizations — run the ``replay`` spec, pinned by its golden row.
 
 import pytest
 
-from repro.bench import FIGURES, ablations
+from repro.bench import ablations, facts, tables
 
 PINNED = {
     "chunk": (ablations.CHUNK, """\
@@ -60,9 +60,10 @@ def test_ablation_table_text_is_pinned(name):
 def test_the_figure_verb_prints_all_seven_keepalive_last(monkeypatch):
     """``repro figure ablations`` renders every entry of the one
     ablation table, in order, with keepalive appended last."""
-    monkeypatch.setattr(ablations, "sweep", lambda ablation: ablation)
+    monkeypatch.setattr(ablations, "sweep", lambda ablation, fast: "rows")
     monkeypatch.setattr(ablations, "render",
                         lambda ablation, rows: (ablation, rows))
-    printed = [ablation for ablation, _rows in FIGURES["ablations"]()]
+    printed = [ablation for ablation, _rows
+               in tables("ablations", facts("ablations"))]
     assert printed == list(ablations.ABLATIONS)
     assert len(set(printed)) == 7 and printed[-1] is ablations.KEEPALIVE

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench import FIGURES, replay
 from repro.cli import build_parser, main
-from repro.net import MODEM
 from tests.conftest import exits_2
 
 FIGURE_NAMES = ("transport", "aging", "patience", "validation", "fleet",
@@ -69,10 +68,21 @@ def test_segments_command_runs(capsys):
 
 
 def test_replay_command_single_cell(capsys, monkeypatch):
-    """``figure replay`` over one network: the Modem cell of purcell."""
-    monkeypatch.setattr(replay, "NETWORKS", (MODEM,))
+    """``REPRO_FAST=1 repro figure replay`` asks for purcell's Ethernet
+    and modem cells at lambda = 1 s, A = 600 s, and prints Figures 12
+    to 14 of them alone (cells stubbed: the render is under test)."""
+    asked = []
+
+    def cell(segment, network, window, think):
+        asked.append((segment, network.name, window, think))
+        return dict.fromkeys(replay.CELL_FACTS, 1024.0)
+
+    monkeypatch.setattr(replay, "run_replay_cell", cell)
+    monkeypatch.setenv("REPRO_FAST", "1")
     assert main(["figure", "replay"]) == 0
+    assert asked == [("purcell", "Ethernet", 600.0, 1.0),
+                     ("purcell", "Modem", 600.0, 1.0)]
     out = capsys.readouterr().out
-    assert "Figure 12" in out and "elapsed" in out
+    assert "Figure 12" in out and "elapsed" in out and "Figure 13" in out
     assert "Figure 14" in out and "Modem" in out
     assert "Holst" not in out        # only the segment that ran

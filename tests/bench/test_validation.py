@@ -21,4 +21,4 @@ user1  328      Modem     1.79        10.25       5.7x   """
 def test_user1_rows_are_pinned():
     results = validation.run_validation_comparison(
         profiles=validation.PROFILES[:1])
-    assert validation.format_table(results).render() == USER1
+    assert validation.tables(results)[0].render() == USER1

@@ -72,6 +72,18 @@ def test_verify_refuses_a_replay_pin_outside_the_store(flow, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("pins", [["--replay-day", "0"],
+                                  ["--replay-shard", "0"],
+                                  ["--replay-day", "0", "--replay-shard", "0"]])
+def test_verify_refuses_a_replay_pin_without_a_replay(flow, capsys, pins):
+    """``--no-replay`` replays nothing, so a pin of the replayed sample
+    is refused (exit 2, naming the flag), never ignored."""
+    err = exits_2(["ckpt", "verify", "--out", flow, "--no-replay"] + pins,
+                  capsys)
+    assert err.startswith(pins[0] + ": ")
+    assert "--no-replay" in err and "Traceback" not in err
+
+
 def test_verify_exits_nonzero_on_corruption(flow, tmp_path, capsys):
     import shutil
 

@@ -5,7 +5,7 @@ hiding behind an underscore: make it public or keep it home.  And the
 library never reaches up into the figure package: ``repro.bench``
 (one module per reproduced figure) sits on top of the simulator, so
 outside it only the ``figure`` verb and the perf ledger's
-transport-sweep row may import it.
+transport-sweep row and the figures ledger may import it.
 """
 
 import ast
@@ -14,9 +14,11 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 #: Modules outside ``bench/`` allowed to import ``repro.bench``: the CLI
-#: (its ``figure`` verb reads ``FIGURES``) and the perf ledger (its
-#: ``transport-sweep`` row is Figure 1's sweep).
-BENCH_IMPORTERS = {"repro/cli.py", "repro/perf/runner.py"}
+#: (its ``figure`` verb renders a figure's facts), the perf ledger (its
+#: ``transport-sweep`` row is Figure 1's sweep) and the ledger machine
+#: (its ``figures`` table is every figure's facts).
+BENCH_IMPORTERS = {"repro/cli.py", "repro/perf/runner.py",
+                   "repro/analysis/ledger.py"}
 
 
 def _repro_imports():

@@ -63,8 +63,8 @@ SPAN, SETTLE = 900.0, 900.0
 PROFILES = {"modem": MODEM, "isdn": ISDN, "wavelan": WAVELAN,
             "ethernet": ETHERNET}
 #: How an action may end besides "ok": a write waiting on a process
-#: the crash killed is interrupted with it, and two connected writes
-#: of one file race at the server (OSError: exists, conflict).
+#: the crash killed is interrupted with it, and a connected store can
+#: be refused at the server (OSError).
 FAILURES = (OfflineError, ConnectionDead, CacheMissError, Interrupt,
             OSError, IllegalTransition)
 

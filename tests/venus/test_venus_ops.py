@@ -3,7 +3,8 @@
 import pytest
 
 from repro.fs import Content
-from repro.venus import CacheMissError, VenusState
+from repro.sim import At
+from repro.venus import CacheMissError, Venus, VenusState
 from repro.venus.errors import OfflineError
 
 from tests.conftest import build_testbed, connected
@@ -48,6 +49,55 @@ def test_overwrite_bumps_server_version(testbed):
     vnode = testbed.volume.require(entry.fid)
     assert vnode.version == 2
     assert entry.version == 2
+
+
+@pytest.mark.parametrize("writes", [2, 3])
+def test_connected_writes_of_one_path_serialize(testbed, writes):
+    """Writes of ``/dir/w0`` armed for one instant by one hoarding
+    client: each waits for the one before it and then resolves the path
+    again, so the first creates the file, the rest store over it (no
+    ``exists`` from MakeObject, no conflict with the client's own
+    store), and the server holds the last."""
+    connected(testbed)
+    sim, venus = testbed.sim, testbed.venus
+    when = sim.now + 1.0
+    datas = [b"first", b"second!", b"third!!!"][:writes]
+    ended = []
+
+    def write(data):
+        yield At(sim, when)
+        yield from venus.write_file(M + "/dir/w0", data)
+        ended.append((sim.now, data))
+
+    for data in datas:
+        sim.process(write(data))
+    sim.run(until=when + 60.0)
+    assert [data for _when, data in ended] == datas
+    assert ended[0][0] > when
+    entry = testbed.run(venus.stat(M + "/dir/w0"))
+    vnode = testbed.volume.require(entry.fid)
+    assert vnode.content == Content.of(datas[-1])
+    assert entry.version == vnode.version
+    assert len(venus.cml) == 0 and not venus._writing
+
+
+def test_an_uncontended_write_schedules_nothing_more():
+    """A lone write dispatches exactly what the write path without the
+    per-path guard dispatches, and ends at the same instant."""
+    def unguarded(venus, path, data):
+        yield from venus.endpoint.cpu.use(venus.config.local_op_cost)
+        entry = yield from venus._prepare_write_target(path, None)
+        yield from venus._store(path, entry, Content.of(data))
+
+    def cost(write):
+        testbed = build_testbed()
+        connected(testbed)
+        before = testbed.sim.dispatched
+        for name in ("new.txt", "a.txt"):        # a create, a store
+            testbed.run(write(testbed.venus, M + "/dir/" + name, b"x" * 700))
+        return testbed.sim.dispatched - before, testbed.sim.now
+
+    assert cost(Venus.write_file) == cost(unguarded)
 
 
 def test_mkdir_rmdir_unlink(testbed):

@@ -17,7 +17,8 @@ import sys
 FLOORS = {
     "(top)": 60.0,
     "analysis": 85.0,   # 93 % of lines from tier-1 by a stdlib trace count
-    "bench": 30.0,      # paper-scale tables run in benchmarks/, not tier-1
+    "bench": 30.0,      # paper-scale facts run in `repro ledger figures`,
+                        # not tier-1
     "ckpt": 90.0,
     "core": 85.0,
     "faults": 90.0,
