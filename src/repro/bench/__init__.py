@@ -3,7 +3,8 @@
 Each :data:`FIGURES` module has ``facts(fast)``, which runs the figure
 at its full shape (the one EXPERIMENTS.md reports) or its ``@fast``
 shape and returns plain JSON numbers keyed by cell, and
-``tables(facts)``, which builds its :class:`Table` s.  The two shapes
+``tables(facts, fast)``, which builds its :class:`Table` s (an
+``@fast`` table's title names its shape where the facts cannot).  The two shapes
 are the rows ``NAME`` and ``NAME@fast`` of the ``figures`` ledger
 (``EXPERIMENTS.json``), and ``repro figure NAME`` prints the tables of
 the same facts, so what is printed and what is pinned cannot disagree.
@@ -52,7 +53,7 @@ def facts(row):
 
 def tables(row, facts):
     """The :class:`Table` s of ``row``'s ``facts``."""
-    return _module(row).tables(facts)
+    return _module(row).tables(facts, fast=row.endswith("@fast"))
 
 
 __all__ = ["FIGURES", "ROWS", "Table", "facts", "fmt_bytes", "tables"]

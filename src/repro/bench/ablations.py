@@ -43,6 +43,8 @@ class Ablation:
     columns: tuple     # (header, fact key, %-format) per measured column
     # The @fast sweep: (values, () for all of them; the cell's knobs).
     fast: tuple = field(default=((), {}), hash=False)
+    # The @fast sweep's title, where its knobs change what ``title`` says.
+    fast_title: str = ""
 
 
 def sweep(ablation, fast=False):
@@ -57,9 +59,11 @@ def sweep(ablation, fast=False):
     return rows
 
 
-def render(ablation, rows):
-    """The :class:`Table` of ``rows`` as :func:`sweep` returned them."""
-    table = Table(ablation.title, [ablation.axis] + [
+def render(ablation, rows, fast=False):
+    """The :class:`Table` of ``rows`` as :func:`sweep` returned them
+    (``fast``: its ``@fast`` sweep's)."""
+    title = fast and ablation.fast_title or ablation.title
+    table = Table(title, [ablation.axis] + [
         header for header, _key, _fmt in ablation.columns])
     for label, _value in ablation.values:
         if label in rows:
@@ -174,7 +178,9 @@ LOGOPT = Ablation(
     cell=lambda enabled, segment="concord": _replay_cell(
         segment, aging_window=600.0, log_optimizations=enabled),
     columns=_REPLAY_KB,
-    fast=((), {"segment": "purcell"}))
+    fast=((), {"segment": "purcell"}),
+    fast_title="Ablation (section 4.3.3): log optimizations on/off, purcell "
+               "segment at 9.6 Kb/s")
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +349,10 @@ KEEPALIVE = Ablation(
     cell=_keepalive_cell,
     columns=(("Packets/hour", "packets_per_hour", "%d"),
              ("Bytes/hour", "bytes_per_hour", "%d")),
-    fast=((), {"idle_hours": 0.25}))
+    fast=((), {"idle_hours": 0.25}),
+    fast_title="Ablation (section 4.1): idle keepalive traffic, original "
+               "layering vs shared liveness (9.6 Kb/s modem; per-hour rates "
+               "of the first quarter hour)")
 
 
 #: Every ablation, in ``repro figure ablations`` order.
@@ -357,5 +366,6 @@ def facts(fast):
     return {ablation.name: sweep(ablation, fast) for ablation in ABLATIONS}
 
 
-def tables(facts):
-    return [render(ablation, facts[ablation.name]) for ablation in ABLATIONS]
+def tables(facts, fast=False):
+    return [render(ablation, facts[ablation.name], fast)
+            for ablation in ABLATIONS]

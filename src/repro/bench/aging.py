@@ -42,7 +42,7 @@ def facts(fast):
     return run_aging_analysis()
 
 
-def tables(facts):
+def tables(facts, fast=False):
     shown = sorted(map(int, next(iter(facts.values()))["normalized"]))
     table = Table(
         "Figure 4: Effect of Aging on Optimizations "

@@ -87,7 +87,7 @@ def facts(fast):
     return run_compressibility_study(population=18 if fast else 60)
 
 
-def tables(facts):
+def tables(facts, fast=False):
     table = Table(
         "Figure 10: Compressibility of Trace Segments "
         "(%d segments with unoptimized CML >= 1 MB)" % facts["kept"],

@@ -33,7 +33,7 @@ def facts(fast):
     return found
 
 
-def tables(facts):
+def tables(facts, fast=False):
     tables = []
     for group, title in GROUPS.items():
         clients, mean = facts[group]["clients"], facts[group]["mean"]

@@ -63,7 +63,7 @@ def _kbps(bw):
     return "%g Kb/s" % (bw / 1000)
 
 
-def tables(facts):
+def tables(facts, fast=False):
     curve = Table(
         "Figure 7: Patience Threshold (largest transparently fetched "
         "file, by priority and bandwidth)",

@@ -90,7 +90,7 @@ def facts(fast):
     return {"cells": cells, "slowdown": slowdown_summary(cells)}
 
 
-def tables(facts):
+def tables(facts, fast=False):
     """Figure 12: an elapsed-time table per (lambda, A) that ran;
     Figure 13: the slowdown; Figure 14: the CML accounting at
     lambda = 1 s, A = 600 s."""

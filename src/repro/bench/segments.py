@@ -39,7 +39,7 @@ def facts(fast):
         SEGMENT_ORDER[:1] if fast else SEGMENT_ORDER)
 
 
-def tables(facts):
+def tables(facts, fast=False):
     table = Table(
         "Figure 11: Segments Used in Trace Replay Experiments "
         "(measured vs paper)",

@@ -94,7 +94,7 @@ def facts(fast):
     return {"trials": trials, "cells": run_transport_comparison(trials)}
 
 
-def tables(facts):
+def tables(facts, fast=False):
     table = Table(
         "Figure 1: Transport Protocol Performance "
         "(1 MB transfer, mean of %d trials, Kb/s)" % facts["trials"],

@@ -108,7 +108,7 @@ def facts(fast):
     return run_validation_comparison()
 
 
-def tables(facts):
+def tables(facts, fast=False):
     table = Table(
         "Figure 8: Validation Time Under Ideal Conditions (seconds)",
         ["User", "Objects", "Network", "Volume CBs", "Object CBs",

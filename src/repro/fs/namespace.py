@@ -17,26 +17,36 @@ def join_path(components):
 
 
 class VolumeRegistry:
-    """Mount table: path prefix -> volume."""
+    """Mount table: path prefix -> volume.
+
+    Two indexes filled by :meth:`mount` answer :meth:`by_id` (once per
+    Vice fetch and validation) and :meth:`mount_of` in one lookup; a
+    volume mounted twice, or two volumes sharing an id, resolve to the
+    first one mounted.
+    """
 
     def __init__(self):
         self._mounts = {}
+        self._by_id = {}            # volid -> first volume mounted with it
+        self._prefixes = {}         # volume (by identity) -> first prefix
 
     def mount(self, prefix, volume):
         key = tuple(split_path(prefix))
         if key in self._mounts:
             raise ValueError("mount point %r already in use" % (prefix,))
         self._mounts[key] = volume
+        self._by_id.setdefault(volume.volid, volume)
+        self._prefixes.setdefault(volume, key)
 
     def volumes(self):
         return list(self._mounts.values())
 
     def mount_of(self, volume):
         """The mount prefix components for ``volume``."""
-        for key, mounted in self._mounts.items():
-            if mounted is volume:
-                return key
-        raise KeyError(volume.name)
+        try:
+            return self._prefixes[volume]
+        except KeyError:
+            raise KeyError(volume.name) from None
 
     def resolve_prefix(self, path):
         """Split ``path`` into (volume, remaining components).
@@ -52,7 +62,4 @@ class VolumeRegistry:
         raise FileNotFoundError("no volume mounted for %r" % (path,))
 
     def by_id(self, volid):
-        for volume in self._mounts.values():
-            if volume.volid == volid:
-                return volume
-        raise KeyError(volid)
+        return self._by_id[volid]

@@ -14,9 +14,21 @@ acks), the server dispatcher (requests), or the keepalive responder
 Everything that arrives also refreshes the shared
 :class:`~repro.rpc2.keepalive.LivenessRegistry` — the paper's fix for
 the duplicated keepalive traffic of the original layering.
+
+An RPC costs the host what its packets cost.  A ping is a callback
+chain, not a process: one same-instant hop (where a ping process would
+have started, so the Ping cannot jump ahead of work already queued at
+that instant) sends it and arms its expiry, and the Pong or the expiry
+settles the event :meth:`Rpc2Endpoint.ping` returned — eight
+dispatches, six of them its two packets'.  The server side runs a
+generator handler inside the call's own process (``yield from``), and
+a finished transfer's grace period is one ``Timeout`` with a callback.
+Each connection, SFTP transfer and Venus binds its peer's
+:class:`~repro.rpc2.rtt.NetworkEstimator` once.
 """
 
 from collections import deque
+from functools import partial
 from itertools import count
 
 from repro.net.cpu import HostCpu
@@ -35,7 +47,7 @@ from repro.rpc2.packets import (
 )
 from repro.rpc2.rtt import NetworkEstimator
 from repro.rpc2.sftp import SftpReceiver, SftpSender
-from repro.sim.events import At, Event
+from repro.sim.events import At, Event, Interrupt, Timeout
 from repro.sim.resources import Lock, Store
 
 #: Client retransmission policy.
@@ -99,7 +111,7 @@ class Rpc2Endpoint:
         self._inbox = deque()       # datagrams received
         self._receiving = False
         self.socket.deliver = self._arrived
-        self._ping_waiters = {}     # seq -> event
+        self._ping_waiters = {}     # seq -> _Ping not yet answered
         self._ping_seq = count(1)
         self.packets_out = 0
         self.bytes_out = 0
@@ -115,16 +127,27 @@ class Rpc2Endpoint:
         transfers, pending calls, and server-side handler state are all
         volatile and vanish with them, and a packet whose CPU time
         finishes after the close is neither sent nor dispatched.
-        Returns the kill count."""
+        A pending ping dies with them: it fails with ``Interrupt``, as
+        the process it replaced did, so a caller the kill did not reach
+        does not hang.  Returns the count of processes killed."""
         if not self.socket.closed:
             self.socket.close()
-        return self.sim.kill_owned(self.node)
+        killed = self.sim.kill_owned(self.node)
+        waiters = self._ping_waiters
+        self._ping_waiters = {}
+        for ping in waiters.values():
+            ping.done.fail(Interrupt(None))
+            ping.done.defuse()
+        return killed
 
     # ------------------------------------------------------------------
     # Shared infrastructure
 
     def estimator(self, peer):
-        """The per-peer network quality estimate (shared with Venus)."""
+        """The per-peer network quality estimate (shared with Venus).
+
+        One object per peer for the endpoint's lifetime (``reset()``
+        works in place), so a connection or transfer binds it once."""
         est = self._estimators.get(peer)
         if est is None:
             est = NetworkEstimator()
@@ -208,7 +231,8 @@ class Rpc2Endpoint:
         echo = getattr(packet, "ts_echo", None)
         if echo is not None:
             ts, hold = echo
-            self.estimator(peer).observe_rtt(self.sim.now - ts - hold)
+            estimator = self._estimators.get(peer) or self.estimator(peer)
+            estimator.rtt.observe(self.sim.now - ts - hold)
 
     def _dispatch(self, peer, packet):
         if isinstance(packet, SftpData):
@@ -251,9 +275,9 @@ class Rpc2Endpoint:
             return
         if isinstance(packet, Pong):
             self._observe_echo(peer, packet)
-            waiter = self._ping_waiters.pop(packet.seq, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(packet)
+            ping = self._ping_waiters.pop(packet.seq, None)
+            if ping is not None:
+                ping.answered()
             return
 
     # ------------------------------------------------------------------
@@ -266,39 +290,15 @@ class Rpc2Endpoint:
         return Rpc2Connection(self, peer, conn_id)
 
     def ping(self, peer, pad=0, timeout=None):
-        """Process: round-trip a ping; returns RTT or raises ConnectionDead."""
-        return self.sim.process(self._ping(peer, pad, timeout),
-                                name="ping-%s" % peer, owner=self.node)
-
-    def _ping(self, peer, pad, timeout):
-        estimator = self.estimator(peer)
-        if timeout is None:
-            if pad:
-                # A padded ping is a bandwidth probe: it must not time
-                # out just because the line is slow.  Budget for the
-                # slowest supported link (1.2 Kb/s SLIP, 10 bits/byte);
-                # plain pings already provide fast dead-peer detection.
-                timeout = pad * 10.0 / 1200.0 * 1.5 \
-                    + estimator.rtt.rto + 1.0
-            else:
-                timeout = max(estimator.rtt.rto,
-                              estimator.expected_transfer_time(
-                                  pad, default_bps=self.default_bps)
-                              * 2 + 1.0)
+        """Round-trip a ping: an event that succeeds with the RTT, or
+        fails with :class:`ConnectionDead` once ``timeout`` passes (by
+        default derived from the peer's estimates and ``pad``)."""
         seq = next(self._ping_seq)
-        waiter = self.sim.event()
-        self._ping_waiters[seq] = waiter
-        started = self.sim.now
-        self._send(peer, Ping(conn=0, seq=seq, ts=started, pad=pad))
-        expiry = self.sim.timeout(timeout)
-        yield self.sim.any_of([waiter, expiry])
-        if not waiter.triggered:
-            self._ping_waiters.pop(seq, None)
-            raise ConnectionDead("ping to %s timed out" % peer)
-        rtt = self.sim.now - started
-        if pad:
-            estimator.observe_transfer(pad, rtt)
-        return rtt
+        ping = self._ping_waiters[seq] = _Ping(self, peer, pad, timeout, seq)
+        # The hop: the Ping is queued one step later at this instant,
+        # behind whatever was already due now, as a process would.
+        Event(self.sim).succeed().callbacks.append(ping.start)
+        return ping.done
 
     # ------------------------------------------------------------------
     # Server role
@@ -365,9 +365,7 @@ class Rpc2Endpoint:
             else:
                 outcome = handler(ctx, request.args)
                 if hasattr(outcome, "__next__"):
-                    outcome = yield self.sim.process(
-                        outcome, name="handler-%s" % request.proc,
-                        owner=self.node)
+                    outcome = yield from outcome
                 if isinstance(outcome, tuple) and len(outcome) == 2:
                     result, bulk_size = outcome
                 else:
@@ -401,11 +399,66 @@ class Rpc2Endpoint:
     def _expire_transfer(self, table, transfer_id, transfer, grace=300.0):
         """Drop ``transfer`` from ``table`` after a grace period for
         late duplicates, unless a newer transfer has taken its id."""
-        def expire():
-            yield self.sim.sleep(grace)
-            if table.get(transfer_id) is transfer:
-                del table[transfer_id]
-        self.sim.process(expire(), name="sftp-expire", owner=self.node)
+        Timeout(self.sim, grace).callbacks.append(
+            partial(_expire, table, transfer_id, transfer))
+
+
+def _expire(table, transfer_id, transfer, _event):
+    if table.get(transfer_id) is transfer:
+        del table[transfer_id]
+
+
+class _Ping:
+    """One ping: asked for, then sent in its hop, then answered by its
+    Pong or failed by its expiry, whichever comes first."""
+
+    __slots__ = ("endpoint", "peer", "pad", "timeout", "seq", "done",
+                 "started", "estimator")
+
+    def __init__(self, endpoint, peer, pad, timeout, seq):
+        self.endpoint = endpoint
+        self.peer = peer
+        self.pad = pad
+        self.timeout = timeout
+        self.seq = seq
+        self.done = Event(endpoint.sim)
+
+    def start(self, _hop):
+        endpoint = self.endpoint
+        if self.seq not in endpoint._ping_waiters:
+            return                  # the endpoint shut down in between
+        sim = endpoint.sim
+        pad = self.pad
+        estimator = self.estimator = endpoint.estimator(self.peer)
+        timeout = self.timeout
+        if timeout is None:
+            if pad:
+                # A padded ping is a bandwidth probe: it must not time
+                # out just because the line is slow.  Budget for the
+                # slowest supported link (1.2 Kb/s SLIP, 10 bits/byte);
+                # plain pings already provide fast dead-peer detection.
+                timeout = pad * 10.0 / 1200.0 * 1.5 \
+                    + estimator.rtt.rto + 1.0
+            else:
+                timeout = max(estimator.rtt.rto,
+                              estimator.expected_transfer_time(
+                                  pad, default_bps=endpoint.default_bps)
+                              * 2 + 1.0)
+        self.started = sim.now
+        endpoint._send(self.peer, Ping(conn=0, seq=self.seq, ts=sim.now,
+                                       pad=pad))
+        Timeout(sim, timeout).callbacks.append(self.expired)
+
+    def answered(self):
+        rtt = self.endpoint.sim.now - self.started
+        if self.pad:
+            self.estimator.observe_transfer(self.pad, rtt)
+        self.done.succeed(rtt)
+
+    def expired(self, _expiry):
+        if self.endpoint._ping_waiters.pop(self.seq, None) is None:
+            return                  # answered, or shut down with its endpoint
+        self.done.fail(ConnectionDead("ping to %s timed out" % self.peer))
 
 
 class Rpc2Connection:
@@ -422,12 +475,10 @@ class Rpc2Connection:
         self.endpoint = endpoint
         self.peer = peer
         self.conn_id = conn_id
+        self.sim = endpoint.sim
+        self.estimator = endpoint.estimator(peer)
         self._seq = count(1)
         self._lock = Lock(endpoint.sim)
-
-    @property
-    def sim(self):
-        return self.endpoint.sim
 
     def call(self, procedure, args=None, args_size=SMALL_ARGS,
              send_size=0, max_retries=MAX_CALL_RETRIES):
@@ -459,7 +510,7 @@ class Rpc2Connection:
         inbox = Store(sim)
         call_state = {"inbox": inbox, "progress": None}
         endpoint._calls[key] = call_state
-        estimator = endpoint.estimator(self.peer)
+        estimator = self.estimator
         request = Request(conn=self.conn_id, seq=seq, proc=procedure,
                           args=args, args_size=args_size,
                           send_size=send_size, ts=sim.now)

@@ -16,16 +16,6 @@ class PeerLiveness:
         self.last_heard = None
         self.reachable = None  # None = never contacted
 
-    def heard(self, now):
-        self.last_heard = now
-        self.reachable = True
-
-    def silent_for(self, now):
-        """Seconds since the peer was last heard from (inf if never)."""
-        if self.last_heard is None:
-            return float("inf")
-        return now - self.last_heard
-
 
 class LivenessRegistry:
     """Per-endpoint registry of peer liveness, shared by all layers."""
@@ -42,8 +32,12 @@ class LivenessRegistry:
         return info
 
     def heard_from(self, name):
-        """Record that any packet (RPC, SFTP, ping) arrived from ``name``."""
-        self.peer(name).heard(self.sim.now)
+        """Record that any packet (RPC, SFTP, ping) arrived from ``name``.
+
+        Once per packet received: the peer is one dict lookup."""
+        info = self._peers.get(name) or self.peer(name)
+        info.last_heard = self.sim.now
+        info.reachable = True
 
     def mark_unreachable(self, name):
         self.peer(name).reachable = False
@@ -52,4 +46,8 @@ class LivenessRegistry:
         return self.peer(name).reachable is True
 
     def silent_for(self, name):
-        return self.peer(name).silent_for(self.sim.now)
+        """Seconds since ``name`` was last heard from (inf if never)."""
+        info = self._peers.get(name)
+        if info is None or info.last_heard is None:
+            return float("inf")
+        return self.sim.now - info.last_heard

@@ -11,7 +11,12 @@ chunk sizing (section 4.3.5) and cache-miss service-time prediction
 
 
 class RttEstimator:
-    """Jacobson/Karels smoothed RTT with variance-based RTO."""
+    """Jacobson/Karels smoothed RTT with variance-based RTO.
+
+    ``rto``, the current retransmission timeout in seconds, is kept up
+    to date by :meth:`observe`: it is read far more often (every call,
+    ping and SFTP round) than it changes.
+    """
 
     def __init__(self, initial_rto=2.0, min_rto=0.3, max_rto=60.0):
         self.srtt = None
@@ -20,6 +25,7 @@ class RttEstimator:
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.samples = 0
+        self.rto = initial_rto
 
     def observe(self, sample):
         """Fold one RTT measurement (seconds) into the estimate."""
@@ -33,26 +39,23 @@ class RttEstimator:
             self.srtt += delta / 8.0
             self.rttvar += (abs(delta) - self.rttvar) / 4.0
         self.samples += 1
-
-    @property
-    def rto(self):
-        """Current retransmission timeout, seconds."""
-        if self.srtt is None:
-            return self.initial_rto
-        return min(self.max_rto, max(self.min_rto, self.srtt + 4.0 * self.rttvar))
+        self.rto = min(self.max_rto,
+                       max(self.min_rto, self.srtt + 4.0 * self.rttvar))
 
 
 class BandwidthEstimator:
     """Exponentially weighted estimate of usable bytes/second.
 
     Samples come from completed bulk transfers and from size-differential
-    probes.  A missing estimate reports ``None``; callers fall back to a
-    configured initial guess.
+    probes.  A missing estimate reports ``None`` in ``bytes_per_sec``
+    and ``bits_per_sec``; callers fall back to a configured initial
+    guess.  Both are kept up to date by :meth:`observe`.
     """
 
     def __init__(self, gain=0.4):
         self.gain = gain
-        self._bytes_per_sec = None
+        self.bytes_per_sec = None
+        self.bits_per_sec = None
         self.samples = 0
 
     def observe(self, nbytes, seconds):
@@ -65,25 +68,16 @@ class BandwidthEstimator:
         if seconds <= 0 or nbytes <= 0:
             return
         sample = nbytes / seconds
-        if self._bytes_per_sec is None:
-            self._bytes_per_sec = sample
+        if self.bytes_per_sec is None:
+            self.bytes_per_sec = sample
         else:
             gain = self.gain
-            if sample > 4 * self._bytes_per_sec \
-                    or sample < self._bytes_per_sec / 4:
+            if sample > 4 * self.bytes_per_sec \
+                    or sample < self.bytes_per_sec / 4:
                 gain = 0.8
-            self._bytes_per_sec += gain * (sample - self._bytes_per_sec)
+            self.bytes_per_sec += gain * (sample - self.bytes_per_sec)
         self.samples += 1
-
-    @property
-    def bytes_per_sec(self):
-        return self._bytes_per_sec
-
-    @property
-    def bits_per_sec(self):
-        if self._bytes_per_sec is None:
-            return None
-        return self._bytes_per_sec * 8.0
+        self.bits_per_sec = self.bytes_per_sec * 8.0
 
 
 class NetworkEstimator:
@@ -107,9 +101,6 @@ class NetworkEstimator:
         """
         self.rtt = RttEstimator(initial_rto=self._initial_rto)
         self.bandwidth = BandwidthEstimator()
-
-    def observe_rtt(self, sample):
-        self.rtt.observe(sample)
 
     def observe_transfer(self, nbytes, seconds):
         self.bandwidth.observe(nbytes, seconds)

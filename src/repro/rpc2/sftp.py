@@ -53,6 +53,7 @@ class SftpSender:
         self.sim = sim
         self.endpoint = endpoint
         self.peer = peer
+        self.estimator = endpoint.estimator(peer)
         self.transfer_id = transfer_id
         self.size = size
         self.data_size = data_size
@@ -67,7 +68,7 @@ class SftpSender:
         return self.size - self.data_size * (self.total - 1) or self.data_size
 
     def _burst_timeout(self, nbytes):
-        estimator = self.endpoint.estimator(self.peer)
+        estimator = self.estimator
         expected = estimator.expected_transfer_time(
             nbytes, default_bps=self.endpoint.default_bps)
         return 2.0 * expected + estimator.rtt.rto
@@ -129,12 +130,11 @@ class SftpSender:
                     pending_ack = self.inbox.get()
                     if ack.ts_echo is not None:
                         ts, hold = ack.ts_echo
-                        self.endpoint.estimator(self.peer).observe_rtt(
+                        self.estimator.rtt.observe(
                             self.sim.now - ts - hold)
                     if ack.complete:
                         elapsed = self.sim.now - start
-                        self.endpoint.estimator(self.peer) \
-                            .observe_transfer(self.size, elapsed)
+                        self.estimator.observe_transfer(self.size, elapsed)
                         return elapsed
                     newly_acked = unacked & ack.received
                     if newly_acked:
@@ -146,7 +146,7 @@ class SftpSender:
                         # based on stale estimates (section 4.1).
                         acked_bytes = sum(self._packet_size(seq)
                                           for seq in newly_acked)
-                        self.endpoint.estimator(self.peer).observe_transfer(
+                        self.estimator.observe_transfer(
                             acked_bytes, self.sim.now - round_start)
                         # Selective repair: a hole below the highest
                         # sequence the receiver reports is provably

@@ -105,6 +105,8 @@ class Venus:
                                      first_conn_id=first_conn_id)
         self.endpoint.register("BreakCallback", self._h_break_callback)
         self.conn = self.endpoint.connect(server)
+        # The server's network estimate, shared with RPC2 and SFTP.
+        self.estimator = self.conn.estimator
         self.cml = ClientModifyLog()
         self.cache = CacheManager(self.config.cache_capacity,
                                   logged_fids=self.cml.logged_fids)
@@ -146,10 +148,6 @@ class Venus:
 
     # ------------------------------------------------------------------
     # Utilities
-
-    @property
-    def estimator(self):
-        return self.endpoint.estimator(self.server_node)
 
     def current_bandwidth_bps(self):
         """Best current estimate of usable bandwidth."""

@@ -8,7 +8,9 @@ optimizations — run the ``replay`` spec, pinned by its golden row.
 
 import pytest
 
+from repro.analysis import ledger
 from repro.bench import ablations, facts, tables
+from tests.bench.test_figures import EXPERIMENTS_JSON
 
 PINNED = {
     "chunk": (ablations.CHUNK, """\
@@ -62,8 +64,22 @@ def test_the_figure_verb_prints_all_seven_keepalive_last(monkeypatch):
     ablation table, in order, with keepalive appended last."""
     monkeypatch.setattr(ablations, "sweep", lambda ablation, fast: "rows")
     monkeypatch.setattr(ablations, "render",
-                        lambda ablation, rows: (ablation, rows))
+                        lambda ablation, rows, fast: (ablation, rows))
     printed = [ablation for ablation, _rows
                in tables("ablations", facts("ablations"))]
     assert printed == list(ablations.ABLATIONS)
     assert len(set(printed)) == 7 and printed[-1] is ablations.KEEPALIVE
+
+
+def test_fast_titles_name_the_fast_shape():
+    """``REPRO_FAST=1 repro figure ablations`` titles the log-optimization
+    table with the segment its ``@fast`` cells replay and the keepalive
+    table with the window its per-hour rates come from; the full
+    titles stay the ones EXPERIMENTS.md prints."""
+    committed = ledger.read(EXPERIMENTS_JSON)
+    for row, segment, window in (("ablations@fast", "purcell", True),
+                                 ("ablations", "concord", False)):
+        titles = " / ".join(table.title
+                            for table in tables(row, committed[row]))
+        assert "log optimizations on/off, %s segment" % segment in titles
+        assert ("first quarter hour" in titles) is window

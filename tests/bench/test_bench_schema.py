@@ -75,13 +75,13 @@ def test_check_names_every_edited_field(tmp_path, capsys):
     assert "1 row(s) match" in capsys.readouterr().out
 
     def edit(rows):
-        rows["trickle-outage"]["events"] = 2235
+        rows["trickle-outage"]["events"] = 2085
         rows["trickle-outage"]["detail"]["outage"]["link_packets_sent"] = 61
     assert main(CHECK + [edited_copy(tmp_path, edit)]) == 1
     out = capsys.readouterr().out
-    assert "trickle-outage.events: 2234\n" in out       # progress lines
+    assert "trickle-outage.events: 2084\n" in out       # progress lines
     assert "2 field(s) differ" in out
-    assert "trickle-outage.events: 2235 → 2234" in out
+    assert "trickle-outage.events: 2085 → 2084" in out
     assert "trickle-outage.detail.outage.link_packets_sent: 61 → 62" in out
 
 
@@ -103,7 +103,7 @@ def test_live_envelope_matches_the_contract(tmp_path, capsys):
              "--file", path]
     assert main(regen) == 0
     out = capsys.readouterr().out
-    assert "trickle-outage.events: (absent) → 2234" in out
+    assert "trickle-outage.events: (absent) → 2084" in out
     assert "wrote " + path in out
     rows = check_envelope(path)
     assert rows == {"trickle-outage":

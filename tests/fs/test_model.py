@@ -188,3 +188,24 @@ def test_registry_by_id_and_mount_of():
     assert registry.mount_of(volume) == ("coda", "v")
     with pytest.raises(KeyError):
         registry.by_id(6)
+    with pytest.raises(KeyError) as missing:
+        registry.mount_of(Volume(5, "unmounted"))
+    assert missing.value.args == ("unmounted",)
+
+
+def test_registry_lookups_answer_the_first_mount():
+    """``by_id`` and ``mount_of`` are index lookups that agree with a
+    scan of the mount table in mount order: the first volume mounted
+    with an id wins, and so does a volume's first prefix."""
+    registry = VolumeRegistry()
+    first, second = Volume(7, "first"), Volume(7, "second")
+    registry.mount("/coda/b", first)
+    registry.mount("/coda/a", second)
+    registry.mount("/coda/c", first)
+    assert registry.by_id(7) is first
+    assert registry.mount_of(first) == ("coda", "b")
+    assert registry.mount_of(second) == ("coda", "a")
+    with pytest.raises(ValueError):
+        registry.mount("/coda/a", Volume(8, "late"))
+    with pytest.raises(KeyError):
+        registry.by_id(8)

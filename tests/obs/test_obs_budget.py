@@ -10,8 +10,10 @@ read ~1.05–1.15 while an RPC2 packet cost seven dispatches and
 spread over fewer dispatches.  The parked trickle daemon took another
 ~27 % of the dispatches away (2.2 per dispatch), and metric stamps
 that read ``sim.now`` without a Python frame took a third of the
-calls: it reads 1.22 at three hours and 1.15 at six.  The budget is
-1.5; one restored per-dispatch ``inc()`` reads ~2.2 and breaks it.
+calls: 1.22 at three hours and 1.15 at six.  A ping that costs eight
+dispatches, not eleven, and Vice handlers run inside their calls took
+~12 % of the dispatches: it reads 1.39 and 1.32.  The budget is 1.5;
+one restored per-dispatch ``inc()`` breaks it.
 
 It must also stay *flat*: a ratio that grows with the length of the
 run is per-event work that scales with history (the log×cache

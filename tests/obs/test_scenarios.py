@@ -23,15 +23,16 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ["outage", "trickle"])
     def test_instrumented_run_is_schedule_identical(self, name):
-        # Ten idle minutes past the script's end, while the daemons
-        # keep ticking: the outage script alone dispatches under 500
-        # events since a packet costs three, and five idle minutes
-        # no longer reach 500 since the trickle daemon parks while
-        # the client hoards.
+        # Fifteen idle minutes past the script's end, while the
+        # daemons keep ticking: the outage script alone dispatches
+        # under 500 events since a packet costs three, five idle
+        # minutes no longer reach 500 since the trickle daemon parks
+        # while the client hoards, and ten no longer do since a ping
+        # costs eight dispatches, not eleven (488).
         spec = get(name)
         spec = replace(spec, workload=replace(
             spec.workload, script=spec.workload.script
-            + (OpStep(op="sleep", seconds=600.0),)))
+            + (OpStep(op="sleep", seconds=900.0),)))
         bare_schedule = []
         bare = run_spec(spec, schedule_log=bare_schedule).testbed
 

@@ -11,9 +11,17 @@ two pacing processes.  Every packet's departure and arrival instant,
 every instant a received packet is dispatched (its CPU finish) and
 every foreground use's finish must be bit-equal between the two.
 
-A planted mutant that books a send's CPU when the packet is queued,
-not when the packet ahead of it finishes, lets a burst jump ahead of
-foreground work and of received packets; the property must catch it.
+The oracle also keeps the retired process-per-ping design and runs
+generator handlers (``Fetch`` here, with a disk delay, as Vice's are)
+as child processes, so the same instants hold the endpoint's ping
+callback chain and its ``yield from`` handlers to them.
+
+Two planted mutants must be caught: a send that books the CPU when the
+packet is queued, not when the packet ahead of it finishes, lets a
+burst jump ahead of foreground work and of received packets; and a
+ping that queues its Ping at once, without the same-instant hop where
+the ping process used to start, jumps ahead of a foreground operation
+asked for at the same instant.
 """
 
 import pytest
@@ -22,6 +30,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from repro.net import ETHERNET, MODEM, WAVELAN, Network
 from repro.net.host import IDEAL, LAPTOP_1995, SERVER_1995
 from repro.rpc2 import ConnectionDead, RemoteError, Rpc2Endpoint
+from repro.rpc2.endpoint import _Ping
 from repro.sim import RandomStreams, Simulator
 from tests.rpc2.lock_oracle import LoopEndpoint
 
@@ -30,6 +39,8 @@ PORT = 2432
 #: Simulated seconds each plan runs: its actions start within 30 s,
 #: and a retried call or transfer settles long before this.
 HORIZON = 600.0
+#: The server-side disk delay of a ``Fetch`` (Vice's ``per_fetch``).
+FETCH_DELAY = 0.015
 
 nodes = st.sampled_from(NODES)
 transfers = st.tuples(st.sampled_from(["Store", "Fetch"]), nodes,
@@ -90,8 +101,12 @@ def instants(endpoint_cls, world, plan):
 
         endpoint._dispatch = absorbed
         endpoint.register("Store", lambda ctx, args: ctx.received_bytes)
-        endpoint.register("Fetch", lambda ctx, args: (args, args))
+        endpoint.register("Fetch", fetch)
         endpoints[node] = endpoint
+
+    def fetch(ctx, args):
+        yield sim.sleep(FETCH_DELAY)
+        return args, args
 
     def act(index, what, node, amount):
         endpoint = endpoints[node]
@@ -146,6 +161,28 @@ class QueueTimeEndpoint(Rpc2Endpoint):
             self._start_send(peer, packet)
 
 
+class SyncPingEndpoint(Rpc2Endpoint):
+    """Planted mutant: a ping queues its Ping at once, with no hop."""
+
+    def ping(self, peer, pad=0, timeout=None):
+        seq = next(self._ping_seq)
+        ping = self._ping_waiters[seq] = _Ping(self, peer, pad, timeout, seq)
+        ping.start(None)
+        return ping.done
+
+
+#: Three stores fill the laptop's outbox, the server crashes, and a
+#: ping and a foreground operation are asked for at the same instant:
+#: the Ping must queue behind the operation's CPU time.
+PING_BEHIND_USE = ((ETHERNET, 0.0, LAPTOP_1995, SERVER_1995, 0),
+                   [(0.0, ("Store", "laptop", 60_000)),
+                    (0.0, ("Store", "laptop", 60_000)),
+                    (0.0, ("Store", "laptop", 60_000)),
+                    (0.0, ("crash", "server", 0.1)),
+                    (0.0, ("ping", "laptop", 0)),
+                    (0.0, ("use", "laptop", 0.125))])
+
+
 def differential(endpoint_cls, **options):
     @settings(max_examples=100, derandomize=True, database=None, **options)
     @given(worlds, plans)
@@ -157,6 +194,7 @@ def differential(endpoint_cls, **options):
              [(0.0, ("Store", "laptop", 60_000)),
               (0.01, ("use", "laptop", 0.005)),
               (0.2, ("crash", "laptop", 5.0))])
+    @example(*PING_BEHIND_USE)
     def check(world, plan):
         assert (instants(endpoint_cls, world, plan)
                 == instants(LoopEndpoint, world, plan))
@@ -170,3 +208,15 @@ def test_a_send_that_books_the_cpu_when_queued_is_caught():
     with pytest.raises(AssertionError):
         differential(QueueTimeEndpoint,
                      phases=[Phase.explicit, Phase.generate])()
+
+
+def test_a_ping_without_its_hop_is_caught():
+    def ping_departures(endpoint_cls):
+        return [when for when, _node, _size, kind
+                in instants(endpoint_cls, *PING_BEHIND_USE)["departed"]
+                if kind == "Ping"]
+
+    behind_use = ping_departures(LoopEndpoint)
+    assert behind_use == [pytest.approx(0.125574)]
+    assert ping_departures(Rpc2Endpoint) == behind_use
+    assert ping_departures(SyncPingEndpoint) == [pytest.approx(0.000574)]

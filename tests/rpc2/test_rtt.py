@@ -86,6 +86,6 @@ def test_expected_transfer_time_uses_default_until_estimated():
 
 def test_expected_transfer_time_includes_latency():
     estimator = NetworkEstimator()
-    estimator.observe_rtt(0.5)
+    estimator.rtt.observe(0.5)
     estimator.observe_transfer(1200, 1.0)
     assert estimator.expected_transfer_time(1200) == pytest.approx(1.5)

@@ -114,7 +114,7 @@ def test_concurrent_transfers_share_the_wire_fairly():
 def test_estimator_reset_clears_state():
     sim, link, client, server = build()
     estimator = client.estimator("s")
-    estimator.observe_rtt(0.5)
+    estimator.rtt.observe(0.5)
     estimator.observe_transfer(10_000, 1.0)
     estimator.reset()
     assert estimator.rtt.srtt is None

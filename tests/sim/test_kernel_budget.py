@@ -10,7 +10,10 @@ primitives on the path this was 6.8; allocating where used behind C
 ``heapq`` it was 5.0, later ~4.55, and ~4.1 since the host CPU became
 a clock instead of a lock (no grant event, no ``Lock`` calls per CPU
 use).  Parking the idle trickle daemon removed cheap dispatches and
-their calls alike: 4.14 at three hours and six.  The budget is 5.2.
+their calls alike: 4.14 at three hours and six.  A ping without a
+process (no bootstrap, ``_resume``, ``AnyOf`` or ``_on_child`` calls)
+and handlers without child processes: 3.23 and 3.20.  The budget is
+5.2.
 
 It must also stay *flat* in the length of the run: per-event kernel
 work that grows with history is a complexity bug no timing gate sees
