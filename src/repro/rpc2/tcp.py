@@ -6,21 +6,86 @@ acknowledgements (no SACK), fast retransmit on three duplicate acks,
 and go-back-N on retransmission timeout.  Against SFTP's selective
 retransmission and sparser acks, these are precisely the behaviours
 that cost TCP throughput on lossy wireless links and slow modems.
+
+A transfer is callback chains, with no process: each end absorbs its
+arrivals one at a time after a receive-cost ``Timeout`` each, and the
+sender fills its window one send-cost ``Timeout`` per segment and
+reads acks between fills.  Every packet leaves at the instant and in
+the order the retired process design (``tests/rpc2/tcp_oracle.py``)
+sent it.
 """
 
+from collections import deque
+
 from repro.rpc2.rtt import RttEstimator
-from repro.sim.events import Timeout
-from repro.sim.resources import Store
+from repro.sim.events import Event, Timeout
 
 TCP_HEADER = 40          # TCP/IP headers
 MSS = 1024               # segment payload, bytes
 INITIAL_SSTHRESH = 64    # segments
 
 
+class _RecvCpu:
+    """A socket's arrivals, each absorbed after its receive cost (one
+    ``Timeout``; none when free), FIFO.  ``absorb(datagram)`` calls
+    :meth:`release` when the next may start; an end that does not has
+    stopped reading."""
+
+    def __init__(self, sim, socket, host, absorb):
+        self.sim = sim
+        self.host = host
+        self.absorb = absorb
+        self._backlog = deque()
+        self._busy = False
+        socket.deliver = self._arrive
+
+    def _arrive(self, datagram):
+        if self._busy:
+            self._backlog.append(datagram)
+        else:
+            self._take(datagram)
+
+    def _take(self, datagram):
+        self._busy = True
+        cost = self.host.recv_cost(datagram.size)
+        if cost > 0:
+            Timeout(self.sim, cost, datagram).callbacks.append(self._costed)
+        else:
+            self.absorb(datagram)
+
+    def _costed(self, timeout):
+        self.absorb(timeout._value)
+
+    def release(self, _event=None):
+        self._busy = False
+        if self._backlog:
+            self._take(self._backlog.popleft())
+
+
+class _Completion(Event):
+    """What :func:`tcp_transfer` returns: settled once both ends are done."""
+
+    __slots__ = ("sockets", "start", "ends")
+
+    def __init__(self, sim, sockets):
+        super().__init__(sim)
+        self.sockets = sockets
+        self.start = sim.now
+        self.ends = 2
+
+    def end_done(self, _event=None):
+        self.ends -= 1
+        if not self.ends:
+            for sock in self.sockets:
+                sock.close()
+            self.succeed(self.sim.now - self.start)
+
+
 class _TcpReceiver:
     """Receives segments, delivers cumulative acks (delayed-ack policy)."""
 
-    def __init__(self, sim, socket, peer, peer_port, host, total_segments):
+    def __init__(self, sim, socket, peer, peer_port, host, total_segments,
+                 completion):
         self.sim = sim
         self.socket = socket
         self.peer = peer
@@ -29,28 +94,26 @@ class _TcpReceiver:
         self.total = total_segments
         self.received = set()
         self.next_expected = 0
-        self.finished = sim.event()
         self._unacked_count = 0
+        self._completion = completion
+        self._cpu = _RecvCpu(sim, socket, host, self._absorb)
 
-    def run(self):
-        while self.next_expected < self.total:
-            datagram = yield self.socket.recv()
-            cost = self.host.recv_cost(datagram.size)
-            if cost > 0:
-                yield Timeout(self.sim, cost)
-            seq = datagram.payload["seq"]
-            out_of_order = seq != self.next_expected
-            self.received.add(seq)
-            while self.next_expected in self.received:
-                self.next_expected += 1
-            self._unacked_count += 1
-            # Delayed ack: every second in-order segment; immediately on
-            # out-of-order data (dupack) and on the final segment.
-            if (out_of_order or self._unacked_count >= 2
-                    or self.next_expected >= self.total):
-                yield self._send_ack()
-        if not self.finished.triggered:
-            self.finished.succeed(self.sim.now)
+    def _absorb(self, datagram):
+        seq = datagram.payload["seq"]
+        out_of_order = seq != self.next_expected
+        self.received.add(seq)
+        while self.next_expected in self.received:
+            self.next_expected += 1
+        self._unacked_count += 1
+        # Delayed ack: every second in-order segment; immediately on
+        # out-of-order data (dupack) and on the final segment.
+        if (out_of_order or self._unacked_count >= 2
+                or self.next_expected >= self.total):
+            self._send_ack().callbacks.append(
+                self._completion.end_done
+                if self.next_expected >= self.total else self._cpu.release)
+        else:
+            self._cpu.release()
 
     def _send_ack(self):
         size = TCP_HEADER
@@ -68,7 +131,7 @@ class _TcpSender:
     MAX_RTO_BACKOFFS = 8
 
     def __init__(self, sim, socket, peer, peer_port, host, total_segments,
-                 last_segment_bytes):
+                 last_segment_bytes, completion):
         self.sim = sim
         self.socket = socket
         self.peer = peer
@@ -82,68 +145,96 @@ class _TcpSender:
         self.acked = 0
         self.next_seq = 0
         self.dupacks = 0
-        self._send_times = {}
-        self._acks = Store(sim)
         self.retransmissions = 0
+        self._send_times = {}
+        self._backoff = 0
+        self._acks = deque()     # absorbed, not yet read
+        self._rto = None         # the timer of the current wait, if any
+        self._completion = completion
+        self._cpu = _RecvCpu(sim, socket, host, self._absorb)
 
     def _segment_size(self, seq):
         payload = self.last_segment_bytes if seq == self.total - 1 else MSS
         return TCP_HEADER + payload
 
-    def _ack_pump(self):
-        while self.acked < self.total:
-            datagram = yield self.socket.recv()
-            cost = self.host.recv_cost(datagram.size)
-            if cost > 0:
-                yield Timeout(self.sim, cost)
-            self._acks.put(datagram.payload["ack"])
+    def _absorb(self, datagram):
+        if self.acked >= self.total:
+            return
+        self._acks.append(datagram.payload["ack"])
+        # The next ack's receive cost is booked before this one is read.
+        self._cpu.release()
+        if self._rto is not None:
+            self._rto = None
+            self.run()
 
-    def run(self):
-        self.sim.process(self._ack_pump(), name="tcp-ack-pump")
-        backoff = 0
-        pending = self._acks.get()
+    def run(self, _event=None):
+        """Fill the window; once it is full, read an ack or wait."""
         while self.acked < self.total:
-            # Fill the congestion window.
-            while (self.next_seq < self.total
-                   and self.next_seq - self.acked < int(self.cwnd)):
-                yield self._transmit(self.next_seq)
-                self.next_seq += 1
-            timeout = Timeout(self.sim, self.rtt.rto * (2 ** backoff))
-            yield self.sim.any_of([pending, timeout])
-            if not pending.triggered:
-                # Retransmission timeout: shrink to one segment and
-                # go back to the first unacked segment.
-                backoff += 1
-                if backoff > self.MAX_RTO_BACKOFFS:
-                    raise RuntimeError("tcp transfer stalled")
+            if (self.next_seq < self.total
+                    and self.next_seq - self.acked < int(self.cwnd)):
+                self._transmit(self.next_seq).callbacks.append(self._sent)
+                return
+            if not self._acks:
+                self._rto = Timeout(self.sim,
+                                    self.rtt.rto * (2 ** self._backoff))
+                self._rto.callbacks.append(self._expired)
+                return
+            if self._read_ack():
+                return
+        self._completion.end_done()
+
+    def _sent(self, _cost):
+        self.next_seq += 1
+        self.run()
+
+    def _read_ack(self):
+        """True if a fast retransmit (which resumes :meth:`run`) left."""
+        ack = self._acks.popleft()
+        self._backoff = 0
+        if ack > self.acked:
+            sent_at = self._send_times.pop(ack - 1, None)
+            if sent_at is not None:
+                self.rtt.observe(self.sim.now - sent_at)
+            newly = ack - self.acked
+            self.acked = ack
+            self.dupacks = 0
+            for _ in range(newly):
+                if self.cwnd < self.ssthresh:
+                    self.cwnd += 1.0
+                else:
+                    self.cwnd += 1.0 / self.cwnd
+        elif ack == self.acked and ack < self.total:
+            self.dupacks += 1
+            if self.dupacks == 3:
+                # Fast retransmit of the missing segment.
                 self.ssthresh = max(2.0, self.cwnd / 2.0)
-                self.cwnd = 1.0
-                self.next_seq = self.acked
-                self._send_times.clear()
-                continue
-            ack = pending.value
-            pending = self._acks.get()
-            backoff = 0
-            if ack > self.acked:
-                sent_at = self._send_times.pop(ack - 1, None)
-                if sent_at is not None:
-                    self.rtt.observe(self.sim.now - sent_at)
-                newly = ack - self.acked
-                self.acked = ack
+                self.cwnd = self.ssthresh
                 self.dupacks = 0
-                for _ in range(newly):
-                    if self.cwnd < self.ssthresh:
-                        self.cwnd += 1.0
-                    else:
-                        self.cwnd += 1.0 / self.cwnd
-            elif ack == self.acked and ack < self.total:
-                self.dupacks += 1
-                if self.dupacks == 3:
-                    # Fast retransmit of the missing segment.
-                    self.ssthresh = max(2.0, self.cwnd / 2.0)
-                    self.cwnd = self.ssthresh
-                    self.dupacks = 0
-                    yield self._transmit(self.acked, retransmit=True)
+                self._transmit(self.acked, True).callbacks.append(self.run)
+                return True
+        return False
+
+    def _expired(self, timer):
+        if timer is self._rto:
+            # A same-instant hop, as the retired AnyOf took: an ack
+            # absorbed at this instant still wins.
+            Event(self.sim).succeed(timer).callbacks.append(self._timed_out)
+
+    def _timed_out(self, hop):
+        if hop._value is not self._rto:
+            return
+        # Retransmission timeout: shrink to one segment and go back to
+        # the first unacked segment.
+        self._rto = None
+        self._backoff += 1
+        if self._backoff > self.MAX_RTO_BACKOFFS:
+            self._completion.fail(RuntimeError("tcp transfer stalled"))
+            return
+        self.ssthresh = max(2.0, self.cwnd / 2.0)
+        self.cwnd = 1.0
+        self.next_seq = self.acked
+        self._send_times.clear()
+        self.run()
 
     def _transmit(self, seq, retransmit=False):
         size = self._segment_size(seq)
@@ -160,25 +251,24 @@ class _TcpSender:
 
 def tcp_transfer(sim, network, src, dst, nbytes, src_host, dst_host,
                  src_port=5001, dst_port=5002):
-    """Run a one-shot TCP bulk transfer; process returns elapsed seconds.
+    """Start a one-shot TCP bulk transfer of ``nbytes`` from ``src`` to
+    ``dst``; the first segment leaves at once.
 
-    Sockets are bound fresh for each transfer, so repeated transfers in
-    one simulation need distinct port pairs.
+    Returns an :class:`~repro.sim.events.Event` that succeeds with the
+    elapsed seconds once the sender has read the last ack and the
+    receiver has paid for sending it, or fails with ``RuntimeError("tcp
+    transfer stalled")`` when the RTO expires ``MAX_RTO_BACKOFFS + 1``
+    times in a row.  The sockets are bound here and closed on
+    completion, so a later transfer may reuse the ports; a stalled one
+    keeps them.
     """
     total = max(1, (nbytes + MSS - 1) // MSS)
     last = nbytes - MSS * (total - 1) or MSS
     src_sock = network.socket(src, src_port)
     dst_sock = network.socket(dst, dst_port)
-    sender = _TcpSender(sim, src_sock, dst, dst_port, src_host, total, last)
-    receiver = _TcpReceiver(sim, dst_sock, src, src_port, dst_host, total)
-
-    def transfer():
-        start = sim.now
-        recv_proc = sim.process(receiver.run(), name="tcp-recv")
-        yield sim.process(sender.run(), name="tcp-send")
-        yield recv_proc
-        src_sock.close()
-        dst_sock.close()
-        return sim.now - start
-
-    return sim.process(transfer(), name="tcp-transfer")
+    completion = _Completion(sim, (src_sock, dst_sock))
+    sender = _TcpSender(sim, src_sock, dst, dst_port, src_host, total, last,
+                        completion)
+    _TcpReceiver(sim, dst_sock, src, src_port, dst_host, total, completion)
+    sender.run()
+    return completion

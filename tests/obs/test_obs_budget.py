@@ -1,19 +1,23 @@
-"""The observation budget: calls into ``repro/obs`` per dispatched event.
+"""The observation budget: calls into ``repro/obs`` per packet sent.
 
 A clock-free gate.  An instrumented fleet shard is profiled and every
 Python call whose code lives under ``repro/obs/`` is counted; the count
 is a pure function of (scenario, seed, length), so the assertion needs
 no tolerance for a noisy box.  Before the per-dispatch and per-packet
-sites stopped going through the registry this ratio was ~11.4.  It
-read ~1.05–1.15 while an RPC2 packet cost seven dispatches and
-~1.5–1.6 once it cost three: the same calls into ``repro/obs``,
-spread over fewer dispatches.  The parked trickle daemon took another
-~27 % of the dispatches away (2.2 per dispatch), and metric stamps
-that read ``sim.now`` without a Python frame took a third of the
-calls: 1.22 at three hours and 1.15 at six.  A ping that costs eight
-dispatches, not eleven, and Vice handlers run inside their calls took
-~12 % of the dispatches: it reads 1.39 and 1.32.  The budget is 1.5;
-one restored per-dispatch ``inc()`` breaks it.
+sites stopped going through the registry this cost ~11.4 calls per
+dispatched event.
+
+The unit is the shard's packets sent, which dispatch work does not
+move.  Until this gate was re-based it divided by dispatched events,
+so every unrelated dispatch cut inflated it without one more obs call:
+1.05–1.15 per dispatch while an RPC2 packet cost seven dispatches,
+~1.5–1.6 once it cost three, 1.22/1.15 after the trickle daemon parked
+and metric stamps stopped costing a frame, and 1.39/1.32 once pings
+and Vice handlers stopped spawning processes.  The same shard reads
+8.06 and 7.70 calls per packet sent at three and six hours (2,114 and
+4,061 packets); the budget is the first reading plus 8 %, the headroom
+the per-dispatch budget had.  One restored per-dispatch ``inc()``
+breaks it.
 
 It must also stay *flat*: a ratio that grows with the length of the
 run is per-event work that scales with history (the log×cache
@@ -28,7 +32,7 @@ from repro.fleetd.executor import run_shard
 from repro.fleetd.plan import plan_shards
 from repro.sim.events import Event, Timeout
 
-BUDGET = 1.5
+BUDGET = 8.06 * 1.08
 #: Three and six simulated hours of the shard.
 SHORT_DAYS, LONG_DAYS = 3 / 24, 6 / 24
 
@@ -70,9 +74,25 @@ def calls_per_dispatch(package, days, instrument=True):
     return calls_into(package, profile) / dispatched
 
 
-def test_observation_costs_at_most_two_calls_per_dispatch_and_stays_flat():
-    short = calls_per_dispatch("obs", SHORT_DAYS)
-    long = calls_per_dispatch("obs", LONG_DAYS)
+def packets_sent(result):
+    """Packets the shard's links sent, from its observatory's counters."""
+    return sum(row["value"] for row in result.metrics_rows
+               if row["metric"] == "link.packets_sent")
+
+
+def obs_calls_per_packet(days):
+    """(calls into repro/obs) / (packets sent), one instrumented fleet-8
+    shard."""
+    shard = plan_shards("fleet-8", seed=0, days=days)[0]
+    profile, result = profiled(lambda: run_shard(shard))
+    packets = packets_sent(result)
+    assert packets > 1_000
+    return calls_into("obs", profile) / packets
+
+
+def test_observation_costs_a_bounded_number_of_calls_per_packet_and_stays_flat():
+    short = obs_calls_per_packet(SHORT_DAYS)
+    long = obs_calls_per_packet(LONG_DAYS)
     assert short <= BUDGET and long <= BUDGET, (short, long)
     # Fixed per-run costs (export, first-use registry lookups) thin out
     # over a longer day; per-event cost must not grow to replace them.
@@ -98,4 +118,4 @@ def test_one_restored_per_dispatch_inc_breaks_the_budget(monkeypatch):
 
     monkeypatch.setattr(Event, "_process", counted(Event._process))
     monkeypatch.setattr(Timeout, "_process", counted(Timeout._process))
-    assert calls_per_dispatch("obs", SHORT_DAYS) > BUDGET
+    assert obs_calls_per_packet(SHORT_DAYS) > BUDGET

@@ -1,9 +1,11 @@
 """The TCP baseline."""
 
-from repro.net import ETHERNET, MODEM, Network
+import pytest
+
+from repro.net import ETHERNET, MODEM, WAVELAN, Network
 from repro.net.host import IDEAL, LAPTOP_1995, SERVER_1995
 from repro.rpc2 import tcp_transfer
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Event, RandomStreams, Simulator
 
 
 def run_tcp(nbytes, profile=ETHERNET, loss=0.0, seed=0,
@@ -75,3 +77,38 @@ def test_a_datagram_kept_across_later_receives_is_untouched(monkeypatch):
     assert len({id(datagram) for datagram, _, _ in kept}) == len(kept)
     for datagram, size, payload in kept:
         assert datagram.size == size and datagram.payload is payload
+
+
+def test_a_transfer_is_an_event_settled_with_the_elapsed_seconds():
+    sim = Simulator()
+    net = Network(sim)
+    net.add_link("a", "b", profile=ETHERNET)
+    done = tcp_transfer(sim, net, "a", "b", 10_000, IDEAL, IDEAL)
+    assert isinstance(done, Event) and not done.triggered
+    elapsed = sim.run(done)
+    assert done.ok and done.value == elapsed == sim.now > 0
+
+
+def test_a_stalled_transfer_raises_out_of_run():
+    """WaveLAN at 2.5 % loss, loss seed 16: the final ack is lost, the
+    receiver has finished, and the sender's RTO backs off past its
+    limit (ROADMAP item 1(a))."""
+    sim = Simulator()
+    net = Network(sim, rng=RandomStreams(16).stream("net"))
+    net.add_link("laptop", "server", profile=WAVELAN, loss_rate=0.025)
+    done = tcp_transfer(sim, net, "laptop", "server", 1_000_000,
+                        LAPTOP_1995, SERVER_1995)
+    with pytest.raises(RuntimeError, match="tcp transfer stalled"):
+        sim.run(done)
+    assert sim.now == 168.7739905199998
+
+
+def test_a_completed_transfer_frees_its_ports():
+    sim = Simulator()
+    net = Network(sim, rng=RandomStreams(1).stream("net"))
+    net.add_link("a", "b", profile=ETHERNET, loss_rate=0.01)
+    first = sim.run(tcp_transfer(sim, net, "a", "b", 50_000, IDEAL, IDEAL))
+    start = sim.now
+    second = sim.run(tcp_transfer(sim, net, "a", "b", 50_000, IDEAL, IDEAL))
+    assert first > 0 and second > 0
+    assert sim.now == pytest.approx(start + second)
