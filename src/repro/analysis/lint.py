@@ -390,27 +390,21 @@ def _relative_path(path, root):
     return rel.replace(os.sep, "/")
 
 
-def _allowlisted(rule, rel_path, allowlists):
-    for suffix in allowlists.get(rule, ()):
+def _allowlisted(rule, rel_path):
+    for suffix in FILE_ALLOWLISTS.get(rule, ()):
         if rel_path.endswith(suffix):
             return True
     return False
 
 
-def lint_source(source, path, root=None, allowlists=None,
-                event_kinds=None):
+def lint_source(source, path, root=None):
     """Lint one unit of source text; returns surviving findings.
 
-    ``root`` anchors the package-relative path used for allowlist
-    matching; ``allowlists`` and ``event_kinds`` default to the
-    repository's contract (:data:`FILE_ALLOWLISTS` and the closed
-    taxonomy).
+    ``root`` anchors the package-relative path matched against
+    :data:`FILE_ALLOWLISTS`; event kinds are checked against the
+    closed taxonomy.
     """
-    if allowlists is None:
-        allowlists = FILE_ALLOWLISTS
-    if event_kinds is None:
-        from repro.obs.events import EVENT_KINDS
-        event_kinds = EVENT_KINDS
+    from repro.obs.events import EVENT_KINDS
     rel = _relative_path(path, root)
     covered, findings = _parse_pragmas(source, path)
     try:
@@ -420,10 +414,10 @@ def lint_source(source, path, root=None, allowlists=None,
             "PRG001", path, exc.lineno or 1, exc.offset or 0,
             "file does not parse: %s" % exc.msg))
         return findings
-    visitor = _Visitor(path, event_kinds)
+    visitor = _Visitor(path, EVENT_KINDS)
     visitor.visit(tree)
     for finding in visitor.findings:
-        if _allowlisted(finding.rule, rel, allowlists):
+        if _allowlisted(finding.rule, rel):
             continue
         if finding.rule in covered.get(finding.line, ()):
             continue
@@ -432,7 +426,7 @@ def lint_source(source, path, root=None, allowlists=None,
     return findings
 
 
-def lint_paths(paths, root=None, allowlists=None):
+def lint_paths(paths, root=None):
     """Lint files and directory trees; returns combined findings."""
     files = []
     for path in paths:
@@ -447,8 +441,7 @@ def lint_paths(paths, root=None, allowlists=None):
     for path in sorted(files):
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
-        findings.extend(lint_source(source, path, root=root,
-                                    allowlists=allowlists))
+        findings.extend(lint_source(source, path, root=root))
     return findings
 
 

@@ -106,11 +106,12 @@ def _dir_volume(mount):
 # ----------------------------------------------------------------------
 # Chunk-size ablation
 
-def _chunk_cell(budget, backlog_files=6, file_kb=120, miss_kb=40):
+def _chunk_cell(budget, backlog_files=6):
     """Foreground miss latency on a modem during reintegration.
 
     ``None`` means whole-log chunks (no adaptive sizing).  A backlog of
-    aged updates exists when a foreground cache miss arrives; with
+    ``backlog_files`` aged 120 KB updates exists when a foreground
+    cache miss on a 40 KB file arrives; with
     small chunks the trickle daemon yields the link quickly, with huge
     chunks the miss waits behind megabytes of reintegration data.
     """
@@ -127,11 +128,11 @@ def _chunk_cell(budget, backlog_files=6, file_kb=120, miss_kb=40):
     ends = run_spec(_spec(
         "chunk-budget", venus,
         [VolumeSpec("/coda/usr/w", [("/coda/usr/w/d", "dir", 0),
-                                    (miss, "file", miss_kb * 1024)])],
+                                    (miss, "file", 40 * 1024)])],
         [OpStep("evict", path=miss), OpStep("connect"),
          OpStep("hoard", path=miss, priority=900),
          *(OpStep("write", path="/coda/usr/w/d/out%02d" % index,
-                  size=file_kb * 1024) for index in range(backlog_files)),
+                  size=120 * 1024) for index in range(backlog_files)),
          OpStep("sleep", seconds=30.0), OpStep("read", path=miss),
          OpStep("drain", seconds=5.0)])).step_ends
     return {"miss_latency": ends[-2] - ends[-3], "drain_seconds": ends[-1]}
@@ -186,13 +187,13 @@ LOGOPT = Ablation(
 # ----------------------------------------------------------------------
 # Volume granularity / false sharing
 
-def _false_sharing_cell(n_volumes, total_files=160, updates=8, seed=3):
+def _false_sharing_cell(n_volumes, total_files=160):
     """The same cross-client update load over ``n_volumes`` volumes.
 
     With one giant volume every stamp is invalidated by any update
     (false sharing); with many volumes most stamps survive.
     """
-    rng = derive_rng("false-sharing", n_volumes, seed)
+    rng = derive_rng("false-sharing", n_volumes, 3)
     mounts = ["/coda/fs/v%02d" % v for v in range(n_volumes)]
     testbed = build_testbed(_spec("false-sharing", {"start_daemons": False}, [
         VolumeSpec(mount, [(mount + "/d", "dir", 0)] + [
@@ -205,8 +206,8 @@ def _false_sharing_cell(n_volumes, total_files=160, updates=8, seed=3):
     def scenario():
         yield from venus.connect()
         venus.handle_disconnection()
-        # Another client updates a few files while we are away.
-        for _ in range(updates):
+        # Another client updates eight files while we are away.
+        for _ in range(8):
             volume = rng.choice(volumes)
             fids = [fid for fid, vn in volume.vnodes.items()
                     if vn.is_file()]

@@ -66,11 +66,11 @@ def _bin(low, high):
     return "%.0f-%.0f" % (low * 100, min(high, 1.0) * 100)
 
 
-def run_compressibility_study(population=60, seed=7):
+def run_compressibility_study(population=60):
     """Draw ``population`` segments; the count examined, the count kept
     (final CML >= 1 MB) and the kept ones' compressibilities binned by
     :data:`BINS`."""
-    rng = derive_rng("compressibility", seed)
+    rng = derive_rng("compressibility", 7)
     kept = []
     for index in range(1, population + 1):
         segment = generate_segment(_random_spec(index, rng))

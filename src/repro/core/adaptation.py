@@ -9,6 +9,14 @@ when the estimate hovers near the threshold.
 
 import enum
 
+#: The bandwidth above which a connection counts as strong: 500 Kb/s
+#: classifies the paper's Ethernet and WaveLan (measured goodput
+#: >= 1 Mb/s on 1995 hosts) as strong and ISDN/Modem as weak.
+STRONG_THRESHOLD_BPS = 500_000.0
+#: An established class changes only when the estimate moves this
+#: fraction past the threshold.
+HYSTERESIS = 0.2
+
 
 class ConnectionStrength(enum.Enum):
     STRONG = "strong"
@@ -17,19 +25,10 @@ class ConnectionStrength(enum.Enum):
 
 
 class ConnectivityMonitor:
-    """Maps (reachability, bandwidth estimate) to a strength class.
+    """Maps (reachability, bandwidth estimate) to a strength class,
+    with :data:`HYSTERESIS` around :data:`STRONG_THRESHOLD_BPS`."""
 
-    ``strong_threshold_bps`` is the bandwidth above which a connection
-    counts as strong; the default of 500 Kb/s classifies the paper's
-    Ethernet and WaveLan (measured goodput >= 1 Mb/s on 1995 hosts) as
-    strong and ISDN/Modem as weak.  Hysteresis:
-    an established classification only changes when the estimate moves
-    at least ``hysteresis`` (fraction) past the threshold.
-    """
-
-    def __init__(self, strong_threshold_bps=500_000.0, hysteresis=0.2):
-        self.strong_threshold_bps = strong_threshold_bps
-        self.hysteresis = hysteresis
+    def __init__(self):
         self._current = ConnectionStrength.NONE
 
     @property
@@ -51,15 +50,15 @@ class ConnectivityMonitor:
             if self._current is ConnectionStrength.NONE:
                 self._current = ConnectionStrength.WEAK
             return self._current
-        up = self.strong_threshold_bps
-        down = self.strong_threshold_bps
+        up = STRONG_THRESHOLD_BPS
+        down = STRONG_THRESHOLD_BPS
         if self._current is ConnectionStrength.STRONG:
-            down *= (1.0 - self.hysteresis)
+            down *= (1.0 - HYSTERESIS)
             self._current = (ConnectionStrength.STRONG
                              if bandwidth_bps >= down
                              else ConnectionStrength.WEAK)
         else:
-            up *= (1.0 + self.hysteresis) \
+            up *= (1.0 + HYSTERESIS) \
                 if self._current is ConnectionStrength.WEAK else 1.0
             self._current = (ConnectionStrength.STRONG
                              if bandwidth_bps >= up

@@ -59,31 +59,30 @@ CELLULAR = NetworkTariff("cellular-data", per_mb=2.50)
 TARIFFS = {tariff.name: tariff for tariff in (FREE, CELLULAR, LONG_DISTANCE)}
 
 
+#: ``spend(P) = SPEND_ALPHA + SPEND_BETA * e**(SPEND_GAMMA * P)``, the
+#: analogue of the patience model: the most a user will pay to fetch
+#: one object of hoard priority P — about a cent for an unhoarded
+#: object and a few dollars at priority 900.
+SPEND_ALPHA = 0.01
+SPEND_BETA = 0.002
+SPEND_GAMMA = 0.01
+#: The aging window stretches by this per unit of per-MB tariff...
+AGING_STRETCH_PER_UNIT = 2.0
+#: ...up to this factor.
+MAX_AGING_STRETCH = 8.0
+
+
 class CostAwarePolicy:
-    """Scales Venus's adaptive knobs by what the network costs.
+    """Scales Venus's adaptive knobs by what the network costs."""
 
-    ``spend(priority) = spend_alpha + spend_beta * e**(gamma*P)`` is
-    the analogue of the patience model: the most a user will pay to
-    fetch one object of hoard priority P.  The defaults tolerate about
-    a cent for an unhoarded object and a few dollars at priority 900.
-    """
-
-    def __init__(self, tariff=FREE, spend_alpha=0.01, spend_beta=0.002,
-                 gamma=0.01, aging_stretch_per_unit=2.0,
-                 max_aging_stretch=8.0):
+    def __init__(self, tariff=FREE):
         self.tariff = tariff
-        self.spend_alpha = spend_alpha
-        self.spend_beta = spend_beta
-        self.gamma = gamma
-        self.aging_stretch_per_unit = aging_stretch_per_unit
-        self.max_aging_stretch = max_aging_stretch
 
     # -- miss handling ---------------------------------------------------
 
     def spend_threshold(self, priority):
         """Most the user will pay to fetch one object of priority P."""
-        return self.spend_alpha + self.spend_beta * math.exp(
-            self.gamma * priority)
+        return SPEND_ALPHA + SPEND_BETA * math.exp(SPEND_GAMMA * priority)
 
     def fetch_cost(self, size_bytes):
         """Money a fetch of ``size_bytes`` costs on this tariff."""
@@ -98,8 +97,8 @@ class CostAwarePolicy:
     def effective_aging_window(self, base_window):
         """Stretch A on per-byte tariffs: every cancelled record is
         money unspent."""
-        stretch = 1.0 + self.aging_stretch_per_unit * self.tariff.per_mb
-        return base_window * min(stretch, self.max_aging_stretch)
+        stretch = 1.0 + AGING_STRETCH_PER_UNIT * self.tariff.per_mb
+        return base_window * min(stretch, MAX_AGING_STRETCH)
 
     @property
     def prefers_fast_drain(self):

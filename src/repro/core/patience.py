@@ -17,18 +17,20 @@ The same comparison pre-approves fetches during hoard walks
 
 import math
 
+#: The paper's beta and gamma; only alpha varies between workloads.
+BETA = 1.0
+GAMMA = 0.01
+
 
 class PatienceModel:
-    """tau(P) = alpha + beta * exp(gamma * P), in seconds."""
+    """tau(P) = alpha + BETA * exp(GAMMA * P), in seconds."""
 
-    def __init__(self, alpha=2.0, beta=1.0, gamma=0.01):
+    def __init__(self, alpha=2.0):
         self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
 
     def threshold(self, priority):
         """Patience in seconds for an object of hoard priority P."""
-        return self.alpha + self.beta * math.exp(self.gamma * priority)
+        return self.alpha + BETA * math.exp(GAMMA * priority)
 
     def approves(self, priority, estimated_seconds):
         """True if a wait of ``estimated_seconds`` is acceptable."""
@@ -53,5 +55,4 @@ class PatienceModel:
         if estimated_seconds <= self.threshold(0):
             return 0
         return math.ceil(
-            math.log((estimated_seconds - self.alpha) / self.beta)
-            / self.gamma)
+            math.log((estimated_seconds - self.alpha) / BETA) / GAMMA)

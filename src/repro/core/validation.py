@@ -18,6 +18,12 @@ from repro.rpc2.packets import FID_VERSION_BYTES
 
 #: Per-object validation batch size (ViceValidateAttrs batching).
 VALIDATE_BATCH = 50
+#: Client CPU seconds spent walking each cached object's metadata
+#: during a validation pass (RVM lookups and status checks on 1995
+#: hardware).  This local work dominates validation time on fast
+#: networks, which is why volume callbacks make a 9.6 Kb/s validation
+#: "only about 25% longer than at 10 Mb/s".
+PER_OBJECT_CPU = 0.004
 
 
 @dataclass
@@ -54,20 +60,12 @@ class RapidValidator:
     """Client-side validation engine used on reconnection and walks."""
 
     def __init__(self, sim, cache, conn, use_volume_callbacks=True,
-                 batch_size=VALIDATE_BATCH, cpu=None,
-                 per_object_cpu=0.004):
+                 cpu=None):
         self.sim = sim
         self.cache = cache
         self.conn = conn
         self.use_volume_callbacks = use_volume_callbacks
-        self.batch_size = batch_size
         self.cpu = cpu
-        # Client CPU spent walking each cached object's metadata during
-        # a validation pass (RVM lookups and status checks on 1995
-        # hardware).  This local work dominates validation time on fast
-        # networks, which is why volume callbacks make a 9.6 Kb/s
-        # validation "only about 25% longer than at 10 Mb/s".
-        self.per_object_cpu = per_object_cpu
         self.stats = ValidationStats()
 
     def _observe_rpc(self, kind, objects, **extra):
@@ -85,7 +83,7 @@ class RapidValidator:
                   objects=objects, **extra)
 
     def _charge_cpu(self, n_objects):
-        cost = self.per_object_cpu * n_objects
+        cost = PER_OBJECT_CPU * n_objects
         if cost <= 0:
             return
         if self.cpu is not None:
@@ -147,8 +145,8 @@ class RapidValidator:
     def validate_objects(self, entries):
         """Process body: batched per-object validation of ``entries``."""
         entries = [e for e in entries if not e.local and e.version is not None]
-        for start in range(0, len(entries), self.batch_size):
-            batch = entries[start:start + self.batch_size]
+        for start in range(0, len(entries), VALIDATE_BATCH):
+            batch = entries[start:start + VALIDATE_BATCH]
             pairs = [(e.fid, e.version) for e in batch]
             result = yield self.conn.call(
                 "ValidateAttrs", {"pairs": pairs},

@@ -2,11 +2,10 @@
 
 The :class:`FaultInjector` expands a :class:`~repro.faults.plan.FaultPlan`
 into a timeline of steps (windowed actions contribute an apply step
-and a revert step) and walks it in a single simulation process.  All
-randomness — currently only the optional schedule jitter — is drawn
-up-front from the simulator's named ``faults.jitter`` stream, so the
-same seed and plan always produce the same injected schedule, and a
-different seed perturbs faults without touching workload randomness.
+and a revert step) and walks it in a single simulation process.  Each
+step runs at exactly its planned instant and the injector draws no
+randomness, so the same plan always produces the same injected
+schedule.
 
 The zero-perturbation guarantee: an injector for an *empty* plan
 spawns nothing and touches nothing, so a run with it is
@@ -29,11 +28,10 @@ from repro.faults.plan import (
 class FaultInjector:
     """Executes one fault plan against one testbed."""
 
-    def __init__(self, testbed, plan, jitter=0.0):
+    def __init__(self, testbed, plan):
         self.testbed = testbed
         self.sim = testbed.sim
         self.plan = plan
-        self.jitter = float(jitter)
         #: [(time, description)] of every step actually executed.
         self.log = []
         #: The last pre-crash client snapshot (for restart).
@@ -53,24 +51,11 @@ class FaultInjector:
         return self._proc
 
     def _expand(self):
-        """Plan -> sorted [(time, seq, label, fn)] step list.
-
-        Jitter shifts each *action* (its revert shifts with it, so
-        windows keep their duration).  Draws happen here, before any
-        step runs, in plan order — one draw per action regardless of
-        what the steps later do.
-        """
-        rand = None
-        if self.jitter > 0.0:
-            if self.sim.rand is None:
-                raise RuntimeError(
-                    "jitter needs sim.rand (a RandomStreams); seed the "
-                    "testbed through make_testbed")
-            rand = self.sim.rand.stream("faults.jitter")
+        """Plan -> sorted [(time, seq, label, fn)] step list; a windowed
+        action's revert lands its duration after it."""
         steps = []
         for seq, action in enumerate(self.plan):
-            shift = rand.uniform(0.0, self.jitter) if rand else 0.0
-            when = action.at + shift
+            when = action.at
             apply_fn, revert_fn = self._steps_for(action, seq)
             steps.append((when, seq, "%s" % action.kind, apply_fn))
             if revert_fn is not None:

@@ -34,8 +34,10 @@ from repro.venus.cache import CacheEntry
 #: written by one schema can never be silently misread by another
 #: (the repro.ckpt manifests embed this next to their own version).
 #: Version 2: cache entries and CML records lost their symlink,
-#: rename, setattr and open-session fields.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: rename, setattr and open-session fields.  Version 3: the pickled
+#: ``VenusConfig`` lost seven fields the workloads never set, and
+#: ``TimeoutUser`` its per-instance delay.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -15,9 +15,9 @@ server volumes they share.  ``repro.fleetd`` exploits exactly that —
 * :mod:`repro.fleetd.executor` runs each shard as a complete
   deterministic simulation, either in-process or across a worker pool
   (``map_shards``, the one fan-out the checkpoint runner shares).
-* :mod:`repro.fleetd.merge` aggregates per-shard obs metrics,
-  timelines, and Figure-9 client reports into one fleet report with a
-  combined sha256 digest.
+* :mod:`repro.fleetd.merge` aggregates per-shard obs metrics and
+  Figure-9 client reports into one fleet report, chaining the shards'
+  sha256 timeline digests into one.
 * :mod:`repro.fleetd.verify` proves a pooled run equivalent to the
   single-process schedule: per-shard timelines are byte-identical to
   the same clients simulated alone, and the merged stream passes an

@@ -4,8 +4,8 @@
 completion — in whatever process it happens to be called — and returns
 a picklable :class:`ShardResult` carrying everything the merge and
 verify layers need: the Figure-9 client reports, kernel totals, the
-obs metrics rows, the canonical timeline (optionally), and a sha256
-digest over the canonical timeline lines — the same hashing the golden
+obs metrics rows, and a sha256 digest over the canonical timeline
+lines — the same hashing the golden
 fixtures use, so a shard digest is directly comparable across
 processes, worker counts, and checkouts.
 
@@ -48,7 +48,6 @@ class ShardResult:
     reports: list = field(default_factory=list)    # ClientReport dicts
     metrics_rows: list = field(default_factory=list)
     stream_stats: dict = None
-    timeline: list = None    # event rows, only when requested
 
     @property
     def clients(self):
@@ -103,7 +102,7 @@ def stream_stats(rows, shard):
     }
 
 
-def run_shard(shard, with_timeline=False, instrument=True):
+def run_shard(shard, instrument=True):
     """Run one shard to completion; returns a :class:`ShardResult`.
 
     ``instrument=True`` (the default) attaches a fresh Observatory so
@@ -112,8 +111,6 @@ def run_shard(shard, with_timeline=False, instrument=True):
     runs bare — no observatory, no digest — as the count ledger's
     in-process rows do, whose dispatch counts its sharded rows sit
     beside.
-    ``with_timeline`` additionally ships the event rows back, which
-    only the small scenarios and tests want.
     """
     observatory = Observatory() if instrument else None
     with KernelTally() as tally:
@@ -130,8 +127,6 @@ def run_shard(shard, with_timeline=False, instrument=True):
         result.events = len(rows)
         result.metrics_rows = observatory.metrics.rows()
         result.stream_stats = stream_stats(rows, shard)
-        if with_timeline:
-            result.timeline = rows
     return result
 
 
@@ -155,12 +150,10 @@ def map_shards(task, shards, workers, *args):
         return [future.result() for future in futures]
 
 
-def run_sharded(scenario, workers=1, seed=0, days=None,
-                with_timeline=False, instrument=True):
+def run_sharded(scenario, workers=1, seed=0, days=None, instrument=True):
     """Plan, execute, and merge ``scenario``; returns a FleetReport."""
     # Function-level: repro.fleetd.merge imports this module's canonical.
     from repro.fleetd.merge import merge_results
     shards = plan_shards(scenario, seed=seed, days=days)
-    results = map_shards(run_shard, shards, workers, with_timeline,
-                         instrument)
+    results = map_shards(run_shard, shards, workers, instrument)
     return merge_results(scenario, seed, workers, shards, results)

@@ -2,19 +2,17 @@
 
 A merged fleet report is a pure function of the shard results in shard
 order: metrics rows are merged losslessly with a ``shard`` label
-(:func:`repro.obs.metrics.merge_rows`), timelines are concatenated in
-shard order with a ``shard`` field stamped into each canonical row,
-client reports are pooled, and the fleet digest chains the per-shard
-sha256 digests.  Nothing here depends on how — or in how many
-processes — the shards actually ran, which is what makes the
-cross-worker-count equivalence tests meaningful.
+(:func:`repro.obs.metrics.merge_rows`), client reports are pooled, and
+the fleet digest chains the per-shard sha256 timeline digests.
+Nothing here depends on how — or in how many processes — the shards
+actually ran, which is what makes the cross-worker-count equivalence
+tests meaningful.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.fleetd.executor import canonical
 from repro.obs.metrics import merge_rows, sum_counters
 
 
@@ -36,7 +34,6 @@ class FleetReport:
     mean_missing_pct: float = 0.0
     reports: list = field(default_factory=list)  # pooled ClientReports
     metrics_rows: list = field(default_factory=list)
-    timeline: list = None    # merged canonical lines, when carried
 
     def to_dict(self):
         """JSON-ready form (``repro run <spec> --shards --json PATH``)."""
@@ -70,24 +67,6 @@ def fleet_digest(results):
     blob = "\n".join("%d %s" % (result.index, result.digest)
                      for result in results).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def merge_timelines(results, label="shard"):
-    """Canonical merged timeline lines, shard by shard.
-
-    Each event row is re-canonicalized with the owning shard stamped
-    in, so the merged stream stays self-describing.  Returns None
-    unless every shard carried its timeline.
-    """
-    if any(result.timeline is None for result in results):
-        return None
-    lines = []
-    for result in results:
-        for row in result.timeline:
-            stamped = dict(row)
-            stamped[label] = result.index
-            lines.append(canonical(stamped))
-    return lines
 
 
 def merge_results(scenario, seed, workers, shards, results):
@@ -128,8 +107,7 @@ def merge_results(scenario, seed, workers, shards, results):
         mean_missing_pct=(sum(client["missing_pct"]
                               for client in reports) / population),
         reports=reports,
-        metrics_rows=metrics,
-        timeline=merge_timelines(results))
+        metrics_rows=metrics)
 
 
 def format_report(report):

@@ -48,9 +48,10 @@ class Mismatch:
             where, self.name, _clip(self.sharded), _clip(self.reference))
 
 
-def _clip(value, limit=64):
+def _clip(value):
+    """``repr(value)``, cut to 64 characters."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 64 else text[:64] + "..."
 
 
 @dataclass

@@ -158,15 +158,15 @@ class LinkDirection:
 class Link:
     """A duplex link between two named nodes.
 
-    Bandwidths may be asymmetric (``bandwidth_up`` is a→b).  ``up`` and
+    Both directions start at ``bandwidth_bps``; :meth:`set_bandwidth`
+    may set the a→b one apart.  ``up`` and
     ``down`` model intermittence; packets in flight when the link drops
     are lost.
     """
 
     def __init__(self, sim, node_a, node_b, bandwidth_bps,
                  latency=0.001, loss_rate=0.0, bits_per_byte=8,
-                 bandwidth_up_bps=None, rng=None, deliver=None,
-                 header_savings=0):
+                 rng=None, deliver=None, header_savings=0):
         self.sim = sim
         self.node_a = node_a
         self.node_b = node_b
@@ -186,7 +186,7 @@ class Link:
             forward_rng = self._direction_rng(forward_label)
             backward_rng = self._direction_rng(backward_label)
         self.forward = LinkDirection(
-            sim, bandwidth_up_bps or bandwidth_bps, latency, loss_rate,
+            sim, bandwidth_bps, latency, loss_rate,
             bits_per_byte, forward_rng, deliver,
             header_savings=header_savings, label=forward_label)
         self.backward = LinkDirection(

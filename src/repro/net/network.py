@@ -2,25 +2,18 @@
 
 from repro.net.link import Link
 from repro.net.packet import Datagram
-from repro.sim.resources import Store
 
 
 class Socket:
     """An unreliable datagram socket bound to ``(node, port)``."""
 
-    def __init__(self, network, node, port):
+    def __init__(self, network, node, port, deliver):
         self.network = network
         self.node = node
         self.port = port
-        self._inbox = Store(network.sim)
         #: ``deliver(datagram)`` is called with every datagram that
-        #: arrives here.  By default it queues the datagram for
-        #: ``recv()``, an event that fires with the next one queued:
-        #: the inbox's own ``put`` and ``get``, with no wrapper.  An
-        #: owner that consumes arrivals itself (the RPC2 endpoint)
-        #: replaces ``deliver`` with its own callback.
-        self.deliver = self._inbox.put
-        self.recv = self._inbox.get
+        #: arrives here: the owner's own callback, given at bind time.
+        self.deliver = deliver
         self.closed = False
 
     def send(self, dst, dst_port, payload, size):
@@ -29,10 +22,6 @@ class Socket:
             raise RuntimeError("socket is closed")
         self.network.transmit(Datagram(
             self.node, self.port, dst, dst_port, payload, size))
-
-    def pending(self):
-        """Number of datagrams queued for recv."""
-        return len(self._inbox)
 
     def close(self):
         self.closed = True
@@ -82,12 +71,13 @@ class Network:
         direction = self._routes.get((node_a, node_b))
         return direction.link if direction is not None else None
 
-    def socket(self, node, port):
-        """Bind a datagram socket at ``(node, port)``."""
+    def socket(self, node, port, deliver):
+        """Bind a datagram socket at ``(node, port)`` that hands every
+        arriving datagram to ``deliver``."""
         key = (node, port)
         if key in self._sockets:
             raise ValueError("port %d already bound on %s" % (port, node))
-        sock = Socket(self, node, port)
+        sock = Socket(self, node, port, deliver)
         self._sockets[key] = sock
         return sock
 

@@ -106,7 +106,6 @@ class NullRecorder:
 
     enabled = False
     events = ()
-    dropped = 0
 
     def record(self, kind, time, /, **fields):
         """Discard the event."""
@@ -122,36 +121,17 @@ class NullRecorder:
 
 
 class TraceRecorder:
-    """Accumulates typed events in arrival (= simulation) order.
-
-    ``kinds`` restricts recording to a subset of the taxonomy;
-    ``limit`` bounds memory on very long runs (overflow is counted in
-    ``dropped`` rather than silently ignored).
-    """
+    """Accumulates typed events in arrival (= simulation) order."""
 
     enabled = True
 
-    def __init__(self, kinds=None, limit=None):
-        if kinds is not None:
-            kinds = frozenset(kinds)
-            unknown = kinds - EVENT_KINDS
-            if unknown:
-                raise ValueError("unknown event kinds: %s"
-                                 % ", ".join(sorted(unknown)))
-        self.kinds = kinds
-        self.limit = limit
+    def __init__(self):
         self.events = []
-        self.dropped = 0
 
     def record(self, kind, time, /, **fields):
         if kind not in EVENT_KINDS:
             raise ValueError("unknown event kind %r (taxonomy: %s)"
                              % (kind, ", ".join(sorted(EVENT_KINDS))))
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        if self.limit is not None and len(self.events) >= self.limit:
-            self.dropped += 1
-            return
         self.events.append(TraceEvent(time=time, kind=kind, fields=fields))
 
     def __len__(self):
@@ -172,4 +152,3 @@ class TraceRecorder:
 
     def clear(self):
         self.events = []
-        self.dropped = 0

@@ -130,7 +130,7 @@ class Gauge(Instrument):
     def inc(self, amount=1):
         return self.set((self.value or 0) + amount)
 
-    def dec(self, amount=1):
+    def dec(self, amount):
         return self.set((self.value or 0) - amount)
 
     def data(self):
@@ -141,22 +141,19 @@ class Gauge(Instrument):
 class Histogram(Instrument):
     """Fixed-bucket histogram with count/sum/min/max.
 
-    ``buckets`` is a sorted sequence of inclusive upper bounds; an
-    implicit +inf bucket catches the overflow.  Percentiles are
-    estimated from the cumulative bucket counts (upper-bound biased,
-    like Prometheus ``histogram_quantile``).
+    The buckets are :data:`DEFAULT_LATENCY_BUCKETS`, sorted inclusive
+    upper bounds; an implicit +inf bucket catches the overflow.
+    Percentiles are estimated from the cumulative bucket counts
+    (upper-bound biased, like Prometheus ``histogram_quantile``).
     """
 
     kind = "histogram"
 
-    def __init__(self, name, labels, time_fn,
-                 buckets=DEFAULT_LATENCY_BUCKETS):
+    bounds = DEFAULT_LATENCY_BUCKETS
+
+    def __init__(self, name, labels, time_fn):
         super().__init__(name, labels, time_fn)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)   # +1 for the +inf bucket
+        self.counts = [0] * (len(self.bounds) + 1)   # +1: the +inf bucket
         self.count = 0
         self.sum = 0.0
         self.min = None
@@ -213,9 +210,8 @@ class MetricsRegistry:
         self._time_fn = time_fn or (lambda: 0.0)
         self._instruments = {}
         self._kinds = {}            # name -> instrument class
-        self._bucket_defaults = {}  # name -> bounds tuple
 
-    def _get(self, cls, name, labels, **extra):
+    def _get(self, cls, name, labels):
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is not None:
@@ -228,7 +224,7 @@ class MetricsRegistry:
         if known is not None and known is not cls:
             raise TypeError("%r is registered as a %s, not a %s"
                             % (name, known.kind, cls.kind))
-        instrument = cls(name, labels, self._time_fn, **extra)
+        instrument = cls(name, labels, self._time_fn)
         self._instruments[key] = instrument
         self._kinds[name] = cls
         return instrument
@@ -239,16 +235,8 @@ class MetricsRegistry:
     def gauge(self, name, **labels):
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name, buckets=None, **labels):
-        if buckets is not None:
-            bounds = tuple(sorted(float(b) for b in buckets))
-            known = self._bucket_defaults.get(name)
-            if known is not None and known != bounds:
-                raise ValueError(
-                    "histogram %r already uses buckets %r" % (name, known))
-            self._bucket_defaults[name] = bounds
-        bounds = self._bucket_defaults.get(name, DEFAULT_LATENCY_BUCKETS)
-        return self._get(Histogram, name, labels, buckets=bounds)
+    def histogram(self, name, **labels):
+        return self._get(Histogram, name, labels)
 
     # -- querying --------------------------------------------------------
 
@@ -273,11 +261,11 @@ class MetricsRegistry:
         return [inst for inst in self.instruments()
                 if inst.name.startswith(prefix)]
 
-    def value(self, name, default=0, **labels):
-        """Shortcut: a counter/gauge value, or ``default`` if absent."""
+    def value(self, name, **labels):
+        """Shortcut: a counter/gauge value, or 0 if absent."""
         instrument = self.find(name, **labels)
         if instrument is None:
-            return default
+            return 0
         return instrument.value
 
     def total(self, name):

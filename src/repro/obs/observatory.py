@@ -45,9 +45,9 @@ class Observatory:
 
     enabled = True
 
-    def __init__(self, sim=None, recorder=None):
+    def __init__(self, sim=None):
         self._sim = _UNINSTALLED
-        self.trace = TraceRecorder() if recorder is None else recorder
+        self.trace = TraceRecorder()
         self.metrics = MetricsRegistry(
             time_fn=partial(attrgetter("_sim.now"), self))
         if sim is not None:
@@ -101,7 +101,7 @@ class _NullInstrument:
     def inc(self, amount=1):
         return 0
 
-    def dec(self, amount=1):
+    def dec(self, amount):
         return 0
 
     def set(self, value):
@@ -123,7 +123,7 @@ class _NullMetrics:
     def gauge(self, name, **labels):
         return _NULL_INSTRUMENT
 
-    def histogram(self, name, buckets=None, **labels):
+    def histogram(self, name, **labels):
         return _NULL_INSTRUMENT
 
     def instruments(self):

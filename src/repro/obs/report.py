@@ -12,11 +12,13 @@ import math
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 _BAR_WIDTH = 30
+#: Rows a downsampled series keeps, first and last included.
+_SERIES_ROWS = 12
 
 
-def _bar(fraction, width=_BAR_WIDTH):
-    filled = int(round(fraction * width))
-    return "#" * filled + "." * (width - filled)
+def _bar(fraction):
+    filled = int(round(fraction * _BAR_WIDTH))
+    return "#" * filled + "." * (_BAR_WIDTH - filled)
 
 
 def _fmt(value):
@@ -64,13 +66,13 @@ def _histogram_lines(hist):
     return lines
 
 
-def _series_lines(points, value_label, max_rows=12):
+def _series_lines(points, value_label):
     """Downsample a ``[(time, value), ...]`` series into table lines."""
     if not points:
         return ["  (no samples)"]
-    if len(points) > max_rows:
-        stride = (len(points) - 1) / (max_rows - 1)
-        picked = [points[round(i * stride)] for i in range(max_rows)]
+    if len(points) > _SERIES_ROWS:
+        stride = (len(points) - 1) / (_SERIES_ROWS - 1)
+        picked = [points[round(i * stride)] for i in range(_SERIES_ROWS)]
         # Keep first and last exactly.
         picked[0], picked[-1] = points[0], points[-1]
     else:
@@ -83,16 +85,16 @@ def _series_lines(points, value_label, max_rows=12):
     return lines
 
 
-def cml_series(observatory, value_field="records"):
-    """CML length over time from cml_append/reintegration events."""
+def cml_series(observatory):
+    """CML length in records over time from cml_append/reintegration
+    events."""
     points = []
     for event in observatory.trace.events:
         if event.kind == "cml_append":
-            points.append((event.time, event.fields.get(value_field, 0)))
+            points.append((event.time, event.fields.get("records", 0)))
         elif (event.kind == "reintegration_chunk"
               and event.fields.get("status") == "committed"):
-            points.append((event.time,
-                           event.fields.get("cml_%s" % value_field, 0)))
+            points.append((event.time, event.fields.get("cml_records", 0)))
     return points
 
 
@@ -102,8 +104,7 @@ def summary(observatory):
     trace = observatory.trace
     lines = _section("Observability summary")
     lines.append("  simulation time: %s s" % _fmt(observatory.time()))
-    lines.append("  trace events:    %d recorded (%d dropped)"
-                 % (len(trace.events), trace.dropped))
+    lines.append("  trace events:    %d recorded" % len(trace.events))
     lines.append("  instruments:     %d" % len(metrics))
     lines.append("")
 

@@ -96,8 +96,9 @@ def _run_pooled(how, target, seed, workers):
                     "store_bytes": store_bytes}
 
 
-def run_perf(name, seed=0, workers=None):
-    """Run row ``name`` of :data:`SCENARIOS`; returns its facts dict.
+def run_perf(name, workers=None):
+    """Run row ``name`` of :data:`SCENARIOS` at seed 0; returns its
+    facts dict.
 
     ``workers`` sizes the process pool of a row that runs a shard plan
     (default 0: in-process, as ``repro run``); it changes no field of
@@ -106,6 +107,7 @@ def run_perf(name, seed=0, workers=None):
     plan — refused, never ignored.
     """
     how, target = _row(name)
+    seed = 0
     if takes_workers(name):
         report, detail = _run_pooled(how, target, seed, workers or 0)
         detail.update((key, getattr(report, key)) for key in (

@@ -54,6 +54,9 @@ from repro.sim.resources import Lock, Store
 MAX_CALL_RETRIES = 7
 #: Patience granted after a BUSY before probing again.
 BUSY_PATIENCE = 15.0
+#: Seconds a finished SFTP transfer stays in its table for late
+#: duplicates.
+TRANSFER_GRACE = 300.0
 
 
 class RemoteError(Exception):
@@ -83,15 +86,15 @@ class Rpc2Endpoint:
     """An RPC2/SFTP protocol engine bound to ``(node, port)``."""
 
     def __init__(self, sim, network, node, port, host,
-                 default_bps=9600.0, rng=None, cpu=None, first_conn_id=1):
+                 default_bps=9600.0, first_conn_id=1):
         self.sim = sim
         self.network = network
         self.node = node
         self.port = port
         self.host = host
-        self.cpu = cpu or HostCpu(sim, host)
+        self.cpu = HostCpu(sim, host)
         self.default_bps = default_bps
-        self.socket = network.socket(node, port)
+        self.socket = network.socket(node, port, self._arrived)
         self.liveness = LivenessRegistry(sim)
         self._estimators = {}
         self._handlers = {}
@@ -110,7 +113,6 @@ class Rpc2Endpoint:
         self._sending = False
         self._inbox = deque()       # datagrams received
         self._receiving = False
-        self.socket.deliver = self._arrived
         self._ping_waiters = {}     # seq -> _Ping not yet answered
         self._ping_seq = count(1)
         self.packets_out = 0
@@ -289,12 +291,12 @@ class Rpc2Endpoint:
         self._next_conn_id += 1
         return Rpc2Connection(self, peer, conn_id)
 
-    def ping(self, peer, pad=0, timeout=None):
+    def ping(self, peer, pad=0):
         """Round-trip a ping: an event that succeeds with the RTT, or
-        fails with :class:`ConnectionDead` once ``timeout`` passes (by
-        default derived from the peer's estimates and ``pad``)."""
+        fails with :class:`ConnectionDead` once a timeout derived from
+        the peer's estimates and ``pad`` passes."""
         seq = next(self._ping_seq)
-        ping = self._ping_waiters[seq] = _Ping(self, peer, pad, timeout, seq)
+        ping = self._ping_waiters[seq] = _Ping(self, peer, pad, seq)
         # The hop: the Ping is queued one step later at this instant,
         # behind whatever was already due now, as a process would.
         Event(self.sim).succeed().callbacks.append(ping.start)
@@ -396,10 +398,10 @@ class Rpc2Endpoint:
         state["active"] = None
         self._send(peer, reply)
 
-    def _expire_transfer(self, table, transfer_id, transfer, grace=300.0):
+    def _expire_transfer(self, table, transfer_id, transfer):
         """Drop ``transfer`` from ``table`` after a grace period for
         late duplicates, unless a newer transfer has taken its id."""
-        Timeout(self.sim, grace).callbacks.append(
+        Timeout(self.sim, TRANSFER_GRACE).callbacks.append(
             partial(_expire, table, transfer_id, transfer))
 
 
@@ -412,14 +414,13 @@ class _Ping:
     """One ping: asked for, then sent in its hop, then answered by its
     Pong or failed by its expiry, whichever comes first."""
 
-    __slots__ = ("endpoint", "peer", "pad", "timeout", "seq", "done",
-                 "started", "estimator")
+    __slots__ = ("endpoint", "peer", "pad", "seq", "done", "started",
+                 "estimator")
 
-    def __init__(self, endpoint, peer, pad, timeout, seq):
+    def __init__(self, endpoint, peer, pad, seq):
         self.endpoint = endpoint
         self.peer = peer
         self.pad = pad
-        self.timeout = timeout
         self.seq = seq
         self.done = Event(endpoint.sim)
 
@@ -430,20 +431,17 @@ class _Ping:
         sim = endpoint.sim
         pad = self.pad
         estimator = self.estimator = endpoint.estimator(self.peer)
-        timeout = self.timeout
-        if timeout is None:
-            if pad:
-                # A padded ping is a bandwidth probe: it must not time
-                # out just because the line is slow.  Budget for the
-                # slowest supported link (1.2 Kb/s SLIP, 10 bits/byte);
-                # plain pings already provide fast dead-peer detection.
-                timeout = pad * 10.0 / 1200.0 * 1.5 \
-                    + estimator.rtt.rto + 1.0
-            else:
-                timeout = max(estimator.rtt.rto,
-                              estimator.expected_transfer_time(
-                                  pad, default_bps=endpoint.default_bps)
-                              * 2 + 1.0)
+        if pad:
+            # A padded ping is a bandwidth probe: it must not time out
+            # just because the line is slow.  Budget for the slowest
+            # supported link (1.2 Kb/s SLIP, 10 bits/byte); plain pings
+            # already provide fast dead-peer detection.
+            timeout = pad * 10.0 / 1200.0 * 1.5 + estimator.rtt.rto + 1.0
+        else:
+            timeout = max(estimator.rtt.rto,
+                          estimator.expected_transfer_time(
+                              pad, default_bps=endpoint.default_bps)
+                          * 2 + 1.0)
         self.started = sim.now
         endpoint._send(self.peer, Ping(conn=0, seq=self.seq, ts=sim.now,
                                        pad=pad))

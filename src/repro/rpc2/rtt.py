@@ -9,6 +9,12 @@ chunk sizing (section 4.3.5) and cache-miss service-time prediction
 (section 4.4.1).
 """
 
+#: Bounds on the retransmission timeout, in seconds.
+MIN_RTO = 0.3
+MAX_RTO = 60.0
+#: EWMA gain of the bandwidth estimate for an ordinary sample.
+BANDWIDTH_GAIN = 0.4
+
 
 class RttEstimator:
     """Jacobson/Karels smoothed RTT with variance-based RTO.
@@ -18,12 +24,10 @@ class RttEstimator:
     ping and SFTP round) than it changes.
     """
 
-    def __init__(self, initial_rto=2.0, min_rto=0.3, max_rto=60.0):
+    def __init__(self, initial_rto=2.0):
         self.srtt = None
         self.rttvar = None
         self.initial_rto = initial_rto
-        self.min_rto = min_rto
-        self.max_rto = max_rto
         self.samples = 0
         self.rto = initial_rto
 
@@ -39,8 +43,7 @@ class RttEstimator:
             self.srtt += delta / 8.0
             self.rttvar += (abs(delta) - self.rttvar) / 4.0
         self.samples += 1
-        self.rto = min(self.max_rto,
-                       max(self.min_rto, self.srtt + 4.0 * self.rttvar))
+        self.rto = min(MAX_RTO, max(MIN_RTO, self.srtt + 4.0 * self.rttvar))
 
 
 class BandwidthEstimator:
@@ -48,12 +51,11 @@ class BandwidthEstimator:
 
     Samples come from completed bulk transfers and from size-differential
     probes.  A missing estimate reports ``None`` in ``bytes_per_sec``
-    and ``bits_per_sec``; callers fall back to a configured initial
-    guess.  Both are kept up to date by :meth:`observe`.
+    and ``bits_per_sec``; callers fall back to an initial guess.  Both
+    are kept up to date by :meth:`observe`.
     """
 
-    def __init__(self, gain=0.4):
-        self.gain = gain
+    def __init__(self):
         self.bytes_per_sec = None
         self.bits_per_sec = None
         self.samples = 0
@@ -71,7 +73,7 @@ class BandwidthEstimator:
         if self.bytes_per_sec is None:
             self.bytes_per_sec = sample
         else:
-            gain = self.gain
+            gain = BANDWIDTH_GAIN
             if sample > 4 * self.bytes_per_sec \
                     or sample < self.bytes_per_sec / 4:
                 gain = 0.8
@@ -89,9 +91,8 @@ class NetworkEstimator:
     reintegration chunks or predicts miss service times.
     """
 
-    def __init__(self, initial_rto=2.0):
-        self._initial_rto = initial_rto
-        self.rtt = RttEstimator(initial_rto=initial_rto)
+    def __init__(self):
+        self.rtt = RttEstimator()
         self.bandwidth = BandwidthEstimator()
 
     def reset(self):
@@ -99,7 +100,7 @@ class NetworkEstimator:
         reappear on a network four orders of magnitude slower, and
         stale estimates would poison probe timeouts and classification.
         """
-        self.rtt = RttEstimator(initial_rto=self._initial_rto)
+        self.rtt = RttEstimator()
         self.bandwidth = BandwidthEstimator()
 
     def observe_transfer(self, nbytes, seconds):

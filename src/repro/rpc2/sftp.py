@@ -35,9 +35,9 @@ DEAD_INTERVAL = 120.0
 KEEPALIVE = 45.0
 
 
-def packet_count(size, data_size=SFTP_DATA_SIZE):
+def packet_count(size):
     """Number of data packets needed for ``size`` bytes (min 1)."""
-    return max(1, math.ceil(size / data_size))
+    return max(1, math.ceil(size / SFTP_DATA_SIZE))
 
 
 class SftpSender:
@@ -48,24 +48,21 @@ class SftpSender:
     :class:`TransferAborted` when retries are exhausted.
     """
 
-    def __init__(self, sim, endpoint, peer, transfer_id, size,
-                 data_size=SFTP_DATA_SIZE, window=WINDOW):
+    def __init__(self, sim, endpoint, peer, transfer_id, size):
         self.sim = sim
         self.endpoint = endpoint
         self.peer = peer
         self.estimator = endpoint.estimator(peer)
         self.transfer_id = transfer_id
         self.size = size
-        self.data_size = data_size
-        self.window = window
         self.inbox = Store(sim)
-        self.total = packet_count(size, data_size)
+        self.total = packet_count(size)
         self.bytes_acked = 0
 
     def _packet_size(self, seq):
         if seq < self.total - 1:
-            return self.data_size
-        return self.size - self.data_size * (self.total - 1) or self.data_size
+            return SFTP_DATA_SIZE
+        return self.size - SFTP_DATA_SIZE * (self.total - 1) or SFTP_DATA_SIZE
 
     def _burst_timeout(self, nbytes):
         estimator = self.estimator
@@ -107,7 +104,7 @@ class SftpSender:
             # is acknowledged or the round times out.  Duplicate and
             # partial acks merely update state — they never trigger an
             # early resend, so a lossy link cannot amplify traffic.
-            burst = sorted(unacked)[:self.window] if unacked \
+            burst = sorted(unacked)[:WINDOW] if unacked \
                 else [self.total - 1]   # probe to solicit the final ack
             burst_set = set(burst)
             burst_bytes = 0
@@ -115,7 +112,7 @@ class SftpSender:
             for seq in burst:
                 burst_bytes += self._send_data(seq, sent)
             round_length = self._burst_timeout(
-                max(burst_bytes, self.data_size)) * backoff
+                max(burst_bytes, SFTP_DATA_SIZE)) * backoff
             deadline = self.sim.timeout(round_length)
             keepalive = self.sim.timeout(KEEPALIVE) \
                 if round_length > KEEPALIVE else None

@@ -23,23 +23,25 @@ from repro.sim.events import Event, Timeout
 TCP_HEADER = 40          # TCP/IP headers
 MSS = 1024               # segment payload, bytes
 INITIAL_SSTHRESH = 64    # segments
+SRC_PORT = 5001          # the sender's port
+DST_PORT = 5002          # the receiver's port
 
 
 class _RecvCpu:
     """A socket's arrivals, each absorbed after its receive cost (one
     ``Timeout``; none when free), FIFO.  ``absorb(datagram)`` calls
     :meth:`release` when the next may start; an end that does not has
-    stopped reading."""
+    stopped reading.  :meth:`arrive` is the socket's delivery
+    callback."""
 
-    def __init__(self, sim, socket, host, absorb):
+    def __init__(self, sim, host, absorb):
         self.sim = sim
         self.host = host
         self.absorb = absorb
         self._backlog = deque()
         self._busy = False
-        socket.deliver = self._arrive
 
-    def _arrive(self, datagram):
+    def arrive(self, datagram):
         if self._busy:
             self._backlog.append(datagram)
         else:
@@ -67,9 +69,9 @@ class _Completion(Event):
 
     __slots__ = ("sockets", "start", "ends")
 
-    def __init__(self, sim, sockets):
+    def __init__(self, sim):
         super().__init__(sim)
-        self.sockets = sockets
+        self.sockets = []        # each end's, as it binds it
         self.start = sim.now
         self.ends = 2
 
@@ -84,19 +86,19 @@ class _Completion(Event):
 class _TcpReceiver:
     """Receives segments, delivers cumulative acks (delayed-ack policy)."""
 
-    def __init__(self, sim, socket, peer, peer_port, host, total_segments,
+    def __init__(self, sim, network, node, peer, host, total_segments,
                  completion):
         self.sim = sim
-        self.socket = socket
         self.peer = peer
-        self.peer_port = peer_port
         self.host = host
         self.total = total_segments
         self.received = set()
         self.next_expected = 0
         self._unacked_count = 0
         self._completion = completion
-        self._cpu = _RecvCpu(sim, socket, host, self._absorb)
+        self._cpu = _RecvCpu(sim, host, self._absorb)
+        self.socket = network.socket(node, DST_PORT, self._cpu.arrive)
+        completion.sockets.append(self.socket)
 
     def _absorb(self, datagram):
         seq = datagram.payload["seq"]
@@ -120,8 +122,8 @@ class _TcpReceiver:
         cost = self.host.send_cost(size)
         done = Timeout(self.sim, cost)
         self._unacked_count = 0
-        self.socket.send(self.peer, self.peer_port,
-                         {"ack": self.next_expected}, size)
+        self.socket.send(self.peer, SRC_PORT, {"ack": self.next_expected},
+                         size)
         return done
 
 
@@ -130,12 +132,10 @@ class _TcpSender:
 
     MAX_RTO_BACKOFFS = 8
 
-    def __init__(self, sim, socket, peer, peer_port, host, total_segments,
+    def __init__(self, sim, network, node, peer, host, total_segments,
                  last_segment_bytes, completion):
         self.sim = sim
-        self.socket = socket
         self.peer = peer
-        self.peer_port = peer_port
         self.host = host
         self.total = total_segments
         self.last_segment_bytes = last_segment_bytes
@@ -151,7 +151,9 @@ class _TcpSender:
         self._acks = deque()     # absorbed, not yet read
         self._rto = None         # the timer of the current wait, if any
         self._completion = completion
-        self._cpu = _RecvCpu(sim, socket, host, self._absorb)
+        self._cpu = _RecvCpu(sim, host, self._absorb)
+        self.socket = network.socket(node, SRC_PORT, self._cpu.arrive)
+        completion.sockets.append(self.socket)
 
     def _segment_size(self, seq):
         payload = self.last_segment_bytes if seq == self.total - 1 else MSS
@@ -245,12 +247,11 @@ class _TcpSender:
             self._send_times.pop(seq, None)
         else:
             self._send_times[seq] = self.sim.now
-        self.socket.send(self.peer, self.peer_port, {"seq": seq}, size)
+        self.socket.send(self.peer, DST_PORT, {"seq": seq}, size)
         return cost
 
 
-def tcp_transfer(sim, network, src, dst, nbytes, src_host, dst_host,
-                 src_port=5001, dst_port=5002):
+def tcp_transfer(sim, network, src, dst, nbytes, src_host, dst_host):
     """Start a one-shot TCP bulk transfer of ``nbytes`` from ``src`` to
     ``dst``; the first segment leaves at once.
 
@@ -264,11 +265,9 @@ def tcp_transfer(sim, network, src, dst, nbytes, src_host, dst_host,
     """
     total = max(1, (nbytes + MSS - 1) // MSS)
     last = nbytes - MSS * (total - 1) or MSS
-    src_sock = network.socket(src, src_port)
-    dst_sock = network.socket(dst, dst_port)
-    completion = _Completion(sim, (src_sock, dst_sock))
-    sender = _TcpSender(sim, src_sock, dst, dst_port, src_host, total, last,
+    completion = _Completion(sim)
+    sender = _TcpSender(sim, network, src, dst, src_host, total, last,
                         completion)
-    _TcpReceiver(sim, dst_sock, src, src_port, dst_host, total, completion)
+    _TcpReceiver(sim, network, dst, src, dst_host, total, completion)
     sender.run()
     return completion

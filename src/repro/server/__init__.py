@@ -11,7 +11,7 @@ resumption (section 4.3.5).
 
 from repro.server.callbacks import CallbackRegistry
 from repro.server.reintegration import ConflictError, ReintegrationOutcome
-from repro.server.store import FragmentStore, ServerCosts
+from repro.server.store import FragmentStore
 from repro.server.vice import CodaServer
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "ConflictError",
     "FragmentStore",
     "ReintegrationOutcome",
-    "ServerCosts",
 ]

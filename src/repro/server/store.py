@@ -13,20 +13,15 @@ after the last successful fragment rather than restarting.
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class ServerCosts:
-    """CPU/disk time the server spends above the transport layer.
-
-    ``reintegration_fixed`` is the per-transaction commitment cost whose
-    amortization motivates large chunks at high bandwidth (section
-    4.3.5); the others are per-item handling costs.
-    """
-
-    reintegration_fixed: float = 0.150
-    per_record: float = 0.003
-    per_object_validate: float = 0.0005
-    per_operation: float = 0.005      # connected-mode update ops
-    per_fetch: float = 0.005          # status or data fetch setup
+# CPU/disk seconds the server spends above the transport layer.
+# ``REINTEGRATION_FIXED`` is the per-transaction commitment cost whose
+# amortization motivates large chunks at high bandwidth (section
+# 4.3.5); the others are per-item handling costs.
+REINTEGRATION_FIXED = 0.150
+PER_RECORD = 0.003
+PER_OBJECT_VALIDATE = 0.0005
+PER_OPERATION = 0.005      # connected-mode update ops
+PER_FETCH = 0.005          # status or data fetch setup
 
 
 @dataclass

@@ -16,7 +16,14 @@ from repro.rpc2.endpoint import Rpc2Endpoint
 from repro.rpc2.errors import ConnectionDead
 from repro.server.callbacks import CallbackRegistry
 from repro.server.reintegration import Reintegrator
-from repro.server.store import FragmentStore, ServerCosts
+from repro.server.store import (
+    PER_FETCH,
+    PER_OBJECT_VALIDATE,
+    PER_OPERATION,
+    PER_RECORD,
+    REINTEGRATION_FIXED,
+    FragmentStore,
+)
 from repro.rpc2.packets import CODA_PORT
 
 
@@ -31,20 +38,16 @@ class SizedResult(dict):
 class CodaServer:
     """A file server exporting volumes to Venus clients."""
 
-    def __init__(self, sim, network, node, host, costs=None,
-                 default_bps=9600.0):
+    def __init__(self, sim, network, node, host):
         self.sim = sim
         self.network = network
         self.node = node
         self.host = host
-        self.default_bps = default_bps
-        self.costs = costs or ServerCosts()
         self.registry = VolumeRegistry()
         self.callbacks = CallbackRegistry()
         self.fragments = FragmentStore()
         self.reintegrator = Reintegrator(self.registry, sim=sim)
-        self.endpoint = Rpc2Endpoint(sim, network, node, CODA_PORT, host,
-                                     default_bps=default_bps)
+        self.endpoint = Rpc2Endpoint(sim, network, node, CODA_PORT, host)
         self._client_conns = {}
         self._volid_counter = 100
         self.reintegrations = 0
@@ -81,7 +84,6 @@ class CodaServer:
         next_conn_id = self.endpoint._next_conn_id
         self.endpoint = Rpc2Endpoint(self.sim, self.network, self.node,
                                      CODA_PORT, self.host,
-                                     default_bps=self.default_bps,
                                      first_conn_id=next_conn_id)
         self.crashed = False
         self._register_handlers()
@@ -156,7 +158,7 @@ class CodaServer:
         return volume, volume.get(fid)
 
     def _h_getattr(self, ctx, args):
-        yield self.sim.sleep(self.costs.per_fetch)
+        yield self.sim.sleep(PER_FETCH)
         volume, vnode = self._vnode(args["fid"])
         if vnode is None:
             return {"error": "nofile"}
@@ -169,7 +171,7 @@ class CodaServer:
         results = {}
         reply_size = 8
         for fid, version in args["pairs"]:
-            yield self.sim.sleep(self.costs.per_object_validate)
+            yield self.sim.sleep(PER_OBJECT_VALIDATE)
             _volume, vnode = self._vnode(fid)
             if vnode is not None and vnode.version == version:
                 results[fid] = (True, None)
@@ -193,7 +195,7 @@ class CodaServer:
         # Canonical processing order: the reply timing must not depend
         # on how the client happened to assemble its stamp dict.
         for volid, stamp in sorted(args["stamps"].items()):
-            yield self.sim.sleep(self.costs.per_object_validate)
+            yield self.sim.sleep(PER_OBJECT_VALIDATE)
             try:
                 volume = self.registry.by_id(volid)
             except KeyError:
@@ -210,7 +212,7 @@ class CodaServer:
     def _h_get_volume_stamps(self, ctx, args):
         results = {}
         for volid in args["volumes"]:
-            yield self.sim.sleep(self.costs.per_object_validate)
+            yield self.sim.sleep(PER_OBJECT_VALIDATE)
             try:
                 volume = self.registry.by_id(volid)
             except KeyError:
@@ -220,7 +222,7 @@ class CodaServer:
         return SizedResult({"stamps": results}, 8 + 8 * len(results))
 
     def _h_fetch(self, ctx, args):
-        yield self.sim.sleep(self.costs.per_fetch)
+        yield self.sim.sleep(PER_FETCH)
         volume, vnode = self._vnode(args["fid"])
         if vnode is None:
             return {"error": "nofile"}
@@ -233,7 +235,7 @@ class CodaServer:
         return result, vnode.length
 
     def _h_store(self, ctx, args):
-        yield self.sim.sleep(self.costs.per_operation)
+        yield self.sim.sleep(PER_OPERATION)
         volume, vnode = self._vnode(args["fid"])
         if vnode is None:
             return {"error": "nofile"}
@@ -248,7 +250,7 @@ class CodaServer:
 
     def _h_make_object(self, ctx, args):
         """Create a file or directory (connected mode)."""
-        yield self.sim.sleep(self.costs.per_operation)
+        yield self.sim.sleep(PER_OPERATION)
         volume, parent = self._vnode(args["parent"])
         if parent is None or not parent.is_dir():
             return {"error": "nofile"}
@@ -271,7 +273,7 @@ class CodaServer:
 
     def _h_remove(self, ctx, args):
         """Unlink a file or remove an empty directory."""
-        yield self.sim.sleep(self.costs.per_operation)
+        yield self.sim.sleep(PER_OPERATION)
         volume, parent = self._vnode(args["parent"])
         if parent is None:
             return {"error": "nofile"}
@@ -332,8 +334,7 @@ class CodaServer:
                     missing.append(record.seqno)
         if missing:
             return {"status": "missing_data", "missing": missing}
-        yield self.sim.sleep(self.costs.reintegration_fixed
-                               + self.costs.per_record * len(records))
+        yield self.sim.sleep(REINTEGRATION_FIXED + PER_RECORD * len(records))
         if fresh:
             # Versions the filtered duplicates already added count as
             # this client's own, not as foreign updates.

@@ -53,9 +53,9 @@ class Simulator:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay, value=None):
+    def timeout(self, delay):
         """Create an event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def sleep(self, delay):
         """What a process yields to wait: ``timeout(delay)``, no value."""
@@ -80,7 +80,7 @@ class Simulator:
             self._owned[owner] = alive
         return proc
 
-    def kill_owned(self, owner, cause=None):
+    def kill_owned(self, owner):
         """Interrupt every live process tagged with ``owner``.
 
         Each victim is defused first: a killed process fails with
@@ -92,7 +92,7 @@ class Simulator:
         for proc in procs:
             if proc.is_alive:
                 proc.defuse()
-                proc.interrupt(cause)
+                proc.interrupt()
                 killed += 1
         return killed
 

@@ -173,7 +173,8 @@ class OpStep:
         return data
 
     @classmethod
-    def from_dict(cls, data, where="op"):
+    def from_dict(cls, data):
+        where = "op"
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -330,7 +331,8 @@ class ClientSpec:
         object.__setattr__(self, "hoard", tuple(
             tuple(entry) for entry in self.hoard))
 
-    def validate(self, kind, where="clients"):
+    def validate(self, kind):
+        where = "clients"
         errors = []
         if kind == "testbed":
             if self.count != 1:

@@ -72,15 +72,15 @@ def make_testbed(profile, venus_config=None, user=None, seed=0,
                    obs=observatory, streams=streams)
 
 
-def populate_volume(server, mount_prefix, tree, volume_name=None):
-    """Create a volume and fill it with ``tree`` server-side.
+def populate_volume(server, mount_prefix, tree):
+    """Create a volume named after ``mount_prefix`` and fill it with
+    ``tree`` server-side.
 
     ``tree`` maps absolute paths (under ``mount_prefix``) to
     ``("dir", 0)`` or ``("file", size)``.  Intermediate directories are
     created as needed.  Returns the volume.
     """
-    volume = server.create_volume(volume_name or mount_prefix.strip("/"),
-                                  mount_prefix)
+    volume = server.create_volume(mount_prefix.strip("/"), mount_prefix)
     prefix_parts = split_path(mount_prefix)
 
     def ensure(parts, kind, size):
@@ -113,14 +113,14 @@ def populate_volume(server, mount_prefix, tree, volume_name=None):
     return volume
 
 
-def warm_cache(venus, server, volume, with_stamps=True):
+def warm_cache(venus, server, volume):
     """Install the volume's contents in the client cache.
 
     Models a hoard walk completed while strongly connected before the
     experiment begins (the paper warms state before measuring): every
-    object is cached with data and a callback, and — when
-    ``with_stamps`` — the volume version stamp is cached with a volume
-    callback, as at the end of a real walk.
+    object is cached with data and a callback, and the volume version
+    stamp is cached with a volume callback, as at the end of a real
+    walk.
     """
     now = venus.sim.now
     # Recover each object's path for display/hoard logic.
@@ -149,10 +149,9 @@ def warm_cache(venus, server, volume, with_stamps=True):
         server.callbacks.add_object(venus.node, fid)
     venus.learn_mounts(server.registry)
     info = venus.cache.volume_info(volume.volid)
-    if with_stamps:
-        info.stamp = volume.stamp
-        info.callback = True
-        server.callbacks.add_volume(venus.node, volume.volid)
+    info.stamp = volume.stamp
+    info.callback = True
+    server.callbacks.add_volume(venus.node, volume.volid)
 
 
 def probe_schedule(sim, schedule_log):

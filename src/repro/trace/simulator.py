@@ -51,8 +51,7 @@ class SimulationReport:
 class _PathTable:
     """Path -> fid bookkeeping for a serverless replay."""
 
-    def __init__(self, volid=1):
-        self.volid = volid
+    def __init__(self):
         self._fids = {}
         self._dir_fids = {}
         self._counter = count(1)
@@ -77,31 +76,28 @@ class _PathTable:
 
     def _alloc(self):
         n = next(self._counter)
-        return Fid(self.volid, n, n)
+        return Fid(1, n, n)
 
 
 class CmlSimulator:
     """Runs traces through the real CML code with an aging window."""
 
-    def __init__(self, aging_window=600.0, log_optimizations=True):
+    def __init__(self, aging_window=600.0):
         self.aging_window = aging_window
-        self.log_optimizations = log_optimizations
 
-    def run(self, segment, preexisting=True):
+    def run(self, segment):
         """Simulate ``segment``; returns a :class:`SimulationReport`.
 
-        ``preexisting`` marks tree files as already known to the
-        server, so their first store is an overwrite rather than a
-        create.
+        The segment's tree files are already known to the server, so
+        their first store is an overwrite rather than a create.
         """
         cml = ClientModifyLog()
         paths = _PathTable()
         known = set()
-        if preexisting:
-            for path, (kind, _size) in segment.tree.items():
-                if kind == "file":
-                    paths.fid(path, create=True)
-                    known.add(path)
+        for path, (kind, _size) in segment.tree.items():
+            if kind == "file":
+                paths.fid(path, create=True)
+                known.add(path)
         updates = 0
         for record in segment.records:
             self._age_out(cml, record.time)
@@ -132,7 +128,7 @@ class CmlSimulator:
             cml.commit_frozen()
 
     def _append(self, cml, record, now):
-        cml.append(record, now, optimize=self.log_optimizations)
+        cml.append(record, now)
 
     def _apply(self, cml, paths, known, record):
         op = record.op
@@ -178,14 +174,13 @@ class CmlSimulator:
             known.discard(record.path)
 
 
-def savings_curve(segment, aging_windows, log_optimizations=True):
+def savings_curve(segment, aging_windows):
     """Optimization savings for each aging window (Figure 4's metric).
 
     Returns ``{A: optimized_bytes}``.
     """
     results = {}
     for window in aging_windows:
-        simulator = CmlSimulator(aging_window=window,
-                                 log_optimizations=log_optimizations)
+        simulator = CmlSimulator(aging_window=window)
         results[window] = simulator.run(segment).optimized_bytes
     return results

@@ -54,8 +54,7 @@ class UserModel:
 class TimeoutUser(UserModel):
     """An unattended client: the screen times out, everything fetches."""
 
-    def __init__(self, delay_seconds=60.0):
-        self.delay_seconds = delay_seconds
+    delay_seconds = 60.0        # Figure 6 screen timeout
 
     def approve_fetches(self, candidates):
         return [c.path for c in candidates if not c.preapproved], []

@@ -45,6 +45,13 @@ from repro.venus.misshandler import MissLog, MissRecord
 from repro.venus.repair import ConflictStore, Repairer
 from repro.venus.states import VenusState, VenusStateMachine
 
+#: Bandwidth assumed before any estimate, in bits per second.
+INITIAL_BPS = 9600.0
+#: Payload bytes of a bandwidth probe.
+BANDWIDTH_PROBE_PAD = 2048
+#: Client CPU seconds per file operation.
+LOCAL_OP_COST = 0.0005
+
 
 @dataclass
 class VenusConfig:
@@ -55,17 +62,10 @@ class VenusConfig:
     chunk_seconds: float = 30.0            # C's time budget, section 4.3.5
     daemon_period: float = 10.0            # trickle daemon grid period
     hoard_walk_interval: float = 600.0     # "once every 10 minutes"
-    strong_threshold_bps: float = 500_000.0
-    initial_bps: float = 9600.0            # assumed before any estimate
     probe_interval: float = 60.0           # reconnection probing
     keepalive_interval: float = 60.0       # idle keepalive while connected
     bandwidth_probe_interval: float = 300.0  # re-estimate when traffic-idle
-    bandwidth_probe_pad: int = 2048        # probe payload bytes
-    local_op_cost: float = 0.0005          # client CPU per file operation
     patience_alpha: float = 2.0            # section 4.4.4
-    patience_beta: float = 1.0
-    patience_gamma: float = 0.01
-    advice_timeout: float = 60.0           # Figure 6 screen timeout
     tariff: object = None                  # NetworkTariff; None = free
     # Ablation switches ------------------------------------------------
     log_optimizations: bool = True
@@ -99,9 +99,9 @@ class Venus:
         self.crashed = False
         self.server_node = server
         self.config = config or VenusConfig()
-        self.user = user or TimeoutUser(self.config.advice_timeout)
+        self.user = user or TimeoutUser()
         self.endpoint = Rpc2Endpoint(sim, network, node, CODA_PORT, host,
-                                     default_bps=self.config.initial_bps,
+                                     default_bps=INITIAL_BPS,
                                      first_conn_id=first_conn_id)
         self.endpoint.register("BreakCallback", self._h_break_callback)
         self.conn = self.endpoint.connect(server)
@@ -115,10 +115,8 @@ class Venus:
         self.conflicts = ConflictStore()
         self.repairer = Repairer(self)
         self.state = VenusStateMachine(initial=VenusState.EMULATING)
-        self.monitor = ConnectivityMonitor(self.config.strong_threshold_bps)
-        self.patience = PatienceModel(self.config.patience_alpha,
-                                      self.config.patience_beta,
-                                      self.config.patience_gamma)
+        self.monitor = ConnectivityMonitor()
+        self.patience = PatienceModel(self.config.patience_alpha)
         self.cost_policy = CostAwarePolicy(self.config.tariff or FREE)
         self.ledger = CostLedger(self.config.tariff or FREE)
         self._connected_since = None
@@ -152,7 +150,7 @@ class Venus:
     def current_bandwidth_bps(self):
         """Best current estimate of usable bandwidth."""
         bps = self.estimator.bandwidth.bits_per_sec
-        return bps if bps is not None else self.config.initial_bps
+        return bps if bps is not None else INITIAL_BPS
 
     def effective_aging_window(self):
         """The aging window after cost adaptation (section 8).
@@ -277,7 +275,7 @@ class Venus:
         (:meth:`_demand_miss`).
         """
         (volid, root_fid), parts, prefix = self._mount_for(path)
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        yield from self.endpoint.cpu.use(LOCAL_OP_COST)
         cache, sim = self.cache, self.sim
         connected = self.state.connected
         fid, walked = root_fid, prefix
@@ -430,7 +428,7 @@ class Venus:
         if entry is not None:
             priority = max(priority, entry.hoard_priority)
         estimate = self.estimator.expected_transfer_time(
-            size, default_bps=self.config.initial_bps)
+            size, default_bps=INITIAL_BPS)
         reason = None
         if not self.patience.approves(priority, estimate):
             reason = "patience"
@@ -533,7 +531,7 @@ class Venus:
         """Generator: whole-file write (create or overwrite).  Writes of
         one path serialize: a later one waits for the earlier to end and
         resolves the path again; an uncontended one schedules nothing."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        yield from self.endpoint.cpu.use(LOCAL_OP_COST)
         writing = self._writing
         while path in writing:
             if writing[path] is None:
@@ -635,7 +633,7 @@ class Venus:
 
     def mkdir(self, path, program=None):
         """Generator: create a directory."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        yield from self.endpoint.cpu.use(LOCAL_OP_COST)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is not None:
             raise FileExistsError(path)
@@ -646,7 +644,7 @@ class Venus:
 
     def unlink(self, path, program=None):
         """Generator: remove a file."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        yield from self.endpoint.cpu.use(LOCAL_OP_COST)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is None or parent is None:
             raise FileNotFoundError(path)
@@ -656,7 +654,7 @@ class Venus:
 
     def rmdir(self, path, program=None):
         """Generator: remove an empty directory."""
-        yield from self.endpoint.cpu.use(self.config.local_op_cost)
+        yield from self.endpoint.cpu.use(LOCAL_OP_COST)
         parent, name, entry = yield from self._resolve(path, program=program)
         if entry is None or parent is None:
             raise FileNotFoundError(path)
@@ -927,7 +925,7 @@ class Venus:
             samples = self.estimator.bandwidth.samples
             if samples == last_bw_samples and self.sim.now >= bw_probe_due:
                 if not (yield from self._ping_server(
-                        pad=config.bandwidth_probe_pad)):
+                        pad=BANDWIDTH_PROBE_PAD)):
                     self.handle_disconnection()
                     continue
                 bw_probe_due = self.sim.now \

@@ -151,7 +151,7 @@ class HoardWalker:
             return
         size = entry.length
         cost = venus.estimator.expected_transfer_time(
-            size, default_bps=venus.config.initial_bps)
+            size, default_bps=venus.endpoint.default_bps)
         preapproved = (venus.state.state is not
                        VenusState.WRITE_DISCONNECTED
                        or venus.patience.approves(priority, cost))

@@ -7,7 +7,10 @@ the ckpt :class:`ShardState` repeats the check one level up — for
 itself and for every embedded client snapshot.
 """
 
+import json
+import os
 import pickle
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -58,16 +61,57 @@ def test_restore_refuses_an_unstamped_legacy_snapshot():
 
 
 @pytest.fixture(scope="module")
-def shard_state(tmp_path_factory):
-    """A real day-boundary ShardState from a tiny checkpointed run."""
+def store_root(tmp_path_factory):
+    """A tiny one-day checkpoint store of the current schema."""
     from repro.ckpt import CkptOptions, run_checkpointed
-    from repro.ckpt.store import CheckpointStore
 
     root = str(tmp_path_factory.mktemp("ckpt-schema") / "store")
     run_checkpointed("fleet-8", days=1, out=root,
                      options=CkptOptions(day_seconds=300.0))
+    return root
+
+
+@pytest.fixture(scope="module")
+def shard_state(store_root):
+    """A real day-boundary ShardState from a tiny checkpointed run."""
+    from repro.ckpt.store import CheckpointStore
+
     return pickle.loads(
-        CheckpointStore(root).shard(0).read_state_bytes(1))
+        CheckpointStore(store_root).shard(0).read_state_bytes(1))
+
+
+@pytest.fixture
+def version_2_store(store_root, tmp_path):
+    """The store as the previous snapshot schema stamped it."""
+    root = str(tmp_path / "v2")
+    shutil.copytree(store_root, root)
+    path = os.path.join(root, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    assert manifest["snapshot_schema"] == SNAPSHOT_SCHEMA_VERSION == 3
+    manifest["snapshot_schema"] = 2
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    return root
+
+
+def test_extend_refuses_a_version_2_store_by_name(version_2_store):
+    from repro.ckpt import extend_checkpointed
+    from repro.ckpt.store import CheckpointError
+
+    with pytest.raises(CheckpointError,
+                       match="venus snapshot schema 2; this build "
+                             "writes 3"):
+        extend_checkpointed(version_2_store, 1)
+
+
+def test_verify_fails_only_the_schema_check_of_a_version_2_store(
+        version_2_store):
+    from repro.ckpt.verify import verify_checkpoint
+
+    verdict = verify_checkpoint(version_2_store)
+    assert [check.name for check in verdict.failures] == ["schema-versions"]
+    assert "venus snapshot schema 2" in verdict.failures[0].detail
 
 
 def test_check_schema_accepts_the_current_state(shard_state):

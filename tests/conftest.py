@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings as hypothesis_settings
 
 from repro.net import ETHERNET, MODEM
 from repro.sim import Simulator
+from repro.sim.resources import Store
 from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 
 # Deadline-safe defaults for every property suite.  Simulated time is
@@ -26,6 +27,13 @@ hypothesis_settings.load_profile("repro")
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def queued_socket(net, node, port):
+    """``(socket, store)``: a socket at ``(node, port)`` whose arrivals
+    queue in ``store``, so ``store.get()`` waits for the next one."""
+    store = Store(net.sim)
+    return net.socket(node, port, store.put), store
 
 
 def build_testbed(profile=ETHERNET, tree=None, mount="/coda/usr/u",

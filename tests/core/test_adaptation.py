@@ -9,9 +9,9 @@ def test_unreachable_is_none():
 
 
 def test_basic_thresholding():
-    monitor = ConnectivityMonitor(strong_threshold_bps=500_000)
+    monitor = ConnectivityMonitor()
     assert monitor.classify(True, 2e6) is ConnectionStrength.STRONG
-    monitor2 = ConnectivityMonitor(strong_threshold_bps=500_000)
+    monitor2 = ConnectivityMonitor()
     assert monitor2.classify(True, 64_000) is ConnectionStrength.WEAK
 
 
@@ -21,14 +21,13 @@ def test_unknown_bandwidth_is_conservatively_weak():
 
 
 def test_unknown_bandwidth_keeps_existing_class():
-    monitor = ConnectivityMonitor(strong_threshold_bps=500_000)
+    monitor = ConnectivityMonitor()
     monitor.classify(True, 2e6)
     assert monitor.classify(True, None) is ConnectionStrength.STRONG
 
 
 def test_hysteresis_prevents_flapping():
-    monitor = ConnectivityMonitor(strong_threshold_bps=500_000,
-                                  hysteresis=0.2)
+    monitor = ConnectivityMonitor()
     monitor.classify(True, 2e6)
     # A dip to just below the threshold does not demote...
     assert monitor.classify(True, 450_000) is ConnectionStrength.STRONG
@@ -40,7 +39,7 @@ def test_hysteresis_prevents_flapping():
 
 
 def test_reconnect_resets_cleanly():
-    monitor = ConnectivityMonitor(strong_threshold_bps=500_000)
+    monitor = ConnectivityMonitor()
     monitor.classify(True, 2e6)
     monitor.classify(False, None)
     assert monitor.current is ConnectionStrength.NONE

@@ -5,13 +5,14 @@ import math
 import pytest
 
 from repro.core import PatienceModel
+from repro.core.patience import BETA, GAMMA
 
 
 def test_paper_parameters_are_default():
     model = PatienceModel()
     assert model.alpha == 2.0
-    assert model.beta == 1.0
-    assert model.gamma == 0.01
+    assert BETA == 1.0
+    assert GAMMA == 0.01
 
 
 def test_alpha_is_the_floor():
@@ -33,7 +34,7 @@ def test_threshold_grows_exponentially():
 
 def test_figure7_size_conversion():
     """60 s at 64 Kb/s = 480 KB (the paper's worked example)."""
-    model = PatienceModel(alpha=0.0, beta=60.0, gamma=0.0)
+    model = PatienceModel(alpha=59.0)     # tau(0) = 59 + 1 = 60 s
     assert model.max_file_bytes(0, 64_000) == pytest.approx(480_000)
 
 

@@ -2,8 +2,9 @@
 
 The heart of this file is the equivalence satellite: ``fleet-8`` run
 sharded with 1, 2, and 4 workers must merge to byte-identical output —
-timeline, metrics, digests — across worker counts *and* against the
-plain in-process run.  Worker count may only change wall-clock.
+timeline digests, metrics, reports — across worker counts *and*
+against the plain in-process run.  Worker count may only change
+wall-clock.
 """
 
 import time
@@ -11,7 +12,11 @@ import time
 import pytest
 
 from repro.fleetd import plan_shards, run_sharded
-from repro.fleetd.executor import digest_rows, map_shards, run_shard
+from repro.fleetd.executor import (digest_rows, map_shards, run_shard,
+                                   timeline_rows)
+from repro.fleetd.plan import shard_config
+from repro.obs import Observatory
+from repro.spec.fleet import run_fleet_study
 
 DAYS = 0.1   # keeps four full fleet-8 runs inside tier-1 budget
 
@@ -19,18 +24,16 @@ DAYS = 0.1   # keeps four full fleet-8 runs inside tier-1 budget
 @pytest.fixture(scope="module")
 def runs():
     """fleet-8 merged reports keyed by worker count (0 = in-process)."""
-    return {workers: run_sharded("fleet-8", workers=workers, days=DAYS,
-                                 with_timeline=True)
+    return {workers: run_sharded("fleet-8", workers=workers, days=DAYS)
             for workers in (0, 1, 2, 4)}
 
 
 def test_merged_output_identical_across_worker_counts(runs):
     reference = runs[0]
-    assert reference.timeline, "in-process run carried no timeline"
+    assert reference.fleet_digest, "in-process run carried no digest"
     for workers in (1, 2, 4):
         pooled = runs[workers]
         assert pooled.workers == workers
-        assert pooled.timeline == reference.timeline
         assert pooled.metrics_rows == reference.metrics_rows
         assert pooled.fleet_digest == reference.fleet_digest
         assert pooled.reports == reference.reports
@@ -49,14 +52,15 @@ def test_merged_report_totals(runs):
 
 
 def test_shard_digest_matches_shipped_timeline(runs):
-    # The digest each worker computed over its own rows is the digest
-    # of a fresh local run of the same shard — nothing got lost in
-    # pickling, and "the same clients simulated alone" is literal.
+    # The digest each worker shipped is the digest of the timeline of
+    # the same shard's clients simulated alone, in this process —
+    # nothing got lost in pickling.
     report = runs[2]
-    shards = plan_shards("fleet-8", days=DAYS)
-    local = run_shard(shards[0], with_timeline=True)
-    assert digest_rows(local.timeline) == local.digest
-    assert local.digest == report.shards[0]["digest"]
+    shard = plan_shards("fleet-8", days=DAYS)[0]
+    observatory = Observatory()
+    run_fleet_study(shard_config(shard), observatory=observatory)
+    assert digest_rows(timeline_rows(observatory)) == \
+        report.shards[0]["digest"]
 
 
 def test_run_shard_is_deterministic():
@@ -85,7 +89,8 @@ def test_pool_never_outsizes_the_plan(runs):
     # workers=4 against a 2-shard plan must behave exactly like
     # workers=2 (pool capped at len(shards)); covered by the
     # equivalence assertions above, spelled out here for the reader.
-    assert runs[4].timeline == runs[2].timeline
+    assert runs[4].fleet_digest == runs[2].fleet_digest
+    assert runs[4].shards == runs[2].shards
 
 
 def _slow_first(shard, base):

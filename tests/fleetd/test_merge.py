@@ -7,7 +7,6 @@ from repro.fleetd.merge import (
     fleet_digest,
     format_report,
     merge_results,
-    merge_timelines,
     write_report,
 )
 from repro.obs.metrics import merge_rows, sum_counters
@@ -25,8 +24,6 @@ def _result(index, **overrides):
         stream_stats={"monotone": True, "nodes": [], "kinds": {},
                       "first_time": 0.0, "last_time": 1.0,
                       "prefix": "s%02d-" % index},
-        timeline=[{"time": 0.0, "kind": "cache_hit",
-                   "node": "s%02d-bach" % index}],
     )
     fields.update(overrides)
     return ShardResult(**fields)
@@ -43,14 +40,6 @@ def test_fleet_digest_chains_in_shard_order():
 
 def test_fleet_digest_refuses_partial_coverage():
     assert fleet_digest([_result(0), _result(1, digest=None)]) is None
-
-
-def test_merge_timelines_stamps_the_owning_shard():
-    lines = merge_timelines([_result(0), _result(1)])
-    assert len(lines) == 2
-    assert json.loads(lines[0])["shard"] == 0
-    assert json.loads(lines[1])["shard"] == 1
-    assert merge_timelines([_result(0), _result(1, timeline=None)]) is None
 
 
 def test_merge_rows_is_lossless_and_sorted():
@@ -82,7 +71,6 @@ def test_merge_results_pools_and_sums():
     assert report.mean_success_pct == 90.0
     assert [client["shard"] for client in report.reports] == [0, 1]
     assert report.fleet_digest is not None
-    assert len(report.timeline) == 2
 
 
 def test_report_roundtrips_to_json(tmp_path):

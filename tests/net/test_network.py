@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import ETHERNET, Network
+from tests.conftest import queued_socket
 
 
 def make_net(sim):
@@ -13,11 +14,11 @@ def make_net(sim):
 
 def test_socket_send_receive(sim):
     net = make_net(sim)
-    a = net.socket("client", 10)
-    b = net.socket("server", 20)
+    a, _ = queued_socket(net, "client", 10)
+    _, inbox = queued_socket(net, "server", 20)
 
     def receiver():
-        datagram = yield b.recv()
+        datagram = yield inbox.get()
         return (datagram.payload, datagram.src, datagram.src_port)
 
     proc = sim.process(receiver())
@@ -27,41 +28,41 @@ def test_socket_send_receive(sim):
 
 def test_no_route_drops_silently(sim):
     net = make_net(sim)
-    a = net.socket("client", 10)
+    a, _ = queued_socket(net, "client", 10)
     a.send("mars", 20, "x", size=10)
     sim.run()  # nothing raised, nothing delivered
 
 
 def test_unbound_port_drops(sim):
     net = make_net(sim)
-    a = net.socket("client", 10)
+    a, _ = queued_socket(net, "client", 10)
     a.send("server", 99, "x", size=10)
     sim.run()
 
 
 def test_duplicate_bind_rejected(sim):
     net = make_net(sim)
-    net.socket("client", 10)
+    queued_socket(net, "client", 10)
     with pytest.raises(ValueError):
-        net.socket("client", 10)
+        queued_socket(net, "client", 10)
 
 
 def test_closed_socket_rejects_send_and_drops_arrivals(sim):
     net = make_net(sim)
-    a = net.socket("client", 10)
-    b = net.socket("server", 20)
+    a, _ = queued_socket(net, "client", 10)
+    b, inbox = queued_socket(net, "server", 20)
     b.close()
     a.send("server", 20, "x", size=10)
     sim.run()
-    assert b.pending() == 0
+    assert len(inbox) == 0
     with pytest.raises(RuntimeError):
         b.send("client", 10, "x", size=10)
 
 
 def test_port_reusable_after_close(sim):
     net = make_net(sim)
-    net.socket("client", 10).close()
-    net.socket("client", 10)
+    queued_socket(net, "client", 10)[0].close()
+    queued_socket(net, "client", 10)
 
 
 def test_link_between_lookup(sim):
@@ -73,9 +74,9 @@ def test_link_between_lookup(sim):
 
 def test_pending_counts_undrained_datagrams(sim):
     net = make_net(sim)
-    a = net.socket("client", 10)
-    b = net.socket("server", 20)
+    a, _ = queued_socket(net, "client", 10)
+    _, inbox = queued_socket(net, "server", 20)
     a.send("server", 20, "one", size=10)
     a.send("server", 20, "two", size=10)
     sim.run()
-    assert b.pending() == 2
+    assert len(inbox) == 2

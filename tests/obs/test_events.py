@@ -1,4 +1,4 @@
-"""Trace recorder semantics: taxonomy, filters, limits, null recorder."""
+"""Trace recorder semantics: taxonomy, ordering, null recorder."""
 
 import pytest
 
@@ -23,23 +23,6 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             recorder.record("rpc_sned", 0.0)
 
-    def test_kind_filter(self):
-        recorder = TraceRecorder(kinds={"link_up"})
-        recorder.record("link_up", 1.0)
-        recorder.record("link_down", 2.0)
-        assert [e.kind for e in recorder] == ["link_up"]
-
-    def test_unknown_kind_in_filter_raises(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(kinds={"link_up", "nope"})
-
-    def test_limit_counts_drops(self):
-        recorder = TraceRecorder(limit=2)
-        for _ in range(5):
-            recorder.record("cache_hit", 0.0)
-        assert len(recorder) == 2
-        assert recorder.dropped == 3
-
     def test_by_kind_and_counts(self):
         recorder = TraceRecorder()
         recorder.record("cache_hit", 1.0)
@@ -49,11 +32,11 @@ class TestTraceRecorder:
         assert recorder.counts() == {"cache_hit": 2, "cache_miss": 1}
 
     def test_clear(self):
-        recorder = TraceRecorder(limit=1)
+        recorder = TraceRecorder()
         recorder.record("cache_hit", 0.0)
         recorder.record("cache_hit", 0.0)
         recorder.clear()
-        assert len(recorder) == 0 and recorder.dropped == 0
+        assert len(recorder) == 0
 
     def test_field_named_kind_survives_export_row(self):
         recorder = TraceRecorder()
@@ -122,7 +105,7 @@ class TestObservatory:
         assert null.time() == 0.0
         null.metrics.counter("a", node="x").inc(5)
         null.metrics.gauge("b").set(3)
-        null.metrics.gauge("b").dec()
+        null.metrics.gauge("b").dec(1)
         null.metrics.histogram("c").observe(1.0)
         assert null.metrics.rows() == []
         assert null.metrics.instruments() == []

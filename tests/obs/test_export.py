@@ -23,10 +23,9 @@ def sample_registry():
     registry = MetricsRegistry(time_fn=lambda: 42.0)
     registry.counter("link.bytes_sent", link="a->b").inc(1200)
     registry.gauge("cml.length", node="laptop").set(3)
-    hist = registry.histogram("rpc.latency_seconds",
-                              buckets=(0.1, 1.0), node="laptop")
+    hist = registry.histogram("rpc.latency_seconds", node="laptop")
     hist.observe(0.05)
-    hist.observe(5.0)
+    hist.observe(5000.0)
     return registry
 
 

@@ -106,49 +106,53 @@ class TestGauge:
 class TestHistogram:
 
     def test_observe_fills_buckets(self):
-        hist = make_registry().histogram("lat", buckets=(1.0, 10.0))
-        for value in (0.5, 0.9, 5.0, 100.0):
+        hist = make_registry().histogram("lat")
+        for value in (0.5, 0.9, 5.0, 1000.0):
             hist.observe(value)
         assert hist.count == 4
-        assert hist.counts == [2, 1, 1]        # <=1, <=10, +inf
-        assert hist.min == 0.5 and hist.max == 100.0
-        assert hist.mean == pytest.approx(106.4 / 4)
+        filled = {bound: count for bound, count in hist.bucket_rows()
+                  if count}
+        assert filled == {1.0: 2, 10.0: 1, math.inf: 1}
+        assert hist.min == 0.5 and hist.max == 1000.0
+        assert hist.mean == pytest.approx(1006.4 / 4)
 
     def test_bucket_bound_is_inclusive(self):
-        hist = make_registry().histogram("lat", buckets=(1.0,))
+        hist = make_registry().histogram("lat")
         hist.observe(1.0)
-        assert hist.counts == [1, 0]
+        index = hist.bounds.index(1.0)
+        assert hist.counts[index] == 1 and sum(hist.counts) == 1
 
     def test_empty_histogram(self):
-        hist = make_registry().histogram("lat", buckets=(1.0,))
+        hist = make_registry().histogram("lat")
         assert hist.mean is None
         assert hist.quantile(0.5) is None
 
     def test_quantile_upper_bound_biased(self):
-        hist = make_registry().histogram("lat", buckets=(1.0, 10.0, 100.0))
+        hist = make_registry().histogram("lat")
         for value in (0.5, 0.5, 5.0, 50.0):
             hist.observe(value)
         assert hist.quantile(0.50) == 1.0
         assert hist.quantile(0.75) == 10.0
-        assert hist.quantile(1.00) == 100.0
+        assert hist.quantile(1.00) == 60.0
 
     def test_quantile_in_overflow_returns_observed_max(self):
-        hist = make_registry().histogram("lat", buckets=(1.0,))
-        hist.observe(500.0)
-        assert hist.quantile(0.99) == 500.0
+        hist = make_registry().histogram("lat")
+        hist.observe(5000.0)
+        assert hist.quantile(0.99) == 5000.0
 
     def test_bucket_rows_include_inf(self):
-        hist = make_registry().histogram("lat", buckets=(1.0,))
-        hist.observe(2.0)
-        assert hist.bucket_rows() == [(1.0, 0), (math.inf, 1)]
+        hist = make_registry().histogram("lat")
+        hist.observe(5000.0)
+        assert hist.bucket_rows() == (
+            [(bound, 0) for bound in DEFAULT_LATENCY_BUCKETS]
+            + [(math.inf, 1)])
 
     def test_bounds_are_sorted(self):
-        hist = make_registry().histogram("lat", buckets=(10.0, 1.0))
-        assert hist.bounds == (1.0, 10.0)
+        hist = make_registry().histogram("lat")
+        assert list(hist.bounds) == sorted(hist.bounds)
 
     def test_needs_at_least_one_bound(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", {}, lambda: 0.0, buckets=())
+        assert len(Histogram("lat", {}, lambda: 0.0).bounds) >= 1
 
     def test_default_buckets(self):
         hist = make_registry().histogram("lat")
@@ -181,9 +185,10 @@ class TestHistogram:
                     return index
             return len(bounds)
 
-        bounds = (0.5, 1.0, 1.0, 4.0)       # a repeated bound, too
-        for value in (0.0, 0.5, 0.75, 1.0, 1.5, 4.0, 4.5, math.inf):
-            hist = make_registry().histogram("dup", buckets=bounds)
+        bounds = DEFAULT_LATENCY_BUCKETS
+        for value in (0.0, 0.002, 0.5, 0.75, 1.0, 1.5, 4.0, 599.0,
+                      600.0, 4500.0, math.inf):
+            hist = make_registry().histogram("lat")
             hist.observe(value)
             assert hist.counts.index(1) == scan(bounds, value), value
 
@@ -194,12 +199,13 @@ class TestHistogram:
         assert hist.last_update == 3.0
 
     def test_data_row(self):
-        hist = make_registry().histogram("lat", buckets=(1.0,))
+        hist = make_registry().histogram("lat")
         hist.observe(0.5)
-        hist.observe(3.0)
+        hist.observe(3000.0)
         data = hist.data()
         assert data["count"] == 2
-        assert data["buckets"] == [[1.0, 1]]
+        assert data["buckets"] == [[bound, int(bound == 1.0)]
+                                   for bound in DEFAULT_LATENCY_BUCKETS]
         assert data["overflow"] == 1
 
 
@@ -233,15 +239,10 @@ class TestRegistry:
 
     def test_histogram_bucket_defaults_shared_per_name(self):
         registry = make_registry()
-        registry.histogram("lat", buckets=(1.0, 2.0), node="x")
+        first = registry.histogram("lat", node="x")
         later = registry.histogram("lat", node="y")
-        assert later.bounds == (1.0, 2.0)
-
-    def test_histogram_bucket_mismatch_raises(self):
-        registry = make_registry()
-        registry.histogram("lat", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("lat", buckets=(3.0,), node="y")
+        assert later is not first
+        assert later.bounds == first.bounds == DEFAULT_LATENCY_BUCKETS
 
     def test_instruments_sorted_and_queries(self):
         registry = make_registry()
@@ -255,14 +256,14 @@ class TestRegistry:
         assert len(registry.with_prefix("b.")) == 3
         assert registry.total("b.ops") == 5     # gauges excluded
         assert registry.value("b.ops", node="x") == 3
-        assert registry.value("missing", default=-1) == -1
+        assert registry.value("missing") == 0
         assert registry.find("b.ops", node="z") is None
 
     def test_rows_cover_every_instrument(self):
         registry = make_registry()
         registry.counter("ops", node="x").inc()
         registry.gauge("depth").set(2)
-        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
+        registry.histogram("lat").observe(0.5)
         rows = {row["metric"]: row for row in registry.rows()}
         assert rows["ops"]["type"] == "counter"
         assert rows["ops"]["labels"] == {"node": "x"}

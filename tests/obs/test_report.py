@@ -15,11 +15,10 @@ def synthetic_observatory():
     m.counter("rpc.bytes_out", node="a", kind="Request").inc(600)
     m.counter("rpc.bytes_out", node="a", kind="Ping").inc(400)
     m.counter("rpc.retransmits", node="a").inc(2)
-    hist = m.histogram("rpc.latency_seconds", buckets=(0.1, 1.0),
-                       node="a", proc="Fetch")
+    hist = m.histogram("rpc.latency_seconds", node="a", proc="Fetch")
     hist.observe(0.05)
     hist.observe(0.5)
-    hist.observe(9.0)
+    hist.observe(900.0)
     m.counter("cache.hits", node="a").inc(3)
     m.counter("cache.misses", node="a", reason="fetch").inc(1)
     m.gauge("cml.length", node="a").set(2)
@@ -56,7 +55,7 @@ class TestSummary:
         text = summary(synthetic_observatory())
         assert "rpc.latency_seconds{node=a,proc=Fetch}" in text
         assert "count=3" in text
-        assert "+inf" in text       # the 9.0 observation overflowed
+        assert "+inf" in text       # the 900.0 observation overflowed
 
     def test_cache_ratio(self):
         text = summary(synthetic_observatory())

@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observatory
-from repro.obs.events import TraceRecorder
 from repro.spec.catalog import get
 from repro.spec.compile import fingerprint, run_spec
 from repro.spec.model import OpStep
@@ -113,14 +112,11 @@ class TestTrickleScenario:
 class TestOutageScenario:
 
     def test_link_flaps_recorded(self):
-        observatory = Observatory(recorder=TraceRecorder(
-            kinds={"link_up", "link_down", "packet_drop"}))
+        observatory = Observatory()
         run_spec(get("outage"), observatory=observatory)
         counts = observatory.trace.counts()
         assert counts.get("link_down", 0) >= 1
         assert counts.get("link_up", 0) >= 1
-        # The filtered recorder kept nothing else.
-        assert set(counts) <= {"link_up", "link_down", "packet_drop"}
         assert observatory.metrics.total("link.transitions") >= 2
 
     def test_bytes_dropped_while_down_surface_in_summary(self):

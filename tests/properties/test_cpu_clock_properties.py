@@ -164,9 +164,9 @@ class QueueTimeEndpoint(Rpc2Endpoint):
 class SyncPingEndpoint(Rpc2Endpoint):
     """Planted mutant: a ping queues its Ping at once, with no hop."""
 
-    def ping(self, peer, pad=0, timeout=None):
+    def ping(self, peer, pad=0):
         seq = next(self._ping_seq)
-        ping = self._ping_waiters[seq] = _Ping(self, peer, pad, timeout, seq)
+        ping = self._ping_waiters[seq] = _Ping(self, peer, pad, seq)
         ping.start(None)
         return ping.done
 

@@ -45,7 +45,7 @@ def test_priority_needed_is_tight(wait):
 @given(st.lists(st.floats(min_value=0.001, max_value=30.0),
                 min_size=1, max_size=50))
 def test_rto_always_within_bounds(samples):
-    estimator = RttEstimator(min_rto=0.3, max_rto=60.0)
+    estimator = RttEstimator()
     for sample in samples:
         estimator.observe(sample)
         assert 0.3 <= estimator.rto <= 60.0

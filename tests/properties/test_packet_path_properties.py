@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import Network
 from repro.sim import Simulator
+from tests.conftest import queued_socket
 
 NODES = ("a", "b", "s")
 PORT = 7
@@ -55,7 +56,9 @@ def test_datagrams_arrive_when_a_fifo_wire_says_and_are_counted_once(
                        bits_per_byte=bits_per_byte, header_savings=savings)
     links = [net.add_link("a", "s", **link_kwargs),
              net.add_link("b", "s", **link_kwargs)]
-    sockets = {node: net.socket(node, PORT) for node in NODES}
+    sockets, inboxes = {}, {}
+    for node in NODES:
+        sockets[node], inboxes[node] = queued_socket(net, node, PORT)
     generation = {frozenset(pair): 0 for pair in (("a", "s"), ("b", "s"))}
     arrived = {}
 
@@ -69,7 +72,7 @@ def test_datagrams_arrive_when_a_fifo_wire_says_and_are_counted_once(
 
     def receiver(node):
         while True:
-            datagram = yield sockets[node].recv()
+            datagram = yield inboxes[node].get()
             conserved()
             assert datagram.dst == node and datagram.payload not in arrived
             arrived[datagram.payload] = sim.now

@@ -22,6 +22,7 @@ catch.
 """
 
 from repro.rpc2 import ConnectionDead, Rpc2Endpoint
+from repro.rpc2.endpoint import TRANSFER_GRACE
 from repro.rpc2.packets import Ping, Pong
 from repro.sim.events import Timeout
 from repro.sim.resources import Lock, Store
@@ -65,21 +66,19 @@ class ProcessPings:
         if waiter is not None and not waiter.triggered:
             waiter.succeed(packet)
 
-    def ping(self, peer, pad=0, timeout=None):
-        return self.sim.process(self._ping(peer, pad, timeout),
+    def ping(self, peer, pad=0):
+        return self.sim.process(self._ping(peer, pad),
                                 name="ping-%s" % peer, owner=self.node)
 
-    def _ping(self, peer, pad, timeout):
+    def _ping(self, peer, pad):
         estimator = self.estimator(peer)
-        if timeout is None:
-            if pad:
-                timeout = pad * 10.0 / 1200.0 * 1.5 \
-                    + estimator.rtt.rto + 1.0
-            else:
-                timeout = max(estimator.rtt.rto,
-                              estimator.expected_transfer_time(
-                                  pad, default_bps=self.default_bps)
-                              * 2 + 1.0)
+        if pad:
+            timeout = pad * 10.0 / 1200.0 * 1.5 + estimator.rtt.rto + 1.0
+        else:
+            timeout = max(estimator.rtt.rto,
+                          estimator.expected_transfer_time(
+                              pad, default_bps=self.default_bps)
+                          * 2 + 1.0)
         seq = next(self._ping_seq)
         waiter = self.sim.event()
         self._ping_waiters[seq] = waiter
@@ -112,9 +111,9 @@ class ChildHandlers:
         return (yield self.sim.process(outcome, name="handler-%s" % procedure,
                                        owner=self.node))
 
-    def _expire_transfer(self, table, transfer_id, transfer, grace=300.0):
+    def _expire_transfer(self, table, transfer_id, transfer):
         def expire():
-            yield self.sim.sleep(grace)
+            yield self.sim.sleep(TRANSFER_GRACE)
             if table.get(transfer_id) is transfer:
                 del table[transfer_id]
         self.sim.process(expire(), name="sftp-expire", owner=self.node)
@@ -124,10 +123,11 @@ class LoopEndpoint(ProcessPings, ChildHandlers, Rpc2Endpoint):
     """An endpoint whose packets queue for two owned pacing loops."""
 
     def __init__(self, sim, network, node, port, host, **kwargs):
-        super().__init__(sim, network, node, port, host,
-                         cpu=LockCpu(sim, host), **kwargs)
-        # Arrivals go back to the socket's inbox, for the receive loop.
-        self.socket.deliver = self.socket._inbox.put
+        super().__init__(sim, network, node, port, host, **kwargs)
+        self.cpu = LockCpu(sim, host)
+        # Arrivals queue in an inbox, for the receive loop.
+        self._arrivals = Store(sim)
+        self.socket.deliver = self._arrivals.put
         self._outbox = Store(sim)
         sim.process(self._send_loop(), name="%s-send" % node, owner=node)
         sim.process(self._recv_loop(), name="%s-recv" % node, owner=node)
@@ -153,7 +153,7 @@ class LoopEndpoint(ProcessPings, ChildHandlers, Rpc2Endpoint):
 
     def _recv_loop(self):
         while True:
-            datagram = yield self.socket.recv()
+            datagram = yield self._arrivals.get()
             yield from self.cpu.use(self.host.recv_cost(datagram.size))
             self.liveness.heard_from(datagram.src)
             self._dispatch(datagram.src, datagram.payload)

@@ -20,6 +20,15 @@ from repro.rpc2.rtt import RttEstimator
 from repro.rpc2.tcp import INITIAL_SSTHRESH, MSS, TCP_HEADER
 from repro.sim.events import Timeout
 from repro.sim.resources import Store
+from tests.conftest import queued_socket
+
+
+def _bind(network, node, port):
+    """A socket whose arrivals queue for ``socket.recv()``, as every
+    socket's did in the retired design."""
+    socket, inbox = queued_socket(network, node, port)
+    socket.recv = inbox.get
+    return socket
 
 
 class TcpReceiver:
@@ -172,8 +181,8 @@ def process_tcp_transfer(sim, network, src, dst, nbytes, src_host,
     """
     total = max(1, (nbytes + MSS - 1) // MSS)
     last = nbytes - MSS * (total - 1) or MSS
-    src_sock = network.socket(src, src_port)
-    dst_sock = network.socket(dst, dst_port)
+    src_sock = _bind(network, src, src_port)
+    dst_sock = _bind(network, dst, dst_port)
     sender = TcpSender(sim, src_sock, dst, dst_port, src_host, total, last)
     receiver = TcpReceiver(sim, dst_sock, src, src_port, dst_host, total)
 

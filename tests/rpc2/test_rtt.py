@@ -18,19 +18,19 @@ def test_first_sample_sets_srtt():
 
 
 def test_rto_tracks_srtt_plus_variance():
-    estimator = RttEstimator(min_rto=0.0)
+    estimator = RttEstimator()
     for _ in range(50):
-        estimator.observe(0.2)
-    assert estimator.srtt == pytest.approx(0.2, rel=1e-3)
+        estimator.observe(1.0)
+    assert estimator.srtt == pytest.approx(1.0, rel=1e-3)
     # Variance decays toward zero on constant samples.
-    assert estimator.rto == pytest.approx(0.2, abs=0.05)
+    assert estimator.rto == pytest.approx(1.0, abs=0.05)
 
 
 def test_rto_bounds():
-    estimator = RttEstimator(min_rto=0.3, max_rto=60.0)
+    estimator = RttEstimator()
     estimator.observe(0.001)
     assert estimator.rto == 0.3
-    estimator2 = RttEstimator(min_rto=0.3, max_rto=60.0)
+    estimator2 = RttEstimator()
     estimator2.observe(500.0)
     assert estimator2.rto == 60.0
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import At, Interrupt
+from repro.sim.events import Timeout
 
 
 def test_event_succeed_delivers_value(sim):
@@ -62,8 +63,8 @@ def test_late_subscriber_still_notified(sim):
 
 def test_any_of_fires_on_first(sim):
     def waiter():
-        first = sim.timeout(1.0, value="fast")
-        second = sim.timeout(5.0, value="slow")
+        first = Timeout(sim, 1.0, "fast")
+        second = Timeout(sim, 5.0, "slow")
         results = yield sim.any_of([first, second])
         return list(results.values())
 
@@ -138,7 +139,7 @@ def test_interrupt_finished_process_is_noop(sim):
 
 def test_interrupted_event_keeps_running(sim):
     """The event a process was waiting on is unaffected by interrupt."""
-    shared = sim.timeout(5.0, value="fired")
+    shared = Timeout(sim, 5.0, "fired")
 
     def victim():
         try:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.events import UnhandledFailure
+from repro.sim.events import Timeout, UnhandledFailure
 
 from tests.sim.differential import PlainHeapQueue
 
@@ -158,7 +158,7 @@ def loop_sim(request):
 
 def test_run_until_processed_event_returns_without_dispatching(loop_sim):
     sim = loop_sim
-    done = sim.timeout(1.0, value="early")
+    done = Timeout(sim, 1.0, "early")
     sim.timeout(1.0)
     sim.timeout(2.0)
     assert sim.run(until=done) == "early"

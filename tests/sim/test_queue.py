@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.events import Timeout
 from repro.sim.pool import default_pooling
 from repro.sim.queue import HeapQueue, default_kind
 from tests.sim.differential import PlainHeapQueue
@@ -43,7 +44,7 @@ def test_simulator_accepts_queue_instance():
     fired = []
 
     def waiter():
-        value = yield sim.timeout(2.5, value="tick")
+        value = yield Timeout(sim, 2.5, "tick")
         fired.append(value)
 
     sim.process(waiter())

@@ -54,6 +54,27 @@ def test_doc_archive_exercises_the_miss_taxonomy():
     assert summary["fetches"] > 0
 
 
+#: EXPERIMENTS.md's "Scenario families" numbers for the two testbed
+#: families, from ``repro run <name>`` at the default seed.
+EXPERIMENTS_NUMBERS = {
+    "conflict-storm": {"conflicts_detected": 19,
+                       "conflicts_resolved_mine": 8,
+                       "conflicts_resolved_theirs": 11,
+                       "conflicts_pending": 0,
+                       "reintegration_duplicates": 0,
+                       "cml_reintegrated": 15},
+    "doc-archive": {"reads": 60, "fetches": 31, "misses_transparent": 5,
+                    "misses_denied": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS_NUMBERS))
+def test_experiments_md_family_numbers_hold(name):
+    summary = run_spec(get(name)).summary
+    assert {key: summary[key] for key in EXPERIMENTS_NUMBERS[name]} \
+        == EXPERIMENTS_NUMBERS[name]
+
+
 def test_doc_archive_golden_reaches_the_weak_phase():
     summary = doc_archive_golden()
     assert summary["misses_transparent"] > 0

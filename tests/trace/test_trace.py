@@ -107,14 +107,6 @@ def test_savings_monotone_in_window():
     assert values == sorted(values)
 
 
-def test_optimizations_off_saves_nothing():
-    segment = generate_segment(small_spec())
-    report = CmlSimulator(aging_window=float("inf"),
-                          log_optimizations=False).run(segment)
-    assert report.optimized_bytes == 0
-    assert report.final_cml_bytes == report.appended_bytes
-
-
 def test_conservation_of_bytes():
     segment = generate_segment(small_spec())
     for window in (0.0, 60.0, 300.0, float("inf")):

@@ -116,7 +116,7 @@ def candidates():
 
 
 def test_timeout_user_fetches_everything():
-    approved, suppressed = TimeoutUser(60.0).approve_fetches(candidates())
+    approved, suppressed = TimeoutUser().approve_fetches(candidates())
     assert approved == ["/b", "/c"]
     assert suppressed == []
 

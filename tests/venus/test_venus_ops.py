@@ -6,6 +6,7 @@ from repro.fs import Content
 from repro.sim import At
 from repro.venus import CacheMissError, Venus, VenusState
 from repro.venus.errors import OfflineError
+from repro.venus.venus import LOCAL_OP_COST
 
 from tests.conftest import build_testbed, connected
 
@@ -85,7 +86,7 @@ def test_an_uncontended_write_schedules_nothing_more():
     """A lone write dispatches exactly what the write path without the
     per-path guard dispatches, and ends at the same instant."""
     def unguarded(venus, path, data):
-        yield from venus.endpoint.cpu.use(venus.config.local_op_cost)
+        yield from venus.endpoint.cpu.use(LOCAL_OP_COST)
         entry = yield from venus._prepare_write_target(path, None)
         yield from venus._store(path, entry, Content.of(data))
 

@@ -116,7 +116,7 @@ def test_miss_review_feeds_hoard_database():
 
 def test_unattended_client_times_out_to_fetch_all():
     """Figure 6: no input -> the screen disappears, everything fetches."""
-    config = VenusConfig(start_daemons=False, advice_timeout=60.0)
+    config = VenusConfig(start_daemons=False)
     testbed = build_testbed(profile=MODEM, tree=cold_tree(), warm=False,
                             venus_config=config)   # default TimeoutUser
     connected(testbed)
