@@ -60,7 +60,7 @@ def main():
         # Reconnect: both updates conflict; both are confined.
         links["laptop"].set_up(True)
         yield from laptop.connect()
-        yield sim.timeout(60.0)
+        yield sim.sleep(60.0)
         conflicts = laptop.list_conflicts()
         print("conflicts detected: %d" % len(conflicts))
         for conflict in conflicts:
@@ -73,7 +73,7 @@ def main():
         notes = [c for c in conflicts if "notes" in (c.path or "")][0]
         yield from laptop.repair(plan.ident, "theirs")
         yield from laptop.repair(notes.ident, "mine")
-        yield sim.timeout(60.0)
+        yield sim.sleep(60.0)
         print("\nafter repair:")
         print("   plan  =", server_text("plan.txt"))
         print("   notes =", server_text("notes.txt"))

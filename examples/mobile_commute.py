@@ -67,7 +67,7 @@ def main():
         stamp_stats("home reconnection")
         print("[%8.0fs] home: estimated %.0f b/s, trickling..."
               % (sim.now, venus.current_bandwidth_bps()))
-        yield sim.timeout(1_200.0)
+        yield sim.sleep(1_200.0)
         print("[%8.0fs] home: CML now %dB (shipped %dB overnight)"
               % (sim.now, venus.cml.size_bytes,
                  venus.trickle.stats.bytes_shipped))
@@ -75,12 +75,12 @@ def main():
         # ---- overnight disconnect, office morning -------------------
         link.set_up(False)
         venus.handle_disconnection()
-        yield sim.timeout(8 * 3600.0)
+        yield sim.sleep(8 * 3600.0)
         switch_network(link, ETHERNET)
         link.set_up(True)
         yield from venus.connect()
         stamp_stats("office reconnection")
-        yield sim.timeout(400.0)           # probe confirms Ethernet
+        yield sim.sleep(400.0)           # probe confirms Ethernet
         print("[%8.0fs] office again: state=%s, CML=%dB"
               % (sim.now, venus.state.state.value, venus.cml.size_bytes))
 

@@ -60,7 +60,7 @@ def main():
         yield from venus.write_file(M + "/work/draft.tex",
                                     SyntheticContent(16_000))
         report("first save of draft.tex")
-        yield sim.timeout(120.0)
+        yield sim.sleep(120.0)
         yield from venus.write_file(M + "/work/draft.tex",
                                     SyntheticContent(17_000))
         report("second save (first one cancelled)")
@@ -72,7 +72,7 @@ def main():
         report("wrote 120 KB results.dat")
 
         # Let aging and trickle run.
-        yield sim.timeout(600.0)
+        yield sim.sleep(600.0)
         report("aging window passed")
 
         # Foreground miss while reintegration is busy: the chunk bound
@@ -85,7 +85,7 @@ def main():
         print("[%7.0fs] foreground miss on figure.eps served in %.0fs"
               % (sim.now, sim.now - start))
 
-        yield sim.timeout(900.0)
+        yield sim.sleep(900.0)
         report("background drain complete")
         print("draft.tex on server: %s   results.dat on server: %s"
               % (on_server("draft.tex"), on_server("results.dat")))

@@ -71,7 +71,6 @@ class InvariantChecker:
         self.checks = 0
         self._seen_seqnos = {}       # node -> set of seqnos ever seen
         self._versions = {}          # fid -> highest version seen
-        self._wrapped = None
 
     # -- wiring ----------------------------------------------------------
 
@@ -90,15 +89,8 @@ class InvariantChecker:
             self.on_event(kind, fields)
 
         observatory.event = checked_event
-        self._wrapped = (observatory, original_event)
         self._hook_cml(testbed.venus)
         return self
-
-    def detach(self):
-        if self._wrapped is not None:
-            observatory, original_event = self._wrapped
-            observatory.event = original_event
-            self._wrapped = None
 
     def _hook_cml(self, venus):
         previous = venus.cml.on_change
@@ -231,10 +223,6 @@ class InvariantChecker:
         self.violations.append(violation)
         if self.strict:
             raise InvariantViolation(violation.format())
-
-    def summary(self):
-        return ("invariants: %d check(s), %d violation(s)"
-                % (self.checks, len(self.violations)))
 
 
 def attach_client_checkers(checkers, facades, sample=4):

@@ -112,10 +112,17 @@ _GLOBAL_RANDOM_FNS = {
 _RANDOM_CONSTRUCTORS = {"Random", "SystemRandom"}
 
 #: Method names whose call inside a hash-ordered loop body counts as
-#: feeding the scheduler.
+#: feeding the scheduler: starting a process, sleeping, settling an
+#: event (its callbacks are pushed at once) and the kernel internals.
 _SCHEDULING_CALLS = {
-    "process", "schedule", "timeout", "_schedule_event", "_call_soon",
+    "process", "schedule", "sleep", "succeed", "fail", "_schedule_event",
+    "_call_soon",
 }
+
+#: Event classes whose construction pushes or arms a queue entry, as the
+#: callback chains spell it (``Timeout(sim, delay)``, ``At(sim, when)``,
+#: a born-triggered ``Event``).
+_SCHEDULING_CLASSES = {"Timeout", "At", "Event"}
 
 #: Dict/set methods returning hash-ordered or insertion-ordered views.
 _VIEW_METHODS = {
@@ -241,6 +248,9 @@ def _body_schedules(body):
                 func = node.func
                 if isinstance(func, ast.Attribute) \
                         and func.attr in _SCHEDULING_CALLS:
+                    return True
+                if isinstance(func, ast.Name) \
+                        and func.id in _SCHEDULING_CLASSES:
                     return True
     return False
 

@@ -280,10 +280,11 @@ def _hydrate(world, name):
     world.resident_max = max(world.resident_max, len(world.resident))
     world.swap_in += 1
     obs = world.sim.obs
-    obs.event("checkpoint_restore", scope="client", node=name,
-              day=world.day, cml=state.snapshot.cml_len)
-    obs.metrics.counter("ckpt.swap_in").inc()
-    obs.metrics.gauge("ckpt.resident").set(len(world.resident))
+    if obs.enabled:
+        obs.event("checkpoint_restore", scope="client", node=name,
+                  day=world.day, cml=state.snapshot.cml_len)
+        obs.metrics.counter("ckpt.swap_in").inc()
+        obs.metrics.gauge("ckpt.resident").set(len(world.resident))
     return venus, link
 
 
@@ -295,10 +296,11 @@ def _park(world, name):
     world.parked[name] = parked
     world.swap_out += 1
     obs = world.sim.obs
-    obs.event("checkpoint_write", scope="client", node=name,
-              day=world.day, cml=parked.snapshot.cml_len)
-    obs.metrics.counter("ckpt.swap_out").inc()
-    obs.metrics.gauge("ckpt.resident").set(len(world.resident))
+    if obs.enabled:
+        obs.event("checkpoint_write", scope="client", node=name,
+                  day=world.day, cml=parked.snapshot.cml_len)
+        obs.metrics.counter("ckpt.swap_out").inc()
+        obs.metrics.gauge("ckpt.resident").set(len(world.resident))
     world.server.callbacks.drop_client(name)
     world.server._client_conns.pop(name, None)
     venus.crash()

@@ -23,7 +23,6 @@ from repro.core.cost import (
     FREE,
     LONG_DISTANCE,
     CostAwarePolicy,
-    CostLedger,
     NetworkTariff,
 )
 from repro.core.patience import PatienceModel
@@ -35,7 +34,6 @@ __all__ = [
     "ConnectionStrength",
     "ConnectivityMonitor",
     "CostAwarePolicy",
-    "CostLedger",
     "FREE",
     "LONG_DISTANCE",
     "NetworkTariff",

@@ -31,10 +31,6 @@ class ConnectivityMonitor:
     def __init__(self):
         self._current = ConnectionStrength.NONE
 
-    @property
-    def current(self):
-        return self._current
-
     def classify(self, reachable, bandwidth_bps):
         """Update and return the strength classification.
 

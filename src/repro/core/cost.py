@@ -23,7 +23,8 @@ This module implements that plan:
     reverses — ship everything quickly and hang up, so the policy
     recommends immediate draining instead of trickling.
 
-* a :class:`CostLedger` accounts for what a session actually spent.
+What a session actually spent is ``Venus.network_cost()``: the bytes
+its endpoint sent and its connected seconds, priced by the tariff.
 """
 
 import math
@@ -39,10 +40,6 @@ class NetworkTariff:
     name: str
     per_mb: float = 0.0        # per megabyte transferred
     per_minute: float = 0.0    # per minute of connection time
-
-    @property
-    def is_free(self):
-        return self.per_mb == 0.0 and self.per_minute == 0.0
 
     def cost_of(self, nbytes=0, connected_seconds=0.0):
         """Total cost of moving ``nbytes`` over ``connected_seconds``."""
@@ -105,28 +102,3 @@ class CostAwarePolicy:
         """Per-minute tariffs reward finishing quickly and hanging up
         (the 'terminate a long distance phone call' case of 4.3.2)."""
         return self.tariff.per_minute > 0.0 and self.tariff.per_mb == 0.0
-
-
-class CostLedger:
-    """Accounts a session's actual network spending."""
-
-    def __init__(self, tariff=FREE):
-        self.tariff = tariff
-        self.bytes_transferred = 0
-        self.connected_seconds = 0.0
-
-    def add_bytes(self, nbytes):
-        self.bytes_transferred += nbytes
-
-    def add_connected_time(self, seconds):
-        self.connected_seconds += seconds
-
-    @property
-    def total_cost(self):
-        return self.tariff.cost_of(self.bytes_transferred,
-                                   self.connected_seconds)
-
-    def __repr__(self):
-        return "<CostLedger %.2f units (%d bytes, %.0f s)>" % (
-            self.total_cost, self.bytes_transferred,
-            self.connected_seconds)

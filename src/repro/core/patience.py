@@ -44,15 +44,3 @@ class PatienceModel:
         480 KB.
         """
         return self.threshold(priority) * bandwidth_bps / 8.0
-
-    def curve(self, priorities, bandwidth_bps):
-        """(priority, max file size) pairs — one Figure 7 curve."""
-        return [(p, self.max_file_bytes(p, bandwidth_bps))
-                for p in priorities]
-
-    def priority_needed(self, estimated_seconds):
-        """Smallest priority whose threshold admits the given wait."""
-        if estimated_seconds <= self.threshold(0):
-            return 0
-        return math.ceil(
-            math.log((estimated_seconds - self.alpha) / BETA) / GAMMA)

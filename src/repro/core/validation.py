@@ -59,8 +59,7 @@ class ValidationStats:
 class RapidValidator:
     """Client-side validation engine used on reconnection and walks."""
 
-    def __init__(self, sim, cache, conn, use_volume_callbacks=True,
-                 cpu=None):
+    def __init__(self, sim, cache, conn, cpu, use_volume_callbacks=True):
         self.sim = sim
         self.cache = cache
         self.conn = conn
@@ -84,12 +83,8 @@ class RapidValidator:
 
     def _charge_cpu(self, n_objects):
         cost = PER_OBJECT_CPU * n_objects
-        if cost <= 0:
-            return
-        if self.cpu is not None:
+        if cost > 0:
             yield from self.cpu.use(cost)
-        else:
-            yield self.sim.sleep(cost)
 
     def validate_all(self):
         """Process body: revalidate every cached object.

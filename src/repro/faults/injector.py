@@ -110,8 +110,8 @@ class FaultInjector:
 
     def _apply_degrade(self, action, seq):
         link = self.testbed.link
+        # Both directions share one bandwidth and one loss rate.
         self._reverts[seq] = (link.forward.bandwidth_bps,
-                              link.backward.bandwidth_bps,
                               link.forward.loss_rate)
         if action.bandwidth_bps is not None:
             link.set_bandwidth(action.bandwidth_bps)
@@ -123,8 +123,8 @@ class FaultInjector:
 
     def _revert_degrade(self, action, seq):
         link = self.testbed.link
-        up_bps, down_bps, loss = self._reverts.pop(seq)
-        link.set_bandwidth(down_bps, bandwidth_up_bps=up_bps)
+        bandwidth_bps, loss = self._reverts.pop(seq)
+        link.set_bandwidth(bandwidth_bps)
         link.set_loss_rate(loss)
 
     def _apply_loss(self, action, seq):

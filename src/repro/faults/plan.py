@@ -166,13 +166,3 @@ class FaultPlan:
                                  % (kind, ", ".join(sorted(unknown))))
             actions.append(action_cls(**row))
         return cls(actions)
-
-    def to_dicts(self):
-        """The inverse of :meth:`from_dicts` (for export/logging)."""
-        rows = []
-        for action in self.actions:
-            row = {"kind": action.kind}
-            for f in fields(action):
-                row[f.name] = getattr(action, f.name)
-            rows.append(row)
-        return rows

@@ -45,10 +45,6 @@ class Shard:
     name_prefix: str    # owns every client/volume identity it stamps
     family: str = "figure9"
 
-    @property
-    def clients(self):
-        return self.desktops + self.laptops
-
 
 def shard_seed(scenario, seed, index):
     """Master seed for shard ``index`` of ``(scenario, seed)``.

@@ -48,18 +48,5 @@ class VolumeRegistry:
         except KeyError:
             raise KeyError(volume.name) from None
 
-    def resolve_prefix(self, path):
-        """Split ``path`` into (volume, remaining components).
-
-        The longest matching mount prefix wins.  Raises FileNotFoundError
-        when no mount covers the path.
-        """
-        parts = tuple(split_path(path))
-        for cut in range(len(parts), -1, -1):
-            volume = self._mounts.get(parts[:cut])
-            if volume is not None:
-                return volume, list(parts[cut:])
-        raise FileNotFoundError("no volume mounted for %r" % (path,))
-
     def by_id(self, volid):
         return self._by_id[volid]

@@ -60,9 +60,6 @@ class Volume:
             vnode.mtime = mtime
         self.stamp += 1
 
-    def object_count(self):
-        return len(self.vnodes)
-
     def __repr__(self):
         return "<Volume %d %r stamp=%d objects=%d>" % (
             self.volid, self.name, self.stamp, len(self.vnodes))

@@ -158,10 +158,10 @@ class LinkDirection:
 class Link:
     """A duplex link between two named nodes.
 
-    Both directions start at ``bandwidth_bps``; :meth:`set_bandwidth`
-    may set the a→b one apart.  ``up`` and
-    ``down`` model intermittence; packets in flight when the link drops
-    are lost.
+    Both directions run at ``bandwidth_bps`` and ``loss_rate``, and
+    :meth:`set_bandwidth` and :meth:`set_loss_rate` change both.  ``up``
+    and ``down`` model intermittence; packets in flight when the link
+    drops are lost.
     """
 
     def __init__(self, sim, node_a, node_b, bandwidth_bps,
@@ -229,9 +229,9 @@ class Link:
         self.forward.loss_rate = loss_rate
         self.backward.loss_rate = loss_rate
 
-    def set_bandwidth(self, bandwidth_bps, bandwidth_up_bps=None):
+    def set_bandwidth(self, bandwidth_bps):
         """Change link speed on the fly (e.g. roaming between networks)."""
-        self.forward.bandwidth_bps = float(bandwidth_up_bps or bandwidth_bps)
+        self.forward.bandwidth_bps = float(bandwidth_bps)
         self.backward.bandwidth_bps = float(bandwidth_bps)
 
     def direction(self, src):
@@ -241,9 +241,6 @@ class Link:
         if src == self.node_b:
             return self.backward
         raise ValueError("node %r is not on link %s" % (src, self.name))
-
-    def send(self, datagram):
-        self.direction(datagram.src).send(datagram)
 
     def outage(self, after, duration):
         """Schedule an outage starting ``after`` seconds from now."""

@@ -37,10 +37,6 @@ class NetworkProfile:
             "bits_per_byte": self.bits_per_byte,
         }
 
-    def transmission_time(self, size_bytes):
-        """Seconds to push ``size_bytes`` through this profile's wire."""
-        return size_bytes * self.bits_per_byte / self.bandwidth_bps
-
     def __str__(self):
         if self.bandwidth_bps >= 1e6:
             rate = "%g Mb/s" % (self.bandwidth_bps / 1e6)

@@ -19,12 +19,10 @@ regression test).
 
 from repro.obs.events import (
     EVENT_KINDS,
-    NullRecorder,
     TraceEvent,
     TraceRecorder,
 )
 from repro.obs.export import (
-    read_events_jsonl,
     write_events_jsonl,
     write_metrics_jsonl,
 )
@@ -45,11 +43,9 @@ __all__ = [
     "MetricsRegistry",
     "NULL_OBS",
     "NullObservatory",
-    "NullRecorder",
     "Observatory",
     "TraceEvent",
     "TraceRecorder",
-    "read_events_jsonl",
     "summary",
     "write_events_jsonl",
     "write_metrics_jsonl",

@@ -7,10 +7,9 @@ taxonomy is closed: recording an unknown kind raises immediately, so a
 typo in an instrumentation site fails a test instead of silently
 producing an empty timeline.
 
-The :class:`NullRecorder` is the default wired into every simulator:
-``enabled`` is False, ``record`` does nothing, and no state is kept,
-so an uninstrumented run is byte-identical to one built before this
-package existed.
+A simulator without an observatory records nothing: its ``sim.obs``
+is the null observatory, and every instrumentation site checks
+``obs.enabled`` before it reaches a recorder.
 """
 
 from dataclasses import dataclass, field
@@ -101,25 +100,6 @@ class TraceEvent:
         return "<%s @%.3f %s>" % (self.kind, self.time, extras)
 
 
-class NullRecorder:
-    """The do-nothing default: observation off, zero state, zero cost."""
-
-    enabled = False
-    events = ()
-
-    def record(self, kind, time, /, **fields):
-        """Discard the event."""
-
-    def __len__(self):
-        return 0
-
-    def counts(self):
-        return {}
-
-    def by_kind(self, kind):
-        return []
-
-
 class TraceRecorder:
     """Accumulates typed events in arrival (= simulation) order."""
 
@@ -134,21 +114,9 @@ class TraceRecorder:
                              % (kind, ", ".join(sorted(EVENT_KINDS))))
         self.events.append(TraceEvent(time=time, kind=kind, fields=fields))
 
-    def __len__(self):
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def by_kind(self, kind):
-        return [event for event in self.events if event.kind == kind]
-
     def counts(self):
         """``{kind: occurrences}`` over everything recorded."""
         out = {}
         for event in self.events:
             out[event.kind] = out.get(event.kind, 0) + 1
         return out
-
-    def clear(self):
-        self.events = []

@@ -1,13 +1,10 @@
 """Exporters: the timeline and the metrics as JSONL.
 
-One JSON object per line; values round-trip exactly
-(:func:`read_events_jsonl` reverses :func:`write_events_jsonl`).
-Non-JSON values (Fids, enums) degrade to ``str``.
+One JSON object per line, keys sorted; non-JSON values (Fids, enums)
+degrade to ``str``.
 """
 
 import json
-
-from repro.obs.events import TraceEvent
 
 
 def _jsonable(value):
@@ -41,24 +38,6 @@ def write_events_jsonl(events, path_or_file):
     finally:
         if owned:
             stream.close()
-
-
-def read_events_jsonl(path_or_file):
-    """Read a JSONL timeline back into :class:`TraceEvent` objects."""
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file.read().splitlines()
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as stream:
-            lines = stream.read().splitlines()
-    events = []
-    for line in lines:
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        time = row.pop("time")
-        kind = row.pop("kind")
-        events.append(TraceEvent(time=time, kind=kind, fields=row))
-    return events
 
 
 # ----------------------------------------------------------------------

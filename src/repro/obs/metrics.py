@@ -127,12 +127,6 @@ class Gauge(Instrument):
             self.max_value = high
         self.last_update = stamp
 
-    def inc(self, amount=1):
-        return self.set((self.value or 0) + amount)
-
-    def dec(self, amount):
-        return self.set((self.value or 0) - amount)
-
     def data(self):
         return {"value": self.value, "min": self.min_value,
                 "max": self.max_value, "last_update": self.last_update}
@@ -260,13 +254,6 @@ class MetricsRegistry:
         """All instruments whose name starts with ``prefix``, sorted."""
         return [inst for inst in self.instruments()
                 if inst.name.startswith(prefix)]
-
-    def value(self, name, **labels):
-        """Shortcut: a counter/gauge value, or 0 if absent."""
-        instrument = self.find(name, **labels)
-        if instrument is None:
-            return 0
-        return instrument.value
 
     def total(self, name):
         """Sum of a counter's value across all label sets."""

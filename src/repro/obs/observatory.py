@@ -21,7 +21,7 @@ run of the pre-instrumentation code.
 from functools import partial
 from operator import attrgetter
 
-from repro.obs.events import NullRecorder, TraceRecorder
+from repro.obs.events import TraceRecorder
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -86,85 +86,15 @@ class Observatory:
         """
         self.trace.record(kind, self._sim.now, **fields)
 
-    def summary(self):
-        """The human-readable report (see :mod:`repro.obs.report`)."""
-        from repro.obs.report import summary
-        return summary(self)
-
-
-class _NullInstrument:
-    """Accepts any update and forgets it immediately."""
-
-    value = 0
-    count = 0
-
-    def inc(self, amount=1):
-        return 0
-
-    def dec(self, amount):
-        return 0
-
-    def set(self, value):
-        return value
-
-    def observe(self, value):
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class _NullMetrics:
-    """Registry facade handing out the shared null instrument."""
-
-    def counter(self, name, **labels):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, **labels):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, **labels):
-        return _NULL_INSTRUMENT
-
-    def instruments(self):
-        return []
-
-    def rows(self):
-        return []
-
-    def __len__(self):
-        return 0
-
 
 class NullObservatory:
-    """The default ``sim.obs``: everything is a no-op.
+    """The default ``sim.obs``: observation off.
 
-    Instrumented call sites check ``enabled`` first, so in practice
-    none of these methods run; they exist so that an unguarded call is
-    still harmless.
+    Every instrumentation site checks ``enabled`` before it touches
+    ``metrics``, ``trace`` or ``event``, so this has nothing else.
     """
 
     enabled = False
-
-    def __init__(self):
-        self.trace = NullRecorder()
-        self.metrics = _NullMetrics()
-
-    def time(self):
-        return 0.0
-
-    def event(self, kind, /, **fields):
-        """Discard the event."""
-
-    def install(self, sim):
-        sim.obs = self
-        return self
-
-    def uninstall(self):
-        """Nothing to detach."""
-
-    def summary(self):
-        return "observability disabled (null observatory)"
 
 
 #: The shared zero-overhead default attached to every new Simulator.

@@ -137,7 +137,7 @@ class Rpc2Endpoint:
         killed = self.sim.kill_owned(self.node)
         waiters = self._ping_waiters
         self._ping_waiters = {}
-        for ping in waiters.values():
+        for _seq, ping in sorted(waiters.items()):
             ping.done.fail(Interrupt(None))
             ping.done.defuse()
         return killed
@@ -528,7 +528,7 @@ class Rpc2Connection:
                           send_size=send_size)
             pending = inbox.get()
             while True:
-                timeout = sim.timeout(patience)
+                timeout = sim.sleep(patience)
                 yield sim.any_of([pending, timeout])
                 if pending.triggered:
                     packet = pending.value
@@ -569,7 +569,6 @@ class Rpc2Connection:
                                               name="sftp-send-store",
                                               owner=endpoint.node)
                         except TransferAborted as aborted:
-                            endpoint.liveness.mark_unreachable(self.peer)
                             raise ConnectionDead(str(aborted)) from aborted
                         finally:
                             endpoint._expire_transfer(endpoint._sftp_senders,
@@ -585,7 +584,6 @@ class Rpc2Connection:
                     continue
                 attempts += 1
                 if attempts > max_retries:
-                    endpoint.liveness.mark_unreachable(self.peer)
                     raise ConnectionDead(
                         "call %s to %s timed out" % (procedure, self.peer))
                 request.ts = sim.now

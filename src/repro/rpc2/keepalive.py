@@ -9,45 +9,22 @@ Venus equally convinced the peer is alive without extra traffic.
 """
 
 
-class PeerLiveness:
-    """What one endpoint knows about one peer."""
-
-    def __init__(self):
-        self.last_heard = None
-        self.reachable = None  # None = never contacted
-
-
 class LivenessRegistry:
     """Per-endpoint registry of peer liveness, shared by all layers."""
 
     def __init__(self, sim):
         self.sim = sim
-        self._peers = {}
-
-    def peer(self, name):
-        info = self._peers.get(name)
-        if info is None:
-            info = PeerLiveness()
-            self._peers[name] = info
-        return info
+        self._last_heard = {}
 
     def heard_from(self, name):
         """Record that any packet (RPC, SFTP, ping) arrived from ``name``.
 
-        Once per packet received: the peer is one dict lookup."""
-        info = self._peers.get(name) or self.peer(name)
-        info.last_heard = self.sim.now
-        info.reachable = True
-
-    def mark_unreachable(self, name):
-        self.peer(name).reachable = False
-
-    def is_reachable(self, name):
-        return self.peer(name).reachable is True
+        Once per packet received: one dict store."""
+        self._last_heard[name] = self.sim.now
 
     def silent_for(self, name):
         """Seconds since ``name`` was last heard from (inf if never)."""
-        info = self._peers.get(name)
-        if info is None or info.last_heard is None:
+        last_heard = self._last_heard.get(name)
+        if last_heard is None:
             return float("inf")
-        return self.sim.now - info.last_heard
+        return self.sim.now - last_heard

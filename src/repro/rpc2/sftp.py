@@ -113,8 +113,8 @@ class SftpSender:
                 burst_bytes += self._send_data(seq, sent)
             round_length = self._burst_timeout(
                 max(burst_bytes, SFTP_DATA_SIZE)) * backoff
-            deadline = self.sim.timeout(round_length)
-            keepalive = self.sim.timeout(KEEPALIVE) \
+            deadline = self.sim.sleep(round_length)
+            keepalive = self.sim.sleep(KEEPALIVE) \
                 if round_length > KEEPALIVE else None
             progressed = False
             while True:
@@ -164,7 +164,7 @@ class SftpSender:
                         and not deadline.triggered:
                     probe = min(unacked) if unacked else self.total - 1
                     self._send_data(probe, sent)
-                    keepalive = self.sim.timeout(KEEPALIVE)
+                    keepalive = self.sim.sleep(KEEPALIVE)
                     continue
                 break           # round timed out
             if progressed:

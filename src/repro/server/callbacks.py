@@ -28,12 +28,6 @@ class CallbackRegistry:
     def add_volume(self, client, volid):
         self._volume_holders[volid].add(client)
 
-    def has_object(self, client, fid):
-        return client in self._object_holders.get(fid, ())
-
-    def has_volume(self, client, volid):
-        return client in self._volume_holders.get(volid, ())
-
     # -- queries -------------------------------------------------------
 
     def breaks_for_update(self, updater, fid):
@@ -72,9 +66,3 @@ class CallbackRegistry:
                     self._object_holders.values())
                 + sum(len(holders) for holders in
                       self._volume_holders.values()))
-
-    def object_holder_count(self, fid):
-        return len(self._object_holders.get(fid, ()))
-
-    def volume_holder_count(self, volid):
-        return len(self._volume_holders.get(volid, ()))

@@ -62,10 +62,6 @@ class FragmentStore:
         entry.fragments[index] = nbytes
         return entry.received
 
-    def received(self, key):
-        entry = self._partial.get(key)
-        return entry.received if entry else 0
-
     def is_complete(self, key, total_size):
         entry = self._partial.get(key)
         return entry is not None and entry.total_size == total_size \

@@ -13,7 +13,6 @@ through named :class:`~repro.sim.rand.RandomStreams`.
 """
 
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     At,
     Event,
@@ -27,7 +26,6 @@ from repro.sim.resources import Lock, Store
 from repro.sim.tally import KernelTally
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "At",
     "Event",

@@ -16,13 +16,9 @@ NORMAL = 1
 class Interrupt(Exception):
     """Raised inside a process that has been interrupted.
 
-    The interrupting party supplies an arbitrary ``cause`` explaining
-    why (for example, "link went down").
+    The interrupting party may supply a cause explaining why (for
+    example, "link went down") as the exception's argument.
     """
-
-    @property
-    def cause(self):
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -53,16 +49,6 @@ class Event:
     def triggered(self):
         """True once the event's outcome (value or failure) is decided."""
         return self._value is not _PENDING
-
-    @property
-    def processed(self):
-        """True once the event's callbacks have run."""
-        return self._processed
-
-    @property
-    def ok(self):
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._ok is True
 
     @property
     def value(self):
@@ -201,24 +187,23 @@ class At(Timeout):
         sim._push((when, NORMAL, next(sim._sequence), self))
 
 
-class Condition(Event):
-    """Base for events composed of several child events."""
+class AnyOf(Event):
+    """Succeeds when any child event succeeds; fails if a child fails.
 
-    __slots__ = ("_events", "_count_needed", "_count")
+    Its value is ``{event: value}`` over the children that had
+    succeeded by then; with no children it succeeds at once with ``{}``.
+    """
 
-    def __init__(self, sim, events, count_needed):
+    __slots__ = ("_events",)
+
+    def __init__(self, sim, events):
         super().__init__(sim)
         self._events = list(events)
-        self._count_needed = count_needed
-        self._count = 0
-        if not self._events or count_needed == 0:
-            self.succeed(self._collect())
+        if not self._events:
+            self.succeed({})
             return
         for event in self._events:
             event.subscribe(self._on_child)
-
-    def _collect(self):
-        return {e: e._value for e in self._events if e.triggered and e._ok}
 
     def _on_child(self, event):
         if self._value is not _PENDING:
@@ -227,26 +212,5 @@ class Condition(Event):
             event.defuse()
             self.fail(event._value)
             return
-        self._count += 1
-        if self._count >= self._count_needed:
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Succeeds when any child event succeeds; fails if a child fails."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        events = list(events)
-        super().__init__(sim, events, 1 if events else 0)
-
-
-class AllOf(Condition):
-    """Succeeds when all child events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        events = list(events)
-        super().__init__(sim, events, len(events))
+        self.succeed({e: e._value for e in self._events
+                      if e.triggered and e._ok})

@@ -4,7 +4,7 @@ from heapq import heappop
 from itertools import count
 
 from repro.obs.observatory import NULL_OBS
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, URGENT, _PENDING
+from repro.sim.events import AnyOf, Event, Timeout, URGENT, _PENDING
 from repro.sim.process import Process
 from repro.sim.queue import HeapQueue
 
@@ -53,12 +53,8 @@ class Simulator:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay):
-        """Create an event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay)
-
     def sleep(self, delay):
-        """What a process yields to wait: ``timeout(delay)``, no value."""
+        """An event that fires ``delay`` seconds from now, no value."""
         return Timeout(self, delay)
 
     def process(self, generator, name=None, owner=None):
@@ -99,10 +95,6 @@ class Simulator:
     def any_of(self, events):
         """Event that fires when any of ``events`` does."""
         return AnyOf(self, events)
-
-    def all_of(self, events):
-        """Event that fires when all of ``events`` have."""
-        return AllOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling internals
@@ -151,10 +143,6 @@ class Simulator:
         metrics = obs.metrics
         metrics.counter("sim.events_dispatched").absorb(seen, stamp)
         metrics.gauge("sim.queue_depth").absorb(depth, low, high, stamp)
-
-    def peek(self):
-        """Time of the next scheduled event, or None if the queue is empty."""
-        return self._queue.peek_when()
 
     def peek_entry(self):
         """The next ``(when, prio, seq, event)`` entry, or None if empty.

@@ -48,9 +48,6 @@ class RandomStreams:
             self._streams[name] = generator
         return generator
 
-    def __getitem__(self, name):
-        return self.stream(name)
-
     def state(self):
         """Picklable ``{name: generator state}`` over every named stream.
 

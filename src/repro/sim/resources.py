@@ -60,9 +60,6 @@ class Store:
         self._items = deque()
         self._getters = deque()
 
-    def __len__(self):
-        return len(self._items)
-
     def put(self, item):
         """Deposit ``item``, waking the oldest waiting getter if any."""
         while self._getters:
@@ -91,6 +88,3 @@ class Store:
             self._getters.append(event)
         return event
 
-    def clear(self):
-        """Drop all queued items (waiting getters stay queued)."""
-        self._items.clear()

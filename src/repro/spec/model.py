@@ -203,9 +203,9 @@ class Outage:
 class NetworkSpec:
     """Connectivity: a named profile plus outages and a fault plan.
 
-    ``faults`` holds :class:`repro.faults.plan.FaultPlan` rows in their
-    ``to_dicts`` form so specs stay plain data; the compiler rebuilds
-    the plan with ``FaultPlan.from_dicts``.  Rows are canonicalised to
+    ``faults`` holds :class:`repro.faults.plan.FaultPlan` rows as the
+    plain dicts ``FaultPlan.from_dicts`` takes, so specs stay plain
+    data; the compiler rebuilds the plan from them.  Rows are canonicalised to
     sorted key/value pair tuples so the whole spec stays hashable;
     :meth:`fault_rows` gives them back as the dicts the fault plan
     machinery takes.

@@ -67,18 +67,3 @@ class TraceSegment:
     @property
     def references(self):
         return len(self.records)
-
-    @property
-    def updates(self):
-        return sum(1 for record in self.records if record.is_update)
-
-    def think_time_above(self, threshold):
-        """Total trace delay preserved at think threshold ``threshold``."""
-        preserved = 0.0
-        last = 0.0
-        for record in self.records:
-            gap = record.time - last
-            if gap >= threshold:
-                preserved += gap
-            last = record.time
-        return preserved

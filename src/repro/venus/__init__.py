@@ -9,8 +9,6 @@ user patience model, and the Venus facade that ties them together.
 """
 
 from repro.venus.advice import (
-    AlwaysApprove,
-    NeverApprove,
     ScriptedUser,
     TimeoutUser,
     UserModel,
@@ -25,7 +23,6 @@ from repro.venus.states import VenusState
 from repro.venus.venus import Venus, VenusConfig
 
 __all__ = [
-    "AlwaysApprove",
     "CacheEntry",
     "CacheManager",
     "CacheMissError",
@@ -37,7 +34,6 @@ __all__ = [
     "HoardDatabase",
     "HoardEntry",
     "MissRecord",
-    "NeverApprove",
     "NoSpaceError",
     "OfflineError",
     "Repairer",

@@ -60,20 +60,6 @@ class TimeoutUser(UserModel):
         return [c.path for c in candidates if not c.preapproved], []
 
 
-class AlwaysApprove(UserModel):
-    """Immediately approves every fetch (a very patient user)."""
-
-    def approve_fetches(self, candidates):
-        return [c.path for c in candidates if not c.preapproved], []
-
-
-class NeverApprove(UserModel):
-    """Declines every fetch that is not preapproved (a frugal user)."""
-
-    def approve_fetches(self, candidates):
-        return [], []
-
-
 class ScriptedUser(UserModel):
     """Deterministic decisions for tests and experiments.
 

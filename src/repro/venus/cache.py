@@ -141,7 +141,7 @@ class CacheManager:
         self._ref_clock = 0
         self.evictions = 0
         # Incremental space accounting: maintained by insert/remove and
-        # the CacheEntry.content setter, so used_bytes is O(1) instead
+        # the CacheEntry.content setter, so _used_bytes is O(1) instead
         # of a sum over every entry (the former #1 hot frame of the
         # fleet benchmarks).
         self._used_bytes = 0
@@ -185,19 +185,11 @@ class CacheManager:
     def volume_infos(self):
         return dict(self._volumes)
 
-    @property
-    def used_bytes(self):
-        return self._used_bytes
-
     def nonlocal_volumes(self):
         """Sorted ids of volumes holding at least one non-local entry."""
         local_refs = self._local_refs
         return sorted(vol for vol, count in self._volume_refs.items()
                       if count > local_refs.get(vol, 0))
-
-    @property
-    def available_bytes(self):
-        return self.capacity_bytes - self.used_bytes
 
     # -- mutation ----------------------------------------------------------
 

@@ -54,9 +54,6 @@ class CmlRecord:
         data = self.content.size if self.content is not None else 0
         return RECORD_OVERHEAD + data
 
-    def involves(self, fid):
-        return fid in (self.fid, self.parent)
-
     def __repr__(self):
         return "<CML #%d %s %s%s>" % (
             self.seqno, self.op.value, self.fid,
@@ -110,10 +107,6 @@ class ClientModifyLog:
 
     def __iter__(self):
         return iter(self._records)
-
-    @property
-    def records(self):
-        return list(self._records)
 
     @property
     def size_bytes(self):

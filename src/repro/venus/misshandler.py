@@ -38,9 +38,6 @@ class MissLog:
         self._records.append(miss)
         self.total_recorded += 1
 
-    def peek(self):
-        return list(self._records)
-
     def drain(self):
         """Return and clear pending misses (the Figure 5 interaction)."""
         records, self._records = self._records, []

@@ -71,7 +71,3 @@ class VenusStateMachine:
     def connected(self):
         return self.state is not VenusState.EMULATING
 
-    @property
-    def logging_updates(self):
-        """True when updates go to the CML rather than through RPCs."""
-        return self.state is not VenusState.HOARDING

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from repro.core.adaptation import ConnectionStrength, ConnectivityMonitor
-from repro.core.cost import FREE, CostAwarePolicy, CostLedger
+from repro.core.cost import FREE, CostAwarePolicy
 from repro.core.patience import PatienceModel
 from repro.core.trickle import TrickleReintegrator
 from repro.core.validation import RapidValidator
@@ -118,16 +118,17 @@ class Venus:
         self.monitor = ConnectivityMonitor()
         self.patience = PatienceModel(self.config.patience_alpha)
         self.cost_policy = CostAwarePolicy(self.config.tariff or FREE)
-        self.ledger = CostLedger(self.config.tariff or FREE)
+        # Connected seconds of finished connections; network_cost()
+        # adds the open one's.
+        self._connected_seconds = 0.0
         self._connected_since = None
         self.state.on_transition(self._account_connection_time)
         self.state.on_transition(self._observe_transition)
         self.cml.on_change = self._observe_cml
         self.trickle = TrickleReintegrator(self)
         self.validator = RapidValidator(
-            sim, self.cache, self.conn,
-            use_volume_callbacks=self.config.use_volume_callbacks,
-            cpu=self.endpoint.cpu)
+            sim, self.cache, self.conn, self.endpoint.cpu,
+            use_volume_callbacks=self.config.use_volume_callbacks)
         self.stats = VenusStats()
         self.foreground_ops = 0
         self.suppressed_fetches = set()
@@ -168,7 +169,7 @@ class Venus:
         now = self.sim.now
         if new is VenusState.EMULATING:
             if self._connected_since is not None:
-                self.ledger.add_connected_time(now - self._connected_since)
+                self._connected_seconds += now - self._connected_since
                 self._connected_since = None
         elif self._connected_since is None:
             self._connected_since = now
@@ -193,10 +194,8 @@ class Venus:
         connected = 0.0
         if self._connected_since is not None:
             connected = self.sim.now - self._connected_since
-        self.ledger.bytes_transferred = self.endpoint.bytes_out
-        return self.ledger.tariff.cost_of(
-            self.ledger.bytes_transferred,
-            self.ledger.connected_seconds + connected)
+        return self.cost_policy.tariff.cost_of(
+            self.endpoint.bytes_out, self._connected_seconds + connected)
 
     def _new_fid(self, volid):
         """Allocate a client-local fid (stands in for ViceAllocFid)."""

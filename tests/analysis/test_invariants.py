@@ -135,7 +135,6 @@ def test_non_strict_mode_collects_instead_of_raising():
     checker = InvariantChecker(strict=False)
     checker.check_cml("laptop", [Rec(2), Rec(1), Rec(1)])
     assert len(checker.violations) >= 2
-    assert "violation(s)" in checker.summary()
     assert all(v.format().startswith("[cml_seqno")
                for v in checker.violations)
 
@@ -144,14 +143,3 @@ def test_attach_requires_enabled_observatory():
     testbed = make_testbed(MODEM)             # no observatory installed
     with pytest.raises(ValueError, match="Observatory"):
         InvariantChecker().attach(testbed)
-
-
-def test_detach_restores_the_event_hook():
-    testbed, checker, _ = attached_testbed()
-    observatory = testbed.obs
-    hooked = observatory.event
-    checker.detach()
-    assert observatory.event is not hooked
-    # Detached: tampering no longer raises through event recording.
-    testbed.link.forward.stats.bytes_sent += 10
-    observatory.event("cache_miss", node="laptop")

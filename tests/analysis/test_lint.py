@@ -107,8 +107,27 @@ def test_det003_hash_ordered_iterables(iterable):
     source = """
         def spawn_all(sim, names, active, table):
             for item in %s:
-                sim.timeout(1.0)
+                sim.sleep(1.0)
     """ % iterable
+    assert "DET003" in rules_of(run(source))
+
+
+@pytest.mark.parametrize("call", [
+    "sim.sleep(1.0)",
+    "Timeout(sim, 1.0)",
+    "At(sim, 5.0)",
+    "ping.done.fail(Interrupt(None))",
+    "waiter.succeed(name)",
+])
+def test_det003_every_scheduling_spelling(call):
+    """A set loop that schedules by sleeping, by building a ``Timeout``
+    or ``At`` as the callback chains do, or by settling an event is
+    flagged just as one that starts a process."""
+    source = """
+        def spawn_all(sim, names, ping, waiter):
+            for name in set(names):
+                %s
+    """ % call
     assert "DET003" in rules_of(run(source))
 
 

@@ -7,6 +7,8 @@ from repro.fs import ObjectType
 from repro.net import ETHERNET
 from repro.spec.testbed import make_testbed, populate_volume, warm_cache
 
+from tests.conftest import has_callback
+
 
 def test_populate_creates_intermediate_dirs():
     testbed = make_testbed(ETHERNET)
@@ -18,7 +20,7 @@ def test_populate_creates_intermediate_dirs():
     f = volume.require(c.lookup("file.txt"))
     assert f.otype is ObjectType.FILE
     assert f.length == 123
-    assert volume.object_count() == 5       # root + a + b + c + file
+    assert len(volume.vnodes) == 5       # root + a + b + c + file
 
 
 def test_populate_is_idempotent_per_path():
@@ -26,7 +28,7 @@ def test_populate_is_idempotent_per_path():
     tree = {"/coda/x/d": ("dir", 0),
             "/coda/x/d/f": ("file", 10)}
     volume = populate_volume(testbed.server, "/coda/x", tree)
-    assert volume.object_count() == 3
+    assert len(volume.vnodes) == 3
 
 
 def test_warm_cache_mirrors_volume():
@@ -36,7 +38,7 @@ def test_warm_cache_mirrors_volume():
     volume = populate_volume(testbed.server, "/coda/x", tree)
     warm_cache(testbed.venus, testbed.server, volume)
     cache = testbed.venus.cache
-    assert len(cache) == volume.object_count()
+    assert len(cache) == len(volume.vnodes)
     for fid, vnode in volume.vnodes.items():
         entry = cache.get(fid)
         assert entry is not None
@@ -45,8 +47,8 @@ def test_warm_cache_mirrors_volume():
         assert cache.is_valid(entry)
     info = cache.volume_info(volume.volid)
     assert info.stamp == volume.stamp
-    assert testbed.server.callbacks.has_volume(testbed.venus.node,
-                                               volume.volid)
+    assert has_callback(testbed.server.callbacks, testbed.venus.node,
+                        volume.volid)
 
 
 def test_warm_cache_reconstructs_paths():

@@ -29,6 +29,14 @@ def sim():
     return Simulator()
 
 
+def has_callback(registry, client, key):
+    """Does ``client`` hold a callback promise on ``key``, a ``Fid`` or
+    a volume id?"""
+    holders = registry._volume_holders if isinstance(key, int) \
+        else registry._object_holders
+    return client in holders.get(key, ())
+
+
 def queued_socket(net, node, port):
     """``(socket, store)``: a socket at ``(node, port)`` whose arrivals
     queue in ``store``, so ``store.get()`` waits for the next one."""

@@ -41,6 +41,5 @@ def test_hysteresis_prevents_flapping():
 def test_reconnect_resets_cleanly():
     monitor = ConnectivityMonitor()
     monitor.classify(True, 2e6)
-    monitor.classify(False, None)
-    assert monitor.current is ConnectionStrength.NONE
+    assert monitor.classify(False, None) is ConnectionStrength.NONE
     assert monitor.classify(True, 2e6) is ConnectionStrength.STRONG

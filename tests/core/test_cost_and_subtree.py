@@ -8,7 +8,6 @@ from repro.core.cost import (
     FREE,
     LONG_DISTANCE,
     CostAwarePolicy,
-    CostLedger,
     NetworkTariff,
 )
 from repro.net import MODEM
@@ -27,7 +26,6 @@ def test_tariff_arithmetic():
     assert tariff.cost_of(nbytes=MB) == pytest.approx(2.0)
     assert tariff.cost_of(connected_seconds=60) == pytest.approx(0.6)
     assert tariff.cost_of(MB, 30) == pytest.approx(2.3)
-    assert FREE.is_free and not CELLULAR.is_free
 
 
 def test_spend_threshold_grows_with_priority():
@@ -59,13 +57,6 @@ def test_per_minute_tariff_prefers_fast_drain():
     assert not CostAwarePolicy(FREE).prefers_fast_drain
 
 
-def test_ledger_accounting():
-    ledger = CostLedger(NetworkTariff("t", per_mb=1.0, per_minute=0.6))
-    ledger.add_bytes(2 * MB)
-    ledger.add_connected_time(120.0)
-    assert ledger.total_cost == pytest.approx(2.0 + 1.2)
-
-
 # ------------------------------------------------ cost-aware Venus
 
 def test_expensive_network_refuses_affordable_in_time_fetch():
@@ -85,7 +76,7 @@ def test_expensive_network_refuses_affordable_in_time_fetch():
     venus.patience.alpha = 10_000.0     # infinitely patient in *time*
     with pytest.raises(CacheMissError):
         testbed.run(venus.read_file(M + "/dir/big.bin"))
-    assert venus.misses.peek()[-1].reason == "cost"
+    assert venus.misses.drain()[-1].reason == "cost"
 
 
 def test_per_minute_tariff_drains_promptly():
@@ -99,6 +90,23 @@ def test_per_minute_tariff_drains_promptly():
     # drives A to zero: the update ships within a daemon period or two.
     testbed.sim.run(until=testbed.sim.now + 60.0)
     assert len(venus.cml) == 0
+
+
+def test_ledger_accounting():
+    """A finished connection's minutes stay billed; disconnected time
+    costs nothing, and the next connection's minutes add on."""
+    config = VenusConfig(tariff=LONG_DISTANCE, start_daemons=False)
+    testbed = build_testbed(profile=MODEM, venus_config=config)
+    venus = testbed.venus
+    connected(testbed)
+    testbed.sim.run(until=testbed.sim.now + 300.0)
+    venus.handle_disconnection()
+    first = venus.network_cost()
+    testbed.sim.run(until=testbed.sim.now + 3_000.0)
+    assert venus.network_cost() == first
+    connected(testbed)
+    testbed.sim.run(until=testbed.sim.now + 300.0)
+    assert venus.network_cost() == pytest.approx(2 * first, rel=0.15)
 
 
 def test_network_cost_tracks_connection_and_bytes():

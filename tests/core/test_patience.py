@@ -40,19 +40,8 @@ def test_figure7_size_conversion():
 
 def test_curve_shape():
     model = PatienceModel()
-    curve = model.curve([0, 500, 1000], 9_600)
-    assert [p for p, _s in curve] == [0, 500, 1000]
-    sizes = [s for _p, s in curve]
+    sizes = [model.max_file_bytes(p, 9_600) for p in (0, 500, 1000)]
     assert sizes == sorted(sizes)
-
-
-def test_priority_needed_inverts_threshold():
-    model = PatienceModel()
-    for wait in (1.0, 10.0, 100.0, 1000.0):
-        priority = model.priority_needed(wait)
-        assert model.approves(priority, wait)
-        if priority > 0:
-            assert not model.approves(priority - 1, wait)
 
 
 def test_higher_bandwidth_admits_larger_files():

@@ -47,7 +47,7 @@ def test_aging_window_enables_overwrite_cancellation():
     testbed.run(venus.write_file(M + "/dir/a.txt", b"1" * 50_000))
 
     def overwrite_later():
-        yield testbed.sim.timeout(120.0)
+        yield testbed.sim.sleep(120.0)
         yield from venus.write_file(M + "/dir/a.txt", b"2" * 1_000)
 
     testbed.run(overwrite_later())
@@ -105,9 +105,9 @@ def test_fragment_shipping_resumes_after_outage():
 
     def outage():
         # Let a few fragments through, then cut the link for a while.
-        yield testbed.sim.timeout(120.0)
+        yield testbed.sim.sleep(120.0)
         testbed.link.set_up(False)
-        yield testbed.sim.timeout(300.0)
+        yield testbed.sim.sleep(300.0)
         testbed.link.set_up(True)
 
     testbed.sim.process(outage())
@@ -176,10 +176,10 @@ def test_trickle_defers_to_foreground_between_chunks():
     # Hold the foreground "busy" and watch the daemon stall.
     class Probe:
         def run(self):
-            yield testbed.sim.timeout(5.0)
+            yield testbed.sim.sleep(5.0)
             venus.foreground_ops += 1
             shipped_before = venus.trickle.stats.chunks_committed
-            yield testbed.sim.timeout(300.0)
+            yield testbed.sim.sleep(300.0)
             self.during = (venus.trickle.stats.chunks_committed
                            - shipped_before)
             venus.foreground_ops -= 1
@@ -199,7 +199,7 @@ def test_disconnection_mid_chunk_aborts_cleanly():
     testbed.run(venus.write_file(M + "/dir/x", SyntheticContent(30_000)))
 
     def chop():
-        yield testbed.sim.timeout(12.0)   # mid-transfer at 9.6 Kb/s
+        yield testbed.sim.sleep(12.0)   # mid-transfer at 9.6 Kb/s
         testbed.link.set_up(False)
 
     testbed.sim.process(chop())

@@ -22,7 +22,7 @@ def _idle_run(testbed, until=200.0):
     sim = testbed.sim
 
     def session():
-        yield sim.timeout(until)
+        yield sim.sleep(until)
 
     sim.run(sim.process(session()))
 
@@ -82,9 +82,9 @@ class TestWindowedReverts:
         sim = testbed.sim
 
         def watch():
-            yield sim.timeout(60.0)
+            yield sim.sleep(60.0)
             seen.append(testbed.link.forward.up)
-            yield sim.timeout(40.0)
+            yield sim.sleep(40.0)
             seen.append(testbed.link.forward.up)
 
         sim.run(sim.process(watch()))
@@ -102,7 +102,7 @@ class TestWindowedReverts:
         mid = {}
 
         def watch():
-            yield sim.timeout(30.0)
+            yield sim.sleep(30.0)
             mid["bps"] = testbed.link.forward.bandwidth_bps
             mid["loss"] = testbed.link.forward.loss_rate
 
@@ -112,6 +112,31 @@ class TestWindowedReverts:
         assert testbed.link.forward.bandwidth_bps == original_down
         assert testbed.link.backward.bandwidth_bps == original_up
         assert testbed.link.forward.loss_rate == original_loss
+
+    def test_degrade_revert_restores_both_directions(self):
+        """A degrade changes both directions, and its revert puts both
+        back to the bandwidth and loss rate they had before the fault,
+        not to the profile's."""
+        testbed = make_testbed(MODEM, seed=0)
+        link = testbed.link
+        link.set_bandwidth(4_800.0)
+        link.set_loss_rate(0.05)
+        FaultInjector(testbed, FaultPlan([LinkDegrade(
+            at=20.0, duration=30.0, bandwidth_bps=2_400.0,
+            loss_rate=0.2)])).start()
+        sim = testbed.sim
+        directions = (link.forward, link.backward)
+        mid = []
+
+        def watch():
+            yield sim.sleep(30.0)
+            mid.extend((d.bandwidth_bps, d.loss_rate) for d in directions)
+
+        sim.run(sim.process(watch()))
+        _idle_run(testbed, until=40.0)
+        assert mid == [(2_400.0, 0.2)] * 2
+        assert [(d.bandwidth_bps, d.loss_rate) for d in directions] \
+            == [(4_800.0, 0.05)] * 2
 
     def test_loss_burst_reverts(self):
         testbed = make_testbed(MODEM, seed=0)

@@ -31,7 +31,7 @@ def test_plan_partitions_the_whole_population(scenario):
         == {(spec.duration, spec.family)}
     assert [s.index for s in shards] == list(range(spec.shards))
     # The split is even: no shard more than one client apart.
-    sizes = [s.clients for s in shards]
+    sizes = [s.desktops + s.laptops for s in shards]
     assert max(sizes) - min(sizes) <= 2  # desktops and laptops split independently
 
 

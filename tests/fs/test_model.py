@@ -13,6 +13,8 @@ from repro.fs import (
     VolumeRegistry,
     split_path,
 )
+from repro.net import ETHERNET
+from repro.spec.testbed import make_testbed
 
 
 # ---------------------------------------------------------------- fids
@@ -155,22 +157,31 @@ def test_split_path_normalizes():
     assert split_path("") == []
 
 
+def mounted_client(registry):
+    """A client that has learned ``registry``'s mount points."""
+    venus = make_testbed(ETHERNET).venus
+    venus.learn_mounts(registry)
+    return venus
+
+
 def test_registry_longest_prefix_wins():
     registry = VolumeRegistry()
     outer = Volume(1, "outer")
     inner = Volume(2, "inner")
     registry.mount("/coda", outer)
     registry.mount("/coda/usr/alice", inner)
-    volume, rest = registry.resolve_prefix("/coda/usr/alice/doc.txt")
-    assert volume is inner and rest == ["doc.txt"]
-    volume, rest = registry.resolve_prefix("/coda/misc/x")
-    assert volume is outer and rest == ["misc", "x"]
+    venus = mounted_client(registry)
+    (volid, _root), rest, prefix = venus._mount_for("/coda/usr/alice/doc.txt")
+    assert volid == inner.volid and rest == ("doc.txt",)
+    assert prefix == "/coda/usr/alice"
+    (volid, _root), rest, prefix = venus._mount_for("/coda/misc/x")
+    assert volid == outer.volid and rest == ("misc", "x")
 
 
 def test_registry_no_mount_raises():
-    registry = VolumeRegistry()
+    venus = mounted_client(VolumeRegistry())
     with pytest.raises(FileNotFoundError):
-        registry.resolve_prefix("/elsewhere")
+        venus._mount_for("/elsewhere")
 
 
 def test_registry_duplicate_mount_rejected():

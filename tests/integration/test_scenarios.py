@@ -46,7 +46,7 @@ def test_update_propagates_between_clients():
         yield from laptop.connect()
         yield from desktop.write_file(M + "/src/main.c", b"desktop v2")
         # The laptop's callback break arrives; its next read refetches.
-        yield sim.timeout(5.0)
+        yield sim.sleep(5.0)
         content = yield from laptop.read_file(M + "/src/main.c")
         return content
 
@@ -65,7 +65,7 @@ def test_volume_callback_break_on_cross_client_update():
         info = laptop.cache.volume_info(volume.volid)
         assert info.callback
         yield from desktop.write_file(M + "/src/new.c", b"x")
-        yield sim.timeout(5.0)
+        yield sim.sleep(5.0)
         return laptop.cache.volume_info(volume.volid)
 
     info = run(sim, scenario())
@@ -88,7 +88,7 @@ def test_disconnected_edits_conflict_with_concurrent_update():
         yield from desktop.write_file(M + "/src/main.c", b"desktop edit")
         links["laptop"].set_up(True)
         yield from laptop.connect()
-        yield sim.timeout(120.0)
+        yield sim.sleep(120.0)
 
     run(sim, scenario())
     assert len(laptop.conflicts) == 1
@@ -112,7 +112,7 @@ def test_disconnected_edits_to_different_files_merge_cleanly():
         yield from desktop.write_file(M + "/src/desktop.txt", b"at desk")
         links["laptop"].set_up(True)
         yield from laptop.connect()
-        yield sim.timeout(120.0)
+        yield sim.sleep(120.0)
 
     run(sim, scenario())
     assert len(laptop.conflicts) == 0
@@ -151,13 +151,13 @@ def test_commute_cycle_strong_weak_strong():
         yield from venus.connect()
         assert venus.state.state is VenusState.WRITE_DISCONNECTED
         # Updates trickle home overnight.
-        yield sim.timeout(700.0)
+        yield sim.sleep(700.0)
         assert len(venus.cml) == 0
         # Morning: back on Ethernet.
         link.set_bandwidth(ETHERNET.bandwidth_bps)
         link.forward.latency = link.backward.latency = ETHERNET.latency
         link.forward.bits_per_byte = link.backward.bits_per_byte = 8
-        yield sim.timeout(450.0)   # probe daemon reclassifies
+        yield sim.sleep(450.0)   # probe daemon reclassifies
 
     sim.run(sim.process(scenario()))
     assert venus.state.state is VenusState.HOARDING
@@ -193,8 +193,11 @@ def test_no_keepalive_flood_when_idle():
     # One hour idle at one keepalive per minute, plus hoard walks:
     # comfortably under two packets a minute.
     assert idle_packets < 120
-    # And the server is still considered alive.
-    assert venus.endpoint.liveness.is_reachable("server")
+    # And the server is still considered alive: heard from within a
+    # keepalive interval, and the client still connected.
+    assert venus.endpoint.liveness.silent_for("server") \
+        < venus.config.keepalive_interval
+    assert venus.state.connected
 
 
 def test_write_disconnected_user_forced_full_reintegration():

@@ -14,6 +14,11 @@ def mk_link(sim, bandwidth=8000.0, latency=0.0, loss=0.0,
                 rng=random.Random(seed), deliver=deliver)
 
 
+def send(link, datagram):
+    """Put ``datagram`` on the direction leaving its source."""
+    link.direction(datagram.src).send(datagram)
+
+
 def dg(size, src="a", dst="b"):
     return Datagram(src=src, src_port=1, dst=dst, dst_port=2,
                     payload=None, size=size)
@@ -23,7 +28,7 @@ def test_serialization_delay(sim):
     arrived = []
     link = mk_link(sim, bandwidth=8000.0,
                    deliver=lambda d: arrived.append(sim.now))
-    link.send(dg(1000))   # 1000 B * 8 b / 8000 b/s = 1 s
+    send(link, dg(1000))   # 1000 B * 8 b / 8000 b/s = 1 s
     sim.run()
     assert arrived == [1.0]
 
@@ -32,7 +37,7 @@ def test_latency_adds_after_serialization(sim):
     arrived = []
     link = mk_link(sim, bandwidth=8000.0, latency=0.25,
                    deliver=lambda d: arrived.append(sim.now))
-    link.send(dg(1000))
+    send(link, dg(1000))
     sim.run()
     assert arrived == [1.25]
 
@@ -41,7 +46,7 @@ def test_async_serial_framing_costs_ten_bits(sim):
     arrived = []
     link = mk_link(sim, bandwidth=9600.0, bits_per_byte=10,
                    deliver=lambda d: arrived.append(sim.now))
-    link.send(dg(960))    # 960 B * 10 b / 9600 b/s = 1 s
+    send(link, dg(960))    # 960 B * 10 b / 9600 b/s = 1 s
     sim.run()
     assert arrived == [1.0]
 
@@ -51,8 +56,8 @@ def test_fifo_contention_queues_packets(sim):
     link = mk_link(sim, bandwidth=8000.0,
                    deliver=lambda d: arrived.append((d, sim.now)))
     first, second = dg(1000), dg(1000)
-    link.send(first)
-    link.send(second)     # must wait for the first to leave the wire
+    send(link, first)
+    send(link, second)     # must wait for the first to leave the wire
     sim.run()
     assert [t for _d, t in arrived] == [1.0, 2.0]
     assert [d for d, _t in arrived] == [first, second]
@@ -62,8 +67,8 @@ def test_directions_do_not_contend(sim):
     arrived = []
     link = mk_link(sim, bandwidth=8000.0,
                    deliver=lambda d: arrived.append((d.dst, sim.now)))
-    link.send(dg(1000, src="a", dst="b"))
-    link.send(dg(1000, src="b", dst="a"))
+    send(link, dg(1000, src="a", dst="b"))
+    send(link, dg(1000, src="b", dst="a"))
     sim.run()
     assert sorted(arrived) == [("a", 1.0), ("b", 1.0)]
 
@@ -73,7 +78,7 @@ def test_loss_drops_packets_deterministically(sim):
     link = mk_link(sim, loss=0.5, seed=42,
                    deliver=lambda d: arrived.append(d))
     for _ in range(100):
-        link.send(dg(10))
+        send(link, dg(10))
     sim.run()
     assert 25 < len(arrived) < 75
     stats = link.stats()
@@ -84,8 +89,8 @@ def test_down_link_drops_everything(sim):
     arrived = []
     link = mk_link(sim, deliver=lambda d: arrived.append(d))
     link.set_up(False)
-    link.send(dg(10))
-    link.send(dg(25))
+    send(link, dg(10))
+    send(link, dg(25))
     sim.run()
     assert arrived == []
     assert link.stats().packets_dropped_down == 2
@@ -96,10 +101,10 @@ def test_packet_in_flight_lost_when_link_drops(sim):
     arrived = []
     link = mk_link(sim, bandwidth=8000.0,
                    deliver=lambda d: arrived.append(d))
-    link.send(dg(1000))   # arrives at t=1 if the link stays up
+    send(link, dg(1000))   # arrives at t=1 if the link stays up
 
     def chop():
-        yield sim.timeout(0.5)
+        yield sim.sleep(0.5)
         link.set_up(False)
 
     sim.process(chop())
@@ -111,8 +116,8 @@ def test_packet_in_flight_lost_when_link_drops(sim):
 def test_dropped_bytes_aggregate_across_directions(sim):
     link = mk_link(sim, deliver=lambda d: None)
     link.set_up(False)
-    link.send(dg(100))                     # forward
-    link.send(dg(40, src="b", dst="a"))    # backward
+    send(link, dg(100))                     # forward
+    send(link, dg(40, src="b", dst="a"))    # backward
     sim.run()
     stats = link.stats()
     assert stats.packets_dropped_down == 2
@@ -128,11 +133,11 @@ def test_outage_schedule(sim):
     link.outage(after=1.0, duration=2.0)
 
     def sender():
-        link.send(dg(10))          # t=0: up, delivered
-        yield sim.timeout(2.0)     # t=2: down
-        link.send(dg(10))
-        yield sim.timeout(2.0)     # t=4: up again
-        link.send(dg(10))
+        send(link, dg(10))          # t=0: up, delivered
+        yield sim.sleep(2.0)     # t=2: down
+        send(link, dg(10))
+        yield sim.sleep(2.0)     # t=4: up again
+        send(link, dg(10))
 
     sim.process(sender())
     sim.run()
@@ -144,7 +149,7 @@ def test_set_bandwidth_on_the_fly(sim):
     link = mk_link(sim, bandwidth=8000.0,
                    deliver=lambda d: arrived.append(sim.now))
     link.set_bandwidth(80_000.0)
-    link.send(dg(1000))
+    send(link, dg(1000))
     sim.run()
     assert arrived == [0.1]
 
@@ -212,7 +217,7 @@ def test_explicit_rng_still_shared_across_directions(sim):
 def test_loss_bytes_and_in_flight_conserve(sim):
     lossy = mk_link(sim, bandwidth=8000.0, loss=0.5, seed=3)
     for _ in range(40):
-        lossy.send(dg(1000))
+        send(lossy, dg(1000))
     direction = lossy.forward
     stats = direction.stats
     # Mid-run: some packets still on the wire.

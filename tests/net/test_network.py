@@ -54,7 +54,7 @@ def test_closed_socket_rejects_send_and_drops_arrivals(sim):
     b.close()
     a.send("server", 20, "x", size=10)
     sim.run()
-    assert len(inbox) == 0
+    assert not inbox._items
     with pytest.raises(RuntimeError):
         b.send("client", 10, "x", size=10)
 
@@ -79,4 +79,4 @@ def test_pending_counts_undrained_datagrams(sim):
     a.send("server", 20, "one", size=10)
     a.send("server", 20, "two", size=10)
     sim.run()
-    assert len(inbox) == 2
+    assert len(inbox._items) == 2

@@ -9,6 +9,7 @@ from repro.net import (
     PROFILES,
     SLIP_1200,
     WAVELAN,
+    Network,
     profile_by_name,
 )
 from repro.net.host import IDEAL, LAPTOP_1995, SERVER_1995
@@ -34,9 +35,14 @@ def test_serial_lines_pay_framing():
     assert ETHERNET.bits_per_byte == 8
 
 
-def test_transmission_time():
-    assert MODEM.transmission_time(960) == pytest.approx(1.0)
-    assert ETHERNET.transmission_time(1_250_000) == pytest.approx(1.0)
+def test_transmission_time(sim):
+    """A link built from a profile serializes at its rate and framing."""
+    net = Network(sim)
+    modem = net.add_link("c", "s", profile=MODEM)
+    ethernet = net.add_link("d", "s", profile=ETHERNET)
+    assert modem.forward.transmission_time(960) == pytest.approx(1.0)
+    assert ethernet.forward.transmission_time(1_250_000) \
+        == pytest.approx(1.0)
 
 
 def test_profile_lookup():

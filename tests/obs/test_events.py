@@ -1,10 +1,10 @@
-"""Trace recorder semantics: taxonomy, ordering, null recorder."""
+"""Trace recorder semantics: taxonomy, ordering, the null observatory."""
 
 import pytest
 
-from repro.obs.events import (EVENT_KINDS, NullRecorder, TraceEvent,
-                              TraceRecorder)
-from repro.obs.observatory import (NULL_OBS, NullObservatory, Observatory)
+from repro.obs.events import EVENT_KINDS, TraceEvent, TraceRecorder
+from repro.obs.observatory import NULL_OBS, Observatory
+from repro.obs.report import summary
 from repro.sim import Simulator
 
 
@@ -14,8 +14,7 @@ class TestTraceRecorder:
         recorder = TraceRecorder()
         recorder.record("link_down", 1.0, link="a->b")
         recorder.record("link_up", 2.0, link="a->b")
-        assert [e.kind for e in recorder] == ["link_down", "link_up"]
-        assert len(recorder) == 2
+        assert [e.kind for e in recorder.events] == ["link_down", "link_up"]
         assert recorder.events[0].fields == {"link": "a->b"}
 
     def test_unknown_kind_raises(self):
@@ -28,15 +27,7 @@ class TestTraceRecorder:
         recorder.record("cache_hit", 1.0)
         recorder.record("cache_miss", 2.0)
         recorder.record("cache_hit", 3.0)
-        assert len(recorder.by_kind("cache_hit")) == 2
         assert recorder.counts() == {"cache_hit": 2, "cache_miss": 1}
-
-    def test_clear(self):
-        recorder = TraceRecorder()
-        recorder.record("cache_hit", 0.0)
-        recorder.record("cache_hit", 0.0)
-        recorder.clear()
-        assert len(recorder) == 0
 
     def test_field_named_kind_survives_export_row(self):
         recorder = TraceRecorder()
@@ -56,14 +47,15 @@ class TestTraceRecorder:
 class TestNullRecorder:
 
     def test_is_inert(self):
-        recorder = NullRecorder()
-        assert not recorder.enabled
-        recorder.record("cache_hit", 0.0, node="x")
-        recorder.record("not even a kind", 0.0)
-        assert len(recorder) == 0
-        assert recorder.counts() == {}
-        assert recorder.by_kind("cache_hit") == []
-        assert recorder.events == ()
+        """An uninstrumented run leaves the shared null observatory
+        without state: there is nowhere to record into."""
+        sim = Simulator()
+
+        def body():
+            yield sim.sleep(1.0)
+
+        sim.run(sim.process(body()))
+        assert sim.obs is NULL_OBS and vars(NULL_OBS) == {}
 
 
 class TestObservatory:
@@ -74,7 +66,7 @@ class TestObservatory:
         assert sim.obs is observatory
 
         def body():
-            yield sim.timeout(7.0)
+            yield sim.sleep(7.0)
 
         sim.run(sim.process(body()))
         observatory.event("cache_hit", node="x")
@@ -100,21 +92,11 @@ class TestObservatory:
         assert not sim.obs.enabled
 
     def test_null_observatory_is_inert(self):
-        null = NullObservatory()
-        null.event("whatever", x=1)
-        assert null.time() == 0.0
-        null.metrics.counter("a", node="x").inc(5)
-        null.metrics.gauge("b").set(3)
-        null.metrics.gauge("b").dec(1)
-        null.metrics.histogram("c").observe(1.0)
-        assert null.metrics.rows() == []
-        assert null.metrics.instruments() == []
-        assert len(null.metrics) == 0
-        assert "disabled" in null.summary()
-        sim = Simulator()
-        null.install(sim)
-        assert sim.obs is null
-        null.uninstall()
+        """Off means nothing to call: every instrumentation site checks
+        ``enabled`` before it reaches ``metrics``, ``trace`` or ``event``."""
+        assert not NULL_OBS.enabled
+        assert not any(hasattr(NULL_OBS, name)
+                       for name in ("metrics", "trace", "event", "time"))
 
     def test_event_kind_validated_even_when_live(self):
         observatory = Observatory()
@@ -124,7 +106,7 @@ class TestObservatory:
     def test_summary_delegates_to_report(self):
         observatory = Observatory()
         observatory.metrics.counter("cache.hits", node="x").inc()
-        assert "Observability summary" in observatory.summary()
+        assert "Observability summary" in summary(observatory)
 
 
 def test_trace_event_repr():

@@ -59,18 +59,11 @@ class TestCounter:
 
 class TestGauge:
 
-    def test_set_inc_dec(self):
+    def test_set(self):
         gauge = make_registry().gauge("depth")
         assert gauge.value is None
         gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
-
-    def test_inc_from_unset_counts_from_zero(self):
-        gauge = make_registry().gauge("depth")
-        gauge.inc(2)
-        assert gauge.value == 2
+        assert gauge.value == 10
 
     def test_min_max_envelope(self):
         gauge = make_registry().gauge("depth")
@@ -255,8 +248,7 @@ class TestRegistry:
         assert len(registry.with_name("b.ops")) == 2
         assert len(registry.with_prefix("b.")) == 3
         assert registry.total("b.ops") == 5     # gauges excluded
-        assert registry.value("b.ops", node="x") == 3
-        assert registry.value("missing") == 0
+        assert registry.find("b.ops", node="x").value == 3
         assert registry.find("b.ops", node="z") is None
 
     def test_rows_cover_every_instrument(self):

@@ -80,13 +80,13 @@ class TestTrickleScenario:
         trickle = testbed.venus.trickle.stats
         assert metrics.total("reintegration.fragments") \
             == trickle.fragments_shipped
-        committed = metrics.value("reintegration.chunks",
-                                  node=testbed.venus.node,
-                                  status="committed")
-        assert committed == trickle.chunks_committed
+        committed = metrics.find("reintegration.chunks",
+                                 node=testbed.venus.node,
+                                 status="committed")
+        assert committed.value == trickle.chunks_committed
         validation = testbed.venus.validator.stats
-        assert metrics.value("validation.rpcs", node=testbed.venus.node,
-                             kind="volume") > 0
+        assert metrics.find("validation.rpcs", node=testbed.venus.node,
+                            kind="volume").value > 0
         assert metrics.total("validation.volumes") == validation.attempts
 
     def test_timeline_times_monotonic(self, observed):

@@ -135,7 +135,7 @@ def test_optimized_replay_equals_unoptimized_replay(ops):
         for kind, index, size in ops:
             workload.apply(kind, index, size)
         reintegrator = Reintegrator(workload.registry)
-        records = workload.cml.records
+        records = list(workload.cml)
         conflicts = reintegrator.validate(records)
         assert conflicts == [], (optimize, conflicts)
         reintegrator.apply(records, mtime=1.0)
@@ -166,13 +166,13 @@ def test_barrier_freeze_commit_preserves_order(ops, freeze_at):
         workload.apply(kind, index, size)
     cml = workload.cml
     n = min(freeze_at, len(cml))
-    seqnos_before = [r.seqno for r in cml.records]
+    seqnos_before = [r.seqno for r in cml]
     cml.freeze(n)
     committed = cml.commit_frozen()
     assert [r.seqno for r in committed] == seqnos_before[:n]
-    assert [r.seqno for r in cml.records] == seqnos_before[n:]
+    assert [r.seqno for r in cml] == seqnos_before[n:]
     # Temporal order is intact.
-    times = [r.time for r in cml.records]
+    times = [r.time for r in cml]
     assert times == sorted(times)
 
 
@@ -198,6 +198,6 @@ def test_abort_frozen_is_equivalent_to_never_freezing(ops):
     def shape(cml):
         return [(r.op, r.fid, r.name,
                  r.content.fingerprint if r.content else None)
-                for r in cml.records]
+                for r in cml]
 
     assert shape(direct.cml) == shape(frozen.cml)

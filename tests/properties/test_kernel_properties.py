@@ -54,7 +54,7 @@ def test_kill_owned_never_leaks_callbacks(procs, kill_at, horizon):
 
     def worker(ident):
         while True:
-            yield sim.timeout(1.0)
+            yield sim.sleep(1.0)
             if killed_flag:
                 ran_after_kill.append(ident)
 
@@ -63,7 +63,7 @@ def test_kill_owned_never_leaks_callbacks(procs, kill_at, horizon):
     kill_time = min(kill_at, procs) + 0.5
 
     def killer():
-        yield sim.timeout(kill_time)
+        yield sim.sleep(kill_time)
         sim.kill_owned("victim")
         killed_flag.append(True)
 
@@ -74,7 +74,7 @@ def test_kill_owned_never_leaks_callbacks(procs, kill_at, horizon):
     assert "victim" not in sim._owned
     # ...and nothing of theirs is still scheduled: the queue drains.
     sim.run()
-    assert sim.peek() is None
+    assert sim.peek_entry() is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -82,17 +82,17 @@ def test_kill_owned_never_leaks_callbacks(procs, kill_at, horizon):
                           allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=40))
 def test_peek_and_step_agree(delays):
-    """peek() names exactly the time step() will advance to."""
+    """peek_entry() names exactly the time step() will advance to."""
     sim = Simulator()
     for delay in delays:
-        sim.timeout(delay)
+        sim.sleep(delay)
     seen = []
     while True:
-        upcoming = sim.peek()
+        upcoming = sim.peek_entry()
         if upcoming is None:
             break
         sim.step()
-        assert sim.now == upcoming
+        assert sim.now == upcoming[0]
         seen.append(upcoming)
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
@@ -122,7 +122,7 @@ def run_program(script, queue):
             yield sim.sleep(1000.0)
             log.append((sim.now, "overslept", idx))
         except Interrupt as exc:
-            log.append((sim.now, "interrupted", idx, exc.cause))
+            log.append((sim.now, "interrupted", idx, exc.args[0] if exc.args else None))
 
     def worker(idx, kind, delay):
         if kind == "sleep":

@@ -53,8 +53,8 @@ def run_program(make_queue, program, slicing, start_observed):
 
     def act(action):
         if action == "fork":
-            sim.timeout(0.0)
-            sim.timeout(0.25)
+            sim.sleep(0.0)
+            sim.sleep(0.25)
         elif action == "install_a":
             named["a"].install(sim)
         elif action == "install_b":
@@ -64,14 +64,14 @@ def run_program(make_queue, program, slicing, start_observed):
         elif action == "uninstall":
             if sim.obs is named["foreign"]:
                 sim.obs = NULL_OBS      # leave the foreign clock alone
-            else:
+            elif sim.obs.enabled:
                 sim.obs.uninstall()
         elif action == "boom":
             raise Boom()
 
     timeouts = []
     for delay, action in program:
-        timeout = sim.timeout(delay)
+        timeout = sim.sleep(delay)
         timeout.callbacks.append(lambda _evt, action=action: act(action))
         timeouts.append(timeout)
 

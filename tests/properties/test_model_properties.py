@@ -30,15 +30,6 @@ def test_patience_approval_consistent_with_threshold(priority, wait):
         == (wait <= model.threshold(priority))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=3.001, max_value=100_000.0))
-def test_priority_needed_is_tight(wait):
-    model = PatienceModel()
-    priority = model.priority_needed(wait)
-    assert model.approves(priority, wait)
-    assert priority == 0 or not model.approves(priority - 1, wait)
-
-
 # ---------------------------------------------------------- estimators
 
 @settings(max_examples=100, deadline=None)
@@ -83,12 +74,12 @@ def test_chunk_selection_invariants(store_sizes, budget):
     # Non-empty whenever records exist, a strict log prefix, and within
     # budget unless it is a single oversized record.
     assert chunk
-    assert chunk == cml.records[:len(chunk)]
+    assert chunk == list(cml)[:len(chunk)]
     total = sum(r.size for r in chunk)
     assert total <= budget or len(chunk) == 1
     # Maximality: the next record would not have fit.
-    if len(chunk) < len(cml.records):
-        assert total + cml.records[len(chunk)].size > budget
+    if len(chunk) < len(cml):
+        assert total + list(cml)[len(chunk)].size > budget
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,11 +94,11 @@ def test_eligibility_is_temporal_prefix(store_sizes, window, now_offset):
                    float(i * 100))
     now = float(len(store_sizes) * 100) + now_offset
     eligible = cml.eligible_records(now, window)
-    assert eligible == cml.records[:len(eligible)]
+    assert eligible == list(cml)[:len(eligible)]
     for record in eligible:
         assert now - record.time >= window
-    if len(eligible) < len(cml.records):
-        assert now - cml.records[len(eligible)].time < window
+    if len(eligible) < len(cml):
+        assert now - list(cml)[len(eligible)].time < window
 
 
 # ------------------------------------------------------------ fragments
@@ -126,9 +117,9 @@ def test_fragment_store_completes_in_any_order(total, pieces, data):
         nbytes = min(fragment, total - index * fragment)
         store.put(key, index, nbytes, total)
     assert store.is_complete(key, total)
-    assert store.received(key) == total
+    assert store.begin(key, total).received == total
     store.consume(key)
-    assert store.received(key) == 0
+    assert store.begin(key, total).received == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,11 +143,11 @@ def test_fragment_store_restart_on_size_change(old_total, new_total):
     store = FragmentStore()
     key = ("client", 3)
     store.put(key, 0, min(1000, old_total), old_total)
-    store.begin(key, new_total)
+    entry = store.begin(key, new_total)
     if new_total != old_total:
-        assert store.received(key) == 0   # stale buffer discarded
+        assert entry.received == 0        # stale buffer discarded
     else:
-        assert store.received(key) > 0
+        assert entry.received > 0
 
 
 # --------------------------------------------------------- determinism

@@ -21,7 +21,7 @@ def test_fifo_links_never_reorder(sizes, bandwidth, latency):
                 deliver=lambda d: arrived.append(d.payload))
     sent = []
     for index, size in enumerate(sizes):
-        link.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
+        link.forward.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
                            payload=index, size=size))
         sent.append(index)
     sim.run()
@@ -41,7 +41,7 @@ def test_link_throughput_never_exceeds_bandwidth(sizes, bandwidth):
                 deliver=lambda d: done.setdefault("t", sim.now))
     total = sum(sizes)
     for size in sizes:
-        link.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
+        link.forward.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
                            payload=None, size=size))
     sim.run()
     minimum = total * 8.0 / bandwidth
@@ -60,7 +60,7 @@ def test_loss_statistics_conserve_packets(seed, loss):
                 deliver=lambda d: delivered.append(d))
     n = 200
     for _ in range(n):
-        link.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
+        link.forward.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
                            payload=None, size=100))
     sim.run()
     stats = link.forward.stats
@@ -101,7 +101,7 @@ def test_lossy_outage_prone_link_keeps_order_and_conserves_bytes(
         for index, (size, gap) in enumerate(plan):
             if gap:
                 yield sim.sleep(gap)
-            link.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
+            link.forward.send(Datagram(src="a", src_port=1, dst="b", dst_port=2,
                                payload=index, size=size))
 
     sim.process(sender(), name="sender")

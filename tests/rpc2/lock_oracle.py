@@ -84,7 +84,7 @@ class ProcessPings:
         self._ping_waiters[seq] = waiter
         started = self.sim.now
         self._send(peer, Ping(conn=0, seq=seq, ts=started, pad=pad))
-        expiry = self.sim.timeout(timeout)
+        expiry = self.sim.sleep(timeout)
         yield self.sim.any_of([waiter, expiry])
         if not waiter.triggered:
             self._ping_waiters.pop(seq, None)

@@ -34,7 +34,7 @@ def test_generator_handler_can_wait():
     sim, _link, client, server = build()
 
     def handler(ctx, args):
-        yield ctx.sim.timeout(0.5)
+        yield ctx.sim.sleep(0.5)
         return "slow-ok"
 
     server.register("Slow", handler)
@@ -74,7 +74,7 @@ def test_dead_server_raises_connection_dead():
     conn = client.connect("s")
     with pytest.raises(ConnectionDead):
         sim.run(conn.call("Echo", max_retries=2))
-    assert not client.liveness.is_reachable("s")
+    assert client.liveness.silent_for("s") == float("inf")
 
 
 def test_lossy_link_still_completes_calls():
@@ -91,7 +91,7 @@ def test_duplicate_requests_not_reexecuted():
 
     def handler(ctx, args):
         counter["runs"] += 1
-        yield ctx.sim.timeout(0.2)
+        yield ctx.sim.sleep(0.2)
         return counter["runs"]
 
     server.register("Once", handler)
@@ -106,7 +106,7 @@ def test_calls_on_one_connection_serialize():
     sim, _link, client, server = build()
 
     def handler(ctx, args):
-        yield ctx.sim.timeout(1.0)
+        yield ctx.sim.sleep(1.0)
         return ctx.sim.now
 
     server.register("Slow", handler)
@@ -128,7 +128,7 @@ def test_separate_connections_run_concurrently():
                                        server_host=IDEAL)
 
     def handler(ctx, args):
-        yield ctx.sim.timeout(1.0)
+        yield ctx.sim.sleep(1.0)
         return ctx.sim.now
 
     server.register("Slow", handler)
@@ -150,7 +150,7 @@ def test_ping_measures_rtt_and_liveness():
     sim, _link, client, server = build()
     rtt = sim.run(client.ping("s"))
     assert 0 < rtt < 0.1
-    assert client.liveness.is_reachable("s")
+    assert client.liveness.silent_for("s") == 0.0
 
 
 def test_padded_ping_seeds_bandwidth_estimate():

@@ -49,7 +49,7 @@ def test_transfer_aborts_when_link_dies_midway():
     conn = client.connect("s")
 
     def chop():
-        yield sim.timeout(0.05)
+        yield sim.sleep(0.05)
         link.set_up(False)
 
     sim.process(chop())

@@ -86,7 +86,7 @@ def test_a_transfer_is_an_event_settled_with_the_elapsed_seconds():
     done = tcp_transfer(sim, net, "a", "b", 10_000, IDEAL, IDEAL)
     assert isinstance(done, Event) and not done.triggered
     elapsed = sim.run(done)
-    assert done.ok and done.value == elapsed == sim.now > 0
+    assert done._ok is True and done.value == elapsed == sim.now > 0
 
 
 def test_a_stalled_transfer_raises_out_of_run():

@@ -26,7 +26,7 @@ def test_call_survives_brief_outage():
     link.outage(after=0.0, duration=1.0)
 
     def scenario():
-        yield sim.timeout(0.5)      # request would be lost
+        yield sim.sleep(0.5)      # request would be lost
         result = yield conn.call("Echo", "still there?")
         return (result.result, sim.now)
 
@@ -41,7 +41,7 @@ def test_busy_prevents_duplicate_execution_of_slow_call():
 
     def slow(ctx, args):
         runs["count"] += 1
-        yield ctx.sim.timeout(10.0)
+        yield ctx.sim.sleep(10.0)
         return "done"
 
     server.register("Slow", slow)
@@ -65,9 +65,9 @@ def test_reply_loss_recovered_from_cache():
 
     # Cut the server->client direction exactly while the reply flies.
     def chop():
-        yield sim.timeout(0.001)
+        yield sim.sleep(0.001)
         link.backward.up = False
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         link.backward.up = True
 
     sim.process(chop())
@@ -101,7 +101,8 @@ def test_concurrent_transfers_share_the_wire_fairly():
     def both():
         first = conn_a.call("Fetch", {"n": 20_000})
         second = conn_b.call("Fetch", {"n": 20_000})
-        yield sim.all_of([first, second])
+        yield first
+        yield second
         return sim.now
 
     elapsed = sim.run(sim.process(both()))

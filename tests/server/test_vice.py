@@ -10,6 +10,8 @@ from repro.server import CodaServer
 from repro.sim import Simulator
 from repro.venus.cml import CmlOp, CmlRecord
 
+from tests.conftest import has_callback
+
 
 @pytest.fixture
 def world():
@@ -32,7 +34,7 @@ def test_getattr_returns_status_and_establishes_callback(world):
     result = call(sim, conn, "GetAttr", {"fid": volume.root_fid})
     assert result["status"].otype is ObjectType.DIRECTORY
     assert result["volume_stamp"] == volume.stamp
-    assert server.callbacks.has_object("client", volume.root_fid)
+    assert has_callback(server.callbacks, "client", volume.root_fid)
 
 
 def test_getattr_missing_object(world):
@@ -86,7 +88,7 @@ def test_validate_volumes_side_effect(world):
                   {"stamps": {volume.volid: volume.stamp}})
     valid, stamp = result["results"][volume.volid]
     assert valid and stamp == volume.stamp
-    assert server.callbacks.has_volume("client", volume.volid)
+    assert has_callback(server.callbacks, "client", volume.volid)
 
 
 def test_validate_volumes_stale_and_unknown(world):
@@ -96,7 +98,7 @@ def test_validate_volumes_stale_and_unknown(world):
     valid, stamp = result["results"][volume.volid]
     assert not valid and stamp == volume.stamp
     assert result["results"][999] == (False, None)
-    assert not server.callbacks.has_volume("client", volume.volid)
+    assert not has_callback(server.callbacks, "client", volume.volid)
 
 
 def test_reintegrate_applies_and_reports_versions(world):

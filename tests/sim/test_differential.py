@@ -29,7 +29,7 @@ def staircase(observatory=None):
     from repro.sim import Simulator
     sim = Simulator()
     for delay in (0.6, 1.2, 2.7, 3.1, 0.2, 1.9):
-        sim.timeout(delay)
+        sim.sleep(delay)
     sim.run()
 
 
@@ -39,7 +39,7 @@ def twins(observatory=None):
     sim = Simulator()
 
     def worker():
-        yield sim.timeout(0.0)
+        yield sim.sleep(0.0)
 
     sim.process(worker(), name="a")
     sim.process(worker(), name="b")
@@ -66,9 +66,9 @@ def relay(observatory=None):
 
     sim.process(sleeper(), name="sleeper")
     for lap in range(1, 6):
-        baton = sim.timeout(lap - sim.now)
-        sim.timeout(lap - sim.now)
-        sim.timeout(lap - sim.now)
+        baton = sim.sleep(lap - sim.now)
+        sim.sleep(lap - sim.now)
+        sim.sleep(lap - sim.now)
         sim.run(until=baton)
     sim.run(until=5.5)
     sim.run()

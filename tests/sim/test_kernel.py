@@ -16,9 +16,9 @@ def test_timeout_advances_time(sim):
     log = []
 
     def proc():
-        yield sim.timeout(5.0)
+        yield sim.sleep(5.0)
         log.append(sim.now)
-        yield sim.timeout(2.5)
+        yield sim.sleep(2.5)
         log.append(sim.now)
 
     sim.process(proc())
@@ -30,7 +30,7 @@ def test_events_fire_in_time_order(sim):
     order = []
     for delay in (3.0, 1.0, 2.0):
         def proc(d=delay):
-            yield sim.timeout(d)
+            yield sim.sleep(d)
             order.append(d)
         sim.process(proc())
     sim.run()
@@ -41,7 +41,7 @@ def test_fifo_among_simultaneous_events(sim):
     order = []
     for tag in range(5):
         def proc(t=tag):
-            yield sim.timeout(1.0)
+            yield sim.sleep(1.0)
             order.append(t)
         sim.process(proc())
     sim.run()
@@ -53,7 +53,7 @@ def test_run_until_time_stops_early(sim):
 
     def proc():
         for _ in range(10):
-            yield sim.timeout(1.0)
+            yield sim.sleep(1.0)
             log.append(sim.now)
 
     sim.process(proc())
@@ -64,7 +64,7 @@ def test_run_until_time_stops_early(sim):
 
 def test_run_until_event_returns_value(sim):
     def proc():
-        yield sim.timeout(2.0)
+        yield sim.sleep(2.0)
         return "done"
 
     result = sim.run(sim.process(proc()))
@@ -74,7 +74,7 @@ def test_run_until_event_returns_value(sim):
 
 def test_run_until_event_raises_failure(sim):
     def proc():
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         raise ValueError("boom")
 
     with pytest.raises(ValueError, match="boom"):
@@ -89,21 +89,21 @@ def test_run_dry_before_event_raises(sim):
 
 def test_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
-        sim.timeout(-1.0)
+        sim.sleep(-1.0)
     with pytest.raises(ValueError):
         sim.sleep(-1.0)
 
 
 def test_peek_shows_next_event_time(sim):
-    assert sim.peek() is None
-    sim.timeout(4.0)
-    sim.timeout(2.0)
-    assert sim.peek() == 2.0
+    assert sim.peek_entry() is None
+    sim.sleep(4.0)
+    sim.sleep(2.0)
+    assert sim.peek_entry()[0] == 2.0
 
 
 def test_unhandled_process_failure_surfaces(sim):
     def proc():
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         raise RuntimeError("unseen")
 
     sim.process(proc())
@@ -113,7 +113,7 @@ def test_unhandled_process_failure_surfaces(sim):
 
 def test_nested_processes_return_values(sim):
     def inner():
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         return 42
 
     def outer():
@@ -125,7 +125,7 @@ def test_nested_processes_return_values(sim):
 
 def test_yield_from_chains_through_generators(sim):
     def helper():
-        yield sim.timeout(2.0)
+        yield sim.sleep(2.0)
         return "deep"
 
     def outer():
@@ -159,21 +159,21 @@ def loop_sim(request):
 def test_run_until_processed_event_returns_without_dispatching(loop_sim):
     sim = loop_sim
     done = Timeout(sim, 1.0, "early")
-    sim.timeout(1.0)
-    sim.timeout(2.0)
+    sim.sleep(1.0)
+    sim.sleep(2.0)
     assert sim.run(until=done) == "early"
     assert sim.dispatched == 1
     # Asking again changes nothing: not the clock, not the queue.
     assert sim.run(until=done) == "early"
     assert (sim.dispatched, sim.now) == (1, 1.0)
-    assert sim.peek() == 1.0
+    assert sim.peek_entry()[0] == 1.0
 
 
 def test_run_until_processed_failed_event_reraises(loop_sim):
     sim = loop_sim
 
     def proc():
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         raise ValueError("boom")
 
     failed = sim.process(proc())
@@ -185,11 +185,11 @@ def test_run_until_processed_failed_event_reraises(loop_sim):
 
 def test_run_dry_reports_after_draining_the_queue(loop_sim):
     sim = loop_sim
-    sim.timeout(3.0)
+    sim.sleep(3.0)
     with pytest.raises(RuntimeError, match="ran dry"):
         sim.run(until=sim.event())
     assert (sim.dispatched, sim.now) == (1, 3.0)
-    assert sim.peek() is None
+    assert sim.peek_entry() is None
 
 
 def test_a_retained_sleep_event_is_an_ordinary_event_after_it_fires(loop_sim):
@@ -203,7 +203,7 @@ def test_a_retained_sleep_event_is_an_ordinary_event_after_it_fires(loop_sim):
 
     sim.process(waiter())
     sim.run(until=3.0)
-    assert nap.processed and nap.ok and nap.value is None
+    assert nap._processed and nap._ok is True and nap.value is None
     # Yielding it again a second after it fired resumes on the spot.
     sim.process(waiter())
     sim.run()
@@ -218,7 +218,7 @@ def test_event_stopped_run_counts_dispatches_exactly(loop_sim):
             yield sim.sleep(1.0)
 
     sim.process(ticker())
-    stop = sim.timeout(4.5)
+    stop = sim.sleep(4.5)
     sim.run(until=stop)
     # Process bootstrap, four sleeps, the stop itself; nothing later.
     assert (sim.dispatched, sim.now) == (6, 4.5)
@@ -236,10 +236,10 @@ def test_step_override_sees_every_dispatch_of_an_event_stopped_run(loop_sim):
         original_step()
 
     sim.step = logging_step
-    sim.timeout(1.0)
-    stop = sim.timeout(2.0)
-    sim.timeout(2.0)
-    sim.timeout(3.0)
+    sim.sleep(1.0)
+    stop = sim.sleep(2.0)
+    sim.sleep(2.0)
+    sim.sleep(3.0)
     sim.run(until=stop)
     assert [when for when, _prio, _seq in seen] == [1.0, 2.0]
     assert sim.dispatched == 2

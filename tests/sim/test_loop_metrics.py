@@ -58,9 +58,9 @@ def relay(observatory=None):
 
     sim.process(sleeper(), name="sleeper")
     for lap in range(1, 6):
-        baton = sim.timeout(lap - sim.now)
-        sim.timeout(lap - sim.now)
-        sim.timeout(lap - sim.now)
+        baton = sim.sleep(lap - sim.now)
+        sim.sleep(lap - sim.now)
+        sim.sleep(lap - sim.now)
         sim.run(until=baton)
     sim.run(until=first)            # already processed: dispatches nothing
     sim.run(until=5.5)
@@ -111,7 +111,7 @@ def test_a_run_that_dispatches_nothing_leaves_no_kernel_rows():
     for queue in (None, PlainHeapQueue()):
         sim = Simulator(queue=queue)
         observatory = Observatory(sim)
-        sim.timeout(5.0)
+        sim.sleep(5.0)
         sim.run(until=1.0)
         assert observatory.metrics.find("sim.events_dispatched") is None
         assert observatory.metrics.find("sim.queue_depth") is None
@@ -122,8 +122,8 @@ def swap(observatory=None):
     sim = Simulator()
     observatory.install(sim)
     successor = Observatory()
-    sim.timeout(1.0).callbacks.append(lambda _evt: successor.install(sim))
-    sim.timeout(2.0)
+    sim.sleep(1.0).callbacks.append(lambda _evt: successor.install(sim))
+    sim.sleep(2.0)
     sim.run()
 
 

@@ -49,11 +49,11 @@ def test_simulator_accepts_queue_instance():
 
     sim.process(waiter())
     assert sim._queue is queue
-    assert sim.peek() == 10.0
+    assert sim.peek_entry()[0] == 10.0
     assert sim.peek_entry()[3] is not None
     sim.run()
     assert fired == ["tick"] and sim.now == 12.5
-    assert sim.peek() is None
+    assert sim.peek_entry() is None
     assert sim.peek_entry() is None
     assert "queued=0" in repr(sim)
 
@@ -63,9 +63,9 @@ def test_stale_same_instant_remnant_respects_earlier_deadline(loop):
     """A same-instant event left queued by run(until=Event) must not
     run under a later call with an earlier deadline — on either loop."""
     sim = Simulator(queue=PlainHeapQueue() if loop == "plain" else None)
-    first = sim.timeout(5.0)
-    second = sim.timeout(5.0)
-    third = sim.timeout(5.0)
+    first = sim.sleep(5.0)
+    second = sim.sleep(5.0)
+    third = sim.sleep(5.0)
     sim.run(until=first)
     assert sim.dispatched == 1
     # The event-stopped loop broke right after ``first``: its

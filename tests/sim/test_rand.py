@@ -20,8 +20,3 @@ def test_streams_are_independent():
 def test_different_names_differ():
     streams = RandomStreams(0)
     assert streams.stream("a").random() != streams.stream("b").random()
-
-
-def test_getitem_alias():
-    streams = RandomStreams(3)
-    assert streams["x"] is streams.stream("x")

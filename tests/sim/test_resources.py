@@ -12,7 +12,7 @@ def test_lock_mutual_exclusion(sim):
     def worker(tag, hold):
         yield lock.acquire()
         trace.append(("in", tag, sim.now))
-        yield sim.timeout(hold)
+        yield sim.sleep(hold)
         trace.append(("out", tag, sim.now))
         lock.release()
 
@@ -30,7 +30,7 @@ def test_lock_fifo_order(sim):
     def worker(tag):
         yield lock.acquire()
         order.append(tag)
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         lock.release()
 
     for tag in range(4):
@@ -63,7 +63,7 @@ def test_store_get_blocks_until_put(sim):
         return (value, sim.now)
 
     def putter():
-        yield sim.timeout(3.0)
+        yield sim.sleep(3.0)
         store.put("late")
 
     proc = sim.process(getter())
@@ -83,19 +83,10 @@ def test_store_fifo_items_and_getters(sim):
     sim.process(getter("g2"))
 
     def putter():
-        yield sim.timeout(1.0)
+        yield sim.sleep(1.0)
         store.put("first")
         store.put("second")
 
     sim.process(putter())
     sim.run()
     assert results == [("g1", "first"), ("g2", "second")]
-
-
-def test_store_len_and_clear(sim):
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    store.clear()
-    assert len(store) == 0

@@ -54,9 +54,13 @@ def test_doc_archive_exercises_the_miss_taxonomy():
     assert summary["fetches"] > 0
 
 
-#: EXPERIMENTS.md's "Scenario families" numbers for the two testbed
-#: families, from ``repro run <name>`` at the default seed.
+#: EXPERIMENTS.md's "Scenario families" numbers, from ``repro run
+#: <name>`` at the default seed (the full-scale commuter fleet is the
+#: slowest, ~3.5 s).  Floats match to the two decimals the text gives.
 EXPERIMENTS_NUMBERS = {
+    "commuter": {"commutes": 24, "disconnected_seconds": 60_241.7,
+                 "cml_reintegrated": 38, "mean_missing_pct": 0.852,
+                 "mean_success_pct": 97.146},
     "conflict-storm": {"conflicts_detected": 19,
                        "conflicts_resolved_mine": 8,
                        "conflicts_resolved_theirs": 11,
@@ -65,6 +69,11 @@ EXPERIMENTS_NUMBERS = {
                        "cml_reintegrated": 15},
     "doc-archive": {"reads": 60, "fetches": 31, "misses_transparent": 5,
                     "misses_denied": 1},
+    "replay": {"operations": 38_329, "updates": 189, "misses": 0,
+               "elapsed": 1_975.87, "total_elapsed": 2_521.98,
+               "begin_cml_bytes": 281_727, "end_cml_bytes": 821_608,
+               "shipped_bytes": 1_533_463, "chunks_committed": 62,
+               "optimized_bytes": 4_094_248},
 }
 
 
@@ -72,7 +81,7 @@ EXPERIMENTS_NUMBERS = {
 def test_experiments_md_family_numbers_hold(name):
     summary = run_spec(get(name)).summary
     assert {key: summary[key] for key in EXPERIMENTS_NUMBERS[name]} \
-        == EXPERIMENTS_NUMBERS[name]
+        == pytest.approx(EXPERIMENTS_NUMBERS[name], abs=0.005)
 
 
 def test_doc_archive_golden_reaches_the_weak_phase():
@@ -136,6 +145,6 @@ def test_fleetd_runs_commuter_shards():
     assert len(shards) == 4
     assert all(shard.family == "commuter" for shard in shards)
     result = run_shard(shards[0])
-    assert result.clients == shards[0].clients
+    assert result.clients == shards[0].desktops + shards[0].laptops
     assert result.digest
     assert result.stream_stats["monotone"]

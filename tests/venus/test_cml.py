@@ -41,7 +41,7 @@ def test_store_overwrites_earlier_store():
     cml.append(store(fid(1), 10_000), 0.0)
     cml.append(store(fid(1), 2_000), 1.0)
     assert len(cml) == 1
-    assert cml.records[0].content.size == 2_000
+    assert list(cml)[0].content.size == 2_000
     assert cml.stats.optimized_bytes == RECORD_OVERHEAD + 10_000
 
 
@@ -69,7 +69,7 @@ def test_unlink_of_preexisting_file_stays():
     cml.append(store(fid(1), 9_000), 0.0)
     appended = cml.append(unlink(fid(1), "f"), 1.0)
     assert appended
-    assert [r.op for r in cml.records] == [CmlOp.UNLINK]
+    assert [r.op for r in cml] == [CmlOp.UNLINK]
 
 
 def test_mkdir_rmdir_annihilates():
@@ -169,7 +169,7 @@ def test_abort_reoptimizes_across_old_barrier():
     cml.append(store(fid(1), 2_000, tag="new"), 1.0)
     cml.abort_frozen()
     assert len(cml) == 1
-    assert cml.records[0].content.tag == "new"
+    assert list(cml)[0].content.tag == "new"
 
 
 def test_identity_cancellation_respects_barrier():
@@ -204,4 +204,4 @@ def test_discard_removes_conflicted_records():
     cml.append(b, 1.0)
     removed = cml.discard([a])
     assert removed == 1
-    assert cml.records == [b]
+    assert list(cml) == [b]

@@ -78,7 +78,7 @@ def test_a_restored_log_times_cache_rescan_breaks_the_gate(monkeypatch):
     def rescan(venus):
         for entry in venus.cache.iter_entries():
             for record in venus.cml:
-                record.involves(entry.fid)
+                record.size
         refresh(venus)
 
     monkeypatch.setattr(Venus, "_refresh_dirty", rescan)

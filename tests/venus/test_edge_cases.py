@@ -82,6 +82,6 @@ def test_miss_log_counts_multiple_programs():
         with pytest.raises(CacheMissError):
             testbed.run(venus.read_file(M + "/dir/big.bin",
                                         program=program))
-    programs = [m.program for m in venus.misses.peek()]
+    programs = [m.program for m in venus.misses.drain()]
     assert programs == ["latex", "gcc"]
 

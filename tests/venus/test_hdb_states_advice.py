@@ -3,10 +3,8 @@
 import pytest
 
 from repro.venus import (
-    AlwaysApprove,
     HoardDatabase,
     MissRecord,
-    NeverApprove,
     ScriptedUser,
     TimeoutUser,
     VenusState,
@@ -99,12 +97,6 @@ def test_listeners_called_on_transition():
     assert seen == [(VenusState.EMULATING, VenusState.WRITE_DISCONNECTED)]
 
 
-def test_logging_updates_predicate():
-    assert VenusStateMachine(VenusState.EMULATING).logging_updates
-    assert VenusStateMachine(VenusState.WRITE_DISCONNECTED).logging_updates
-    assert not VenusStateMachine(VenusState.HOARDING).logging_updates
-
-
 # --------------------------------------------------------- user models
 
 def candidates():
@@ -122,15 +114,9 @@ def test_timeout_user_fetches_everything():
 
 
 def test_never_approve_skips_all():
-    approved, suppressed = NeverApprove().approve_fetches(candidates())
+    """A scripted user with no approvals declines every open row."""
+    approved, suppressed = ScriptedUser().approve_fetches(candidates())
     assert approved == [] and suppressed == []
-
-
-def test_always_approve_has_no_delay():
-    user = AlwaysApprove()
-    assert user.delay_seconds == 0.0
-    approved, _ = user.approve_fetches(candidates())
-    assert approved == ["/b", "/c"]
 
 
 def test_scripted_user_decisions():

@@ -150,7 +150,7 @@ def test_disconnected_miss_is_recorded(testbed):
     with pytest.raises(CacheMissError):
         testbed.run(venus.read_file(M + "/dir/big.bin", program="cat"))
     assert len(venus.misses) == 1
-    assert venus.misses.peek()[0].program == "cat"
+    assert venus.misses.drain()[0].program == "cat"
 
 
 def test_sync_offline_raises(testbed):
@@ -218,7 +218,7 @@ def test_weak_miss_above_patience_is_refused():
         testbed.run(venus.read_file(M + "/dir/big.bin", program="grep"))
     assert exc.value.estimated_seconds > 60
     assert venus.stats.misses_denied == 1
-    assert venus.misses.peek()[0].size_bytes == 400_000
+    assert venus.misses.drain()[0].size_bytes == 400_000
 
 
 def test_callback_break_invalidates_cached_object(testbed):

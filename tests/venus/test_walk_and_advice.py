@@ -6,7 +6,6 @@ from repro.net import MODEM
 from repro.venus import (
     CacheMissError,
     ScriptedUser,
-    NeverApprove,
     VenusConfig,
     VenusState,
 )
@@ -44,7 +43,7 @@ def test_walk_fetches_hoarded_objects_when_strong():
 def test_walk_preapproves_cheap_fetches_when_weak():
     config = VenusConfig(start_daemons=False)
     testbed = build_testbed(profile=MODEM, tree=cold_tree(), warm=False,
-                            venus_config=config, user=NeverApprove())
+                            venus_config=config, user=ScriptedUser(delay_seconds=0.0))
     connected(testbed)
     venus = testbed.venus
     assert venus.state.state is VenusState.WRITE_DISCONNECTED

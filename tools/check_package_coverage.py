@@ -1,14 +1,25 @@
-"""Enforce per-package coverage floors from a coverage.py JSON report.
+"""Enforce per-package coverage floors, and that tier-1 enters every
+``def``, from a coverage.py JSON report.
 
 Usage: python tools/check_package_coverage.py coverage.json
+       python tools/check_package_coverage.py coverage.json UNENTERED
 
 The global ``--cov-fail-under`` gate catches wholesale regressions;
-this script stops a PR from funding the global number with easy lines
-in one package while another package rots.  Floors are set a few
+the first form stops a PR from funding the global number with easy
+lines in one package while another package rots.  Floors are set a few
 points below the levels measured when the gate was introduced (tier-1
 suite, 2026-08) so routine refactors don't trip them.
+
+The second form is the reachability ratchet: it fails on any ``def``
+whose first body statement (a docstring is not one) tier-1 never
+executed, unless the ``UNENTERED`` file (``tools/tier1_unentered.txt``)
+lists it as ``repro/<path>.py::<qualname>  <reason>``.  A listed
+``def`` that is gone, or that tier-1 now enters, fails too, so the
+file only shrinks.  ``tools/reach.py --report`` writes the same report
+shape from a stdlib recorder, for boxes without ``pytest-cov``.
 """
 
+import ast
 import json
 import sys
 
@@ -62,10 +73,99 @@ def package_of(path):
     return rel.split("/")[0] if "/" in rel else "(top)"
 
 
+def _is_docstring(statement):
+    return isinstance(statement, ast.Expr) \
+        and isinstance(statement.value, ast.Constant) \
+        and isinstance(statement.value.value, str)
+
+
+def _first_statement_lines(node):
+    """The lines of ``node``'s first body statement, skipping a
+    docstring (a decorated one from its first decorator on); None for
+    a body that is only a docstring.  coverage.py reports a multi-line
+    statement at its first line and a line tracer may see a later one;
+    any of them executed means the def was entered."""
+    body = node.body[1:] if _is_docstring(node.body[0]) else node.body
+    if not body:
+        return None
+    first = body[0]
+    decorators = getattr(first, "decorator_list", ())
+    start = min([first.lineno] + [d.lineno for d in decorators])
+    return range(start, first.end_lineno + 1)
+
+
+def _defs(tree, prefix=""):
+    """``(qualname, first statement lines)`` for every def in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, _first_statement_lines(node)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield from _defs(node, prefix + node.name + ".")
+        else:
+            yield from _defs(node, prefix)
+
+
+def unentered_defs(report):
+    """``(every def, the defs tier-1 never entered)`` as sets of
+    ``repro/<path>.py::<qualname>`` over the report's files, read
+    from the paths the report names."""
+    every, unentered = set(), set()
+    for path, data in report["files"].items():
+        executed = set(data["executed_lines"])
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for qualname, lines in _defs(tree):
+            name = "%s::%s" % (module_of(path), qualname)
+            every.add(name)
+            if lines is not None and executed.isdisjoint(lines):
+                unentered.add(name)
+    return every, unentered
+
+
+def read_unentered(path):
+    """``{name: reason}`` from the committed list (``#`` comments)."""
+    listed = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                name, _, reason = line.partition(" ")
+                listed[name] = reason.strip()
+    return listed
+
+
+def check_unentered(report, listed):
+    """Failure lines: unlisted unentered defs, and stale or reasonless
+    list entries."""
+    every, unentered = unentered_defs(report)
+    failed = ["FAIL %s: tier-1 never enters it; test it, delete it, or "
+              "list it with a reason" % name
+              for name in sorted(unentered - set(listed))]
+    for name, reason in sorted(listed.items()):
+        if name not in every:
+            failed.append("FAIL %s: listed, but no such def" % name)
+        elif name not in unentered:
+            failed.append("FAIL %s: listed, but tier-1 enters it now; "
+                          "remove its line" % name)
+        elif not reason:
+            failed.append("FAIL %s: listed without a reason" % name)
+    return failed
+
+
 def main(argv):
     report_path = argv[1] if len(argv) > 1 else "coverage.json"
     with open(report_path) as fh:
         report = json.load(fh)
+    if len(argv) > 2:
+        failed = check_unentered(report, read_unentered(argv[2]))
+        for line in failed:
+            print(line)
+        if failed:
+            return 1
+        print("def reachability: every def tier-1 leaves unentered "
+              "is listed in %s" % argv[2])
+        return 0
 
     totals = {}
     modules = {}
